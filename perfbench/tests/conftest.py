@@ -1,0 +1,6 @@
+import sys
+from pathlib import Path
+
+# The benchmark's modules import each other by plain name, as they do
+# when perfbench/run.py starts them as scripts.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
