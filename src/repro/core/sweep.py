@@ -69,7 +69,7 @@ from repro.resilience.report import FailureLedger, FailureReport
 from repro.resilience.sharding import ShardPlanner, ShardReport
 from repro.resilience.supervisor import SupervisedTask, Supervisor
 from repro.runtime.executor import RuntimeExecutor, apply_measurement_noise
-from repro.runtime.icv import EnvConfig
+from repro.runtime.icv import EnvConfig, ResolvedICVs
 from repro.workloads.base import Workload, workloads_for_arch
 
 __all__ = [
@@ -364,12 +364,17 @@ def equivalence_groups(
     configs: Sequence[EnvConfig],
     machine: MachineTopology,
     nthreads: int | None = None,
+    *,
+    representatives: dict[tuple, ResolvedICVs] | None = None,
 ) -> dict[tuple, list[int]]:
     """Group grid indices by resolved execution signature.
 
     Insertion order is grid order, so each group's first index is the
     deterministic representative.  ``nthreads``, if given, overrides the
     thread count before resolution (the per-batch setting).
+    ``representatives``, if given, receives each group's representative
+    :class:`~repro.runtime.icv.ResolvedICVs` under its signature, so the
+    caller can evaluate the class without resolving it a second time.
     """
     from repro.runtime.icv import resolve_icvs
 
@@ -377,8 +382,12 @@ def equivalence_groups(
     for i, config in enumerate(configs):
         if nthreads is not None:
             config = config.with_threads(nthreads)
-        sig = resolve_icvs(config, machine).execution_signature()
-        groups.setdefault(sig, []).append(i)
+        icvs = resolve_icvs(config, machine)
+        sig = icvs.execution_signature()
+        members = groups.setdefault(sig, [])
+        if not members and representatives is not None:
+            representatives[sig] = icvs
+        members.append(i)
     return groups
 
 
@@ -402,15 +411,19 @@ def _execute_batch(
     program = get_workload(batch.app).program(batch.input_size)
     cfgs = [config.with_threads(batch.nthreads) for config in configs]
 
+    # (representative ICVs or None to resolve, member indices) per class.
+    classes: list[tuple[ResolvedICVs | None, list[int]]]
     if plan.prune:
-        groups = equivalence_groups(cfgs, machine)
+        resolved: dict[tuple, ResolvedICVs] = {}
+        groups = equivalence_groups(cfgs, machine, representatives=resolved)
+        classes = [(resolved[sig], members) for sig, members in groups.items()]
     else:
-        groups = {(i,): [i] for i in range(len(cfgs))}
+        classes = [(None, [i]) for i in range(len(cfgs))]
 
     runtimes_of: dict[int, tuple[float, ...]] = {}
-    for members in groups.values():
+    for icvs, members in classes:
         executor = RuntimeExecutor(
-            machine, cfgs[members[0]], fidelity=plan.fidelity
+            machine, cfgs[members[0]], fidelity=plan.fidelity, icvs=icvs
         )
         true = executor.execute(program, seed=plan.seed)
         for i in members:

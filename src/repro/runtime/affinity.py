@@ -22,6 +22,7 @@ synthesizes a per-core place list; we do the same.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +33,22 @@ from repro.runtime.icv import BindPolicy, ResolvedICVs
 
 __all__ = ["ThreadPlacement", "compute_placement"]
 
+#: Bound on memoized placements.  A sweep needs one per
+#: (machine, team size, binding, places) it meets: a few hundred across
+#: every machine, scale and thread setting.
+_PLACEMENT_MEMO_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class ThreadPlacement:
     """Resolved thread -> hardware mapping for one team.
+
+    A placement is an immutable value: its derived invariants
+    (:attr:`oversubscription`, :attr:`max_oversubscription`,
+    :attr:`n_numa_used`, :attr:`n_llc_used` and :meth:`effective_speed`)
+    are computed once at construction, and every array it hands out is
+    read-only, so one placement can be shared by every executor that
+    needs it (see :func:`compute_placement`).
 
     Attributes
     ----------
@@ -55,6 +68,23 @@ class ThreadPlacement:
     def __post_init__(self) -> None:
         if self.cores.ndim != 1 or self.cores.shape[0] < 1:
             raise ConfigError("placement needs at least one thread")
+        cores = _read_only(self.cores.copy())
+        _, inverse, counts = np.unique(
+            cores, return_inverse=True, return_counts=True
+        )
+        oversubscription = _read_only(counts[inverse])
+        m = self.machine
+        # Frozen dataclass: the derived values bypass its __setattr__.
+        store = object.__setattr__
+        store(self, "cores", cores)
+        store(self, "_oversubscription", oversubscription)
+        store(self, "_max_oversubscription", int(oversubscription.max()))
+        store(self, "_n_numa_used",
+              int(np.unique(cores // m.cores_per_numa).shape[0]))
+        store(self, "_n_llc_used",
+              int(np.unique(cores // m.cores_per_llc).shape[0]))
+        store(self, "_effective_speed",
+              _read_only(1.0 / oversubscription.astype(float)))
 
     @property
     def nthreads(self) -> int:
@@ -64,15 +94,12 @@ class ThreadPlacement:
     @property
     def oversubscription(self) -> np.ndarray:
         """Per-thread number of team threads mapped to the same core."""
-        _, inverse, counts = np.unique(
-            self.cores, return_inverse=True, return_counts=True
-        )
-        return counts[inverse]
+        return self._oversubscription
 
     @property
     def max_oversubscription(self) -> int:
         """Worst per-core thread pile-up (1 = no sharing)."""
-        return int(self.oversubscription.max())
+        return self._max_oversubscription
 
     @property
     def numa_nodes(self) -> np.ndarray:
@@ -92,19 +119,19 @@ class ThreadPlacement:
     @property
     def n_numa_used(self) -> int:
         """Distinct NUMA nodes the team touches."""
-        return int(np.unique(self.numa_nodes).shape[0])
+        return self._n_numa_used
 
     @property
     def n_llc_used(self) -> int:
         """Distinct LLC groups the team touches."""
-        return int(np.unique(self.llcs).shape[0])
+        return self._n_llc_used
 
     def effective_speed(self) -> np.ndarray:
         """Per-thread execution-rate multiplier from core sharing.
 
         A core timeshared by ``k`` team threads runs each at ``1/k``.
         """
-        return 1.0 / self.oversubscription.astype(float)
+        return self._effective_speed
 
     def mean_numa_distance_to_local_data(self) -> float:
         """Average access cost assuming each thread's data was first-touched
@@ -121,6 +148,12 @@ class ThreadPlacement:
         return 0.5 * 1.0 + 0.5 * m.mean_numa_distance()
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, locked against writes (placements are shared)."""
+    array.flags.writeable = False
+    return array
+
+
 def _round_robin_cores(place: Place, count: int, start: int = 0) -> list[int]:
     """Assign ``count`` threads to a place's cores round-robin."""
     width = place.width
@@ -130,10 +163,29 @@ def _round_robin_cores(place: Place, count: int, start: int = 0) -> list[int]:
 def compute_placement(
     icvs: ResolvedICVs, machine: MachineTopology
 ) -> ThreadPlacement:
-    """Map a resolved team onto cores per places + binding policy."""
-    nthreads = icvs.nthreads
-    bind = icvs.bind
+    """Map a resolved team onto cores per places + binding policy.
 
+    A placement depends only on ``(machine, nthreads, bind, places)``, and
+    a sweep asks for the same few dozen over and over, so each is built
+    once and shared.  ``places`` is dead when threads are unbound
+    (``ResolvedICVs.SIGNATURE_DEAD_FIELDS``): it is read only past that
+    case, and the unbound key carries ``None`` instead, so unbound
+    configurations that differ only in ``OMP_PLACES`` share one entry.
+    """
+    bind = icvs.bind
+    if bind is BindPolicy.FALSE:
+        return _build_placement(machine, icvs.nthreads, bind, None)
+    return _build_placement(machine, icvs.nthreads, bind, icvs.places)
+
+
+@functools.lru_cache(maxsize=_PLACEMENT_MEMO_SIZE)
+def _build_placement(
+    machine: MachineTopology,
+    nthreads: int,
+    bind: BindPolicy,
+    place_kind: PlaceKind | None,
+) -> ThreadPlacement:
+    """Build the placement of one team (memoized by :func:`compute_placement`)."""
     if bind is BindPolicy.FALSE:
         # Unbound: the OS balances across all cores; migration modeled via
         # bound=False downstream.
@@ -142,7 +194,6 @@ def compute_placement(
 
     # Binding requested: materialize the place list. An unset OMP_PLACES
     # with an explicit binding policy synthesizes per-core places.
-    place_kind = icvs.places
     if place_kind is PlaceKind.UNSET:
         place_kind = PlaceKind.CORES
     places = machine.places(place_kind)

@@ -47,7 +47,9 @@ class RuntimeExecutor:
 
     Caches ICV resolution, placement and the region engine so sweeping many
     programs under one configuration costs a handful of scalar evaluations
-    per region.
+    per region.  ``icvs``, when the caller already resolved ``config`` on
+    ``machine`` (the sweep's grouping does), is used instead of resolving
+    it again.
     """
 
     def __init__(
@@ -56,13 +58,17 @@ class RuntimeExecutor:
         config: EnvConfig,
         fidelity: str = "analytic",
         costs: RuntimeCosts | None = None,
+        *,
+        icvs: ResolvedICVs | None = None,
     ):
         if fidelity not in ("analytic", "des"):
             raise SimulationError(f"unknown fidelity {fidelity!r}")
         self.machine = machine
         self.config = config
         self.fidelity = fidelity
-        self.icvs: ResolvedICVs = resolve_icvs(config, machine)
+        self.icvs: ResolvedICVs = (
+            icvs if icvs is not None else resolve_icvs(config, machine)
+        )
         self.placement: ThreadPlacement = compute_placement(self.icvs, machine)
         # A custom cost table (e.g. scale_costs output) overrides the
         # machine's calibrated one — the metamorphic harness's entry point.

@@ -21,6 +21,7 @@ futex sleep/wake cycles.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -138,11 +139,14 @@ class RegionEngine:
         return overhead
 
     @staticmethod
+    @functools.lru_cache(maxsize=256)
     def _max_leaf_factor(sigma: float, n_leaves: int) -> float:
         """Expected max/mean ratio of ``n`` lognormal(sigma) leaf costs.
 
         Approximates the (1 - 1/n) quantile of the lognormal relative to
-        its mean — the straggler that pins the region's tail.
+        its mean — the straggler that pins the region's tail.  A pure
+        function of its arguments, memoized because a sweep prices the
+        same few task regions thousands of times.
         """
         if sigma <= 0.0 or n_leaves < 2:
             return 1.0

@@ -587,6 +587,71 @@ class TestKey004:
         assert "SIGNATURE_DEAD_FIELDS" in stale[0].message
 
 
+# A placement memo in front of the model: the cache key drops ``places``
+# when threads are unbound, so the read must come after that case.
+_MEMO_TREE = mutate(
+    BASE_TREE, "runtime/model.py",
+    "    return base + placement_overhead(icvs, machine)\n",
+    "    cores = compute_placement(icvs, machine)\n"
+    "    return base + placement_overhead(icvs, machine) + 0.0 * len(cores)\n",
+)
+_MEMO_TREE = mutate(
+    _MEMO_TREE, "runtime/model.py",
+    "from repro.runtime.program import Program\n",
+    "from repro.runtime.placement import compute_placement\n"
+    "from repro.runtime.program import Program\n",
+)
+_MEMO_TREE["runtime/placement.py"] = textwrap.dedent("""
+    import functools
+
+    from repro.arch.topology import MachineTopology
+    from repro.runtime.icv import ResolvedICVs
+
+
+    @functools.lru_cache(maxsize=64)
+    def _build_placement(machine: MachineTopology, nthreads: int,
+                         bind: str, places) -> tuple:
+        if bind == "false":
+            return tuple(t % machine.n_cores for t in range(nthreads))
+        width = machine.n_cores if places == "sockets" else 1
+        return tuple(t % width for t in range(nthreads))
+
+
+    def compute_placement(icvs: ResolvedICVs,
+                          machine: MachineTopology) -> tuple:
+        bind = icvs.bind
+        if bind == "false":
+            return _build_placement(machine, icvs.nthreads, bind, None)
+        return _build_placement(machine, icvs.nthreads, bind, icvs.places)
+""")
+
+
+class TestPlacementMemoKey:
+    def test_places_read_after_unbound_return_is_clean(self, tmp_path):
+        graph = build_callgraph(make_tree(tmp_path, _MEMO_TREE))
+        tracked = tracked_classes(graph)
+        cone = compute_cone(graph, default_roots(graph),
+                            frozenset(tracked.values()))
+        assert "repro.runtime.placement.compute_placement" in cone.members
+        assert run_deps_passes(graph) == []
+
+    def test_places_read_before_unbound_return_is_an_error(self, tmp_path):
+        tree = mutate(
+            _MEMO_TREE, "runtime/placement.py",
+            "    bind = icvs.bind\n",
+            "    bind = icvs.bind\n    places = icvs.places\n",
+        )
+        tree = mutate(
+            tree, "runtime/placement.py",
+            "bind, icvs.places)", "bind, places)",
+        )
+        findings = deps_findings(tmp_path, tree)
+        (f,) = by_rule(findings, "KEY004")
+        assert f.severity is Severity.ERROR
+        assert f.subject == "ResolvedICVs.places"
+        assert "placement.compute_placement" in f.message
+
+
 # ----------------------------------------------------------------------
 # Waivers: the KEY plane owns KEY entries, and only those
 # ----------------------------------------------------------------------
@@ -673,6 +738,8 @@ class TestRealTree:
         assert {"nthreads", "schedule", "bind", "wait_policy",
                 "reduction"} <= icv_reads
         assert cone.read_attrs(tracked["BatchSpec"]) >= {"app", "input_size"}
+        # The placement memo's front is where ``places`` meets its guard.
+        assert "repro.runtime.affinity.compute_placement" in cone.members
 
     def test_deps_lint_is_deterministic(self):
         assert deps_lint() == deps_lint()

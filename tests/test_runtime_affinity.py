@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.arch.machines import A64FX, MILAN, SKYLAKE
-from repro.runtime.affinity import compute_placement
-from repro.runtime.icv import EnvConfig, resolve_icvs
+from repro.arch.machines import (
+    A64FX,
+    MILAN,
+    SKYLAKE,
+    get_machine,
+    machine_names,
+)
+from repro.arch.topology import PlaceKind
+from repro.runtime.affinity import (
+    ThreadPlacement,
+    _build_placement,
+    compute_placement,
+)
+from repro.runtime.icv import BindPolicy, EnvConfig, resolve_icvs
 
 
 def place(machine, **kwargs):
@@ -118,3 +129,105 @@ class TestDerivedQuantities:
         p = place(MILAN, num_threads=1)
         assert p.nthreads == 1
         assert p.max_oversubscription == 1
+
+
+# ----------------------------------------------------------------------
+# Build-once placements: precomputed invariants and the placement memo
+# ----------------------------------------------------------------------
+_ALL_MACHINES = [get_machine(name) for name in machine_names()]
+_PLACE_KINDS = [kind.value for kind in PlaceKind]
+_BINDS = [bind.value for bind in BindPolicy if bind is not BindPolicy.UNSET]
+
+
+def _team_sizes(machine):
+    n = machine.n_cores
+    return (1, 2, 3, 7, 13, n // 2, n - 1, n, n + 1, 2 * n + 3)
+
+
+def _unique_formulas(p):
+    """The invariants as the properties computed them on every access."""
+    m = p.machine
+    _, inverse, counts = np.unique(
+        p.cores, return_inverse=True, return_counts=True
+    )
+    over = counts[inverse]
+    return {
+        "oversubscription": over,
+        "max_oversubscription": int(over.max()),
+        "n_numa_used": int(np.unique(p.cores // m.cores_per_numa).shape[0]),
+        "n_llc_used": int(np.unique(p.cores // m.cores_per_llc).shape[0]),
+        "effective_speed": 1.0 / over.astype(float),
+    }
+
+
+class TestPrecomputedInvariants:
+    def test_traced_names_stay_properties(self):
+        # Outside tooling wraps these class attributes as properties.
+        for name in ("oversubscription", "max_oversubscription",
+                     "n_numa_used"):
+            assert isinstance(ThreadPlacement.__dict__[name], property), name
+
+    @pytest.mark.parametrize("machine", _ALL_MACHINES, ids=lambda m: m.name)
+    def test_invariants_equal_the_unique_formulas(self, machine):
+        for kind in _PLACE_KINDS:
+            for bind in _BINDS:
+                for n in _team_sizes(machine):
+                    p = place(machine, places=kind, proc_bind=bind,
+                              num_threads=n)
+                    want = _unique_formulas(p)
+                    got = {
+                        "oversubscription": p.oversubscription,
+                        "max_oversubscription": p.max_oversubscription,
+                        "n_numa_used": p.n_numa_used,
+                        "n_llc_used": p.n_llc_used,
+                        "effective_speed": p.effective_speed(),
+                    }
+                    ctx = (machine.name, kind, bind, n)
+                    for name in ("max_oversubscription", "n_numa_used",
+                                 "n_llc_used"):
+                        assert type(got[name]) is int, (name, ctx)
+                        assert got[name] == want[name], (name, ctx)
+                    for name in ("oversubscription", "effective_speed"):
+                        assert got[name].dtype == want[name].dtype, ctx
+                        assert np.array_equal(got[name], want[name]), (
+                            name, ctx)
+
+    def test_arrays_are_read_only(self):
+        p = place(MILAN, places="sockets", proc_bind="master")
+        for array in (p.cores, p.oversubscription, p.effective_speed()):
+            with pytest.raises(ValueError):
+                array[0] = 7
+
+    def test_caller_array_is_not_locked(self):
+        cores = np.array([0, 0, 1])
+        p = ThreadPlacement(machine=MILAN, cores=cores, bound=True)
+        cores[0] = 5  # the placement keeps its own copy
+        assert p.cores.tolist() == [0, 0, 1]
+        assert p.max_oversubscription == 2
+
+
+class TestPlacementMemo:
+    def test_unbound_ignores_places(self):
+        a = place(MILAN, places="sockets", proc_bind="false", num_threads=48)
+        b = place(MILAN, places="ll_caches", proc_bind="false",
+                  num_threads=48)
+        assert a is b
+
+    def test_bound_places_are_distinct(self):
+        a = place(MILAN, places="sockets", proc_bind="close", num_threads=48)
+        b = place(MILAN, places="ll_caches", proc_bind="close",
+                  num_threads=48)
+        assert a is not b
+        assert not np.array_equal(a.cores, b.cores)
+
+    def test_repeated_calls_share_one_placement(self):
+        icvs = resolve_icvs(
+            EnvConfig(places="cores", proc_bind="spread", num_threads=40),
+            SKYLAKE,
+        )
+        assert compute_placement(icvs, SKYLAKE) is compute_placement(
+            icvs, SKYLAKE)
+
+    def test_memo_is_bounded(self):
+        maxsize = _build_placement.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0

@@ -1,10 +1,14 @@
 """Tests for region pricing and whole-program execution — including the
 analytic-vs-DES task model cross-validation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.arch.machines import A64FX, MILAN, SKYLAKE
+from repro.core.envspace import EnvSpace
+from repro.core.sweep import SweepPlan, equivalence_groups, plan_batches
 from repro.errors import SimulationError
 from repro.runtime.affinity import compute_placement
 from repro.runtime.costs import get_costs, work_seconds
@@ -18,6 +22,7 @@ from repro.runtime.program import (
     SerialPhase,
     TaskRegion,
 )
+from repro.workloads.base import get_workload
 from repro.workloads.generator import synthetic_task_workload
 
 
@@ -48,6 +53,25 @@ class TestTaskAcquire:
             resolve_icvs(EnvConfig(library="turnaround"), MILAN), c
         )
         assert inf == active
+
+
+class TestMaxLeafFactor:
+    @pytest.mark.parametrize("sigma,n", [
+        (0.1, 2), (0.35, 64), (0.5, 1000), (1.2, 7), (0.8, 4096),
+    ])
+    def test_memo_equals_direct_scipy(self, sigma, n):
+        from scipy.stats import norm
+
+        z = float(norm.ppf(1.0 - 1.0 / n))
+        direct = math.exp(sigma * z) / math.exp(0.5 * sigma * sigma)
+        assert RegionEngine._max_leaf_factor(sigma, n) == direct
+        assert RegionEngine._max_leaf_factor(sigma, n) == direct  # memo hit
+
+    def test_degenerate_inputs_and_bounded_memo(self):
+        assert RegionEngine._max_leaf_factor(0.0, 100) == 1.0
+        assert RegionEngine._max_leaf_factor(0.5, 1) == 1.0
+        maxsize = RegionEngine._max_leaf_factor.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestLoopRegionPricing:
@@ -209,3 +233,24 @@ class TestExecutor:
         prog = synthetic_task_workload()
         for m in (A64FX, SKYLAKE, MILAN):
             assert execute(prog, m, EnvConfig()) > 0
+
+    @pytest.mark.parametrize("machine", [MILAN, A64FX], ids=lambda m: m.name)
+    def test_grouping_icvs_match_own_resolution(self, machine):
+        # The sweep hands each class's ICVs from grouping to the executor
+        # instead of resolving again; both must price every class alike.
+        plan = SweepPlan(arch=machine.name, scale="small")
+        configs = EnvSpace().grid(machine, plan.scale, seed=plan.seed)
+        for batch in plan_batches(plan):
+            program = get_workload(batch.app).program(batch.input_size)
+            resolved = {}
+            groups = equivalence_groups(configs, machine, batch.nthreads,
+                                        representatives=resolved)
+            assert resolved.keys() == groups.keys()
+            for sig, members in groups.items():
+                config = configs[members[0]].with_threads(batch.nthreads)
+                reused = RuntimeExecutor(machine, config, icvs=resolved[sig])
+                own = RuntimeExecutor(machine, config)
+                assert reused.icvs == own.icvs
+                assert reused.execute(program) == own.execute(program)
+                assert reused.observe(program, 1, 3) == own.observe(
+                    program, 1, 3)
