@@ -18,19 +18,46 @@ The paper's Tables III/IV document a qualitative contrast between machines:
 a deterministic per-run-index drift factor and multiplicative lognormal
 jitter.  Noise streams are keyed by the full sample identity so sweeps are
 reproducible regardless of execution order.
+
+Every draw comes from the stream numpy's
+``default_rng(SeedSequence([seed, run_index]))`` would give.  Building
+that generator costs far more than the one deviate taken from it, so
+:meth:`NoiseModel.apply_many` derives the PCG64 states of a whole batch
+at once (:func:`pcg64_states`, an exact reimplementation of numpy's
+seeding) and loads each into one generator the call owns.  Only the
+seeding is reimplemented; numpy still draws every deviate.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ReproError
 
-__all__ = ["NoiseModel", "NOISE_MODELS", "get_noise_model", "sample_seed"]
+__all__ = [
+    "NoiseModel",
+    "NOISE_MODELS",
+    "get_noise_model",
+    "pcg64_states",
+    "sample_seed",
+    "sample_seeds",
+]
+
+
+def _absorb(h: "hashlib._Hash", parts: Iterable[object]) -> "hashlib._Hash":
+    for p in parts:
+        h.update(repr(p).encode("utf-8"))
+        h.update(b"\x1f")
+    return h
+
+
+def _digest(h: "hashlib._Hash") -> int:
+    return struct.unpack("<Q", h.digest())[0]
 
 
 def sample_seed(*parts: object) -> int:
@@ -39,11 +66,124 @@ def sample_seed(*parts: object) -> int:
     Uses blake2b over the repr of the parts, so seeds are stable across
     processes and Python hash randomization.
     """
-    h = hashlib.blake2b(digest_size=8)
-    for p in parts:
-        h.update(repr(p).encode("utf-8"))
-        h.update(b"\x1f")
-    return struct.unpack("<Q", h.digest())[0]
+    return _digest(_absorb(hashlib.blake2b(digest_size=8), parts))
+
+
+def sample_seeds(
+    prefix: Sequence[object], suffixes: Iterable[Sequence[object]]
+) -> list[int]:
+    """``sample_seed(*prefix, *suffix)`` for every suffix, hashing the
+    shared ``prefix`` once."""
+    base = _absorb(hashlib.blake2b(digest_size=8), prefix)
+    return [_digest(_absorb(base.copy(), suffix)) for suffix in suffixes]
+
+
+# numpy.random.SeedSequence's mixing constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list[int]:
+    """numpy's ``_int_to_uint32_array``: little-endian 32-bit words of a
+    non-negative int, ``[0]`` for zero."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash_consts(init: int, mult: int, steps: int) -> np.ndarray:
+    """SeedSequence's running hash constant over ``steps`` hashmix steps:
+    step ``k`` xors with entry ``k`` and multiplies by entry ``k + 1``.
+    A column, so it broadcasts over a batch row by row."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append((consts[-1] * mult) & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of each row of ``values`` with
+    consecutive steps of the running constant."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> _XSHIFT)
+
+
+def pcg64_states(
+    seeds: Sequence[int], run_indices: Sequence[int]
+) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` pair of
+    ``PCG64(SeedSequence([seed, run_index]))`` for every pair.
+
+    ``SeedSequence``'s pool mixing and ``generate_state(4, uint64)`` run
+    vectorized over the batch in wrapping ``uint32`` arithmetic, then
+    PCG64's 128-bit seeding step (``pcg64_set_seed``) runs per pair in
+    Python ints.  Both inputs must be non-negative.
+    """
+    rows = [_uint32_words(s) + _uint32_words(r)
+            for s, r in zip(seeds, run_indices, strict=True)]
+    if not rows:
+        return []
+    lengths = np.array([len(row) for row in rows])
+    width = max(_POOL_SIZE, int(lengths.max()))
+    entropy = np.array(
+        [row + [0] * (width - len(row)) for row in rows], dtype=np.uint32
+    ).T
+
+    # SeedSequence.mix_entropy.  Words past a row's entropy hash as zero,
+    # so zero padding up to the pool size is exact.
+    consts = _hash_consts(
+        _INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * (width - _POOL_SIZE)
+    )
+    pool = _hashmix(entropy[:_POOL_SIZE], consts[:_POOL_SIZE + 1])
+    step = _POOL_SIZE
+    for i_src in range(_POOL_SIZE):
+        # The other words each mix in pool[i_src], which none of them
+        # changes, so their sequential steps run as one.
+        dst = [i for i in range(_POOL_SIZE) if i != i_src]
+        mixed = _hashmix(pool[i_src], consts[step:step + _POOL_SIZE])
+        pool[dst] = _mix(pool[dst], mixed)
+        step += _POOL_SIZE - 1
+    # Entropy beyond the pool mixes into every pool word, only for the
+    # rows that have it.
+    for i_src in range(_POOL_SIZE, width):
+        mixed = _hashmix(entropy[i_src], consts[step:step + _POOL_SIZE + 1])
+        pool = np.where(lengths > i_src, _mix(pool, mixed), pool)
+        step += _POOL_SIZE
+
+    # SeedSequence.generate_state(4, np.uint64): eight uint32 words
+    # cycled from the pool, paired little-endian into four uint64s.
+    words = _hashmix(
+        np.concatenate([pool, pool]),
+        _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE),
+    ).astype(np.uint64)
+    state64 = (words[0::2] | (words[1::2] << 32)).T.tolist()
+
+    # pcg64_set_seed -> pcg_setseq_128_srandom_r: state = 0, inc =
+    # (initseq << 1) | 1, step, state += initstate, step.
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in state64:
+        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+        state = (((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT) + inc) & _MASK128
+        states.append((state, inc))
+    return states
 
 
 @dataclass(frozen=True)
@@ -83,11 +223,48 @@ class NoiseModel:
 
     def apply(self, true_runtime: float, run_index: int, seed: int) -> float:
         """One noisy observation of ``true_runtime``."""
-        if true_runtime <= 0:
-            raise ReproError(f"true runtime must be > 0, got {true_runtime}")
-        rng = np.random.default_rng(np.random.SeedSequence([seed, run_index]))
-        jitter = float(np.exp(self.sigma * rng.standard_normal()))
-        return true_runtime * self.drift_factor(run_index) * jitter
+        return self.apply_many((true_runtime,), (run_index,), (seed,))[0]
+
+    def apply_many(
+        self,
+        true_runtimes: Sequence[float],
+        run_indices: Sequence[int],
+        seeds: Sequence[int],
+    ) -> list[float]:
+        """One noisy observation per ``(true_runtime, run_index, seed)``.
+
+        Draw ``i`` takes one standard normal from the stream of
+        ``default_rng(SeedSequence([seeds[i], run_indices[i]]))``.  The
+        generator is private to the call, so concurrent calls never share
+        its state.
+        """
+        for true_runtime in true_runtimes:
+            if true_runtime <= 0:
+                raise ReproError(
+                    f"true runtime must be > 0, got {true_runtime}"
+                )
+        for run_index in run_indices:
+            if run_index < 0:
+                raise ReproError(f"run index must be >= 0, got {run_index}")
+        for seed in seeds:
+            if seed < 0:
+                raise ReproError(f"noise seed must be >= 0, got {seed}")
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        out = []
+        for true_runtime, run_index, (state, inc) in zip(
+            true_runtimes, run_indices, pcg64_states(seeds, run_indices),
+            strict=True,
+        ):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            jitter = float(np.exp(self.sigma * rng.standard_normal()))
+            out.append(true_runtime * self.drift_factor(run_index) * jitter)
+        return out
 
 
 #: Calibrated models: A64FX quiet/stationary; Milan loud with a slow first

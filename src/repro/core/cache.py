@@ -445,15 +445,15 @@ class SweepCache:
         """
         block = (records if isinstance(records, RecordBlock)
                  else sweep_records_to_block(records))
-        frame_payload = block.to_payload()
-        payload = {
+        frame = _canonical_payload(block.to_payload())
+        # The entry embeds the canonical frame text the checksum covers,
+        # so the frame is serialized once; ``get`` parses either layout.
+        header = json.dumps({
             "version": CACHE_FORMAT_VERSION,
             "key": key,
-            "sha256": hashlib.sha256(
-                _canonical_payload(frame_payload)
-            ).hexdigest(),
-            "frame": frame_payload,
-        }
+            "sha256": hashlib.sha256(frame).hexdigest(),
+        }).encode("utf-8")
+        data = header[:-1] + b', "frame": ' + frame + b"}"
         path = self._path(key)
         # The tmp name is salted with the pid so two processes put()-ing
         # the same key never interleave on one tmp file; each composes
@@ -462,15 +462,14 @@ class SweepCache:
         # content, since the key is a content address — and the loser is
         # counted in ``lost_races``.
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        data = json.dumps(payload)
         try:
             if self.fsync:
-                with open(tmp, "w", encoding="utf-8") as handle:
+                with open(tmp, "wb") as handle:
                     handle.write(data)
                     handle.flush()
                     os.fsync(handle.fileno())
             else:
-                tmp.write_text(data, encoding="utf-8")
+                tmp.write_bytes(data)
             raced = path.exists()
             os.replace(tmp, path)
         except BaseException:

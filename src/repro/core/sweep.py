@@ -68,7 +68,7 @@ from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import FailureLedger, FailureReport
 from repro.resilience.sharding import ShardPlanner, ShardReport
 from repro.resilience.supervisor import SupervisedTask, Supervisor
-from repro.runtime.executor import RuntimeExecutor, apply_measurement_noise
+from repro.runtime.executor import RuntimeExecutor, measurement_noise
 from repro.runtime.icv import EnvConfig, ResolvedICVs
 from repro.workloads.base import Workload, workloads_for_arch
 
@@ -420,20 +420,20 @@ def _execute_batch(
     else:
         classes = [(None, [i]) for i in range(len(cfgs))]
 
-    runtimes_of: dict[int, tuple[float, ...]] = {}
+    members_of: list[int] = []
+    true_runtimes: list[float] = []
     for icvs, members in classes:
         executor = RuntimeExecutor(
             machine, cfgs[members[0]], fidelity=plan.fidelity, icvs=icvs
         )
         true = executor.execute(program, seed=plan.seed)
-        for i in members:
-            runtimes_of[i] = tuple(
-                apply_measurement_noise(
-                    machine, program, cfgs[i], true,
-                    run_index=rep, seed=plan.seed,
-                )
-                for rep in range(plan.repetitions)
-            )
+        members_of.extend(members)
+        true_runtimes.extend(true for _ in members)
+    observed = measurement_noise(
+        machine, program, [cfgs[i] for i in members_of], true_runtimes,
+        range(plan.repetitions), seed=plan.seed,
+    )
+    runtimes_of = dict(zip(members_of, observed))
 
     return [
         SweepRecord(

@@ -47,6 +47,8 @@ DEFAULT_RESULT_ROOTS = (
     "repro.core.sweep._supervised_run_batch",
     "repro.core.sweep.sweep_records_to_block",
     "repro.core.sweep.sweep_block_to_records",
+    "repro.runtime.executor.measurement_noise",
+    "repro.arch.noise.NoiseModel.apply_many",
     "repro.core.cache.SweepCache.put",
     "repro.core.cache.SweepCache.get",
     "repro.frame.columns.RecordBlock.append",

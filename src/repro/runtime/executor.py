@@ -8,9 +8,11 @@ execution order (the property the paper's batching strategy protects).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
-from repro.arch.noise import get_noise_model, sample_seed
+from repro.arch.noise import get_noise_model, sample_seed, sample_seeds
 from repro.arch.topology import MachineTopology
 from repro.errors import SimulationError
 from repro.runtime.affinity import ThreadPlacement, compute_placement
@@ -28,6 +30,7 @@ __all__ = [
     "RuntimeExecutor",
     "apply_measurement_noise",
     "execute",
+    "measurement_noise",
     "observe",
 ]
 
@@ -143,16 +146,44 @@ def apply_measurement_noise(
 ) -> float:
     """Turn a modeled runtime into one noisy observation of ``config``.
 
-    The seed contract of every observation in the simulator: the noise
-    stream is keyed by ``(machine, program, config spelling, seed)``.  The
-    pruned sweep relies on this split — it evaluates the model once per
-    ICV-equivalence class and applies each member's own noise stream to
-    the shared true runtime, which is bit-identical to exhaustive
-    execution because the model is deterministic in the resolved ICVs.
+    One draw of :func:`measurement_noise`, which states the seed contract.
     """
+    return measurement_noise(
+        machine, program, (config,), (true_runtime,), (run_index,), seed
+    )[0][0]
+
+
+def measurement_noise(
+    machine: MachineTopology,
+    program: Program,
+    configs: Sequence[EnvConfig],
+    true_runtimes: Sequence[float],
+    run_indices: Sequence[int],
+    seed: int = 0,
+) -> list[tuple[float, ...]]:
+    """Noisy observations of every config: for each ``configs[i]``, one
+    observation of ``true_runtimes[i]`` per run index in ``run_indices``.
+
+    The seed contract of every observation in the simulator: the noise
+    stream is keyed by ``(machine, program, config spelling, seed)`` and
+    the run index.  The pruned sweep relies on this split — it evaluates
+    the model once per ICV-equivalence class and applies each member's
+    own noise stream to the shared true runtime, which is bit-identical
+    to exhaustive execution because the model is deterministic in the
+    resolved ICVs.  A batch's draws are made in one call, so the
+    ``(machine, program)`` seed prefix is hashed once.
+    """
+    obs_seeds = sample_seeds(
+        (machine.name, program.name),
+        [(config.key(), seed) for config in configs],
+    )
     noise = get_noise_model(machine.name)
-    obs_seed = sample_seed(machine.name, program.name, config.key(), seed)
-    return noise.apply(true_runtime, run_index, obs_seed)
+    draws = iter(noise.apply_many(
+        [true for true in true_runtimes for _ in run_indices],
+        [r for _ in obs_seeds for r in run_indices],
+        [s for s in obs_seeds for _ in run_indices],
+    ))
+    return [tuple(islice(draws, len(run_indices))) for _ in obs_seeds]
 
 
 def execute(

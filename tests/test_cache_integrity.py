@@ -8,12 +8,14 @@ entries are quarantined to ``<key>.corrupt`` — counted and preserved,
 never silently re-simulated.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.core.cache import CACHE_FORMAT_VERSION, SweepCache
 from repro.core.sweep import SweepPlan, run_sweep
+from repro.frame.columns import RecordBlock
 from repro.resilience.chaos import apply_cache_fault
 
 
@@ -39,6 +41,28 @@ class TestChecksumRoundtrip:
         payload = json.loads(cache.path_for("k").read_text())
         assert payload["version"] == CACHE_FORMAT_VERSION
         assert len(payload["sha256"]) == 64
+
+    def test_new_entry_checksum_verifies(self, cache):
+        payload = json.loads(cache.path_for("k").read_text())
+        canonical = json.dumps(payload["frame"], sort_keys=True,
+                               separators=(",", ":")).encode("utf-8")
+        assert payload["key"] == "k"
+        assert hashlib.sha256(canonical).hexdigest() == payload["sha256"]
+
+    def test_entry_in_whole_payload_layout_reads_back(self, tmp_path,
+                                                      cache, records):
+        # Entries written as one ``json.dumps`` of the whole payload (the
+        # frame in default, unsorted spacing) stay readable.
+        payload = json.loads(cache.path_for("k").read_text())
+        legacy = SweepCache(tmp_path / "legacy")
+        legacy.path_for("k").write_text(json.dumps({
+            "version": payload["version"],
+            "key": "k",
+            "sha256": payload["sha256"],
+            "frame": RecordBlock.from_payload(payload["frame"]).to_payload(),
+        }))
+        assert legacy.get("k") == records
+        assert legacy.corrupt_keys == []
 
     def test_fsync_mode_roundtrips(self, tmp_path, records):
         cache = SweepCache(tmp_path / "durable", fsync=True)

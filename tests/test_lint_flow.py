@@ -15,6 +15,7 @@ from repro.lint.flow import (
     compute_summaries,
     flow_lint,
 )
+from repro.lint.flow.passes import DEFAULT_RESULT_ROOTS
 from repro.lint.flow.summaries import direct_effects
 
 pytestmark = pytest.mark.lint
@@ -247,6 +248,62 @@ class TestFlow001:
         )
         assert f.severity is Severity.WARNING
         assert "gone.function" in f.subject
+
+
+class TestFlow001NoiseDraws:
+    """The batched noise draw is a result root: an unseeded generator
+    inside it must surface at the executor entry point."""
+
+    ROOT = "repro.runtime.executor.measurement_noise"
+    TREE = {
+        "arch/__init__.py": "",
+        "arch/noise.py": """
+            import numpy as np
+
+            class NoiseModel:
+                def apply_many(self, true_runtimes, run_indices, seeds):
+                    rng = np.random.default_rng()
+                    return [t * rng.standard_normal() for t in true_runtimes]
+
+            def get_noise_model(arch) -> NoiseModel:
+                return NoiseModel()
+        """,
+        "runtime/__init__.py": "",
+        "runtime/executor.py": """
+            from repro.arch.noise import get_noise_model
+
+            def measurement_noise(machine, configs, true_runtimes,
+                                  run_indices, seed=0):
+                noise = get_noise_model(machine.name)
+                return noise.apply_many(
+                    true_runtimes, run_indices, [seed] * len(configs)
+                )
+        """,
+    }
+
+    def findings(self, tmp_path, tree):
+        graph = build_callgraph(make_tree(tmp_path, tree))
+        return check_transitive_nondeterminism(
+            graph, compute_summaries(graph), roots=(self.ROOT,)
+        )
+
+    def test_batched_noise_entry_point_is_guarded(self):
+        assert self.ROOT in DEFAULT_RESULT_ROOTS
+        assert "repro.arch.noise.NoiseModel.apply_many" in DEFAULT_RESULT_ROOTS
+
+    def test_unseeded_generator_in_the_batch_fires(self, tmp_path):
+        (f,) = self.findings(tmp_path, self.TREE)
+        assert f.rule == "FLOW001"
+        assert f.severity is Severity.ERROR
+        for hop in ("measurement_noise", "apply_many", "default_rng"):
+            assert hop in f.message
+
+    def test_seeded_generator_is_silent(self, tmp_path):
+        tree = dict(self.TREE)
+        tree["arch/noise.py"] = tree["arch/noise.py"].replace(
+            "default_rng()", "Generator(np.random.PCG64(0))"
+        )
+        assert self.findings(tmp_path, tree) == []
 
 
 # ----------------------------------------------------------------------
