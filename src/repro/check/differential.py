@@ -272,7 +272,7 @@ def columnar_pipeline_parity(
 
     One plan's records travel every columnar hop — packing into a
     :class:`~repro.frame.columns.RecordBlock`, the JSON payload
-    round-trip (the spool/cache wire shape), a cache format v5 store and
+    round-trip (the cache wire shape), a cache format v5 store and
     load, and the block-backed dataset table — and every hop must
     reproduce the dict path bit-identically.  The vectorized frame fast
     paths (``group_by``, ``join``, stable descending ``sort_by``) are
@@ -280,9 +280,9 @@ def columnar_pipeline_parity(
     implementations on the resulting dataset table.
 
     ``backend`` selects the executor the source records come from, so
-    the same guarantees are pinned when blocks arrive through the pool
-    spool or across the nodes backend's socket frames rather than from
-    in-process execution.
+    the same guarantees are pinned when blocks arrive in the pool's or
+    the nodes backend's socket frames rather than from in-process
+    execution.
     """
     from repro.core.dataset import enrich_with_speedup, records_to_table
     from repro.core.sweep import (
@@ -408,8 +408,8 @@ def sharded_execution_parity(plan: SweepPlan | None = None) -> dict:
     and each combination must reproduce the serial reference exactly —
     sharding permutes *dispatch* order (round-robin interleave, work
     stealing, key-homed assignment) but results always surface in
-    submission order, and the columnar spool/frame encodings must be
-    lossless across every boundary (pool pipe, nodes socket).
+    submission order, and the columnar frame encoding must be
+    lossless across every boundary (pool and nodes sockets).
 
     The same pin then extends to faulted execution: a seeded chaos plan
     with a poison batch, a node loss and a shard partition runs on the

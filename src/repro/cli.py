@@ -93,10 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--processes", type=int, default=1)
     p_sweep.add_argument("--backend", default="auto",
                          choices=("auto", "serial", "pool", "nodes"),
-                         help="executor backend: in-process 'serial', the "
-                              "supervised worker 'pool', or simulated "
-                              "multi-node 'nodes' over socket links "
-                              "(default: auto — pool when --processes > 1)")
+                         help="executor backend: in-process 'serial', or "
+                              "a supervised process fleet over socket "
+                              "links — the worker 'pool' or one simulated "
+                              "'nodes' node per shard (default: auto — "
+                              "pool when --processes > 1)")
     p_sweep.add_argument("--shards", type=int, default=1,
                          help="execution shards for the sharded backends; "
                               "records are bit-identical at any count "
@@ -308,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="batches that fail every attempt and must be "
                            "quarantined")
     p_ch.add_argument("--node-lost", type=int, default=0,
-                      help="abrupt node deaths mid-result (nodes backend; "
-                           "pool/serial degrade them to process faults)")
+                      help="abrupt process deaths mid-result frame "
+                           "(serial simulates them)")
     p_ch.add_argument("--shard-partitions", type=int, default=0,
                       help="shard network partitions (closed socket links) "
                            "recovered by reassignment")

@@ -436,7 +436,7 @@ class SweepCache:
 
         ``records`` is either a record list or an already-packed
         :class:`~repro.frame.columns.RecordBlock` (what multiprocess
-        sweep workers spool home — stored without a re-pack).
+        sweep workers send home — stored without a re-pack).
 
         With ``fsync=True`` the entry is flushed to stable storage (file
         data before the rename, directory entry after) so a power cut

@@ -10,19 +10,22 @@ bit-identical under any reordering (verified by tests), which is the
 property the paper's batching strategy exists to protect on real metal.
 
 Sweeps can fan out across processes; each (workload, setting) batch is an
-independent unit of work (:class:`BatchSpec`).  The parallel path runs
-under the supervised executor (:mod:`repro.resilience.supervisor`): every
-batch has a wall-clock deadline scaled by its size, dead or hung workers
-are detected and respawned, failed attempts retry with deterministic
-seeded backoff, and a batch that exhausts its retry budget is
-*quarantined* — the sweep degrades gracefully (``fail_policy="degrade"``)
-or fails fast (``fail_policy="raise"``).  Results still stream back in
-batch order, so the ``progress`` callback fires as each batch lands and
-records are bit-identical to serial execution.  A worker initializer
-materializes the machine model and configuration grid once per process —
-batch payloads carry only the batch identity, never the grid.  Every
-failure lands in the :class:`~repro.resilience.report.FailureReport`
-attached to the :class:`SweepResult`.
+independent unit of work (:class:`BatchSpec`).  Every backend — serial,
+the pool fleet and the nodes fleet — runs under the one supervision core
+(:mod:`repro.resilience.supervisor`): every fleet batch has a wall-clock
+deadline scaled by its size, dead or hung processes are detected and
+respawned, failed attempts retry with deterministic seeded backoff, and
+a batch that exhausts its retry budget is *quarantined* — the sweep
+degrades gracefully (``fail_policy="degrade"``) or fails fast
+(``fail_policy="raise"``).  Results still stream back in batch order, so
+the ``progress`` callback fires as each batch lands and records are
+bit-identical to serial execution.  A fleet initializer materializes the
+machine model and configuration grid once per process — batch payloads
+carry only the batch identity, never the grid.  The serial backend reads
+the same state from a closure instead (no module-global state, so
+concurrent serial sweeps on threads stay independent).  Every failure
+lands in the :class:`~repro.resilience.report.FailureReport` attached to
+the :class:`SweepResult`.
 
 Passing ``cache=`` (a :class:`~repro.core.cache.SweepCache` or a
 directory path) makes the sweep incremental: batches already present in
@@ -48,20 +51,14 @@ from repro.resilience.backends import (
     ExecutorBackend,
     NodesBackend,
     SerialBackend,
-    SerialChaosFault,
 )
 from repro.resilience.chaos import (
-    CHAOS_CRASH_EXIT,
-    CHAOS_NODE_LOST_EXIT,
-    CHAOS_PARTITION_EXIT,
     ChaosPlan,
     apply_cache_fault,
     corrupted_payload,
-    in_node_context,
     install_chaos,
-    installed_node_fault,
     installed_worker_fault,
-    trigger_node_fault,
+    simulate_fault,
     trigger_worker_fault,
 )
 from repro.resilience.policy import RetryPolicy
@@ -187,8 +184,9 @@ class SweepResult:
     #: Per-batch failure accounting for this run (always present).
     failure_report: FailureReport | None = None
     #: Which executor backend ran the misses ("serial", "pool", "nodes")
-    #: and across how many shards; records are backend-invariant (the
-    #: ``sharded-execution-parity`` check pins it).
+    #: and across how many shards (1 unless a fleet ran them sharded);
+    #: records are backend-invariant (the ``sharded-execution-parity``
+    #: check pins it).
     backend: str = "serial"
     n_shards: int = 1
     #: Steal/reassign diagnostics (nodes backend only).  Operational —
@@ -468,11 +466,11 @@ def _init_worker(
 def _worker_run_batch(batch: BatchSpec):
     """Execute one batch and pack it columnar for the trip home.
 
-    Workers ship :class:`~repro.frame.columns.RecordBlock` payloads — a
-    handful of flat typed buffers plus an interning table — through the
-    supervisor's spool files instead of pickling one dict-shaped object
-    graph per record.  The supervisor side unpacks (and thereby
-    validates) them; records are bit-identical to serial execution.
+    Fleet processes ship :class:`~repro.frame.columns.RecordBlock`
+    payloads — a handful of flat typed buffers plus an interning table —
+    in their result frames instead of pickling one dict-shaped object
+    graph per record.  The parent unpacks (and thereby validates) them;
+    records are bit-identical to serial execution.
     """
     state = _WORKER_STATE
     return sweep_records_to_block(_execute_batch(
@@ -481,23 +479,16 @@ def _worker_run_batch(batch: BatchSpec):
 
 
 def _supervised_run_batch(payload: tuple, attempt: int):
-    """Worker entry point: run one batch, honoring installed chaos.
+    """Fleet entry point: run one batch, honoring installed chaos.
 
     ``payload`` is ``(batch_index, batch)`` — the index keys the chaos
     plan's fault lookup, which is per ``(batch_index, attempt)`` so a
     first-attempt fault recovers on retry while a poison fault
-    (``attempts=None``) defeats every attempt.
-
-    Node-level faults fire at the transport layer inside a nodes-backend
-    node (``_node_main`` injects them before this function runs); in a
-    plain pool worker — no transport to sever — they degrade to a
-    process death with the fault's distinctive exit code, so the pool
-    backend still exercises every chaos plan.
+    (``attempts=None``) defeats every attempt.  Node-level faults fire
+    at the transport layer before this function runs (see
+    :func:`~repro.resilience.chaos.trigger_node_fault`).
     """
     index, batch = payload
-    node_fault = installed_node_fault(index, attempt)
-    if node_fault is not None and not in_node_context():
-        trigger_node_fault(node_fault)  # never returns
     fault = installed_worker_fault(index, attempt)
     if fault == "corrupt-result":
         return corrupted_payload(index)
@@ -513,7 +504,7 @@ def _validate_batch_records(value: object) -> str | None:
     failure, so a worker returning garbage (bit-flipped IPC, chaos
     injection) is retried instead of poisoning the dataset.  Accepts
     either form the pipeline moves: a packed
-    :class:`~repro.frame.columns.RecordBlock` (the multiprocess spool
+    :class:`~repro.frame.columns.RecordBlock` (the fleet's result-frame
     payload — validated by a full decode) or a plain record list (the
     serial path).
     """
@@ -550,45 +541,25 @@ def _batch_timeout_s(n_configs: int, repetitions: int) -> float:
     return BASE_BATCH_TIMEOUT_S + PER_SAMPLE_TIMEOUT_S * n_configs * repetitions
 
 
-def _make_supervisor(
-    n_workers: int,
+def _make_fleet(
+    backend: str,
+    n: int,
     plan: SweepPlan,
     space: EnvSpace,
     chaos: ChaosPlan | None,
     policy: RetryPolicy,
     fail_policy: str,
-) -> Supervisor:
-    """The supervised worker fleet holding the sweep state (test seam)."""
-    return Supervisor(
-        _supervised_run_batch,
-        initializer=_init_worker,
-        initargs=(plan, space, chaos),
-        n_workers=n_workers,
-        policy=policy,
-        validate=_validate_batch_records,
-        fail_fast=(fail_policy == "raise"),
-    )
+) -> ExecutorBackend:
+    """The supervised process fleet holding the sweep state (test seam).
 
-
-def _make_nodes_backend(
-    n_nodes: int,
-    plan: SweepPlan,
-    space: EnvSpace,
-    chaos: ChaosPlan | None,
-    policy: RetryPolicy,
-    fail_policy: str,
-) -> NodesBackend:
-    """The simulated multi-node fleet holding the sweep state (test seam).
-
-    One node per shard; nodes run the same entry point, initializer and
-    validator as pool workers, so a batch computes identically on every
-    backend — only the dispatch substrate differs.
+    ``backend`` is ``"pool"`` (``n`` workers) or ``"nodes"`` (``n``
+    nodes, one per shard).  Both run the same entry point, initializer
+    and validator, so a batch computes identically on either — only the
+    scheduling differs.
     """
-    return NodesBackend(
-        _supervised_run_batch,
-        initializer=_init_worker,
-        initargs=(plan, space, chaos),
-        n_nodes=n_nodes,
+    fleet = Supervisor if backend == "pool" else NodesBackend
+    return fleet(
+        _supervised_run_batch, _init_worker, (plan, space, chaos), n,
         policy=policy,
         validate=_validate_batch_records,
         fail_fast=(fail_policy == "raise"),
@@ -800,44 +771,17 @@ def run_sweep(
                          batch.nthreads)
 
     def _serial_attempt(payload: tuple, attempt: int):
-        """In-process task function with chaos faults *simulated*.
-
-        Faults the serial backend cannot survive for real (a genuine
-        crash, hang, or node loss would take the whole sweep down with
-        it) are booked as the failure they would produce under
-        supervision, via :class:`~repro.resilience.backends.
-        SerialChaosFault`.
-        """
+        """In-process task function; chaos faults are booked through
+        :func:`~repro.resilience.chaos.simulate_fault`, not suffered."""
         i, batch = payload
-        fault = (chaos.node_fault(i, attempt)
-                 if chaos is not None else None)
-        if fault == "node-lost":
-            raise SerialChaosFault(
-                "node-lost",
-                f"injected node loss (serial mode, exit "
-                f"{CHAOS_NODE_LOST_EXIT})",
-            )
-        if fault == "shard-partition":
-            raise SerialChaosFault(
-                "shard-partition",
-                f"injected shard partition (serial mode, exit "
-                f"{CHAOS_PARTITION_EXIT})",
-            )
-        fault = (chaos.worker_fault(i, attempt)
-                 if chaos is not None else None)
-        if fault == "crash":
-            raise SerialChaosFault(
-                "crash",
-                f"injected worker crash (serial mode, exit "
-                f"{CHAOS_CRASH_EXIT})",
-            )
-        if fault == "hang":
-            raise SerialChaosFault(
-                "timeout",
-                "injected hang exceeded the batch deadline (serial mode)",
-            )
+        fault = None
+        if chaos is not None:
+            fault = (chaos.node_fault(i, attempt)
+                     or chaos.worker_fault(i, attempt))
         if fault == "corrupt-result":
             return corrupted_payload(i)
+        if fault is not None:
+            simulate_fault(fault)
         return _execute_batch(plan, machine, configs, batch)
 
     def build_report(worker_respawns: int = 0) -> FailureReport:
@@ -872,31 +816,29 @@ def run_sweep(
         if not tasks:
             consume(iter(()))  # everything was cached; nothing to run
         else:
-            planner = ShardPlanner(n_shards)
-            miss_keys = ([keys[i] for i in misses] if cache is not None
-                         else None)
-            if resolved == "pool":
-                exec_backend = _make_supervisor(
-                    min(n_processes, len(misses)), plan, space, chaos,
-                    policy, fail_policy,
-                )
-                if n_shards > 1:
-                    homes = planner.assign(tasks, miss_keys)
-                    exec_backend.dispatch_order = (
-                        lambda ts: planner.interleave(ts, homes)
-                    )
-            elif resolved == "nodes":
-                exec_backend = _make_nodes_backend(
-                    n_shards, plan, space, chaos, policy, fail_policy,
-                )
-                exec_backend.home_shards = planner.assign(tasks, miss_keys)
-            else:
+            if resolved == "serial":
                 exec_backend = SerialBackend(
                     _serial_attempt,
                     policy=policy,
                     validate=_validate_batch_records,
                     fail_fast=(fail_policy == "raise"),
                 )
+            else:
+                planner = ShardPlanner(n_shards)
+                homes = planner.assign(
+                    tasks,
+                    [keys[i] for i in misses] if cache is not None else None,
+                )
+                exec_backend = _make_fleet(
+                    resolved, n_processes if resolved == "pool" else n_shards,
+                    plan, space, chaos, policy, fail_policy,
+                )
+                if resolved == "nodes":
+                    exec_backend.home_shards = homes
+                elif n_shards > 1:
+                    exec_backend.dispatch_order = (
+                        lambda ts: planner.interleave(ts, homes)
+                    )
             exec_backend.cancel_event = cancel
             consume(exec_backend.stream(tasks, ledger))
     except BaseException as exc:
@@ -918,7 +860,10 @@ def run_sweep(
         exec_backend.worker_respawns if exec_backend is not None else 0
     )
     result.backend = resolved
-    result.n_shards = n_shards
+    # Lanes the misses actually ran on: serial (or nothing at all) runs
+    # one, whatever was requested.
+    if exec_backend is not None and resolved != "serial":
+        result.n_shards = n_shards
     if isinstance(exec_backend, NodesBackend):
         result.shard_report = exec_backend.shard_report()
     return result

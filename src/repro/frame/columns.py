@@ -2,7 +2,7 @@
 
 At production sweep scale the list-of-dicts record path dominates memory
 and (de)serialization: every row repeats its keys, every cell is a boxed
-Python object, and every hop (worker -> supervisor spool -> cache ->
+Python object, and every hop (worker -> result frame -> cache ->
 table) re-serializes the same strings.  This module provides the packed
 alternative the whole pipeline now moves:
 
@@ -14,11 +14,11 @@ alternative the whole pipeline now moves:
   an optional fixed ``width`` for vector cells (a row's repeated-run
   runtimes) and a byte-level ``extend`` fast path,
 - :class:`RecordBlock` — an ordered set of equal-length columns sharing
-  one string table; the unit that sweep workers spool, the cache stores
+  one string table; the unit that sweep workers send, the cache stores
   (format v5), and :meth:`repro.frame.Table.from_block` consumes.
 
 Zero-copy boundaries: ``array.array`` pickles as its machine
-representation (compact spool files), converts to NumPy via
+representation (compact result frames), converts to NumPy via
 :func:`numpy.frombuffer` without copying, and extends from a sibling
 block via ``frombytes`` — one memcpy, no per-element boxing.  See
 ``docs/COLUMNAR.md`` for the layout and format notes.

@@ -5,19 +5,19 @@ where partial failure is the norm: workers crash, hang, or return
 garbage, and on-disk cache entries rot.  This package keeps the sweep
 engine producing results under all of it (see ``docs/RESILIENCE.md``):
 
-- :mod:`repro.resilience.backends` — the executor-backend protocol and
-  its three substrates: in-process serial (the parity reference), the
-  supervised pool, and a simulated multi-node cluster over socket
-  links,
-- :mod:`repro.resilience.supervisor` — supervised worker processes with
-  per-batch deadlines, death/hang detection, respawn, and in-order
-  result streaming (the *pool* backend),
+- :mod:`repro.resilience.backends` — the three executor backends:
+  in-process serial (the parity reference), the supervised pool, and a
+  simulated multi-node cluster with sharding and work stealing,
+- :mod:`repro.resilience.supervisor` — the supervision core every
+  backend runs (ledger, seeded retries, in-order result streaming) and
+  the process fleet under the pool and nodes backends: per-batch
+  deadlines, death/hang detection and respawn over framed socket links,
 - :mod:`repro.resilience.sharding` — deterministic shard planning:
   key-prefix cache partitioning, round-robin interleave, and the
   normative work-stealing arbitration rule,
 - :mod:`repro.resilience.transport` — the length-prefixed, checksummed
-  frame protocol between the sweep parent and its nodes, with every
-  failure mode typed and deadline-bounded,
+  frame protocol between the sweep parent and its fleet processes, with
+  every failure mode typed and deadline-bounded,
 - :mod:`repro.resilience.policy` — deterministic exponential backoff
   with seeded jitter (SIM002-clean: no global RNG),
 - :mod:`repro.resilience.report` — per-batch failure accounting
@@ -48,8 +48,6 @@ from repro.resilience.chaos import (
     ChaosPlan,
     apply_cache_fault,
     corrupted_payload,
-    enter_node_context,
-    in_node_context,
     install_chaos,
     installed_node_fault,
     installed_worker_fault,
@@ -98,8 +96,6 @@ __all__ = [
     "installed_node_fault",
     "trigger_worker_fault",
     "trigger_node_fault",
-    "enter_node_context",
-    "in_node_context",
     "SupervisedTask",
     "Supervisor",
     "BACKEND_NAMES",

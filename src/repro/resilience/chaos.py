@@ -19,17 +19,21 @@ Seven fault kinds:
 - ``cache-bit-flip`` — one byte of the entry is flipped on disk (media
   corruption); both cache faults must be detected by the cache's content
   checksum on the next read and quarantined to ``<key>.corrupt``,
-- ``node-lost`` — a node of the nodes backend dies *mid-message*: it
-  sends half a result frame and exits, so the parent sees a
-  :class:`~repro.errors.TruncatedFrameError` and must respawn or
-  reassign the node's shard (the pool backend degrades this to a plain
-  worker crash; the serial path simulates it),
-- ``shard-partition`` — a node's link is severed between messages
+- ``node-lost`` — a fleet process dies *mid-message*: it sends half a
+  result frame and exits, so the parent sees a
+  :class:`~repro.errors.TruncatedFrameError` and must respawn the
+  process (or, on the nodes backend, reassign its shard),
+- ``shard-partition`` — a process's link is severed between messages
   (abrupt socket close), the frame-boundary flavor of node loss.
 
 Worker faults default to attempt 0 only, so a retry succeeds; a fault
 with ``attempts=None`` applies to *every* attempt, which is how a poison
 batch (quarantined after the retry budget) is modeled.
+
+Every backend books a fault under the same kind.  The pool and nodes
+fleets really die, with the exit code :data:`CHAOS_EXIT_KINDS` maps back
+to the kind; the in-process serial backend cannot survive a real crash,
+hang or node loss, so :func:`simulate_fault` books the failure instead.
 
 Service faults
 --------------
@@ -61,6 +65,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigError
+from repro.resilience.transport import send_truncated_frame
 
 __all__ = [
     "WORKER_FAULT_KINDS",
@@ -73,6 +78,7 @@ __all__ = [
     "CHAOS_CRASH_EXIT",
     "CHAOS_NODE_LOST_EXIT",
     "CHAOS_PARTITION_EXIT",
+    "CHAOS_EXIT_KINDS",
     "HANG_SLEEP_S",
     "CORRUPT_MARKER",
     "ChaosFault",
@@ -82,8 +88,8 @@ __all__ = [
     "installed_node_fault",
     "trigger_worker_fault",
     "trigger_node_fault",
-    "enter_node_context",
-    "in_node_context",
+    "SerialChaosFault",
+    "simulate_fault",
     "corrupted_payload",
     "apply_cache_fault",
 ]
@@ -105,6 +111,13 @@ CHAOS_CRASH_EXIT = 13
 CHAOS_NODE_LOST_EXIT = 23
 #: Exit code of a node severed between messages (``shard-partition``).
 CHAOS_PARTITION_EXIT = 24
+#: The failure kind a fleet books for a process that died with a chaos
+#: exit code (any other death is a ``crash``).
+CHAOS_EXIT_KINDS = {
+    CHAOS_CRASH_EXIT: "crash",
+    CHAOS_NODE_LOST_EXIT: "node-lost",
+    CHAOS_PARTITION_EXIT: "shard-partition",
+}
 #: How long a chaos hang sleeps — far past any sane batch deadline.
 HANG_SLEEP_S = 3600.0
 #: Sentinel in a chaos-corrupted worker payload.
@@ -274,29 +287,12 @@ class ChaosPlan:
 # ----------------------------------------------------------------------
 #: The plan installed in this process (workers install it at init).
 _INSTALLED: ChaosPlan | None = None
-#: Whether this process is a *node* of the nodes backend.  Node faults
-#: fire at the transport layer inside a node (half-frame, abrupt
-#: close); in a plain pool worker — which has no transport — they
-#: degrade to a process death so every backend still exercises the
-#: fault (see ``_supervised_run_batch``).
-_NODE_CONTEXT = False
 
 
 def install_chaos(plan: ChaosPlan | None) -> None:
     """Install (or clear) the chaos plan for this process's workers."""
     global _INSTALLED
     _INSTALLED = plan
-
-
-def enter_node_context() -> None:
-    """Mark this process as a nodes-backend node (set at node startup)."""
-    global _NODE_CONTEXT
-    _NODE_CONTEXT = True
-
-
-def in_node_context() -> bool:
-    """Whether this process is a nodes-backend node."""
-    return _NODE_CONTEXT
 
 
 def installed_worker_fault(batch_index: int, attempt: int) -> str | None:
@@ -321,20 +317,55 @@ def trigger_worker_fault(kind: str) -> None:
         time.sleep(HANG_SLEEP_S)
 
 
-def trigger_node_fault(kind: str) -> None:
-    """Die the way the given node fault dies (process-death flavor).
+def trigger_node_fault(kind: str, sock, task_id: int) -> None:
+    """Die the way the given node fault dies, at the transport layer.
 
-    Used by pool workers — which have no socket transport — to degrade
-    a node fault to a plain process death with the fault's distinctive
-    exit code.  Inside a real node, ``_node_main`` injects the fault at
-    the transport layer instead (half-frame or abrupt close) *before*
-    exiting with the same code.
+    ``node-lost`` sends half of the result frame for ``task_id`` before
+    exiting, so the parent reads a truncated frame; ``shard-partition``
+    closes the link between messages, so the parent reads EOF at a frame
+    boundary.  Either way the process exits with its fault's code.
     """
     if kind == "node-lost":
-        os._exit(CHAOS_NODE_LOST_EXIT)
+        try:
+            send_truncated_frame(sock, ("result", task_id, "ok", None))
+        finally:
+            os._exit(CHAOS_NODE_LOST_EXIT)
     if kind == "shard-partition":
+        sock.close()
         os._exit(CHAOS_PARTITION_EXIT)
     raise ConfigError(f"unknown node fault kind {kind!r}")
+
+
+class SerialChaosFault(Exception):
+    """Raised by a serial-mode task function to simulate a fault the
+    in-process backend cannot survive for real (a crash, a hang, a lost
+    node).  Carries the failure ``kind`` and ``cause`` the ledger
+    records — the serial path *books* the failure instead of dying."""
+
+    def __init__(self, kind: str, cause: str):
+        super().__init__(f"{kind}: {cause}")
+        self.kind = kind
+        self.cause = cause
+
+
+#: How the serial backend books each fault it cannot survive for real:
+#: the kind a fleet would record, and the cause.
+_SIMULATED_FAULTS = {
+    "crash": ("crash", "injected worker crash (serial mode, exit "
+                       f"{CHAOS_CRASH_EXIT})"),
+    "hang": ("timeout",
+             "injected hang exceeded the batch deadline (serial mode)"),
+    "node-lost": ("node-lost", "injected node loss (serial mode, exit "
+                               f"{CHAOS_NODE_LOST_EXIT})"),
+    "shard-partition": ("shard-partition", "injected shard partition "
+                        f"(serial mode, exit {CHAOS_PARTITION_EXIT})"),
+}
+
+
+def simulate_fault(kind: str) -> None:
+    """Book a process fault in-process: raise :class:`SerialChaosFault`
+    with the failure a supervised fleet would record for it."""
+    raise SerialChaosFault(*_SIMULATED_FAULTS[kind])
 
 
 def corrupted_payload(batch_index: int) -> list:

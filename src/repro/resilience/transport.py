@@ -1,12 +1,12 @@
-"""Length-prefixed, checksummed frame protocol for the nodes backend.
+"""Length-prefixed, checksummed frame protocol for the process fleets.
 
-The simulated multi-node executor (:class:`repro.resilience.backends.
-NodesBackend`) moves tasks and packed :class:`~repro.frame.columns.
-RecordBlock` results over local ``socket.socketpair()`` links.  Unlike
-the pool backend's spool files — which sidestep partial IPC frames by
-keeping queue messages below ``PIPE_BUF`` — a stream socket *can* deliver
-half a message, so partial delivery must be **detected**, not avoided.
-Every frame is therefore::
+The pool and nodes backends (:class:`repro.resilience.supervisor.
+Supervisor`, :class:`repro.resilience.backends.NodesBackend`) move
+tasks and packed :class:`~repro.frame.columns.RecordBlock` results over
+local ``socket.socketpair()`` links.  A stream socket *can* deliver
+half a message — a worker killed mid-send leaves exactly that — so
+partial delivery must be **detected**, not avoided.  Every frame is
+therefore::
 
     magic (2 bytes) | payload length (u32 BE) | crc32 (u32 BE) | payload
 

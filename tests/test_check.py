@@ -466,8 +466,9 @@ class TestShardedExecutionParity:
         for backend in ("serial", "pool", "nodes"):
             for shards in (1, 2, 4):
                 assert f"{backend}x{shards}" in out["combinations"]
-        # The chaos leg observed both node fault kinds and quarantined.
-        assert out["chaos_fault_kinds"] == ["node-lost",
+        # The chaos leg observed both node fault kinds and quarantined
+        # the poison batch, whose chaos crash is booked as a crash.
+        assert out["chaos_fault_kinds"] == ["crash", "node-lost",
                                             "shard-partition"]
         assert out["n_quarantined"] >= 1
 

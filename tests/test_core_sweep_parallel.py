@@ -16,7 +16,7 @@ from repro.core.sweep import BatchSpec, SweepPlan, plan_batches, run_sweep
 
 
 class _LazyFakeSupervisor:
-    """In-process Supervisor stand-in whose ``stream`` computes lazily.
+    """In-process fleet stand-in whose ``stream`` computes lazily.
 
     Each task is computed only when the consumer asks for the next
     result, so the event log distinguishes streaming consumption
@@ -55,8 +55,8 @@ class TestStreamingProgress:
                                                      two_batch_plan):
         log = []
         monkeypatch.setattr(
-            sweep_mod, "_make_supervisor",
-            lambda n, plan, space, chaos, policy, fail_policy:
+            sweep_mod, "_make_fleet",
+            lambda backend, n, plan, space, chaos, policy, fail_policy:
             _LazyFakeSupervisor(plan, space, log),
         )
 
@@ -82,12 +82,14 @@ class TestStreamingProgress:
         log = []
         supervisors = []
 
-        def make_supervisor(n, plan, space, chaos, policy, fail_policy):
+        def make_fleet(backend, n, plan, space, chaos, policy,
+                       fail_policy):
+            assert (backend, n) == ("pool", 2)
             sup = _LazyFakeSupervisor(plan, space, log)
             supervisors.append(sup)
             return sup
 
-        monkeypatch.setattr(sweep_mod, "_make_supervisor", make_supervisor)
+        monkeypatch.setattr(sweep_mod, "_make_fleet", make_fleet)
         run_sweep(two_batch_plan, n_processes=2)
         (sup,) = supervisors
         batches = plan_batches(two_batch_plan)

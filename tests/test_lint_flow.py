@@ -513,6 +513,30 @@ class TestFlow003:
         assert check_frame_protocol(build_callgraph(root)) == []
 
 
+    def test_sees_the_pool_childs_sent_kinds(self, tmp_path):
+        """The pool's workers speak frames too: a kind renamed in the
+        shipped fleet child (``_fleet_main``) goes unmatched, and the
+        parent's arm for the old kind goes dead."""
+        from repro.lint.selflint import DEFAULT_SRC_ROOT
+
+        shipped = DEFAULT_SRC_ROOT / "resilience"
+        supervisor = (shipped / "supervisor.py").read_text()
+        assert supervisor.count('("init-error", ') == 1
+        root = make_tree(tmp_path, {
+            "resilience/transport.py": (shipped / "transport.py").read_text(),
+            "resilience/supervisor.py": supervisor.replace(
+                '("init-error", ', '("init-failed", '),
+        })
+        findings = check_frame_protocol(build_callgraph(root))
+        assert {f.subject for f in findings} == {
+            "frame-kind:init-failed", "frame-kind:init-error",
+        }
+        (sent,) = [f for f in findings
+                   if f.subject == "frame-kind:init-failed"]
+        assert sent.path == "resilience/supervisor.py"
+        assert "_fleet_main" in sent.message
+
+
 # ----------------------------------------------------------------------
 # Waiver integration and the real-tree gate
 # ----------------------------------------------------------------------

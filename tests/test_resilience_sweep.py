@@ -14,7 +14,7 @@ import pytest
 from repro.core.cache import SweepCache
 from repro.core.sweep import SweepPlan, plan_batches, run_sweep
 from repro.errors import PoisonBatchError, SweepCancelledError
-from repro.resilience import ChaosFault, ChaosPlan, RetryPolicy
+from repro.resilience import BACKEND_NAMES, ChaosFault, ChaosPlan, RetryPolicy
 
 pytestmark = pytest.mark.chaos
 
@@ -135,6 +135,38 @@ class TestSerialChaos:
 
         with pytest.raises(ConfigError):
             run_sweep(plan, fail_policy="shrug")
+
+
+class TestOneFaultCatalog:
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_process_deaths_book_the_same_kind_everywhere(self, backend):
+        """A crash is a crash and a lost node is a lost node, whether the
+        process really dies (pool, nodes) or serial books it in-process."""
+        plan = SweepPlan(arch="milan",
+                         workload_names=("cg", "ep", "nqueens"),
+                         scale="small", repetitions=2, inputs_limit=3)
+        chaos = ChaosPlan(seed=0, faults=(
+            ChaosFault("node-lost", 2),
+            ChaosFault("shard-partition", 5),
+            ChaosFault("crash", 8),
+        ))
+        result = run_sweep(plan, n_processes=2, fail_policy="degrade",
+                           chaos=chaos, retry=FAST, backend=backend,
+                           n_shards=2)
+        kinds = {b.index: [a.kind for a in b.attempts]
+                 for b in result.failure_report.batches}
+        assert kinds == {2: ["node-lost"], 5: ["shard-partition"],
+                         8: ["crash"]}
+        assert result.n_quarantined_batches == 0
+        assert result.n_shards == (1 if backend == "serial" else 2)
+
+
+class TestReportedShards:
+    def test_serial_sweep_reports_one_lane(self, plan):
+        """Requested shards that nothing ran on are not reported."""
+        result = run_sweep(plan, n_shards=4)
+        assert result.backend == "serial"
+        assert result.n_shards == 1
 
 
 class TestErrorPathFlushesCache:
