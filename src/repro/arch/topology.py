@@ -107,6 +107,13 @@ class MachineTopology:
             raise TopologyError(
                 f"{self.name}: implausible cache line {self.cache_line_bytes}"
             )
+        # Frozen dataclass: the derived value bypasses its __setattr__ and,
+        # not being a field, stays out of equality, hashing and the
+        # cache's machine fingerprint.
+        object.__setattr__(
+            self, "_mean_numa_distance",
+            float(self.numa_distance_matrix().mean()),
+        )
 
     # ------------------------------------------------------------------
     # Derived structure
@@ -182,8 +189,11 @@ class MachineTopology:
         return out
 
     def mean_numa_distance(self) -> float:
-        """Average distance from a node to all nodes (interleaved-page cost)."""
-        return float(self.numa_distance_matrix().mean())
+        """Average distance from a node to all nodes (interleaved-page cost).
+
+        Computed once at construction.
+        """
+        return self._mean_numa_distance
 
     # ------------------------------------------------------------------
     # Places

@@ -20,12 +20,14 @@ degrades gracefully (``fail_policy="degrade"``) or fails fast
 (``fail_policy="raise"``).  Results still stream back in batch order, so
 the ``progress`` callback fires as each batch lands and records are
 bit-identical to serial execution.  A fleet initializer materializes the
-machine model and configuration grid once per process — batch payloads
-carry only the batch identity, never the grid.  The serial backend reads
-the same state from a closure instead (no module-global state, so
-concurrent serial sweeps on threads stay independent).  Every failure
-lands in the :class:`~repro.resilience.report.FailureReport` attached to
-the :class:`SweepResult`.
+machine model, the configuration grid and its class plans (one grouping
+and one executor per class per thread count, see :class:`_ClassPlans`)
+once per process — batch payloads carry only the batch identity, never
+the grid.  The serial backend reads the same state from a closure
+instead (no module-global state, so concurrent serial sweeps on threads
+stay independent).  Every failure lands in the
+:class:`~repro.resilience.report.FailureReport` attached to the
+:class:`SweepResult`.
 
 Passing ``cache=`` (a :class:`~repro.core.cache.SweepCache` or a
 directory path) makes the sweep incremental: batches already present in
@@ -65,8 +67,10 @@ from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import FailureLedger, FailureReport
 from repro.resilience.sharding import ShardPlanner, ShardReport
 from repro.resilience.supervisor import SupervisedTask, Supervisor
+from repro.runtime.costs import get_costs
 from repro.runtime.executor import RuntimeExecutor, measurement_noise
 from repro.runtime.icv import EnvConfig, ResolvedICVs
+from repro.runtime.kernel import ComponentMemo
 from repro.workloads.base import Workload, workloads_for_arch
 
 __all__ = [
@@ -389,15 +393,82 @@ def equivalence_groups(
     return groups
 
 
-def _execute_batch(
-    plan: SweepPlan,
-    machine: MachineTopology,
-    configs: Sequence[EnvConfig],
-    batch: BatchSpec,
-) -> list[SweepRecord]:
+@dataclass
+class _ClassPlan:
+    """One thread count's grid, grouped into ICV-equivalence classes."""
+
+    machine: MachineTopology
+    fidelity: str
+    configs: list[EnvConfig]
+    #: Per class: the representative's ICVs (None: its executor resolves
+    #: them) and the class's grid indices, in grid order.
+    classes: list[tuple[ResolvedICVs | None, list[int]]]
+    memo: ComponentMemo | None
+    _executors: list[RuntimeExecutor] = field(default_factory=list)
+
+    def executors(self) -> list[RuntimeExecutor]:
+        """One executor per class (each evaluates its class's first
+        member), built on first use: a fleet's parent only counts the
+        classes."""
+        if not self._executors:
+            self._executors.extend(
+                RuntimeExecutor(self.machine, self.configs[members[0]],
+                                fidelity=self.fidelity, icvs=icvs,
+                                memo=self.memo)
+                for icvs, members in self.classes
+            )
+        return self._executors
+
+
+@dataclass
+class _ClassPlans:
+    """A sweep's class plans, one per thread count, each built on first use.
+
+    A sweep's batches span only a few thread counts, so the grid is
+    re-threaded, grouped and given its executors once per thread count
+    instead of once per batch.  With pruning on, the executors of one
+    plan share one :class:`~repro.runtime.kernel.ComponentMemo`.  Plans
+    live as long as the sweep: the serial path builds them in
+    ``run_sweep``, a fleet process in :func:`_init_worker`.
+    """
+
+    plan: SweepPlan
+    machine: MachineTopology
+    configs: list[EnvConfig]
+    by_threads: dict[int, _ClassPlan] = field(default_factory=dict)
+
+    def at(self, nthreads: int) -> _ClassPlan:
+        """The class plan of ``nthreads`` (built once)."""
+        class_plan = self.by_threads.get(nthreads)
+        if class_plan is None:
+            class_plan = self.by_threads[nthreads] = self._build(nthreads)
+        return class_plan
+
+    def _build(self, nthreads: int) -> _ClassPlan:
+        machine = self.machine
+        cfgs = [config.with_threads(nthreads) for config in self.configs]
+        # Without pruning every configuration is its own class.
+        classes: list[tuple[ResolvedICVs | None, list[int]]]
+        if self.plan.prune:
+            resolved: dict[tuple, ResolvedICVs] = {}
+            groups = equivalence_groups(cfgs, machine,
+                                        representatives=resolved)
+            classes = [(resolved[sig], members)
+                       for sig, members in groups.items()]
+        else:
+            classes = [(None, [i]) for i in range(len(cfgs))]
+        # Sharing terms across classes by signature slots is pruning too:
+        # without it each executor keeps a private memo, so the unpruned
+        # sweep stays an independent reference for the pruning check.
+        memo = (ComponentMemo(machine, get_costs(machine.name))
+                if self.plan.prune else None)
+        return _ClassPlan(machine, self.plan.fidelity, cfgs, classes, memo)
+
+
+def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> list[SweepRecord]:
     """Run the full config grid for one (workload, setting).
 
-    With ``plan.prune`` the grid is first collapsed into ICV-equivalence
+    With ``plan.prune`` the grid is collapsed into ICV-equivalence
     classes; the deterministic model is evaluated once per class and each
     member's own measurement-noise stream (keyed by its spelling) is
     applied to the shared true runtime.  Bit-identical to executing every
@@ -406,29 +477,22 @@ def _execute_batch(
     """
     from repro.workloads.base import get_workload
 
+    plan = plans.plan
     program = get_workload(batch.app).program(batch.input_size)
-    cfgs = [config.with_threads(batch.nthreads) for config in configs]
-
-    # (representative ICVs or None to resolve, member indices) per class.
-    classes: list[tuple[ResolvedICVs | None, list[int]]]
-    if plan.prune:
-        resolved: dict[tuple, ResolvedICVs] = {}
-        groups = equivalence_groups(cfgs, machine, representatives=resolved)
-        classes = [(resolved[sig], members) for sig, members in groups.items()]
-    else:
-        classes = [(None, [i]) for i in range(len(cfgs))]
+    class_plan: _ClassPlan = plans.at(batch.nthreads)
+    cfgs = class_plan.configs
 
     members_of: list[int] = []
     true_runtimes: list[float] = []
-    for icvs, members in classes:
-        executor = RuntimeExecutor(
-            machine, cfgs[members[0]], fidelity=plan.fidelity, icvs=icvs
-        )
+    # Annotated so the dependency lint's call graph reaches the model.
+    executor: RuntimeExecutor
+    for executor, (_, members) in zip(class_plan.executors(),
+                                      class_plan.classes):
         true = executor.execute(program, seed=plan.seed)
         members_of.extend(members)
         true_runtimes.extend(true for _ in members)
     observed = measurement_noise(
-        machine, program, [cfgs[i] for i in members_of], true_runtimes,
+        plans.machine, program, [cfgs[i] for i in members_of], true_runtimes,
         range(plan.repetitions), seed=plan.seed,
     )
     runtimes_of = dict(zip(members_of, observed))
@@ -447,9 +511,9 @@ def _execute_batch(
     ]
 
 
-#: Per-process sweep state (machine model + materialized config grid),
-#: populated once by :func:`_init_worker` instead of being pickled into
-#: every batch payload.
+#: Per-process sweep state (the class plans over the machine model and
+#: materialized config grid), populated once by :func:`_init_worker`
+#: instead of being pickled into every batch payload.
 _WORKER_STATE: dict = {}
 
 
@@ -458,9 +522,9 @@ def _init_worker(
 ) -> None:
     install_chaos(chaos)
     machine = get_machine(plan.arch)
-    _WORKER_STATE["plan"] = plan
-    _WORKER_STATE["machine"] = machine
-    _WORKER_STATE["configs"] = space.grid(machine, plan.scale, seed=plan.seed)
+    _WORKER_STATE["plans"] = _ClassPlans(
+        plan, machine, space.grid(machine, plan.scale, seed=plan.seed)
+    )
 
 
 def _worker_run_batch(batch: BatchSpec):
@@ -472,10 +536,9 @@ def _worker_run_batch(batch: BatchSpec):
     graph per record.  The parent unpacks (and thereby validates) them;
     records are bit-identical to serial execution.
     """
-    state = _WORKER_STATE
-    return sweep_records_to_block(_execute_batch(
-        state["plan"], state["machine"], state["configs"], batch
-    ))
+    return sweep_records_to_block(
+        _execute_batch(_WORKER_STATE["plans"], batch)
+    )
 
 
 def _supervised_run_batch(payload: tuple, attempt: int):
@@ -685,19 +748,9 @@ def run_sweep(
     ledger = FailureLedger(policy, fail_policy)
 
     configs = space.grid(machine, plan.scale, seed=plan.seed)
-    n_classes_at: dict[int, int] = {}
-
-    def classes_at(nthreads: int) -> int:
-        """Equivalence classes of the grid at one thread count (memoized;
-        the whole batch shares it, so counting happens in the parent)."""
-        if nthreads not in n_classes_at:
-            if plan.prune:
-                n_classes_at[nthreads] = len(
-                    equivalence_groups(configs, machine, nthreads=nthreads)
-                )
-            else:
-                n_classes_at[nthreads] = len(configs)
-        return n_classes_at[nthreads]
+    # The serial path runs its batches on these plans; every backend
+    # counts simulated configurations from them.
+    plans = _ClassPlans(plan, machine, configs)
 
     if cache is not None:
         from repro.core.cache import SweepCache
@@ -756,7 +809,7 @@ def run_sweep(
             else:
                 result.records.extend(records)
                 result.n_computed_batches += 1
-                n_sim = classes_at(batch.nthreads)
+                n_sim = len(plans.at(batch.nthreads).classes)
                 result.n_simulated_configs += n_sim
                 result.n_pruned_configs += len(records) - n_sim
                 if cache is not None:
@@ -782,7 +835,7 @@ def run_sweep(
             return corrupted_payload(i)
         if fault is not None:
             simulate_fault(fault)
-        return _execute_batch(plan, machine, configs, batch)
+        return _execute_batch(plans, batch)
 
     def build_report(worker_respawns: int = 0) -> FailureReport:
         return ledger.build_report(

@@ -2,12 +2,12 @@
 
 Everything the KEY passes compare the cone's read-set against — the
 signature component names, the dead-field normalization table, the
-attributes ``execution_signature()`` itself reads, the cache key's
-identity tuple, ``EnvConfig.key()``'s reads — is recovered from the
-*parsed source of the tree under analysis*, never from live imports.
-That is what lets the fault-injection tests lint mutated fixture trees,
-and it means the passes check the code as written, not as currently
-imported.
+memo key slots, the attributes ``execution_signature()`` itself reads,
+the cache key's identity tuple, ``EnvConfig.key()``'s reads — is
+recovered from the *parsed source of the tree under analysis*, never
+from live imports.  That is what lets the fault-injection tests lint
+mutated fixture trees, and it means the passes check the code as
+written, not as currently imported.
 
 Property/method *expansion* is the bridge between derived attributes and
 fields: ``expansions["wait_policy"] == {"library", "blocktime_ms"}``
@@ -139,6 +139,9 @@ class SignatureDecl:
     components: tuple[str, ...] | None = None
     #: ``SIGNATURE_DEAD_FIELDS`` literal: field -> (guard, reason).
     dead_fields: dict[str, tuple[str | None, str]] | None = None
+    #: ``MEMO_KEY_SLOTS`` literal: memoized term -> its key's slots;
+    #: None if absent (no memo is declared).
+    memo_keys: dict[str, tuple[str, ...]] | None = None
     #: Attributes ``execution_signature()``'s own body reads.
     self_reads: frozenset[str] = frozenset()
     #: Element count of the returned signature tuple.
@@ -193,6 +196,13 @@ def signature_declarations(
             ):
                 parsed[name] = (entry[0], entry[1])
         decl.dead_fields = parsed
+    memo = _literal(_class_body_assign(record.node, "MEMO_KEY_SLOTS"))
+    if isinstance(memo, dict):
+        decl.memo_keys = {
+            term: slots for term, slots in memo.items()
+            if isinstance(term, str) and isinstance(slots, tuple)
+            and all(isinstance(s, str) for s in slots)
+        }
     decl.expansions, decl.fields = class_expansions(graph, cls_qualname)
     return decl
 

@@ -45,10 +45,11 @@ class ThreadPlacement:
 
     A placement is an immutable value: its derived invariants
     (:attr:`oversubscription`, :attr:`max_oversubscription`,
-    :attr:`n_numa_used`, :attr:`n_llc_used` and :meth:`effective_speed`)
-    are computed once at construction, and every array it hands out is
-    read-only, so one placement can be shared by every executor that
-    needs it (see :func:`compute_placement`).
+    :attr:`n_numa_used`, :attr:`n_llc_used`, :meth:`effective_speed`,
+    :attr:`effective_parallelism`, :attr:`slowest_thread_factor` and
+    :attr:`master_core_sharers`) are computed once at construction, and
+    every array it hands out is read-only, so one placement can be shared
+    by every executor that needs it (see :func:`compute_placement`).
 
     Attributes
     ----------
@@ -83,8 +84,12 @@ class ThreadPlacement:
               int(np.unique(cores // m.cores_per_numa).shape[0]))
         store(self, "_n_llc_used",
               int(np.unique(cores // m.cores_per_llc).shape[0]))
-        store(self, "_effective_speed",
-              _read_only(1.0 / oversubscription.astype(float)))
+        speeds = _read_only(1.0 / oversubscription.astype(float))
+        store(self, "_effective_speed", speeds)
+        store(self, "_effective_parallelism", float(speeds.sum()))
+        store(self, "_slowest_thread_factor", float(1.0 / speeds.min()))
+        store(self, "_master_core_sharers",
+              int((cores == int(cores[0])).sum()))
 
     @property
     def nthreads(self) -> int:
@@ -132,6 +137,23 @@ class ThreadPlacement:
         A core timeshared by ``k`` team threads runs each at ``1/k``.
         """
         return self._effective_speed
+
+    @property
+    def effective_parallelism(self) -> float:
+        """Aggregate execution rate of the team (self-scheduling rate):
+        the sum of :meth:`effective_speed`."""
+        return self._effective_parallelism
+
+    @property
+    def slowest_thread_factor(self) -> float:
+        """Penalty of the slowest team member (static scheduling bound):
+        ``1 / min(effective_speed())``."""
+        return self._slowest_thread_factor
+
+    @property
+    def master_core_sharers(self) -> int:
+        """Team threads on the master thread's core (the master included)."""
+        return self._master_core_sharers
 
     def mean_numa_distance_to_local_data(self) -> float:
         """Average access cost assuming each thread's data was first-touched

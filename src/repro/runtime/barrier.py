@@ -92,11 +92,9 @@ def serial_gap_seconds(
         return 0.0
     if icvs.wait_policy is WaitPolicy.PASSIVE:
         return gap_seconds
-    # Active waiting: count team threads co-located with the master core.
-    master_core = int(placement.cores[0])
-    sharers = int((placement.cores == master_core).sum())
     if not placement.bound:
         # Unbound spinners drift away from the master quickly; the OS keeps
         # interference minor.
         return gap_seconds * (1.05 if icvs.nthreads > placement.machine.n_cores else 1.0)
-    return gap_seconds * sharers
+    # Active waiting: team threads co-located with the master core.
+    return gap_seconds * placement.master_core_sharers

@@ -15,7 +15,7 @@ from itertools import islice
 from repro.arch.noise import get_noise_model, sample_seed, sample_seeds
 from repro.arch.topology import MachineTopology
 from repro.errors import SimulationError
-from repro.runtime.affinity import ThreadPlacement, compute_placement
+from repro.runtime.affinity import ThreadPlacement
 from repro.runtime.barrier import (
     fork_seconds,
     serial_gap_seconds,
@@ -23,7 +23,7 @@ from repro.runtime.barrier import (
 )
 from repro.runtime.costs import RuntimeCosts, get_costs, work_seconds
 from repro.runtime.icv import EnvConfig, ResolvedICVs, resolve_icvs
-from repro.runtime.kernel import RegionEngine
+from repro.runtime.kernel import ComponentMemo, RegionEngine
 from repro.runtime.program import LoopRegion, Program, SerialPhase, TaskRegion
 
 __all__ = [
@@ -52,7 +52,10 @@ class RuntimeExecutor:
     programs under one configuration costs a handful of scalar evaluations
     per region.  ``icvs``, when the caller already resolved ``config`` on
     ``machine`` (the sweep's grouping does), is used instead of resolving
-    it again.
+    it again.  ``memo``, if given, is a
+    :class:`~repro.runtime.kernel.ComponentMemo` the region engine shares
+    with other executors on the same machine and cost table (the sweep's
+    class plans do).
     """
 
     def __init__(
@@ -63,6 +66,7 @@ class RuntimeExecutor:
         costs: RuntimeCosts | None = None,
         *,
         icvs: ResolvedICVs | None = None,
+        memo: ComponentMemo | None = None,
     ):
         if fidelity not in ("analytic", "des"):
             raise SimulationError(f"unknown fidelity {fidelity!r}")
@@ -72,13 +76,13 @@ class RuntimeExecutor:
         self.icvs: ResolvedICVs = (
             icvs if icvs is not None else resolve_icvs(config, machine)
         )
-        self.placement: ThreadPlacement = compute_placement(self.icvs, machine)
         # A custom cost table (e.g. scale_costs output) overrides the
         # machine's calibrated one — the metamorphic harness's entry point.
         self.costs: RuntimeCosts = costs if costs is not None else get_costs(
             machine.name
         )
-        self.engine = RegionEngine(machine, self.icvs, self.placement, self.costs)
+        self.engine = RegionEngine(machine, self.icvs, self.costs, memo=memo)
+        self.placement: ThreadPlacement = self.engine.placement
 
     # ------------------------------------------------------------------
     def phase_costs(self, program: Program, seed: int = 0) -> list[_PhaseCost]:

@@ -73,7 +73,7 @@ def memory_time_factor(
     m = placement.machine
 
     if bw_per_thread_gbps > 0.0:
-        demand = bw_per_thread_gbps * float(placement.effective_speed().sum())
+        demand = bw_per_thread_gbps * placement.effective_parallelism
         avail = available_bandwidth_gbps(placement, costs)
         ratio = demand / max(avail, 1e-9)
         if ratio > 1.0:

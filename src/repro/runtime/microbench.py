@@ -81,8 +81,7 @@ def _schedule_overhead_ns(
     icvs = resolve_icvs(
         EnvConfig(**{**_as_kwargs(config), "schedule": schedule}), machine
     )
-    placement = compute_placement(icvs, machine)
-    engine = RegionEngine(machine, icvs, placement, get_costs(machine.name))
+    engine = RegionEngine(machine, icvs, get_costs(machine.name))
     iter_work = 1e-7  # 100ns reference iterations, EPCC "schedbench" style
     region = LoopRegion("probe", n_iters=n_iters, iter_work=iter_work)
     total = engine.loop_region_seconds(region)

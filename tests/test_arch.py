@@ -1,5 +1,7 @@
 """Tests for machine topologies, the Table I registry and noise models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,20 @@ class TestTopologyDerived:
         # Milan's many small domains give the largest average distance.
         assert MILAN.mean_numa_distance() > SKYLAKE.mean_numa_distance()
         assert MILAN.mean_numa_distance() > A64FX.mean_numa_distance()
+
+    @pytest.mark.parametrize("machine", list(ALL_MACHINES.values()),
+                             ids=lambda m: m.name)
+    def test_mean_numa_distance_is_stored_once(self, machine):
+        # Computed at construction with the per-call formula, and kept
+        # out of the dataclass fields (equality, hashing, fingerprints).
+        value = machine.mean_numa_distance()
+        assert type(value) is float
+        assert value == float(machine.numa_distance_matrix().mean())
+        assert "_mean_numa_distance" not in {
+            f.name for f in dataclasses.fields(machine)}
+        twin = dataclasses.replace(machine)
+        assert twin == machine and hash(twin) == hash(machine)
+        assert twin.mean_numa_distance() == value
 
     def test_total_bandwidth(self):
         assert A64FX.total_mem_bw_gbps == pytest.approx(1024.0)

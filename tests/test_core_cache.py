@@ -44,9 +44,9 @@ def counted_batches(monkeypatch):
     calls = []
     real = sweep_mod._execute_batch
 
-    def counting(plan, machine, configs, batch):
+    def counting(plans, batch):
         calls.append(batch)
-        return real(plan, machine, configs, batch)
+        return real(plans, batch)
 
     monkeypatch.setattr(sweep_mod, "_execute_batch", counting)
     return calls

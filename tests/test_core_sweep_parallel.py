@@ -100,7 +100,7 @@ class TestStreamingProgress:
         assert [t.task_id for t in sup.tasks] == list(range(len(batches)))
         assert [t.index for t in sup.tasks] == list(range(len(batches)))
         # The initializer materialized the grid once for the process.
-        assert len(sweep_mod._WORKER_STATE["configs"]) > 1
+        assert len(sweep_mod._WORKER_STATE["plans"].configs) > 1
 
     def test_real_supervisor_progress_fires_per_batch_in_order(self):
         plan = SweepPlan(arch="milan", workload_names=("cg", "nqueens"),

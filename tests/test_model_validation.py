@@ -16,8 +16,7 @@ from repro.runtime.program import LoadPattern, LoopRegion, TaskRegion
 
 def price(region, machine=MILAN, **env):
     icvs = resolve_icvs(EnvConfig(**env), machine)
-    placement = compute_placement(icvs, machine)
-    engine = RegionEngine(machine, icvs, placement, get_costs(machine.name))
+    engine = RegionEngine(machine, icvs, get_costs(machine.name))
     return engine.loop_region_seconds(region)
 
 
@@ -164,8 +163,7 @@ class TestTaskModelRegimes:
         region = TaskRegion("t", depth=depth, branching=branching,
                             leaf_work=leaf_work, node_work=leaf_work / 10)
         icvs = resolve_icvs(EnvConfig(library="turnaround"), machine)
-        placement = compute_placement(icvs, machine)
-        engine = RegionEngine(machine, icvs, placement,
+        engine = RegionEngine(machine, icvs,
                               get_costs(machine.name))
         analytic = engine._task_analytic(region)
         des = engine._task_des(region, seed=3)
@@ -182,8 +180,7 @@ class TestTaskModelRegimes:
             icvs = resolve_icvs(
                 EnvConfig(num_threads=threads, library="turnaround"), machine
             )
-            placement = compute_placement(icvs, machine)
-            engine = RegionEngine(machine, icvs, placement,
+            engine = RegionEngine(machine, icvs,
                                   get_costs(machine.name))
             times_analytic.append(engine._task_analytic(region))
             times_des.append(engine._task_des(region, seed=1))

@@ -157,6 +157,12 @@ def _unique_formulas(p):
         "n_numa_used": int(np.unique(p.cores // m.cores_per_numa).shape[0]),
         "n_llc_used": int(np.unique(p.cores // m.cores_per_llc).shape[0]),
         "effective_speed": 1.0 / over.astype(float),
+        # The per-call expressions the region engine and the serial-gap
+        # model used before they were stored on the placement.
+        "effective_parallelism": float((1.0 / over.astype(float)).sum()),
+        "slowest_thread_factor": float(
+            1.0 / (1.0 / over.astype(float)).min()),
+        "master_core_sharers": int((p.cores == int(p.cores[0])).sum()),
     }
 
 
@@ -181,11 +187,18 @@ class TestPrecomputedInvariants:
                         "n_numa_used": p.n_numa_used,
                         "n_llc_used": p.n_llc_used,
                         "effective_speed": p.effective_speed(),
+                        "effective_parallelism": p.effective_parallelism,
+                        "slowest_thread_factor": p.slowest_thread_factor,
+                        "master_core_sharers": p.master_core_sharers,
                     }
                     ctx = (machine.name, kind, bind, n)
                     for name in ("max_oversubscription", "n_numa_used",
-                                 "n_llc_used"):
+                                 "n_llc_used", "master_core_sharers"):
                         assert type(got[name]) is int, (name, ctx)
+                        assert got[name] == want[name], (name, ctx)
+                    for name in ("effective_parallelism",
+                                 "slowest_thread_factor"):
+                        assert type(got[name]) is float, (name, ctx)
                         assert got[name] == want[name], (name, ctx)
                     for name in ("oversubscription", "effective_speed"):
                         assert got[name].dtype == want[name].dtype, ctx

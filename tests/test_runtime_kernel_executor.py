@@ -10,11 +10,14 @@ from repro.arch.machines import A64FX, MILAN, SKYLAKE
 from repro.core.envspace import EnvSpace
 from repro.core.sweep import SweepPlan, equivalence_groups, plan_batches
 from repro.errors import SimulationError
-from repro.runtime.affinity import compute_placement
 from repro.runtime.costs import get_costs, work_seconds
 from repro.runtime.executor import RuntimeExecutor, execute, observe
 from repro.runtime.icv import EnvConfig, resolve_icvs
-from repro.runtime.kernel import RegionEngine, task_acquire_seconds
+from repro.runtime.kernel import (
+    RegionEngine,
+    max_leaf_factor,
+    task_acquire_seconds,
+)
 from repro.runtime.program import (
     LoadPattern,
     LoopRegion,
@@ -28,8 +31,7 @@ from repro.workloads.generator import synthetic_task_workload
 
 def engine(machine=MILAN, **env):
     icvs = resolve_icvs(EnvConfig(**env), machine)
-    placement = compute_placement(icvs, machine)
-    return RegionEngine(machine, icvs, placement, get_costs(machine.name))
+    return RegionEngine(machine, icvs, get_costs(machine.name))
 
 
 class TestTaskAcquire:
@@ -64,14 +66,29 @@ class TestMaxLeafFactor:
 
         z = float(norm.ppf(1.0 - 1.0 / n))
         direct = math.exp(sigma * z) / math.exp(0.5 * sigma * sigma)
-        assert RegionEngine._max_leaf_factor(sigma, n) == direct
-        assert RegionEngine._max_leaf_factor(sigma, n) == direct  # memo hit
+        assert max_leaf_factor(sigma, n) == direct
+        assert max_leaf_factor(sigma, n) == direct  # memo hit
 
     def test_degenerate_inputs_and_bounded_memo(self):
-        assert RegionEngine._max_leaf_factor(0.0, 100) == 1.0
-        assert RegionEngine._max_leaf_factor(0.5, 1) == 1.0
-        maxsize = RegionEngine._max_leaf_factor.cache_info().maxsize
+        assert max_leaf_factor(0.0, 100) == 1.0
+        assert max_leaf_factor(0.5, 1) == 1.0
+        maxsize = max_leaf_factor.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
+
+    def test_ndtri_factor_pins_norm_ppf_bit_for_bit(self):
+        # The factor's quantile comes from scipy.special.ndtri; it must
+        # equal the norm.ppf form over a spread of leaf counts and
+        # dispersions, from the smallest tree to far past any workload.
+        from scipy.stats import norm
+
+        ns = sorted({2, 3, 5, 7, 64, 1000, 4096, 199_999, 200_000}
+                    | set(np.geomspace(2, 200_000, 60).astype(int).tolist()))
+        for sigma in (0.05, 0.1, 0.35, 0.5, 0.8, 1.2, 2.0):
+            for n in ns:
+                z = float(norm.ppf(1.0 - 1.0 / n))
+                expected = math.exp(sigma * z) / math.exp(0.5 * sigma * sigma)
+                assert max_leaf_factor.__wrapped__(sigma, n) == expected, (
+                    sigma, n)
 
 
 class TestLoopRegionPricing:
