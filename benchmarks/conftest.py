@@ -56,7 +56,7 @@ def bench_dataset(arch: str, workloads=None, repetitions: int = 3,
     key = (arch, workloads, repetitions, scale or BENCH_SCALE)
     if key not in _DATASET_CACHE:
         result = bench_sweep(arch, workloads, repetitions, scale)
-        table = aggregate_runs(records_to_table(result.records))
+        table = aggregate_runs(records_to_table(result.block))
         _DATASET_CACHE[key] = label_optimal(enrich_with_speedup(table))
     return _DATASET_CACHE[key]
 

@@ -49,7 +49,7 @@ def main() -> None:
                 repetitions=2,
             )
         )
-        tables.append(records_to_table(result.records))
+        tables.append(records_to_table(result.block))
     dataset = label_optimal(enrich_with_speedup(concat_tables(tables)))
     print(f"  {dataset.num_rows} samples\n")
 
@@ -112,7 +112,7 @@ def main() -> None:
         SweepPlan(arch="milan", workload_names=("nqueens", "su3bench"),
                   scale="twofactor", repetitions=1)
     )
-    two_factor = enrich_with_speedup(records_to_table(result.records))
+    two_factor = enrich_with_speedup(records_to_table(result.block))
     for pair in strongest_interactions(two_factor, k=4):
         print(
             f"  {pair.label:28s} strength {pair.strength:.3f}  "

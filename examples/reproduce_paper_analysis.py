@@ -65,7 +65,7 @@ def main() -> None:
         )
         print(f"  {arch}: {result.n_samples} samples "
               f"({result.n_measurements} measurements)")
-        tables.append(records_to_table(result.records))
+        tables.append(records_to_table(result.block))
     dataset = label_optimal(enrich_with_speedup(concat_tables(tables)))
     write_csv(dataset, out / "dataset.csv")
     print(f"  dataset -> {out / 'dataset.csv'}")

@@ -57,7 +57,7 @@ def main() -> None:
         SweepPlan(arch=ARCH, workload_names=("nqueens", "health", "alignment"),
                   scale="small", repetitions=2)
     )
-    dataset = label_optimal(enrich_with_speedup(records_to_table(result.records)))
+    dataset = label_optimal(enrich_with_speedup(records_to_table(result.block)))
     influence = {
         row.label: row
         for row in influence_by_arch_application(dataset).rows

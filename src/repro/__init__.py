@@ -24,7 +24,7 @@ Quickstart::
 
     result = run_sweep(SweepPlan(arch="milan", scale="small",
                                  workload_names=("xsbench", "cg")))
-    table = label_optimal(enrich_with_speedup(records_to_table(result.records)))
+    table = label_optimal(enrich_with_speedup(records_to_table(result.block)))
     print(influence_by_architecture(table).to_table().to_text())
 """
 

@@ -94,6 +94,27 @@ def full_plan() -> SweepPlan:
                      scale="medium", repetitions=3, inputs_limit=2)
 
 
+def _require_same_records(
+    what: str,
+    reference: list,
+    candidate: list,
+    ref_name: str,
+    name: str,
+    hint: str = "",
+) -> None:
+    """Raise :class:`CheckFailure` unless ``candidate`` equals
+    ``reference`` record for record, counting the differing records."""
+    if candidate == reference:
+        return
+    n = sum(1 for a, b in zip(reference, candidate) if a != b) + abs(
+        len(reference) - len(candidate)
+    )
+    raise CheckFailure(
+        f"{what}: {n} record(s) differ ({ref_name} {len(reference)} vs "
+        f"{name} {len(candidate)}){hint}"
+    )
+
+
 def differential_parity(plan: SweepPlan | None = None) -> dict:
     """Replay one plan through all execution paths; records must match."""
     plan = plan or _quick_plan()
@@ -115,15 +136,8 @@ def differential_parity(plan: SweepPlan | None = None) -> dict:
                 "expected all from cache"
             )
     for name, result in paths.items():
-        if result.records != serial.records:
-            n = sum(
-                1 for a, b in zip(serial.records, result.records) if a != b
-            ) + abs(len(serial.records) - len(result.records))
-            raise CheckFailure(
-                f"{name} path diverged from serial: {n} record(s) differ "
-                f"(serial {len(serial.records)} vs {name} "
-                f"{len(result.records)})"
-            )
+        _require_same_records(f"{name} path diverged from serial",
+                              serial.records, result.records, "serial", name)
     return {
         "details": f"{len(serial.records)} records bit-identical across "
                    f"serial/parallel/cold-cache/warm-cache",
@@ -159,16 +173,12 @@ def pruning_parity(plan: SweepPlan | None = None) -> dict:
             "unpruned sweep reported "
             f"{unpruned.n_pruned_configs} pruned config(s)"
         )
-    if pruned.records != unpruned.records:
-        n = sum(
-            1 for a, b in zip(pruned.records, unpruned.records) if a != b
-        ) + abs(len(pruned.records) - len(unpruned.records))
-        raise CheckFailure(
-            f"pruned sweep diverged from exhaustive execution: {n} "
-            f"record(s) differ (pruned {len(pruned.records)} vs unpruned "
-            f"{len(unpruned.records)}) — an execution-relevant ICV leaked "
-            "out of ResolvedICVs.execution_signature()"
-        )
+    _require_same_records(
+        "pruned sweep diverged from exhaustive execution",
+        pruned.records, unpruned.records, "pruned", "unpruned",
+        hint=" — an execution-relevant ICV leaked out of "
+             "ResolvedICVs.execution_signature()",
+    )
     total = pruned.n_simulated_configs + pruned.n_pruned_configs
     return {
         "details": (
@@ -240,15 +250,8 @@ def resilience_degrade_parity(
                 "entry(ies); the injected corruption must be caught by "
                 "checksum (exactly 1)"
             )
-    if resumed.records != clean.records:
-        n = sum(
-            1 for a, b in zip(clean.records, resumed.records) if a != b
-        ) + abs(len(clean.records) - len(resumed.records))
-        raise CheckFailure(
-            f"degrade+resume diverged from the fault-free sweep: {n} "
-            f"record(s) differ (clean {len(clean.records)} vs resumed "
-            f"{len(resumed.records)})"
-        )
+    _require_same_records("degrade+resume diverged from the fault-free sweep",
+                          clean.records, resumed.records, "clean", "resumed")
     return {
         "details": (
             f"{len(resumed.records)} records bit-identical after "
@@ -321,7 +324,8 @@ def columnar_pipeline_parity(
         cache = SweepCache(Path(tmp) / "cache")
         key = "f" * 64
         cache.put(key, block)
-        if cache.get(key) != records:
+        hit = cache.get(key)
+        if hit is None or sweep_block_to_records(hit) != records:
             raise CheckFailure(
                 "cache format v5 round-trip altered the records"
             )
@@ -431,18 +435,13 @@ def sharded_execution_parity(plan: SweepPlan | None = None) -> dict:
         for n_shards in (1, 2, 4):
             result = run_sweep(plan, n_processes=2, backend=backend,
                                n_shards=n_shards)
-            if result.records != serial.records:
-                n = sum(
-                    1 for a, b in zip(serial.records, result.records)
-                    if a != b
-                ) + abs(len(serial.records) - len(result.records))
-                raise CheckFailure(
-                    f"backend={backend} shards={n_shards} diverged from "
-                    f"the serial reference: {n} record(s) differ "
-                    f"(serial {len(serial.records)} vs "
-                    f"{len(result.records)})"
-                )
-            combos.append(f"{backend}x{n_shards}")
+            combo = f"{backend}x{n_shards}"
+            _require_same_records(
+                f"backend={backend} shards={n_shards} diverged from the "
+                "serial reference",
+                serial.records, result.records, "serial", combo,
+            )
+            combos.append(combo)
 
     n_batches = len(plan_batches(plan))
     chaos = ChaosPlan.generate(n_batches, seed=7, crashes=0, hangs=0,
@@ -474,15 +473,10 @@ def sharded_execution_parity(plan: SweepPlan | None = None) -> dict:
             )
         resumed = run_sweep(plan, cache=SweepCache(Path(tmp) / "cache"),
                             fail_policy="degrade")
-    if resumed.records != serial.records:
-        n = sum(
-            1 for a, b in zip(serial.records, resumed.records) if a != b
-        ) + abs(len(serial.records) - len(resumed.records))
-        raise CheckFailure(
-            "nodes chaos degrade+resume diverged from the serial "
-            f"reference: {n} record(s) differ (serial "
-            f"{len(serial.records)} vs resumed {len(resumed.records)})"
-        )
+    _require_same_records(
+        "nodes chaos degrade+resume diverged from the serial reference",
+        serial.records, resumed.records, "serial", "resumed",
+    )
     return {
         "details": (
             f"{len(serial.records)} records bit-identical across "

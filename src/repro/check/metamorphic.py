@@ -181,7 +181,7 @@ def relation_default_speedup_unity() -> dict:
 
     plan = SweepPlan(arch="milan", workload_names=("cg",), scale="small",
                      repetitions=2)
-    table = enrich_with_speedup(records_to_table(run_sweep(plan).records))
+    table = enrich_with_speedup(records_to_table(run_sweep(plan).block))
     mask = _is_default_row(table)
     if not mask.any():
         raise CheckFailure("sweep produced no all-default rows")

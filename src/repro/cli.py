@@ -452,7 +452,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                        cache=cache, fail_policy=args.fail_policy,
                        retry=retry, batch_timeout_s=args.batch_timeout_s,
                        backend=args.backend, n_shards=args.shards)
-    table = enrich_with_speedup(aggregate_runs(records_to_table(result.records)))
+    table = enrich_with_speedup(aggregate_runs(records_to_table(result.block)))
     write_csv(table, args.output)
     rep = result.failure_report
     if rep is not None and not rep.clean:
@@ -663,7 +663,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             SweepPlan(arch=arch, workload_names=names, scale=args.scale,
                       repetitions=args.repetitions)
         )
-        tables.append(records_to_table(result.records))
+        tables.append(records_to_table(result.block))
     dataset = label_optimal(enrich_with_speedup(concat_tables(tables)))
 
     # Violin figures: one per app, violins per (arch, setting).

@@ -64,8 +64,7 @@ from repro.core.sweep import (
     BatchSpec,
     SweepPlan,
     SweepRecord,
-    sweep_block_to_records,
-    sweep_records_to_block,
+    check_sweep_block,
 )
 from repro.errors import CacheError, ConfigError, FrameError, UnknownMachine
 from repro.frame.columns import RecordBlock
@@ -378,13 +377,14 @@ class SweepCache:
         self.corrupt_keys.append(key)
         self.misses += 1
 
-    def get(self, key: str) -> list[SweepRecord] | None:
-        """The cached records for ``key``, or None (counts as a miss).
+    def get(self, key: str) -> RecordBlock | None:
+        """The cached batch block for ``key``, or None (counts as a miss).
 
         A missing file or a version-mismatched (stale-format) entry is a
         plain miss.  Anything else that fails — unparseable JSON (torn
-        write), checksum mismatch (bit rot), malformed records — is
-        quarantined via :meth:`_quarantine`.
+        write), checksum mismatch (bit rot), a malformed frame or a block
+        :func:`~repro.core.sweep.check_sweep_block` rejects — is
+        quarantined via :meth:`_quarantine`.  The rows are not decoded.
         """
         path = self._path(key)
         try:
@@ -420,31 +420,22 @@ class SweepCache:
             self._quarantine(key)
             return None
         try:
-            records = sweep_block_to_records(
-                RecordBlock.from_payload(frame_payload)
-            )
-        except (FrameError, CacheError):
+            block = RecordBlock.from_payload(frame_payload)
+            check_sweep_block(block)
+        except FrameError:
             self._quarantine(key)
             return None
         self.hits += 1
-        return records
+        return block
 
-    def put(
-        self, key: str, records: "Sequence[SweepRecord] | RecordBlock"
-    ) -> None:
-        """Persist one batch atomically under ``key``.
-
-        ``records`` is either a record list or an already-packed
-        :class:`~repro.frame.columns.RecordBlock` (what multiprocess
-        sweep workers send home — stored without a re-pack).
+    def put(self, key: str, block: RecordBlock) -> None:
+        """Persist one packed batch block atomically under ``key``.
 
         With ``fsync=True`` the entry is flushed to stable storage (file
         data before the rename, directory entry after) so a power cut
         cannot tear it — the durability mode for long unattended
         campaigns.
         """
-        block = (records if isinstance(records, RecordBlock)
-                 else sweep_records_to_block(records))
         frame = _canonical_payload(block.to_payload())
         # The entry embeds the canonical frame text the checksum covers,
         # so the frame is serialized once; ``get`` parses either layout.

@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.sweep import SweepRecord, sweep_block_schema
+from repro.core.sweep import SweepRecord, check_sweep_block
 from repro.errors import DatasetError, SchemaError
 from repro.frame.columns import RecordBlock
 from repro.frame.table import Table
@@ -67,11 +67,12 @@ def _require(table: Table, columns: Sequence[str], op: str) -> None:
 def records_to_table(records: Sequence[SweepRecord] | RecordBlock) -> Table:
     """Flatten sweep records into the dataset table.
 
-    Accepts either a sequence of :class:`SweepRecord` or a packed
-    :class:`~repro.frame.columns.RecordBlock` straight off the sweep
-    pipeline; the block path builds the table column-at-a-time without
-    materializing per-row dicts and yields the same table (pinned by the
-    ``columnar-pipeline-parity`` check).
+    Accepts either a packed :class:`~repro.frame.columns.RecordBlock`
+    straight off the sweep pipeline (``result.block``) or a sequence of
+    :class:`SweepRecord`; the block path builds the table
+    column-at-a-time without materializing per-row dicts and yields the
+    same table as the row path, which stays as its reference (pinned by
+    the ``columnar-pipeline-parity`` check).
     """
     if isinstance(records, RecordBlock):
         return _block_to_dataset_table(records)
@@ -110,16 +111,8 @@ def _block_to_dataset_table(block: RecordBlock) -> Table:
     """Columnar fast path of :func:`records_to_table`."""
     if len(block) == 0:
         raise DatasetError("no sweep records to tabulate")
-    width = block.columns["runtimes"].width if "runtimes" in block.columns \
-        else 1
-    expected = {
-        k: ((v, 1) if isinstance(v, str) else v)
-        for k, v in sweep_block_schema(width).items()
-    }
-    if block.schema != expected:
-        raise DatasetError(
-            f"not a sweep batch block: schema {block.schema}"
-        )
+    check_sweep_block(block)
+    width = block.columns["runtimes"].width
     table = Table.from_block(
         block,
         vector_names={"runtimes": [f"runtime_{i}" for i in range(width)]},

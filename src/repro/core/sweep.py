@@ -42,12 +42,21 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from repro.arch.machines import get_machine
 from repro.arch.topology import MachineTopology
 from repro.core.envspace import EnvSpace
-from repro.errors import ConfigError, PoisonBatchError, SweepCancelledError
+from repro.errors import (
+    ConfigError,
+    FrameError,
+    PoisonBatchError,
+    SweepCancelledError,
+)
+from repro.frame.columns import NONE_CODE, RecordBlock
 from repro.resilience.backends import (
     BACKEND_NAMES,
     ExecutorBackend,
@@ -78,6 +87,7 @@ __all__ = [
     "SweepPlan",
     "SweepRecord",
     "SweepResult",
+    "check_sweep_block",
     "equivalence_groups",
     "plan_batches",
     "run_sweep",
@@ -170,10 +180,18 @@ class SweepRecord:
 
 @dataclass
 class SweepResult:
-    """All records of one sweep plus bookkeeping."""
+    """All records of one sweep plus bookkeeping.
+
+    The records are stored as :attr:`blocks`, the packed
+    :class:`~repro.frame.columns.RecordBlock` of every landed batch;
+    :attr:`records` decodes them into rows only when read, and
+    :attr:`block` merges them for table building
+    (``records_to_table(result.block)``).
+    """
 
     plan: SweepPlan
-    records: list[SweepRecord] = field(default_factory=list)
+    #: One packed block per landed batch, in batch order.
+    blocks: list[RecordBlock] = field(default_factory=list)
     #: Batches served from the cache vs simulated in this call.
     n_cached_batches: int = 0
     n_computed_batches: int = 0
@@ -197,22 +215,33 @@ class SweepResult:
     #: depends on real execution timing, unlike ``failure_report``.
     shard_report: ShardReport | None = None
 
+    @cached_property
+    def records(self) -> list[SweepRecord]:
+        """Every record as a row, decoded from :attr:`blocks` on first
+        read."""
+        return [r for b in self.blocks for r in sweep_block_to_records(b)]
+
+    @cached_property
+    def block(self) -> RecordBlock:
+        """Every batch merged into one block, in batch order."""
+        merged = RecordBlock(sweep_block_schema(self.plan.repetitions))
+        for b in self.blocks:
+            merged.extend(b)
+        return merged
+
     @property
     def n_samples(self) -> int:
         """Unique samples (rows), the paper's Table II accounting unit."""
-        return len(self.records)
+        return sum(len(b) for b in self.blocks)
 
     @property
     def n_measurements(self) -> int:
         """Individual timed runs (rows x repetitions)."""
-        return sum(len(r.runtimes) for r in self.records)
+        return sum(len(b.columns["runtimes"].data) for b in self.blocks)
 
     def apps(self) -> list[str]:
         """Distinct applications present."""
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.app, None)
-        return list(seen)
+        return list(dict.fromkeys(self.block.columns["app"].to_numpy()))
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +279,7 @@ def sweep_block_schema(repetitions: int) -> dict:
     }
 
 
-def sweep_records_to_block(records: "Sequence[SweepRecord]"):
+def sweep_records_to_block(records: Sequence[SweepRecord]) -> RecordBlock:
     """Pack sweep records into a typed columnar block.
 
     Lossless and order-preserving: :func:`sweep_block_to_records` of the
@@ -258,9 +287,6 @@ def sweep_records_to_block(records: "Sequence[SweepRecord]"):
     ``columnar-pipeline-parity`` check).  All records must share one
     repetition count — the sweep invariant.
     """
-    from repro.errors import FrameError
-    from repro.frame.columns import RecordBlock
-
     reps = len(records[0].runtimes) if records else 1
     if reps == 0:
         raise FrameError("cannot pack a record with zero runtimes")
@@ -302,15 +328,17 @@ def sweep_records_to_block(records: "Sequence[SweepRecord]"):
     return block
 
 
-def sweep_block_to_records(block) -> list[SweepRecord]:
-    """Unpack a columnar batch block back into :class:`SweepRecord` rows.
+def check_sweep_block(block: RecordBlock) -> None:
+    """Check a batch block column by column; raise
+    :class:`~repro.errors.FrameError` on the first defect.
 
-    Column-at-a-time (one ``tolist`` per column, no per-cell NumPy
-    boxing); raises :class:`~repro.errors.FrameError` on any schema or
-    value mismatch, which the cache maps to quarantine.
+    A valid block has the sweep schema, at least one row, no null string
+    cell, and an ``align_alloc`` column holding only the ``-1`` sentinel
+    or powers of two >= 8 (:class:`~repro.runtime.icv.EnvConfig`'s
+    rule) — everything decoding the rows would reject, without decoding
+    them.  The fleet validator and the cache run it on every block they
+    accept.
     """
-    from repro.errors import FrameError
-
     width = block.columns["runtimes"].width if "runtimes" in block.columns \
         else 1
     expected = sweep_block_schema(width)
@@ -319,33 +347,49 @@ def sweep_block_to_records(block) -> list[SweepRecord]:
         raise FrameError(
             f"not a sweep batch block: schema {block.schema}"
         )
-    cols = {name: arr.tolist() for name, arr in block.to_arrays().items()}
+    if len(block) == 0:
+        raise FrameError("empty sweep batch block")
     for name in _BLOCK_STR_FIELDS:
-        if any(v is None for v in cols[name]):
+        if NONE_CODE in block.columns[name].data:
             raise FrameError(f"sweep batch block: null {name!r} cell")
+    align = np.frombuffer(block.columns["align_alloc"].data, dtype=np.int64)
+    bad = (align != -1) & ((align < 8) | (align & (align - 1) != 0))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise FrameError(
+            f"sweep batch block row {row}: align_alloc {int(align[row])} "
+            "is not a power of two >= 8"
+        )
+
+
+def sweep_block_to_records(block: RecordBlock) -> list[SweepRecord]:
+    """Unpack a columnar batch block back into :class:`SweepRecord` rows.
+
+    Column-at-a-time (one ``tolist`` per column, no per-cell NumPy
+    boxing) after :func:`check_sweep_block`, whose
+    :class:`~repro.errors.FrameError` it raises.
+    """
+    check_sweep_block(block)
+    width = block.columns["runtimes"].width
+    cols = {name: arr.tolist() for name, arr in block.to_arrays().items()}
     records = []
     for i in range(len(block)):
-        try:
-            config = EnvConfig(
-                num_threads=(
-                    None if cols["cfg_num_threads"][i] < 0
-                    else cols["cfg_num_threads"][i]
-                ),
-                places=cols["places"][i],
-                proc_bind=cols["proc_bind"][i],
-                schedule=cols["schedule"][i],
-                library=cols["library"][i],
-                blocktime=cols["blocktime"][i],
-                force_reduction=cols["force_reduction"][i],
-                align_alloc=(
-                    None if cols["align_alloc"][i] < 0
-                    else cols["align_alloc"][i]
-                ),
-            )
-        except ConfigError as exc:
-            raise FrameError(
-                f"sweep batch block row {i}: invalid config: {exc}"
-            ) from exc
+        config = EnvConfig(
+            num_threads=(
+                None if cols["cfg_num_threads"][i] < 0
+                else cols["cfg_num_threads"][i]
+            ),
+            places=cols["places"][i],
+            proc_bind=cols["proc_bind"][i],
+            schedule=cols["schedule"][i],
+            library=cols["library"][i],
+            blocktime=cols["blocktime"][i],
+            force_reduction=cols["force_reduction"][i],
+            align_alloc=(
+                None if cols["align_alloc"][i] < 0
+                else cols["align_alloc"][i]
+            ),
+        )
         records.append(SweepRecord(
             arch=cols["arch"][i],
             app=cols["app"][i],
@@ -465,8 +509,8 @@ class _ClassPlans:
         return _ClassPlan(machine, self.plan.fidelity, cfgs, classes, memo)
 
 
-def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> list[SweepRecord]:
-    """Run the full config grid for one (workload, setting).
+def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> RecordBlock:
+    """Run the full config grid for one (workload, setting), packed.
 
     With ``plan.prune`` the grid is collapsed into ICV-equivalence
     classes; the deterministic model is evaluated once per class and each
@@ -474,6 +518,9 @@ def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> list[SweepRecord]:
     applied to the shared true runtime.  Bit-identical to executing every
     member, because the model is a function of the resolved ICVs alone —
     only the expensive evaluation is shared, never the noise draws.
+    Every backend runs this function and ships its
+    :class:`~repro.frame.columns.RecordBlock` as is: a handful of flat
+    typed buffers plus an interning table.
     """
     from repro.workloads.base import get_workload
 
@@ -497,7 +544,7 @@ def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> list[SweepRecord]:
     )
     runtimes_of = dict(zip(members_of, observed))
 
-    return [
+    return sweep_records_to_block([
         SweepRecord(
             arch=plan.arch,
             app=batch.app,
@@ -508,7 +555,7 @@ def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> list[SweepRecord]:
             runtimes=runtimes_of[i],
         )
         for i, cfg in enumerate(cfgs)
-    ]
+    ])
 
 
 #: Per-process sweep state (the class plans over the machine model and
@@ -524,20 +571,6 @@ def _init_worker(
     machine = get_machine(plan.arch)
     _WORKER_STATE["plans"] = _ClassPlans(
         plan, machine, space.grid(machine, plan.scale, seed=plan.seed)
-    )
-
-
-def _worker_run_batch(batch: BatchSpec):
-    """Execute one batch and pack it columnar for the trip home.
-
-    Fleet processes ship :class:`~repro.frame.columns.RecordBlock`
-    payloads — a handful of flat typed buffers plus an interning table —
-    in their result frames instead of pickling one dict-shaped object
-    graph per record.  The parent unpacks (and thereby validates) them;
-    records are bit-identical to serial execution.
-    """
-    return sweep_records_to_block(
-        _execute_batch(_WORKER_STATE["plans"], batch)
     )
 
 
@@ -557,41 +590,27 @@ def _supervised_run_batch(payload: tuple, attempt: int):
         return corrupted_payload(index)
     if fault is not None:
         trigger_worker_fault(fault)  # crash never returns; hang blocks
-    return _worker_run_batch(batch)
+    return _execute_batch(_WORKER_STATE["plans"], batch)
 
 
 def _validate_batch_records(value: object) -> str | None:
-    """Reject worker payloads that are not a batch's records.
+    """Reject task results that are not a valid batch block.
 
     The supervisor treats a rejection as a ``corrupt-result`` attempt
     failure, so a worker returning garbage (bit-flipped IPC, chaos
-    injection) is retried instead of poisoning the dataset.  Accepts
-    either form the pipeline moves: a packed
-    :class:`~repro.frame.columns.RecordBlock` (the fleet's result-frame
-    payload — validated by a full decode) or a plain record list (the
-    serial path).
+    injection) is retried instead of poisoning the dataset.  The block
+    is checked by :func:`check_sweep_block`, never decoded.
     """
-    from repro.errors import FrameError
-    from repro.frame.columns import RecordBlock
-
-    if isinstance(value, RecordBlock):
-        try:
-            records = sweep_block_to_records(value)
-        except FrameError as exc:
-            return f"worker returned an undecodable batch block: {exc}"
-        if records:
-            return None
-        return "worker returned an empty batch block"
-    if (
-        isinstance(value, list)
-        and value
-        and all(isinstance(r, SweepRecord) for r in value)
-    ):
-        return None
-    return (
-        "worker returned a corrupt payload instead of batch records: "
-        f"{repr(value)[:120]}"
-    )
+    if not isinstance(value, RecordBlock):
+        return (
+            "worker returned a corrupt payload instead of batch records: "
+            f"{repr(value)[:120]}"
+        )
+    try:
+        check_sweep_block(value)
+    except FrameError as exc:
+        return f"worker returned an invalid batch block: {exc}"
+    return None
 
 
 #: Default batch deadline: a generous floor plus a per-sample allowance,
@@ -759,7 +778,7 @@ def run_sweep(
             cache = SweepCache(cache)
 
     # Resolve cache hits up front so only misses are dispatched to workers.
-    cached: dict[int, list[SweepRecord]] = {}
+    cached: dict[int, RecordBlock] = {}
     keys: dict[int, str] = {}
     if cache is not None:
         grid_fp = cache.grid_fingerprint(configs)
@@ -772,8 +791,8 @@ def run_sweep(
     misses = [i for i in range(total) if i not in cached]
 
     def in_order(
-        miss_stream: Iterator[list[SweepRecord] | None],
-    ) -> Iterator[tuple[int, BatchSpec, list[SweepRecord] | None, bool]]:
+        miss_stream: Iterator[RecordBlock | None],
+    ) -> Iterator[tuple[int, BatchSpec, RecordBlock | None, bool]]:
         """Merge cached batches with streamed misses, in batch order."""
         for i, batch in enumerate(batches):
             if i in cached:
@@ -781,10 +800,8 @@ def run_sweep(
             else:
                 yield i, batch, next(miss_stream), False
 
-    def consume(miss_stream: Iterator[list[SweepRecord] | None]) -> None:
-        from repro.frame.columns import RecordBlock
-
-        for done, (i, batch, records, was_cached) in enumerate(
+    def consume(miss_stream: Iterator[RecordBlock | None]) -> None:
+        for done, (i, batch, block, was_cached) in enumerate(
             in_order(miss_stream), 1
         ):
             # Checked here as well as inside the backends so a fully
@@ -793,28 +810,21 @@ def run_sweep(
                 raise SweepCancelledError(
                     f"sweep cancelled after {done - 1} of {total} batches"
                 )
-            # Multiprocess misses land as packed column blocks; keep the
-            # block for the cache write (stored as-is under format v5)
-            # and unpack once for the in-memory result.
-            block = records if isinstance(records, RecordBlock) else None
-            if block is not None:
-                records = sweep_block_to_records(block)
-            if records is None:
+            if block is None:
                 # Quarantined under fail_policy="degrade": nothing lands,
                 # nothing is cached, so a resume re-attempts this batch.
                 result.n_quarantined_batches += 1
             elif was_cached:
-                result.records.extend(records)
+                result.blocks.append(block)
                 result.n_cached_batches += 1
             else:
-                result.records.extend(records)
+                result.blocks.append(block)
                 result.n_computed_batches += 1
                 n_sim = len(plans.at(batch.nthreads).classes)
                 result.n_simulated_configs += n_sim
-                result.n_pruned_configs += len(records) - n_sim
+                result.n_pruned_configs += len(block) - n_sim
                 if cache is not None:
-                    cache.put(keys[i], block if block is not None
-                              else records)
+                    cache.put(keys[i], block)
                     fault = (chaos.cache_fault(i) if chaos is not None
                              else None)
                     if fault is not None:
@@ -898,8 +908,8 @@ def run_sweep(
         # Flush batches that completed before the failure so landed work
         # survives a Ctrl-C or a poison batch under fail_policy="raise".
         if exec_backend is not None and cache is not None:
-            for task_id, records in exec_backend.completed_unyielded():
-                cache.put(keys[misses[task_id]], records)
+            for task_id, block in exec_backend.completed_unyielded():
+                cache.put(keys[misses[task_id]], block)
         if isinstance(exc, PoisonBatchError):
             exc.report = build_report(
                 exec_backend.worker_respawns

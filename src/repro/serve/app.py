@@ -43,7 +43,7 @@ from pathlib import Path
 from urllib.parse import parse_qs
 
 from repro.core.envspace import EnvSpace
-from repro.core.sweep import SweepPlan, run_sweep
+from repro.core.sweep import SweepPlan, SweepResult, run_sweep
 from repro.errors import (
     ConfigError,
     ReproError,
@@ -270,7 +270,6 @@ class TuningDaemon:
             job.backend_used = result.backend
             job.degraded = result.backend != ladder[0]
             job.result = result
-            job.records = list(result.records)
             job.summary = render.sweep_summary_payload(result)
             return
         raise last_exc if last_exc is not None else ServeError(
@@ -684,7 +683,7 @@ class TuningDaemon:
                  "job_id": job.id, "state": job.state},
             )
             return
-        if job.state != "done" or job.records is None:
+        if job.state != "done" or job.result is None:
             await self._respond(
                 writer, 502,
                 {"error": f"underlying sweep {job.state}",
@@ -692,14 +691,14 @@ class TuningDaemon:
             )
             return
         settings = await asyncio.to_thread(
-            self._recommendations, job.records, quantile, min_lift
+            self._recommendations, job.result, quantile, min_lift
         )
         payload = render.recommend_payload(settings, quantile, min_lift)
         payload["job"] = render.job_payload(job.view())
         await self._respond(writer, 200, payload)
 
     @staticmethod
-    def _recommendations(records, quantile: float,
+    def _recommendations(result: SweepResult, quantile: float,
                          min_lift: float) -> list[dict]:
         from repro.core.dataset import (
             aggregate_runs,
@@ -709,7 +708,7 @@ class TuningDaemon:
         from repro.core.recommend import best_variable_values
 
         table = enrich_with_speedup(
-            aggregate_runs(records_to_table(records))
+            aggregate_runs(records_to_table(result.block))
         )
         return [
             {
@@ -737,7 +736,7 @@ class TuningDaemon:
         if sub == "" and method == "GET":
             await self._respond(writer, 200, render.job_payload(job.view()))
         elif sub == "records" and method == "GET":
-            if job.state != "done" or job.records is None:
+            if job.state != "done" or job.result is None:
                 await self._respond(
                     writer, 409,
                     {"error": f"job {job.id} is {job.state}, not done",
@@ -745,7 +744,7 @@ class TuningDaemon:
                 )
             else:
                 await self._respond(
-                    writer, 200, render.records_payload(job.records)
+                    writer, 200, render.records_payload(job.result.records)
                 )
         elif sub == "cancel" and method == "POST":
             if self.queue.cancel(job.id):

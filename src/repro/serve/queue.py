@@ -91,7 +91,6 @@ class Job:
         self.deadline_hit = False
         #: Filled by the runner on success.
         self.result = None
-        self.records: list | None = None
         self.summary: dict | None = None
         #: Degradation markers (see docs/SERVING.md).
         self.backend_requested = ""

@@ -24,7 +24,7 @@ def milan_small_sweep():
 @pytest.fixture(scope="session")
 def milan_dataset(milan_small_sweep):
     """Enriched + labeled dataset table for the Milan small sweep."""
-    table = records_to_table(milan_small_sweep.records)
+    table = records_to_table(milan_small_sweep.block)
     return label_optimal(enrich_with_speedup(table))
 
 
@@ -42,5 +42,5 @@ def tri_arch_dataset():
             repetitions=3,
         )
         result = run_sweep(plan)
-        tables.append(records_to_table(result.records))
+        tables.append(records_to_table(result.block))
     return label_optimal(enrich_with_speedup(concat_tables(tables)))

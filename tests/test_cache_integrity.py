@@ -14,7 +14,12 @@ import json
 import pytest
 
 from repro.core.cache import CACHE_FORMAT_VERSION, SweepCache
-from repro.core.sweep import SweepPlan, run_sweep
+from repro.core.sweep import (
+    SweepPlan,
+    run_sweep,
+    sweep_block_to_records,
+    sweep_records_to_block,
+)
 from repro.frame.columns import RecordBlock
 from repro.resilience.chaos import apply_cache_fault
 
@@ -26,16 +31,26 @@ def records():
     return run_sweep(plan).records
 
 
+@pytest.fixture(scope="module")
+def block(records):
+    return sweep_records_to_block(records)
+
+
 @pytest.fixture
-def cache(tmp_path, records):
+def cache(tmp_path, block):
     cache = SweepCache(tmp_path)
-    cache.put("k", records)
+    cache.put("k", block)
     return cache
+
+
+def decoded(block):
+    """A cache hit's rows (``get`` returns the packed block)."""
+    return sweep_block_to_records(block)
 
 
 class TestChecksumRoundtrip:
     def test_put_get_bit_identical(self, cache, records):
-        assert cache.get("k") == records
+        assert decoded(cache.get("k")) == records
 
     def test_payload_carries_checksum(self, cache):
         payload = json.loads(cache.path_for("k").read_text())
@@ -61,13 +76,13 @@ class TestChecksumRoundtrip:
             "sha256": payload["sha256"],
             "frame": RecordBlock.from_payload(payload["frame"]).to_payload(),
         }))
-        assert legacy.get("k") == records
+        assert decoded(legacy.get("k")) == records
         assert legacy.corrupt_keys == []
 
-    def test_fsync_mode_roundtrips(self, tmp_path, records):
+    def test_fsync_mode_roundtrips(self, tmp_path, block, records):
         cache = SweepCache(tmp_path / "durable", fsync=True)
-        cache.put("k", records)
-        assert cache.get("k") == records
+        cache.put("k", block)
+        assert decoded(cache.get("k")) == records
 
 
 class TestQuarantine:
@@ -106,11 +121,11 @@ class TestQuarantine:
         assert cache.get("k") is None
         assert cache.corrupt_keys == ["k"]
 
-    def test_reput_after_quarantine_recovers(self, cache, records):
+    def test_reput_after_quarantine_recovers(self, cache, block, records):
         apply_cache_fault(cache.path_for("k"), "cache-bit-flip")
         assert cache.get("k") is None
-        cache.put("k", records)
-        assert cache.get("k") == records
+        cache.put("k", block)
+        assert decoded(cache.get("k")) == records
 
 
 class TestMissVsCorruption:
@@ -176,11 +191,11 @@ class TestPrefixPartitions:
         assert cache.partition_for("k") == p
 
     def test_stats_break_entries_down_by_partition(self, tmp_path,
-                                                   records):
+                                                   block):
         cache = SweepCache(tmp_path, n_partitions=4)
         keys = [self._key(i) for i in range(6)]
         for key in keys:
-            cache.put(key, records)
+            cache.put(key, block)
         stats = cache.stats
         per_part = {row["partition"]: row["entries"]
                     for row in stats["partitions"]}
@@ -189,11 +204,11 @@ class TestPrefixPartitions:
             assert per_part[cache.partition_for(key)] >= 1
 
     def test_corruption_charged_to_the_owning_partition(self, tmp_path,
-                                                        records):
+                                                        block):
         cache = SweepCache(tmp_path, n_partitions=4)
         good, bad = self._key(0), self._key(1)
-        cache.put(good, records)
-        cache.put(bad, records)
+        cache.put(good, block)
+        cache.put(bad, block)
         apply_cache_fault(cache.path_for(bad), "cache-torn-write")
         cache.get(bad)
         rows = {row["partition"]: row for row in cache.stats["partitions"]}

@@ -17,7 +17,14 @@ from repro.core.cache import (
     machine_fingerprint,
 )
 from repro.core.envspace import EnvSpace, chunked_schedule_variables
-from repro.core.sweep import BatchSpec, SweepPlan, plan_batches, run_sweep
+from repro.core.sweep import (
+    BatchSpec,
+    SweepPlan,
+    plan_batches,
+    run_sweep,
+    sweep_block_to_records,
+    sweep_records_to_block,
+)
 
 
 @pytest.fixture
@@ -214,8 +221,8 @@ class TestSweepCacheStore:
     def test_roundtrip_bit_identical(self, tmp_path, plan):
         result = run_sweep(plan)
         cache = SweepCache(tmp_path / "c")
-        cache.put("k1", result.records)
-        assert cache.get("k1") == result.records
+        cache.put("k1", result.block)
+        assert sweep_block_to_records(cache.get("k1")) == result.records
         assert cache.hits == 1 and cache.writes == 1
 
     def test_missing_key_is_miss(self, tmp_path):
@@ -230,7 +237,7 @@ class TestSweepCacheStore:
 
     def test_version_mismatch_is_miss(self, tmp_path, plan):
         cache = SweepCache(tmp_path)
-        cache.put("k", run_sweep(plan).records[:1])
+        cache.put("k", sweep_records_to_block(run_sweep(plan).records[:1]))
         payload = json.loads((tmp_path / "k.json").read_text())
         payload["version"] = CACHE_FORMAT_VERSION + 1
         (tmp_path / "k.json").write_text(json.dumps(payload))
@@ -239,7 +246,8 @@ class TestSweepCacheStore:
     def test_len_counts_entries(self, tmp_path, plan):
         cache = SweepCache(tmp_path)
         assert len(cache) == 0
-        cache.put("0" * 64, run_sweep(plan).records[:1])
+        cache.put("0" * 64,
+                  sweep_records_to_block(run_sweep(plan).records[:1]))
         assert len(cache) == 1
 
     def test_len_ignores_foreign_files(self, tmp_path, plan):
@@ -247,7 +255,8 @@ class TestSweepCacheStore:
         stray JSON file (or a short test key) must not inflate
         ``len(cache)`` / ``stats['entries']``."""
         cache = SweepCache(tmp_path)
-        cache.put("1" * 64, run_sweep(plan).records[:1])
+        cache.put("1" * 64,
+                  sweep_records_to_block(run_sweep(plan).records[:1]))
         (tmp_path / "notes.json").write_text("{}", encoding="utf-8")
         (tmp_path / "README.json").write_text("[]", encoding="utf-8")
         (tmp_path / ("2" * 64 + ".corrupt")).write_text("x",
@@ -264,18 +273,19 @@ class TestSweepCacheStore:
         quantified."""
         cache = SweepCache(tmp_path)
         records = run_sweep(plan).records[:1]
-        cache.put("3" * 64, records)
+        block = sweep_records_to_block(records)
+        cache.put("3" * 64, block)
         assert cache.stats["lost_races"] == 0
-        cache.put("3" * 64, records)
+        cache.put("3" * 64, block)
         assert cache.stats["lost_races"] == 1
-        assert cache.get("3" * 64) == records
+        assert sweep_block_to_records(cache.get("3" * 64)) == records
         assert len(cache) == 1 and cache.writes == 2
 
     def test_distinct_keys_never_count_as_races(self, tmp_path, plan):
         cache = SweepCache(tmp_path)
-        records = run_sweep(plan).records[:1]
-        cache.put("4" * 64, records)
-        cache.put("5" * 64, records)
+        block = sweep_records_to_block(run_sweep(plan).records[:1])
+        cache.put("4" * 64, block)
+        cache.put("5" * 64, block)
         assert cache.stats["lost_races"] == 0
         assert cache.stats["writes"] == 2
 

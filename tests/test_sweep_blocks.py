@@ -1,0 +1,157 @@
+"""Tests for the one stored record form: packed batch blocks.
+
+A sweep's records travel and rest as :class:`RecordBlock` batches —
+through every backend, the fleet validator, the cache and
+:class:`SweepResult` — and rows are decoded only when a caller reads
+``SweepResult.records``.  :func:`check_sweep_block` stands in for the
+full decode everywhere a block is accepted, so it must reject every
+block decoding would.
+"""
+
+import sys
+
+import pytest
+
+import repro.core.sweep as sweep_mod
+from repro.core.cache import SweepCache
+from repro.core.dataset import records_to_table
+from repro.core.sweep import (
+    SweepPlan,
+    _validate_batch_records,
+    check_sweep_block,
+    run_sweep,
+    sweep_block_schema,
+    sweep_block_to_records,
+)
+from repro.errors import FrameError
+from repro.frame.columns import RecordBlock
+from repro.resilience import RetryPolicy, SerialBackend
+from repro.resilience.supervisor import SupervisedTask
+
+PLAN = SweepPlan(arch="milan", workload_names=("cg", "ep"), scale="small",
+                 repetitions=2, inputs_limit=2)
+
+
+@pytest.fixture(scope="module")
+def good_block():
+    return run_sweep(PLAN).blocks[0]
+
+
+def _tampered(block, column, value):
+    """``block`` with row 0 of ``column`` set to the raw cell ``value``."""
+    payload = block.to_payload()
+    spec = next(c for c in payload["columns"] if c["name"] == column)
+    spec["data"][0] = value
+    return RecordBlock.from_payload(payload)
+
+
+def _without(block, column):
+    payload = block.to_payload()
+    payload["columns"] = [c for c in payload["columns"]
+                          if c["name"] != column]
+    return RecordBlock.from_payload(payload)
+
+
+#: Every defect the full-decode validator rejected, by name.
+BAD_BLOCKS = {
+    "wrong-schema": lambda b: _without(b, "suite"),
+    "null-string-cell": lambda b: _tampered(b, "places", -1),
+    "align-alloc-3": lambda b: _tampered(b, "align_alloc", 3),
+    "align-alloc-4": lambda b: _tampered(b, "align_alloc", 4),
+    "empty": lambda b: RecordBlock(sweep_block_schema(2)),
+}
+
+
+@pytest.fixture(params=sorted(BAD_BLOCKS))
+def bad_block(request, good_block):
+    return BAD_BLOCKS[request.param](good_block)
+
+
+class TestCheckSweepBlock:
+    def test_accepts_a_real_batch(self, good_block):
+        check_sweep_block(good_block)
+        assert _validate_batch_records(good_block) is None
+
+    def test_accepts_the_unset_align_sentinel_and_powers_of_two(
+            self, good_block):
+        for value in (-1, 8, 64, 4096):
+            check_sweep_block(_tampered(good_block, "align_alloc", value))
+
+    def test_rejects_what_decoding_rejects(self, bad_block):
+        with pytest.raises(FrameError):
+            check_sweep_block(bad_block)
+        with pytest.raises(FrameError):
+            sweep_block_to_records(bad_block)
+
+    def test_fleet_validator_books_corrupt_result(self, bad_block):
+        backend = SerialBackend(
+            lambda payload, attempt: bad_block,
+            policy=RetryPolicy(max_retries=1, base_delay_s=0.0, seed=0),
+            validate=_validate_batch_records,
+        )
+        task = SupervisedTask(task_id=0, index=0, payload=None,
+                              timeout_s=10.0)
+        assert list(backend.stream([task])) == [None]
+        (failure,) = backend.ledger.build_report().batches
+        assert {a.kind for a in failure.attempts} == {"corrupt-result"}
+        assert not failure.recovered
+
+    def test_non_block_result_is_corrupt(self, good_block):
+        assert "corrupt payload" in _validate_batch_records(
+            sweep_block_to_records(good_block))
+
+    def test_cache_quarantines_the_entry(self, tmp_path, bad_block):
+        cache = SweepCache(tmp_path)
+        cache.put("k", bad_block)
+        assert cache.get("k") is None
+        assert cache.corrupt_keys == ["k"]
+        assert cache.corrupt_path_for("k").exists()
+
+
+@pytest.fixture
+def decoded_blocks(monkeypatch):
+    """Ids of the blocks passed to ``sweep_block_to_records``, wherever
+    a ``repro`` module binds it."""
+    real = sweep_mod.sweep_block_to_records
+    calls: list[int] = []
+
+    def counting(block):
+        calls.append(id(block))
+        return real(block)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and module is not None and getattr(
+                module, "sweep_block_to_records", None) is real:
+            monkeypatch.setattr(module, "sweep_block_to_records", counting)
+    return calls
+
+
+class TestRowsDecodedOnDemand:
+    def test_no_decode_until_records_are_read(self, tmp_path,
+                                              decoded_blocks):
+        pooled = run_sweep(PLAN, n_processes=2, backend="pool",
+                           cache=SweepCache(tmp_path))
+        assert pooled.backend == "pool" and pooled.n_computed_batches > 1
+        assert decoded_blocks == []
+
+        warm = run_sweep(PLAN, cache=SweepCache(tmp_path))
+        assert warm.n_computed_batches == 0
+        assert warm.n_cached_batches == len(warm.blocks)
+        assert decoded_blocks == []
+
+        table = records_to_table(warm.block)
+        assert table.num_rows == warm.n_samples
+        assert decoded_blocks == []
+
+        records = warm.records
+        assert sorted(decoded_blocks) == sorted(id(b) for b in warm.blocks)
+        assert warm.records is records  # decoded once, then kept
+        assert len(decoded_blocks) == len(warm.blocks)
+        assert pooled.records == records
+
+    def test_counts_read_the_blocks(self):
+        result = run_sweep(PLAN)
+        assert result.n_samples == len(result.records) == len(result.block)
+        assert result.n_measurements == sum(
+            len(r.runtimes) for r in result.records)
+        assert result.apps() == ["cg", "ep"]
