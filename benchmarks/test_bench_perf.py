@@ -170,12 +170,12 @@ def test_perf_sweep_cache_hit(benchmark, tmp_path):
 
 
 def test_perf_sweep_nodes_sharded(benchmark):
-    """Sharded multi-node dispatch: the socket-transport backend at 2
-    shards, plus a one-shot shard-count scaling series (1/2/4 lanes)
-    recorded in BENCH_sweep.json.
+    """Sharded multi-node dispatch: the socket-transport backend on 2
+    nodes, plus a one-shot node-count scaling series (``n_processes``
+    1/2/4) recorded in BENCH_sweep.json.
 
     The series captures the fixed cost of node spawn + frame transport
-    against the work-stealing win as lanes are added; the parity of the
+    against the work-stealing win as nodes are added; the parity of the
     produced records is pinned separately by sharded-execution-parity.
     """
     import time
@@ -184,18 +184,16 @@ def test_perf_sweep_nodes_sharded(benchmark):
 
     plan = SweepPlan(arch="milan", workload_names=("cg",), scale="small",
                      repetitions=1, inputs_limit=1)
-    result = benchmark(run_sweep, plan, n_processes=2, backend="nodes",
-                       n_shards=2)
+    result = benchmark(run_sweep, plan, n_processes=2, backend="nodes")
     assert result.backend == "nodes"
     assert result.n_shards == 2
     assert result.shard_report is not None
 
     scaling = {}
-    for shards in (1, 2, 4):
+    for n_processes in (1, 2, 4):
         t0 = time.perf_counter()
-        one = run_sweep(plan, n_processes=2, backend="nodes",
-                        n_shards=shards)
-        scaling[shards] = round(time.perf_counter() - t0, 4)
+        one = run_sweep(plan, n_processes=n_processes, backend="nodes")
+        scaling[n_processes] = round(time.perf_counter() - t0, 4)
         assert one.records == result.records
     benchmark.extra_info["n_records"] = len(result.records)
     benchmark.extra_info["shard_scaling_s"] = \

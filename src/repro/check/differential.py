@@ -230,7 +230,6 @@ def resilience_degrade_parity(
             plan, n_processes=2, cache=SweepCache(Path(tmp) / "cache"),
             fail_policy="degrade", chaos=chaos, retry=retry,
             batch_timeout_s=5.0, backend=backend,
-            n_shards=2 if backend == "nodes" else 1,
         )
         if degraded.n_quarantined_batches == 0:
             raise CheckFailure(
@@ -300,12 +299,7 @@ def columnar_pipeline_parity(
             f"unknown backend {backend!r}; have {BACKEND_NAMES}"
         )
     plan = plan or _quick_plan()
-    records = run_sweep(
-        plan,
-        n_processes=1 if backend == "serial" else 2,
-        backend=backend,
-        n_shards=2 if backend == "nodes" else 1,
-    ).records
+    records = run_sweep(plan, n_processes=2, backend=backend).records
     if not records:
         raise CheckFailure("columnar-parity plan produced no records")
 
@@ -403,17 +397,16 @@ def columnar_pipeline_parity(
 
 
 def sharded_execution_parity(plan: SweepPlan | None = None) -> dict:
-    """Every backend × shard count must be bit-identical to serial.
+    """Every fleet × process count must be bit-identical to serial.
 
     The tentpole guarantee of the executor-backend abstraction: records
     are a function of the plan alone, never of the execution substrate.
-    One plan runs on every backend in
-    :data:`~repro.resilience.BACKEND_NAMES` at shard counts 1, 2 and 4,
-    and each combination must reproduce the serial reference exactly —
-    sharding permutes *dispatch* order (round-robin interleave, work
-    stealing, key-homed assignment) but results always surface in
-    submission order, and the columnar frame encoding must be
-    lossless across every boundary (pool and nodes sockets).
+    One plan runs serially once, then on the pool and the nodes backend
+    at ``n_processes`` 1, 2 and 4, and each combination must reproduce
+    the serial reference exactly — the fleets change *execution* order
+    (worker races, work stealing, key-homed assignment) but results
+    always surface in submission order, and the columnar frame encoding
+    must be lossless across every boundary (pool and nodes sockets).
 
     The same pin then extends to faulted execution: a seeded chaos plan
     with a poison batch, a node loss and a shard partition runs on the
@@ -423,22 +416,22 @@ def sharded_execution_parity(plan: SweepPlan | None = None) -> dict:
     and both node-fault kinds appear in the failure report).
     """
     from repro.core.sweep import plan_batches
-    from repro.resilience import BACKEND_NAMES, ChaosPlan, RetryPolicy
+    from repro.resilience import ChaosPlan, RetryPolicy
 
     plan = plan or _quick_plan()
     serial = run_sweep(plan)
     if not serial.records:
         raise CheckFailure("sharded-parity plan produced no records")
 
-    combos: list[str] = []
-    for backend in BACKEND_NAMES:
-        for n_shards in (1, 2, 4):
-            result = run_sweep(plan, n_processes=2, backend=backend,
-                               n_shards=n_shards)
-            combo = f"{backend}x{n_shards}"
+    combos = ["serial"]
+    for backend in ("pool", "nodes"):
+        for n_processes in (1, 2, 4):
+            result = run_sweep(plan, n_processes=n_processes,
+                               backend=backend)
+            combo = f"{backend}x{n_processes}"
             _require_same_records(
-                f"backend={backend} shards={n_shards} diverged from the "
-                "serial reference",
+                f"backend={backend} processes={n_processes} diverged "
+                "from the serial reference",
                 serial.records, result.records, "serial", combo,
             )
             combos.append(combo)
@@ -452,7 +445,7 @@ def sharded_execution_parity(plan: SweepPlan | None = None) -> dict:
         degraded = run_sweep(
             plan, n_processes=2, cache=SweepCache(Path(tmp) / "cache"),
             fail_policy="degrade", chaos=chaos, retry=retry,
-            batch_timeout_s=5.0, backend="nodes", n_shards=2,
+            batch_timeout_s=5.0, backend="nodes",
         )
         if degraded.n_quarantined_batches == 0:
             raise CheckFailure(
@@ -480,7 +473,7 @@ def sharded_execution_parity(plan: SweepPlan | None = None) -> dict:
     return {
         "details": (
             f"{len(serial.records)} records bit-identical across "
-            f"{len(combos)} backend×shard combination(s) "
+            f"{len(combos)} backend×process combination(s) "
             f"({', '.join(combos)}); nodes degrade+resume under "
             f"node-lost/shard-partition chaos matched the serial "
             f"reference ({report.n_failed_batches} failed batch(es), "

@@ -90,18 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scale", default="small",
                          choices=EnvSpace.SCALES)
     p_sweep.add_argument("--repetitions", type=int, default=3)
-    p_sweep.add_argument("--processes", type=int, default=1)
+    p_sweep.add_argument("--processes", type=int, default=1,
+                         help="pool workers or nodes; records are "
+                              "bit-identical at any count (default: 1)")
     p_sweep.add_argument("--backend", default="auto",
                          choices=("auto", "serial", "pool", "nodes"),
                          help="executor backend: in-process 'serial', or "
                               "a supervised process fleet over socket "
-                              "links — the worker 'pool' or one simulated "
-                              "'nodes' node per shard (default: auto — "
-                              "pool when --processes > 1)")
-    p_sweep.add_argument("--shards", type=int, default=1,
-                         help="execution shards for the sharded backends; "
-                              "records are bit-identical at any count "
-                              "(default: 1)")
+                              "links — the worker 'pool' or simulated "
+                              "'nodes' (default: auto — pool when "
+                              "--processes > 1)")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--fidelity", default="analytic",
                          choices=("analytic", "des"),
@@ -288,14 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("--repetitions", type=int, default=2)
     p_ch.add_argument("--inputs-limit", type=int, default=2)
     p_ch.add_argument("--processes", type=int, default=2,
-                      help="worker processes (1 = serial fault simulation)")
+                      help="pool workers or nodes for the degrade pass "
+                           "(1 under auto = serial fault simulation)")
     p_ch.add_argument("--backend", default="auto",
                       choices=("auto", "serial", "pool", "nodes"),
                       help="executor backend for the degrade pass "
                            "(default: auto — pool when --processes > 1)")
-    p_ch.add_argument("--shards", type=int, default=1,
-                      help="execution shards for the degrade pass "
-                           "(default: 1)")
     p_ch.add_argument("--seed", type=int, default=0,
                       help="chaos plan seed; same seed, same faults, "
                            "same failure report")
@@ -353,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("auto", "serial", "pool", "nodes"),
                       help="default executor backend for served sweeps "
                            "(top of the degradation ladder)")
-    p_sv.add_argument("--shards", type=int, default=1)
     p_sv.add_argument("--max-inflight", type=int, default=2,
                       help="sweeps running concurrently (worker threads)")
     p_sv.add_argument("--max-queued", type=int, default=16,
@@ -451,7 +446,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = run_sweep(plan, n_processes=args.processes, progress=progress,
                        cache=cache, fail_policy=args.fail_policy,
                        retry=retry, batch_timeout_s=args.batch_timeout_s,
-                       backend=args.backend, n_shards=args.shards)
+                       backend=args.backend)
     table = enrich_with_speedup(aggregate_runs(records_to_table(result.block)))
     write_csv(table, args.output)
     rep = result.failure_report
@@ -881,7 +876,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         backend=args.backend,
-        n_shards=args.shards,
         max_inflight=args.max_inflight,
         max_queued=args.max_queued,
         deadline_s=args.deadline_s,
@@ -1010,7 +1004,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             plan, n_processes=args.processes, cache=SweepCache(cache_dir),
             fail_policy="degrade", chaos=chaos, retry=retry,
             batch_timeout_s=args.batch_timeout_s,
-            backend=args.backend, n_shards=args.shards,
+            backend=args.backend,
         )
         report = degraded.failure_report
         # The resume pass re-attempts quarantined batches and trips the

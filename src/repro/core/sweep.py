@@ -206,9 +206,9 @@ class SweepResult:
     #: Per-batch failure accounting for this run (always present).
     failure_report: FailureReport | None = None
     #: Which executor backend ran the misses ("serial", "pool", "nodes")
-    #: and across how many shards (1 unless a fleet ran them sharded);
-    #: records are backend-invariant (the ``sharded-execution-parity``
-    #: check pins it).
+    #: and how many processes its fleet opened (1 for serial or when
+    #: nothing ran); records are backend-invariant (the
+    #: ``sharded-execution-parity`` check pins it).
     backend: str = "serial"
     n_shards: int = 1
     #: Steal/reassign diagnostics (nodes backend only).  Operational —
@@ -695,7 +695,6 @@ def run_sweep(
     chaos: ChaosPlan | None = None,
     batch_timeout_s: float | None = None,
     backend: str = "auto",
-    n_shards: int = 1,
     cancel: "object | None" = None,
 ) -> SweepResult:
     """Execute a sweep plan; deterministic for a given plan.
@@ -730,14 +729,14 @@ def run_sweep(
     ``backend`` selects the executor substrate for the cache misses:
     ``"serial"`` (in-process), ``"pool"`` (supervised multiprocess
     fleet), ``"nodes"`` (simulated multi-node cluster over socket
-    links, one node per shard), or ``"auto"`` — pool when
-    ``n_processes > 1`` leaves more than one miss to share, else
-    serial.  ``n_shards`` partitions the miss stream: homes follow the
-    cache's key-prefix partitioning when a cache is present (else
-    round-robin), the pool interleaves dispatch across shards, and the
-    nodes backend runs one process per shard with work stealing.
-    Records are bit-identical across every ``backend`` × ``n_shards``
-    combination (the ``sharded-execution-parity`` check pins it).
+    links), or ``"auto"`` — pool when ``n_processes > 1`` leaves more
+    than one miss to share, else serial.  ``n_processes`` sizes the
+    fleet: the pool opens up to that many workers, the nodes backend
+    that many nodes, each homing the misses that the cache's key-prefix
+    partitioning assigns it (round-robin without a cache) and stealing
+    when idle; serial ignores it.  Records are bit-identical across
+    every ``backend`` × ``n_processes`` combination (the
+    ``sharded-execution-parity`` check pins it).
 
     ``cancel``, if given, is a cooperative-cancellation handle (anything
     with ``is_set()``, typically a ``threading.Event``) checked between
@@ -756,8 +755,8 @@ def run_sweep(
             f"backend must be one of {('auto',) + BACKEND_NAMES}, "
             f"got {backend!r}"
         )
-    if n_shards < 1:
-        raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
+    if n_processes < 1:
+        raise ConfigError(f"n_processes must be >= 1, got {n_processes}")
     space = space or EnvSpace()
     machine = get_machine(plan.arch)
     batches = plan_batches(plan)
@@ -887,21 +886,15 @@ def run_sweep(
                     fail_fast=(fail_policy == "raise"),
                 )
             else:
-                planner = ShardPlanner(n_shards)
-                homes = planner.assign(
-                    tasks,
-                    [keys[i] for i in misses] if cache is not None else None,
-                )
                 exec_backend = _make_fleet(
-                    resolved, n_processes if resolved == "pool" else n_shards,
-                    plan, space, chaos, policy, fail_policy,
+                    resolved, n_processes, plan, space, chaos, policy,
+                    fail_policy,
                 )
                 if resolved == "nodes":
-                    exec_backend.home_shards = homes
-                elif n_shards > 1:
-                    exec_backend.dispatch_order = (
-                        lambda ts: planner.interleave(ts, homes)
-                    )
+                    miss_keys = ([keys[i] for i in misses]
+                                 if cache is not None else None)
+                    exec_backend.home_shards = ShardPlanner(
+                        n_processes).assign(tasks, miss_keys)
             exec_backend.cancel_event = cancel
             consume(exec_backend.stream(tasks, ledger))
     except BaseException as exc:
@@ -923,10 +916,11 @@ def run_sweep(
         exec_backend.worker_respawns if exec_backend is not None else 0
     )
     result.backend = resolved
-    # Lanes the misses actually ran on: serial (or nothing at all) runs
-    # one, whatever was requested.
-    if exec_backend is not None and resolved != "serial":
-        result.n_shards = n_shards
+    # Processes the misses actually ran on: serial (or nothing at all)
+    # runs one, and the pool opens no more workers than misses.
     if isinstance(exec_backend, NodesBackend):
         result.shard_report = exec_backend.shard_report()
+        result.n_shards = result.shard_report.n_shards
+    elif exec_backend is not None and resolved == "pool":
+        result.n_shards = min(n_processes, len(tasks))
     return result

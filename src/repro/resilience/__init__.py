@@ -13,8 +13,8 @@ engine producing results under all of it (see ``docs/RESILIENCE.md``):
   the process fleet under the pool and nodes backends: per-batch
   deadlines, death/hang detection and respawn over framed socket links,
 - :mod:`repro.resilience.sharding` — deterministic shard planning:
-  key-prefix cache partitioning, round-robin interleave, and the
-  normative work-stealing arbitration rule,
+  key-prefix home assignment for the nodes backend and the normative
+  work-stealing arbitration rule,
 - :mod:`repro.resilience.transport` — the length-prefixed, checksummed
   frame protocol between the sweep parent and its fleet processes, with
   every failure mode typed and deadline-bounded,

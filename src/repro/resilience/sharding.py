@@ -1,22 +1,18 @@
 """Shard planning for multi-backend sweep execution.
 
-A *shard* is one lane of sweep execution: the serial backend has one,
-the pool and nodes backends have one per worker/node.  The planner in
-this module answers three questions deterministically — so the parity
-checks can pin the answers — without touching any executor:
+A *shard* is one node's home queue in the nodes backend, which runs
+one node per process (``run_sweep``'s ``n_processes``).  The planner
+in this module answers two questions deterministically — so the
+parity checks can pin the answers — without touching any executor:
 
 1. **Home assignment** — which shard a batch starts on.  When cache
    keys are available the assignment follows the cache's key-prefix
    partitioning (:func:`partition_for_key`), so a shard touches a
    stable subset of cache partitions and a corrupt entry quarantines
    inside the partition that owns it.  Without keys, batches deal
-   round-robin by index.
-2. **Dispatch order** — :meth:`ShardPlanner.interleave` permutes the
-   batch stream round-robin across shards while preserving each
-   shard's internal order.  Backends execute in this order; results
-   are still yielded in submission order, so records never depend on
-   the shard count.
-3. **Rebalance** — :func:`simulate_rebalance` runs the work-stealing
+   round-robin by index.  Results are still yielded in submission
+   order, so records never depend on the node count.
+2. **Rebalance** — :func:`simulate_rebalance` runs the work-stealing
    arbitration rule in virtual time, producing the steal schedule a
    backend with the given queue shapes and speeds would follow.
 
@@ -122,6 +118,7 @@ class ShardReport:
     across runs (see ``docs/RESILIENCE.md``).
     """
 
+    #: Nodes the fleet opened, one home shard each.
     n_shards: int
     assignments: tuple[int, ...] = ()
     steals: tuple[StealEvent, ...] = ()
@@ -188,46 +185,6 @@ class ShardPlanner:
                 )
             return tuple(self.shard_for_key(k) for k in keys)
         return tuple(self.shard_for_index(i) for i in range(len(tasks)))
-
-    def interleave(
-        self,
-        tasks: Sequence[object],
-        shards: Sequence[int] | None = None,
-    ) -> list[object]:
-        """Round-robin permutation of ``tasks`` across their shards.
-
-        Shard 0's first task, shard 1's first, ..., then the second
-        pass, skipping exhausted shards.  Within a shard, submission
-        order is preserved.  With one shard this is the identity, so
-        ``--shards 1`` matches the unsharded dispatch order exactly.
-        """
-        if shards is None:
-            shards = self.assign(tasks)
-        elif len(shards) != len(tasks):
-            raise ConfigError(
-                f"got {len(shards)} shard assignments for "
-                f"{len(tasks)} tasks"
-            )
-        lanes: list[list[object]] = [[] for _ in range(self.n_shards)]
-        for task, shard in zip(tasks, shards):
-            if not 0 <= shard < self.n_shards:
-                raise ConfigError(
-                    f"shard {shard} out of range for "
-                    f"{self.n_shards} shard(s)"
-                )
-            lanes[shard].append(task)
-        ordered: list[object] = []
-        cursor = 0
-        while len(ordered) < len(tasks):
-            progressed = False
-            for lane in lanes:
-                if cursor < len(lane):
-                    ordered.append(lane[cursor])
-                    progressed = True
-            if not progressed:  # pragma: no cover - cursor math guard
-                break
-            cursor += 1
-        return ordered
 
 
 def simulate_rebalance(

@@ -33,12 +33,11 @@ Every death is classified the same way on every backend (a chaos exit
 code names its fault kind; any other death is a ``crash``).
 
 :class:`Supervisor` is the *pool* backend on that fleet: one FIFO of
-tasks, retries first, ``dispatch_order`` to interleave shards, and a
-respawn budget whose exhaustion raises
-:class:`~repro.errors.ResilienceError`.  Sweep workers send packed
-:class:`~repro.frame.columns.RecordBlock` batches, whose ``array.array``
-columns pickle as raw bytes straight into the frames (see
-``docs/COLUMNAR.md``).
+tasks in submission order, retries first, and a respawn budget whose
+exhaustion raises :class:`~repro.errors.ResilienceError`.  Sweep
+workers send packed :class:`~repro.frame.columns.RecordBlock` batches,
+whose ``array.array`` columns pickle as raw bytes straight into the
+frames (see ``docs/COLUMNAR.md``).
 """
 
 from __future__ import annotations
@@ -602,11 +601,9 @@ class Supervisor(_Fleet):
     ``validate``, if given, is called on every successful result and
     returns an error string (the attempt is treated as failed with kind
     ``corrupt-result``) or None.  Idle workers take the head of one FIFO
-    queue; ``dispatch_order`` is the seam the sharded sweep uses to
-    interleave the batch stream across shards without changing yield
-    order.  Past ``max_worker_respawns`` replacements the fleet is
-    crash-looping and the stream raises
-    :class:`~repro.errors.ResilienceError`.
+    queue, and the fleet opens no more workers than it has tasks.  Past
+    ``max_worker_respawns`` replacements the fleet is crash-looping and
+    the stream raises :class:`~repro.errors.ResilienceError`.
     """
 
     #: Backend name under the ExecutorBackend protocol.
@@ -627,11 +624,6 @@ class Supervisor(_Fleet):
         super().__init__(fn, initializer, initargs, policy, validate,
                          fail_fast, poll_interval_s, max_worker_respawns)
         self.n_workers = max(1, n_workers)
-        #: Optional callable ``tasks -> ordered tasks`` applied before
-        #: dispatch (e.g. ShardPlanner.interleave).  Results still
-        #: yield in task_id order, so this only shapes *execution*
-        #: order, never the record stream.
-        self.dispatch_order: Callable | None = None
 
     # ``stream`` and ``close`` are defined on each backend class itself:
     # perfbench/layers.py wraps them through the class's own __dict__.
@@ -644,8 +636,7 @@ class Supervisor(_Fleet):
         return self._supervise(tasks, ledger)
 
     def _start(self, tasks: list[SupervisedTask]) -> None:
-        super()._start(list(self.dispatch_order(tasks))
-                       if self.dispatch_order is not None else tasks)
+        super()._start(tasks)
         self._open(min(self.n_workers, max(1, len(tasks))))
 
     def _take_for(self, slot: _FleetSlot) -> tuple | None:

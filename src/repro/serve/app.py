@@ -78,7 +78,6 @@ class DaemonConfig:
     port: int = 0
     #: Default executor backend for served sweeps (ladder top).
     backend: str = "serial"
-    n_shards: int = 1
     #: Worker threads = concurrently running sweeps.
     max_inflight: int = 2
     #: Bounded queue depth beyond the in-flight jobs.
@@ -214,13 +213,10 @@ class TuningDaemon:
         """
         params = job.params
         plan = _plan_from_payload(params.get("plan"))
-        requested = params.get("backend", self.config.backend)
+        requested, n_processes, fail_policy = self._sweep_knobs(params)
         ladder = self.ladder.ladder_for(requested)
         rungs = self.ladder.rungs_for(requested)
         job.backend_requested = requested
-        n_shards = int(params.get("n_shards", self.config.n_shards))
-        n_processes = int(params.get("n_processes", 2))
-        fail_policy = params.get("fail_policy", "raise")
         throttle_s = float(params.get("throttle_s", 0.0))
         chaos = (ChaosPlan.from_dict(params["chaos"])
                  if params.get("chaos") else None)
@@ -253,7 +249,6 @@ class TuningDaemon:
                     fail_policy=fail_policy,
                     chaos=rung_chaos,
                     backend=rung,
-                    n_shards=n_shards,
                     cancel=job.cancel_event,
                 )
             except SweepCancelledError:
@@ -276,6 +271,13 @@ class TuningDaemon:
             f"no dispatchable backend for {requested!r}"
         )
 
+    def _sweep_knobs(self, params: dict) -> tuple[str, int, str]:
+        """A sweep request's ``(backend, n_processes, fail_policy)``:
+        what it runs under and what it coalesces on."""
+        return (params.get("backend", self.config.backend),
+                int(params.get("n_processes", 2)),
+                params.get("fail_policy", "raise"))
+
     def _make_sweep_job(self, params: dict, client: str,
                         coalesce_key: str) -> Job:
         job = Job(
@@ -293,12 +295,13 @@ class TuningDaemon:
     def _submit_sweep(self, params: dict, client: str) -> tuple[Job, bool]:
         """Coalesce-or-enqueue one sweep request (see admission order)."""
         plan = _plan_from_payload(params.get("plan"))
+        backend, n_processes, fail_policy = self._sweep_knobs(params)
         key = sweep_request_key(
             plan,
             EnvSpace(),
-            backend=params.get("backend", self.config.backend),
-            n_shards=int(params.get("n_shards", self.config.n_shards)),
-            fail_policy=params.get("fail_policy", "raise"),
+            backend=backend,
+            n_processes=n_processes,
+            fail_policy=fail_policy,
         )
 
         def factory() -> Job:

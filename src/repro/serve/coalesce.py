@@ -11,9 +11,10 @@ records).
 sweep cache's key discipline: the key digests every batch's
 ``SweepCache.key_material`` (plan identity, grid fingerprint, machine
 fingerprint, batch identity) plus the execution knobs that shape the
-response (backend, shards, fail policy).  Two requests with equal keys
-are record-identical *by construction* — the same property the cache's
-content addressing rests on — so sharing a job is safe, never a guess.
+response (backend, process count, fail policy).  Two requests with
+equal keys are record-identical *by construction* — the same property
+the cache's content addressing rests on — so sharing a job is safe,
+never a guess.
 
 Only **in-flight** (queued or running) jobs coalesce.  A finished job's
 results live in the sweep cache; re-running the plan is then a pure
@@ -36,9 +37,10 @@ __all__ = ["Coalescer", "sweep_request_key"]
 def sweep_request_key(
     plan: SweepPlan,
     space: EnvSpace | None = None,
-    backend: str = "auto",
-    n_shards: int = 1,
-    fail_policy: str = "degrade",
+    *,
+    backend: str,
+    n_processes: int,
+    fail_policy: str,
 ) -> str:
     """The coalescing key of one sweep request (64-hex digest).
 
@@ -46,8 +48,9 @@ def sweep_request_key(
     plan expands to, so it inherits the cache key scheme's completeness
     guarantees (the KEY lint plane proves every result-altering input
     lands in a slot); the execution knobs are appended because they
-    shape the response body (degraded markers, failure report) even
-    though they never change the records.
+    shape the response body (degraded markers, failure report, the
+    processes reported in ``n_shards``) even though they never change
+    the records.
     """
     from repro.arch.machines import get_machine
     from repro.core.cache import SweepCache
@@ -61,7 +64,7 @@ def sweep_request_key(
     for batch in plan_batches(plan):
         material = SweepCache.key_material(plan, grid_fp, machine_fp, batch)
         h.update(repr(tuple(material.values())).encode("utf-8"))
-    h.update(repr((backend, n_shards, fail_policy)).encode("utf-8"))
+    h.update(repr((backend, n_processes, fail_policy)).encode("utf-8"))
     return h.hexdigest()
 
 

@@ -313,12 +313,12 @@ class TestShardedBackendCLI:
         args = build_parser().parse_args(
             ["sweep", "--arch", "milan", "-o", "x.csv"]
         )
-        assert args.backend == "auto" and args.shards == 1
+        assert args.backend == "auto" and args.processes == 1
         args = build_parser().parse_args(
             ["sweep", "--arch", "milan", "-o", "x.csv",
-             "--backend", "nodes", "--shards", "4"]
+             "--backend", "nodes", "--processes", "4"]
         )
-        assert args.backend == "nodes" and args.shards == 4
+        assert args.backend == "nodes" and args.processes == 4
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
@@ -329,21 +329,20 @@ class TestShardedBackendCLI:
 
     def test_chaos_node_fault_flags_parsed(self):
         args = build_parser().parse_args(
-            ["chaos", "--backend", "nodes", "--shards", "3",
+            ["chaos", "--backend", "nodes", "--processes", "3",
              "--node-lost", "1", "--shard-partitions", "1"]
         )
-        assert args.backend == "nodes" and args.shards == 3
+        assert args.backend == "nodes" and args.processes == 3
         assert args.node_lost == 1 and args.shard_partitions == 1
         defaults = build_parser().parse_args(["chaos"])
-        assert defaults.backend == "auto" and defaults.shards == 1
+        assert defaults.backend == "auto" and defaults.processes == 2
         assert defaults.node_lost == 0 and defaults.shard_partitions == 0
 
     def test_sharded_sweep_matches_serial_csv(self, tmp_path, capsys):
         base = ["sweep", "--arch", "milan", "--workloads", "nqueens",
                 "--scale", "small", "--repetitions", "1"]
         assert main(base + ["-o", str(tmp_path / "serial.csv")]) == 0
-        assert main(base + ["--backend", "nodes", "--shards", "2",
-                            "--processes", "2",
+        assert main(base + ["--backend", "nodes", "--processes", "2",
                             "-o", str(tmp_path / "nodes.csv")]) == 0
         out = capsys.readouterr().out
         assert "2 lane(s) on the nodes backend" in out
@@ -354,7 +353,7 @@ class TestShardedBackendCLI:
         """The CI nodes rehearsal: node loss + shard partition in, exit
         0 and a shard report out."""
         report = tmp_path / "chaos_nodes.json"
-        assert main(["chaos", "--backend", "nodes", "--shards", "3",
+        assert main(["chaos", "--backend", "nodes", "--processes", "3",
                      "--seed", "0", "--node-lost", "1",
                      "--shard-partitions", "1",
                      "--workloads", "cg", "ep", "nqueens", "xsbench",
@@ -381,7 +380,9 @@ class TestServeCLI:
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
         assert args.host == "127.0.0.1" and args.port == 8077
-        assert args.backend == "serial" and args.shards == 1
+        assert args.backend == "serial"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--shards", "2"])
         assert args.max_inflight == 2 and args.max_queued == 16
         assert args.deadline_s == 60.0 and args.drain_grace_s == 5.0
         assert args.header_timeout_s == 5.0

@@ -2,8 +2,8 @@
 
 The planner and the rebalance rule are *specifications*: pure functions
 of their inputs, bit-stable across runs and across ``tiebreak_scope``
-seeds.  These tests pin the key-prefix partitioning, the round-robin
-interleave, and the steal schedules for seeded starved-shard and
+seeds.  These tests pin the key-prefix partitioning, the home
+assignment, and the steal schedules for seeded starved-shard and
 slow-shard scenarios.
 """
 
@@ -73,38 +73,6 @@ class TestShardPlanner:
     def test_key_count_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             ShardPlanner(2).assign(["a", "b"], keys=[_key(0)])
-
-    def test_interleave_is_identity_at_one_shard(self):
-        tasks = list(range(10))
-        assert ShardPlanner(1).interleave(tasks) == tasks
-
-    def test_interleave_is_a_permutation(self):
-        # Index-homed tasks interleave back to submission order (the
-        # assignment and the interleave round-robin in lockstep) ...
-        tasks = list(range(11))
-        assert ShardPlanner(3).interleave(tasks) == tasks
-        # ... but skewed homes produce a genuine permutation.
-        homes = [0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 2]
-        ordered = ShardPlanner(3).interleave(tasks, shards=homes)
-        assert sorted(ordered) == tasks
-        assert ordered != tasks
-
-    def test_interleave_round_robins_across_lanes(self):
-        # Lanes by index: shard0=[0,2,4], shard1=[1,3,5] -> one task per
-        # shard per pass, each lane keeping its submission order.
-        assert ShardPlanner(2).interleave(list(range(6))) == [
-            0, 1, 2, 3, 4, 5
-        ]
-        # Explicit skewed homes: shard1 exhausts first, shard0 drains.
-        assert ShardPlanner(2).interleave(
-            list("abcd"), shards=[0, 0, 0, 1]
-        ) == ["a", "d", "b", "c"]
-
-    def test_interleave_rejects_out_of_range_shards(self):
-        with pytest.raises(ConfigError):
-            ShardPlanner(2).interleave(["a"], shards=[5])
-        with pytest.raises(ConfigError):
-            ShardPlanner(2).interleave(["a", "b"], shards=[0])
 
 
 class TestSimulateRebalance:

@@ -151,8 +151,7 @@ class TestOneFaultCatalog:
             ChaosFault("crash", 8),
         ))
         result = run_sweep(plan, n_processes=2, fail_policy="degrade",
-                           chaos=chaos, retry=FAST, backend=backend,
-                           n_shards=2)
+                           chaos=chaos, retry=FAST, backend=backend)
         kinds = {b.index: [a.kind for a in b.attempts]
                  for b in result.failure_report.batches}
         assert kinds == {2: ["node-lost"], 5: ["shard-partition"],
@@ -163,10 +162,37 @@ class TestOneFaultCatalog:
 
 class TestReportedShards:
     def test_serial_sweep_reports_one_lane(self, plan):
-        """Requested shards that nothing ran on are not reported."""
-        result = run_sweep(plan, n_shards=4)
+        """Requested processes that nothing ran on are not reported."""
+        result = run_sweep(plan, n_processes=4, backend="serial")
         assert result.backend == "serial"
         assert result.n_shards == 1
+
+    @pytest.mark.parametrize("backend, n_processes", [
+        ("nodes", 3),
+        ("pool", 2),
+    ])
+    def test_fleet_reports_the_processes_it_opened(
+        self, plan, backend, n_processes
+    ):
+        """``n_processes`` sizes either fleet; with at least as many
+        misses, every process opens and ``n_shards`` reports them."""
+        assert len(plan_batches(plan)) >= n_processes
+        result = run_sweep(plan, n_processes=n_processes, backend=backend)
+        assert result.backend == backend
+        assert result.n_shards == n_processes
+        if backend == "nodes":
+            assert result.shard_report.n_shards == n_processes
+
+    def test_reports_only_processes_that_ran(self, plan, tmp_path):
+        """A fully cached sweep runs nothing, and the pool opens no
+        more workers than there are misses."""
+        cache = SweepCache(tmp_path / "cache")
+        run_sweep(plan, cache=cache)
+        warm = run_sweep(plan, n_processes=3, backend="nodes", cache=cache)
+        assert (warm.n_computed_batches, warm.n_shards) == (0, 1)
+        next(iter(cache.root.glob("*.json"))).unlink()
+        result = run_sweep(plan, n_processes=4, backend="pool", cache=cache)
+        assert (result.n_computed_batches, result.n_shards) == (1, 1)
 
 
 class TestErrorPathFlushesCache:

@@ -268,13 +268,21 @@ class TestCoalescer:
                            scale="small", repetitions=2, inputs_limit=1)
         plan_b = SweepPlan(arch="milan", workload_names=("ep",),
                            scale="small", repetitions=2, inputs_limit=1)
-        key = sweep_request_key(plan_a)
-        assert key == sweep_request_key(plan_a)          # deterministic
+        knobs = {"backend": "auto", "n_processes": 1,
+                 "fail_policy": "degrade"}
+
+        def key_of(plan, **changes):
+            return sweep_request_key(plan, **{**knobs, **changes})
+
+        key = key_of(plan_a)
+        assert key == key_of(plan_a)                      # deterministic
         assert len(key) == 64 and int(key, 16) >= 0       # hex digest
-        assert key != sweep_request_key(plan_b)
-        assert key != sweep_request_key(plan_a, backend="pool")
-        assert key != sweep_request_key(plan_a, n_shards=2)
-        assert key != sweep_request_key(plan_a, fail_policy="raise")
+        assert key != key_of(plan_b)
+        assert key != key_of(plan_a, backend="pool")
+        assert key != key_of(plan_a, n_processes=2)
+        assert key != key_of(plan_a, fail_policy="raise")
+        with pytest.raises(TypeError):                    # no defaults
+            sweep_request_key(plan_a)
 
 
 # ----------------------------------------------------------------------
