@@ -231,12 +231,67 @@ def _canonical_payload(payload: object) -> bytes:
 
     Canonical JSON (sorted keys, no whitespace) of the frame payload:
     identical whether computed from the freshly packed frame at put time
-    or from the parsed payload at get time, because JSON floats
-    round-trip via ``repr`` exactly.
+    or from a parsed payload at get time (entries not in put's layout),
+    because JSON floats round-trip via ``repr`` exactly.
     """
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
+
+
+#: What :meth:`SweepCache.put` writes between the header and the frame.
+_FRAME_SEPARATOR = b', "frame": '
+
+
+def _parse(data: bytes) -> object:
+    try:
+        return json.loads(data)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CacheError(f"unparseable cache entry: {exc}") from exc
+
+
+def _verified_frame(raw: bytes) -> dict | None:
+    """The checksum-verified frame payload of an entry's bytes.
+
+    ``None`` for a stale format version; :class:`CacheError` for a
+    corrupt entry.  An entry in :meth:`SweepCache.put`'s layout — a
+    header object without a ``frame`` key, the separator, the canonical
+    frame bytes, ``}`` — is verified in place: the checksum runs over
+    the stored frame bytes and exactly those bytes are parsed.  Any
+    other layout, or bytes that miss the digest, are parsed whole and
+    the frame re-serialized canonically for the check.
+    """
+    cut = raw.rfind(_FRAME_SEPARATOR)
+    if cut >= 0 and raw.endswith(b"}"):
+        try:
+            header = json.loads(raw[:cut] + b"}")
+        except ValueError:
+            header = None
+        if isinstance(header, dict) and "frame" not in header:
+            if header.get("version") != CACHE_FORMAT_VERSION:
+                return None
+            frame = raw[cut + len(_FRAME_SEPARATOR):-1]
+            if hashlib.sha256(frame).hexdigest() == header.get("sha256"):
+                payload = _parse(frame)
+                if not isinstance(payload, dict):
+                    raise CacheError("cache frame is not a JSON object")
+                return payload
+    payload = _parse(raw)
+    if not isinstance(payload, dict):
+        raise CacheError("cache entry is not a JSON object")
+    if payload.get("version") != CACHE_FORMAT_VERSION:
+        return None
+    frame_payload = payload.get("frame")
+    digest = payload.get("sha256")
+    if (
+        not isinstance(frame_payload, dict)
+        or digest is None
+        or hashlib.sha256(
+            _canonical_payload(frame_payload)
+        ).hexdigest() != digest
+    ):
+        raise CacheError("cache entry fails its checksum")
+    return frame_payload
 
 
 def _record_from_dict(payload: dict) -> SweepRecord:
@@ -388,7 +443,7 @@ class SweepCache:
         """
         path = self._path(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -396,28 +451,14 @@ class SweepCache:
             self._quarantine(key)
             return None
         try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError:
+            frame_payload = _verified_frame(raw)
+        except CacheError:
             self._quarantine(key)
             return None
-        if not isinstance(payload, dict):
-            self._quarantine(key)
-            return None
-        if payload.get("version") != CACHE_FORMAT_VERSION:
+        if frame_payload is None:
             # A stale on-disk format (v4 and older) is expected after
             # upgrades — a legitimate miss, not corruption.
             self.misses += 1
-            return None
-        frame_payload = payload.get("frame")
-        digest = payload.get("sha256")
-        if (
-            not isinstance(frame_payload, dict)
-            or digest is None
-            or hashlib.sha256(
-                _canonical_payload(frame_payload)
-            ).hexdigest() != digest
-        ):
-            self._quarantine(key)
             return None
         try:
             block = RecordBlock.from_payload(frame_payload)
@@ -438,13 +479,13 @@ class SweepCache:
         """
         frame = _canonical_payload(block.to_payload())
         # The entry embeds the canonical frame text the checksum covers,
-        # so the frame is serialized once; ``get`` parses either layout.
+        # so the frame is serialized once and ``get`` verifies it in place.
         header = json.dumps({
             "version": CACHE_FORMAT_VERSION,
             "key": key,
             "sha256": hashlib.sha256(frame).hexdigest(),
         }).encode("utf-8")
-        data = header[:-1] + b', "frame": ' + frame + b"}"
+        data = header[:-1] + _FRAME_SEPARATOR + frame + b"}"
         path = self._path(key)
         # The tmp name is salted with the pid so two processes put()-ing
         # the same key never interleave on one tmp file; each composes

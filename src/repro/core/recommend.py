@@ -69,10 +69,13 @@ class WorstTrend:
     mean_speedup: float
 
 
-def _top_slice(sub: Table, quantile: float) -> Table:
-    speedup = np.asarray(sub.column("speedup"), dtype=float)
-    cutoff = np.quantile(speedup, 1.0 - quantile)
-    return sub.filter(speedup >= cutoff)
+def _encode(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``(labels, codes)`` of a column's ``str`` values: the distinct
+    strings in sorted order and each row's index into them."""
+    labels, codes = np.unique(
+        np.asarray([str(v) for v in column], dtype=str), return_inverse=True
+    )
+    return labels.tolist(), codes.reshape(-1)
 
 
 def best_variable_values(
@@ -89,26 +92,32 @@ def best_variable_values(
     variable clears the bar, in which case a single pseudo-recommendation
     ``defaults`` is emitted — the paper's "A64FX: defaults" row for
     NQueens.
+
+    Each variable is encoded once for the whole table and counted per
+    group; a frequency is ``count / n``, which equals the mean of the
+    per-row match flags exactly.
     """
     if "speedup" not in table:
         raise SchemaError("best_variable_values needs the 'speedup' column")
+    speedup = np.asarray(table.column("speedup"), dtype=float)
+    encoded = [(var, *_encode(table.column(var))) for var in _VARIABLES]
     out: list[Recommendation] = []
-    for (app, arch), sub in table.group_by(["app", "arch"]):
-        top = _top_slice(sub, quantile)
-        best_speedup = float(np.max(np.asarray(sub.column("speedup"), dtype=float)))
+    for (app, arch), rows in table.group_indices(["app", "arch"]):
+        group_speedup = speedup[rows]
+        cutoff = np.quantile(group_speedup, 1.0 - quantile)
+        top = rows[group_speedup >= cutoff]
+        best_speedup = float(np.max(group_speedup))
         group_recs: list[Recommendation] = []
-        for var in _VARIABLES:
-            overall = sub.column(var)
-            top_vals = top.column(var)
+        for var, labels, codes in encoded:
+            n_top = np.bincount(codes[top], minlength=len(labels))
+            n_all = np.bincount(codes[rows], minlength=len(labels))
             candidates: list[tuple[float, str]] = []
-            for value in sorted(set(str(v) for v in top_vals)):
+            for code in np.flatnonzero(n_top):
+                value = labels[code]
                 if value in (UNSET, "0") and var != "blocktime":
                     continue
-                p_top = float(np.mean([str(v) == value for v in top_vals]))
-                p_all = float(np.mean([str(v) == value for v in overall]))
-                if p_all == 0.0:
-                    continue
-                lift = p_top / p_all
+                p_top = float(n_top[code] / len(top))
+                lift = p_top / float(n_all[code] / len(rows))
                 if lift >= min_lift and p_top >= 0.25:
                     candidates.append((lift, value))
             if candidates:
@@ -160,27 +169,29 @@ def worst_trends(
         raise SchemaError("worst_trends needs the 'speedup' column")
     speedup = np.asarray(table.column("speedup"), dtype=float)
     cutoff = np.quantile(speedup, quantile)
-    worst = table.filter(speedup <= cutoff)
-    worst_speedup = np.asarray(worst.column("speedup"), dtype=float)
+    worst = np.flatnonzero(speedup <= cutoff)
+    worst_speedup = speedup[worst]
 
     out: list[WorstTrend] = []
     for var in variables:
-        overall = [str(v) for v in table.column(var)]
-        worst_vals = [str(v) for v in worst.column(var)]
-        for value in sorted(set(worst_vals)):
-            p_worst = float(np.mean([v == value for v in worst_vals]))
-            p_all = float(np.mean([v == value for v in overall]))
-            if p_all == 0.0 or p_worst < 0.2:
+        labels, codes = _encode(table.column(var))
+        worst_codes = codes[worst]
+        n_worst = np.bincount(worst_codes, minlength=len(labels))
+        n_all = np.bincount(codes, minlength=len(labels))
+        for code in np.flatnonzero(n_worst):
+            p_worst = float(n_worst[code] / len(worst))
+            if p_worst < 0.2:
                 continue
-            lift = p_worst / p_all
+            lift = p_worst / float(n_all[code] / len(codes))
             if lift >= min_lift:
-                sel = np.asarray([v == value for v in worst_vals])
                 out.append(
                     WorstTrend(
                         variable=var,
-                        value=value,
+                        value=labels[code],
                         lift=lift,
-                        mean_speedup=float(worst_speedup[sel].mean()),
+                        mean_speedup=float(
+                            worst_speedup[worst_codes == code].mean()
+                        ),
                     )
                 )
     out.sort(key=lambda t: -t.lift)

@@ -468,41 +468,55 @@ class Table:
 
         Returns ``[(key_tuple, subtable), ...]`` with groups ordered by first
         appearance.  ``key_tuple`` always has one element per key column even
-        for a single key.
+        for a single key.  The groups are :meth:`group_indices`' row sets.
+        """
+        return [(key, self.take(idx)) for key, idx in self.group_indices(names)]
+
+    def group_indices(
+        self, names: str | Sequence[str]
+    ) -> list[tuple[tuple, np.ndarray]]:
+        """Row positions of each group: ``[(key_tuple, row_indices), ...]``.
+
+        Same groups, keys and order as :meth:`group_by`, without building
+        the subtables; rows within a group keep table order.
 
         Runs a vectorized factorize-and-gather fast path; key columns it
         cannot factorize safely (``nan`` floats, non-string object cells)
-        fall back to :meth:`_group_by_python`, which defines the
+        fall back to the hash-based python path, which defines the
         reference semantics.
         """
         if isinstance(names, str):
             names = [names]
-        names = list(names)
         cols = [self.column(n) for n in names]
         codes = _composite_codes(cols)
         if codes is None:
-            return self._group_by_python(names)
+            return self._group_indices_python(cols)
         if self._length == 0:
             return []
         order = np.argsort(codes, kind="stable")
         boundaries = np.nonzero(np.diff(codes[order]))[0] + 1
-        out: list[tuple[tuple, Table]] = []
-        for idx in np.split(order, boundaries):
-            first = int(idx[0])  # rows within a group keep table order
-            key = _group_key(tuple(c[first] for c in cols))
-            out.append((key, self.take(idx)))
-        return out
+        return [
+            (_group_key(tuple(c[int(idx[0])] for c in cols)), idx)
+            for idx in np.split(order, boundaries)
+        ]
+
+    def _group_indices_python(
+        self, cols: Sequence[np.ndarray]
+    ) -> list[tuple[tuple, np.ndarray]]:
+        groups: dict[tuple, list[int]] = {}
+        for i in range(self._length):
+            key = _group_key(tuple(c[i] for c in cols))
+            groups.setdefault(key, []).append(i)
+        return [(key, np.asarray(idx, dtype=np.intp))
+                for key, idx in groups.items()]
 
     def _group_by_python(
         self, names: Sequence[str]
     ) -> list[tuple[tuple, "Table"]]:
         """Hash-based reference implementation of :meth:`group_by`."""
         cols = [self.column(n) for n in names]
-        groups: dict[tuple, list[int]] = {}
-        for i in range(self._length):
-            key = _group_key(tuple(c[i] for c in cols))
-            groups.setdefault(key, []).append(i)
-        return [(key, self.take(np.asarray(idx))) for key, idx in groups.items()]
+        return [(key, self.take(idx))
+                for key, idx in self._group_indices_python(cols)]
 
     def aggregate(
         self,

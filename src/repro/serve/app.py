@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 from collections.abc import Callable
@@ -139,6 +140,19 @@ def _plan_from_payload(payload: object) -> SweepPlan:
         )
     except (ConfigError, TypeError, ValueError) as exc:
         raise ServeError(f"invalid plan: {exc}") from exc
+
+
+def _number(raw: object, name: str, ok: Callable[[float], bool],
+            rule: str) -> float:
+    """``raw`` as a finite float that satisfies ``ok``; anything else is
+    a :class:`ServeError` (a ``400``) naming ``rule``."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not (math.isfinite(value) and ok(value)):
+        raise ServeError(f"{name!r} must be {rule}, got {raw!r}")
+    return value
 
 
 class TuningDaemon:
@@ -278,6 +292,15 @@ class TuningDaemon:
                 int(params.get("n_processes", 2)),
                 params.get("fail_policy", "raise"))
 
+    def _deadline_s(self, raw: object) -> float:
+        """A request's ``deadline_s``: finite and positive, capped at the
+        daemon's default (:class:`ServeError` otherwise)."""
+        return min(
+            _number(raw, "deadline_s", lambda v: v > 0.0,
+                    "a finite number > 0"),
+            self.config.deadline_s,
+        )
+
     def _make_sweep_job(self, params: dict, client: str,
                         coalesce_key: str) -> Job:
         job = Job(
@@ -286,7 +309,7 @@ class TuningDaemon:
             kind="sweep",
             client=client,
             coalesce_key=coalesce_key,
-            deadline_s=float(
+            deadline_s=self._deadline_s(
                 params.get("deadline_s", self.config.deadline_s)
             ),
         )
@@ -318,16 +341,19 @@ class TuningDaemon:
             return []
         resumed = []
         for view in self.journal.unfinished():
+            try:
+                deadline_s = self._deadline_s(
+                    view["params"].get("deadline_s", self.config.deadline_s)
+                )
+            except ServeError:  # journaled before deadlines were checked
+                deadline_s = self.config.deadline_s
             job = Job(
                 view["id"],
                 view["params"],
                 kind="sweep",
                 client=view.get("client", ""),
                 coalesce_key=view.get("coalesce_key", ""),
-                deadline_s=float(
-                    view["params"].get("deadline_s",
-                                       self.config.deadline_s)
-                ),
+                deadline_s=deadline_s,
             )
             job.detail = "resumed from journal"
             if job.coalesce_key:
@@ -551,6 +577,8 @@ class TuningDaemon:
                 writer, 400, {"error": "body must be a JSON object"}
             )
             return
+        if "deadline_s" in params:
+            self._deadline_s(params["deadline_s"])  # 400 before admission
         client = await self._admit(writer, headers, params, peer)
         if client is None:
             return
@@ -644,17 +672,14 @@ class TuningDaemon:
         backend = first("backend")
         if backend is not None:
             params["backend"] = backend
-        try:
-            deadline_s = float(
-                first("deadline_s", str(self.config.deadline_s))
-            )
-            quantile = float(first("quantile", "0.05"))
-            min_lift = float(first("min_lift", "1.3"))
-        except ValueError as exc:
-            await self._respond(
-                writer, 400, {"error": f"invalid numeric parameter: {exc}"}
-            )
-            return
+        # Checked before admission: a bad value is a 400, never a job.
+        deadline_s = self._deadline_s(
+            first("deadline_s", str(self.config.deadline_s))
+        )
+        quantile = _number(first("quantile", "0.05"), "quantile",
+                           lambda q: 0.0 <= q <= 1.0, "a number in [0, 1]")
+        min_lift = _number(first("min_lift", "1.3"), "min_lift",
+                           lambda v: v > 0.0, "a finite number > 0")
         params["deadline_s"] = deadline_s
         client = await self._admit(writer, headers, params, peer)
         if client is None:
@@ -673,13 +698,12 @@ class TuningDaemon:
                 ),
             )
             return
-        # Synchronous wait under the *request's* deadline.  The job is
-        # deliberately not cancelled on expiry: it keeps running (and
-        # warming the cache), and the 504 body carries its id to poll.
-        deadline = self.clock() + deadline_s
-        while not job.done_event.is_set() and self.clock() < deadline:
-            await asyncio.sleep(0.02)
-        if not job.done_event.is_set():
+        # Wait for the job to settle under the *request's* deadline.  The
+        # job is deliberately not cancelled on expiry: it keeps running
+        # (and warming the cache), and the 504 body carries its id to poll.
+        try:
+            await asyncio.wait_for(self._settled(job), deadline_s)
+        except asyncio.TimeoutError:
             await self._respond(
                 writer, 504,
                 {"error": "recommendation not ready within the deadline",
@@ -699,6 +723,25 @@ class TuningDaemon:
         payload = render.recommend_payload(settings, quantile, min_lift)
         payload["job"] = render.job_payload(job.view())
         await self._respond(writer, 200, payload)
+
+    @staticmethod
+    def _settled(job: Job) -> asyncio.Future:
+        """A future of the running loop, resolved once ``job`` settles."""
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+
+        def resolve() -> None:
+            if not future.done():  # wait_for cancels it on timeout
+                future.set_result(None)
+
+        def wake(_job: Job) -> None:
+            try:
+                loop.call_soon_threadsafe(resolve)
+            except RuntimeError:
+                pass  # the loop closed during drain: nobody is waiting
+
+        job.add_done_callback(wake)
+        return future
 
     @staticmethod
     def _recommendations(result: SweepResult, quantile: float,

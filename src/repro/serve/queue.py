@@ -86,6 +86,8 @@ class Job:
         #: Set exactly once, on reaching any terminal-or-interrupted
         #: state; responders wait on this.
         self.done_event = threading.Event()
+        self._done_callbacks: list[Callable[[Job], None]] = []
+        self._done_lock = threading.Lock()
         #: True once the deadline timer fired (distinguishes ``expired``
         #: from a client ``cancelled`` — both ride the cancel_event).
         self.deadline_hit = False
@@ -109,6 +111,30 @@ class Job:
         """Events with sequence number >= ``seq`` (streaming tail)."""
         with self._events_lock:
             return self.events[seq:]
+
+    def add_done_callback(self, fn: Callable[[Job], None]) -> None:
+        """Run ``fn(job)`` once, when the job settles — at once if it
+        already has.
+
+        Registration and settling swap state under one lock, so a hook
+        registered while the job settles is never lost: either it is
+        queued before the swap and fired by the settling thread, or it
+        sees ``done_event`` set and fires here.  Hooks run outside the
+        lock and must not raise.
+        """
+        with self._done_lock:
+            if not self.done_event.is_set():
+                self._done_callbacks.append(fn)
+                return
+        fn(self)
+
+    def _mark_done(self) -> None:
+        """Set ``done_event`` and fire the hooks registered so far."""
+        with self._done_lock:
+            self.done_event.set()
+            callbacks, self._done_callbacks = self._done_callbacks, []
+        for fn in callbacks:
+            fn(self)
 
     @property
     def settled(self) -> bool:
@@ -253,7 +279,7 @@ class JobQueue:
             job.detail = detail
         if self.journal is not None:
             self.journal.state(job.id, state, detail or error)
-        job.done_event.set()
+        job._mark_done()
         if self.on_settled is not None:
             self.on_settled(job)
 

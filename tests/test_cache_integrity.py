@@ -79,6 +79,17 @@ class TestChecksumRoundtrip:
         assert decoded(legacy.get("k")) == records
         assert legacy.corrupt_keys == []
 
+    def test_put_entry_verified_in_place(self, cache, records,
+                                         monkeypatch):
+        # An entry in put's layout is checked over its stored frame
+        # bytes: nothing is re-serialized to verify it.
+        def refuse(payload):
+            raise AssertionError("re-canonicalized a put-written entry")
+
+        monkeypatch.setattr("repro.core.cache._canonical_payload", refuse)
+        assert decoded(cache.get("k")) == records
+        assert cache.corrupt_keys == []
+
     def test_fsync_mode_roundtrips(self, tmp_path, block, records):
         cache = SweepCache(tmp_path / "durable", fsync=True)
         cache.put("k", block)
@@ -107,6 +118,60 @@ class TestQuarantine:
         cache.path_for("k").write_text(json.dumps(payload))
         assert cache.get("k") is None
         assert cache.corrupt_keys == ["k"]
+
+    def test_digit_changed_in_stored_frame_quarantined(self, cache):
+        """One runtime digit edited in place leaves valid JSON in put's
+        layout; the in-place check must still catch it."""
+        raw = cache.path_for("k").read_bytes()
+        # canonical keys are sorted: a column's data precedes its name
+        end = raw.index(b'"name":"runtimes"')
+        at = raw.rindex(b'"data":[', 0, end) + len(b'"data":[')
+        while not raw[at:at + 1].isdigit():
+            at += 1
+        digit = b"1" if raw[at:at + 1] != b"1" else b"2"
+        cache.path_for("k").write_bytes(raw[:at] + digit + raw[at + 1:])
+        json.loads(cache.path_for("k").read_bytes())  # still valid JSON
+        assert cache.get("k") is None
+        assert cache.corrupt_keys == ["k"]
+
+    @pytest.mark.parametrize("forged_first", [True, False])
+    def test_forged_header_frame_key_not_trusted(self, cache, records,
+                                                 monkeypatch, forged_first):
+        """A header carrying its own ``frame`` key leaves put's layout:
+        the entry is parsed whole and re-canonicalized, so only a frame
+        that matches the digest under the whole-document reading is
+        ever decoded."""
+        from repro.core import cache as cache_module
+
+        raw = cache.path_for("k").read_bytes()
+        cut = raw.rindex(b', "frame": ')
+        real = raw[cut + len(b', "frame": '):-1]
+        payload = json.loads(real)
+        runtimes = next(c for c in payload["columns"]
+                        if c["name"] == "runtimes")
+        runtimes["data"][0] += 1.0
+        forged = json.dumps(payload).encode("utf-8")
+        # JSON's last duplicate key wins: the trailing frame is the one
+        # a whole-document parse reads.
+        first, last = (forged, real) if forged_first else (real, forged)
+        cache.path_for("k").write_bytes(
+            raw[:cut] + b', "frame": ' + first + b', "frame": ' + last
+            + b"}"
+        )
+        canonicalized = []
+        real_canonical = cache_module._canonical_payload
+        monkeypatch.setattr(
+            cache_module, "_canonical_payload",
+            lambda p: canonicalized.append(1) or real_canonical(p),
+        )
+        got = cache.get("k")
+        assert canonicalized, "the forged entry skipped re-canonicalization"
+        if forged_first:
+            assert decoded(got) == records
+            assert cache.corrupt_keys == []
+        else:
+            assert got is None
+            assert cache.corrupt_keys == ["k"]
 
     def test_non_dict_payload_quarantined(self, tmp_path):
         cache = SweepCache(tmp_path)

@@ -13,7 +13,14 @@ from repro.core.influence import (
     linear_fit_quality,
 )
 from repro.core.pruning import hill_climb, prune_space
-from repro.core.recommend import best_variable_values, recommend, worst_trends
+from repro.core.recommend import (
+    Recommendation,
+    WorstTrend,
+    best_variable_values,
+    recommend,
+    worst_trends,
+)
+from repro.core.sweep import SweepPlan, run_sweep
 from repro.errors import SchemaError
 from repro.frame.table import Table
 from repro.workloads.base import get_workload
@@ -163,6 +170,164 @@ class TestRecommend:
             best_variable_values(Table({"app": ["x"], "arch": ["m"]}))
         with pytest.raises(SchemaError):
             worst_trends(Table({"app": ["x"]}))
+
+
+# ----------------------------------------------------------------------
+# Reference implementations: per candidate value, the mean of the
+# per-row match flags over the group's (or table's) ``str`` cells.  The
+# shipped functions count each variable's encoded values once per table;
+# their output must equal these exactly.
+# ----------------------------------------------------------------------
+_ORACLE_VARIABLES = ("places", "proc_bind", "schedule", "library",
+                     "blocktime", "force_reduction", "align_alloc")
+
+
+def oracle_best_variable_values(table, quantile=0.05, min_lift=1.3):
+    out = []
+    for (app, arch), sub in table._group_by_python(["app", "arch"]):
+        speedup = np.asarray(sub.column("speedup"), dtype=float)
+        top = sub.filter(speedup >= np.quantile(speedup, 1.0 - quantile))
+        best_speedup = float(np.max(speedup))
+        group_recs = []
+        for var in _ORACLE_VARIABLES:
+            overall = sub.column(var)
+            top_vals = top.column(var)
+            candidates = []
+            for value in sorted(set(str(v) for v in top_vals)):
+                if value in ("unset", "0") and var != "blocktime":
+                    continue
+                p_top = float(np.mean([str(v) == value for v in top_vals]))
+                p_all = float(np.mean([str(v) == value for v in overall]))
+                if p_all == 0.0:
+                    continue
+                lift = p_top / p_all
+                if lift >= min_lift and p_top >= 0.25:
+                    candidates.append((lift, value))
+            if candidates:
+                candidates.sort(reverse=True)
+                group_recs.append(Recommendation(
+                    app=app, arch=arch, variable=var,
+                    values=tuple(v for _, v in candidates),
+                    lift=candidates[0][0], best_speedup=best_speedup,
+                ))
+        if not group_recs:
+            group_recs.append(Recommendation(
+                app=app, arch=arch, variable="defaults",
+                values=("defaults",), lift=1.0, best_speedup=best_speedup,
+            ))
+        out.extend(group_recs)
+    return out
+
+
+def oracle_worst_trends(table, quantile=0.05, min_lift=2.0,
+                        variables=("proc_bind", "places")):
+    speedup = np.asarray(table.column("speedup"), dtype=float)
+    worst = table.filter(speedup <= np.quantile(speedup, quantile))
+    worst_speedup = np.asarray(worst.column("speedup"), dtype=float)
+    out = []
+    for var in variables:
+        overall = [str(v) for v in table.column(var)]
+        worst_vals = [str(v) for v in worst.column(var)]
+        for value in sorted(set(worst_vals)):
+            p_worst = float(np.mean([v == value for v in worst_vals]))
+            p_all = float(np.mean([v == value for v in overall]))
+            if p_all == 0.0 or p_worst < 0.2:
+                continue
+            lift = p_worst / p_all
+            if lift >= min_lift:
+                sel = np.asarray([v == value for v in worst_vals])
+                out.append(WorstTrend(
+                    variable=var, value=value, lift=lift,
+                    mean_speedup=float(worst_speedup[sel].mean()),
+                ))
+    out.sort(key=lambda t: -t.lift)
+    return out
+
+
+@pytest.fixture(scope="module")
+def machine_tables():
+    """Seed-0 small sweeps of every machine, aggregated and enriched."""
+    from repro.core.dataset import aggregate_runs, enrich_with_speedup
+    from repro.core.dataset import records_to_table
+
+    tables = {}
+    for arch in ("milan", "skylake", "a64fx"):
+        plan = SweepPlan(arch=arch, scale="small", repetitions=3, seed=0)
+        tables[arch] = enrich_with_speedup(
+            aggregate_runs(records_to_table(run_sweep(plan).block))
+        )
+    return tables
+
+
+def _edge_table():
+    """Hand-built groups: ties at the cutoff, a one-row group, ``unset``
+    and ``"0"`` cells and a numeric ``align_alloc`` column."""
+    rows = [
+        # ties: three rows share the top speedup
+        ("tie", "m", 1.0, "cores", "close", "static", "unset", "0", 0),
+        ("tie", "m", 2.0, "cores", "close", "dynamic", "turnaround", "0", 64),
+        ("tie", "m", 2.0, "threads", "spread", "dynamic", "turnaround",
+         "infinite", 64),
+        ("tie", "m", 2.0, "unset", "spread", "guided", "throughput",
+         "infinite", 128),
+        ("tie", "m", 0.5, "unset", "master", "static", "unset", "0", 0),
+        ("solo", "m", 3.0, "sockets", "master", "static", "turnaround",
+         "0", 0),
+        ("tie", "n", 1.0, "unset", "unset", "unset", "unset", "0", 0),
+        ("tie", "n", 1.0, "unset", "unset", "unset", "unset", "0", 0),
+        ("dflt", "m", 1.5, "unset", "unset", "unset", "unset", "0", 0),
+        ("dflt", "m", 0.7, "unset", "unset", "unset", "unset", "0", 0),
+    ]
+    names = ("app", "arch", "speedup", "places", "proc_bind", "schedule",
+             "library", "blocktime", "align_alloc")
+    columns = {n: [r[i] for r in rows] for i, n in enumerate(names)}
+    columns["force_reduction"] = ["unset", "atomic", "tree", "atomic",
+                                  "unset", "unset", "unset", "unset",
+                                  "unset", "critical"]
+    return Table(columns)
+
+
+class TestRecommendOracle:
+    QUANTILES = (0.0, 0.05, 0.3, 0.5, 1.0)
+
+    @pytest.mark.parametrize("arch", ["milan", "skylake", "a64fx"])
+    def test_machine_tables_match_the_oracle(self, machine_tables, arch):
+        table = machine_tables[arch]
+        for quantile in self.QUANTILES:
+            assert best_variable_values(table, quantile=quantile) \
+                == oracle_best_variable_values(table, quantile=quantile)
+            assert worst_trends(table, quantile=quantile) \
+                == oracle_worst_trends(table, quantile=quantile)
+        assert worst_trends(table, variables=_ORACLE_VARIABLES) \
+            == oracle_worst_trends(table, variables=_ORACLE_VARIABLES)
+
+    @pytest.mark.parametrize("min_lift", [0.5, 1.0, 1.3, 2.0])
+    def test_edge_table_matches_the_oracle(self, min_lift):
+        table = _edge_table()
+        assert table.column("align_alloc").dtype.kind == "i"
+        for quantile in self.QUANTILES:
+            got = best_variable_values(table, quantile, min_lift)
+            assert got == oracle_best_variable_values(table, quantile,
+                                                      min_lift)
+            assert worst_trends(table, quantile, min_lift,
+                                _ORACLE_VARIABLES) \
+                == oracle_worst_trends(table, quantile, min_lift,
+                                       _ORACLE_VARIABLES)
+
+    def test_edge_table_covers_its_cases(self):
+        table = _edge_table()
+        recs = best_variable_values(table, quantile=0.5, min_lift=1.0)
+        assert {(r.app, r.arch) for r in recs} == {
+            ("tie", "m"), ("solo", "m"), ("tie", "n"), ("dflt", "m")}
+        # the three rows tied at the top all count; dynamic (2 of 3 vs
+        # 2 of 5) and guided (1 of 3 vs 1 of 5) tie on lift too, and
+        # equal lifts order by value, descending
+        tie = {r.variable: r for r in recs if r.app == "tie" and r.arch == "m"}
+        assert tie["schedule"].values == ("guided", "dynamic")
+        assert tie["align_alloc"].values == ("64", "128")
+        # an all-default top slice falls back to the pseudo-recommendation
+        recs = best_variable_values(table, quantile=0.5)
+        assert [r.variable for r in recs if r.app == "dflt"] == ["defaults"]
 
 
 class TestPruning:

@@ -330,6 +330,41 @@ class TestVectorizedParity:
         groups = t.group_by("k")
         assert [list(s["v"]) for _, s in groups] == [[1, 3], [2]]
 
+    @pytest.mark.parametrize("keys", [["app"], ["app", "arch"],
+                                      ["arch", "runtime"]])
+    def test_group_indices_match_group_by(self, simple, keys):
+        indices = simple.group_indices(keys)
+        groups = simple.group_by(keys)
+        ref = simple._group_by_python(keys)
+        assert [k for k, _ in indices] == [k for k, _ in groups] \
+            == [k for k, _ in ref]
+        for (_, idx), (_, sub), (_, r) in zip(indices, groups, ref):
+            assert list(idx) == sorted(idx)  # rows keep table order
+            assert simple.take(idx).to_records() == sub.to_records() \
+                == r.to_records()
+
+    def test_group_indices_nan_key_takes_the_fallback(self):
+        from repro.frame.table import _composite_codes
+
+        nan = float("nan")
+        t = Table({"k": [1.0, nan, 1.0, 2.0, nan], "v": [1, 2, 3, 4, 5]})
+        assert _composite_codes([t.column("k")]) is None
+
+        def rows(groups):
+            return [(repr(k), [int(i) for i in idx]) for k, idx in groups]
+
+        indices = rows(t.group_indices("k"))
+        python = rows(t._group_indices_python([t.column("k")]))
+        assert indices == python
+        assert indices[0] == ("(1.0,)", [0, 2])
+        assert [list(s["v"]) for _, s in t.group_by("k")] \
+            == [[t.column("v")[i] for i in idx] for _, idx in indices]
+        assert [list(s["v"]) for _, s in t._group_by_python(["k"])] \
+            == [list(s["v"]) for _, s in t.group_by("k")]
+
+    def test_group_indices_of_an_empty_table(self):
+        assert Table.empty(["k"]).group_indices("k") == []
+
     def test_mixed_object_keys_fall_back(self):
         k = np.empty(3, dtype=object)
         k[:] = ["a", 1, "a"]

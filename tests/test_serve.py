@@ -9,6 +9,8 @@ state-machine level.  The HTTP layer is covered end-to-end in
 """
 
 import json
+import os
+import sys
 import threading
 
 import pytest
@@ -494,3 +496,67 @@ class TestJobQueue:
             JobQueue(lambda job: None, max_queued=0)
         with pytest.raises(ServeError):
             JobQueue(lambda job: None, workers=0)
+
+
+class TestJobDoneCallback:
+    def test_fires_exactly_once_on_settle(self):
+        release = threading.Event()
+        queue = JobQueue(lambda job: release.wait(10.0), workers=1)
+        queue.start()
+        try:
+            job = Job("j000001", {})
+            fired = []
+            job.add_done_callback(fired.append)
+            queue.submit(job)
+            assert fired == []
+            release.set()
+            assert job.done_event.wait(5.0)
+            assert fired == [job]
+            queue._settle(job, "failed")  # a settled job stays settled
+            assert fired == [job] and job.state == "done"
+        finally:
+            queue.drain(grace_s=0.0)
+
+    def test_registered_after_settle_fires_immediately(self):
+        queue = JobQueue(lambda job: None, workers=1)
+        job = Job("j000001", {})
+        queue._settle(job, "cancelled")
+        fired = []
+        job.add_done_callback(fired.append)
+        assert fired == [job]
+
+    def test_registration_racing_settle_never_loses_a_wakeup(self):
+        class YieldingEvent(threading.Event):
+            """Hands the interpreter to the settling thread right after
+            every ``is_set`` check: the moment a wake-up would be lost
+            if registration checked outside the job's lock."""
+
+            def is_set(self):
+                result = super().is_set()
+                os.sched_yield()
+                return result
+
+        queue = JobQueue(lambda job: None, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads finely
+        try:
+            for n in range(200):
+                job = Job(f"j{n:06d}", {})
+                job.done_event = YieldingEvent()
+                fired = []
+                start = threading.Barrier(2, timeout=5.0)
+
+                def settle(job=job, start=start):
+                    start.wait()
+                    queue._settle(job, "done")
+
+                settler = threading.Thread(target=settle)
+                settler.start()
+                start.wait()
+                for hook in range(50):  # registrations straddle the settle
+                    job.add_done_callback(lambda _job, h=hook: fired.append(h))
+                settler.join(5.0)
+                assert not settler.is_alive()
+                assert sorted(fired) == list(range(50)), f"iteration {n}"
+        finally:
+            sys.setswitchinterval(interval)

@@ -8,6 +8,7 @@ behaviors that need special tuning (tight deadlines, tiny rate limits,
 full queues) get their own short-lived daemons.
 """
 
+import asyncio
 import json
 import socket
 import threading
@@ -17,6 +18,7 @@ import pytest
 from repro.core.sweep import SweepPlan, run_sweep
 from repro.serve.app import DaemonConfig, TuningDaemon
 from repro.serve.harness import DaemonHandle
+from repro.serve.queue import Job, JobQueue
 from repro.serve.render import records_payload
 
 #: The one plan every test serves (single batch; cache-warm after the
@@ -194,6 +196,21 @@ class TestRecommend:
             handle.drain()
 
 
+    def test_settling_after_the_loop_closed_does_not_raise(self):
+        # A job can settle after a drained daemon's loop has closed; the
+        # waiter's completion hook must not raise in the worker thread.
+        job = Job("j000001", {})
+        loop = asyncio.new_event_loop()
+
+        async def register():
+            return TuningDaemon._settled(job)
+
+        waiter = loop.run_until_complete(register())
+        loop.close()
+        JobQueue(lambda job: None)._settle(job, "interrupted")
+        assert job.done_event.is_set() and not waiter.done()
+
+
 class TestAdmission:
     def test_rate_limit_429_with_retry_hint(self, tmp_path):
         handle = DaemonHandle(DaemonConfig(
@@ -306,6 +323,57 @@ class TestProtocolEdges:
             "plan": {**PLAN_PAYLOAD, "turbo": True},
         })
         assert status == 400 and "turbo" in body["error"]
+
+
+#: The ``/recommend`` query for ``PLAN``.
+RECOMMEND = ("/recommend?arch=milan&workload=nqueens&scale=small"
+             "&repetitions=2&inputs_limit=1")
+
+
+class TestParameterValidation:
+    """Bad numeric knobs are a 400 before admission: no job is made."""
+
+    def submitted(self, daemon):
+        return daemon.request("GET", "/healthz")[1]["queue"]["submitted"]
+
+    @pytest.mark.parametrize("name,value", [
+        ("quantile", "nan"), ("quantile", "2"), ("quantile", "-1"),
+        ("min_lift", "nan"), ("min_lift", "inf"),
+        ("deadline_s", "inf"), ("deadline_s", "nan"), ("deadline_s", "-1"),
+    ])
+    def test_recommend_rejects(self, daemon, name, value):
+        before = self.submitted(daemon)
+        status, body = daemon.request(
+            "GET", f"{RECOMMEND}&{name}={value}", timeout=60.0
+        )
+        assert status == 400 and name in body["error"]
+        assert self.submitted(daemon) == before
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -1.0, 0.0, "soon", None,
+    ])
+    def test_sweep_rejects_deadline(self, daemon, value):
+        before = self.submitted(daemon)
+        status, body = submit(daemon, deadline_s=value)
+        assert status == 400 and "deadline_s" in body["error"]
+        assert self.submitted(daemon) == before
+
+    def test_deadline_capped_at_the_server_default(self, daemon):
+        status, resp = daemon.request("POST", "/sweep", body={
+            "plan": {**PLAN_PAYLOAD, "seed": 11}, "deadline_s": 1e9,
+        })
+        assert status == 202 and not resp["coalesced"]
+        job = daemon.daemon.queue.get(resp["job_id"])
+        assert job.deadline_s == daemon.daemon.config.deadline_s
+        daemon.wait_for_state(resp["job_id"], ("done",), timeout_s=300.0)
+
+    def test_quantile_bounds_are_inclusive(self, daemon):
+        for quantile in ("0", "1"):
+            status, body = daemon.request(
+                "GET", f"{RECOMMEND}&quantile={quantile}&deadline_s=300",
+                timeout=300.0,
+            )
+            assert status == 200 and body["quantile"] == float(quantile)
 
 
 class TestLintEndpoint:
