@@ -273,8 +273,8 @@ def columnar_pipeline_parity(
     """The packed columnar record path must be invisible end-to-end.
 
     One plan's records travel every columnar hop — packing into a
-    :class:`~repro.frame.columns.RecordBlock`, the JSON payload
-    round-trip (the cache wire shape), a cache format v5 store and
+    :class:`~repro.frame.columns.RecordBlock`, the byte codec
+    round-trip (what a cache entry stores), a cache format v6 store and
     load, and the block-backed dataset table — and every hop must
     reproduce the dict path bit-identically.  The vectorized frame fast
     paths (``group_by``, ``join``, stable descending ``sort_by``) are
@@ -308,10 +308,10 @@ def columnar_pipeline_parity(
         raise CheckFailure(
             "columnar pack/unpack round-trip altered the records"
         )
-    payload = json.loads(json.dumps(block.to_payload()))
-    if sweep_block_to_records(RecordBlock.from_payload(payload)) != records:
+    if sweep_block_to_records(
+            RecordBlock.from_bytes(block.to_bytes())) != records:
         raise CheckFailure(
-            "columnar JSON payload round-trip altered the records"
+            "columnar byte codec round-trip altered the records"
         )
 
     with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
@@ -321,11 +321,11 @@ def columnar_pipeline_parity(
         hit = cache.get(key)
         if hit is None or sweep_block_to_records(hit) != records:
             raise CheckFailure(
-                "cache format v5 round-trip altered the records"
+                "cache format v6 round-trip altered the records"
             )
         if cache.corrupt_keys:
             raise CheckFailure(
-                "cache format v5 round-trip flagged a healthy entry as "
+                "cache format v6 round-trip flagged a healthy entry as "
                 "corrupt"
             )
 
@@ -386,7 +386,7 @@ def columnar_pipeline_parity(
     return {
         "details": (
             f"{len(records)} records bit-identical through "
-            "pack/payload/cache-v5/table hops; vectorized group_by "
+            "pack/codec/cache-v6/table hops; vectorized group_by "
             f"({len(fast)} groups), join ({joined_fast.num_rows} rows) "
             "and stable descending sort match the python reference"
         ),

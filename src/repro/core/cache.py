@@ -22,31 +22,23 @@ batch's contents depend on:
 4. **batch identity** — ``app``, ``suite``, ``input_size``,
    ``num_threads``.
 
-Entries are one JSON file per batch named ``<key>.json``, written
-atomically (temp file + rename, optionally fsync'd) so a killed sweep
-never leaves a torn entry.  Since format v5 the payload is a **packed
-columnar frame** (:class:`~repro.frame.columns.RecordBlock` — flat typed
-column arrays plus a string-interning table, see ``docs/COLUMNAR.md``)
-instead of one JSON object per record: identity strings are stored once
-each, and the entry is a fraction of the v4 size.  Every payload embeds
-a SHA-256 over the canonical serialization of its frame, verified on
-read: an entry that fails to parse, fails its checksum, or holds a
-malformed frame is **quarantined** — moved aside to ``<key>.corrupt``
-and counted in :attr:`SweepCache.stats` — never silently re-simulated,
-so disk corruption is observable (and surfaces in the sweep's
-:class:`~repro.resilience.report.FailureReport`).  A version-mismatched
-entry (v4 and older) is a legitimate miss, not corruption.  Because
-runtimes round-trip JSON exactly (``repr``-based float serialization),
-cached records are bit-identical to freshly simulated ones.
-
-Keys additionally map onto **prefix partitions**: the first
-:data:`~repro.resilience.sharding.PARTITION_PREFIX_HEX` hex digits of a
-key select one of :attr:`SweepCache.n_partitions` partitions, the same
-function the sharded sweep uses to pick a batch's home shard.  A shard
-therefore touches a stable subset of partitions, per-partition stats
-show where entries and corruption live, and a corrupt entry is charged
-to the partition that owns it — never to another shard's.  See
-``docs/SWEEP_CACHE.md``.
+Entries are one file per batch named ``<key>.blk``, written atomically
+(temp file + rename, optionally fsync'd) so a killed sweep never leaves
+a torn entry.  Since format v6 an entry is a one-line JSON header
+(``version``, ``key``, ``sha256``) followed by the batch's packed
+:class:`~repro.frame.columns.RecordBlock` in its byte codec
+(:meth:`~repro.frame.columns.RecordBlock.to_bytes`: a JSON header line
+with the schema and interned strings, then the raw column buffers — see
+``docs/COLUMNAR.md``).  ``sha256`` covers every byte that is decoded,
+so runtimes are stored and read back bit for bit.  An entry that is torn,
+fails its checksum, names another key, or decodes to a malformed block
+is **quarantined** — moved aside to ``<key>.corrupt`` and counted in
+:attr:`SweepCache.stats` — never silently re-simulated, so disk
+corruption is observable (and surfaces in the sweep's
+:class:`~repro.resilience.report.FailureReport`).  An entry of another
+format version is a legitimate miss, not corruption; v5 and older
+entries (``<key>.json``) are never even read, since the version is part
+of the key.  See ``docs/SWEEP_CACHE.md``.
 """
 
 from __future__ import annotations
@@ -66,9 +58,8 @@ from repro.core.sweep import (
     SweepRecord,
     check_sweep_block,
 )
-from repro.errors import CacheError, ConfigError, FrameError, UnknownMachine
+from repro.errors import CacheError, FrameError, UnknownMachine
 from repro.frame.columns import RecordBlock
-from repro.resilience.sharding import partition_for_key
 from repro.runtime.costs import get_costs
 from repro.runtime.icv import EnvConfig
 
@@ -86,7 +77,9 @@ __all__ = ["CACHE_FORMAT_VERSION", "CACHE_KEY_FIELDS",
 #: v5: payloads store one packed columnar frame (``frame``) instead of a
 #: per-record dict list; the checksum now covers the canonical frame
 #: serialization.  v4 entries read as plain misses.
-CACHE_FORMAT_VERSION = 5
+#: v6: entries are ``<key>.blk`` — a JSON header line, then the block's
+#: byte codec (raw column buffers); the checksum covers those bytes.
+CACHE_FORMAT_VERSION = 6
 
 #: The named slots of a batch key's identity tuple, in hash order.
 #: ``plan.*`` names are :class:`~repro.core.sweep.SweepPlan` fields,
@@ -141,8 +134,8 @@ _CONFIG_FIELDS = (
 )
 
 
-#: A live entry's file name: the SHA-256 content address plus ``.json``.
-_ENTRY_NAME_RE = re.compile(r"\A[0-9a-f]{64}\.json\Z")
+#: A live entry's file name: the SHA-256 content address plus ``.blk``.
+_ENTRY_NAME_RE = re.compile(r"\A[0-9a-f]{64}\.blk\Z")
 
 
 def grid_fingerprint(configs: Sequence[EnvConfig]) -> str:
@@ -212,8 +205,8 @@ def _record_to_dict(record: SweepRecord) -> dict:
     """Legacy (v4) per-record dict codec.
 
     No longer the storage format; kept as the reference representation
-    the ``columnar-pipeline-parity`` check and the record-pipeline
-    benchmarks compare the packed frame path against.
+    the record-pipeline benchmarks compare the packed block path
+    against.
     """
     return {
         "arch": record.arch,
@@ -224,74 +217,6 @@ def _record_to_dict(record: SweepRecord) -> dict:
         "config": {f: getattr(record.config, f) for f in _CONFIG_FIELDS},
         "runtimes": list(record.runtimes),
     }
-
-
-def _canonical_payload(payload: object) -> bytes:
-    """The byte string the content checksum covers.
-
-    Canonical JSON (sorted keys, no whitespace) of the frame payload:
-    identical whether computed from the freshly packed frame at put time
-    or from a parsed payload at get time (entries not in put's layout),
-    because JSON floats round-trip via ``repr`` exactly.
-    """
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-
-
-#: What :meth:`SweepCache.put` writes between the header and the frame.
-_FRAME_SEPARATOR = b', "frame": '
-
-
-def _parse(data: bytes) -> object:
-    try:
-        return json.loads(data)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise CacheError(f"unparseable cache entry: {exc}") from exc
-
-
-def _verified_frame(raw: bytes) -> dict | None:
-    """The checksum-verified frame payload of an entry's bytes.
-
-    ``None`` for a stale format version; :class:`CacheError` for a
-    corrupt entry.  An entry in :meth:`SweepCache.put`'s layout — a
-    header object without a ``frame`` key, the separator, the canonical
-    frame bytes, ``}`` — is verified in place: the checksum runs over
-    the stored frame bytes and exactly those bytes are parsed.  Any
-    other layout, or bytes that miss the digest, are parsed whole and
-    the frame re-serialized canonically for the check.
-    """
-    cut = raw.rfind(_FRAME_SEPARATOR)
-    if cut >= 0 and raw.endswith(b"}"):
-        try:
-            header = json.loads(raw[:cut] + b"}")
-        except ValueError:
-            header = None
-        if isinstance(header, dict) and "frame" not in header:
-            if header.get("version") != CACHE_FORMAT_VERSION:
-                return None
-            frame = raw[cut + len(_FRAME_SEPARATOR):-1]
-            if hashlib.sha256(frame).hexdigest() == header.get("sha256"):
-                payload = _parse(frame)
-                if not isinstance(payload, dict):
-                    raise CacheError("cache frame is not a JSON object")
-                return payload
-    payload = _parse(raw)
-    if not isinstance(payload, dict):
-        raise CacheError("cache entry is not a JSON object")
-    if payload.get("version") != CACHE_FORMAT_VERSION:
-        return None
-    frame_payload = payload.get("frame")
-    digest = payload.get("sha256")
-    if (
-        not isinstance(frame_payload, dict)
-        or digest is None
-        or hashlib.sha256(
-            _canonical_payload(frame_payload)
-        ).hexdigest() != digest
-    ):
-        raise CacheError("cache entry fails its checksum")
-    return frame_payload
 
 
 def _record_from_dict(payload: dict) -> SweepRecord:
@@ -330,26 +255,10 @@ class SweepCache:
         """The named slots of the key-material tuple, in hash order."""
         return CACHE_KEY_FIELDS
 
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        fsync: bool = False,
-        n_partitions: int = 8,
-    ):
+    def __init__(self, root: str | os.PathLike, fsync: bool = False):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
-        if n_partitions < 1:
-            raise ConfigError(
-                f"n_partitions must be >= 1, got {n_partitions}"
-            )
-        #: Key-prefix partition count (see :func:`repro.resilience.
-        #: sharding.partition_for_key`).  Partitions are an *accounting
-        #: view* — entries share one directory; the prefix of the key
-        #: decides ownership, so shards and sweep parents agree without
-        #: coordination and per-partition stats stay meaningful however
-        #: many shards wrote the entries.
-        self.n_partitions = n_partitions
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -361,21 +270,8 @@ class SweepCache:
         #: Keys quarantined this session, in discovery order.
         self.corrupt_keys: list[str] = []
 
-    def partition_for(self, key: str) -> int:
-        """The key-prefix partition owning ``key``.
-
-        Real sweep keys are 64-hex digests; the cache itself accepts any
-        string, so a foreign key falls back to a deterministic hash of
-        its bytes rather than failing the accounting.
-        """
-        try:
-            return partition_for_key(key, self.n_partitions)
-        except ConfigError:
-            digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-            return partition_for_key(digest, self.n_partitions)
-
     def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+        return self.root / f"{key}.blk"
 
     def path_for(self, key: str) -> Path:
         """The on-disk entry path for ``key`` (fault injection, tooling)."""
@@ -388,33 +284,15 @@ class SweepCache:
     @property
     def stats(self) -> dict:
         """Session counters plus the on-disk entry count; ``corrupt``
-        makes disk rot observable.
-
-        ``partitions`` breaks entries and session corruption down by
-        key-prefix partition, so a corrupt entry is charged to the
-        partition that owns it and never bleeds into another shard's
-        accounting.
-        """
-        entries = [0] * self.n_partitions
-        for p in self.root.glob("*.json"):
-            if _ENTRY_NAME_RE.match(p.name):
-                entries[self.partition_for(p.name[:-len(".json")])] += 1
-        corrupt = [0] * self.n_partitions
-        for key in self.corrupt_keys:
-            corrupt[self.partition_for(key)] += 1
+        makes disk rot observable."""
         return {
-            "entries": sum(entries),
+            "entries": len(self),
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
             "lost_races": self.lost_races,
             "corrupt": len(self.corrupt_keys),
             "corrupt_keys": tuple(self.corrupt_keys),
-            "partitions": tuple(
-                {"partition": i, "entries": entries[i],
-                 "corrupt": corrupt[i]}
-                for i in range(self.n_partitions)
-            ),
         }
 
     def _quarantine(self, key: str) -> None:
@@ -435,33 +313,36 @@ class SweepCache:
     def get(self, key: str) -> RecordBlock | None:
         """The cached batch block for ``key``, or None (counts as a miss).
 
-        A missing file or a version-mismatched (stale-format) entry is a
-        plain miss.  Anything else that fails — unparseable JSON (torn
-        write), checksum mismatch (bit rot), a malformed frame or a block
-        :func:`~repro.core.sweep.check_sweep_block` rejects — is
+        A missing file or an entry of another format version is a plain
+        miss.  Anything else that fails — a torn entry, a checksum
+        mismatch (bit rot), a header naming another key, bytes
+        :meth:`~repro.frame.columns.RecordBlock.from_bytes` rejects or a
+        block :func:`~repro.core.sweep.check_sweep_block` rejects — is
         quarantined via :meth:`_quarantine`.  The rows are not decoded.
         """
-        path = self._path(key)
         try:
-            raw = path.read_bytes()
+            raw = self._path(key).read_bytes()
         except FileNotFoundError:
             self.misses += 1
             return None
         except OSError:
             self._quarantine(key)
             return None
+        cut = raw.find(b"\n")
         try:
-            frame_payload = _verified_frame(raw)
-        except CacheError:
-            self._quarantine(key)
-            return None
-        if frame_payload is None:
-            # A stale on-disk format (v4 and older) is expected after
-            # upgrades — a legitimate miss, not corruption.
+            header = json.loads(raw[:cut]) if cut >= 0 else None
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            header = None
+        if isinstance(header, dict) and (
+                header.get("version") != CACHE_FORMAT_VERSION):
             self.misses += 1
             return None
+        body = raw[cut + 1:]
         try:
-            block = RecordBlock.from_payload(frame_payload)
+            if not isinstance(header, dict) or header.get("key") != key or (
+                    header.get("sha256") != hashlib.sha256(body).hexdigest()):
+                raise FrameError("cache entry is torn or fails its checksum")
+            block = RecordBlock.from_bytes(body)
             check_sweep_block(block)
         except FrameError:
             self._quarantine(key)
@@ -477,15 +358,12 @@ class SweepCache:
         cannot tear it — the durability mode for long unattended
         campaigns.
         """
-        frame = _canonical_payload(block.to_payload())
-        # The entry embeds the canonical frame text the checksum covers,
-        # so the frame is serialized once and ``get`` verifies it in place.
+        body = block.to_bytes()
         header = json.dumps({
             "version": CACHE_FORMAT_VERSION,
             "key": key,
-            "sha256": hashlib.sha256(frame).hexdigest(),
+            "sha256": hashlib.sha256(body).hexdigest(),
         }).encode("utf-8")
-        data = header[:-1] + _FRAME_SEPARATOR + frame + b"}"
         path = self._path(key)
         # The tmp name is salted with the pid so two processes put()-ing
         # the same key never interleave on one tmp file; each composes
@@ -495,13 +373,12 @@ class SweepCache:
         # counted in ``lost_races``.
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
         try:
-            if self.fsync:
-                with open(tmp, "wb") as handle:
-                    handle.write(data)
+            with open(tmp, "wb") as handle:
+                handle.write(header + b"\n")
+                handle.write(body)
+                if self.fsync:
                     handle.flush()
                     os.fsync(handle.fileno())
-            else:
-                tmp.write_bytes(data)
             raced = path.exists()
             os.replace(tmp, path)
         except BaseException:
@@ -525,13 +402,14 @@ class SweepCache:
         """Number of live batch entries on disk.
 
         Counts only well-formed content-address names —
-        ``<64-hex-key>.json``, what :func:`batch_key` produces — so a
+        ``<64-hex-key>.blk``, what :func:`batch_key` produces — so a
         foreign or quarantine-adjacent file dropped into the cache
-        directory (``notes.json``, tooling output, a hand-renamed
-        ``.corrupt`` sibling) never inflates the entry count.
+        directory (``notes.blk``, tooling output, a hand-renamed
+        ``.corrupt`` sibling, a v5 ``<key>.json`` entry) never inflates
+        the entry count.
         """
         return sum(
-            1 for p in self.root.glob("*.json")
+            1 for p in self.root.glob("*.blk")
             if _ENTRY_NAME_RE.match(p.name)
         )
 

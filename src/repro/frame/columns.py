@@ -15,7 +15,8 @@ alternative the whole pipeline now moves:
   runtimes) and a byte-level ``extend`` fast path,
 - :class:`RecordBlock` — an ordered set of equal-length columns sharing
   one string table; the unit that sweep workers send, the cache stores
-  (format v5), and :meth:`repro.frame.Table.from_block` consumes.
+  (format v6: :meth:`RecordBlock.to_bytes`, a JSON header line plus the
+  raw column buffers), and :meth:`repro.frame.Table.from_block` consumes.
 
 Zero-copy boundaries: ``array.array`` pickles as its machine
 representation (compact result frames), converts to NumPy via
@@ -27,6 +28,8 @@ block via ``frombytes`` — one memcpy, no per-element boxing.  See
 from __future__ import annotations
 
 import array
+import json
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
@@ -39,7 +42,6 @@ __all__ = [
     "StringTable",
     "ColumnBlock",
     "RecordBlock",
-    "infer_schema",
 ]
 
 #: Column kind -> ``array.array`` typecode.  ``str`` columns store int64
@@ -90,7 +92,8 @@ class StringTable:
         return value in self._codes
 
     def to_list(self) -> list[str]:
-        """The strings in code order (the JSON payload representation)."""
+        """The strings in code order (as the :meth:`RecordBlock.to_bytes`
+        header stores them)."""
         return list(self._strings)
 
     def lookup_array(self) -> np.ndarray:
@@ -130,8 +133,10 @@ class ColumnBlock:
 
     def __init__(self, name: str, kind: str,
                  strings: StringTable | None = None, width: int = 1):
-        if width < 1:
-            raise FrameError(f"column {name!r}: width must be >= 1")
+        if type(width) is not int or width < 1:
+            raise FrameError(
+                f"column {name!r}: width must be an int >= 1, got {width!r}"
+            )
         if kind == "str" and strings is None:
             raise FrameError(f"str column {name!r} needs a string table")
         self.name = name
@@ -143,50 +148,15 @@ class ColumnBlock:
     def __len__(self) -> int:
         return len(self.data) // self.width
 
-    def _encode(self, value: Any) -> Any:
-        if self.kind == "str":
-            if value is None:
-                return NONE_CODE
-            return self.strings.add(value)
-        if self.kind == "i8":
-            return int(value)
-        return float(value)
-
-    def _decode(self, raw: Any) -> Any:
-        if self.kind == "str":
-            return None if raw == NONE_CODE else self.strings[raw]
-        return raw
-
-    def append(self, value: Any) -> None:
-        """Append one cell (a ``width``-sized sequence when width > 1)."""
-        if self.width == 1:
-            self.data.append(self._encode(value))
-        else:
-            if len(value) != self.width:
-                raise FrameError(
-                    f"column {self.name!r}: cell has {len(value)} "
-                    f"elements, width is {self.width}"
-                )
-            self.data.extend(self._encode(v) for v in value)
-
-    def cell(self, i: int) -> Any:
-        """Row ``i``'s cell (a tuple when width > 1)."""
-        if self.width == 1:
-            return self._decode(self.data[i])
-        off = i * self.width
-        return tuple(
-            self._decode(v) for v in self.data[off:off + self.width]
-        )
-
     def extend_cells(self, values: Iterable[Any]) -> None:
         """Append many cells with one C-level ``array.extend`` pass.
 
-        The bulk counterpart of :meth:`append`: callers that already
-        hold a whole column of cells (the sweep batch packer) skip the
-        per-cell method dispatch.  Numeric cells must already be the
-        column's type (``array.array`` coerces int -> float but rejects
-        lossy conversions); width > 1 cells are width-sized sequences.
-        On a bad cell the column is rolled back to its prior length.
+        Callers hold a whole column of cells (the sweep batch packer),
+        so there is no per-cell method dispatch.  Numeric cells must
+        already be the column's type (``array.array`` coerces int ->
+        float but rejects lossy conversions); width > 1 cells are
+        width-sized sequences.  On a bad cell the column is rolled back
+        to its prior length.
         """
         start = len(self.data)
         try:
@@ -258,45 +228,13 @@ class ColumnBlock:
             out = out.reshape(-1, self.width)
         return out
 
-    def payload_data(self) -> list:
-        """The raw cells as a JSON-safe flat list (codes for strings)."""
-        return self.data.tolist()
-
-
-def infer_schema(record: Mapping[str, Any]) -> dict[str, tuple[str, int]]:
-    """Schema (name -> (kind, width)) from one exemplar record.
-
-    ``bool`` is deliberately unsupported (it would round-trip as int);
-    mixed-type columns belong on the generic dict path.
-    """
-    schema: dict[str, tuple[str, int]] = {}
-    for name, value in record.items():
-        if isinstance(value, str) or value is None:
-            schema[name] = ("str", 1)
-        elif isinstance(value, bool):
-            raise FrameError(f"column {name!r}: bool cells not supported")
-        elif isinstance(value, int):
-            schema[name] = ("i8", 1)
-        elif isinstance(value, float):
-            schema[name] = ("f8", 1)
-        elif isinstance(value, (tuple, list)) and value and all(
-            isinstance(v, float) for v in value
-        ):
-            schema[name] = ("f8", len(value))
-        else:
-            raise FrameError(
-                f"column {name!r}: cannot infer a typed column from "
-                f"{type(value).__name__} cell {value!r}"
-            )
-    return schema
-
 
 class RecordBlock:
     """Equal-length typed columns sharing one string table.
 
-    The pipeline's packed record batch: build with :meth:`append` /
-    :meth:`from_records`, combine with :meth:`extend`, ship as a payload
-    dict (:meth:`to_payload` / :meth:`from_payload`) or hand to
+    The pipeline's packed record batch: fill its columns with
+    :meth:`ColumnBlock.extend_cells`, combine with :meth:`extend`, store
+    as bytes (:meth:`to_bytes` / :meth:`from_bytes`) or hand to
     :meth:`repro.frame.Table.from_block`.
     """
 
@@ -328,42 +266,6 @@ class RecordBlock:
         return (f"RecordBlock({len(self)} rows x {len(self.columns)} cols, "
                 f"{len(self.strings)} interned strings)")
 
-    # ------------------------------------------------------------------
-    # Building
-    # ------------------------------------------------------------------
-    def append(self, record: Mapping[str, Any]) -> None:
-        """Append one record; keys must match the schema exactly."""
-        if len(record) != len(self.columns):
-            raise FrameError(
-                f"record has {len(record)} fields, schema has "
-                f"{len(self.columns)}"
-            )
-        for name, col in self.columns.items():
-            try:
-                col.append(record[name])
-            except KeyError:
-                raise FrameError(
-                    f"record missing column {name!r}"
-                ) from None
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[Mapping[str, Any]],
-        schema: Mapping[str, tuple[str, int] | str] | None = None,
-    ) -> "RecordBlock":
-        """Pack dict records (schema inferred from the first record)."""
-        if schema is None:
-            if not records:
-                raise FrameError(
-                    "cannot infer a schema from zero records; pass one"
-                )
-            schema = infer_schema(records[0])
-        block = cls(schema)
-        for rec in records:
-            block.append(rec)
-        return block
-
     def extend(self, other: "RecordBlock") -> None:
         """Append all of ``other``'s rows (schemas must match).
 
@@ -386,17 +288,6 @@ class RecordBlock:
                 code_map=code_map if col.kind == "str" else None,
             )
 
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def record(self, i: int) -> dict[str, Any]:
-        """Row ``i`` as a plain dict."""
-        return {name: col.cell(i) for name, col in self.columns.items()}
-
-    def to_records(self) -> list[dict[str, Any]]:
-        """All rows as dicts (the unpacked representation)."""
-        return [self.record(i) for i in range(len(self))]
-
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Every column as a NumPy array (see
         :meth:`ColumnBlock.to_numpy`)."""
@@ -409,73 +300,68 @@ class RecordBlock:
         ) + sum(len(s) for s in self.strings.to_list())
 
     # ------------------------------------------------------------------
-    # Serialization
+    # The byte codec
     # ------------------------------------------------------------------
-    def to_payload(self) -> dict:
-        """A JSON-safe dict: schema, interned strings, flat cell lists.
+    def to_bytes(self) -> bytes:
+        """The block as one JSON header line plus its raw column buffers.
 
-        Floats serialize via ``repr`` under :func:`json.dumps`, so a
-        payload round-trips bit-identically — the property cache format
-        v5's content checksum depends on.
+        The header holds the row count, the schema as ``[name, kind,
+        width]`` triples, the buffers' byte order and the interned
+        strings; each column's ``array`` buffer follows in schema order.
+        Equal blocks give equal bytes, and every float keeps its bits.
         """
-        return {
+        header = json.dumps({
             "n": len(self),
+            "schema": [[c.name, c.kind, c.width]
+                       for c in self.columns.values()],
+            "byteorder": sys.byteorder,
             "strings": self.strings.to_list(),
-            "columns": [
-                {
-                    "name": c.name,
-                    "kind": c.kind,
-                    "width": c.width,
-                    "data": c.payload_data(),
-                }
-                for c in self.columns.values()
-            ],
-        }
+        }, separators=(",", ":")).encode("utf-8")
+        return b"".join([header, b"\n", *(c.data.tobytes()
+                                           for c in self.columns.values())])
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "RecordBlock":
-        """Rebuild a block from :meth:`to_payload` output.
+    def from_bytes(cls, data: bytes) -> "RecordBlock":
+        """Rebuild a block from :meth:`to_bytes` output.
 
-        Raises :class:`~repro.errors.FrameError` on any malformed
-        payload — the cache maps that to quarantine.
+        Raises :class:`~repro.errors.FrameError` on any malformed header,
+        buffer length or string code — the cache maps that to quarantine.
         """
+        cut = data.find(b"\n")
         try:
-            strings = payload["strings"]
-            columns = payload["columns"]
-            n = payload["n"]
-            if not isinstance(strings, list) or not isinstance(columns, list):
-                raise FrameError("columnar payload: malformed fields")
-            schema = {
-                c["name"]: (c["kind"], c["width"]) for c in columns
-            }
-        except (KeyError, TypeError) as exc:
-            raise FrameError(f"columnar payload: {exc!r}") from exc
-        block = cls(schema)
-        for s in strings:
-            block.strings.add(s)
+            header = json.loads(data[:cut]) if cut >= 0 else None
+            n, schema = header["n"], header["schema"]
+            strings, order = header["strings"], header["byteorder"]
+            block = cls({name: (kind, width) for name, kind, width in schema})
+            if len(block.columns) != len(schema):
+                raise FrameError("block bytes: duplicate column name")
+            for s in strings:
+                block.strings.add(s)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FrameError(f"block bytes: bad header: {exc!r}") from exc
         if len(block.strings) != len(strings):
-            raise FrameError("columnar payload: duplicate interned string")
-        for spec in columns:
-            col = block.columns[spec["name"]]
-            try:
-                col.data.fromlist(spec["data"])
-            except (TypeError, OverflowError) as exc:
-                raise FrameError(
-                    f"columnar payload: column {spec['name']!r}: {exc}"
-                ) from exc
-            if col.kind == "str":
-                codes = np.frombuffer(col.data, dtype=np.int64)
-                if len(codes) and (
-                    int(codes.max(initial=NONE_CODE)) >= len(block.strings)
-                    or int(codes.min(initial=0)) < NONE_CODE
-                ):
-                    raise FrameError(
-                        f"columnar payload: column {spec['name']!r} has "
-                        "out-of-range string codes"
-                    )
-            if len(col) != n:
-                raise FrameError(
-                    f"columnar payload: column {spec['name']!r} has "
-                    f"{len(col)} rows, header says {n}"
-                )
+            raise FrameError("block bytes: duplicate interned string")
+        if (type(n) is not int or n < 0 or order not in ("little", "big")
+                or not isinstance(strings, list)):
+            raise FrameError(f"block bytes: bad row count {n!r}, byte "
+                             f"order {order!r} or string list")
+        view, at = memoryview(data), cut + 1
+        for col in block.columns.values():
+            size = n * col.width * col.data.itemsize
+            if at + size > len(data):
+                raise FrameError(f"block bytes: column {col.name!r} is short")
+            col.data.frombytes(view[at:at + size])
+            at += size
+            if order != sys.byteorder:
+                col.data.byteswap()
+        if at != len(data):
+            raise FrameError(
+                f"block bytes: {len(data) - at} trailing byte(s)"
+            )
+        codes = np.frombuffer(b"".join(
+            c.data for c in block.columns.values() if c.kind == "str"
+        ), dtype=np.int64)
+        if len(codes) and (codes.min() < NONE_CODE
+                           or codes.max() >= len(strings)):
+            raise FrameError("block bytes: out-of-range string codes")
         return block

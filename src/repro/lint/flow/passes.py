@@ -53,11 +53,9 @@ DEFAULT_RESULT_ROOTS = (
     "repro.arch.noise.NoiseModel.apply_many",
     "repro.core.cache.SweepCache.put",
     "repro.core.cache.SweepCache.get",
-    "repro.frame.columns.RecordBlock.append",
     "repro.frame.columns.RecordBlock.extend",
-    "repro.frame.columns.RecordBlock.from_records",
-    "repro.frame.columns.RecordBlock.to_payload",
-    "repro.frame.columns.RecordBlock.from_payload",
+    "repro.frame.columns.RecordBlock.to_bytes",
+    "repro.frame.columns.RecordBlock.from_bytes",
     "repro.reporting.report_payload",
     "repro.reporting.render_report",
     "repro.serve.render.record_payload",

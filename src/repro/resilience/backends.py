@@ -37,8 +37,7 @@ Sharding (nodes backend)
 Each node is one shard.  Tasks start on their **home** shard — by
 default the :class:`~repro.resilience.sharding.ShardPlanner` round-robin
 assignment; the sweep layer overrides it with the cache key-prefix
-partitioning so a shard's working set maps onto stable cache
-partitions.  An idle node with an empty home queue *steals* from the
+partitioning so a batch keeps its home shard across runs.  An idle node with an empty home queue *steals* from the
 richest backlog (ties to the lowest shard id, taking the victim's tail)
 — the arbitration rule :func:`~repro.resilience.sharding.
 simulate_rebalance` specifies.

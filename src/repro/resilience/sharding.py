@@ -6,10 +6,9 @@ in this module answers two questions deterministically — so the
 parity checks can pin the answers — without touching any executor:
 
 1. **Home assignment** — which shard a batch starts on.  When cache
-   keys are available the assignment follows the cache's key-prefix
-   partitioning (:func:`partition_for_key`), so a shard touches a
-   stable subset of cache partitions and a corrupt entry quarantines
-   inside the partition that owns it.  Without keys, batches deal
+   keys are available the assignment follows the key's hex prefix
+   (:func:`partition_for_key`), so a given batch always starts on the
+   same shard across runs and hosts.  Without keys, batches deal
    round-robin by index.  Results are still yielded in submission
    order, so records never depend on the node count.
 2. **Rebalance** — :func:`simulate_rebalance` runs the work-stealing
@@ -26,8 +25,7 @@ scenario is identical under every seed, and the sharding tests pin
 that.
 
 Import discipline: this module is a leaf (stdlib + :mod:`repro.errors`
-only) so :mod:`repro.core.cache` can import :func:`partition_for_key`
-without creating a cycle.
+only), so the backends and the parity checks import it without cycles.
 """
 
 from __future__ import annotations
@@ -48,20 +46,20 @@ __all__ = [
     "simulate_rebalance",
 ]
 
-#: Hex digits of the cache key that select a partition.  Eight digits
+#: Hex digits of the cache key that select a home shard.  Eight digits
 #: (32 bits) of a uniform sha256 prefix spread keys evenly across any
-#: practical partition count.
+#: practical shard count.
 PARTITION_PREFIX_HEX = 8
 
 
-def partition_for_key(key: str, n_partitions: int) -> int:
-    """The cache partition owning ``key`` (a 64-hex sweep-cache key).
+def partition_for_key(key: str, n_shards: int) -> int:
+    """The home shard of ``key`` (a 64-hex sweep-cache key).
 
     Deterministic in the key alone, so every process — sweep parent,
     pool worker, node — agrees on ownership without coordination.
     """
-    if n_partitions < 1:
-        raise ConfigError(f"n_partitions must be >= 1, got {n_partitions}")
+    if n_shards < 1:
+        raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
     prefix = key[:PARTITION_PREFIX_HEX]
     try:
         value = int(prefix, 16)
@@ -70,7 +68,7 @@ def partition_for_key(key: str, n_partitions: int) -> int:
             f"cache key {key!r} does not start with "
             f"{PARTITION_PREFIX_HEX} hex digits"
         ) from None
-    return value % n_partitions
+    return value % n_shards
 
 
 @dataclass(frozen=True)
@@ -173,10 +171,10 @@ class ShardPlanner:
     ) -> tuple[int, ...]:
         """Home shard per task position.
 
-        With ``keys`` (one cache key per task), assignment follows the
-        cache's key-prefix partitioning so each shard's working set
-        maps onto a stable subset of cache partitions.  Without keys,
-        tasks deal round-robin.
+        With ``keys`` (one cache key per task), assignment follows each
+        key's hex prefix (:func:`partition_for_key`), so a batch keeps
+        its home shard across runs.  Without keys, tasks deal
+        round-robin.
         """
         if keys is not None:
             if len(keys) != len(tasks):

@@ -1,21 +1,24 @@
 """Tests for the sweep cache's corruption detection and quarantine.
 
-The v5 on-disk format embeds a SHA-256 over the canonical serialization
-of the packed columnar frame; these tests prove the checksum catches
-real corruption
-modes (torn writes, bit flips, semantic tampering) and that corrupt
-entries are quarantined to ``<key>.corrupt`` — counted and preserved,
-never silently re-simulated.
+A v6 entry is a JSON header line (``version``, ``key``, ``sha256``)
+followed by the packed block's byte codec, and the SHA-256 covers every
+byte that is decoded; these tests prove the checksum and the decoder
+catch real corruption modes (torn writes, bit flips, semantic
+tampering, malformed but re-digested bytes) and that corrupt entries
+are quarantined to ``<key>.corrupt`` — counted and preserved, never
+silently re-simulated.
 """
 
 import hashlib
 import json
+import struct
 
 import pytest
 
 from repro.core.cache import CACHE_FORMAT_VERSION, SweepCache
 from repro.core.sweep import (
     SweepPlan,
+    plan_batches,
     run_sweep,
     sweep_block_to_records,
     sweep_records_to_block,
@@ -48,45 +51,57 @@ def decoded(block):
     return sweep_block_to_records(block)
 
 
+def split_entry(cache, key):
+    """An entry's parsed header line and its body (the block bytes)."""
+    line, body = cache.path_for(key).read_bytes().split(b"\n", 1)
+    return json.loads(line), body
+
+
+def write_entry(cache, key, body, **header):
+    """Store ``body`` under ``key`` behind a header whose ``sha256`` is
+    recomputed, so only the decoder can reject a malformed body."""
+    fields = {"version": CACHE_FORMAT_VERSION, "key": key,
+              "sha256": hashlib.sha256(body).hexdigest(), **header}
+    cache.path_for(key).write_bytes(
+        json.dumps(fields).encode("utf-8") + b"\n" + body)
+
+
+def with_block_header(body, edit):
+    """Block bytes with ``edit`` applied to the block's header line."""
+    line, buffers = body.split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    return json.dumps(header).encode("utf-8") + b"\n" + buffers
+
+
+def flip_bit(data, at):
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
 class TestChecksumRoundtrip:
     def test_put_get_bit_identical(self, cache, records):
         assert decoded(cache.get("k")) == records
 
     def test_payload_carries_checksum(self, cache):
-        payload = json.loads(cache.path_for("k").read_text())
-        assert payload["version"] == CACHE_FORMAT_VERSION
-        assert len(payload["sha256"]) == 64
+        header, _ = split_entry(cache, "k")
+        assert header["version"] == CACHE_FORMAT_VERSION == 6
+        assert len(header["sha256"]) == 64
+        assert cache.path_for("k").name == "k.blk"
 
-    def test_new_entry_checksum_verifies(self, cache):
-        payload = json.loads(cache.path_for("k").read_text())
-        canonical = json.dumps(payload["frame"], sort_keys=True,
-                               separators=(",", ":")).encode("utf-8")
-        assert payload["key"] == "k"
-        assert hashlib.sha256(canonical).hexdigest() == payload["sha256"]
-
-    def test_entry_in_whole_payload_layout_reads_back(self, tmp_path,
-                                                      cache, records):
-        # Entries written as one ``json.dumps`` of the whole payload (the
-        # frame in default, unsorted spacing) stay readable.
-        payload = json.loads(cache.path_for("k").read_text())
-        legacy = SweepCache(tmp_path / "legacy")
-        legacy.path_for("k").write_text(json.dumps({
-            "version": payload["version"],
-            "key": "k",
-            "sha256": payload["sha256"],
-            "frame": RecordBlock.from_payload(payload["frame"]).to_payload(),
-        }))
-        assert decoded(legacy.get("k")) == records
-        assert legacy.corrupt_keys == []
+    def test_new_entry_checksum_verifies(self, cache, block):
+        header, body = split_entry(cache, "k")
+        assert header["key"] == "k"
+        assert body == block.to_bytes()
+        assert hashlib.sha256(body).hexdigest() == header["sha256"]
 
     def test_put_entry_verified_in_place(self, cache, records,
                                          monkeypatch):
-        # An entry in put's layout is checked over its stored frame
-        # bytes: nothing is re-serialized to verify it.
-        def refuse(payload):
-            raise AssertionError("re-canonicalized a put-written entry")
+        # ``get`` checks the stored bytes: nothing is re-encoded to
+        # verify an entry.
+        def refuse(block):
+            raise AssertionError("re-encoded a stored entry")
 
-        monkeypatch.setattr("repro.core.cache._canonical_payload", refuse)
+        monkeypatch.setattr(RecordBlock, "to_bytes", refuse)
         assert decoded(cache.get("k")) == records
         assert cache.corrupt_keys == []
 
@@ -109,80 +124,91 @@ class TestQuarantine:
         assert cache.corrupt_path_for("k").exists()
 
     def test_semantic_tamper_caught_by_checksum(self, cache):
-        """Valid JSON with one altered runtime must still fail: the
-        checksum covers frame *content*, not just parseability."""
-        payload = json.loads(cache.path_for("k").read_text())
-        runtimes = next(c for c in payload["frame"]["columns"]
-                        if c["name"] == "runtimes")
-        runtimes["data"][0] += 1.0
-        cache.path_for("k").write_text(json.dumps(payload))
+        """One altered runtime still decodes to a valid block, so only
+        the checksum can catch it."""
+        header, body = split_entry(cache, "k")
+        # runtimes is the last column: its last cell ends the body.
+        body = body[:-8] + struct.pack("=d", 1.0 + struct.unpack(
+            "=d", body[-8:])[0])
+        RecordBlock.from_bytes(body)  # still decodes
+        write_entry(cache, "k", body, sha256=header["sha256"])
         assert cache.get("k") is None
         assert cache.corrupt_keys == ["k"]
 
     def test_digit_changed_in_stored_frame_quarantined(self, cache):
-        """One runtime digit edited in place leaves valid JSON in put's
-        layout; the in-place check must still catch it."""
+        """One digit of the block header's row count edited in place."""
         raw = cache.path_for("k").read_bytes()
-        # canonical keys are sorted: a column's data precedes its name
-        end = raw.index(b'"name":"runtimes"')
-        at = raw.rindex(b'"data":[', 0, end) + len(b'"data":[')
-        while not raw[at:at + 1].isdigit():
-            at += 1
+        at = raw.index(b'{"n":') + len(b'{"n":')
         digit = b"1" if raw[at:at + 1] != b"1" else b"2"
         cache.path_for("k").write_bytes(raw[:at] + digit + raw[at + 1:])
-        json.loads(cache.path_for("k").read_bytes())  # still valid JSON
         assert cache.get("k") is None
         assert cache.corrupt_keys == ["k"]
 
-    @pytest.mark.parametrize("forged_first", [True, False])
-    def test_forged_header_frame_key_not_trusted(self, cache, records,
-                                                 monkeypatch, forged_first):
-        """A header carrying its own ``frame`` key leaves put's layout:
-        the entry is parsed whole and re-canonicalized, so only a frame
-        that matches the digest under the whole-document reading is
-        ever decoded."""
-        from repro.core import cache as cache_module
-
+    @pytest.mark.parametrize("where", ["entry-header", "block-header",
+                                       "strings", "column-buffer"])
+    def test_bit_flip_quarantined(self, cache, where):
         raw = cache.path_for("k").read_bytes()
-        cut = raw.rindex(b', "frame": ')
-        real = raw[cut + len(b', "frame": '):-1]
-        payload = json.loads(real)
-        runtimes = next(c for c in payload["columns"]
-                        if c["name"] == "runtimes")
-        runtimes["data"][0] += 1.0
-        forged = json.dumps(payload).encode("utf-8")
-        # JSON's last duplicate key wins: the trailing frame is the one
-        # a whole-document parse reads.
-        first, last = (forged, real) if forged_first else (real, forged)
-        cache.path_for("k").write_bytes(
-            raw[:cut] + b', "frame": ' + first + b', "frame": ' + last
-            + b"}"
-        )
-        canonicalized = []
-        real_canonical = cache_module._canonical_payload
-        monkeypatch.setattr(
-            cache_module, "_canonical_payload",
-            lambda p: canonicalized.append(1) or real_canonical(p),
-        )
-        got = cache.get("k")
-        assert canonicalized, "the forged entry skipped re-canonicalization"
-        if forged_first:
-            assert decoded(got) == records
-            assert cache.corrupt_keys == []
-        else:
-            assert got is None
-            assert cache.corrupt_keys == ["k"]
+        at = {
+            "entry-header": raw.index(b'"sha256"') + len(b'"sha256": "'),
+            "block-header": raw.index(b'"schema"') + 3,
+            "strings": raw.index(b'"strings":["') + len(b'"strings":["'),
+            "column-buffer": len(raw) - 20,
+        }[where]
+        cache.path_for("k").write_bytes(flip_bit(raw, at))
+        assert cache.get("k") is None
+        assert cache.corrupt_keys == ["k"]
+
+    def test_trailing_bytes_quarantined(self, cache):
+        with open(cache.path_for("k"), "ab") as handle:
+            handle.write(b"\0")
+        assert cache.get("k") is None
+        assert cache.corrupt_keys == ["k"]
+
+    def test_entry_under_another_key_quarantined(self, cache):
+        cache.path_for("k").rename(cache.path_for("other"))
+        assert cache.get("other") is None
+        assert cache.corrupt_keys == ["other"]
+
+    @pytest.mark.parametrize("malform", [
+        lambda b: with_block_header(
+            b, lambda h: h["schema"][-1].__setitem__(2, "x")),
+        lambda b: with_block_header(
+            b, lambda h: h["schema"][0].__setitem__(1, "f4")),
+        lambda b: with_block_header(b, lambda h: h.update(n=-1)),
+        lambda b: with_block_header(b, lambda h: h.update(n=1.5)),
+        lambda b: with_block_header(
+            b, lambda h: h["strings"].__setitem__(1, h["strings"][0])),
+        lambda b: b.replace(b"\n" + struct.pack("=q", 0),
+                            b"\n" + struct.pack("=q", 10**6), 1),
+        lambda b: b[:-1],
+        lambda b: b + b"\0",
+    ], ids=["non-int-width", "unknown-kind", "negative-n", "non-int-n",
+            "duplicate-string", "string-code-out-of-range",
+            "buffer-one-byte-short", "one-trailing-byte"])
+    def test_digest_valid_malformed_block_quarantined(self, cache, malform):
+        """Each body is re-digested, so only the decoder can reject it:
+        ``get`` must quarantine, never raise."""
+        _, body = split_entry(cache, "k")
+        bad = malform(body)
+        assert bad != body
+        write_entry(cache, "k", bad)
+        assert cache.get("k") is None
+        assert cache.corrupt_keys == ["k"]
+        assert cache.corrupt_path_for("k").exists()
 
     def test_non_dict_payload_quarantined(self, tmp_path):
         cache = SweepCache(tmp_path)
         cache.path_for("junk").write_text("[1, 2, 3]")
+        cache.path_for("list").write_text("[1, 2, 3]\n{}")
         assert cache.get("junk") is None
-        assert cache.corrupt_keys == ["junk"]
+        assert cache.get("list") is None
+        assert cache.corrupt_keys == ["junk", "list"]
 
     def test_missing_checksum_field_quarantined(self, cache):
-        payload = json.loads(cache.path_for("k").read_text())
-        del payload["sha256"]
-        cache.path_for("k").write_text(json.dumps(payload))
+        header, body = split_entry(cache, "k")
+        del header["sha256"]
+        cache.path_for("k").write_bytes(
+            json.dumps(header).encode("utf-8") + b"\n" + body)
         assert cache.get("k") is None
         assert cache.corrupt_keys == ["k"]
 
@@ -197,12 +223,32 @@ class TestMissVsCorruption:
     def test_version_mismatch_is_a_plain_miss(self, cache):
         """A stale format is expected after upgrades — it must NOT be
         flagged as corruption."""
-        payload = json.loads(cache.path_for("k").read_text())
-        payload["version"] = CACHE_FORMAT_VERSION + 1
-        cache.path_for("k").write_text(json.dumps(payload))
+        _, body = split_entry(cache, "k")
+        write_entry(cache, "k", body, version=CACHE_FORMAT_VERSION + 1)
         assert cache.get("k") is None
         assert cache.corrupt_keys == []
         assert cache.path_for("k").exists()  # left in place
+
+    def test_v5_entries_are_inert(self, tmp_path):
+        """A directory of v5 ``<key>.json`` entries is re-swept: none is
+        read, none is counted, none is quarantined."""
+        plan = SweepPlan(arch="milan", workload_names=("cg",),
+                         scale="small", repetitions=2, inputs_limit=1)
+        warm = SweepCache(tmp_path / "warm")
+        fresh = run_sweep(plan, cache=warm)
+        v5 = SweepCache(tmp_path / "v5")
+        for entry in warm.root.glob("*.blk"):
+            (v5.root / (entry.stem + ".json")).write_text(json.dumps(
+                {"version": 5, "key": entry.stem, "sha256": "0" * 64,
+                 "frame": {}}))
+        assert len(v5) == 0
+        result = run_sweep(plan, cache=v5)
+        assert result.records == fresh.records
+        assert result.n_cached_batches == 0
+        assert result.n_computed_batches == len(plan_batches(plan))
+        assert v5.corrupt_keys == []
+        assert len(v5) == len(plan_batches(plan))
+        assert len(list(v5.root.glob("*.json"))) == len(v5)
 
     def test_absent_key_is_a_plain_miss(self, tmp_path):
         cache = SweepCache(tmp_path)
@@ -227,56 +273,3 @@ class TestStats:
         apply_cache_fault(cache.path_for("k"), "cache-bit-flip")
         cache.get("k")
         assert "1 corrupt" in repr(cache)
-
-
-class TestPrefixPartitions:
-    def _key(self, i):
-        return f"{i:08x}" + "0" * 56
-
-    def test_partition_count_validated(self, tmp_path):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            SweepCache(tmp_path, n_partitions=0)
-
-    def test_partition_for_agrees_with_the_shard_planner(self, tmp_path):
-        from repro.resilience.sharding import partition_for_key
-
-        cache = SweepCache(tmp_path, n_partitions=8)
-        for i in range(32):
-            assert cache.partition_for(self._key(i)) \
-                == partition_for_key(self._key(i), 8)
-
-    def test_non_hex_key_still_partitions(self, tmp_path):
-        # Arbitrary keys (the tests use "k") hash into a partition
-        # instead of erroring; the assignment is stable.
-        cache = SweepCache(tmp_path, n_partitions=8)
-        p = cache.partition_for("k")
-        assert 0 <= p < 8
-        assert cache.partition_for("k") == p
-
-    def test_stats_break_entries_down_by_partition(self, tmp_path,
-                                                   block):
-        cache = SweepCache(tmp_path, n_partitions=4)
-        keys = [self._key(i) for i in range(6)]
-        for key in keys:
-            cache.put(key, block)
-        stats = cache.stats
-        per_part = {row["partition"]: row["entries"]
-                    for row in stats["partitions"]}
-        assert sum(per_part.values()) == stats["entries"] == 6
-        for key in keys:
-            assert per_part[cache.partition_for(key)] >= 1
-
-    def test_corruption_charged_to_the_owning_partition(self, tmp_path,
-                                                        block):
-        cache = SweepCache(tmp_path, n_partitions=4)
-        good, bad = self._key(0), self._key(1)
-        cache.put(good, block)
-        cache.put(bad, block)
-        apply_cache_fault(cache.path_for(bad), "cache-torn-write")
-        cache.get(bad)
-        rows = {row["partition"]: row for row in cache.stats["partitions"]}
-        assert rows[cache.partition_for(bad)]["corrupt"] == 1
-        assert rows[cache.partition_for(good)]["corrupt"] == 0
-        assert sum(r["corrupt"] for r in rows.values()) == 1

@@ -232,16 +232,20 @@ class TestSweepCacheStore:
 
     def test_corrupt_entry_is_miss(self, tmp_path):
         cache = SweepCache(tmp_path)
-        (tmp_path / "bad.json").write_text("{ torn", encoding="utf-8")
+        (tmp_path / "bad.blk").write_text("{ torn", encoding="utf-8")
         assert cache.get("bad") is None
+        assert cache.corrupt_keys == ["bad"]
 
     def test_version_mismatch_is_miss(self, tmp_path, plan):
         cache = SweepCache(tmp_path)
         cache.put("k", sweep_records_to_block(run_sweep(plan).records[:1]))
-        payload = json.loads((tmp_path / "k.json").read_text())
-        payload["version"] = CACHE_FORMAT_VERSION + 1
-        (tmp_path / "k.json").write_text(json.dumps(payload))
+        line, body = (tmp_path / "k.blk").read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["version"] = CACHE_FORMAT_VERSION + 1
+        (tmp_path / "k.blk").write_bytes(
+            json.dumps(header).encode("utf-8") + b"\n" + body)
         assert cache.get("k") is None
+        assert cache.corrupt_keys == []
 
     def test_len_counts_entries(self, tmp_path, plan):
         cache = SweepCache(tmp_path)
@@ -251,14 +255,17 @@ class TestSweepCacheStore:
         assert len(cache) == 1
 
     def test_len_ignores_foreign_files(self, tmp_path, plan):
-        """Only well-formed ``<64-hex-key>.json`` names are entries: a
-        stray JSON file (or a short test key) must not inflate
-        ``len(cache)`` / ``stats['entries']``."""
+        """Only well-formed ``<64-hex-key>.blk`` names are entries: a
+        stray file, a v5 ``<key>.json`` entry or a short test key must
+        not inflate ``len(cache)`` / ``stats['entries']``."""
         cache = SweepCache(tmp_path)
         cache.put("1" * 64,
                   sweep_records_to_block(run_sweep(plan).records[:1]))
         (tmp_path / "notes.json").write_text("{}", encoding="utf-8")
         (tmp_path / "README.json").write_text("[]", encoding="utf-8")
+        (tmp_path / "notes.blk").write_text("{}", encoding="utf-8")
+        (tmp_path / ("6" * 64 + ".json")).write_text("{}",
+                                                     encoding="utf-8")
         (tmp_path / ("2" * 64 + ".corrupt")).write_text("x",
                                                         encoding="utf-8")
         assert len(cache) == 1
@@ -324,7 +331,7 @@ class TestRunSweepResume:
     def test_deleted_entry_recomputed(self, tmp_path, plan, counted_batches):
         cache = SweepCache(tmp_path)
         run_sweep(plan, cache=cache)
-        victim = next(iter(cache.root.glob("*.json")))
+        victim = next(iter(cache.root.glob("*.blk")))
         victim.unlink()
         counted_batches.clear()
         run_sweep(plan, cache=cache)
@@ -342,7 +349,7 @@ class TestRunSweepResume:
 
         # Partially warmed cache (mid-sweep interruption): drop one entry.
         cache = SweepCache(tmp_path / "c")
-        next(iter(cache.root.glob("*.json"))).unlink()
+        next(iter(cache.root.glob("*.blk"))).unlink()
         resumed = run_sweep(plan, n_processes=2, cache=cache)
         assert resumed.records == serial.records
         assert resumed.n_cached_batches == len(plan_batches(plan)) - 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ColumnError, LengthMismatch
+from repro.frame.columns import RecordBlock
 from repro.frame.ops import concat_tables
 from repro.frame.table import Table
 
@@ -416,15 +417,23 @@ RECORDS_BOTH_PATHS = [
 SCHEMA_BOTH_PATHS = {"app": "str", "arch": "str", "runtime": "f8"}
 
 
+def block_of(records, schema):
+    """A :class:`RecordBlock` of ``schema`` holding ``records``' cells,
+    packed column at a time."""
+    block = RecordBlock(schema)
+    for name, col in block.columns.items():
+        col.extend_cells(r[name] for r in records)
+    return block
+
+
 @pytest.fixture(params=["records", "block"])
 def build(request):
     """Build one logical table via the dict path or the block path."""
-    from repro.frame.columns import RecordBlock
 
     def _build(records, schema):
         if request.param == "records":
             return Table.from_records(records)
-        return Table.from_block(RecordBlock.from_records(records, schema))
+        return Table.from_block(block_of(records, schema))
 
     return _build
 
@@ -457,13 +466,11 @@ class TestEdgeCasesBothPaths:
     def test_disjoint_key_sets_match_explicit_none_block(self):
         """from_records fills disjoint keys with None/nan; a block built
         with explicit nulls must produce the same table."""
-        from repro.frame.columns import RecordBlock
-
         via_records = Table.from_records(
             [{"a": "x", "b": 1.0}, {"a": "y", "c": "z"}]
         )
         assert via_records.column("b").dtype.kind == "f"  # nan-filled
-        via_block = Table.from_block(RecordBlock.from_records(
+        via_block = Table.from_block(block_of(
             [{"a": "x", "b": 1.0, "c": None},
              {"a": "y", "b": float("nan"), "c": "z"}],
             {"a": "str", "b": "f8", "c": "str"},

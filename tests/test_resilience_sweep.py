@@ -190,7 +190,7 @@ class TestReportedShards:
         run_sweep(plan, cache=cache)
         warm = run_sweep(plan, n_processes=3, backend="nodes", cache=cache)
         assert (warm.n_computed_batches, warm.n_shards) == (0, 1)
-        next(iter(cache.root.glob("*.json"))).unlink()
+        next(iter(cache.root.glob("*.blk"))).unlink()
         result = run_sweep(plan, n_processes=4, backend="pool", cache=cache)
         assert (result.n_computed_batches, result.n_shards) == (1, 1)
 

@@ -39,17 +39,15 @@ def good_block():
 
 def _tampered(block, column, value):
     """``block`` with row 0 of ``column`` set to the raw cell ``value``."""
-    payload = block.to_payload()
-    spec = next(c for c in payload["columns"] if c["name"] == column)
-    spec["data"][0] = value
-    return RecordBlock.from_payload(payload)
+    clone = RecordBlock.from_bytes(block.to_bytes())
+    clone.columns[column].data[0] = value
+    return clone
 
 
 def _without(block, column):
-    payload = block.to_payload()
-    payload["columns"] = [c for c in payload["columns"]
-                          if c["name"] != column]
-    return RecordBlock.from_payload(payload)
+    clone = RecordBlock.from_bytes(block.to_bytes())
+    del clone.columns[column]
+    return clone
 
 
 #: Every defect the full-decode validator rejected, by name.
@@ -155,3 +153,32 @@ class TestRowsDecodedOnDemand:
         assert result.n_measurements == sum(
             len(r.runtimes) for r in result.records)
         assert result.apps() == ["cg", "ep"]
+
+
+@pytest.fixture(scope="module", params=["milan", "skylake", "a64fx"])
+def seed0_sweeps(request):
+    """A seed-0 small sweep of one machine, serial and over a 2-process
+    pool."""
+    plan = SweepPlan(arch=request.param, scale="small", repetitions=3,
+                     seed=0)
+    return run_sweep(plan), run_sweep(plan, n_processes=2, backend="pool")
+
+
+class TestByteCodec:
+    """Every batch block of real sweeps survives the cache's codec."""
+
+    def test_roundtrip_keeps_buffers_and_strings(self, seed0_sweeps):
+        serial, _ = seed0_sweeps
+        for block in serial.blocks:
+            clone = RecordBlock.from_bytes(block.to_bytes())
+            assert clone.strings.to_list() == block.strings.to_list()
+            assert clone.schema == block.schema
+            for name, col in block.columns.items():
+                assert clone.columns[name].data == col.data
+
+    def test_serial_and_pool_blocks_encode_identically(self, seed0_sweeps):
+        serial, pooled = seed0_sweeps
+        assert pooled.backend == "pool"
+        assert len(serial.blocks) == len(pooled.blocks)
+        for a, b in zip(serial.blocks, pooled.blocks):
+            assert a.to_bytes() == b.to_bytes()
