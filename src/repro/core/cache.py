@@ -31,14 +31,15 @@ a torn entry.  Since format v6 an entry is a one-line JSON header
 with the schema and interned strings, then the raw column buffers — see
 ``docs/COLUMNAR.md``).  ``sha256`` covers every byte that is decoded,
 so runtimes are stored and read back bit for bit.  An entry that is torn,
-fails its checksum, names another key, or decodes to a malformed block
-is **quarantined** — moved aside to ``<key>.corrupt`` and counted in
-:attr:`SweepCache.stats` — never silently re-simulated, so disk
-corruption is observable (and surfaces in the sweep's
-:class:`~repro.resilience.report.FailureReport`).  An entry of another
-format version is a legitimate miss, not corruption; v5 and older
-entries (``<key>.json``) are never even read, since the version is part
-of the key.  See ``docs/SWEEP_CACHE.md``.
+names another format version or another key, fails its checksum, or
+decodes to a malformed block is **quarantined** — moved aside to
+``<key>.corrupt`` and counted in :attr:`SweepCache.stats` — never
+silently re-simulated, so disk corruption is observable (and surfaces
+in the sweep's :class:`~repro.resilience.report.FailureReport`).  The
+format version is slot 0 of the key, so an entry of another version
+never sits under a current key: a ``version`` mismatch in a ``.blk``
+entry can only be corruption.  v5 and older entries (``<key>.json``)
+are never even read.  See ``docs/SWEEP_CACHE.md``.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ __all__ = ["CACHE_FORMAT_VERSION", "CACHE_KEY_FIELDS",
 #: per-record dict list; the checksum now covers the canonical frame
 #: serialization.  v4 entries read as plain misses.
 #: v6: entries are ``<key>.blk`` — a JSON header line, then the block's
-#: byte codec (raw column buffers); the checksum covers those bytes.
+#: byte codec (raw column buffers); the checksum covers those bytes.  The
+#: version is slot 0 of the key, so old entries live under other keys and
+#: are never read; a header of another version under this key is corrupt.
 CACHE_FORMAT_VERSION = 6
 
 #: The named slots of a batch key's identity tuple, in hash order.
@@ -313,8 +316,8 @@ class SweepCache:
     def get(self, key: str) -> RecordBlock | None:
         """The cached batch block for ``key``, or None (counts as a miss).
 
-        A missing file or an entry of another format version is a plain
-        miss.  Anything else that fails — a torn entry, a checksum
+        A missing file is a plain miss.  Anything else that fails — a
+        torn entry, a header of another format version, a checksum
         mismatch (bit rot), a header naming another key, bytes
         :meth:`~repro.frame.columns.RecordBlock.from_bytes` rejects or a
         block :func:`~repro.core.sweep.check_sweep_block` rejects — is
@@ -333,13 +336,11 @@ class SweepCache:
             header = json.loads(raw[:cut]) if cut >= 0 else None
         except ValueError:  # JSONDecodeError, UnicodeDecodeError
             header = None
-        if isinstance(header, dict) and (
-                header.get("version") != CACHE_FORMAT_VERSION):
-            self.misses += 1
-            return None
         body = raw[cut + 1:]
         try:
-            if not isinstance(header, dict) or header.get("key") != key or (
+            if not isinstance(header, dict) or (
+                    header.get("version") != CACHE_FORMAT_VERSION) or (
+                    header.get("key") != key) or (
                     header.get("sha256") != hashlib.sha256(body).hexdigest()):
                 raise FrameError("cache entry is torn or fails its checksum")
             block = RecordBlock.from_bytes(body)

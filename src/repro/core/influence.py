@@ -15,6 +15,18 @@ comparable.
 A feature that is constant within a group (e.g. "architecture" for Sort,
 which only ran on A64FX) standardizes to zero and receives zero influence
 — exactly the paper's "no reliance" observation for Sort/Strassen.
+
+Encoding contract.  A categorical feature's code within a group is what
+:class:`~repro.mlkit.preprocess.LabelEncoder` fitted on the group's rows
+would give: labels numbered ``0..k-1`` by first appearance *within the
+group* (not sorted order, and without the gaps the whole-table codes
+leave where a group lacks a label — gaps would change the standardized
+spacing), with the encoder's ``dict`` key equality (``np.generic`` cells
+as their ``.item()``; a ``nan`` float cell, on which the encoder raises,
+is a label of its own).  No encoder is fitted, though: each column is
+factorized once per table (:meth:`~repro.frame.table.Table.codes`) and
+re-ranked per group in one vectorized pass (:func:`_group_local_codes`);
+every group's design matrix is a row slice of one matrix per grouping.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from repro.errors import SchemaError
 from repro.frame.table import Table
 from repro.mlkit.linreg import LinearRegression
 from repro.mlkit.logreg import LogisticRegression
-from repro.mlkit.preprocess import LabelEncoder, Standardizer
+from repro.mlkit.preprocess import Standardizer
 
 __all__ = [
     "FEATURE_COLUMNS",
@@ -120,30 +132,84 @@ class InfluenceMatrix:
         return float(self.matrix()[:, idx].mean())
 
 
-def _encode_features(
-    table: Table, columns: Sequence[str]
-) -> tuple[np.ndarray, list[str]]:
-    """Design matrix from dataset columns (naive ordinal encoding)."""
-    cols = []
-    names = []
-    for col in columns:
-        values = table.column(col)
+def _group_local_codes(
+    codes: np.ndarray, group_of_row: np.ndarray, k: int
+) -> np.ndarray:
+    """Re-rank whole-table ``codes`` (``0..k-1``) within each group.
+
+    Each row's code becomes the first-appearance rank of its value among
+    its group's rows — what a ``LabelEncoder`` fitted on that group alone
+    assigns.  One ``np.unique`` over the (group, code) pairs finds each
+    pair's first row; sorting the pairs by (group, first row) and
+    counting from each group's first pair ranks them.
+    """
+    pairs, first, inverse = np.unique(
+        group_of_row * k + codes, return_index=True, return_inverse=True
+    )
+    pair_group = pairs // k
+    ranked = np.lexsort((first, pair_group))
+    local = np.empty(pairs.shape[0], dtype=np.int64)
+    # ``pairs`` is sorted, so each group's pairs form one run of
+    # ``pair_group`` and searchsorted finds the run's start.
+    local[ranked] = (np.arange(pairs.shape[0])
+                     - np.searchsorted(pair_group, pair_group))
+    return local[inverse.reshape(-1)]
+
+
+def _feature_matrix(
+    table: Table,
+    columns: Sequence[str],
+    order: np.ndarray | None = None,
+    group_of_row: np.ndarray | None = None,
+) -> np.ndarray:
+    """Design matrix (naive ordinal encoding) over rows ``order`` (every
+    row when ``None``); categorical codes are local to each group of
+    ``group_of_row`` when it is given, else to the whole table."""
+    if order is None:
+        order = np.arange(table.num_rows)
+    X = np.empty((order.shape[0], len(columns)))
+    for j, col in enumerate(columns):
         if col in _NUMERIC_COLUMNS:
-            cols.append(np.asarray(values, dtype=float))
-        else:
-            enc = LabelEncoder()
-            cols.append(enc.fit_transform(list(values)).astype(float))
-        names.append(FEATURE_COLUMNS.get(col, col))
-    return np.stack(cols, axis=1), names
+            X[:, j] = np.asarray(table.column(col), dtype=float)[order]
+            continue
+        uniques, codes = table.codes(col)
+        codes = codes[order]
+        if group_of_row is not None:
+            codes = _group_local_codes(codes, group_of_row, uniques.shape[0])
+        X[:, j] = codes
+    return X
+
+
+def _feature_names(columns: Sequence[str]) -> list[str]:
+    return [FEATURE_COLUMNS.get(col, col) for col in columns]
+
+
+def _encode_groups(
+    table: Table, by: Sequence[str], columns: Sequence[str]
+) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
+    """``[(label, X, rows), ...]`` per group of ``by``, in group order.
+
+    ``rows`` are the group's table rows (table order) and ``X`` its design
+    matrix with group-local codes: a row slice of one matrix built over
+    every row in group order.
+    """
+    groups = table.group_indices(list(by))
+    if not groups:
+        return []
+    sizes = np.asarray([rows.shape[0] for _, rows in groups])
+    order = np.concatenate([rows for _, rows in groups])
+    group_of_row = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
+    X = _feature_matrix(table, columns, order, group_of_row)
+    stops = np.cumsum(sizes).tolist()
+    return [
+        (label, X[stop - rows.shape[0]:stop], rows)
+        for (label, rows), stop in zip(groups, stops)
+    ]
 
 
 def _group_influence(
-    label: tuple, sub: Table, columns: Sequence[str], l2: float
+    label: tuple, X_raw: np.ndarray, y: np.ndarray, names: list[str], l2: float
 ) -> GroupInfluence:
-    if "optimal" not in sub:
-        raise SchemaError("influence analysis needs the 'optimal' column")
-    X_raw, names = _encode_features(sub, columns)
-    y = np.asarray(sub.column("optimal"), dtype=float)
     if np.unique(y).shape[0] < 2:
         # Degenerate group: nothing separates optimal from sub-optimal.
         return GroupInfluence(
@@ -151,7 +217,7 @@ def _group_influence(
             feature_names=tuple(names),
             importances=np.zeros(len(names)),
             accuracy=1.0,
-            n_samples=sub.num_rows,
+            n_samples=y.shape[0],
         )
     X = Standardizer().fit_transform(X_raw)
     model = LogisticRegression(l2=l2, solver="newton", max_iter=100, tol=1e-7)
@@ -161,7 +227,7 @@ def _group_influence(
         feature_names=tuple(names),
         importances=model.normalized_importances(),
         accuracy=model.score(X, y),
-        n_samples=sub.num_rows,
+        n_samples=y.shape[0],
     )
 
 
@@ -175,11 +241,14 @@ def _influence(
     missing = [c for c in list(by) + list(feature_cols) if c not in table]
     if missing:
         raise SchemaError(f"influence analysis: missing columns {missing}")
-    rows = [
-        _group_influence(label, sub, feature_cols, l2)
-        for label, sub in table.group_by(list(by))
-    ]
-    return InfluenceMatrix(grouping=grouping, rows=tuple(rows))
+    if "optimal" not in table:
+        raise SchemaError("influence analysis needs the 'optimal' column")
+    names = _feature_names(feature_cols)
+    y = np.asarray(table.column("optimal"), dtype=float)
+    return InfluenceMatrix(grouping=grouping, rows=tuple(
+        _group_influence(label, X, y[idx], names, l2)
+        for label, X, idx in _encode_groups(table, by, feature_cols)
+    ))
 
 
 _ENV_FEATURES = (
@@ -225,7 +294,7 @@ def linear_fit_quality(table: Table, target: str = "runtime_mean") -> float:
     """
     if target not in table:
         raise SchemaError(f"linear_fit_quality: no column {target!r}")
-    X_raw, _ = _encode_features(table, _ENV_FEATURES)
+    X_raw = _feature_matrix(table, _ENV_FEATURES)
     y = np.asarray(table.column(target), dtype=float)
     X = Standardizer().fit_transform(X_raw)
     model = LinearRegression().fit(X, y)

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.influence import (
-    FEATURE_COLUMNS,
     GroupInfluence,
     InfluenceMatrix,
-    _encode_features,
+    _encode_groups,
+    _feature_names,
 )
 from repro.errors import SchemaError
 from repro.frame.table import Table
@@ -54,23 +54,20 @@ _ENV_FEATURES = (
 
 def _forest_group(
     label: tuple,
-    sub: Table,
-    columns: Sequence[str],
+    X: np.ndarray,
+    y: np.ndarray,
+    names: list[str],
     n_trees: int,
     max_depth: int,
     seed: int,
 ) -> GroupInfluence:
-    if "optimal" not in sub:
-        raise SchemaError("forest influence needs the 'optimal' column")
-    X, names = _encode_features(sub, columns)
-    y = np.asarray(sub.column("optimal"), dtype=float)
     if np.unique(y).shape[0] < 2:
         return GroupInfluence(
             label=label,
             feature_names=tuple(names),
             importances=np.zeros(len(names)),
             accuracy=1.0,
-            n_samples=sub.num_rows,
+            n_samples=y.shape[0],
         )
     model = RandomForestClassifier(
         n_trees=n_trees, max_depth=max_depth, seed=seed
@@ -80,7 +77,7 @@ def _forest_group(
         feature_names=tuple(names),
         importances=model.normalized_importances(),
         accuracy=model.score(X, y),
-        n_samples=sub.num_rows,
+        n_samples=y.shape[0],
     )
 
 
@@ -106,9 +103,13 @@ def forest_influence(
     missing = [c for c in list(by) + list(feature_cols) if c not in table]
     if missing:
         raise SchemaError(f"forest influence: missing columns {missing}")
+    if "optimal" not in table:
+        raise SchemaError("forest influence needs the 'optimal' column")
+    names = _feature_names(feature_cols)
+    y = np.asarray(table.column("optimal"), dtype=float)
     rows = tuple(
-        _forest_group(label, sub, feature_cols, n_trees, max_depth, seed)
-        for label, sub in table.group_by(list(by))
+        _forest_group(label, X, y[idx], names, n_trees, max_depth, seed)
+        for label, X, idx in _encode_groups(table, by, feature_cols)
     )
     return InfluenceMatrix(grouping="forest-by-" + "-".join(by), rows=rows)
 
@@ -155,10 +156,11 @@ def compare_models(
         extra += ("app",)
     feature_cols = extra + _ENV_FEATURES
 
+    names = _feature_names(feature_cols)
+    y_all = np.asarray(table.column("optimal"), dtype=float)
     out: list[ModelComparison] = []
-    for label, sub in table.group_by(list(by)):
-        X_raw, names = _encode_features(sub, feature_cols)
-        y = np.asarray(sub.column("optimal"), dtype=float)
+    for label, X_raw, idx in _encode_groups(table, by, feature_cols):
+        y = y_all[idx]
         if np.unique(y).shape[0] < 2:
             continue
         Xz = Standardizer().fit_transform(X_raw)
@@ -171,7 +173,7 @@ def compare_models(
         out.append(
             ModelComparison(
                 label=label,
-                n_samples=sub.num_rows,
+                n_samples=y.shape[0],
                 linear_accuracy=linear.score(Xz, y),
                 forest_accuracy=forest.score(X_raw, y),
                 linear_auc=roc_auc_score(y, linear.predict_proba(Xz)),

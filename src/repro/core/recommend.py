@@ -69,13 +69,20 @@ class WorstTrend:
     mean_speedup: float
 
 
-def _encode(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+def _str_codes(table: Table, name: str) -> tuple[list[str], np.ndarray]:
     """``(labels, codes)`` of a column's ``str`` values: the distinct
-    strings in sorted order and each row's index into them."""
-    labels, codes = np.unique(
-        np.asarray([str(v) for v in column], dtype=str), return_inverse=True
+    strings in sorted order and each row's index into them.
+
+    Built from the table's cached :meth:`~repro.frame.table.Table.codes`,
+    so ``str`` runs once per distinct value, not once per row; values
+    that compare equal (``0`` and ``0.0`` in one object column) share
+    one label.
+    """
+    uniques, codes = table.codes(name)
+    labels, remap = np.unique(
+        np.asarray([str(v) for v in uniques], dtype=str), return_inverse=True
     )
-    return labels.tolist(), codes.reshape(-1)
+    return labels.tolist(), remap.reshape(-1)[codes]
 
 
 def best_variable_values(
@@ -93,14 +100,14 @@ def best_variable_values(
     ``defaults`` is emitted — the paper's "A64FX: defaults" row for
     NQueens.
 
-    Each variable is encoded once for the whole table and counted per
-    group; a frequency is ``count / n``, which equals the mean of the
-    per-row match flags exactly.
+    Each variable is encoded once for the whole table (through its
+    cached codes) and counted per group; a frequency is ``count / n``,
+    which equals the mean of the per-row match flags exactly.
     """
     if "speedup" not in table:
         raise SchemaError("best_variable_values needs the 'speedup' column")
     speedup = np.asarray(table.column("speedup"), dtype=float)
-    encoded = [(var, *_encode(table.column(var))) for var in _VARIABLES]
+    encoded = [(var, *_str_codes(table, var)) for var in _VARIABLES]
     out: list[Recommendation] = []
     for (app, arch), rows in table.group_indices(["app", "arch"]):
         group_speedup = speedup[rows]
@@ -164,9 +171,12 @@ def worst_trends(
     min_lift: float = 2.0,
     variables: Sequence[str] = ("proc_bind", "places"),
 ) -> list[WorstTrend]:
-    """Variable-value pairs enriched among the worst-performing samples."""
+    """Variable-value pairs enriched among the worst-performing samples
+    (none in an empty table)."""
     if "speedup" not in table:
         raise SchemaError("worst_trends needs the 'speedup' column")
+    if table.num_rows == 0:
+        return []
     speedup = np.asarray(table.column("speedup"), dtype=float)
     cutoff = np.quantile(speedup, quantile)
     worst = np.flatnonzero(speedup <= cutoff)
@@ -174,7 +184,7 @@ def worst_trends(
 
     out: list[WorstTrend] = []
     for var in variables:
-        labels, codes = _encode(table.column(var))
+        labels, codes = _str_codes(table, var)
         worst_codes = codes[worst]
         n_worst = np.bincount(worst_codes, minlength=len(labels))
         n_all = np.bincount(codes, minlength=len(labels))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.influence import _encode_features, influence_by_arch_application
+from repro.core.influence import _feature_matrix, influence_by_arch_application
 from repro.errors import DatasetError, SchemaError
 from repro.frame.table import Table
 from repro.mlkit.preprocess import Standardizer
@@ -98,7 +98,7 @@ def leave_one_app_out(
     _require(table, "leave_one_app_out")
     all_apps = table.unique("app")
     targets = list(apps) if apps is not None else all_apps
-    X_all, _names = _encode_features(table, _FEATURES)
+    X_all = _feature_matrix(table, _FEATURES)
     y_all = np.asarray(table.column("optimal"), dtype=float)
     app_col = np.asarray([str(a) for a in table.column("app")], dtype=object)
 

@@ -90,65 +90,74 @@ def _group_key(row_values: tuple) -> tuple:
     return tuple(out)
 
 
-def _factorize(arr: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """First-appearance integer codes for a key column.
+def _unique_first(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique`` renumbered by first appearance: ``(uniques, codes)``
+    with ``uniques`` in the order their first cell appears."""
+    uniques, first, inverse = np.unique(
+        arr, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(order.shape[0], dtype=np.int64)
+    rank[order] = np.arange(order.shape[0], dtype=np.int64)
+    return uniques[order], rank[inverse.reshape(-1)]
 
-    Returns ``(codes, n_distinct)`` where equal cells share a code and
-    codes are numbered by order of first appearance, or ``None`` when the
-    column cannot be factorized without changing key semantics (floats
-    containing ``nan``, object columns holding anything but ``str``).
-    Callers fall back to the hash-based python path, which defines the
-    reference behaviour.
-    """
+
+def _sortable(arr: np.ndarray) -> bool:
+    """Whether ``np.unique`` groups ``arr``'s cells with ``dict`` key
+    equality: integers, booleans, floats without ``nan`` and object
+    columns of ``str`` only."""
     if arr.dtype == object:
-        if not all(type(v) is str for v in arr):
-            return None
-    elif arr.dtype.kind == "f":
-        if np.isnan(arr).any():
-            return None
-    elif arr.dtype.kind not in ("i", "u", "b", "U", "S"):
-        return None
-    uniques, inverse = np.unique(arr, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    k = int(uniques.shape[0])
-    n = arr.shape[0]
-    # np.unique numbers codes in sorted order; renumber by first
-    # appearance so downstream group order matches the insertion-ordered
-    # dict of the python path.
-    first_pos = np.full(k, n, dtype=np.int64)
-    np.minimum.at(first_pos, inverse, np.arange(n, dtype=np.int64))
-    rank = np.empty(k, dtype=np.int64)
-    rank[np.argsort(first_pos, kind="stable")] = np.arange(k, dtype=np.int64)
-    return rank[inverse], k
+        return all(type(v) is str for v in arr)
+    if arr.dtype.kind == "f":
+        return not np.isnan(arr).any()
+    return arr.dtype.kind in ("i", "u", "b", "U", "S")
 
 
-def _composite_codes(cols: Sequence[np.ndarray]) -> np.ndarray | None:
-    """First-appearance codes over row *tuples* of the key columns.
+def _factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(uniques, codes)`` of one column, numbered by first appearance.
 
-    ``None`` when any column is not safely factorizable — distinct tuples
-    get distinct codes, equal tuples share one, and codes are numbered by
-    the tuple's first appearance.
+    Two cells share a code exactly when a ``dict`` would treat them as one
+    key after ``np.generic.item()`` — the key equality of
+    :class:`~repro.mlkit.preprocess.LabelEncoder` — so ``codes`` equals
+    ``LabelEncoder().fit_transform(arr)`` wherever that succeeds (the
+    encoder raises on a ``nan`` float cell).  Numeric :func:`_sortable`
+    columns take a vectorized ``np.unique`` path; object columns (where a
+    ``dict`` also beats sorting Python objects) and ``nan`` floats (each
+    ``nan`` cell its own key) take the dict path itself.
     """
-    if not cols:
-        return None
-    combined: np.ndarray | None = None
-    cardinality = 1
-    for col in cols:
-        res = _factorize(col)
-        if res is None:
-            return None
-        codes, k = res
-        if combined is None:
-            combined, cardinality = codes, max(k, 1)
-        else:
-            if cardinality * max(k, 1) > 2**62:
-                return None  # composite code would overflow int64
-            combined = combined * k + codes
-            cardinality *= max(k, 1)
-    if len(cols) == 1:
+    if arr.dtype != object and _sortable(arr):
+        return _unique_first(arr)
+    index: dict[Any, int] = {}
+    generic = np.generic
+    codes = np.fromiter(
+        (index.setdefault(v.item() if isinstance(v, generic) else v,
+                          len(index)) for v in arr),
+        dtype=np.int64, count=arr.shape[0],
+    )
+    uniques = np.empty(len(index), dtype=object)
+    for j, v in enumerate(index):
+        uniques[j] = v
+    return uniques, codes
+
+
+def _composite_codes(
+    factorized: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """First-appearance codes over row *tuples* of the key columns, from
+    each column's :func:`_factorize` result: distinct tuples get distinct
+    codes, equal tuples share one."""
+    combined = factorized[0][1]
+    cardinality = max(factorized[0][0].shape[0], 1)
+    for uniques, codes in factorized[1:]:
+        k = max(uniques.shape[0], 1)
+        if cardinality * k > 2**62:  # keep the mixed code within int64
+            combined = _unique_first(combined)[1]
+            cardinality = int(combined.max(initial=0)) + 1
+        combined = combined * k + codes
+        cardinality *= k
+    if len(factorized) == 1:
         return combined
-    refactored = _factorize(combined)  # restore first-appearance numbering
-    return None if refactored is None else refactored[0]
+    return _unique_first(combined)[1]  # restore first-appearance numbering
 
 
 class Table:
@@ -172,6 +181,7 @@ class Table:
     def __init__(self, columns: Mapping[str, Any] | None = None):
         self._columns: dict[str, np.ndarray] = {}
         self._length = 0
+        self._codes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         if columns:
             first = True
             for name, values in columns.items():
@@ -189,6 +199,16 @@ class Table:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+    @staticmethod
+    def _derived(columns: dict[str, np.ndarray], length: int) -> "Table":
+        """A table over already-validated columns, with an empty
+        :meth:`codes` cache."""
+        t = Table.__new__(Table)
+        t._columns = columns
+        t._length = length
+        t._codes = {}
+        return t
+
     @classmethod
     def from_records(cls, records: Iterable[Mapping[str, Any]]) -> "Table":
         """Build a table from an iterable of dict rows.
@@ -295,6 +315,26 @@ class Table:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.column(name)
 
+    def codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(uniques, codes)`` of column ``name``: its distinct values in
+        order of first appearance and each row's index into them.
+
+        Cells are equal under :class:`~repro.mlkit.preprocess.LabelEncoder`'s
+        key equality (``np.generic`` cells as their ``.item()``; each
+        ``nan`` cell its own value), so ``codes`` equals
+        ``LabelEncoder().fit_transform(column)`` wherever that succeeds
+        (the encoder raises on a ``nan`` float cell).  Computed on first use
+        and cached on this table; tables derived from it start with an
+        empty cache.  Both arrays are read-only.
+        """
+        cached = self._codes.get(name)
+        if cached is None:
+            cached = _factorize(self.column(name))
+            for arr in cached:
+                arr.setflags(write=False)
+            self._codes[name] = cached
+        return cached
+
     def row(self, index: int) -> dict[str, Any]:
         """Row ``index`` as a plain dict of Python scalars."""
         if not -self._length <= index < self._length:
@@ -360,10 +400,9 @@ class Table:
             )
         cols = dict(self._columns)
         cols[name] = arr
-        t = Table.__new__(Table)
-        t._columns = cols
-        t._length = arr.shape[0] if not self._columns else self._length
-        return t
+        return Table._derived(
+            cols, arr.shape[0] if not self._columns else self._length
+        )
 
     def without_columns(self, names: Iterable[str]) -> "Table":
         """A new table with the given columns removed."""
@@ -371,29 +410,24 @@ class Table:
         missing = drop - set(self._columns)
         if missing:
             raise ColumnError(f"cannot drop missing columns {sorted(missing)}")
-        t = Table.__new__(Table)
-        t._columns = {n: a for n, a in self._columns.items() if n not in drop}
-        t._length = self._length
-        return t
+        return Table._derived(
+            {n: a for n, a in self._columns.items() if n not in drop},
+            self._length,
+        )
 
     def select(self, names: Sequence[str]) -> "Table":
         """A new table with only the given columns, in the given order."""
-        t = Table.__new__(Table)
-        t._columns = {n: self.column(n) for n in names}
-        t._length = self._length
-        return t
+        return Table._derived({n: self.column(n) for n in names}, self._length)
 
     def rename(self, mapping: Mapping[str, str]) -> "Table":
         """A new table with columns renamed per ``mapping``."""
         missing = set(mapping) - set(self._columns)
         if missing:
             raise ColumnError(f"cannot rename missing columns {sorted(missing)}")
-        t = Table.__new__(Table)
-        t._columns = {mapping.get(n, n): a for n, a in self._columns.items()}
-        t._length = self._length
-        if len(t._columns) != len(self._columns):
+        cols = {mapping.get(n, n): a for n, a in self._columns.items()}
+        if len(cols) != len(self._columns):
             raise ColumnError("rename would collapse two columns into one")
-        return t
+        return Table._derived(cols, self._length)
 
     def map_column(self, name: str, fn: Callable[[Any], Any]) -> "Table":
         """A new table with ``fn`` applied elementwise to column ``name``."""
@@ -415,10 +449,10 @@ class Table:
     def take(self, indices: Any) -> "Table":
         """Rows at the given integer positions, in that order."""
         indices = np.asarray(indices, dtype=np.intp)
-        t = Table.__new__(Table)
-        t._columns = {n: a[indices] for n, a in self._columns.items()}
-        t._length = int(indices.shape[0])
-        return t
+        return Table._derived(
+            {n: a[indices] for n, a in self._columns.items()},
+            int(indices.shape[0]),
+        )
 
     def head(self, n: int = 5) -> "Table":
         """First ``n`` rows."""
@@ -480,19 +514,20 @@ class Table:
         Same groups, keys and order as :meth:`group_by`, without building
         the subtables; rows within a group keep table order.
 
-        Runs a vectorized factorize-and-gather fast path; key columns it
-        cannot factorize safely (``nan`` floats, non-string object cells)
-        fall back to the hash-based python path, which defines the
-        reference semantics.
+        Each key column is factorized once per table through
+        :meth:`codes`, whose key equality matches the hash-based python
+        path (the reference semantics); the row tuples' codes are then
+        gathered with one stable sort.
         """
         if isinstance(names, str):
             names = [names]
         cols = [self.column(n) for n in names]
-        codes = _composite_codes(cols)
-        if codes is None:
-            return self._group_indices_python(cols)
         if self._length == 0:
             return []
+        if names:
+            codes = _composite_codes([self.codes(n) for n in names])
+        else:
+            codes = np.zeros(self._length, dtype=np.int64)
         order = np.argsort(codes, kind="stable")
         boundaries = np.nonzero(np.diff(codes[order]))[0] + 1
         return [
@@ -580,7 +615,7 @@ class Table:
     ) -> "Table | None":
         """Vectorized factorize-and-gather join.
 
-        Returns ``None`` when any key column cannot be factorized safely
+        Returns ``None`` when any key column is not :func:`_sortable`
         (the python path then defines the semantics).
         """
         n_left, n_right = self._length, other.num_rows
@@ -593,10 +628,10 @@ class Table:
                 both[n_left:] = rk
             else:
                 both = np.concatenate([lk, rk])
-            merged_keys.append(both)
+            if not _sortable(both):
+                return None
+            merged_keys.append(_unique_first(both))
         codes = _composite_codes(merged_keys)
-        if codes is None:
-            return None
         lcode, rcode = codes[:n_left], codes[n_left:]
         k = int(codes.max()) + 1 if codes.shape[0] else 0
 

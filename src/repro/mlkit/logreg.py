@@ -149,8 +149,10 @@ class LogisticRegression:
     ) -> None:
         n = Xa.shape[0]
         damping = 1e-8
+        # An accepted step's evaluation is carried into the next iteration
+        # (same function, same inputs), so each iterate is evaluated once.
+        loss, grad, p = self._loss_grad(w, Xa, y, pen)
         for it in range(1, self.max_iter + 1):
-            loss, grad, p = self._loss_grad(w, Xa, y, pen)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < self.tol:
                 self.n_iter_ = it
@@ -171,9 +173,9 @@ class LogisticRegression:
                     local_damping = max(local_damping * 10, 1e-10)
                     continue
                 new_w = w - delta
-                new_loss, _, _ = self._loss_grad(new_w, Xa, y, pen)
+                new_loss, new_grad, new_p = self._loss_grad(new_w, Xa, y, pen)
                 if new_loss <= loss + 1e-12:
-                    w = new_w
+                    w, loss, grad, p = new_w, new_loss, new_grad, new_p
                     step_ok = True
                     break
                 local_damping = max(local_damping * 10, 1e-10)
@@ -184,7 +186,6 @@ class LogisticRegression:
                 self._store(w)
                 return
         self.n_iter_ = self.max_iter
-        _, grad, _ = self._loss_grad(w, Xa, y, pen)
         self.converged_ = float(np.linalg.norm(grad)) < max(self.tol, 1e-4)
         self._store(w)
         if not self.converged_:

@@ -220,14 +220,38 @@ class TestQuarantine:
 
 
 class TestMissVsCorruption:
-    def test_version_mismatch_is_a_plain_miss(self, cache):
-        """A stale format is expected after upgrades — it must NOT be
-        flagged as corruption."""
+    def test_version_mismatch_is_quarantined(self, cache):
+        """The format version is slot 0 of the key, so an entry of
+        another version never sits under a current key: a mismatched
+        ``version`` in a ``.blk`` header is corruption."""
         _, body = split_entry(cache, "k")
         write_entry(cache, "k", body, version=CACHE_FORMAT_VERSION + 1)
         assert cache.get("k") is None
-        assert cache.corrupt_keys == []
-        assert cache.path_for("k").exists()  # left in place
+        assert cache.corrupt_keys == ["k"]
+        assert cache.corrupt_path_for("k").exists()
+        assert not cache.path_for("k").exists()
+
+    def test_version_digit_flip_in_sweep_entry_quarantined(self, tmp_path):
+        """Flip the ``version`` digit (6 -> 7) of a real batch entry and
+        re-run the sweep: the batch is re-simulated, and the flip is
+        reported as corruption, not swallowed as a stale-format miss."""
+        plan = SweepPlan(arch="milan", workload_names=("cg",),
+                         scale="small", repetitions=2, inputs_limit=1)
+        cache = SweepCache(tmp_path)
+        fresh = run_sweep(plan, cache=cache)
+        key = sorted(p.stem for p in cache.root.glob("*.blk"))[0]
+        raw = cache.path_for(key).read_bytes()
+        digit = f'"version": {CACHE_FORMAT_VERSION}'.encode("utf-8")
+        at = raw.index(digit) + len(digit) - 1
+        cache.path_for(key).write_bytes(flip_bit(raw, at))
+        assert cache.path_for(key).read_bytes()[at:at + 1] == (
+            str(CACHE_FORMAT_VERSION ^ 1).encode("utf-8"))
+        reread = SweepCache(tmp_path)
+        result = run_sweep(plan, cache=reread)
+        assert result.records == fresh.records
+        assert reread.corrupt_keys == [key]
+        assert reread.corrupt_path_for(key).exists()
+        assert result.n_computed_batches == 1
 
     def test_v5_entries_are_inert(self, tmp_path):
         """A directory of v5 ``<key>.json`` entries is re-swept: none is

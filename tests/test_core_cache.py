@@ -236,7 +236,7 @@ class TestSweepCacheStore:
         assert cache.get("bad") is None
         assert cache.corrupt_keys == ["bad"]
 
-    def test_version_mismatch_is_miss(self, tmp_path, plan):
+    def test_version_mismatch_is_quarantined(self, tmp_path, plan):
         cache = SweepCache(tmp_path)
         cache.put("k", sweep_records_to_block(run_sweep(plan).records[:1]))
         line, body = (tmp_path / "k.blk").read_bytes().split(b"\n", 1)
@@ -245,7 +245,7 @@ class TestSweepCacheStore:
         (tmp_path / "k.blk").write_bytes(
             json.dumps(header).encode("utf-8") + b"\n" + body)
         assert cache.get("k") is None
-        assert cache.corrupt_keys == []
+        assert cache.corrupt_keys == ["k"]
 
     def test_len_counts_entries(self, tmp_path, plan):
         cache = SweepCache(tmp_path)

@@ -311,6 +311,82 @@ class TestSortStability:
         assert vals[0] == 2.0 and vals[1] == 1.0 and np.isnan(vals[2])
 
 
+class TestCodes:
+    """``Table.codes``: one factorization per column and table, with
+    ``LabelEncoder``'s key equality."""
+
+    @staticmethod
+    def _object(values):
+        arr = np.empty(len(values), dtype=object)
+        for i, v in enumerate(values):
+            arr[i] = v
+        return arr
+
+    @pytest.mark.parametrize("values", [
+        [3, 1, 3, 2, 1],
+        [True, False, True],
+        [0.5, -0.0, 0.0, 0.5, 2.0],
+        ["b", "a", "b", "c"],
+        ["0", 0, np.int64(0), True, 1, "x", 2.5, np.float64(2.5)],
+        [None, "a", None],
+        [],
+    ], ids=["int", "bool", "float-signed-zero", "str", "mixed-object",
+            "none", "empty"])
+    def test_codes_equal_label_encoder(self, values):
+        from repro.mlkit.preprocess import LabelEncoder
+
+        if any(not isinstance(v, (int, float)) for v in values):
+            values = self._object(values)
+        t = Table({"k": values})
+        uniques, codes = t.codes("k")
+        enc = LabelEncoder().fit(list(t.column("k")))
+        assert codes.dtype == np.int64
+        assert codes.tolist() == enc.transform(list(t.column("k"))).tolist()
+        assert [v.item() if isinstance(v, np.generic) else v
+                for v in uniques] == enc.classes_
+
+    def test_shared_nan_object_is_one_key(self):
+        nan = float("nan")
+        t = Table({"k": self._object(["a", nan, nan, "a"])})
+        assert t.codes("k")[1].tolist() == [0, 1, 1, 0]
+
+    def test_cached_and_read_only(self):
+        t = Table({"k": ["b", "a", "b"], "v": [1, 2, 3]})
+        first = t.codes("k")
+        assert t.codes("k") is first
+        for arr in first:
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        with pytest.raises(ColumnError):
+            t.codes("missing")
+
+    def test_derived_tables_never_reuse_parent_codes(self):
+        t = Table({"k": ["b", "a", "b", "c"], "v": [1, 2, 3, 4]})
+        t.codes("k")
+        t.codes("v")
+        derived = {
+            "take": t.take([3, 1]),
+            "filter": t.filter(np.array([False, True, True, True])),
+            "head": t.head(2),
+            "sort_by": t.sort_by("k"),
+            "with_column": t.with_column("k", ["z", "z", "y", "y"]),
+            "with_other_column": t.with_column("w", [0, 0, 0, 0]),
+            "without_columns": t.without_columns(["v"]),
+            "select": t.select(["k"]),
+            "rename": t.rename({"k": "v", "v": "k"}),
+            "group_by": t.group_by("k")[0][1],
+        }
+        for name, d in derived.items():
+            assert d._codes == {}, name
+            uniques, codes = d.codes("k")
+            col = d.column("k")
+            assert list(uniques) == d.unique("k"), name
+            assert [uniques[c] for c in codes] == list(col), name
+            assert d._codes.keys() == {"k"}, name
+        assert t._codes.keys() == {"k", "v"}
+        assert t.codes("k")[1].tolist() == [0, 1, 0, 2]
+
+
 class TestVectorizedParity:
     """The factorize-and-gather fast paths agree with the hash-based
     python reference implementations, and unsafe keys fall back."""
@@ -345,11 +421,13 @@ class TestVectorizedParity:
                 == r.to_records()
 
     def test_group_indices_nan_key_takes_the_fallback(self):
-        from repro.frame.table import _composite_codes
+        from repro.frame.table import _sortable
 
         nan = float("nan")
         t = Table({"k": [1.0, nan, 1.0, 2.0, nan], "v": [1, 2, 3, 4, 5]})
-        assert _composite_codes([t.column("k")]) is None
+        assert not _sortable(t.column("k"))
+        # the dict path: each nan cell is its own key, as in the python path
+        assert list(t.codes("k")[1]) == [0, 1, 0, 2, 3]
 
         def rows(groups):
             return [(repr(k), [int(i) for i in idx]) for k, idx in groups]
@@ -362,6 +440,33 @@ class TestVectorizedParity:
             == [[t.column("v")[i] for i in idx] for _, idx in indices]
         assert [list(s["v"]) for _, s in t._group_by_python(["k"])] \
             == [list(s["v"]) for _, s in t.group_by("k")]
+
+    def test_high_cardinality_keys_stay_within_int64(self):
+        """Six key columns of ~3,000 distinct values each mix to more
+        than 2**62 codes; the composite is re-factorized on the way
+        instead of wrapping, so groups match the python path."""
+        rng = np.random.default_rng(3)
+        keys = rng.integers(0, 10**6, size=(3000, 6))
+        keys = np.concatenate([keys, keys[:100]])
+        t = Table({f"k{j}": keys[:, j] for j in range(6)})
+        names = [f"k{j}" for j in range(6)]
+        assert np.prod([float(t.codes(n)[0].shape[0]) for n in names]) \
+            > 2.0**62
+        fast = t.group_indices(names)
+        python = t._group_indices_python([t.column(n) for n in names])
+        assert len(fast) == 3000
+        assert [(k, idx.tolist()) for k, idx in fast] \
+            == [(k, idx.tolist()) for k, idx in python]
+
+    def test_composite_codes_count_every_column_toward_overflow(self):
+        """Two columns of 2**40 values: mixing the raw codes would wrap
+        2**24 * 2**40 to 0 and merge two distinct rows."""
+        from repro.frame.table import _composite_codes
+
+        big = np.broadcast_to(np.int8(0), (2**40,))
+        codes = _composite_codes([(big, np.array([0, 2**24])),
+                                  (big, np.array([0, 0]))])
+        assert codes.tolist() == [0, 1]
 
     def test_group_indices_of_an_empty_table(self):
         assert Table.empty(["k"]).group_indices("k") == []
