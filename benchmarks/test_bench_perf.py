@@ -11,12 +11,14 @@ from conftest import BENCH_SCALE
 
 from repro.arch.machines import MILAN
 from repro.core.envspace import EnvSpace
+from repro.core.sweep import SweepRecord
 from repro.desim.stealing import TaskGraph, WorkStealingSimulator
 from repro.frame.table import Table
 from repro.mlkit.logreg import LogisticRegression
 from repro.mlkit.preprocess import Standardizer
 from repro.runtime.executor import RuntimeExecutor
 from repro.runtime.icv import EnvConfig
+from repro.serve.render import record_payload
 from repro.stats.wilcoxon import wilcoxon_signed_rank
 from repro.workloads.base import get_workload
 
@@ -208,18 +210,17 @@ def test_perf_sweep_nodes_sharded(benchmark):
 # ----------------------------------------------------------------------
 # Both chains replay the full journey of one sweep batch — pack on the
 # worker, spool through the supervisor's pickle file, unpack on the
-# consumer, tabulate — once with the retained v4 dict-row codec and once
-# with the columnar RecordBlock path.  Timing and tracemalloc peaks land
-# in BENCH_sweep.json (extra_info) as the throughput / peak-memory
-# series; the floor test pins the ISSUE's >= 5x acceptance ratio.
+# consumer, tabulate — once as per-record dict rows (the serve layer's
+# ``record_payload``) and once with the columnar RecordBlock path.
+# Timing and tracemalloc peaks land in BENCH_sweep.json (extra_info) as
+# the throughput / peak-memory series; the floor test pins the ISSUE's
+# >= 5x acceptance ratio.
 
 _PIPELINE_N_RECORDS = {"small": 10_000, "medium": 50_000, "full": 200_000}
 
 
 def _synthetic_records(n: int, repetitions: int = 3) -> list:
     """``n`` SweepRecords shaped like a large-grid milan sweep batch."""
-    from repro.core.sweep import SweepRecord
-
     apps = ("cg", "ep", "xsbench", "lulesh", "nqueens")
     places = ("unset", "cores", "ll_caches")
     schedules = ("unset", "static", "dynamic", "guided")
@@ -251,12 +252,24 @@ def _spool_roundtrip(obj, path):
         return pickle.load(handle)
 
 
+def _record_from_dict(payload: dict) -> SweepRecord:
+    """Inverse of :func:`~repro.serve.render.record_payload`."""
+    return SweepRecord(
+        arch=payload["arch"],
+        app=payload["app"],
+        suite=payload["suite"],
+        input_size=payload["input_size"],
+        num_threads=payload["num_threads"],
+        config=EnvConfig(**payload["config"]),
+        runtimes=tuple(payload["runtimes"]),
+    )
+
+
 def _dict_pipeline(records, spool_path):
-    """Baseline: v4 dict rows spooled, decoded and tabulated row-wise."""
-    from repro.core.cache import _record_from_dict, _record_to_dict
+    """Baseline: dict rows spooled, decoded and tabulated row-wise."""
     from repro.core.dataset import records_to_table
 
-    rows = _spool_roundtrip([_record_to_dict(r) for r in records],
+    rows = _spool_roundtrip([record_payload(r) for r in records],
                             spool_path)
     back = [_record_from_dict(d) for d in rows]
     del rows

@@ -276,10 +276,9 @@ def columnar_pipeline_parity(
     :class:`~repro.frame.columns.RecordBlock`, the byte codec
     round-trip (what a cache entry stores), a cache format v6 store and
     load, and the block-backed dataset table — and every hop must
-    reproduce the dict path bit-identically.  The vectorized frame fast
-    paths (``group_by``, ``join``, stable descending ``sort_by``) are
-    then compared against their hash-based python reference
-    implementations on the resulting dataset table.
+    reproduce the dict path bit-identically.  The vectorized
+    ``group_by`` is then compared against its hash-based python
+    reference implementation on the resulting dataset table.
 
     ``backend`` selects the executor the source records come from, so
     the same guarantees are pinned when blocks arrive in the pool's or
@@ -357,38 +356,11 @@ def columnar_pipeline_parity(
             "vectorized group_by diverged from the python reference"
         )
 
-    best = enriched.aggregate(["app"], {"speedup": "max"})
-    joined_fast = enriched._join_fast(best, ["app"], "inner")
-    joined_ref = enriched._join_python(best, ["app"], "inner")
-    if joined_fast is None:
-        raise CheckFailure(
-            "vectorized join refused a factorizable dataset key"
-        )
-    if joined_fast.to_records() != joined_ref.to_records():
-        raise CheckFailure(
-            "vectorized join diverged from the python reference"
-        )
-
-    tagged = enriched.with_column("_row", list(range(enriched.num_rows)))
-    by_app = tagged.sort_by("app", descending=True)
-    apps = list(by_app.column("app"))
-    rows = [int(v) for v in by_app.column("_row")]
-    for i in range(len(apps) - 1):
-        if apps[i] < apps[i + 1]:
-            raise CheckFailure(
-                "descending sort produced a non-descending key sequence"
-            )
-        if apps[i] == apps[i + 1] and rows[i] > rows[i + 1]:
-            raise CheckFailure(
-                "descending sort broke the stable-tie contract: equal "
-                "keys reordered"
-            )
     return {
         "details": (
             f"{len(records)} records bit-identical through "
             "pack/codec/cache-v6/table hops; vectorized group_by "
-            f"({len(fast)} groups), join ({joined_fast.num_rows} rows) "
-            "and stable descending sort match the python reference"
+            f"({len(fast)} groups) matches the python reference"
         ),
         "n_records": len(records),
         "n_groups": len(fast),

@@ -56,10 +56,9 @@ from repro.arch.topology import MachineTopology
 from repro.core.sweep import (
     BatchSpec,
     SweepPlan,
-    SweepRecord,
     check_sweep_block,
 )
-from repro.errors import CacheError, FrameError, UnknownMachine
+from repro.errors import FrameError, UnknownMachine
 from repro.frame.columns import RecordBlock
 from repro.runtime.costs import get_costs
 from repro.runtime.icv import EnvConfig
@@ -124,18 +123,6 @@ CACHE_KEY_EXCLUDED = {
         "sweeps share entries"
     ),
 }
-
-_CONFIG_FIELDS = (
-    "num_threads",
-    "places",
-    "proc_bind",
-    "schedule",
-    "library",
-    "blocktime",
-    "force_reduction",
-    "align_alloc",
-)
-
 
 #: A live entry's file name: the SHA-256 content address plus ``.blk``.
 _ENTRY_NAME_RE = re.compile(r"\A[0-9a-f]{64}\.blk\Z")
@@ -202,40 +189,6 @@ def batch_key(
     """The content address of one batch (see the module docstring)."""
     identity = tuple(key_material(plan, grid_fp, machine_fp, batch).values())
     return hashlib.sha256(repr(identity).encode("utf-8")).hexdigest()
-
-
-def _record_to_dict(record: SweepRecord) -> dict:
-    """Legacy (v4) per-record dict codec.
-
-    No longer the storage format; kept as the reference representation
-    the record-pipeline benchmarks compare the packed block path
-    against.
-    """
-    return {
-        "arch": record.arch,
-        "app": record.app,
-        "suite": record.suite,
-        "input_size": record.input_size,
-        "num_threads": record.num_threads,
-        "config": {f: getattr(record.config, f) for f in _CONFIG_FIELDS},
-        "runtimes": list(record.runtimes),
-    }
-
-
-def _record_from_dict(payload: dict) -> SweepRecord:
-    """Inverse of :func:`_record_to_dict` (legacy v4 reference codec)."""
-    try:
-        return SweepRecord(
-            arch=payload["arch"],
-            app=payload["app"],
-            suite=payload["suite"],
-            input_size=payload["input_size"],
-            num_threads=payload["num_threads"],
-            config=EnvConfig(**payload["config"]),
-            runtimes=tuple(payload["runtimes"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise CacheError(f"malformed cache record: {exc}") from exc
 
 
 class SweepCache:

@@ -22,11 +22,12 @@ would give: labels numbered ``0..k-1`` by first appearance *within the
 group* (not sorted order, and without the gaps the whole-table codes
 leave where a group lacks a label — gaps would change the standardized
 spacing), with the encoder's ``dict`` key equality (``np.generic`` cells
-as their ``.item()``; a ``nan`` float cell, on which the encoder raises,
-is a label of its own).  No encoder is fitted, though: each column is
-factorized once per table (:meth:`~repro.frame.table.Table.codes`) and
-re-ranked per group in one vectorized pass (:func:`_group_local_codes`);
-every group's design matrix is a row slice of one matrix per grouping.
+as their ``.item()``), except that each ``nan`` float cell is a label of
+its own where the encoder makes all ``nan`` cells one.  No encoder is
+fitted, though: each column is factorized once per table
+(:meth:`~repro.frame.table.Table.codes`) and re-ranked per group in one
+vectorized pass (:func:`_group_local_codes`); every group's design
+matrix is a row slice of one matrix per grouping.
 """
 
 from __future__ import annotations

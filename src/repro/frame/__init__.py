@@ -5,8 +5,8 @@ normalization.  This package provides the small relational core the
 reproduction actually needs:
 
 - :class:`~repro.frame.table.Table` — an immutable-by-convention columnar
-  table backed by NumPy arrays with ``filter``/``sort_by``/``group_by``/
-  ``join``/``pivot`` and friends,
+  table backed by NumPy arrays with ``group_by``/``aggregate``,
+  ``filter``/``take``, column edits and first-appearance ``codes``,
 - :func:`~repro.frame.io.read_csv` / :func:`~repro.frame.io.write_csv` —
   type-inferring CSV round-tripping,
 - :mod:`~repro.frame.ops` — aggregation helpers shared by ``Table`` methods,

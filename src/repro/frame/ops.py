@@ -49,8 +49,7 @@ def _last(arr: np.ndarray) -> Any:
     return arr[-1]
 
 
-#: Named aggregators usable in :meth:`repro.frame.Table.aggregate` and
-#: :meth:`repro.frame.Table.pivot`.
+#: Named aggregators usable in :meth:`repro.frame.Table.aggregate`.
 AGGREGATORS: dict[str, Callable[[np.ndarray], Any]] = {
     "mean": lambda a: float(np.mean(_numeric(a))),
     "median": lambda a: float(np.median(_numeric(a))),

@@ -7,7 +7,7 @@ shared (views) where that is safe, so treat tables as immutable.
 
 The design intentionally mirrors the subset of the pandas API the paper's
 analysis scripts rely on (``groupby`` + aggregate, boolean filtering,
-sorting, merging, pivoting) without attempting to be a general dataframe.
+column edits) without attempting to be a general dataframe.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ def _as_column(values: Any) -> np.ndarray:
 def _nan_for_missing(values: list) -> Any:
     """Turn a numeric-except-``None`` record column into a float column.
 
-    ``None`` placeholders (missing record keys, unmatched join rows)
-    become ``nan`` so the column keeps a float dtype instead of silently
-    degrading to ``object``.  Columns with any non-numeric value — or no
+    ``None`` placeholders (missing record keys) become ``nan`` so the
+    column keeps a float dtype instead of silently degrading to
+    ``object``.  Columns with any non-numeric value — or no
     numeric value at all — are returned untouched.
     """
     has_none = False
@@ -102,30 +102,21 @@ def _unique_first(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniques[order], rank[inverse.reshape(-1)]
 
 
-def _sortable(arr: np.ndarray) -> bool:
-    """Whether ``np.unique`` groups ``arr``'s cells with ``dict`` key
-    equality: integers, booleans, floats without ``nan`` and object
-    columns of ``str`` only."""
-    if arr.dtype == object:
-        return all(type(v) is str for v in arr)
-    if arr.dtype.kind == "f":
-        return not np.isnan(arr).any()
-    return arr.dtype.kind in ("i", "u", "b", "U", "S")
-
-
 def _factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(uniques, codes)`` of one column, numbered by first appearance.
 
     Two cells share a code exactly when a ``dict`` would treat them as one
-    key after ``np.generic.item()`` — the key equality of
-    :class:`~repro.mlkit.preprocess.LabelEncoder` — so ``codes`` equals
-    ``LabelEncoder().fit_transform(arr)`` wherever that succeeds (the
-    encoder raises on a ``nan`` float cell).  Numeric :func:`_sortable`
-    columns take a vectorized ``np.unique`` path; object columns (where a
-    ``dict`` also beats sorting Python objects) and ``nan`` floats (each
-    ``nan`` cell its own key) take the dict path itself.
+    key after ``np.generic.item()``, so each ``nan`` cell is a key of its
+    own and ``codes`` equals ``LabelEncoder().fit_transform(arr)`` on
+    columns without ``nan`` (the encoder makes all ``nan`` cells one
+    category).  Integer, boolean, string and ``nan``-free float columns
+    take a vectorized ``np.unique`` path; object columns (where a ``dict``
+    also beats sorting Python objects) and ``nan`` floats take the dict
+    path itself.
     """
-    if arr.dtype != object and _sortable(arr):
+    kind = arr.dtype.kind
+    if kind in ("i", "u", "b", "U", "S") or (
+            kind == "f" and not np.isnan(arr).any()):
         return _unique_first(arr)
     index: dict[Any, int] = {}
     generic = np.generic
@@ -319,11 +310,11 @@ class Table:
         """``(uniques, codes)`` of column ``name``: its distinct values in
         order of first appearance and each row's index into them.
 
-        Cells are equal under :class:`~repro.mlkit.preprocess.LabelEncoder`'s
-        key equality (``np.generic`` cells as their ``.item()``; each
-        ``nan`` cell its own value), so ``codes`` equals
-        ``LabelEncoder().fit_transform(column)`` wherever that succeeds
-        (the encoder raises on a ``nan`` float cell).  Computed on first use
+        Cells are equal under ``dict`` key equality (``np.generic`` cells
+        as their ``.item()``; each ``nan`` cell its own value), so
+        ``codes`` equals :class:`~repro.mlkit.preprocess.LabelEncoder`'s
+        ``fit_transform(column)`` on columns without ``nan`` (the encoder
+        makes all ``nan`` cells one category).  Computed on first use
         and cached on this table; tables derived from it start with an
         empty cache.  Both arrays are read-only.
         """
@@ -415,10 +406,6 @@ class Table:
             self._length,
         )
 
-    def select(self, names: Sequence[str]) -> "Table":
-        """A new table with only the given columns, in the given order."""
-        return Table._derived({n: self.column(n) for n in names}, self._length)
-
     def rename(self, mapping: Mapping[str, str]) -> "Table":
         """A new table with columns renamed per ``mapping``."""
         missing = set(mapping) - set(self._columns)
@@ -428,11 +415,6 @@ class Table:
         if len(cols) != len(self._columns):
             raise ColumnError("rename would collapse two columns into one")
         return Table._derived(cols, self._length)
-
-    def map_column(self, name: str, fn: Callable[[Any], Any]) -> "Table":
-        """A new table with ``fn`` applied elementwise to column ``name``."""
-        arr = self.column(name)
-        return self.with_column(name, [fn(v) for v in arr])
 
     # ------------------------------------------------------------------
     # Row-level transforms
@@ -454,45 +436,10 @@ class Table:
             int(indices.shape[0]),
         )
 
-    def head(self, n: int = 5) -> "Table":
-        """First ``n`` rows."""
-        return self.take(np.arange(min(n, self._length)))
-
-    def sort_by(self, names: str | Sequence[str], descending: bool = False) -> "Table":
-        """Stable sort by one or more columns.
-
-        Rows with equal keys keep their original relative order in *both*
-        directions: ``descending=True`` inverts the keys themselves
-        (negated numerics, rank-inverted strings) rather than reversing
-        the sorted row order, which would also flip tied rows.  ``nan``
-        keys sort last in both directions.
-        """
-        if isinstance(names, str):
-            names = [names]
-        # np.lexsort sorts by the *last* key primarily, so feed reversed.
-        keys = []
-        for n in reversed(list(names)):
-            col = self.column(n)
-            if col.dtype == object:
-                col = np.asarray([str(v) for v in col])
-            if descending:
-                if col.dtype.kind in ("i", "f"):
-                    col = -col
-                else:
-                    uniques, inverse = np.unique(col, return_inverse=True)
-                    col = -inverse.reshape(-1)
-            keys.append(col)
-        order = np.lexsort(keys) if keys else np.arange(self._length)
-        return self.take(order)
-
     def unique(self, name: str) -> list:
-        """Distinct values of a column, in order of first appearance."""
-        seen: dict[Any, None] = {}
-        for v in self.column(name):
-            if isinstance(v, np.generic):
-                v = v.item()
-            seen.setdefault(v, None)
-        return list(seen)
+        """Distinct values of a column, in order of first appearance:
+        :meth:`codes`' uniques as Python scalars."""
+        return self.codes(name)[0].tolist()
 
     # ------------------------------------------------------------------
     # Group-by / aggregation
@@ -582,191 +529,6 @@ class Table:
                 if isinstance(value, np.generic):
                     value = value.item()
                 rec[out_name] = value
-            records.append(rec)
-        return Table.from_records(records)
-
-    # ------------------------------------------------------------------
-    # Relational
-    # ------------------------------------------------------------------
-    def join(self, other: "Table", on: str | Sequence[str], how: str = "inner") -> "Table":
-        """Join with ``other`` on equal key columns.
-
-        Supports ``how="inner"`` and ``how="left"``.  Non-key columns present
-        in both tables take the right table's values under a ``_right``
-        suffix.  Left join fills unmatched right columns with ``None``
-        (``nan`` when the column is otherwise numeric).
-
-        Runs a vectorized factorize-and-gather fast path; key columns it
-        cannot factorize safely fall back to :meth:`_join_python`, which
-        defines the reference semantics.
-        """
-        if how not in ("inner", "left"):
-            raise ValueError(f"unsupported join type {how!r}")
-        if isinstance(on, str):
-            on = [on]
-        on = list(on)
-        fast = self._join_fast(other, on, how)
-        if fast is not None:
-            return fast
-        return self._join_python(other, on, how)
-
-    def _join_fast(
-        self, other: "Table", on: list[str], how: str
-    ) -> "Table | None":
-        """Vectorized factorize-and-gather join.
-
-        Returns ``None`` when any key column is not :func:`_sortable`
-        (the python path then defines the semantics).
-        """
-        n_left, n_right = self._length, other.num_rows
-        merged_keys = []
-        for name in on:
-            lk, rk = self.column(name), other.column(name)
-            if lk.dtype == object or rk.dtype == object:
-                both = np.empty(n_left + n_right, dtype=object)
-                both[:n_left] = lk
-                both[n_left:] = rk
-            else:
-                both = np.concatenate([lk, rk])
-            if not _sortable(both):
-                return None
-            merged_keys.append(_unique_first(both))
-        codes = _composite_codes(merged_keys)
-        lcode, rcode = codes[:n_left], codes[n_left:]
-        k = int(codes.max()) + 1 if codes.shape[0] else 0
-
-        # Right rows grouped by key code, original order within a group.
-        rorder = np.argsort(rcode, kind="stable")
-        rcount = np.bincount(rcode, minlength=k)
-        rstart = np.zeros(k, dtype=np.int64)
-        if k:
-            rstart[1:] = np.cumsum(rcount)[:-1]
-
-        matches = rcount[lcode] if k else np.zeros(n_left, dtype=np.int64)
-        out_count = np.maximum(matches, 1) if how == "left" else matches
-        total = int(out_count.sum())
-        right_value_cols = [n for n in other.column_names if n not in on]
-        out_right_names = {
-            n: (f"{n}_right" if n in self._columns else n)
-            for n in right_value_cols
-        }
-        if total == 0:
-            names = self.column_names + [
-                out_right_names[n] for n in right_value_cols
-            ]
-            return Table.empty(names)
-
-        # Expand each left row into its run of output rows, then walk the
-        # matching right-group slice with a per-run offset ramp.
-        left_idx = np.repeat(np.arange(n_left, dtype=np.int64), out_count)
-        run_starts = np.cumsum(out_count) - out_count
-        offsets = (
-            np.arange(total, dtype=np.int64) - np.repeat(run_starts, out_count)
-        )
-        matched = np.repeat(matches > 0, out_count)
-        right_row = np.full(total, -1, dtype=np.int64)
-        pos = (np.repeat(rstart[lcode], out_count) + offsets)[matched]
-        right_row[matched] = rorder[pos]
-
-        cols: dict[str, Any] = {
-            name: arr[left_idx] for name, arr in self._columns.items()
-        }
-        all_matched = bool(matched.all())
-        for name in right_value_cols:
-            arr = other.column(name)
-            if all_matched:
-                cols[out_right_names[name]] = arr[right_row]
-                continue
-            if len(arr) == 0:  # empty right side: every row is unmatched
-                cols[out_right_names[name]] = _nan_for_missing(
-                    [None] * total
-                )
-                continue
-            gathered = arr[np.maximum(right_row, 0)]
-            values = [
-                None if j < 0 else v
-                for j, v in zip(right_row.tolist(), gathered)
-            ]
-            cols[out_right_names[name]] = _nan_for_missing(values)
-        return Table(cols)
-
-    def _join_python(
-        self, other: "Table", on: list[str], how: str
-    ) -> "Table":
-        """Hash-based reference implementation of :meth:`join`."""
-        right_index: dict[tuple, list[int]] = {}
-        rcols = [other.column(n) for n in on]
-        for j in range(other.num_rows):
-            key = _group_key(tuple(c[j] for c in rcols))
-            right_index.setdefault(key, []).append(j)
-
-        right_value_cols = [n for n in other.column_names if n not in on]
-        out_right_names = {
-            n: (f"{n}_right" if n in self._columns else n) for n in right_value_cols
-        }
-
-        lcols = [self.column(n) for n in on]
-        records: list[dict[str, Any]] = []
-        for i in range(self._length):
-            key = _group_key(tuple(c[i] for c in lcols))
-            matches = right_index.get(key)
-            if matches is None:
-                if how == "left":
-                    rec = self.row(i)
-                    for n in right_value_cols:
-                        rec[out_right_names[n]] = None
-                    records.append(rec)
-                continue
-            for j in matches:
-                rec = self.row(i)
-                rrow = other.row(j)
-                for n in right_value_cols:
-                    rec[out_right_names[n]] = rrow[n]
-                records.append(rec)
-        if not records:
-            names = self.column_names + [out_right_names[n] for n in right_value_cols]
-            return Table.empty(names)
-        return Table.from_records(records)
-
-    def pivot(self, index: str, columns: str, values: str,
-              agg: str = "mean", fill: Any = None) -> "Table":
-        """Spread ``columns``'s values into columns, aggregated by ``agg``.
-
-        The result has one row per distinct ``index`` value, a first column
-        named after ``index``, and one column per distinct value of
-        ``columns`` holding the aggregated ``values``.
-        """
-        row_keys = self.unique(index)
-        col_keys = self.unique(columns)
-        cells: dict[tuple, list] = {}
-        idx_col, col_col, val_col = (
-            self.column(index), self.column(columns), self.column(values))
-        for i in range(self._length):
-            key = _group_key((idx_col[i], col_col[i]))
-            cells.setdefault(key, []).append(val_col[i])
-        out: dict[str, list] = {index: row_keys}
-        for ck in col_keys:
-            column = []
-            for rk in row_keys:
-                bucket = cells.get(_group_key((rk, ck)))
-                if bucket is None:
-                    column.append(fill)
-                else:
-                    column.append(ops.aggregate_column(np.asarray(bucket), agg))
-            out[str(ck)] = column
-        return Table(out)
-
-    def describe(self) -> "Table":
-        """Summary statistics of every numeric column (one row each)."""
-        from repro.stats.descriptive import summarize
-
-        records = []
-        for name, arr in self._columns.items():
-            if arr.dtype.kind not in ("f", "i", "u") or arr.shape[0] == 0:
-                continue
-            s = summarize(np.asarray(arr, dtype=float))
-            rec = {"column": name}
-            rec.update(s.as_dict())
             records.append(rec)
         return Table.from_records(records)
 

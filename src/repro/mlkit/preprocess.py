@@ -18,6 +18,30 @@ from repro.errors import FitError, NotFittedError
 
 __all__ = ["Standardizer", "LabelEncoder", "OneHotEncoder"]
 
+#: The one ``nan`` every ``nan`` cell is keyed as: ``nan != nan``, and
+#: ``np.float64.item()`` makes a fresh ``float`` per call, so without it
+#: no ``nan`` cell would ever find the key another one stored.
+_NAN = float("nan")
+
+
+def _category(v: Any) -> Any:
+    """The ``dict`` key of one cell: ``np.generic`` as its ``.item()``,
+    any ``nan`` as :data:`_NAN`."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and v != v:
+        return _NAN
+    return v
+
+
+def _category_index(values: Sequence[Any]) -> dict[Any, int]:
+    """Category -> code in order of first appearance; all ``nan`` cells
+    form one category, as in scikit-learn's encoders."""
+    index: dict[Any, int] = {}
+    for v in values:
+        index.setdefault(_category(v), len(index))
+    return index
+
 
 class Standardizer:
     """Per-feature z-score scaling: ``(x - mean) / std``.
@@ -77,12 +101,7 @@ class LabelEncoder:
 
     def fit(self, values: Sequence[Any]) -> "LabelEncoder":
         """Learn the category -> code mapping (order of first appearance)."""
-        self._index = {}
-        for v in values:
-            if isinstance(v, np.generic):
-                v = v.item()
-            if v not in self._index:
-                self._index[v] = len(self._index)
+        self._index = _category_index(values)
         self.classes_ = list(self._index)
         return self
 
@@ -92,8 +111,7 @@ class LabelEncoder:
             raise NotFittedError("LabelEncoder.transform before fit")
         out = np.empty(len(values), dtype=np.int64)
         for i, v in enumerate(values):
-            if isinstance(v, np.generic):
-                v = v.item()
+            v = _category(v)
             code = self._index.get(v)
             if code is None:
                 if self.unknown_code is None:
@@ -128,12 +146,7 @@ class OneHotEncoder:
 
     def fit(self, values: Sequence[Any]) -> "OneHotEncoder":
         """Learn the category set (order of first appearance)."""
-        self._index = {}
-        for v in values:
-            if isinstance(v, np.generic):
-                v = v.item()
-            if v not in self._index:
-                self._index[v] = len(self._index)
+        self._index = _category_index(values)
         self.classes_ = list(self._index)
         return self
 
@@ -143,8 +156,7 @@ class OneHotEncoder:
             raise NotFittedError("OneHotEncoder.transform before fit")
         out = np.zeros((len(values), len(self.classes_)))
         for i, v in enumerate(values):
-            if isinstance(v, np.generic):
-                v = v.item()
+            v = _category(v)
             j = self._index.get(v)
             if j is None:
                 raise FitError(f"unknown category {v!r}")

@@ -2,12 +2,13 @@
 
 Runs a :class:`~repro.serve.app.TuningDaemon` on an ephemeral port in a
 background thread (its own asyncio loop) and exposes a tiny synchronous
-client over ``http.client``.  This is the fixture the HTTP endpoint
-tests, the ``service-degrade-parity`` check, and the serving benchmarks
-all share — the daemon under test is the *real* daemon, byte-for-byte
-the one ``repro-omp serve`` runs; only signal delivery is replaced (the
-harness calls the drain entry point directly, since POSIX signals only
-reach the main thread).
+client over ``http.client`` (:class:`DaemonClient`, which the
+subprocess daemon of :mod:`repro.serve.scenario` shares).  This is the
+fixture the HTTP endpoint tests, the ``service-degrade-parity`` check,
+and the serving benchmarks all share — the daemon under test is the
+*real* daemon, byte-for-byte the one ``repro-omp serve`` runs; only
+signal delivery is replaced (the harness calls the drain entry point
+directly, since POSIX signals only reach the main thread).
 """
 
 from __future__ import annotations
@@ -19,49 +20,14 @@ import threading
 from repro.errors import ServeError
 from repro.serve.app import DaemonConfig, TuningDaemon
 
-__all__ = ["DaemonHandle"]
+__all__ = ["DaemonClient", "DaemonHandle"]
 
 
-class DaemonHandle:
-    """One daemon, started on construction, stopped via :meth:`drain`."""
+class DaemonClient:
+    """Synchronous HTTP client of a daemon listening on ``self.port``."""
 
-    def __init__(self, config: DaemonConfig, start_timeout_s: float = 15.0):
-        self.daemon = TuningDaemon(config)
-        self.shutdown_summary: dict | None = None
-        self._failure: BaseException | None = None
-        self._started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="serve-harness", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(start_timeout_s):
-            raise ServeError(
-                f"daemon failed to start within {start_timeout_s}s"
-                + (f": {self._failure}" if self._failure else "")
-            )
-        if self._failure is not None:
-            raise ServeError(f"daemon failed to start: {self._failure}")
+    port: int
 
-    def _run(self) -> None:
-        import asyncio
-
-        try:
-            self.shutdown_summary = asyncio.run(
-                self.daemon.serve(started=self._started)
-            )
-        except BaseException as exc:  # surface in the test, not a thread
-            self._failure = exc
-            self._started.set()
-
-    @property
-    def port(self) -> int:
-        """The daemon's bound TCP port (raises until it is listening)."""
-        port = self.daemon.port
-        if port is None:
-            raise ServeError("daemon is not listening")
-        return port
-
-    # -- client side -----------------------------------------------------
     def request(
         self,
         method: str,
@@ -142,6 +108,46 @@ class DaemonHandle:
                     f"within {timeout_s}s (last: {status} {body})"
                 )
             threading.Event().wait(poll_s)
+
+
+class DaemonHandle(DaemonClient):
+    """One daemon, started on construction, stopped via :meth:`drain`."""
+
+    def __init__(self, config: DaemonConfig, start_timeout_s: float = 15.0):
+        self.daemon = TuningDaemon(config)
+        self.shutdown_summary: dict | None = None
+        self._failure: BaseException | None = None
+        self._started = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, name="serve-harness", daemon=True
+        )
+        self._thread.start()
+        if not self._started.wait(start_timeout_s):
+            raise ServeError(
+                f"daemon failed to start within {start_timeout_s}s"
+                + (f": {self._failure}" if self._failure else "")
+            )
+        if self._failure is not None:
+            raise ServeError(f"daemon failed to start: {self._failure}")
+
+    def _run(self) -> None:
+        import asyncio
+
+        try:
+            self.shutdown_summary = asyncio.run(
+                self.daemon.serve(started=self._started)
+            )
+        except BaseException as exc:  # surface in the test, not a thread
+            self._failure = exc
+            self._started.set()
+
+    @property
+    def port(self) -> int:
+        """The daemon's bound TCP port (raises until it is listening)."""
+        port = self.daemon.port
+        if port is None:
+            raise ServeError("daemon is not listening")
+        return port
 
     # -- lifecycle -------------------------------------------------------
     def drain(self, timeout_s: float = 30.0) -> dict:

@@ -25,8 +25,7 @@ __all__ = [
     "sweep_summary_payload",
 ]
 
-#: EnvConfig fields in record-payload order (matches the cache's legacy
-#: reference codec, so parity comparisons are field-for-field).
+#: EnvConfig fields in record-payload order.
 _CONFIG_FIELDS = (
     "num_threads",
     "places",

@@ -30,8 +30,6 @@ Used by ``repro-omp chaos --serve`` and the CI ``serve`` job.
 
 from __future__ import annotations
 
-import http.client
-import json
 import os
 import shutil
 import signal
@@ -44,13 +42,14 @@ from pathlib import Path
 from repro.core.sweep import SweepPlan, plan_batches, run_sweep
 from repro.errors import ServeError
 from repro.resilience.chaos import ServiceChaosPlan
+from repro.serve.harness import DaemonClient
 from repro.serve.limits import wall_clock
 from repro.serve.render import records_payload
 
 __all__ = ["DaemonProcess", "run_service_scenario"]
 
 
-class DaemonProcess:
+class DaemonProcess(DaemonClient):
     """One ``repro-omp serve`` subprocess with port-file discovery."""
 
     def __init__(
@@ -106,39 +105,6 @@ class DaemonProcess:
             time.sleep(0.05)
         self.proc.kill()
         raise ServeError(f"daemon did not publish a port in {timeout_s}s")
-
-    # -- client side -----------------------------------------------------
-    def request(self, method: str, path: str, body: dict | None = None,
-                timeout: float = 30.0) -> tuple[int, dict]:
-        conn = http.client.HTTPConnection(
-            "127.0.0.1", self.port, timeout=timeout
-        )
-        try:
-            payload = (json.dumps(body).encode("utf-8")
-                       if body is not None else None)
-            conn.request(method, path, body=payload,
-                         headers={"Content-Type": "application/json"}
-                         if payload else {})
-            response = conn.getresponse()
-            raw = response.read()
-            parsed = json.loads(raw.decode("utf-8")) if raw else {}
-            return response.status, parsed
-        finally:
-            conn.close()
-
-    def wait_for_state(self, job_id: str, states: tuple[str, ...],
-                       timeout_s: float = 120.0) -> dict:
-        deadline = wall_clock() + timeout_s
-        body: dict = {}
-        while wall_clock() < deadline:
-            status, body = self.request("GET", f"/jobs/{job_id}")
-            if status == 200 and body.get("state") in states:
-                return body
-            time.sleep(0.05)
-        raise ServeError(
-            f"job {job_id} did not reach {states} in {timeout_s}s "
-            f"(last: {body})"
-        )
 
     def slow_client_probe(self, stall_s: float,
                           timeout_s: float = 10.0) -> int:
@@ -253,7 +219,8 @@ def run_service_scenario(
             coalesced += int(bool(resp.get("coalesced")))
         if len(job_ids) == len(normal) and job_ids:
             shared = len(set(job_ids)) == 1 and coalesced == len(normal) - 1
-            final = daemon.wait_for_state(job_ids[0], ("done", "failed"))
+            final = daemon.wait_for_state(job_ids[0], ("done", "failed"),
+                                          timeout_s=120.0)
             status, records = daemon.request(
                 "GET", f"/jobs/{job_ids[0]}/records"
             )
@@ -299,7 +266,7 @@ def run_service_scenario(
                        f"submit -> {status}")
                 continue
             final = daemon.wait_for_state(
-                resp["job_id"], ("done", "failed")
+                resp["job_id"], ("done", "failed"), timeout_s=120.0
             )
             status, records = daemon.request(
                 "GET", f"/jobs/{resp['job_id']}/records"
@@ -358,7 +325,7 @@ def run_service_scenario(
             status, view = revived.request("GET", f"/jobs/{job_id}")
             if status == 200:
                 final = revived.wait_for_state(
-                    job_id, ("done", "failed")
+                    job_id, ("done", "failed"), timeout_s=120.0
                 )
                 status, records = revived.request(
                     "GET", f"/jobs/{job_id}/records"

@@ -504,8 +504,9 @@ def _edge_influence_table(nan_arch=False):
       ``np.int64(0)``, ``True``, ...) and takes the dict path;
     - with ``nan_arch``, ``arch`` is a float column holding ``nan``: it
       takes the dict path too, and each ``nan`` row is its own group.
-      (``LabelEncoder.fit_transform`` raises on a ``nan`` float cell, so
-      the reference can only take such a column as a group key.)
+      (``LabelEncoder`` makes all ``nan`` cells one category where the
+      shared encoding gives each its own code, so the reference can only
+      take such a column as a group key.)
     """
     rng = np.random.default_rng(7)
     n_a, n_b = 30, 29
@@ -564,8 +565,6 @@ class TestInfluenceOracle:
         assert sum(np.isnan(label[0]) for label in labels) == 3
 
     def test_edge_table_covers_its_cases(self):
-        from repro.frame.table import _sortable
-
         table = _edge_influence_table()
         b = table.filter(table.column("app") == "b")
         assert b.unique("places") == ["threads", "sockets", "cores"]
@@ -575,16 +574,17 @@ class TestInfluenceOracle:
         assert sorted(set(whole[:-1].tolist())) == [0, 2, 3]
         assert [len(rows) for _, rows in table.group_indices("app")] \
             == [30, 29, 1]
-        assert not _sortable(table.column("blocktime"))
-        assert not _sortable(_edge_influence_table(True).column("arch"))
+        # object uniques: both columns take the dict path of ``codes``
+        assert table.codes("blocktime")[0].dtype == object
+        assert _edge_influence_table(True).codes("arch")[0].dtype == object
         rows = {r.label: r for r in influence_by_application(table).rows}
         assert rows[("solo",)].n_samples == 1
         assert rows[("b",)].as_dict()["Architecture"] == 0.0
         assert rows[("a",)].as_dict()["KMP_FORCE_REDUCTION"] == 0.0
 
     def test_nan_feature_cells_are_labels_of_their_own(self):
-        """``LabelEncoder.fit_transform`` raised on a ``nan`` float
-        feature cell; the shared encoding gives each one its own code."""
+        """The shared encoding gives each ``nan`` float feature cell its
+        own code (``LabelEncoder`` makes them one category)."""
         table = _edge_influence_table()
         size = table.column("input_size").copy()
         size[[0, 3]] = np.nan

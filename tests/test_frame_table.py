@@ -125,10 +125,6 @@ class TestTransforms:
         with pytest.raises(ColumnError):
             simple.without_columns(["nope"])
 
-    def test_select_reorders(self, simple):
-        t = simple.select(["runtime", "app"])
-        assert t.column_names == ["runtime", "app"]
-
     def test_rename(self, simple):
         t = simple.rename({"runtime": "sec"})
         assert "sec" in t and "runtime" not in t
@@ -136,11 +132,6 @@ class TestTransforms:
     def test_rename_collision_raises(self, simple):
         with pytest.raises(ColumnError):
             simple.rename({"runtime": "app"})
-
-    def test_map_column(self, simple):
-        t = simple.map_column("app", str.upper)
-        assert t["app"][0] == "CG"
-
 
 class TestFilterSort:
     def test_filter(self, simple):
@@ -154,19 +145,6 @@ class TestFilterSort:
     def test_take_order(self, simple):
         t = simple.take([4, 0])
         assert list(t["app"]) == ["mg", "cg"]
-
-    def test_head(self, simple):
-        assert simple.head(2).num_rows == 2
-        assert simple.head(100).num_rows == 5
-
-    def test_sort_numeric_descending(self, simple):
-        t = simple.sort_by("runtime", descending=True)
-        assert list(t["runtime"]) == [5.0, 4.0, 3.0, 2.0, 1.0]
-
-    def test_sort_multi_key(self, simple):
-        t = simple.sort_by(["arch", "runtime"])
-        assert list(t["arch"]) == ["a64fx", "a64fx", "milan", "milan", "milan"]
-        assert list(t["runtime"])[:2] == [2.0, 5.0]
 
     def test_unique_preserves_first_appearance(self, simple):
         assert simple.unique("app") == ["cg", "bt", "mg"]
@@ -192,57 +170,6 @@ class TestGroupAggregate:
         by = dict(zip(t["arch"], t["runtime"]))
         assert by["a64fx"] == 5.0
 
-    def test_pivot(self, simple):
-        p = simple.pivot(index="app", columns="arch", values="runtime")
-        assert p.column_names == ["app", "milan", "a64fx"]
-        row = {r["app"]: r for r in p.iter_rows()}
-        assert row["bt"]["milan"] == pytest.approx(3.5)
-        assert row["bt"]["a64fx"] is None
-
-
-class TestJoin:
-    def test_inner_join(self, simple):
-        meta = Table({"arch": ["milan", "a64fx"], "cores": [96, 48]})
-        j = simple.join(meta, on="arch")
-        assert j.num_rows == 5
-        assert set(j["cores"]) == {96, 48}
-
-    def test_left_join_fills_nan(self, simple):
-        meta = Table({"arch": ["milan"], "cores": [96]})
-        j = simple.join(meta, on="arch", how="left")
-        assert j.num_rows == 5
-        # Numeric right column: unmatched rows fill with nan, not None.
-        assert j["cores"].dtype.kind == "f"
-        assert np.isnan(np.asarray(j["cores"], float)).any()
-
-    def test_inner_join_drops_unmatched(self, simple):
-        meta = Table({"arch": ["milan"], "cores": [96]})
-        j = simple.join(meta, on="arch")
-        assert j.num_rows == 3
-
-    def test_join_suffixes_overlap(self, simple):
-        other = Table({"arch": ["milan", "a64fx"], "runtime": [9.0, 8.0]})
-        j = simple.join(other, on="arch")
-        assert "runtime_right" in j
-
-    def test_join_bad_how(self, simple):
-        with pytest.raises(ValueError):
-            simple.join(simple, on="arch", how="outer")
-
-
-class TestDescribe:
-    def test_numeric_columns_only(self, simple):
-        d = simple.describe()
-        assert d.unique("column") == ["runtime"]
-        row = d.row(0)
-        assert row["mean"] == pytest.approx(3.0)
-        assert row["min"] == 1.0 and row["max"] == 5.0
-
-    def test_empty_numeric_set(self):
-        t = Table({"s": ["a", "b"]})
-        assert t.describe().num_rows == 0
-
-
 class TestRendering:
     def test_to_text_contains_headers_and_rows(self, simple):
         text = simple.to_text()
@@ -257,7 +184,7 @@ class TestRendering:
 
     def test_equality(self, simple):
         assert simple == Table(simple.to_dict())
-        assert simple != simple.head(2)
+        assert simple != simple.take([0, 1])
 
 
 class TestMissingKeyCSVRoundTrip:
@@ -278,37 +205,6 @@ class TestMissingKeyCSVRoundTrip:
         assert back.column("extra")[0] == 2.0
         assert np.isnan(back.column("extra")[1])
         assert back == t
-
-
-class TestSortStability:
-    """Regression: ``descending=True`` used to reverse the ascending
-    order array, which also reversed tied rows — breaking the
-    stable-sort contract."""
-
-    def test_descending_numeric_ties_keep_original_order(self):
-        t = Table({"k": [2, 1, 2, 1, 2], "id": [0, 1, 2, 3, 4]})
-        d = t.sort_by("k", descending=True)
-        assert list(d["k"]) == [2, 2, 2, 1, 1]
-        assert list(d["id"]) == [0, 2, 4, 1, 3]
-
-    def test_descending_string_ties_keep_original_order(self):
-        t = Table({"k": ["b", "a", "b", "a"], "id": [0, 1, 2, 3]})
-        assert list(t.sort_by("k", descending=True)["id"]) == [0, 2, 1, 3]
-
-    def test_multi_key_descending_stable(self):
-        t = Table({"a": ["x", "y", "x", "y", "x"],
-                   "b": [1, 2, 1, 2, 1], "id": [0, 1, 2, 3, 4]})
-        assert list(t.sort_by(["a", "b"], descending=True)["id"]) == \
-            [1, 3, 0, 2, 4]
-
-    def test_ascending_ties_unchanged(self):
-        t = Table({"k": [2, 1, 2], "id": [0, 1, 2]})
-        assert list(t.sort_by("k")["id"]) == [1, 0, 2]
-
-    def test_descending_nan_sorts_last(self):
-        t = Table({"k": [1.0, float("nan"), 2.0]})
-        vals = list(t.sort_by("k", descending=True)["k"])
-        assert vals[0] == 2.0 and vals[1] == 1.0 and np.isnan(vals[2])
 
 
 class TestCodes:
@@ -367,12 +263,10 @@ class TestCodes:
         derived = {
             "take": t.take([3, 1]),
             "filter": t.filter(np.array([False, True, True, True])),
-            "head": t.head(2),
-            "sort_by": t.sort_by("k"),
+            "take_all": t.take([0, 1, 2, 3]),
             "with_column": t.with_column("k", ["z", "z", "y", "y"]),
             "with_other_column": t.with_column("w", [0, 0, 0, 0]),
             "without_columns": t.without_columns(["v"]),
-            "select": t.select(["k"]),
             "rename": t.rename({"k": "v", "v": "k"}),
             "group_by": t.group_by("k")[0][1],
         }
@@ -387,9 +281,70 @@ class TestCodes:
         assert t.codes("k")[1].tolist() == [0, 1, 0, 2]
 
 
+def unique_by_dict(column):
+    """The dict loop ``Table.unique`` ran before it read ``codes``: the
+    oracle for first appearance, ``.item()`` key equality and each
+    ``nan`` cell listed on its own."""
+    seen = {}
+    for v in column:
+        if isinstance(v, np.generic):
+            v = v.item()
+        seen.setdefault(v, None)
+    return list(seen)
+
+
+def same_values(got, want):
+    """Element-wise identical: type, value, the sign of a zero, and
+    ``nan`` in the same places."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w), (g, w)
+        if isinstance(w, float) and w != w:
+            assert g != g
+        else:
+            assert g == w and repr(g) == repr(w), (g, w)
+
+
+class TestUnique:
+    """``Table.unique`` is ``codes``' uniques, equal to the dict loop."""
+
+    nan = float("nan")
+
+    @pytest.mark.parametrize("values, expected", [
+        (TestCodes._object(["0", 0, np.int64(0), True, 0.0]),
+         ["0", 0, True]),
+        ([1.0, nan, -0.0, 0.0, nan, 1.0], [1.0, nan, -0.0, nan]),
+        ([0.5, -0.0, 0.0, 0.5, 2.0], [0.5, -0.0, 2.0]),
+        ([3, 1, 3, 2, 1], [3, 1, 2]),
+        ([True, False, True], [True, False]),
+        (np.empty(0, dtype=object), []),
+        (np.empty(0, dtype=float), []),
+    ], ids=["mixed-object", "float-nan-signed-zero", "float-signed-zero",
+            "int", "bool", "empty-object", "empty-float"])
+    def test_matches_dict_loop(self, values, expected):
+        t = Table({"k": values})
+        same_values(t.unique("k"), unique_by_dict(t.column("k")))
+        same_values(t.unique("k"), expected)
+
+    def test_unicode_column(self):
+        # Table() turns a ``U`` array into ``object``; a ``U`` column only
+        # arrives through the derived-table path, and takes np.unique.
+        t = Table._derived({"k": np.array(["b", "a", "b", "c"])}, 4)
+        assert t.column("k").dtype.kind == "U"
+        same_values(t.unique("k"), unique_by_dict(t.column("k")))
+        same_values(t.unique("k"), ["b", "a", "c"])
+
+    def test_reads_the_codes_cache(self):
+        t = Table({"k": ["b", "a", "b"]})
+        assert t.unique("k") == ["b", "a"]
+        assert t._codes.keys() == {"k"}
+        with pytest.raises(ColumnError):
+            t.unique("missing")
+
+
 class TestVectorizedParity:
-    """The factorize-and-gather fast paths agree with the hash-based
-    python reference implementations, and unsafe keys fall back."""
+    """The vectorized ``group_by`` agrees with the hash-based python
+    reference, ``nan`` and mixed-object keys included."""
 
     def test_group_by_matches_python(self, simple):
         fast = simple.group_by(["app", "arch"])
@@ -421,11 +376,9 @@ class TestVectorizedParity:
                 == r.to_records()
 
     def test_group_indices_nan_key_takes_the_fallback(self):
-        from repro.frame.table import _sortable
-
         nan = float("nan")
         t = Table({"k": [1.0, nan, 1.0, 2.0, nan], "v": [1, 2, 3, 4, 5]})
-        assert not _sortable(t.column("k"))
+        assert t.codes("k")[0].dtype == object  # the dict path's uniques
         # the dict path: each nan cell is its own key, as in the python path
         assert list(t.codes("k")[1]) == [0, 1, 0, 2, 3]
 
@@ -477,41 +430,6 @@ class TestVectorizedParity:
         t = Table({"k": k, "v": [1, 2, 3]})
         assert [list(s["v"]) for _, s in t.group_by("k")] == [[1, 3], [2]]
 
-    def test_join_matches_python(self, simple):
-        meta = Table({"arch": ["milan", "a64fx"], "cores": [96, 48]})
-        for how in ("inner", "left"):
-            fast = simple._join_fast(meta, ["arch"], how)
-            ref = simple._join_python(meta, ["arch"], how)
-            assert fast is not None
-            assert fast.column_names == ref.column_names
-            assert fast.to_records() == ref.to_records()
-
-    def test_join_duplicate_right_keys_expand_in_order(self):
-        left = Table({"k": ["a", "b"], "x": [1, 2]})
-        right = Table({"k": ["a", "a"], "y": [10, 20]})
-        assert left.join(right, on="k").to_records() == [
-            {"k": "a", "x": 1, "y": 10},
-            {"k": "a", "x": 1, "y": 20},
-        ]
-
-    def test_left_join_empty_right_matches_python(self):
-        """Regression: gathering right values from a zero-row table
-        indexed out of bounds instead of filling every row missing."""
-        left = Table({"k": ["a"], "x": [1]})
-        right = Table.empty(["k", "y"])
-        fast = left._join_fast(right, ["k"], "left")
-        ref = left._join_python(right, ["k"], "left")
-        assert fast is not None
-        assert fast.to_records() == ref.to_records()
-        assert left.join(right, on="k", how="inner").num_rows == 0
-
-    def test_join_nan_key_never_matches(self):
-        left = Table({"k": [1.0, float("nan")], "x": [1, 2]})
-        right = Table({"k": [1.0, float("nan")], "y": [3, 4]})
-        assert left.join(right, on="k").to_records() == [
-            {"k": 1.0, "x": 1, "y": 3}
-        ]
-
 
 RECORDS_BOTH_PATHS = [
     {"app": "cg", "arch": "milan", "runtime": 1.0},
@@ -552,18 +470,9 @@ class TestEdgeCasesBothPaths:
         keys = [k for k, _ in t.group_by(["app", "arch"])]
         assert keys == [("cg", "milan"), ("cg", "a64fx"), ("bt", "milan")]
 
-    def test_left_join_none_becomes_nan(self, build):
-        t = build(RECORDS_BOTH_PATHS, SCHEMA_BOTH_PATHS)
-        meta = build([{"arch": "a64fx", "cores": 48}],
-                     {"arch": "str", "cores": "i8"})
-        j = t.join(meta, on="arch", how="left")
-        assert j["cores"].dtype.kind == "f"
-        cores = np.asarray(j["cores"], dtype=float)
-        assert int(np.isnan(cores).sum()) == 3 and cores[1] == 48.0
-
     def test_concat_with_empty(self, build):
         t = build(RECORDS_BOTH_PATHS, SCHEMA_BOTH_PATHS)
-        empty = t.head(0)
+        empty = t.take([])
         out = concat_tables([empty, t, empty])
         assert out.to_records() == t.to_records()
         assert concat_tables([]).num_rows == 0

@@ -81,6 +81,16 @@ class TestLabelEncoder:
         enc = LabelEncoder().fit([1, "a", 2.5])
         assert list(enc.transform([2.5, 1])) == [2, 0]
 
+    def test_nan_cells_are_one_category(self):
+        """Regression: ``.item()`` made a fresh ``nan`` per pass, so
+        ``transform`` never found the ``nan`` that ``fit`` stored."""
+        values = np.array([1.0, np.nan, 2.0, np.nan])
+        enc = LabelEncoder()
+        assert enc.fit_transform(values).tolist() == [0, 1, 2, 1]
+        assert len(enc.classes_) == 3 and np.isnan(enc.classes_[1])
+        mixed = np.array([float("nan"), "a", np.float64("nan")], dtype=object)
+        assert LabelEncoder().fit_transform(mixed).tolist() == [0, 1, 0]
+
 
 class TestOneHotEncoder:
     def test_indicator_matrix(self):
@@ -93,6 +103,11 @@ class TestOneHotEncoder:
     def test_feature_names(self):
         enc = OneHotEncoder().fit(["x", "y"])
         assert enc.feature_names("col") == ["col=x", "col=y"]
+
+    def test_nan_cells_are_one_category(self):
+        M = OneHotEncoder().fit_transform(np.array([1.0, np.nan, 2.0, np.nan]))
+        assert M.shape == (4, 3)
+        assert M.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0]]
 
     def test_unknown_rejected(self):
         enc = OneHotEncoder().fit(["x"])

@@ -84,20 +84,6 @@ def test_groupby_partitions_rows(table, col_pick):
         assert all(v == key for v in sub.column(name))
 
 
-@given(small_tables())
-@settings(max_examples=40, deadline=None)
-def test_sort_is_permutation(table):
-    name = table.column_names[0]
-    sorted_t = table.sort_by(name)
-    assert sorted_t.num_rows == table.num_rows
-    a = sorted(str(v) for v in table.column(name))
-    b = [str(v) for v in sorted_t.column(name)]
-    if table.column(name).dtype != object:
-        b = sorted(b)  # numeric sort != lexicographic; just compare sets
-        a = sorted(a)
-    assert a == b
-
-
 # ---------------------------------------------------------------------------
 # Stats invariants
 # ---------------------------------------------------------------------------
@@ -289,54 +275,26 @@ def test_runtime_scales_with_work(seed, factor):
 
 @given(small_tables(), st.integers(0, 3))
 @settings(max_examples=30, deadline=None)
-def test_join_row_count_matches_key_multiplicity(table, col_pick):
-    """|A inner-join B on k| = sum over keys of count_A(k) * count_B(k)."""
+def test_group_sizes_match_key_multiplicity(table, col_pick):
+    """Each group holds exactly its key's rows, in table order."""
     name = table.column_names[col_pick % table.num_columns]
-    left = table.select([name]).with_column("_lval", list(range(len(table))))
-    right = table.select([name]).with_column("_rval", list(range(len(table))))
-    joined = left.join(right, on=name)
+    others = [n for n in table.column_names if n != name]
+    keyed = table.without_columns(others).with_column(
+        "_row", list(range(len(table))))
     from collections import Counter
 
-    # Keys match by value, as the join compares them: -0.0 == 0.0.
+    # Keys match by value, as dict keys compare them: -0.0 == 0.0.
     counts = Counter(table.column(name))
-    expected = sum(c * c for c in counts.values())
-    assert joined.num_rows == expected
-
-
-@given(small_tables())
-@settings(max_examples=30, deadline=None)
-def test_left_join_preserves_left_rows(table):
-    name = table.column_names[0]
-    empty_right = Table({name: [], "extra": []})
-    joined = table.join(empty_right, on=name, how="left")
-    assert joined.num_rows == table.num_rows
-    assert all(v is None for v in joined["extra"])
-
-
-@given(small_tables(), st.integers(0, 5))
-@settings(max_examples=30, deadline=None)
-def test_pivot_conserves_cells(table, seed):
-    """Every (index, column) pair of the source appears in the pivot."""
-    if table.num_columns < 2:
-        return
-    index, columns = table.column_names[0], table.column_names[1]
-    numeric = [n for n in table.column_names
-               if table.column(n).dtype.kind in "if"]
-    if not numeric:
-        return
-    values = numeric[0]
-    pivoted = table.pivot(index=index, columns=columns, values=values,
-                          agg="count")
-    total = 0
-    for name in pivoted.column_names[1:]:
-        col = pivoted[name]
-        total += sum(int(v) for v in col if v is not None)
-    assert total == table.num_rows
+    groups = keyed.group_by(name)
+    assert [sub.num_rows for _, sub in groups] == list(counts.values())
+    for _, sub in groups:
+        rows = list(sub.column("_row"))
+        assert rows == sorted(rows)
 
 
 # ---------------------------------------------------------------------------
 # Seeded stdlib-random property tests (no hypothesis involvement): randomly
-# generated tables through CSV round-trip, join, filter and sort identities.
+# generated tables through CSV round-trip, filter and unique identities.
 # Each failure reproduces from its printed seed alone.
 # ---------------------------------------------------------------------------
 import math
@@ -390,28 +348,6 @@ def test_random_csv_roundtrip_preserves_dtype_and_nan(seed):
 
 
 @pytest.mark.parametrize("seed", range(15))
-def test_random_join_identity_on_unique_keys(seed):
-    """Joining two tables on a unique key recovers the row pairing."""
-    rng = random.Random(1000 + seed)
-    n = rng.randint(1, 20)
-    keys = rng.sample(range(10000), n)
-    left = Table({"k": keys, "a": [rng.randint(0, 99) for _ in range(n)]})
-    right_keys = keys[:]
-    rng.shuffle(right_keys)
-    right = Table(
-        {"k": right_keys, "b": [k * 2 for k in right_keys]}
-    )
-    joined = left.join(right, on="k")
-    assert joined.num_rows == n
-    for row in joined.iter_rows():
-        assert row["b"] == row["k"] * 2
-    # Self-join on the key preserves the left column values.
-    self_joined = left.join(left.rename({"a": "a2"}), on="k")
-    assert self_joined.num_rows == n
-    assert all(r["a"] == r["a2"] for r in self_joined.iter_rows())
-
-
-@pytest.mark.parametrize("seed", range(15))
 def test_random_filter_partitions_rows(seed):
     """A mask and its complement split the table without loss, and
     filtering is idempotent under mask conjunction."""
@@ -434,16 +370,21 @@ def test_random_filter_partitions_rows(seed):
 
 
 @pytest.mark.parametrize("seed", range(15))
-def test_random_sort_identities(seed):
-    """Sorting is idempotent, a permutation, and ordered."""
+def test_random_unique_matches_dict_loop(seed):
+    """``unique`` lists each distinct cell once by first appearance, as
+    a dict over the cells' ``.item()`` does (every ``nan`` on its own),
+    and ``codes`` maps each row back to its cell."""
     rng = random.Random(3000 + seed)
-    table = _random_table(rng, with_nan=False, min_rows=2)
-    name = table.column_names[-1]
-    once = table.sort_by(name)
-    assert once.sort_by(name) == once  # idempotent
-    values = list(once.column(name))
-    assert all(values[i] <= values[i + 1] for i in range(len(values) - 1))
-    for col in table.column_names:
-        assert sorted(map(str, table.column(col))) == sorted(
-            map(str, once.column(col))
-        )
+    table = _random_table(rng)
+    for name in table.column_names:
+        col = table.column(name)
+        seen = {}
+        for v in col:
+            seen.setdefault(v.item() if isinstance(v, np.generic) else v,
+                            None)
+        got = table.unique(name)
+        assert [repr(v) for v in got] == [repr(v) for v in seen]
+        uniques, codes = table.codes(name)
+        for u, v in zip(uniques[codes].tolist(), col.tolist()):
+            assert u == v or (u != u and v != v)
+
