@@ -13,6 +13,7 @@ from repro.arch.machines import MILAN
 from repro.core.envspace import EnvSpace
 from repro.core.sweep import SweepRecord
 from repro.desim.stealing import TaskGraph, WorkStealingSimulator
+from repro.errors import DatasetError
 from repro.frame.table import Table
 from repro.mlkit.logreg import LogisticRegression
 from repro.mlkit.preprocess import Standardizer
@@ -265,15 +266,46 @@ def _record_from_dict(payload: dict) -> SweepRecord:
     )
 
 
+def _records_to_table_rowwise(records) -> Table:
+    """The dataset table built one dict row per record: the row-wise
+    baseline :func:`~repro.core.dataset.records_to_table` is measured
+    against."""
+    n_runs = len(records[0].runtimes)
+    rows = []
+    for r in records:
+        if len(r.runtimes) != n_runs:
+            raise DatasetError(
+                f"inconsistent repetition counts: {len(r.runtimes)} vs {n_runs}"
+            )
+        cfg = r.config
+        row = {
+            "arch": r.arch,
+            "app": r.app,
+            "suite": r.suite,
+            "input_size": r.input_size,
+            "num_threads": r.num_threads,
+            "places": cfg.places,
+            "proc_bind": cfg.proc_bind,
+            "schedule": cfg.schedule,
+            "library": cfg.library,
+            "blocktime": cfg.blocktime,
+            "force_reduction": cfg.force_reduction,
+            # align None (unset) encoded as 0 so the column stays numeric.
+            "align_alloc": cfg.align_alloc if cfg.align_alloc is not None else 0,
+        }
+        for i, rt in enumerate(r.runtimes):
+            row[f"runtime_{i}"] = rt
+        rows.append(row)
+    return Table.from_records(rows)
+
+
 def _dict_pipeline(records, spool_path):
     """Baseline: dict rows spooled, decoded and tabulated row-wise."""
-    from repro.core.dataset import records_to_table
-
     rows = _spool_roundtrip([record_payload(r) for r in records],
                             spool_path)
     back = [_record_from_dict(d) for d in rows]
     del rows
-    return records_to_table(back)
+    return _records_to_table_rowwise(back)
 
 
 def _columnar_pipeline(records, spool_path):

@@ -27,7 +27,7 @@ from repro.arch.machines import get_machine
 from repro.core.cache import SweepCache
 from repro.core.sweep import SweepPlan, run_sweep
 from repro.errors import CheckFailure
-from repro.runtime.icv import EnvConfig
+from repro.runtime.icv import UNSET, EnvConfig
 from repro.runtime.trace import ExecutionTrace, trace_execution
 from repro.workloads import get_workload
 
@@ -44,6 +44,10 @@ __all__ = [
     "verify_bless_stability",
     "bless_golden_traces",
 ]
+
+#: The string environment-variable columns of a dataset row.
+_ENV_STRING_COLUMNS = ("places", "proc_bind", "schedule", "library",
+                       "blocktime", "force_reduction")
 
 #: Pinned golden-trace cases: id -> (arch, workload, input, EnvConfig).
 #: Chosen to cover loop + task parallelism, all three machines, and the
@@ -267,6 +271,45 @@ def resilience_degrade_parity(
     }
 
 
+def _dataset_rows(records) -> list[dict]:
+    """Row oracle of ``records_to_table``: one dict per record, in
+    dataset column order, with ``align_alloc`` None encoded as 0 and one
+    ``runtime_i`` per run."""
+    rows = []
+    for r in records:
+        cfg = r.config
+        row = {
+            "arch": r.arch, "app": r.app, "suite": r.suite,
+            "input_size": r.input_size, "num_threads": r.num_threads,
+            "places": cfg.places, "proc_bind": cfg.proc_bind,
+            "schedule": cfg.schedule, "library": cfg.library,
+            "blocktime": cfg.blocktime,
+            "force_reduction": cfg.force_reduction,
+            "align_alloc": 0 if cfg.align_alloc is None else cfg.align_alloc,
+        }
+        row.update({f"runtime_{i}": t for i, t in enumerate(r.runtimes)})
+        rows.append(row)
+    return rows
+
+
+def _default_runtimes(rows: list[dict]) -> list[float]:
+    """Dict oracle of ``enrich_with_speedup``'s ``default_runtime``: the
+    ``runtime_mean`` of each row's setting's all-unset row, from a dict
+    keyed by setting and filled in row order, so a later default row
+    overwrites an earlier one.  A setting without one raises
+    ``KeyError``."""
+    def setting(row: dict) -> tuple:
+        return (row["arch"], row["app"], row["input_size"],
+                row["num_threads"])
+
+    defaults = {}
+    for row in rows:
+        if row["align_alloc"] == 0 and all(
+                row[c] == UNSET for c in _ENV_STRING_COLUMNS):
+            defaults[setting(row)] = row["runtime_mean"]
+    return [defaults[setting(row)] for row in rows]
+
+
 def columnar_pipeline_parity(
     plan: SweepPlan | None = None, backend: str = "serial"
 ) -> dict:
@@ -274,11 +317,14 @@ def columnar_pipeline_parity(
 
     One plan's records travel every columnar hop — packing into a
     :class:`~repro.frame.columns.RecordBlock`, the byte codec
-    round-trip (what a cache entry stores), a cache format v6 store and
-    load, and the block-backed dataset table — and every hop must
-    reproduce the dict path bit-identically.  The vectorized
+    round-trip (what a cache entry stores) and a cache format v6 store
+    and load — and every hop must give the records back bit-identically.
+    The dataset table, built from the records and from the block, must
+    equal a row oracle built from the decoded records
+    (:func:`_dataset_rows`), and its speedup enrichment a dict-keyed
+    default-runtime oracle (:func:`_default_runtimes`).  The vectorized
     ``group_by`` is then compared against its hash-based python
-    reference implementation on the resulting dataset table.
+    reference implementation on the enriched table.
 
     ``backend`` selects the executor the source records come from, so
     the same guarantees are pinned when blocks arrive in the pool's or
@@ -328,21 +374,23 @@ def columnar_pipeline_parity(
                 "corrupt"
             )
 
-    table_dict = records_to_table(list(records))
-    table_block = records_to_table(block)
-    if table_dict.column_names != table_block.column_names:
+    rows = _dataset_rows(records)
+    for name, source in (("records", records), ("block", block)):
+        table = records_to_table(source)
+        if table.column_names != list(rows[0]) or table.to_records() != rows:
+            raise CheckFailure(
+                f"dataset table built from the {name} diverged from the "
+                "row oracle"
+            )
+    enriched = enrich_with_speedup(table)
+    got = enriched.to_records()
+    defaults = _default_runtimes(got)
+    if [r["default_runtime"] for r in got] != defaults or [
+            r["speedup"] for r in got] != [
+            d / r["runtime_mean"] for d, r in zip(defaults, got)]:
         raise CheckFailure(
-            "block-backed dataset table changed the column set: "
-            f"{table_dict.column_names} vs {table_block.column_names}"
-        )
-    if table_dict.to_records() != table_block.to_records():
-        raise CheckFailure(
-            "block-backed dataset table diverged from the dict path"
-        )
-    enriched = enrich_with_speedup(table_block)
-    if enriched.to_records() != enrich_with_speedup(table_dict).to_records():
-        raise CheckFailure(
-            "speedup enrichment diverged between the block and dict paths"
+            "speedup enrichment diverged from the dict-keyed "
+            "default-runtime oracle"
         )
 
     keys = ["app", "input_size", "num_threads"]
@@ -359,8 +407,9 @@ def columnar_pipeline_parity(
     return {
         "details": (
             f"{len(records)} records bit-identical through "
-            "pack/codec/cache-v6/table hops; vectorized group_by "
-            f"({len(fast)} groups) matches the python reference"
+            "pack/codec/cache-v6 hops; dataset table and speedups match "
+            f"their row oracles; vectorized group_by ({len(fast)} groups) "
+            "matches the python reference"
         ),
         "n_records": len(records),
         "n_groups": len(fast),

@@ -24,8 +24,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.sweep import SweepRecord, check_sweep_block
-from repro.errors import DatasetError, SchemaError
+from repro.core.sweep import (
+    SweepRecord,
+    check_sweep_block,
+    sweep_records_to_block,
+)
+from repro.errors import DatasetError, FrameError, SchemaError
 from repro.frame.columns import RecordBlock
 from repro.frame.table import Table
 from repro.runtime.icv import UNSET
@@ -69,46 +73,18 @@ def records_to_table(records: Sequence[SweepRecord] | RecordBlock) -> Table:
 
     Accepts either a packed :class:`~repro.frame.columns.RecordBlock`
     straight off the sweep pipeline (``result.block``) or a sequence of
-    :class:`SweepRecord`; the block path builds the table
-    column-at-a-time without materializing per-row dicts and yields the
-    same table as the row path, which stays as its reference (pinned by
-    the ``columnar-pipeline-parity`` check).
+    :class:`SweepRecord`, which is packed into one first.  The table is
+    built column-at-a-time from the block, without per-row dicts.
+    Raises :class:`DatasetError` for input it cannot tabulate: no
+    records, mixed repetition counts or a record without runtimes.
     """
-    if isinstance(records, RecordBlock):
-        return _block_to_dataset_table(records)
-    if not records:
-        raise DatasetError("no sweep records to tabulate")
-    n_runs = len(records[0].runtimes)
-    rows = []
-    for r in records:
-        if len(r.runtimes) != n_runs:
-            raise DatasetError(
-                f"inconsistent repetition counts: {len(r.runtimes)} vs {n_runs}"
-            )
-        cfg = r.config
-        row = {
-            "arch": r.arch,
-            "app": r.app,
-            "suite": r.suite,
-            "input_size": r.input_size,
-            "num_threads": r.num_threads,
-            "places": cfg.places,
-            "proc_bind": cfg.proc_bind,
-            "schedule": cfg.schedule,
-            "library": cfg.library,
-            "blocktime": cfg.blocktime,
-            "force_reduction": cfg.force_reduction,
-            # align None (unset) encoded as 0 so the column stays numeric.
-            "align_alloc": cfg.align_alloc if cfg.align_alloc is not None else 0,
-        }
-        for i, rt in enumerate(r.runtimes):
-            row[f"runtime_{i}"] = rt
-        rows.append(row)
-    return Table.from_records(rows)
-
-
-def _block_to_dataset_table(block: RecordBlock) -> Table:
-    """Columnar fast path of :func:`records_to_table`."""
+    block = records
+    if not isinstance(block, RecordBlock):
+        try:
+            block = sweep_records_to_block(records)
+        except FrameError as exc:
+            raise DatasetError(f"cannot tabulate sweep records: {exc}") \
+                from exc
     if len(block) == 0:
         raise DatasetError("no sweep records to tabulate")
     check_sweep_block(block)
@@ -118,7 +94,7 @@ def _block_to_dataset_table(block: RecordBlock) -> Table:
         vector_names={"runtimes": [f"runtime_{i}" for i in range(width)]},
     ).without_columns(["cfg_num_threads"])
     # align None (unset) travels as -1 in the block; the dataset encodes
-    # it as 0 so the column stays numeric (same as the dict path).
+    # it as 0 so the column stays numeric.
     align = table.column("align_alloc").copy()
     align[align < 0] = 0
     return table.with_column("align_alloc", align)
@@ -151,50 +127,6 @@ def _is_default_row(table: Table) -> np.ndarray:
     return mask
 
 
-def _factorize(col: np.ndarray) -> tuple[np.ndarray, int]:
-    """Integer codes (0..k-1) for one key column, plus k.
-
-    Run-length based: one vectorized neighbour comparison finds the run
-    boundaries, then only the (few) run-start values pass through a
-    Python dict.  Sweep tables are batch-contiguous, so runs are long and
-    this is effectively O(n) C work; on adversarially shuffled input it
-    degrades to one dict lookup per row but stays correct.
-    """
-    arr = np.asarray(col)
-    n = len(arr)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    is_start = np.empty(n, dtype=bool)
-    is_start[0] = True
-    np.not_equal(arr[1:], arr[:-1], out=is_start[1:])
-    starts = np.nonzero(is_start)[0]
-    lookup: dict = {}
-    run_codes = np.empty(len(starts), dtype=np.int64)
-    for j, v in enumerate(arr[starts]):
-        code = lookup.get(v)
-        if code is None:
-            code = lookup[v] = len(lookup)
-        run_codes[j] = code
-    lengths = np.diff(np.append(starts, n))
-    return np.repeat(run_codes, lengths), len(lookup)
-
-
-def _setting_codes(*key_cols: np.ndarray) -> np.ndarray:
-    """Factorize the row-wise combination of key columns into group ids.
-
-    Equivalent to hashing each row's key tuple, but vectorized: each
-    column is factorized independently and the per-column codes are mixed
-    positionally.  Rows share an id iff they share every key value.
-    """
-    n = len(key_cols[0])
-    codes = np.zeros(n, dtype=np.int64)
-    for col in key_cols:
-        col_codes, k = _factorize(col)
-        codes = codes * (k + 1) + col_codes
-    _, dense = np.unique(codes, return_inverse=True)
-    return dense
-
-
 def enrich_with_speedup(table: Table) -> Table:
     """Add ``default_runtime`` and ``speedup`` columns.
 
@@ -211,17 +143,12 @@ def enrich_with_speedup(table: Table) -> Table:
         "enrich_with_speedup",
     )
     default_mask = _is_default_row(table)
-
-    archs = table.column("arch")
-    apps = table.column("app")
-    inputs = table.column("input_size")
-    threads = np.asarray(table.column("num_threads"), dtype=np.int64)
     means = np.asarray(table.column("runtime_mean"), dtype=float)
 
     # Factorize-and-gather: one group id per setting, a per-group default
     # runtime gathered back onto every row (no per-row Python loop).
-    codes = _setting_codes(archs, apps, inputs, threads)
-    n_groups = int(codes.max()) + 1 if table.num_rows else 0
+    codes = table.group_codes(["arch", "app", "input_size", "num_threads"])
+    n_groups = int(codes.max(initial=-1)) + 1
     default_mean = np.empty(n_groups)
     has_default = np.zeros(n_groups, dtype=bool)
     default_idx = np.nonzero(default_mask)[0]
@@ -231,8 +158,9 @@ def enrich_with_speedup(table: Table) -> Table:
 
     missing = ~has_default[codes]
     if missing.any():
-        i = int(np.nonzero(missing)[0][0])
-        key = (archs[i], apps[i], inputs[i], int(threads[i]))
+        row = table.row(int(np.nonzero(missing)[0][0]))
+        key = (row["arch"], row["app"], row["input_size"],
+               int(row["num_threads"]))
         raise DatasetError(
             f"no default-configuration row for setting {key}; every "
             "setting's batch must include the all-unset config"

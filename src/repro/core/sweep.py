@@ -172,11 +172,6 @@ class SweepRecord:
     config: EnvConfig
     runtimes: tuple[float, ...]
 
-    @property
-    def mean_runtime(self) -> float:
-        """Average over the repeated runs (the paper's noise mitigation)."""
-        return sum(self.runtimes) / len(self.runtimes)
-
 
 @dataclass
 class SweepResult:

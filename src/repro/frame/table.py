@@ -112,23 +112,31 @@ def _factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     category).  Integer, boolean, string and ``nan``-free float columns
     take a vectorized ``np.unique`` path; object columns (where a ``dict``
     also beats sorting Python objects) and ``nan`` floats take the dict
-    path itself.
+    path.  The dict sees only run starts: one vectorized ``!=`` against
+    the previous cell finds them, and each run repeats its start's code.
+    Cells that ``!=`` calls equal are one ``dict`` key too, and a ``nan``
+    cell always starts a run, so this numbers cells as the per-cell dict
+    loop would.  Sweep tables are batch-contiguous, so runs are long.
     """
     kind = arr.dtype.kind
     if kind in ("i", "u", "b", "U", "S") or (
             kind == "f" and not np.isnan(arr).any()):
         return _unique_first(arr)
+    n = arr.shape[0]
+    is_start = np.ones(n, dtype=bool)
+    np.not_equal(arr[1:], arr[:-1], out=is_start[1:])
+    starts = np.nonzero(is_start)[0]
     index: dict[Any, int] = {}
     generic = np.generic
-    codes = np.fromiter(
+    run_codes = np.fromiter(
         (index.setdefault(v.item() if isinstance(v, generic) else v,
-                          len(index)) for v in arr),
-        dtype=np.int64, count=arr.shape[0],
+                          len(index)) for v in arr[starts]),
+        dtype=np.int64, count=starts.shape[0],
     )
     uniques = np.empty(len(index), dtype=object)
     for j, v in enumerate(index):
         uniques[j] = v
-    return uniques, codes
+    return uniques, np.repeat(run_codes, np.diff(starts, append=n))
 
 
 def _composite_codes(
@@ -316,7 +324,9 @@ class Table:
         ``fit_transform(column)`` on columns without ``nan`` (the encoder
         makes all ``nan`` cells one category).  Computed on first use
         and cached on this table; tables derived from it start with an
-        empty cache.  Both arrays are read-only.
+        empty cache.  Both arrays are read-only.  Object and ``nan``
+        float columns cost one ``dict`` lookup per run of equal
+        neighbouring cells, not per cell.
         """
         cached = self._codes.get(name)
         if cached is None:
@@ -325,6 +335,14 @@ class Table:
                 arr.setflags(write=False)
             self._codes[name] = cached
         return cached
+
+    def group_codes(self, names: Sequence[str]) -> np.ndarray:
+        """One code per row for its tuple of values in columns ``names``,
+        numbered by first appearance: rows share a code exactly when
+        they share every key value under :meth:`codes`' equality."""
+        if not names:
+            return np.zeros(self._length, dtype=np.int64)
+        return _composite_codes([self.codes(n) for n in names])
 
     def row(self, index: int) -> dict[str, Any]:
         """Row ``index`` as a plain dict of Python scalars."""
@@ -471,10 +489,7 @@ class Table:
         cols = [self.column(n) for n in names]
         if self._length == 0:
             return []
-        if names:
-            codes = _composite_codes([self.codes(n) for n in names])
-        else:
-            codes = np.zeros(self._length, dtype=np.int64)
+        codes = self.group_codes(names)
         order = np.argsort(codes, kind="stable")
         boundaries = np.nonzero(np.diff(codes[order]))[0] + 1
         return [

@@ -74,7 +74,6 @@ from repro.resilience.sharding import (
 from repro.resilience.supervisor import (
     ExecutorBackend,
     SupervisedTask,
-    Supervisor,
     _Fleet,
     _FleetSlot,
 )
@@ -85,49 +84,10 @@ __all__ = [
     "SerialBackend",
     "SerialChaosFault",
     "NodesBackend",
-    "probe_backend",
 ]
 
 #: The backend axis the parity checks and the CLI iterate over.
 BACKEND_NAMES = ("serial", "pool", "nodes")
-
-
-def _probe_task(payload, attempt):
-    """Echo task used by :func:`probe_backend` — any result proves the
-    substrate can round-trip a dispatch."""
-    return payload
-
-
-def probe_backend(name: str, timeout_s: float = 5.0) -> bool:
-    """Health-probe one execution substrate with a single echo task.
-
-    Used by the serving layer's circuit breaker in half-open state: a
-    cheap end-to-end dispatch (spawn, send, execute, receive) proves the
-    backend can currently do work, without committing a real batch to a
-    possibly-broken fleet.  Returns True when the echo round-trips
-    within ``timeout_s``; False on any error or mismatch.  ``serial``
-    always probes healthy — it is the floor of the degradation ladder.
-    """
-    if name not in BACKEND_NAMES:
-        raise ResilienceError(
-            f"unknown backend {name!r} (expected one of {BACKEND_NAMES})"
-        )
-    if name == "serial":
-        return True
-    task = SupervisedTask(
-        task_id=0, index=0, payload="probe", identity="probe:0",
-        timeout_s=timeout_s,
-    )
-    fleet = Supervisor if name == "pool" else NodesBackend
-    backend = fleet(_probe_task, None, (), 1,
-                    policy=RetryPolicy(max_retries=0, base_delay_s=0.0))
-    try:
-        outcomes = list(backend.stream([task]))
-    except (ResilienceError, OSError):
-        return False
-    finally:
-        backend.close()
-    return outcomes == ["probe"]
 
 
 class SerialBackend(ExecutorBackend):

@@ -377,6 +377,24 @@ class TestColumnarPipelineParity:
         with pytest.raises(CheckFailure, match="round-trip altered"):
             columnar_pipeline_parity()
 
+    def test_row_oracle_without_align_encoding_is_caught(self, monkeypatch):
+        """A row oracle that keeps ``align_alloc`` None instead of
+        encoding it as 0 must fail the dataset-table leg: the leg really
+        compares cells, and the quick plan has unset-align rows."""
+        import repro.check.differential as differential_mod
+
+        real = differential_mod._dataset_rows
+
+        def raw_align(records):
+            rows = real(records)
+            for row, record in zip(rows, records):
+                row["align_alloc"] = record.config.align_alloc
+            return rows
+
+        monkeypatch.setattr(differential_mod, "_dataset_rows", raw_align)
+        with pytest.raises(CheckFailure, match="row oracle"):
+            columnar_pipeline_parity()
+
     def test_wrong_group_order_is_caught(self, monkeypatch):
         """A factorizer that numbers groups in sorted instead of
         first-appearance order must fail the group_by parity leg."""

@@ -1,9 +1,12 @@
 """Tests for sweep orchestration and dataset construction."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.core.dataset import (
+    _is_default_row,
     aggregate_runs,
     enrich_with_speedup,
     records_to_table,
@@ -133,6 +136,21 @@ class TestDataset:
         with pytest.raises(DatasetError):
             enrich_with_speedup(records_to_table([rec]))
 
+    def test_zero_runtimes_rejected(self):
+        rec = SweepRecord(arch="milan", app="x", suite="s", input_size="a",
+                          num_threads=4, config=EnvConfig(), runtimes=())
+        with pytest.raises(DatasetError, match="zero runtimes"):
+            records_to_table([rec])
+
+    def test_records_and_block_build_one_table(self, milan_small_sweep):
+        from_records = records_to_table(milan_small_sweep.records)
+        from_block = records_to_table(milan_small_sweep.block)
+        assert from_records.column_names == from_block.column_names
+        for name in from_block.column_names:
+            assert (from_records.column(name).dtype
+                    == from_block.column(name).dtype), name
+        assert from_records.to_records() == from_block.to_records()
+
     def test_speedup_summary(self, milan_dataset):
         summary = speedup_summary(milan_dataset, by=("app",))
         assert set(summary.unique("app")) == {"xsbench", "cg", "nqueens"}
@@ -152,6 +170,68 @@ class TestDataset:
         for (arch, app, inp), sub in stats.group_by(["arch", "app", "input_size"]):
             by_idx = dict(zip(sub["runtime_idx"], sub["mean_sec"]))
             assert by_idx["runtime_0"] > by_idx["runtime_1"]
+
+
+class TestEnrichMatchesDictOracle:
+    """``enrich_with_speedup`` against the dict-keyed default-runtime
+    oracle of the ``columnar-pipeline-parity`` check: per setting, the
+    last all-unset row's ``runtime_mean``."""
+
+    @staticmethod
+    def _base(tri_arch_dataset, arch):
+        """One machine's seed-0 small table (alignment and xsbench),
+        before enrichment."""
+        table = tri_arch_dataset.filter(tri_arch_dataset["arch"] == arch)
+        return table.without_columns(["default_runtime", "speedup"])
+
+    @staticmethod
+    def _assert_matches_oracle(table):
+        from repro.check.differential import _default_runtimes
+
+        rows = enrich_with_speedup(table).to_records()
+        defaults = _default_runtimes(rows)
+        assert [r["default_runtime"] for r in rows] == defaults
+        assert [r["speedup"] for r in rows] == [
+            d / r["runtime_mean"] for d, r in zip(defaults, rows)]
+        return rows
+
+    @pytest.mark.parametrize("arch", ["milan", "skylake", "a64fx"])
+    def test_seed0_small_tables(self, tri_arch_dataset, arch):
+        self._assert_matches_oracle(self._base(tri_arch_dataset, arch))
+
+    def test_shuffled_rows(self, tri_arch_dataset):
+        table = self._base(tri_arch_dataset, "milan")
+        shuffled = table.take(
+            np.random.default_rng(0).permutation(table.num_rows))
+        settings = shuffled.group_codes(
+            ["arch", "app", "input_size", "num_threads"])
+        # Not contiguous: far more runs of equal setting than settings.
+        assert (np.count_nonzero(np.diff(settings)) + 1
+                > 10 * (settings.max() + 1))
+        self._assert_matches_oracle(shuffled)
+
+    def test_last_duplicate_default_wins(self, tri_arch_dataset):
+        from repro.frame.ops import concat_tables
+
+        table = self._base(tri_arch_dataset, "skylake")
+        duplicates = table.filter(_is_default_row(table))
+        duplicates = duplicates.with_column(
+            "runtime_mean", duplicates["runtime_mean"] * 2.0)
+        rows = self._assert_matches_oracle(
+            concat_tables([table, duplicates]))
+        doubled = set(duplicates["runtime_mean"].tolist())
+        assert {r["default_runtime"] for r in rows} <= doubled
+
+    def test_missing_default_names_the_setting(self, tri_arch_dataset):
+        table = self._base(tri_arch_dataset, "a64fx")
+        first = int(np.nonzero(_is_default_row(table))[0][0])
+        row = table.row(first)
+        key = (row["arch"], row["app"], row["input_size"],
+               row["num_threads"])
+        keep = np.ones(table.num_rows, dtype=bool)
+        keep[first] = False
+        with pytest.raises(DatasetError, match=re.escape(str(key))):
+            enrich_with_speedup(table.filter(keep))
 
 
 class TestLabeling:

@@ -246,6 +246,48 @@ class TestCodes:
         t = Table({"k": self._object(["a", nan, nan, "a"])})
         assert t.codes("k")[1].tolist() == [0, 1, 1, 0]
 
+    @staticmethod
+    def _codes_by_dict(column):
+        """The per-cell dict loop the run-length factorizer stands in
+        for: one lookup per cell, keyed by the cell's ``.item()``."""
+        index = {}
+        return [index.setdefault(
+                    v.item() if isinstance(v, np.generic) else v, len(index))
+                for v in column]
+
+    nan = float("nan")
+
+    @pytest.mark.parametrize("values, expected", [
+        (["x"] * 50 + ["y"] * 30 + [None] * 5 + ["x"] * 20,
+         [0] * 50 + [1] * 30 + [2] * 5 + [0] * 20),
+        (["a", np.str_("a"), "a", "b", np.str_("b"), "a"],
+         [0, 0, 0, 1, 1, 0]),
+        ([0, 0.0, False, np.int64(0), 1, True, 1.0, 0],
+         [0, 0, 0, 0, 1, 1, 1, 0]),
+        ([nan, nan, nan, "a", nan], [0, 0, 0, 1, 0]),
+        ([float("nan"), float("nan"), "a", float("nan")], [0, 1, 2, 3]),
+    ], ids=["runs", "str-and-np-str", "zero-false-one-true", "shared-nan",
+            "distinct-nans"])
+    def test_runs_match_dict_loop(self, values, expected):
+        t = Table({"k": self._object(values)})
+        assert t.column("k").dtype == object
+        codes = t.codes("k")[1]
+        assert codes.tolist() == self._codes_by_dict(t.column("k"))
+        assert codes.tolist() == expected
+
+    def test_nan_float_runs_match_dict_loop(self):
+        col = np.array([1.0, 1.0, np.nan, np.nan, 1.0, -0.0, 0.0, np.nan])
+        codes = Table({"k": col}).codes("k")[1]
+        assert codes.tolist() == self._codes_by_dict(col)
+        assert codes.tolist() == [0, 0, 1, 2, 0, 3, 3, 4]
+
+    def test_group_codes(self):
+        t = Table({"a": ["x", "x", "y", "x"], "b": [1, 2, 1, 1]})
+        assert t.group_codes(["a", "b"]).tolist() == [0, 1, 2, 0]
+        assert t.group_codes(["b"]).tolist() == [0, 1, 0, 0]
+        assert t.group_codes([]).tolist() == [0, 0, 0, 0]
+        assert t._codes.keys() == {"a", "b"}
+
     def test_cached_and_read_only(self):
         t = Table({"k": ["b", "a", "b"], "v": [1, 2, 3]})
         first = t.codes("k")

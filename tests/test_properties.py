@@ -369,22 +369,44 @@ def test_random_filter_partitions_rows(seed):
     assert twice == at_once
 
 
+def _run_heavy_objects(rng: random.Random, n: int) -> np.ndarray:
+    """An object column of runs of equal neighbours, drawn from cells a
+    ``!=`` between neighbours and a dict must agree on: ``"a"`` and
+    ``np.str_("a")``, ``0``/``0.0``/``False``, one shared ``nan`` object,
+    fresh ``nan`` objects and ``None``."""
+    shared_nan = float("nan")
+    pool = ["a", np.str_("a"), "b", 0, 0.0, False, 1, None, shared_nan,
+            "fresh-nan"]
+    cells: list = []
+    while len(cells) < n:
+        v = rng.choice(pool)
+        for _ in range(rng.randint(1, 6)):
+            cells.append(float("nan") if v == "fresh-nan" else v)
+    col = np.empty(n, dtype=object)
+    for i, v in enumerate(cells[:n]):
+        col[i] = v
+    return col
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_random_unique_matches_dict_loop(seed):
     """``unique`` lists each distinct cell once by first appearance, as
     a dict over the cells' ``.item()`` does (every ``nan`` on its own),
-    and ``codes`` maps each row back to its cell."""
+    and ``codes`` numbers each row as that dict does."""
     rng = random.Random(3000 + seed)
     table = _random_table(rng)
+    table = table.with_column("runs",
+                              _run_heavy_objects(rng, table.num_rows))
     for name in table.column_names:
         col = table.column(name)
         seen = {}
-        for v in col:
-            seen.setdefault(v.item() if isinstance(v, np.generic) else v,
-                            None)
+        want = [seen.setdefault(
+                    v.item() if isinstance(v, np.generic) else v, len(seen))
+                for v in col]
         got = table.unique(name)
         assert [repr(v) for v in got] == [repr(v) for v in seen]
         uniques, codes = table.codes(name)
+        assert codes.tolist() == want
         for u, v in zip(uniques[codes].tolist(), col.tolist()):
             assert u == v or (u != u and v != v)
 

@@ -376,31 +376,6 @@ class TestInterruption:
             backend.close()
 
 
-class TestProbeBackend:
-    """The breaker's half-open health probe (one echo round-trip)."""
-
-    def test_serial_always_healthy(self):
-        from repro.resilience.backends import probe_backend
-
-        assert probe_backend("serial") is True
-
-    def test_pool_round_trip(self):
-        from repro.resilience.backends import probe_backend
-
-        assert probe_backend("pool", timeout_s=30.0) is True
-
-    def test_nodes_round_trip(self):
-        from repro.resilience.backends import probe_backend
-
-        assert probe_backend("nodes", timeout_s=30.0) is True
-
-    def test_unknown_backend_rejected(self):
-        from repro.resilience.backends import probe_backend
-
-        with pytest.raises(ResilienceError, match="unknown backend"):
-            probe_backend("carrier-pigeon")
-
-
 @pytest.fixture(autouse=True)
 def _no_leaked_plan():
     """Never leak an installed plan into other tests in this process."""
