@@ -26,11 +26,18 @@ that generator costs far more than the one deviate taken from it, so
 at once (:func:`pcg64_states`, an exact reimplementation of numpy's
 seeding) and loads each into one generator the call owns.  Only the
 seeding is reimplemented; numpy still draws every deviate.
+
+A batch pays for its seeds once per distinct value: the identity parts
+a caller reuses across batches are encoded once (:func:`encode_parts`,
+hashed by :func:`sample_seeds_encoded` after one shared prefix), and
+:func:`pcg64_states` splits each distinct seed and run index into
+entropy words once before assembling the batch's entropy in numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -43,17 +50,18 @@ __all__ = [
     "NoiseModel",
     "NOISE_MODELS",
     "get_noise_model",
+    "encode_parts",
     "pcg64_states",
     "sample_seed",
     "sample_seeds",
+    "sample_seeds_encoded",
 ]
 
 
-def _absorb(h: "hashlib._Hash", parts: Iterable[object]) -> "hashlib._Hash":
-    for p in parts:
-        h.update(repr(p).encode("utf-8"))
-        h.update(b"\x1f")
-    return h
+def encode_parts(parts: Iterable[object]) -> bytes:
+    """The bytes :func:`sample_seed` hashes for ``parts``: each part's
+    repr in UTF-8, followed by a unit separator."""
+    return b"".join(repr(p).encode("utf-8") + b"\x1f" for p in parts)
 
 
 def _digest(h: "hashlib._Hash") -> int:
@@ -66,7 +74,7 @@ def sample_seed(*parts: object) -> int:
     Uses blake2b over the repr of the parts, so seeds are stable across
     processes and Python hash randomization.
     """
-    return _digest(_absorb(hashlib.blake2b(digest_size=8), parts))
+    return _digest(hashlib.blake2b(encode_parts(parts), digest_size=8))
 
 
 def sample_seeds(
@@ -74,8 +82,21 @@ def sample_seeds(
 ) -> list[int]:
     """``sample_seed(*prefix, *suffix)`` for every suffix, hashing the
     shared ``prefix`` once."""
-    base = _absorb(hashlib.blake2b(digest_size=8), prefix)
-    return [_digest(_absorb(base.copy(), suffix)) for suffix in suffixes]
+    return sample_seeds_encoded(prefix, map(encode_parts, suffixes))
+
+
+def sample_seeds_encoded(
+    prefix: Sequence[object], suffixes: Iterable[bytes]
+) -> list[int]:
+    """:func:`sample_seeds` of suffixes already run through
+    :func:`encode_parts`: one hash-state copy, update and digest each."""
+    base = hashlib.blake2b(encode_parts(prefix), digest_size=8)
+    out = []
+    for suffix in suffixes:
+        h = base.copy()
+        h.update(suffix)
+        out.append(_digest(h))
+    return out
 
 
 # numpy.random.SeedSequence's mixing constants (numpy/random/bit_generator.pyx).
@@ -91,17 +112,6 @@ _XSHIFT = 16
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK128 = (1 << 128) - 1
-
-
-def _uint32_words(n: int) -> list[int]:
-    """numpy's ``_int_to_uint32_array``: little-endian 32-bit words of a
-    non-negative int, ``[0]`` for zero."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
 
 
 def _hash_consts(init: int, mult: int, steps: int) -> np.ndarray:
@@ -126,26 +136,58 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
+def _word_rows(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each value as numpy's ``_int_to_uint32_array`` splits it (its
+    little-endian 32-bit words, ``[0]`` for zero) in a zero-padded
+    ``uint32`` row, and each row's word count.
+
+    Every distinct value is converted once; the rows are gathered from
+    those in numpy.
+    """
+    index = {v: k for k, v in enumerate(dict.fromkeys(values))}
+    rows = np.fromiter(map(index.__getitem__, values), dtype=np.intp,
+                       count=len(values))
+    distinct = [operator.index(v) for v in index]
+    counts = np.array([max(1, -(-v.bit_length() // 32)) for v in distinct])
+    width = int(counts.max())
+    table = np.frombuffer(b"".join(
+        v.to_bytes(4 * width, "little") for v in distinct
+    ), dtype="<u4").reshape(len(distinct), width)
+    return table[rows], counts[rows]
+
+
 def pcg64_states(
     seeds: Sequence[int], run_indices: Sequence[int]
 ) -> list[tuple[int, int]]:
     """The ``(state, inc)`` pair of
     ``PCG64(SeedSequence([seed, run_index]))`` for every pair.
 
-    ``SeedSequence``'s pool mixing and ``generate_state(4, uint64)`` run
-    vectorized over the batch in wrapping ``uint32`` arithmetic, then
-    PCG64's 128-bit seeding step (``pcg64_set_seed``) runs per pair in
-    Python ints.  Both inputs must be non-negative.
+    Each pair's entropy is its seed's 32-bit words followed by its run
+    index's, assembled in numpy from the words of each distinct seed and
+    run index.  ``SeedSequence``'s pool mixing and
+    ``generate_state(4, uint64)`` run vectorized over the batch in
+    wrapping ``uint32`` arithmetic, then PCG64's 128-bit seeding step
+    (``pcg64_set_seed``) runs per pair in Python ints.  Both inputs must
+    be non-negative and of equal length.
     """
-    rows = [_uint32_words(s) + _uint32_words(r)
-            for s, r in zip(seeds, run_indices, strict=True)]
-    if not rows:
+    if len(seeds) != len(run_indices):
+        raise ValueError(
+            f"{len(seeds)} seeds but {len(run_indices)} run indices"
+        )
+    if not len(seeds):
         return []
-    lengths = np.array([len(row) for row in rows])
+    seed_words, seed_lengths = _word_rows(seeds)
+    run_words, run_lengths = _word_rows(run_indices)
+    lengths = seed_lengths + run_lengths
     width = max(_POOL_SIZE, int(lengths.max()))
-    entropy = np.array(
-        [row + [0] * (width - len(row)) for row in rows], dtype=np.uint32
-    ).T
+    # A run index's words start right after its seed's, over zero
+    # padding; its own padding lands past the pair's entropy.
+    n, n_seed, n_run = len(seeds), seed_words.shape[1], run_words.shape[1]
+    entropy = np.zeros((n, max(width, n_seed + n_run)), dtype=np.uint32)
+    entropy[:, :n_seed] = seed_words
+    entropy[np.arange(n)[:, None],
+            seed_lengths[:, None] + np.arange(n_run)] = run_words
+    entropy = entropy[:, :width].T
 
     # SeedSequence.mix_entropy.  Words past a row's entropy hash as zero,
     # so zero padding up to the pool size is exact.
@@ -238,32 +280,33 @@ class NoiseModel:
         generator is private to the call, so concurrent calls never share
         its state.
         """
-        for true_runtime in true_runtimes:
+        for true_runtime, run_index, seed in zip(
+            true_runtimes, run_indices, seeds, strict=True
+        ):
             if true_runtime <= 0:
                 raise ReproError(
                     f"true runtime must be > 0, got {true_runtime}"
                 )
-        for run_index in run_indices:
             if run_index < 0:
                 raise ReproError(f"run index must be >= 0, got {run_index}")
-        for seed in seeds:
             if seed < 0:
                 raise ReproError(f"noise seed must be >= 0, got {seed}")
         bit_generator = np.random.PCG64(0)
-        rng = np.random.Generator(bit_generator)
+        standard_normal = np.random.Generator(bit_generator).standard_normal
+        # The .state setter copies the dict's values, so one dict serves
+        # every draw.
+        pcg_state = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": pcg_state,
+                 "has_uint32": 0, "uinteger": 0}
+        drift, last, sigma = self.drift, len(self.drift) - 1, self.sigma
         out = []
-        for true_runtime, run_index, (state, inc) in zip(
-            true_runtimes, run_indices, pcg64_states(seeds, run_indices),
-            strict=True,
+        for true_runtime, run_index, (pcg, inc) in zip(
+            true_runtimes, run_indices, pcg64_states(seeds, run_indices)
         ):
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            jitter = float(np.exp(self.sigma * rng.standard_normal()))
-            out.append(true_runtime * self.drift_factor(run_index) * jitter)
+            pcg_state["state"], pcg_state["inc"] = pcg, inc
+            bit_generator.state = state
+            jitter = float(np.exp(sigma * standard_normal()))
+            out.append(true_runtime * drift[min(run_index, last)] * jitter)
         return out
 
 

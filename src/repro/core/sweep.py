@@ -40,6 +40,7 @@ records.
 from __future__ import annotations
 
 import os
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -56,7 +57,7 @@ from repro.errors import (
     PoisonBatchError,
     SweepCancelledError,
 )
-from repro.frame.columns import NONE_CODE, RecordBlock
+from repro.frame.columns import NONE_CODE, RecordBlock, StringTable
 from repro.resilience.backends import (
     BACKEND_NAMES,
     ExecutorBackend,
@@ -77,7 +78,11 @@ from repro.resilience.report import FailureLedger, FailureReport
 from repro.resilience.sharding import ShardPlanner, ShardReport
 from repro.resilience.supervisor import SupervisedTask, Supervisor
 from repro.runtime.costs import get_costs
-from repro.runtime.executor import RuntimeExecutor, measurement_noise
+from repro.runtime.executor import (
+    RuntimeExecutor,
+    draw_measurement_noise,
+    noise_seed_suffixes,
+)
 from repro.runtime.icv import EnvConfig, ResolvedICVs
 from repro.runtime.kernel import ComponentMemo
 from repro.workloads.base import Workload, workloads_for_arch
@@ -242,11 +247,14 @@ class SweepResult:
 # ----------------------------------------------------------------------
 # Columnar batch codec
 # ----------------------------------------------------------------------
-#: ``str`` columns of the sweep-record block schema, in record order.
-_BLOCK_STR_FIELDS = (
-    "arch", "app", "suite", "input_size", "places", "proc_bind",
-    "schedule", "library", "blocktime", "force_reduction",
+#: ``str`` columns of a configuration in the sweep-record block schema,
+#: in schema order.
+_CONFIG_STR_FIELDS = (
+    "places", "proc_bind", "schedule", "library", "blocktime",
+    "force_reduction",
 )
+#: Every ``str`` column of the sweep-record block schema, in schema order.
+_BLOCK_STR_FIELDS = ("arch", "app", "suite", "input_size") + _CONFIG_STR_FIELDS
 
 
 def sweep_block_schema(repetitions: int) -> dict:
@@ -296,8 +304,9 @@ def sweep_records_to_block(records: Sequence[SweepRecord]) -> RecordBlock:
     cfgs = [r.config for r in records]
     # Column-at-a-time bulk appends: one C-level array extend per
     # column instead of 14 python-level appends per record.  Strings
-    # therefore intern in column order (still deterministic for a given
-    # record sequence, which is all the cache checksum needs).
+    # therefore intern column by column, each column's strings in order
+    # of first appearance — the order a sweep's batch packer
+    # (:meth:`_ClassPlan.pack`) reproduces, so both give equal bytes.
     cols["arch"].extend_cells(r.arch for r in records)
     cols["app"].extend_cells(r.app for r in records)
     cols["suite"].extend_cells(r.suite for r in records)
@@ -438,6 +447,7 @@ class _ClassPlan:
 
     machine: MachineTopology
     fidelity: str
+    seed: int
     configs: list[EnvConfig]
     #: Per class: the representative's ICVs (None: its executor resolves
     #: them) and the class's grid indices, in grid order.
@@ -457,6 +467,78 @@ class _ClassPlan:
                 for icvs, members in self.classes
             )
         return self._executors
+
+    @cached_property
+    def grid_rows(self) -> np.ndarray:
+        """Each grid index's position in class-member order (the classes'
+        members concatenated, the order a batch draws its noise in)."""
+        return np.argsort([i for _, members in self.classes for i in members])
+
+    @cached_property
+    def noise_suffixes(self) -> list[bytes]:
+        """Every config's encoded noise-seed suffix, in class-member
+        order."""
+        return noise_seed_suffixes(
+            [self.configs[i] for _, members in self.classes
+             for i in members],
+            self.seed,
+        )
+
+    @cached_property
+    def _grid_columns(self) -> dict[str, bytes | tuple[list[str], np.ndarray]]:
+        """The grid's config columns, packed once in grid order: the two
+        int columns as raw ``q`` buffers, each ``str`` column as its
+        strings in order of first appearance plus local codes."""
+        cfgs = self.configs
+        columns: dict[str, bytes | tuple[list[str], np.ndarray]] = {
+            "cfg_num_threads": array("q", [
+                -1 if c.num_threads is None else int(c.num_threads)
+                for c in cfgs
+            ]).tobytes(),
+            "align_alloc": array("q", [
+                -1 if c.align_alloc is None else int(c.align_alloc)
+                for c in cfgs
+            ]).tobytes(),
+        }
+        for name in _CONFIG_STR_FIELDS:
+            local = StringTable()
+            codes = np.array([local.add(getattr(c, name)) for c in cfgs],
+                             dtype=np.int64)
+            columns[name] = (local.to_list(), codes)
+        return columns
+
+    def pack(self, arch: str, batch: BatchSpec,
+             runtimes: np.ndarray) -> RecordBlock:
+        """One batch's block: the grid's packed config columns, the
+        batch's constant columns and ``runtimes`` (a float64 matrix, one
+        row per grid index in grid order).
+
+        Byte-identical to :func:`sweep_records_to_block` of the batch's
+        records: strings intern column by column in schema order, each
+        column's strings in order of first appearance.
+        """
+        block = RecordBlock(sweep_block_schema(runtimes.shape[1]))
+        n = len(self.configs)
+        constants = {"arch": arch, "app": batch.app, "suite": batch.suite,
+                     "input_size": batch.input_size,
+                     "num_threads": batch.nthreads}
+        add = block.strings.add
+        for name, col in block.columns.items():
+            if name in constants:
+                value = constants[name]
+                col.data.extend(
+                    array("q", [add(value) if col.kind == "str" else value])
+                    * n
+                )
+            elif name == "runtimes":
+                col.data.frombytes(runtimes.tobytes())
+            elif col.kind == "str":
+                strings, codes = self._grid_columns[name]
+                remap = np.array([add(s) for s in strings], dtype=np.int64)
+                col.data.frombytes(remap[codes].tobytes())
+            else:
+                col.data.frombytes(self._grid_columns[name])
+        return block
 
 
 @dataclass
@@ -501,7 +583,8 @@ class _ClassPlans:
         # sweep stays an independent reference for the pruning check.
         memo = (ComponentMemo(machine, get_costs(machine.name))
                 if self.plan.prune else None)
-        return _ClassPlan(machine, self.plan.fidelity, cfgs, classes, memo)
+        return _ClassPlan(machine, self.plan.fidelity, self.plan.seed, cfgs,
+                          classes, memo)
 
 
 def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> RecordBlock:
@@ -513,44 +596,31 @@ def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> RecordBlock:
     applied to the shared true runtime.  Bit-identical to executing every
     member, because the model is a function of the resolved ICVs alone —
     only the expensive evaluation is shared, never the noise draws.
-    Every backend runs this function and ships its
-    :class:`~repro.frame.columns.RecordBlock` as is: a handful of flat
-    typed buffers plus an interning table.
+    The block is packed straight from the class plan (no
+    :class:`SweepRecord` is built), and every backend ships it as is: a
+    handful of flat typed buffers plus an interning table.
     """
     from repro.workloads.base import get_workload
 
     plan = plans.plan
     program = get_workload(batch.app).program(batch.input_size)
     class_plan: _ClassPlan = plans.at(batch.nthreads)
-    cfgs = class_plan.configs
 
-    members_of: list[int] = []
     true_runtimes: list[float] = []
     # Annotated so the dependency lint's call graph reaches the model.
     executor: RuntimeExecutor
     for executor, (_, members) in zip(class_plan.executors(),
                                       class_plan.classes):
-        true = executor.execute(program, seed=plan.seed)
-        members_of.extend(members)
-        true_runtimes.extend(true for _ in members)
-    observed = measurement_noise(
-        plans.machine, program, [cfgs[i] for i in members_of], true_runtimes,
-        range(plan.repetitions), seed=plan.seed,
-    )
-    runtimes_of = dict(zip(members_of, observed))
-
-    return sweep_records_to_block([
-        SweepRecord(
-            arch=plan.arch,
-            app=batch.app,
-            suite=batch.suite,
-            input_size=batch.input_size,
-            num_threads=batch.nthreads,
-            config=cfg,
-            runtimes=runtimes_of[i],
+        true_runtimes.extend(
+            [executor.execute(program, seed=plan.seed)] * len(members)
         )
-        for i, cfg in enumerate(cfgs)
-    ])
+    observed = draw_measurement_noise(
+        plans.machine, program, class_plan.noise_suffixes, true_runtimes,
+        range(plan.repetitions),
+    )
+    runtimes = np.array(observed).reshape(len(true_runtimes),
+                                          plan.repetitions)
+    return class_plan.pack(plan.arch, batch, runtimes[class_plan.grid_rows])
 
 
 #: Per-process sweep state (the class plans over the machine model and

@@ -50,6 +50,7 @@ DEFAULT_RESULT_ROOTS = (
     "repro.core.sweep.SweepResult.records",
     "repro.core.sweep.SweepResult.block",
     "repro.runtime.executor.measurement_noise",
+    "repro.runtime.executor.draw_measurement_noise",
     "repro.arch.noise.NoiseModel.apply_many",
     "repro.core.cache.SweepCache.put",
     "repro.core.cache.SweepCache.get",

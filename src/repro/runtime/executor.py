@@ -8,11 +8,16 @@ execution order (the property the paper's batching strategy protects).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from repro.arch.noise import get_noise_model, sample_seed, sample_seeds
+from repro.arch.noise import (
+    encode_parts,
+    get_noise_model,
+    sample_seed,
+    sample_seeds_encoded,
+)
 from repro.arch.topology import MachineTopology
 from repro.errors import SimulationError
 from repro.runtime.affinity import ThreadPlacement
@@ -29,8 +34,10 @@ from repro.runtime.program import LoopRegion, Program, SerialPhase, TaskRegion
 __all__ = [
     "RuntimeExecutor",
     "apply_measurement_noise",
+    "draw_measurement_noise",
     "execute",
     "measurement_noise",
+    "noise_seed_suffixes",
     "observe",
 ]
 
@@ -56,6 +63,11 @@ class RuntimeExecutor:
     :class:`~repro.runtime.kernel.ComponentMemo` the region engine shares
     with other executors on the same machine and cost table (the sweep's
     class plans do).
+
+    The executor's ICVs, placement and cost table never change, so it
+    also memoizes the serial gap before each region and the fork after
+    it, keyed on the gap's work alone (a sweep reuses one executor for
+    every program of its class).
     """
 
     def __init__(
@@ -83,44 +95,59 @@ class RuntimeExecutor:
         )
         self.engine = RegionEngine(machine, self.icvs, self.costs, memo=memo)
         self.placement: ThreadPlacement = self.engine.placement
+        self._gap_memo: dict[float, tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     def phase_costs(self, program: Program, seed: int = 0) -> list[_PhaseCost]:
         """Per-phase wall times (one entry per phase, trips folded in)."""
-        out: list[_PhaseCost] = []
+        return [_PhaseCost(*cost) for cost in self._phases(program, seed)]
+
+    def execute(self, program: Program, seed: int = 0) -> float:
+        """Modeled (noise-free) wall time of ``program`` in seconds."""
+        return sum(seconds for _, _, seconds, _ in self._phases(program, seed))
+
+    def _phases(
+        self, program: Program, seed: int
+    ) -> Iterator[tuple[str, str, float, int]]:
+        """``(name, kind, seconds, trips)`` of every phase, in order."""
+        gaps = self._gap_memo
         for i, phase in enumerate(program.phases):
             if isinstance(phase, SerialPhase):
                 sec = serial_gap_seconds(
-                    self.icvs,
-                    self.placement,
+                    self.icvs, self.placement,
                     work_seconds(phase.work, self.machine),
                 )
-                out.append(_PhaseCost(phase.name, "serial", sec, 1))
+                yield phase.name, "serial", sec, 1
                 continue
 
-            gap_nominal = work_seconds(phase.gap_work, self.machine)
-            gap_sec = serial_gap_seconds(self.icvs, self.placement, gap_nominal)
-            sleeping = workers_asleep(self.icvs, gap_nominal)
-            fork = fork_seconds(self.icvs, self.costs, sleeping)
-
+            gap_sec, fork = (gaps.get(phase.gap_work)
+                             or self._gap_fork(phase.gap_work))
             if isinstance(phase, LoopRegion):
                 body = self.engine.loop_region_seconds(phase)
                 kind = "loop"
             elif isinstance(phase, TaskRegion):
+                # Only a DES body draws from the phase's seed.
                 body = self.engine.task_region_seconds(
-                    phase, fidelity=self.fidelity, seed=sample_seed(seed, i)
+                    phase, fidelity=self.fidelity,
+                    seed=sample_seed(seed, i) if self.fidelity == "des" else 0,
                 )
                 kind = "task"
             else:  # pragma: no cover - exhaustive over Phase union
                 raise SimulationError(f"unknown phase type {type(phase)!r}")
 
             per_trip = gap_sec + fork + body
-            out.append(_PhaseCost(phase.name, kind, per_trip * phase.trips, phase.trips))
-        return out
+            yield phase.name, kind, per_trip * phase.trips, phase.trips
 
-    def execute(self, program: Program, seed: int = 0) -> float:
-        """Modeled (noise-free) wall time of ``program`` in seconds."""
-        return sum(c.seconds for c in self.phase_costs(program, seed))
+    def _gap_fork(self, gap_work: float) -> tuple[float, float]:
+        """Wall time of the serial gap of ``gap_work`` units before a
+        region and of the fork that ends it (memoized on ``gap_work``)."""
+        gap_nominal = work_seconds(gap_work, self.machine)
+        sleeping = workers_asleep(self.icvs, gap_nominal)
+        pair = self._gap_memo[gap_work] = (
+            serial_gap_seconds(self.icvs, self.placement, gap_nominal),
+            fork_seconds(self.icvs, self.costs, sleeping),
+        )
+        return pair
 
     def observe(
         self, program: Program, run_index: int = 0, seed: int = 0
@@ -174,20 +201,46 @@ def measurement_noise(
     the model once per ICV-equivalence class and applies each member's
     own noise stream to the shared true runtime, which is bit-identical
     to exhaustive execution because the model is deterministic in the
-    resolved ICVs.  A batch's draws are made in one call, so the
-    ``(machine, program)`` seed prefix is hashed once.
+    resolved ICVs.  The draws are made by
+    :func:`draw_measurement_noise`.
     """
-    obs_seeds = sample_seeds(
-        (machine.name, program.name),
-        [(config.key(), seed) for config in configs],
-    )
-    noise = get_noise_model(machine.name)
-    draws = iter(noise.apply_many(
-        [true for true in true_runtimes for _ in run_indices],
-        [r for _ in obs_seeds for r in run_indices],
-        [s for s in obs_seeds for _ in run_indices],
+    draws = iter(draw_measurement_noise(
+        machine, program, noise_seed_suffixes(configs, seed), true_runtimes,
+        run_indices,
     ))
-    return [tuple(islice(draws, len(run_indices))) for _ in obs_seeds]
+    return [tuple(islice(draws, len(run_indices))) for _ in configs]
+
+
+def noise_seed_suffixes(
+    configs: Sequence[EnvConfig], seed: int = 0
+) -> list[bytes]:
+    """Each config's part of its observations' noise seed,
+    ``(config.key(), seed)``, encoded once for
+    :func:`draw_measurement_noise` (a sweep's class plan encodes its grid
+    once for every batch)."""
+    return [encode_parts((config.key(), seed)) for config in configs]
+
+
+def draw_measurement_noise(
+    machine: MachineTopology,
+    program: Program,
+    suffixes: Sequence[bytes],
+    true_runtimes: Sequence[float],
+    run_indices: Sequence[int],
+) -> list[float]:
+    """:func:`measurement_noise`'s observations, flat and config-major,
+    for configs given by their :func:`noise_seed_suffixes`.
+
+    A batch's draws are made in one call: the ``(machine, program)`` seed
+    prefix is hashed once, and each config's seed costs one copy of that
+    hash state, one update and one digest.
+    """
+    obs_seeds = sample_seeds_encoded((machine.name, program.name), suffixes)
+    return get_noise_model(machine.name).apply_many(
+        [true for true in true_runtimes for _ in run_indices],
+        list(run_indices) * len(obs_seeds),
+        [s for s in obs_seeds for _ in run_indices],
+    )
 
 
 def execute(

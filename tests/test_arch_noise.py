@@ -77,6 +77,17 @@ class TestPcg64States:
         expected = [numpy_state(s, r) for s, r in zip(seeds, runs)]
         assert pcg64_states(seeds, runs) == expected
 
+    def test_repeated_seeds_across_entropy_widths(self):
+        # Each distinct seed and run index is split into words once and
+        # gathered back per pair: a seed repeating at non-adjacent
+        # positions, next to sub-2**32 and wide seeds and run indices,
+        # must still seed its own pair.
+        seeds = [5, 2**64, 2**96 + 5, 5, 7, 2**64, 0, 5, 2**32 - 1, 7]
+        runs = [0, 2**32, 1, 2**40 + 3, 0, 3, 2**32, 1, 0, 2**40 + 3]
+        expected = [numpy_state(s, r) for s, r in zip(seeds, runs)]
+        assert pcg64_states(seeds, runs) == expected
+        assert pcg64_states(seeds[::-1], runs[::-1]) == expected[::-1]
+
     def test_empty_batch(self):
         assert pcg64_states([], []) == []
 

@@ -205,8 +205,29 @@ class TestExecutor:
         prog = synthetic_task_workload()
         ex = RuntimeExecutor(MILAN, EnvConfig())
         costs = ex.phase_costs(prog)
-        assert sum(c.seconds for c in costs) == pytest.approx(ex.execute(prog))
+        # One phase loop, summed in order: the sum is exact.
+        assert sum(c.seconds for c in costs) == ex.execute(prog)
         assert [c.kind for c in costs] == ["serial", "task"]
+
+    def test_reused_executor_equals_fresh_ones(self):
+        # An executor memoizes its gap and fork terms on the gap's work
+        # alone; reusing it across programs must not change a float.
+        plan = SweepPlan(arch="milan", scale="small", seed=0)
+        programs = list({
+            (b.app, b.input_size): get_workload(b.app).program(b.input_size)
+            for b in plan_batches(plan)
+        }.values())
+        grid = EnvSpace().grid(MILAN, "small", seed=0)
+        assert len(programs) > 1
+        for nthreads in (24, 96):
+            for config in grid:
+                config = config.with_threads(nthreads)
+                reused = RuntimeExecutor(MILAN, config)
+                for program in programs:
+                    assert reused.execute(program) == RuntimeExecutor(
+                        MILAN, config).execute(program)
+                    assert reused.phase_costs(program) == RuntimeExecutor(
+                        MILAN, config).phase_costs(program)
 
     def test_observe_applies_arch_noise(self):
         prog = synthetic_task_workload()

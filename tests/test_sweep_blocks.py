@@ -10,23 +10,31 @@ block decoding would.
 
 import sys
 
+import numpy as np
 import pytest
 
 import repro.core.sweep as sweep_mod
+from repro.arch.machines import get_machine
 from repro.core.cache import SweepCache
 from repro.core.dataset import records_to_table
 from repro.core.sweep import (
+    BatchSpec,
     SweepPlan,
+    SweepRecord,
+    _ClassPlans,
     _validate_batch_records,
     check_sweep_block,
+    plan_batches,
     run_sweep,
     sweep_block_schema,
     sweep_block_to_records,
+    sweep_records_to_block,
 )
 from repro.errors import FrameError
 from repro.frame.columns import RecordBlock
 from repro.resilience import RetryPolicy, SerialBackend
 from repro.resilience.supervisor import SupervisedTask
+from repro.runtime.icv import EnvConfig
 
 PLAN = SweepPlan(arch="milan", workload_names=("cg", "ep"), scale="small",
                  repetitions=2, inputs_limit=2)
@@ -182,3 +190,59 @@ class TestByteCodec:
         assert len(serial.blocks) == len(pooled.blocks)
         for a, b in zip(serial.blocks, pooled.blocks):
             assert a.to_bytes() == b.to_bytes()
+
+
+def _repacked(block):
+    """``block`` decoded to records and packed by the record packer."""
+    return sweep_records_to_block(sweep_block_to_records(block))
+
+
+class TestClassPlanPacking:
+    """A batch block packed from its class plan equals the record
+    packer's block of the same records, byte for byte."""
+
+    @pytest.mark.parametrize("arch", ["milan", "skylake", "a64fx"])
+    @pytest.mark.parametrize("repetitions", [3, 1])
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_every_seed0_batch_packs_like_its_records(
+            self, arch, repetitions, prune):
+        result = run_sweep(SweepPlan(arch=arch, scale="small",
+                                     repetitions=repetitions, seed=0,
+                                     prune=prune))
+        assert len(result.blocks) == len(plan_batches(result.plan))
+        for block in result.blocks:
+            assert block.to_bytes() == _repacked(block).to_bytes()
+
+    def test_des_batch_packs_like_its_records(self):
+        plan = SweepPlan(arch="a64fx", workload_names=("sort",),
+                         scale="small", repetitions=2, inputs_limit=1,
+                         fidelity="des")
+        (block,) = run_sweep(plan).blocks
+        assert block.to_bytes() == _repacked(block).to_bytes()
+
+    def test_constant_string_equal_to_a_config_value_interns_once(self):
+        machine = get_machine("milan")
+        configs = [
+            EnvConfig(schedule="dynamic", align_alloc=64),
+            EnvConfig(schedule="static", places="cores"),
+            EnvConfig(num_threads=4, blocktime="0"),
+            EnvConfig(schedule="static", proc_bind="close"),
+        ]
+        plans = _ClassPlans(SweepPlan(arch="milan"), machine, configs)
+        batch = BatchSpec("cg", "npb", "static", 8)
+        class_plan = plans.at(batch.nthreads)
+        runtimes = np.arange(1.0, 1.0 + 3 * len(configs)).reshape(-1, 3)
+        block = class_plan.pack("milan", batch, runtimes)
+
+        records = [
+            SweepRecord("milan", "cg", "npb", "static", 8, config,
+                        tuple(row))
+            for config, row in zip(class_plan.configs, runtimes.tolist())
+        ]
+        assert block.to_bytes() == sweep_records_to_block(records).to_bytes()
+        # First interned at its first column, input_size, and shared by
+        # the config columns after it.
+        strings = block.strings.to_list()
+        assert strings.index("static") == 3
+        assert strings.count("static") == 1
+        assert list(block.columns["schedule"].data).count(3) == 2
