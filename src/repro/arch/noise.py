@@ -32,15 +32,21 @@ a caller reuses across batches are encoded once (:func:`encode_parts`,
 hashed by :func:`sample_seeds_encoded` after one shared prefix), and
 :func:`pcg64_states` splits each distinct seed and run index into
 entropy words once before assembling the batch's entropy in numpy.
+The seeding runs in numpy arrays up to the 128-bit ``(state, inc)``
+ints the ``.state`` setter takes, so each draw's only Python step is
+that load and its one deviate; drift and jitter apply to the whole
+batch.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -53,7 +59,6 @@ __all__ = [
     "encode_parts",
     "pcg64_states",
     "sample_seed",
-    "sample_seeds",
     "sample_seeds_encoded",
 ]
 
@@ -77,19 +82,13 @@ def sample_seed(*parts: object) -> int:
     return _digest(hashlib.blake2b(encode_parts(parts), digest_size=8))
 
 
-def sample_seeds(
-    prefix: Sequence[object], suffixes: Iterable[Sequence[object]]
-) -> list[int]:
-    """``sample_seed(*prefix, *suffix)`` for every suffix, hashing the
-    shared ``prefix`` once."""
-    return sample_seeds_encoded(prefix, map(encode_parts, suffixes))
-
-
 def sample_seeds_encoded(
     prefix: Sequence[object], suffixes: Iterable[bytes]
 ) -> list[int]:
-    """:func:`sample_seeds` of suffixes already run through
-    :func:`encode_parts`: one hash-state copy, update and digest each."""
+    """``sample_seed(*prefix, *suffix_parts)`` for every suffix, given
+    as ``encode_parts(suffix_parts)``: the shared ``prefix`` is hashed
+    once, and each suffix costs one hash-state copy, update and
+    digest."""
     base = hashlib.blake2b(encode_parts(prefix), digest_size=8)
     out = []
     for suffix in suffixes:
@@ -109,19 +108,27 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
+#: For each pool word, the indices of the other pool words.
+_OTHER_WORDS = [np.array([i for i in range(_POOL_SIZE) if i != i_src])
+                for i_src in range(_POOL_SIZE)]
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128), as its
+# high and low 64-bit limbs.
+_PCG_MULT_HI = np.uint64(2549297995355413924)
+_PCG_MULT_LO = np.uint64(4865540595714422341)
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, steps: int) -> np.ndarray:
     """SeedSequence's running hash constant over ``steps`` hashmix steps:
     step ``k`` xors with entry ``k`` and multiplies by entry ``k + 1``.
-    A column, so it broadcasts over a batch row by row."""
+    A column, so it broadcasts over a batch row by row.  Computed once
+    per step count and shared read-only."""
     consts = [init]
     for _ in range(steps):
         consts.append((consts[-1] * mult) & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -136,53 +143,69 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _word_rows(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Each value as numpy's ``_int_to_uint32_array`` splits it (its
-    little-endian 32-bit words, ``[0]`` for zero) in a zero-padded
-    ``uint32`` row, and each row's word count.
+def _distinct(
+    values: Sequence[int], what: str, error: type[Exception]
+) -> tuple[list[int], np.ndarray]:
+    """The distinct values of ``values`` in order of first appearance,
+    as Python ints of any width, and each value's position among them.
+    A negative value raises ``error`` naming it."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    position = {v: k for k, v in enumerate(dict.fromkeys(values))}
+    distinct = list(map(operator.index, position))
+    if distinct and min(distinct) < 0:
+        raise error(f"{what} must be >= 0, got {min(distinct)}")
+    rows = np.fromiter(map(position.__getitem__, values), dtype=np.intp,
+                       count=len(values))
+    return distinct, rows
+
+
+def _word_rows(
+    distinct: list[int], rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each value of a :func:`_distinct` split as numpy's
+    ``_int_to_uint32_array`` splits it (its little-endian 32-bit words,
+    ``[0]`` for zero) in a zero-padded ``uint32`` row, and each row's
+    word count.
 
     Every distinct value is converted once; the rows are gathered from
     those in numpy.
     """
-    index = {v: k for k, v in enumerate(dict.fromkeys(values))}
-    rows = np.fromiter(map(index.__getitem__, values), dtype=np.intp,
-                       count=len(values))
-    distinct = [operator.index(v) for v in index]
-    counts = np.array([max(1, -(-v.bit_length() // 32)) for v in distinct])
+    bits = np.fromiter(map(int.bit_length, distinct), dtype=np.int64,
+                       count=len(distinct))
+    counts = np.maximum(1, -(-bits // 32))
     width = int(counts.max())
     table = np.frombuffer(b"".join(
-        v.to_bytes(4 * width, "little") for v in distinct
+        map(int.to_bytes, distinct, repeat(4 * width), repeat("little"))
     ), dtype="<u4").reshape(len(distinct), width)
     return table[rows], counts[rows]
 
 
-def pcg64_states(
-    seeds: Sequence[int], run_indices: Sequence[int]
-) -> list[tuple[int, int]]:
-    """The ``(state, inc)`` pair of
-    ``PCG64(SeedSequence([seed, run_index]))`` for every pair.
+def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of each 128-bit product ``a * b``, from 32-bit
+    partial products that cannot overflow ``uint64``."""
+    a0, a1 = a & np.uint64(_MASK32), a >> np.uint64(32)
+    b0, b1 = b & np.uint64(_MASK32), b >> np.uint64(32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0 >> np.uint64(32)) + (p01 & np.uint64(_MASK32))
+           + (p10 & np.uint64(_MASK32)))
+    return (a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
+            + (mid >> np.uint64(32)))
 
-    Each pair's entropy is its seed's 32-bit words followed by its run
-    index's, assembled in numpy from the words of each distinct seed and
-    run index.  ``SeedSequence``'s pool mixing and
-    ``generate_state(4, uint64)`` run vectorized over the batch in
-    wrapping ``uint32`` arithmetic, then PCG64's 128-bit seeding step
-    (``pcg64_set_seed``) runs per pair in Python ints.  Both inputs must
-    be non-negative and of equal length.
-    """
-    if len(seeds) != len(run_indices):
-        raise ValueError(
-            f"{len(seeds)} seeds but {len(run_indices)} run indices"
-        )
-    if not len(seeds):
-        return []
-    seed_words, seed_lengths = _word_rows(seeds)
-    run_words, run_lengths = _word_rows(run_indices)
+
+def _pcg64_seed(
+    seeds: tuple[list[int], np.ndarray], runs: tuple[list[int], np.ndarray]
+) -> list[int]:
+    """The PCG64 ``state`` and ``inc`` of every pair, flat (each pair's
+    state, then its inc), for seeds and run indices given as their
+    :func:`_distinct`."""
+    seed_words, seed_lengths = _word_rows(*seeds)
+    run_words, run_lengths = _word_rows(*runs)
     lengths = seed_lengths + run_lengths
     width = max(_POOL_SIZE, int(lengths.max()))
     # A run index's words start right after its seed's, over zero
     # padding; its own padding lands past the pair's entropy.
-    n, n_seed, n_run = len(seeds), seed_words.shape[1], run_words.shape[1]
+    n, n_seed, n_run = len(lengths), seed_words.shape[1], run_words.shape[1]
     entropy = np.zeros((n, max(width, n_seed + n_run)), dtype=np.uint32)
     entropy[:, :n_seed] = seed_words
     entropy[np.arange(n)[:, None],
@@ -196,10 +219,9 @@ def pcg64_states(
     )
     pool = _hashmix(entropy[:_POOL_SIZE], consts[:_POOL_SIZE + 1])
     step = _POOL_SIZE
-    for i_src in range(_POOL_SIZE):
+    for i_src, dst in enumerate(_OTHER_WORDS):
         # The other words each mix in pool[i_src], which none of them
         # changes, so their sequential steps run as one.
-        dst = [i for i in range(_POOL_SIZE) if i != i_src]
         mixed = _hashmix(pool[i_src], consts[step:step + _POOL_SIZE])
         pool[dst] = _mix(pool[dst], mixed)
         step += _POOL_SIZE - 1
@@ -216,16 +238,57 @@ def pcg64_states(
         np.concatenate([pool, pool]),
         _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE),
     ).astype(np.uint64)
-    state64 = (words[0::2] | (words[1::2] << 32)).T.tolist()
+    s_hi, s_lo, q_hi, q_lo = words[0::2] | (words[1::2] << np.uint64(32))
 
     # pcg64_set_seed -> pcg_setseq_128_srandom_r: state = 0, inc =
-    # (initseq << 1) | 1, step, state += initstate, step.
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in state64:
-        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
-        state = (((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT) + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    # (initseq << 1) | 1, step, state += initstate, step; one step is
+    # state * MULT + inc.  In 64-bit limbs with wrapping arithmetic,
+    # carrying by hand: a sum's low limb wraps iff it ends below an
+    # addend.
+    one = np.uint64(1)
+    inc_hi = (q_hi << one) | (q_lo >> np.uint64(63))
+    inc_lo = (q_lo << one) | one
+    # The first step of the zero state leaves inc; add initstate.
+    a_lo = inc_lo + s_lo
+    a_hi = inc_hi + s_hi + (a_lo < inc_lo)
+    # The second step: (a * MULT) mod 2**128, plus inc.
+    p_lo = a_lo * _PCG_MULT_LO
+    p_hi = (_mul_hi(a_lo, _PCG_MULT_LO) + a_lo * _PCG_MULT_HI
+            + a_hi * _PCG_MULT_LO)
+    state_lo = p_lo + inc_lo
+    state_hi = p_hi + inc_hi + (state_lo < p_lo)
+    # Python ints for the .state setter: each 128-bit value's limbs,
+    # little-endian, read as one int.
+    limbs = np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+    values = limbs.astype("<u8", copy=False).view("V16").ravel().tolist()
+    return list(map(int.from_bytes, values, repeat("little")))
+
+
+def pcg64_states(
+    seeds: Sequence[int], run_indices: Sequence[int]
+) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` pair of
+    ``PCG64(SeedSequence([seed, run_index]))`` for every pair.
+
+    Each pair's entropy is its seed's 32-bit words followed by its run
+    index's, assembled in numpy from the words of each distinct seed and
+    run index.  ``SeedSequence``'s pool mixing and
+    ``generate_state(4, uint64)`` run vectorized over the batch in
+    wrapping ``uint32`` arithmetic, and PCG64's 128-bit seeding step
+    (``pcg64_set_seed``) in wrapping ``uint64`` limbs; Python ints are
+    built only for the result.  Both inputs must be of equal length and
+    non-negative: a negative value raises ``ValueError`` naming it, as
+    ``SeedSequence`` does.
+    """
+    if len(seeds) != len(run_indices):
+        raise ValueError(
+            f"{len(seeds)} seeds but {len(run_indices)} run indices"
+        )
+    if not len(seeds):
+        return []
+    flat = iter(_pcg64_seed(_distinct(seeds, "seed", ValueError),
+                            _distinct(run_indices, "run index", ValueError)))
+    return list(zip(flat, flat))
 
 
 @dataclass(frozen=True)
@@ -278,19 +341,24 @@ class NoiseModel:
         Draw ``i`` takes one standard normal from the stream of
         ``default_rng(SeedSequence([seeds[i], run_indices[i]]))``.  The
         generator is private to the call, so concurrent calls never share
-        its state.
+        its state.  Each draw costs one ``.state`` load and one deviate in
+        Python; validation, seeding, drift and jitter run over the batch
+        in numpy.
         """
-        for true_runtime, run_index, seed in zip(
-            true_runtimes, run_indices, seeds, strict=True
-        ):
-            if true_runtime <= 0:
-                raise ReproError(
-                    f"true runtime must be > 0, got {true_runtime}"
-                )
-            if run_index < 0:
-                raise ReproError(f"run index must be >= 0, got {run_index}")
-            if seed < 0:
-                raise ReproError(f"noise seed must be >= 0, got {seed}")
+        trues = np.asarray(true_runtimes, dtype=np.float64)
+        if not len(run_indices) == len(seeds) == len(trues):
+            raise ValueError(
+                f"{len(trues)} true runtimes, {len(run_indices)} run "
+                f"indices and {len(seeds)} seeds"
+            )
+        bad = ~(trues > 0)  # nan included
+        if bad.any():
+            raise ReproError(f"true runtime must be > 0, got {trues[bad][0]}")
+        runs = _distinct(run_indices, "run index", ReproError)
+        seed_values = _distinct(seeds, "noise seed", ReproError)
+        if not len(trues):
+            return []
+        flat = iter(_pcg64_seed(seed_values, runs))
         bit_generator = np.random.PCG64(0)
         standard_normal = np.random.Generator(bit_generator).standard_normal
         # The .state setter copies the dict's values, so one dict serves
@@ -298,16 +366,16 @@ class NoiseModel:
         pcg_state = {"state": 0, "inc": 0}
         state = {"bit_generator": "PCG64", "state": pcg_state,
                  "has_uint32": 0, "uinteger": 0}
-        drift, last, sigma = self.drift, len(self.drift) - 1, self.sigma
-        out = []
-        for true_runtime, run_index, (pcg, inc) in zip(
-            true_runtimes, run_indices, pcg64_states(seeds, run_indices)
-        ):
-            pcg_state["state"], pcg_state["inc"] = pcg, inc
+        deviates = []
+        for pcg_state["state"], pcg_state["inc"] in zip(flat, flat):
             bit_generator.state = state
-            jitter = float(np.exp(sigma * standard_normal()))
-            out.append(true_runtime * drift[min(run_index, last)] * jitter)
-        return out
+            deviates.append(standard_normal())
+        # One np.exp over the batch rounds as a per-draw np.exp does (a
+        # test pins it per model); math.exp does not.
+        jitter = np.exp(self.sigma * np.array(deviates))
+        run_values, run_rows = runs
+        drift = np.array([self.drift_factor(r) for r in run_values])[run_rows]
+        return (trues * drift * jitter).tolist()
 
 
 #: Calibrated models: A64FX quiet/stationary; Milan loud with a slow first

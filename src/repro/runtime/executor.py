@@ -8,9 +8,11 @@ execution order (the property the paper's batching strategy protects).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
+
+import numpy as np
 
 from repro.arch.noise import (
     encode_parts,
@@ -50,6 +52,9 @@ class _PhaseCost:
     kind: str
     seconds: float
     trips: int
+
+
+_PHASE_KINDS = {SerialPhase: "serial", LoopRegion: "loop", TaskRegion: "task"}
 
 
 class RuntimeExecutor:
@@ -100,43 +105,43 @@ class RuntimeExecutor:
     # ------------------------------------------------------------------
     def phase_costs(self, program: Program, seed: int = 0) -> list[_PhaseCost]:
         """Per-phase wall times (one entry per phase, trips folded in)."""
-        return [_PhaseCost(*cost) for cost in self._phases(program, seed)]
+        return [
+            _PhaseCost(phase.name, _PHASE_KINDS[type(phase)], seconds,
+                       getattr(phase, "trips", 1))
+            for phase, seconds in zip(program.phases,
+                                      self._phase_seconds(program, seed))
+        ]
 
     def execute(self, program: Program, seed: int = 0) -> float:
         """Modeled (noise-free) wall time of ``program`` in seconds."""
-        return sum(seconds for _, _, seconds, _ in self._phases(program, seed))
+        return sum(self._phase_seconds(program, seed))
 
-    def _phases(
-        self, program: Program, seed: int
-    ) -> Iterator[tuple[str, str, float, int]]:
-        """``(name, kind, seconds, trips)`` of every phase, in order."""
+    def _phase_seconds(self, program: Program, seed: int) -> list[float]:
+        """Every phase's wall time, trips folded in, in phase order."""
         gaps = self._gap_memo
+        out = []
         for i, phase in enumerate(program.phases):
             if isinstance(phase, SerialPhase):
-                sec = serial_gap_seconds(
+                out.append(serial_gap_seconds(
                     self.icvs, self.placement,
                     work_seconds(phase.work, self.machine),
-                )
-                yield phase.name, "serial", sec, 1
+                ))
                 continue
 
             gap_sec, fork = (gaps.get(phase.gap_work)
                              or self._gap_fork(phase.gap_work))
             if isinstance(phase, LoopRegion):
                 body = self.engine.loop_region_seconds(phase)
-                kind = "loop"
             elif isinstance(phase, TaskRegion):
                 # Only a DES body draws from the phase's seed.
                 body = self.engine.task_region_seconds(
                     phase, fidelity=self.fidelity,
                     seed=sample_seed(seed, i) if self.fidelity == "des" else 0,
                 )
-                kind = "task"
             else:  # pragma: no cover - exhaustive over Phase union
                 raise SimulationError(f"unknown phase type {type(phase)!r}")
-
-            per_trip = gap_sec + fork + body
-            yield phase.name, kind, per_trip * phase.trips, phase.trips
+            out.append((gap_sec + fork + body) * phase.trips)
+        return out
 
     def _gap_fork(self, gap_work: float) -> tuple[float, float]:
         """Wall time of the serial gap of ``gap_work`` units before a
@@ -236,10 +241,11 @@ def draw_measurement_noise(
     hash state, one update and one digest.
     """
     obs_seeds = sample_seeds_encoded((machine.name, program.name), suffixes)
+    reps = len(run_indices)
     return get_noise_model(machine.name).apply_many(
-        [true for true in true_runtimes for _ in run_indices],
+        np.repeat(np.asarray(true_runtimes, dtype=np.float64), reps),
         list(run_indices) * len(obs_seeds),
-        [s for s in obs_seeds for _ in run_indices],
+        np.repeat(np.array(obs_seeds, dtype=np.uint64), reps),
     )
 
 

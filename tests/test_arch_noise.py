@@ -17,10 +17,11 @@ import pytest
 from repro.arch.machines import get_machine
 from repro.arch.noise import (
     NOISE_MODELS,
+    encode_parts,
     get_noise_model,
     pcg64_states,
     sample_seed,
-    sample_seeds,
+    sample_seeds_encoded,
 )
 from repro.core.envspace import EnvSpace
 from repro.errors import ReproError
@@ -95,6 +96,15 @@ class TestPcg64States:
         with pytest.raises(ValueError):
             pcg64_states([1, 2], [0])
 
+    @pytest.mark.parametrize("seeds, runs, bad", [
+        ([-1], [0], -1),
+        ([3, 2**96 + 5], [0, -(2**70)], -(2**70)),
+    ])
+    def test_negative_input_names_the_value(self, seeds, runs, bad):
+        # SeedSequence's own error, not int.to_bytes' OverflowError.
+        with pytest.raises(ValueError, match=f"must be >= 0, got {bad}$"):
+            pcg64_states(seeds, runs)
+
 
 class TestApplyMany:
     MODELS = sorted(NOISE_MODELS) + ["riscv"]
@@ -145,6 +155,30 @@ class TestApplyMany:
         with pytest.raises(ReproError):
             model.apply_many([1.0], [0], [-1])
 
+    def test_nan_runtime_rejected(self):
+        # nan <= 0 is False, so a per-element "<= 0" check let it through.
+        model = get_noise_model("milan")
+        with pytest.raises(ReproError, match="nan"):
+            model.apply_many([float("nan")], [0], [1])
+        with pytest.raises(ReproError, match="nan"):
+            model.apply_many(np.array([0.5, np.nan]), [0, 1], [1, 1])
+
+
+class TestBatchedJitter:
+    """``apply_many`` takes one ``np.exp`` over the batch's scaled
+    deviates; the contract is the per-draw ``float(np.exp(...))``."""
+
+    @pytest.mark.parametrize("arch", TestApplyMany.MODELS)
+    def test_batch_exp_equals_per_element_exp(self, arch):
+        sigma = get_noise_model(arch).sigma
+        rng = np.random.default_rng(TestApplyMany.MODELS.index(arch))
+        scaled = sigma * rng.standard_normal(100_000)
+        per_element = [float(np.exp(x)) for x in scaled.tolist()]
+        assert np.exp(scaled).tolist() == per_element
+        # Short batches end in partial vector lanes.
+        for k in range(1, 33):
+            assert np.exp(scaled[:k]).tolist() == per_element[:k]
+
 
 @pytest.fixture(scope="module")
 def milan_small():
@@ -161,9 +195,9 @@ class TestMeasurementNoise:
                 sample_seed(machine.name, program.name, c.key(), seed)
                 for c in configs
             ]
-            assert sample_seeds(
+            assert sample_seeds_encoded(
                 (machine.name, program.name),
-                [(c.key(), seed) for c in configs],
+                [encode_parts((c.key(), seed)) for c in configs],
             ) == expected
 
     def test_equals_scalar_contract(self, milan_small):

@@ -1,7 +1,13 @@
 """Tests for region pricing and whole-program execution — including the
 analytic-vs-DES task model cross-validation."""
 
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +33,9 @@ from repro.runtime.program import (
 )
 from repro.workloads.base import get_workload
 from repro.workloads.generator import synthetic_task_workload
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def engine(machine=MILAN, **env):
@@ -192,6 +201,76 @@ class TestProgramStructures:
 
         with pytest.raises(WorkloadError):
             Program("p", ())
+
+
+#: Regions as constructor expressions, so a fresh interpreter builds the
+#: same values.  The names are strings: their hashes are salted.
+REGION_EXPRS = (
+    "LoopRegion('k.loop', n_iters=4096, iter_work=2e-6, mem_intensity=0.4,"
+    " n_reductions=1, trips=3, gap_work=1e-5)",
+    "TaskRegion('k.tasks', depth=6, branching=2, leaf_work=1e-6,"
+    " node_work=2e-7, trips=2)",
+)
+
+
+def price(eng, region):
+    if isinstance(region, LoopRegion):
+        return eng.loop_region_seconds(region), eng.memo.loop_body
+    return eng.task_region_seconds(region), eng.memo.task_body
+
+
+def build_region(expr):
+    return eval(expr, {"LoopRegion": LoopRegion, "TaskRegion": TaskRegion})
+
+
+class TestRegionHash:
+    """Regions key the region engine's memo; each hashes its fields once
+    and keeps the value out of pickles."""
+
+    @pytest.mark.parametrize("expr", REGION_EXPRS)
+    def test_equal_regions_built_separately_share_one_entry(self, expr):
+        a, b = build_region(expr), build_region(expr)
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        eng = engine()
+        seconds, table = price(eng, a)
+        assert price(eng, b) == (seconds, table)
+        assert len(table) == 1
+        # One field apart is another entry.
+        price(eng, dataclasses.replace(b, trips=b.trips + 1))
+        assert len(table) == 2
+
+    @pytest.mark.parametrize("expr", REGION_EXPRS)
+    def test_region_pickled_under_another_hash_seed_hits_its_entry(
+        self, expr
+    ):
+        # The region is hashed before it is pickled, so a kept hash would
+        # travel with it and miss the entry under this process's salt.
+        snippet = (
+            "import pickle\n"
+            "from repro.runtime.program import LoopRegion, TaskRegion\n"
+            f"region = {expr}\n"
+            "print(hash(region))\n"
+            "print(pickle.dumps(region).hex())\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True, text=True, check=True, env=env, timeout=120,
+        ).stdout.split()
+        remote_hash = int(out[0])
+        travelled = pickle.loads(bytes.fromhex(out[1]))
+        local = build_region(expr)
+        assert remote_hash != hash(local)  # the salts differ
+        assert travelled == local and hash(travelled) == hash(local)
+        eng = engine()
+        seconds, table = price(eng, local)
+        assert price(eng, travelled) == (seconds, table)
+        assert len(table) == 1
 
 
 class TestExecutor:
