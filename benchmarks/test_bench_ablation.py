@@ -142,7 +142,7 @@ def test_ablation_noise_model(benchmark, output_dir):
     from conftest import bench_sweep
 
     sweep = bench_sweep("milan", workloads=("alignment",), repetitions=2)
-    table = records_to_table(sweep.records)
+    table = records_to_table(sweep.block)
 
     def run():
         cols = run_columns(table)

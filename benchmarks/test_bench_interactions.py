@@ -32,7 +32,7 @@ def two_factor_dataset():
                 repetitions=1,
             )
         )
-        tables.append(records_to_table(result.records))
+        tables.append(records_to_table(result.block))
     return enrich_with_speedup(concat_tables(tables))
 
 

@@ -35,7 +35,7 @@ def new_machine_datasets():
                           repetitions=2)
             )
             out[arch] = label_optimal(
-                enrich_with_speedup(records_to_table(result.records))
+                enrich_with_speedup(records_to_table(result.block))
             )
     finally:
         # Keep them registered for the duration of the module's tests.

@@ -5,6 +5,8 @@ operations the sweep/analysis pipeline leans on; they guard against
 regressions that would make paper-scale (full-grid) sweeps impractical.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import BENCH_SCALE
@@ -19,7 +21,6 @@ from repro.mlkit.logreg import LogisticRegression
 from repro.mlkit.preprocess import Standardizer
 from repro.runtime.executor import RuntimeExecutor
 from repro.runtime.icv import EnvConfig
-from repro.serve.render import record_payload
 from repro.stats.wilcoxon import wilcoxon_signed_rank
 from repro.workloads.base import get_workload
 
@@ -197,8 +198,8 @@ def test_perf_sweep_nodes_sharded(benchmark):
         t0 = time.perf_counter()
         one = run_sweep(plan, n_processes=n_processes, backend="nodes")
         scaling[n_processes] = round(time.perf_counter() - t0, 4)
-        assert one.records == result.records
-    benchmark.extra_info["n_records"] = len(result.records)
+        assert one.block.to_bytes() == result.block.to_bytes()
+    benchmark.extra_info["n_records"] = result.n_samples
     benchmark.extra_info["shard_scaling_s"] = \
         {str(k): v for k, v in scaling.items()}
     benchmark.extra_info["n_steals"] = result.shard_report.n_steals
@@ -211,8 +212,8 @@ def test_perf_sweep_nodes_sharded(benchmark):
 # ----------------------------------------------------------------------
 # Both chains replay the full journey of one sweep batch — pack on the
 # worker, spool through the supervisor's pickle file, unpack on the
-# consumer, tabulate — once as per-record dict rows (the serve layer's
-# ``record_payload``) and once with the columnar RecordBlock path.
+# consumer, tabulate — once as per-record dict rows
+# (:func:`_record_to_dict`) and once with the columnar RecordBlock path.
 # Timing and tracemalloc peaks land in BENCH_sweep.json (extra_info) as
 # the throughput / peak-memory series; the floor test pins the ISSUE's
 # >= 5x acceptance ratio.
@@ -253,8 +254,26 @@ def _spool_roundtrip(obj, path):
         return pickle.load(handle)
 
 
+#: EnvConfig fields in dict-row order.
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(EnvConfig))
+
+
+def _record_to_dict(record: SweepRecord) -> dict:
+    """One record as a JSON-ready dict row (the dict-records baseline)."""
+    config = record.config
+    return {
+        "arch": record.arch,
+        "app": record.app,
+        "suite": record.suite,
+        "input_size": record.input_size,
+        "num_threads": record.num_threads,
+        "config": {f: getattr(config, f) for f in _CONFIG_FIELDS},
+        "runtimes": list(record.runtimes),
+    }
+
+
 def _record_from_dict(payload: dict) -> SweepRecord:
-    """Inverse of :func:`~repro.serve.render.record_payload`."""
+    """Inverse of :func:`_record_to_dict`."""
     return SweepRecord(
         arch=payload["arch"],
         app=payload["app"],
@@ -301,7 +320,7 @@ def _records_to_table_rowwise(records) -> Table:
 
 def _dict_pipeline(records, spool_path):
     """Baseline: dict rows spooled, decoded and tabulated row-wise."""
-    rows = _spool_roundtrip([record_payload(r) for r in records],
+    rows = _spool_roundtrip([_record_to_dict(r) for r in records],
                             spool_path)
     back = [_record_from_dict(d) for d in rows]
     del rows

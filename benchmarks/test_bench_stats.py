@@ -27,7 +27,7 @@ def alignment_tables():
     out = {}
     for arch in ARCHS:
         sweep = bench_sweep(arch, workloads=("alignment",), repetitions=4)
-        table = records_to_table(sweep.records)
+        table = records_to_table(sweep.block)
         mask = np.asarray([s == "small" for s in table["input_size"]])
         out[arch] = table.filter(mask)
     return out

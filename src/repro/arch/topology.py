@@ -16,13 +16,13 @@ machines.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro.errors import TopologyError
 
-__all__ = ["PlaceKind", "Place", "MachineTopology"]
+__all__ = ["PlaceKind", "Place", "MachineTopology", "hashed_once"]
 
 
 class PlaceKind(str, enum.Enum):
@@ -54,6 +54,40 @@ class Place:
         return len(self.cores)
 
 
+def hashed_once(cls: type) -> type:
+    """Make a frozen dataclass hash its fields once per instance.
+
+    Machines key :func:`~repro.runtime.affinity.compute_placement`'s
+    cache and regions key the region engine's memo, so a sweep looks each
+    one up thousands of times.  The first ``hash`` computes the value the
+    generated ``__hash__`` would (the hash of the field tuple) and keeps
+    it on the instance.  ``str`` hashes are salted per process, so the
+    kept value never travels: ``__getstate__`` leaves it out of pickles
+    and copies, and the receiving process hashes again.
+    """
+    # The fields the generated hash would cover.
+    names = tuple(f.name for f in fields(cls)
+                  if (f.compare if f.hash is None else f.hash))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(tuple(getattr(self, name) for name in names))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@hashed_once
 @dataclass(frozen=True)
 class MachineTopology:
     """Static description of one CPU machine.

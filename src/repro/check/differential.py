@@ -21,12 +21,14 @@ import dataclasses
 import json
 import math
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 from repro.arch.machines import get_machine
 from repro.core.cache import SweepCache
 from repro.core.sweep import SweepPlan, run_sweep
 from repro.errors import CheckFailure
+from repro.frame.columns import RecordBlock
 from repro.runtime.icv import UNSET, EnvConfig
 from repro.runtime.trace import ExecutionTrace, trace_execution
 from repro.workloads import get_workload
@@ -98,24 +100,30 @@ def full_plan() -> SweepPlan:
                      scale="medium", repetitions=3, inputs_limit=2)
 
 
-def _require_same_records(
+def _require_same_block(
     what: str,
-    reference: list,
-    candidate: list,
+    reference: RecordBlock,
+    candidate: RecordBlock,
     ref_name: str,
     name: str,
     hint: str = "",
 ) -> None:
-    """Raise :class:`CheckFailure` unless ``candidate`` equals
-    ``reference`` record for record, counting the differing records."""
-    if candidate == reference:
+    """Raise :class:`CheckFailure` unless ``candidate``'s bytes equal
+    ``reference``'s.  Only a mismatch decodes rows, to name the first
+    differing record — or interning/layout drift if the rows agree."""
+    if candidate.to_bytes() == reference.to_bytes():
         return
-    n = sum(1 for a, b in zip(reference, candidate) if a != b) + abs(
-        len(reference) - len(candidate)
-    )
+    from repro.core.sweep import sweep_block_to_records
+
+    ref, got = (sweep_block_to_records(b) if len(b) else []
+                for b in (reference, candidate))
+    differ = [i for i, (a, b) in enumerate(zip_longest(ref, got)) if a != b]
+    if not differ:
+        raise CheckFailure(f"{what}: records equal, block bytes differ "
+                           f"(interning/layout drift){hint}")
     raise CheckFailure(
-        f"{what}: {n} record(s) differ ({ref_name} {len(reference)} vs "
-        f"{name} {len(candidate)}){hint}"
+        f"{what}: {len(differ)} record(s) differ, first at index "
+        f"{differ[0]} ({ref_name} {len(ref)} vs {name} {len(got)}){hint}"
     )
 
 
@@ -123,7 +131,7 @@ def differential_parity(plan: SweepPlan | None = None) -> dict:
     """Replay one plan through all execution paths; records must match."""
     plan = plan or _quick_plan()
     serial = run_sweep(plan)
-    if not serial.records:
+    if not serial.n_samples:
         raise CheckFailure("differential plan produced no records")
 
     with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
@@ -140,12 +148,12 @@ def differential_parity(plan: SweepPlan | None = None) -> dict:
                 "expected all from cache"
             )
     for name, result in paths.items():
-        _require_same_records(f"{name} path diverged from serial",
-                              serial.records, result.records, "serial", name)
+        _require_same_block(f"{name} path diverged from serial",
+                            serial.block, result.block, "serial", name)
     return {
-        "details": f"{len(serial.records)} records bit-identical across "
+        "details": f"{serial.n_samples} records bit-identical across "
                    f"serial/parallel/cold-cache/warm-cache",
-        "n_records": len(serial.records),
+        "n_records": serial.n_samples,
         "paths": sorted(paths),
     }
 
@@ -164,7 +172,7 @@ def pruning_parity(plan: SweepPlan | None = None) -> dict:
     plan = plan or _quick_plan()
     pruned = run_sweep(dataclasses.replace(plan, prune=True))
     unpruned = run_sweep(dataclasses.replace(plan, prune=False))
-    if not pruned.records:
+    if not pruned.n_samples:
         raise CheckFailure("pruning-parity plan produced no records")
     if pruned.n_pruned_configs == 0:
         raise CheckFailure(
@@ -177,20 +185,20 @@ def pruning_parity(plan: SweepPlan | None = None) -> dict:
             "unpruned sweep reported "
             f"{unpruned.n_pruned_configs} pruned config(s)"
         )
-    _require_same_records(
+    _require_same_block(
         "pruned sweep diverged from exhaustive execution",
-        pruned.records, unpruned.records, "pruned", "unpruned",
+        pruned.block, unpruned.block, "pruned", "unpruned",
         hint=" — an execution-relevant ICV leaked out of "
              "ResolvedICVs.execution_signature()",
     )
     total = pruned.n_simulated_configs + pruned.n_pruned_configs
     return {
         "details": (
-            f"{len(pruned.records)} records bit-identical; pruning "
+            f"{pruned.n_samples} records bit-identical; pruning "
             f"simulated {pruned.n_simulated_configs}/{total} configs "
             f"({pruned.n_pruned_configs} fanned out)"
         ),
-        "n_records": len(pruned.records),
+        "n_records": pruned.n_samples,
         "n_simulated": pruned.n_simulated_configs,
         "n_pruned": pruned.n_pruned_configs,
     }
@@ -226,7 +234,7 @@ def resilience_degrade_parity(
                                corrupt_results=1, cache_faults=1, poison=1)
     retry = RetryPolicy(max_retries=2, base_delay_s=0.01, seed=11)
     clean = run_sweep(plan)
-    if not clean.records:
+    if not clean.n_samples:
         raise CheckFailure("resilience-parity plan produced no records")
 
     with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
@@ -253,18 +261,18 @@ def resilience_degrade_parity(
                 "entry(ies); the injected corruption must be caught by "
                 "checksum (exactly 1)"
             )
-    _require_same_records("degrade+resume diverged from the fault-free sweep",
-                          clean.records, resumed.records, "clean", "resumed")
+    _require_same_block("degrade+resume diverged from the fault-free sweep",
+                        clean.block, resumed.block, "clean", "resumed")
     return {
         "details": (
-            f"{len(resumed.records)} records bit-identical after "
+            f"{resumed.n_samples} records bit-identical after "
             f"{report.n_failed_batches} failed batch(es) "
             f"({report.n_quarantined} quarantined, "
             f"{report.n_recovered} recovered) and 1 cache corruption "
             f"on the {backend} backend"
         ),
         "backend": backend,
-        "n_records": len(resumed.records),
+        "n_records": resumed.n_samples,
         "n_failed_batches": report.n_failed_batches,
         "n_quarantined": report.n_quarantined,
         "n_recovered": report.n_recovered,
@@ -315,12 +323,11 @@ def columnar_pipeline_parity(
 ) -> dict:
     """The packed columnar record path must be invisible end-to-end.
 
-    One plan's records travel every columnar hop — packing into a
-    :class:`~repro.frame.columns.RecordBlock`, the byte codec
-    round-trip (what a cache entry stores) and a cache format v6 store
-    and load — and every hop must give the records back bit-identically.
-    The dataset table, built from the records and from the block, must
-    equal a row oracle built from the decoded records
+    One plan's merged :class:`~repro.frame.columns.RecordBlock` must come
+    back byte for byte through the byte codec (what a cache entry stores)
+    and a cache format v6 store and load, and each batch block through a
+    decode into rows and a repack.  The dataset table, built from the
+    decoded records and from the block, must equal a row oracle
     (:func:`_dataset_rows`), and its speedup enrichment a dict-keyed
     default-runtime oracle (:func:`_default_runtimes`).  The vectorized
     ``group_by`` is then compared against its hash-based python
@@ -336,7 +343,6 @@ def columnar_pipeline_parity(
         sweep_block_to_records,
         sweep_records_to_block,
     )
-    from repro.frame.columns import RecordBlock
     from repro.resilience import BACKEND_NAMES
 
     if backend not in BACKEND_NAMES:
@@ -344,29 +350,27 @@ def columnar_pipeline_parity(
             f"unknown backend {backend!r}; have {BACKEND_NAMES}"
         )
     plan = plan or _quick_plan()
-    records = run_sweep(plan, n_processes=2, backend=backend).records
-    if not records:
+    result = run_sweep(plan, n_processes=2, backend=backend)
+    block, records = result.block, []
+    if not len(block):
         raise CheckFailure("columnar-parity plan produced no records")
-
-    block = sweep_records_to_block(records)
-    if sweep_block_to_records(block) != records:
-        raise CheckFailure(
-            "columnar pack/unpack round-trip altered the records"
-        )
-    if sweep_block_to_records(
-            RecordBlock.from_bytes(block.to_bytes())) != records:
-        raise CheckFailure(
-            "columnar byte codec round-trip altered the records"
-        )
+    for batch in result.blocks:
+        rows = sweep_block_to_records(batch)
+        if sweep_records_to_block(rows).to_bytes() != batch.to_bytes():
+            raise CheckFailure("pack/unpack round-trip altered a batch")
+        records += rows
+    data = block.to_bytes()
+    if RecordBlock.from_bytes(data).to_bytes() != data:
+        raise CheckFailure("columnar byte codec round-trip altered the block")
 
     with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
         cache = SweepCache(Path(tmp) / "cache")
         key = "f" * 64
         cache.put(key, block)
         hit = cache.get(key)
-        if hit is None or sweep_block_to_records(hit) != records:
+        if hit is None or hit.to_bytes() != data:
             raise CheckFailure(
-                "cache format v6 round-trip altered the records"
+                "cache format v6 round-trip altered the block bytes"
             )
         if cache.corrupt_keys:
             raise CheckFailure(
@@ -441,7 +445,7 @@ def sharded_execution_parity(plan: SweepPlan | None = None) -> dict:
 
     plan = plan or _quick_plan()
     serial = run_sweep(plan)
-    if not serial.records:
+    if not serial.n_samples:
         raise CheckFailure("sharded-parity plan produced no records")
 
     combos = ["serial"]
@@ -450,10 +454,10 @@ def sharded_execution_parity(plan: SweepPlan | None = None) -> dict:
             result = run_sweep(plan, n_processes=n_processes,
                                backend=backend)
             combo = f"{backend}x{n_processes}"
-            _require_same_records(
+            _require_same_block(
                 f"backend={backend} processes={n_processes} diverged "
                 "from the serial reference",
-                serial.records, result.records, "serial", combo,
+                serial.block, result.block, "serial", combo,
             )
             combos.append(combo)
 
@@ -487,20 +491,20 @@ def sharded_execution_parity(plan: SweepPlan | None = None) -> dict:
             )
         resumed = run_sweep(plan, cache=SweepCache(Path(tmp) / "cache"),
                             fail_policy="degrade")
-    _require_same_records(
+    _require_same_block(
         "nodes chaos degrade+resume diverged from the serial reference",
-        serial.records, resumed.records, "serial", "resumed",
+        serial.block, resumed.block, "serial", "resumed",
     )
     return {
         "details": (
-            f"{len(serial.records)} records bit-identical across "
+            f"{serial.n_samples} records bit-identical across "
             f"{len(combos)} backend×process combination(s) "
             f"({', '.join(combos)}); nodes degrade+resume under "
             f"node-lost/shard-partition chaos matched the serial "
             f"reference ({report.n_failed_batches} failed batch(es), "
             f"{report.n_quarantined} quarantined)"
         ),
-        "n_records": len(serial.records),
+        "n_records": serial.n_samples,
         "combinations": combos,
         "chaos_fault_kinds": sorted(kinds),
         "n_failed_batches": report.n_failed_batches,
@@ -545,9 +549,9 @@ def service_degrade_parity(plan: SweepPlan | None = None) -> dict:
         "seed": plan.seed,
     }
     direct = run_sweep(plan)
-    if not direct.records:
+    if not direct.n_samples:
         raise CheckFailure("service-parity plan produced no records")
-    truth = records_payload(direct.records)
+    truth = records_payload(direct.block)
 
     with tempfile.TemporaryDirectory(prefix="repro-check-serve-") as tmp:
         # Leg 1: backend death mid-request -> breaker -> degraded rung.

@@ -1014,7 +1014,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         resumed = run_sweep(plan, cache=resume_cache, fail_policy="degrade")
         clean = run_sweep(plan)
 
-    parity = resumed.records == clean.records
+    parity = resumed.block.to_bytes() == clean.block.to_bytes()
     faults_detected = len(resume_cache.corrupt_keys) == args.cache_faults
     verdict = {
         "n_batches": n_batches,

@@ -443,6 +443,26 @@ class _Resolver:
                         cls = self.graph.return_class_of(callee)
                 if cls is not None:
                     self.var_types[target.id] = cls
+            elif (
+                isinstance(target, ast.Name)
+                and isinstance(value, ast.Attribute)
+            ):
+                # A local alias of an attribute (engine = self.engine)
+                # takes the attribute's type, as TypedScope.type_of does.
+                cls = self._attr_type(value)
+                if cls is not None:
+                    self.var_types[target.id] = cls
+
+    def _attr_type(self, node: ast.Attribute) -> str | None:
+        """The project class of ``self.attr``/``var.attr`` through the
+        owner's ``ClassRecord.attr_types``, else ``None``."""
+        base = node.value
+        if not isinstance(base, ast.Name):
+            return None
+        owner = (self.record.cls if base.id in ("self", "cls")
+                 else self.var_types.get(base.id))
+        record = self.graph.classes.get(owner) if owner else None
+        return record.attr_types.get(node.attr) if record else None
 
     def _constructor_targets(self, cls: str) -> list[str]:
         out = []

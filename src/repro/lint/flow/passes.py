@@ -59,7 +59,6 @@ DEFAULT_RESULT_ROOTS = (
     "repro.frame.columns.RecordBlock.from_bytes",
     "repro.reporting.report_payload",
     "repro.reporting.render_report",
-    "repro.serve.render.record_payload",
     "repro.serve.render.records_payload",
     "repro.serve.render.sweep_summary_payload",
     "repro.serve.render.job_payload",

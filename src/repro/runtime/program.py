@@ -22,8 +22,9 @@ fall asleep between regions (and must be woken at the next fork).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
+from repro.arch.topology import hashed_once
 from repro.errors import WorkloadError
 
 __all__ = ["LoadPattern", "SerialPhase", "LoopRegion", "TaskRegion", "Program"]
@@ -42,38 +43,6 @@ class LoadPattern(str, enum.Enum):
     RANDOM = "random"
 
 
-def _hashed_once(cls: type) -> type:
-    """Make a frozen dataclass hash its fields once per instance.
-
-    Regions key the region engine's memo, so a sweep looks each one up
-    thousands of times.  The first ``hash`` computes the value the
-    generated ``__hash__`` would (the hash of the field tuple) and keeps
-    it on the instance.  ``str`` hashes are salted per process, so the
-    kept value never travels: ``__getstate__`` leaves it out of pickles
-    and copies, and the receiving process hashes again.
-    """
-    # The fields the generated hash would cover.
-    names = tuple(f.name for f in fields(cls)
-                  if (f.compare if f.hash is None else f.hash))
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash(tuple(getattr(self, name) for name in names))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
-
-
 @dataclass(frozen=True)
 class SerialPhase:
     """Single-threaded work (initialization, I/O, inter-region glue)."""
@@ -86,7 +55,7 @@ class SerialPhase:
             raise WorkloadError(f"serial phase {self.name!r} has negative work")
 
 
-@_hashed_once
+@hashed_once
 @dataclass(frozen=True)
 class LoopRegion:
     """One worksharing-loop parallel region.
@@ -168,7 +137,7 @@ class LoopRegion:
         return self.n_iters * self.iter_work
 
 
-@_hashed_once
+@hashed_once
 @dataclass(frozen=True)
 class TaskRegion:
     """One task-parallel region described by its spawn tree.

@@ -226,14 +226,14 @@ def trace_record(tiebreak_seed: int | None = None) -> dict:
 
 
 def sweep_record(tiebreak_seed: int | None = None) -> dict:
-    """Records of a small single-workload sweep grid under perturbation."""
+    """Block bytes of a small single-workload sweep under perturbation."""
     plan = SweepPlan(
         arch="milan", workload_names=("xsbench",), scale="small",
         repetitions=1, inputs_limit=1,
     )
     with tiebreak_scope(tiebreak_seed):
         result = run_sweep(plan)
-    return {"n_records": len(result.records), "records": tuple(result.records)}
+    return {"n_records": result.n_samples, "block": result.block.to_bytes()}
 
 
 # ----------------------------------------------------------------------

@@ -790,7 +790,7 @@ class TuningDaemon:
                 )
             else:
                 await self._respond(
-                    writer, 200, render.records_payload(job.result.records)
+                    writer, 200, render.records_payload(job.result.block)
                 )
         elif sub == "cancel" and method == "POST":
             if self.queue.cancel(job.id):

@@ -15,52 +15,44 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.core.sweep import SweepRecord, SweepResult
+from repro.core.sweep import SweepResult
+from repro.frame.columns import RecordBlock
 
 __all__ = [
     "job_payload",
-    "record_payload",
     "records_payload",
     "recommend_payload",
     "sweep_summary_payload",
 ]
 
-#: EnvConfig fields in record-payload order.
-_CONFIG_FIELDS = (
-    "num_threads",
-    "places",
-    "proc_bind",
-    "schedule",
-    "library",
-    "blocktime",
-    "force_reduction",
-    "align_alloc",
-)
+#: Record-payload fields in order, then the EnvConfig fields of its
+#: ``config`` (``num_threads`` there is the ``cfg_num_threads`` column).
+_RECORD_FIELDS = ("arch", "app", "suite", "input_size", "num_threads",
+                  "config", "runtimes")
+_CONFIG_FIELDS = ("num_threads", "places", "proc_bind", "schedule",
+                  "library", "blocktime", "force_reduction", "align_alloc")
 
 
-def record_payload(record: SweepRecord) -> dict:
-    """One sweep record as a JSON-ready dict (deterministic field order)."""
-    return {
-        "arch": record.arch,
-        "app": record.app,
-        "suite": record.suite,
-        "input_size": record.input_size,
-        "num_threads": record.num_threads,
-        "config": {f: getattr(record.config, f) for f in _CONFIG_FIELDS},
-        "runtimes": list(record.runtimes),
-    }
-
-
-def records_payload(records: Sequence[SweepRecord]) -> dict:
+def records_payload(block: RecordBlock) -> dict:
     """A full record dump — the body of ``GET /jobs/<id>/records``.
 
-    This is the payload the ``service-degrade-parity`` check compares
-    against a direct :func:`~repro.core.sweep.run_sweep`, so it must be
-    a pure function of the records alone.
+    Built from the sweep block column by column (one ``tolist`` each;
+    the ``-1`` sentinels of unset ints become ``None``).  This is the
+    payload the ``service-degrade-parity`` check compares against a
+    direct :func:`~repro.core.sweep.run_sweep`, so it must be a pure
+    function of the block alone.
     """
+    cols = {name: arr.tolist() for name, arr in block.to_arrays().items()}
+    for name in ("cfg_num_threads", "align_alloc"):
+        cols[name] = [None if v < 0 else v for v in cols[name]]
+    if block.columns["runtimes"].width == 1:
+        cols["runtimes"] = [[t] for t in cols["runtimes"]]
+    cols["config"] = [dict(zip(_CONFIG_FIELDS, cfg)) for cfg in zip(
+        cols["cfg_num_threads"], *(cols[f] for f in _CONFIG_FIELDS[1:]))]
     return {
-        "n_records": len(records),
-        "records": [record_payload(r) for r in records],
+        "n_records": len(block),
+        "records": [dict(zip(_RECORD_FIELDS, row))
+                    for row in zip(*(cols[f] for f in _RECORD_FIELDS))],
     }
 
 

@@ -187,7 +187,7 @@ def run_service_scenario(
     )
     # Fault-free ground truth, computed directly — the daemon must
     # reproduce these records through every degradation path.
-    truth = records_payload(run_sweep(plan).records)
+    truth = records_payload(run_sweep(plan).block)
 
     outcomes: list[dict] = []
     ok = True

@@ -6,6 +6,7 @@ proving each checker actually *catches* the bug class it guards against
 (a checker that cannot fail is not a check).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -34,10 +35,13 @@ from repro.check import (
     run_suite,
     sharded_execution_parity,
 )
+from repro.check.differential import _require_same_block
 from repro.check.runner import SUITES, format_results, write_report
+from repro.core.sweep import sweep_block_to_records, sweep_records_to_block
 from repro.cli import main
 from repro.desim.stealing import WorkStealingSimulator
 from repro.errors import CheckFailure
+from repro.frame.columns import RecordBlock
 from repro.runtime.schedule import iterate_chunks
 
 pytestmark = pytest.mark.check
@@ -227,6 +231,61 @@ class TestDifferential:
                                                         encoding="utf-8")
         with pytest.raises(CheckFailure, match="unreadable"):
             golden_trace_check(golden_dir=tmp_path)
+
+
+class TestBlockParity:
+    """Every parity leg compares merged block bytes; rows are decoded only
+    to explain a mismatch."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        from repro.core.sweep import SweepPlan, run_sweep
+
+        plan = SweepPlan(arch="milan", workload_names=("cg", "ep"),
+                         scale="small", repetitions=2, inputs_limit=1)
+        return run_sweep(plan).block
+
+    def test_equal_blocks_pass(self, block):
+        copy = RecordBlock.from_bytes(block.to_bytes())
+        _require_same_block("x", block, copy, "ref", "got")
+
+    def test_first_differing_record_is_named(self, block):
+        records = sweep_block_to_records(block)
+        r = records[5]
+        records[5] = dataclasses.replace(
+            r, runtimes=(r.runtimes[0] * 2, *r.runtimes[1:]))
+        with pytest.raises(CheckFailure, match=(
+                r"x: 1 record\(s\) differ, first at index 5 "
+                r"\(ref \d+ vs got \d+\)")):
+            _require_same_block("x", block, sweep_records_to_block(records),
+                                "ref", "got")
+
+    def test_missing_records_are_counted(self, block):
+        n = len(block)
+        shorter = sweep_records_to_block(sweep_block_to_records(block)[:-1])
+        with pytest.raises(CheckFailure, match=(
+                rf"1 record\(s\) differ, first at index {n - 1} "
+                rf"\(ref {n} vs got {n - 1}\)")):
+            _require_same_block("x", block, shorter, "ref", "got")
+
+    def test_empty_candidate_is_counted(self, block):
+        with pytest.raises(CheckFailure, match=(
+                rf"{len(block)} record\(s\) differ, first at index 0")):
+            _require_same_block("x", block, RecordBlock(block.schema),
+                                "ref", "got")
+
+    def test_interning_drift_is_flagged(self, block):
+        # Same rows, string table in reverse order: only bytes can tell.
+        drifted = RecordBlock(block.schema)
+        for value in reversed(block.strings.to_list()):
+            drifted.strings.add(value)
+        drifted.extend(block)
+        assert sweep_block_to_records(drifted) == \
+            sweep_block_to_records(block)
+        with pytest.raises(CheckFailure, match=(
+                r"records equal, block bytes differ "
+                r"\(interning/layout drift\)")):
+            _require_same_block("x", block, drifted, "ref", "got")
 
 
 class TestPruningParity:

@@ -327,6 +327,28 @@ class TestTypedInference:
             s.callee for s in graph.calls["repro.eng.Driver.go"]
         ]
 
+    def test_local_alias_of_an_attribute_keeps_its_type(self, tmp_path):
+        # engine = self.engine; engine.run() must still reach Engine.run,
+        # or the cone loses every read behind the alias.
+        root = make_tree(tmp_path, {
+            "eng.py": """
+                class Engine:
+                    def run(self):
+                        return 1
+
+                class Driver:
+                    def __init__(self):
+                        self.engine = Engine()
+                    def go(self):
+                        engine = self.engine
+                        return engine.run()
+            """,
+        })
+        graph = build_callgraph(root)
+        assert "repro.eng.Engine.run" in [
+            s.callee for s in graph.calls["repro.eng.Driver.go"]
+        ]
+
     def test_return_annotations_type_call_results(self, tmp_path):
         root = make_tree(tmp_path, {
             "w.py": """

@@ -1,6 +1,7 @@
 """Tests for region pricing and whole-program execution — including the
 analytic-vs-DES task model cross-validation."""
 
+import copy
 import dataclasses
 import math
 import os
@@ -224,8 +225,9 @@ def build_region(expr):
 
 
 class TestRegionHash:
-    """Regions key the region engine's memo; each hashes its fields once
-    and keeps the value out of pickles."""
+    """Regions key the region engine's memo and machines the placement
+    cache; each hashes its fields once and keeps the value out of
+    pickles."""
 
     @pytest.mark.parametrize("expr", REGION_EXPRS)
     def test_equal_regions_built_separately_share_one_entry(self, expr):
@@ -239,6 +241,21 @@ class TestRegionHash:
         # One field apart is another entry.
         price(eng, dataclasses.replace(b, trips=b.trips + 1))
         assert len(table) == 2
+
+    @pytest.mark.parametrize("value", [
+        *(build_region(expr) for expr in REGION_EXPRS),
+        MILAN,
+        dataclasses.replace(A64FX, name="a64fx-copy"),
+    ], ids=["loop", "task", "milan", "a64fx-copy"])
+    def test_kept_hash_is_the_generated_one_and_never_pickled(self, value):
+        generated = hash(tuple(getattr(value, f.name)
+                               for f in dataclasses.fields(value)
+                               if f.compare))
+        assert hash(value) == generated
+        assert vars(value)["_hash"] == generated
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+            assert "_hash" not in vars(clone)
+            assert clone == value and hash(clone) == generated
 
     @pytest.mark.parametrize("expr", REGION_EXPRS)
     def test_region_pickled_under_another_hash_seed_hits_its_entry(

@@ -560,3 +560,76 @@ class TestJobDoneCallback:
                 assert sorted(fired) == list(range(50)), f"iteration {n}"
         finally:
             sys.setswitchinterval(interval)
+
+
+# ----------------------------------------------------------------------
+# GET /jobs/<id>/records body
+# ----------------------------------------------------------------------
+#: EnvConfig fields in record-payload order.
+_PAYLOAD_CONFIG_FIELDS = ("num_threads", "places", "proc_bind", "schedule",
+                          "library", "blocktime", "force_reduction",
+                          "align_alloc")
+
+
+def _rowwise_records_payload(records) -> dict:
+    """Row-wise oracle of ``records_payload``: one dict per decoded
+    ``SweepRecord``, as the records body was built before it rendered
+    from block columns."""
+    return {
+        "n_records": len(records),
+        "records": [
+            {
+                "arch": r.arch,
+                "app": r.app,
+                "suite": r.suite,
+                "input_size": r.input_size,
+                "num_threads": r.num_threads,
+                "config": {f: getattr(r.config, f)
+                           for f in _PAYLOAD_CONFIG_FIELDS},
+                "runtimes": list(r.runtimes),
+            }
+            for r in records
+        ],
+    }
+
+
+class TestRecordsPayload:
+    @pytest.mark.parametrize("plan", [
+        {"arch": "milan", "repetitions": 3},
+        {"arch": "skylake", "repetitions": 3},
+        {"arch": "a64fx", "repetitions": 3},
+        # One repetition: runtimes is a width-1 (scalar-cell) column.
+        {"arch": "milan", "repetitions": 1, "workload_names": ("cg",)},
+    ], ids=["milan", "skylake", "a64fx", "milan-1rep"])
+    def test_column_render_is_byte_equal_to_the_row_oracle(self, plan):
+        from repro.core.sweep import SweepPlan, run_sweep
+        from repro.serve.render import records_payload
+
+        result = run_sweep(SweepPlan(scale="small", seed=0, **plan))
+        payload = records_payload(result.block)
+        # Unset alignment occurs, or its None mapping is untested here.
+        assert any(r["config"]["align_alloc"] is None
+                   for r in payload["records"])
+        assert json.dumps(payload) == json.dumps(
+            _rowwise_records_payload(result.records))
+
+    def test_unset_config_threads_render_as_none(self):
+        # Sweep grids always set num_threads; a hand-built record does not.
+        from repro.core.sweep import SweepRecord, sweep_records_to_block
+        from repro.runtime.icv import EnvConfig
+        from repro.serve.render import records_payload
+
+        records = [SweepRecord("milan", "cg", "npb", "S", 96,
+                               EnvConfig(align_alloc=64), (1.5, 2.5))]
+        payload = records_payload(sweep_records_to_block(records))
+        assert payload["records"][0]["config"]["num_threads"] is None
+        assert json.dumps(payload) == json.dumps(
+            _rowwise_records_payload(records))
+
+    def test_empty_block_renders_no_records(self):
+        from repro.core.sweep import sweep_block_schema
+        from repro.frame.columns import RecordBlock
+        from repro.serve.render import records_payload
+
+        block = RecordBlock(sweep_block_schema(3))
+        assert records_payload(block) == {"n_records": 0, "records": []}

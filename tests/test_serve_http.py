@@ -49,7 +49,7 @@ def daemon(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def truth():
-    return records_payload(run_sweep(PLAN).records)
+    return records_payload(run_sweep(PLAN).block)
 
 
 def submit(handle, **overrides):
@@ -432,7 +432,7 @@ class TestDrainAndResume:
                 arch="milan", workload_names=("nqueens", "cg"),
                 scale="small", repetitions=2, inputs_limit=2,
             )
-            assert served == records_payload(run_sweep(multi_plan).records)
+            assert served == records_payload(run_sweep(multi_plan).block)
             # fresh ids continue past the resumed one after restart
             status, newer = submit(revived)
             assert newer["job_id"] > job_id
