@@ -63,6 +63,8 @@ DEFAULT_RESULT_ROOTS = (
     "repro.serve.render.sweep_summary_payload",
     "repro.serve.render.job_payload",
     "repro.serve.render.recommend_payload",
+    "repro.serve.app.TuningDaemon._recommendations",
+    "repro.serve.app.TuningDaemon._shared_recommendations",
 )
 
 _NONDETERMINISM = ("wall-clock", "unseeded-rng")

@@ -26,6 +26,8 @@ Admission control runs in a fixed order — drain gate (``503``), rate
 limit (``429`` + ``Retry-After``), coalescing (an identical in-flight
 request is *answered from*, not re-queued), queue capacity (``429`` +
 ``Retry-After``) — so overload sheds at the cheapest possible point.
+The ``/recommend`` waiters of one job also share one recommendation
+per ``(quantile, min_lift)`` while it is being computed.
 
 Every response body is built by :mod:`repro.serve.render` (FLOW001
 result roots), so served results can never absorb host time.
@@ -186,6 +188,9 @@ class TuningDaemon:
             config.rate_per_s, config.burst, clock=clock
         )
         self.coalescer = Coalescer()
+        #: In-flight recommendation computations by ``(job id, quantile,
+        #: min_lift)``; touched only on the event-loop thread.
+        self._answers: dict[tuple[str, float, float], asyncio.Task] = {}
         self.queue = JobQueue(
             self._run_job,
             max_queued=config.max_queued,
@@ -717,9 +722,7 @@ class TuningDaemon:
                  "job": render.job_payload(job.view())},
             )
             return
-        settings = await asyncio.to_thread(
-            self._recommendations, job.result, quantile, min_lift
-        )
+        settings = await self._shared_recommendations(job, quantile, min_lift)
         payload = render.recommend_payload(settings, quantile, min_lift)
         payload["job"] = render.job_payload(job.view())
         await self._respond(writer, 200, payload)
@@ -742,6 +745,35 @@ class TuningDaemon:
 
         job.add_done_callback(wake)
         return future
+
+    async def _shared_recommendations(self, job: Job, quantile: float,
+                                      min_lift: float) -> list[dict]:
+        """``job``'s recommendations, computed once per in-flight
+        ``(job, quantile, min_lift)``.
+
+        The first waiter starts :meth:`_recommendations` on a worker
+        thread; the coalesced waiters of the same job await that task.
+        Each awaits it through :func:`asyncio.shield`, so one client
+        going away never cancels the answer for the others.  The entry
+        is dropped as soon as the task finishes, so nothing is kept
+        after the burst, and an error the computation raises reaches
+        every waiter.
+        """
+        key = (job.id, quantile, min_lift)
+        task = self._answers.get(key)
+        if task is None:
+            task = asyncio.create_task(asyncio.to_thread(
+                self._recommendations, job.result, quantile, min_lift
+            ))
+            self._answers[key] = task
+
+            def forget(done: asyncio.Task) -> None:
+                del self._answers[key]
+                if not done.cancelled():
+                    done.exception()  # retrieved, even if every waiter left
+
+            task.add_done_callback(forget)
+        return await asyncio.shield(task)
 
     @staticmethod
     def _recommendations(result: SweepResult, quantile: float,

@@ -20,6 +20,14 @@ Only **in-flight** (queued or running) jobs coalesce.  A finished job's
 results live in the sweep cache; re-running the plan is then a pure
 cache read, so folding onto completed jobs would only add staleness
 questions for no savings.
+
+The ``/recommend`` waiters of one coalesced job also share the answer:
+the daemon computes one recommendation per ``(quantile, min_lift)``
+while it is in flight, hands the first computation's result (or its
+error) to every waiter with that pair, and keeps nothing once it
+finishes (``TuningDaemon._shared_recommendations``).  That sharing
+lives on the daemon's event loop, not in :class:`Coalescer`, whose
+counters count jobs only.
 """
 
 from __future__ import annotations

@@ -306,6 +306,70 @@ class TestFlow001NoiseDraws:
         assert self.findings(tmp_path, tree) == []
 
 
+class TestFlow001Recommendations:
+    """The ``/recommend`` body's numbers come from the daemon's shared
+    computation, not from the renderer: a host-clock read anywhere
+    under it must surface at those roots."""
+
+    ROOTS = ("repro.serve.app.TuningDaemon._recommendations",
+             "repro.serve.app.TuningDaemon._shared_recommendations")
+    TREE = {
+        "core/__init__.py": "",
+        "core/recommend.py": """
+            import time
+
+            def best_variable_values(table, quantile, min_lift):
+                return [(row, time.perf_counter()) for row in table]
+        """,
+        "serve/__init__.py": "",
+        "serve/app.py": """
+            import asyncio
+
+            from repro.core.recommend import best_variable_values
+
+            class TuningDaemon:
+                async def _shared_recommendations(self, job, quantile,
+                                                  min_lift):
+                    return self._recommendations(job.result, quantile,
+                                                 min_lift)
+
+                @staticmethod
+                def _recommendations(result, quantile, min_lift):
+                    return best_variable_values(result, quantile, min_lift)
+        """,
+    }
+
+    def findings(self, tmp_path, tree):
+        graph = build_callgraph(make_tree(tmp_path, tree))
+        return check_transitive_nondeterminism(
+            graph, compute_summaries(graph), roots=self.ROOTS
+        )
+
+    def test_recommendation_entry_points_are_guarded(self):
+        for root in self.ROOTS:
+            assert root in DEFAULT_RESULT_ROOTS
+        assert "repro.serve.render.recommend_payload" in DEFAULT_RESULT_ROOTS
+
+    def test_clock_read_under_the_computation_fires_at_both_roots(
+        self, tmp_path
+    ):
+        findings = self.findings(tmp_path, self.TREE)
+        assert {f.subject for f in findings} == {
+            root.removeprefix("repro.") for root in self.ROOTS
+        }
+        for f in findings:
+            assert f.rule == "FLOW001"
+            assert f.severity is Severity.ERROR
+            assert "best_variable_values" in f.message
+
+    def test_clock_free_computation_is_silent(self, tmp_path):
+        tree = dict(self.TREE)
+        tree["core/recommend.py"] = tree["core/recommend.py"].replace(
+            "time.perf_counter()", "min_lift"
+        )
+        assert self.findings(tmp_path, tree) == []
+
+
 # ----------------------------------------------------------------------
 # FLOW002 — resource safety (fault injection: leak on exception path)
 # ----------------------------------------------------------------------

@@ -16,10 +16,12 @@ import threading
 import pytest
 
 from repro.core.sweep import SweepPlan, run_sweep
+from repro.errors import DatasetError
 from repro.serve.app import DaemonConfig, TuningDaemon
 from repro.serve.harness import DaemonHandle
+from repro.serve.limits import wall_clock
 from repro.serve.queue import Job, JobQueue
-from repro.serve.render import records_payload
+from repro.serve.render import records_payload, recommend_payload
 
 #: The one plan every test serves (single batch; cache-warm after the
 #: first computation).
@@ -209,6 +211,217 @@ class TestRecommend:
         loop.close()
         JobQueue(lambda job: None)._settle(job, "interrupted")
         assert job.done_event.is_set() and not waiter.done()
+
+
+#: A ``/recommend`` whose plan differs from ``PLAN_PAYLOAD`` (3
+#: repetitions), so its job never coalesces onto a wedging sweep.
+QUEUED = ("/recommend?arch=milan&workload=nqueens&scale=small"
+          "&repetitions=3&inputs_limit=1&deadline_s=300")
+
+
+def wait_until(predicate, timeout_s=60.0):
+    """Poll ``predicate`` until it holds (a wait, not an assertion)."""
+    deadline = wall_clock() + timeout_s
+    while not predicate():
+        assert wall_clock() < deadline, "condition not reached in time"
+        threading.Event().wait(0.01)
+
+
+def waiting_on_jobs(handle, blocker_id):
+    """Requests parked on the settle hooks of the queued jobs behind
+    ``blocker_id`` (one hook per waiting ``/recommend``)."""
+    return sum(len(job._done_callbacks)
+               for job in list(handle.daemon.queue.jobs.values())
+               if job.id != blocker_id and not job.settled)
+
+
+class Held:
+    """A daemon computation held at ``gate``: ``arrive`` wraps the
+    shared step (recording each request as it looks up the in-flight
+    map, in the same loop step), ``run`` stands in for
+    ``_recommendations``."""
+
+    def __init__(self, shared):
+        self.shared = shared
+        self.compute = TuningDaemon._recommendations
+        self.arrived, self.calls = [], []
+        self.gate = threading.Event()
+
+    async def arrive(self, job, quantile, min_lift):
+        self.arrived.append(quantile)
+        return await self.shared(job, quantile, min_lift)
+
+    def run(self, result, quantile, min_lift):
+        self.calls.append((quantile, min_lift))
+        self.gate.wait(60.0)
+        return self.compute(result, quantile, min_lift)
+
+
+class TestSharedRecommendation:
+    """Coalesced ``/recommend`` waiters share one computation.
+
+    Each round wedges the only worker with a throttled sweep, parks the
+    requests on one queued job, and only then cancels the wedge.  The
+    computation is held until every request has reached the shared
+    step, so the followers meet it in flight without depending on
+    timing."""
+
+    @pytest.fixture(scope="class")
+    def handle(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("serve-shared")
+        handle = DaemonHandle(DaemonConfig(
+            cache_dir=str(root / "cache"), deadline_s=300.0,
+            max_inflight=1,
+        ))
+        yield handle
+        handle.drain()
+
+    @pytest.fixture
+    def held(self, handle, monkeypatch):
+        """Route the daemon's computation through ``held.compute``
+        (default: the real one), counting calls in ``held.calls`` and
+        each request reaching the shared step in ``held.arrived``."""
+        held = Held(handle.daemon._shared_recommendations)
+        monkeypatch.setattr(handle.daemon, "_shared_recommendations",
+                            held.arrive)
+        monkeypatch.setattr(handle.daemon, "_recommendations", held.run)
+        return held
+
+    def wedge(self, handle):
+        status, blocker = submit(handle, throttle_s=120.0)
+        assert status == 202
+        return blocker["job_id"]
+
+    def release(self, handle, blocker_id, held, n_requests):
+        """Free the worker, then the computation once all
+        ``n_requests`` reached the shared step."""
+        status, _body = handle.request("POST", f"/jobs/{blocker_id}/cancel")
+        assert status in (202, 409)
+        wait_until(lambda: len(held.arrived) == n_requests)
+        held.gate.set()
+
+    def coalesced_round(self, handle, held, paths):
+        """Send ``paths`` as concurrent requests onto one queued job;
+        their ``(status, body)`` pairs in order."""
+        blocker_id = self.wedge(handle)
+        responses = [None] * len(paths)
+
+        def client(i):
+            responses[i] = handle.request("GET", paths[i], timeout=300.0)
+
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(len(paths))]
+        for t in threads:
+            t.start()
+        wait_until(lambda: waiting_on_jobs(handle, blocker_id) == len(paths))
+        self.release(handle, blocker_id, held, len(paths))
+        for t in threads:
+            t.join()
+        return responses
+
+    def unshared(self, handle, job_id, quantile, min_lift=1.3):
+        result = handle.daemon.queue.get(job_id).result
+        settings = TuningDaemon._recommendations(result, quantile, min_lift)
+        return recommend_payload(settings, quantile,
+                                 min_lift)["recommendations"]
+
+    def test_identical_requests_compute_once(self, handle, held):
+        (s1, a), (s2, b) = self.coalesced_round(handle, held, [QUEUED] * 2)
+        assert s1 == s2 == 200
+        assert a["job"]["job_id"] == b["job"]["job_id"]
+        assert held.calls == [(0.05, 1.3)]
+        assert a["recommendations"] == b["recommendations"]
+        assert a["recommendations"] == self.unshared(
+            handle, a["job"]["job_id"], 0.05
+        )
+        assert handle.daemon._answers == {}
+
+    def test_different_quantile_computes_separately(self, handle, held):
+        (s1, a), (s2, b) = self.coalesced_round(
+            handle, held, [QUEUED, QUEUED + "&quantile=0.25"]
+        )
+        assert s1 == s2 == 200
+        job_id = a["job"]["job_id"]
+        assert b["job"]["job_id"] == job_id
+        assert sorted(held.calls) == [(0.05, 1.3), (0.25, 1.3)]
+        assert a["recommendations"] == self.unshared(handle, job_id, 0.05)
+        assert b["recommendations"] == self.unshared(handle, job_id, 0.25)
+        assert handle.daemon._answers == {}
+
+    def test_error_reaches_every_waiter(self, handle, held):
+        def broken(result, quantile, min_lift):
+            raise DatasetError("no sweep records to tabulate")
+
+        held.compute = broken
+        (s1, a), (s2, b) = self.coalesced_round(handle, held, [QUEUED] * 2)
+        assert held.calls == [(0.05, 1.3)]
+        assert s1 == s2 == 500
+        assert a == b == {
+            "error": "DatasetError: no sweep records to tabulate"
+        }
+        assert handle.daemon._answers == {}
+
+    def test_follower_answered_after_first_requester_leaves(
+        self, handle, held
+    ):
+        blocker_id = self.wedge(handle)
+        first = socket.create_connection(("127.0.0.1", handle.port),
+                                         timeout=30.0)
+        try:
+            first.sendall(f"GET {QUEUED} HTTP/1.1\r\n"
+                          "Host: localhost\r\n\r\n".encode("ascii"))
+            wait_until(lambda: waiting_on_jobs(handle, blocker_id) == 1)
+            follower = []
+            thread = threading.Thread(target=lambda: follower.append(
+                handle.request("GET", QUEUED, timeout=300.0)
+            ))
+            thread.start()
+            wait_until(lambda: waiting_on_jobs(handle, blocker_id) == 2)
+        finally:
+            first.close()
+        self.release(handle, blocker_id, held, 2)
+        thread.join()
+        ((status, body),) = follower
+        assert status == 200
+        assert body["recommendations"] == self.unshared(
+            handle, body["job"]["job_id"], 0.05
+        )
+        assert held.calls == [(0.05, 1.3)]
+        assert handle.daemon._answers == {}
+
+    def test_cancelled_waiter_leaves_the_answer_to_the_others(self):
+        # asyncio level: cancelling one waiter mid-computation (what a
+        # torn-down request task sees) must not cancel the shared task.
+        daemon = TuningDaemon(DaemonConfig())
+        job = Job("j000001", {})
+        job.result = "result"
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def slow(result, quantile, min_lift):
+            calls.append(result)
+            entered.set()
+            release.wait(60.0)
+            return [{"from": result}]
+
+        daemon._recommendations = slow
+
+        async def scenario():
+            first = asyncio.create_task(
+                daemon._shared_recommendations(job, 0.05, 1.3))
+            second = asyncio.create_task(
+                daemon._shared_recommendations(job, 0.05, 1.3))
+            await asyncio.to_thread(entered.wait, 60.0)
+            first.cancel()
+            release.set()
+            answer = await second
+            with pytest.raises(asyncio.CancelledError):
+                await first
+            return answer
+
+        assert asyncio.run(scenario()) == [{"from": "result"}]
+        assert calls == ["result"]
+        assert daemon._answers == {}
 
 
 class TestAdmission:
