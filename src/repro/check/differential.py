@@ -429,7 +429,7 @@ def sharded_execution_parity(plan: SweepPlan | None = None) -> dict:
     One plan runs serially once, then on the pool and the nodes backend
     at ``n_processes`` 1, 2 and 4, and each combination must reproduce
     the serial reference exactly — the fleets change *execution* order
-    (worker races, work stealing, key-homed assignment) but results
+    (worker races, work stealing, round-robin homes) but results
     always surface in submission order, and the columnar frame encoding
     must be lossless across every boundary (pool and nodes sockets).
 

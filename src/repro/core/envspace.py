@@ -266,12 +266,17 @@ class EnvSpace:
             out.append(EnvConfig(**combo))
         return out
 
+    @classmethod
+    def check_scale(cls, scale: str) -> None:
+        """Raise :class:`ConfigError` unless ``scale`` is a grid scale."""
+        if scale not in cls.SCALES:
+            raise ConfigError(f"unknown scale {scale!r}; have {cls.SCALES}")
+
     def grid(
         self, machine: MachineTopology, scale: str = "full", seed: int = 0
     ) -> list[EnvConfig]:
         """Deduplicated configuration list at the requested scale."""
-        if scale not in self.SCALES:
-            raise ConfigError(f"unknown scale {scale!r}; have {self.SCALES}")
+        self.check_scale(scale)
         if scale == "full":
             configs = list(self.full_grid(machine))
         elif scale == "twofactor":

@@ -63,6 +63,7 @@ from repro.resilience.backends import (
     ExecutorBackend,
     NodesBackend,
     SerialBackend,
+    ShardReport,
 )
 from repro.resilience.chaos import (
     ChaosPlan,
@@ -75,7 +76,6 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import FailureLedger, FailureReport
-from repro.resilience.sharding import ShardPlanner, ShardReport
 from repro.resilience.supervisor import SupervisedTask, Supervisor
 from repro.runtime.costs import get_costs
 from repro.runtime.executor import (
@@ -797,9 +797,8 @@ def run_sweep(
     links), or ``"auto"`` — pool when ``n_processes > 1`` leaves more
     than one miss to share, else serial.  ``n_processes`` sizes the
     fleet: the pool opens up to that many workers, the nodes backend
-    that many nodes, each homing the misses that the cache's key-prefix
-    partitioning assigns it (round-robin without a cache) and stealing
-    when idle; serial ignores it.  Records are bit-identical across
+    that many nodes, each homing the misses dealt to it round-robin and
+    stealing when idle; serial ignores it.  Records are bit-identical across
     every ``backend`` × ``n_processes`` combination (the
     ``sharded-execution-parity`` check pins it).
 
@@ -955,11 +954,6 @@ def run_sweep(
                     resolved, n_processes, plan, space, chaos, policy,
                     fail_policy,
                 )
-                if resolved == "nodes":
-                    miss_keys = ([keys[i] for i in misses]
-                                 if cache is not None else None)
-                    exec_backend.home_shards = ShardPlanner(
-                        n_processes).assign(tasks, miss_keys)
             exec_backend.cancel_event = cancel
             consume(exec_backend.stream(tasks, ledger))
     except BaseException as exc:

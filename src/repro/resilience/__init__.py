@@ -7,14 +7,12 @@ engine producing results under all of it (see ``docs/RESILIENCE.md``):
 
 - :mod:`repro.resilience.backends` — the three executor backends:
   in-process serial (the parity reference), the supervised pool, and a
-  simulated multi-node cluster with sharding and work stealing,
+  simulated multi-node cluster with round-robin home shards, work
+  stealing and its steal/reassign :class:`ShardReport`,
 - :mod:`repro.resilience.supervisor` — the supervision core every
   backend runs (ledger, seeded retries, in-order result streaming) and
   the process fleet under the pool and nodes backends: per-batch
   deadlines, death/hang detection and respawn over framed socket links,
-- :mod:`repro.resilience.sharding` — deterministic shard planning:
-  key-prefix home assignment for the nodes backend and the normative
-  work-stealing arbitration rule,
 - :mod:`repro.resilience.transport` — the length-prefixed, checksummed
   frame protocol between the sweep parent and its fleet processes, with
   every failure mode typed and deadline-bounded,
@@ -33,8 +31,11 @@ from repro.resilience.backends import (
     BACKEND_NAMES,
     ExecutorBackend,
     NodesBackend,
+    ReassignEvent,
     SerialBackend,
     SerialChaosFault,
+    ShardReport,
+    StealEvent,
 )
 from repro.resilience.chaos import (
     CACHE_FAULT_KINDS,
@@ -61,15 +62,6 @@ from repro.resilience.report import (
     BatchFailure,
     FailureLedger,
     FailureReport,
-)
-from repro.resilience.sharding import (
-    PARTITION_PREFIX_HEX,
-    ReassignEvent,
-    ShardPlanner,
-    ShardReport,
-    StealEvent,
-    partition_for_key,
-    simulate_rebalance,
 )
 from repro.resilience.supervisor import SupervisedTask, Supervisor
 
@@ -103,11 +95,7 @@ __all__ = [
     "SerialBackend",
     "SerialChaosFault",
     "NodesBackend",
-    "PARTITION_PREFIX_HEX",
-    "partition_for_key",
-    "ShardPlanner",
     "ShardReport",
     "StealEvent",
     "ReassignEvent",
-    "simulate_rebalance",
 ]

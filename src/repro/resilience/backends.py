@@ -34,25 +34,21 @@ The contract every backend honors:
 
 Sharding (nodes backend)
 ------------------------
-Each node is one shard.  Tasks start on their **home** shard — by
-default the :class:`~repro.resilience.sharding.ShardPlanner` round-robin
-assignment; the sweep layer overrides it with the cache key-prefix
-partitioning so a batch keeps its home shard across runs.  An idle node with an empty home queue *steals* from the
-richest backlog (ties to the lowest shard id, taking the victim's tail)
-— the arbitration rule :func:`~repro.resilience.sharding.
-simulate_rebalance` specifies.
+Each node is one shard.  Tasks deal round-robin onto their **home**
+shard (``task_id % n_nodes``); every node reads the one shared cache
+directory, so where a batch starts changes nothing but the schedule.
+An idle node takes its own queue's head, else steals the richest
+backlog's tail (:meth:`NodesBackend._take_for` states the rule).
 
 Node loss runs a budgeted recovery ladder: the in-flight task is
 retried under the normal :class:`~repro.resilience.policy.RetryPolicy`;
 the node is respawned while the ``max_node_respawns`` budget lasts;
 past it the node is *abandoned* and its backlog reassigned round-robin
-to the survivors (``max_reassignments`` abandonments allowed, logged as
-:class:`~repro.resilience.sharding.ReassignEvent`); with no survivors
+to the survivors (logged as :class:`ReassignEvent`); with no survivors
 the stream raises :class:`~repro.errors.ResilienceError`.  Steal and
 reassign schedules depend on real execution timing, so they live in the
-:class:`~repro.resilience.sharding.ShardReport` (see
-:meth:`NodesBackend.shard_report`) and never in the deterministic
-:class:`~repro.resilience.report.FailureReport`.
+:class:`ShardReport` (see :meth:`NodesBackend.shard_report`) and never
+in the deterministic :class:`~repro.resilience.report.FailureReport`.
 """
 
 from __future__ import annotations
@@ -60,17 +56,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass
 
 from repro.errors import ResilienceError
 from repro.resilience.chaos import SerialChaosFault
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import FailureLedger
-from repro.resilience.sharding import (
-    ReassignEvent,
-    ShardPlanner,
-    ShardReport,
-    StealEvent,
-)
 from repro.resilience.supervisor import (
     ExecutorBackend,
     SupervisedTask,
@@ -84,10 +75,87 @@ __all__ = [
     "SerialBackend",
     "SerialChaosFault",
     "NodesBackend",
+    "StealEvent",
+    "ReassignEvent",
+    "ShardReport",
 ]
 
 #: The backend axis the parity checks and the CLI iterate over.
 BACKEND_NAMES = ("serial", "pool", "nodes")
+
+
+@dataclass(frozen=True)
+class StealEvent:
+    """One work-steal: ``thief`` took ``task_index`` from ``victim``."""
+
+    thief: int
+    victim: int
+    task_index: int
+
+    def to_dict(self) -> dict:
+        """JSON-ready form of this steal event."""
+        return {
+            "thief": self.thief,
+            "victim": self.victim,
+            "task_index": self.task_index,
+        }
+
+
+@dataclass(frozen=True)
+class ReassignEvent:
+    """One recovery reassignment: ``task_index`` moved from the lost
+    ``shard`` to surviving ``target``."""
+
+    shard: int
+    target: int
+    task_index: int
+
+    def to_dict(self) -> dict:
+        """JSON-ready form of this reassignment event."""
+        return {
+            "shard": self.shard,
+            "target": self.target,
+            "task_index": self.task_index,
+        }
+
+
+@dataclass(frozen=True)
+class ShardReport:
+    """Operational diagnostics from a nodes-backend run.
+
+    Deliberately *not* part of :class:`~repro.resilience.report.
+    FailureReport`: steal/reassign schedules depend on wall-clock
+    execution speed, and the failure report must stay bit-identical
+    across runs (see ``docs/RESILIENCE.md``).
+    """
+
+    #: Nodes the fleet opened, one home shard each.
+    n_shards: int
+    #: Final home shard per task (stolen and reassigned tasks re-homed).
+    assignments: tuple[int, ...] = ()
+    steals: tuple[StealEvent, ...] = ()
+    reassignments: tuple[ReassignEvent, ...] = ()
+    node_respawns: int = 0
+
+    @property
+    def n_steals(self) -> int:
+        """Number of work-steal events."""
+        return len(self.steals)
+
+    @property
+    def n_reassignments(self) -> int:
+        """Number of recovery reassignments."""
+        return len(self.reassignments)
+
+    def to_dict(self) -> dict:
+        """JSON-ready form of this report."""
+        return {
+            "n_shards": self.n_shards,
+            "assignments": list(self.assignments),
+            "steals": [s.to_dict() for s in self.steals],
+            "reassignments": [r.to_dict() for r in self.reassignments],
+            "node_respawns": self.node_respawns,
+        }
 
 
 class SerialBackend(ExecutorBackend):
@@ -145,28 +213,19 @@ class NodesBackend(_Fleet):
         policy: RetryPolicy | None = None,
         validate: Callable | None = None,
         fail_fast: bool = False,
-        poll_interval_s: float = 0.05,
         max_node_respawns: int = 16,
-        max_reassignments: int | None = None,
-        frame_timeout_s: float = 5.0,
     ):
         super().__init__(fn, initializer, initargs, policy, validate,
-                         fail_fast, poll_interval_s, max_node_respawns)
-        self.frame_timeout_s = frame_timeout_s
+                         fail_fast, max_node_respawns)
         self.n_nodes = max(1, n_nodes)
-        self.max_reassignments = (
-            max_reassignments if max_reassignments is not None
-            else max(0, self.n_nodes - 1)
-        )
-        self.planner = ShardPlanner(self.n_nodes)
-        #: Optional per-task home shard override (e.g. cache key-prefix
-        #: partitioning); set before ``stream``, one shard id per task.
+        #: Test seam: one home shard per task, set before ``stream`` to
+        #: starve or overload a lane.  None (every production caller)
+        #: deals the tasks round-robin.
         self.home_shards: Sequence[int] | None = None
         self._queues: list[deque] = []
         self._home: list[int] = []
         self._steals: list[StealEvent] = []
         self._reassigns: list[ReassignEvent] = []
-        self._abandoned = 0
 
     # ``stream`` and ``close`` are defined on each backend class itself:
     # perfbench/layers.py wraps them through the class's own __dict__.
@@ -180,7 +239,7 @@ class NodesBackend(_Fleet):
 
     def _start(self, tasks: list[SupervisedTask]) -> None:
         homes = (list(self.home_shards) if self.home_shards is not None
-                 else list(self.planner.assign(tasks)))
+                 else [t.task_id % self.n_nodes for t in tasks])
         if len(homes) != len(tasks):
             raise ResilienceError(
                 f"got {len(homes)} home shards for {len(tasks)} tasks"
@@ -191,25 +250,19 @@ class NodesBackend(_Fleet):
             self._queues[home].append((task, 0))
         self._steals = []
         self._reassigns = []
-        self._abandoned = 0
         self._open(self.n_nodes)
 
     def _survivors(self) -> list[_FleetSlot]:
-        return [s for s in self._slots if s.alive]
-
-    def _retire(self, slot: _FleetSlot) -> None:
-        """Abandon the node and reassign its backlog to the survivors."""
-        if self._abandoned >= self.max_reassignments:
-            raise ResilienceError(
-                f"shard reassignment budget exhausted "
-                f"({self.max_reassignments}): nodes keep getting lost"
-            )
-        self._abandoned += 1
-        survivors = self._survivors()
+        survivors = [s for s in self._slots if s.alive]
         if not survivors:
             raise ResilienceError(
                 "every node is lost; no shard can take the backlog"
             )
+        return survivors
+
+    def _retire(self, slot: _FleetSlot) -> None:
+        """Abandon the node and reassign its backlog to the survivors."""
+        survivors = self._survivors()
         backlog = self._queues[slot.slot_id]
         for position, (task, attempt) in enumerate(backlog):
             target = survivors[position % len(survivors)]
@@ -226,10 +279,6 @@ class NodesBackend(_Fleet):
         home = self._home[task.task_id]
         if not self._slots[home].alive:
             survivors = self._survivors()
-            if not survivors:
-                raise ResilienceError(
-                    "every node is lost; no shard can take the backlog"
-                )
             target = survivors[task.task_id % len(survivors)]
             self._reassigns.append(
                 ReassignEvent(home, target.slot_id, task.index)
@@ -238,7 +287,12 @@ class NodesBackend(_Fleet):
         self._queues[home].appendleft((task, attempt))
 
     def _take_for(self, slot: _FleetSlot) -> tuple | None:
-        """Own queue head, else steal the richest backlog's tail."""
+        """The steal rule, stated once: an idle node takes the head of
+        its own queue; with that queue empty it steals from the node
+        with the largest backlog (ties to the lowest shard id), taking
+        the victim's **tail** so the victim keeps its own next task.
+        The stolen task is re-homed to the thief and logged as a
+        :class:`StealEvent`."""
         own = self._queues[slot.slot_id]
         if own:
             return own.popleft()

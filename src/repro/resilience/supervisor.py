@@ -387,13 +387,11 @@ class _Fleet(ExecutorBackend):
         policy: RetryPolicy | None,
         validate: Callable | None,
         fail_fast: bool,
-        poll_interval_s: float,
         max_respawns: int,
     ):
         super().__init__(fn, policy, validate, fail_fast)
         self.initializer = initializer
         self.initargs = tuple(initargs)
-        self.poll_interval_s = poll_interval_s
         self.max_respawns = max_respawns
         self._slots: list[_FleetSlot] = []
         self._selector: selectors.BaseSelector | None = None
@@ -618,11 +616,10 @@ class Supervisor(_Fleet):
         policy: RetryPolicy | None = None,
         validate: Callable | None = None,
         fail_fast: bool = False,
-        poll_interval_s: float = 0.05,
         max_worker_respawns: int = 32,
     ):
         super().__init__(fn, initializer, initargs, policy, validate,
-                         fail_fast, poll_interval_s, max_worker_respawns)
+                         fail_fast, max_worker_respawns)
         self.n_workers = max(1, n_workers)
 
     # ``stream`` and ``close`` are defined on each backend class itself:

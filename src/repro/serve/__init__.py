@@ -14,11 +14,10 @@ Layering (leaf to root):
   one reasoned waiver to cover).
 - :mod:`repro.serve.breaker` — per-backend circuit breakers
   (closed → open on consecutive failures → half-open probes → closed)
-  and the ``nodes → pool → serial`` degradation ladder.
+  and the fleet → ``serial`` degradation ladder.
 - :mod:`repro.serve.coalesce` — request coalescing: identical in-flight
-  grid requests share one sweep, keyed through the cache's
-  ``key_material`` so "identical" means *record-identical by
-  construction*.
+  grid requests share one sweep, keyed by the plan's fields and the
+  execution knobs, which fix the records within one daemon.
 - :mod:`repro.serve.journal` — the append-only drain journal that makes
   queued jobs survive SIGTERM (and SIGKILL mid-drain) across a restart.
 - :mod:`repro.serve.render` — pure response-payload builders (FLOW001

@@ -26,8 +26,9 @@ Admission control runs in a fixed order — drain gate (``503``), rate
 limit (``429`` + ``Retry-After``), coalescing (an identical in-flight
 request is *answered from*, not re-queued), queue capacity (``429`` +
 ``Retry-After``) — so overload sheds at the cheapest possible point.
-The ``/recommend`` waiters of one job also share one recommendation
-per ``(quantile, min_lift)`` while it is being computed.
+The ``/recommend`` waiters of one job wake together on one settle
+future and share one recommendation per ``(quantile, min_lift)`` while
+it is being computed.
 
 Every response body is built by :mod:`repro.serve.render` (FLOW001
 result roots), so served results can never absorb host time.
@@ -46,7 +47,7 @@ from pathlib import Path
 from urllib.parse import parse_qs
 
 from repro.core.envspace import EnvSpace
-from repro.core.sweep import SweepPlan, SweepResult, run_sweep
+from repro.core.sweep import SweepPlan, SweepResult, plan_batches, run_sweep
 from repro.errors import (
     ConfigError,
     ReproError,
@@ -191,6 +192,9 @@ class TuningDaemon:
         #: In-flight recommendation computations by ``(job id, quantile,
         #: min_lift)``; touched only on the event-loop thread.
         self._answers: dict[tuple[str, float, float], asyncio.Task] = {}
+        #: One settle future per awaited job id, dropped once it
+        #: resolves; touched only on the event-loop thread.
+        self._settles: dict[str, asyncio.Future] = {}
         self.queue = JobQueue(
             self._run_job,
             max_queued=config.max_queued,
@@ -323,10 +327,13 @@ class TuningDaemon:
     def _submit_sweep(self, params: dict, client: str) -> tuple[Job, bool]:
         """Coalesce-or-enqueue one sweep request (see admission order)."""
         plan = _plan_from_payload(params.get("plan"))
+        # Refuse a plan no sweep can run (unknown machine, workload or
+        # scale) before it is keyed or queued.
+        plan_batches(plan)
+        EnvSpace.check_scale(plan.scale)
         backend, n_processes, fail_policy = self._sweep_knobs(params)
         key = sweep_request_key(
             plan,
-            EnvSpace(),
             backend=backend,
             n_processes=n_processes,
             fail_policy=fail_policy,
@@ -707,7 +714,8 @@ class TuningDaemon:
         # job is deliberately not cancelled on expiry: it keeps running
         # (and warming the cache), and the 504 body carries its id to poll.
         try:
-            await asyncio.wait_for(self._settled(job), deadline_s)
+            await asyncio.wait_for(asyncio.shield(self._settled(job)),
+                                   deadline_s)
         except asyncio.TimeoutError:
             await self._respond(
                 writer, 504,
@@ -727,15 +735,25 @@ class TuningDaemon:
         payload["job"] = render.job_payload(job.view())
         await self._respond(writer, 200, payload)
 
-    @staticmethod
-    def _settled(job: Job) -> asyncio.Future:
-        """A future of the running loop, resolved once ``job`` settles."""
+    def _settled(self, job: Job) -> asyncio.Future:
+        """The running loop's one future for ``job``, resolved once it
+        settles.
+
+        Every waiter of the job gets the same future, resolved by one
+        done-callback, so coalesced waiters all wake in the same loop
+        iteration and meet one in-flight recommendation.  Waiters await
+        it through :func:`asyncio.shield`, so one waiter's timeout never
+        cancels it for the others; the entry is dropped as it resolves.
+        """
+        future = self._settles.get(job.id)
+        if future is not None:
+            return future
         loop = asyncio.get_running_loop()
-        future = loop.create_future()
+        future = self._settles[job.id] = loop.create_future()
 
         def resolve() -> None:
-            if not future.done():  # wait_for cancels it on timeout
-                future.set_result(None)
+            del self._settles[job.id]
+            future.set_result(None)
 
         def wake(_job: Job) -> None:
             try:

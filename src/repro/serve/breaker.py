@@ -19,10 +19,12 @@ success/failure sequence plus the clock — no randomness, so breaker
 behavior in the chaos scenarios is exactly replayable.
 
 :class:`BackendLadder` stacks breakers into the degradation path the
-daemon serves through: ``nodes → pool → serial``.  ``serial`` is the
-floor — in-process execution has no fleet to lose — so the ladder
-always yields a rung, and a response served below the requested rung
-carries a ``degraded`` marker.
+daemon serves through: a fleet rung (``nodes`` or ``pool``), then
+``serial``.  The two fleets run the same process body and frame
+transport, so they fail together and one never backs up the other.
+``serial`` is the floor — in-process execution has no fleet to lose —
+so the ladder always yields a rung, and a response served below the
+requested rung carries a ``degraded`` marker.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ BREAKER_STATES = ("closed", "open", "half-open")
 
 #: Requested backend -> the rungs tried, best first.  ``auto`` resolves
 #: like the sweep layer's auto (pool when parallelism helps), so its
-#: ladder matches pool's.
+#: ladder matches pool's.  ``nodes`` falls straight to ``serial``: the
+#: pool shares its failure surface.
 LADDERS = {
-    "nodes": ("nodes", "pool", "serial"),
+    "nodes": ("nodes", "serial"),
     "pool": ("pool", "serial"),
     "auto": ("pool", "serial"),
     "serial": ("serial",),

@@ -7,14 +7,15 @@ load by N for zero information; coalescing folds them onto one in-flight
 job and hands every requester the same job id (and therefore the same
 records).
 
-"Identical" is decided by :func:`sweep_request_key`, which reuses the
-sweep cache's key discipline: the key digests every batch's
-``SweepCache.key_material`` (plan identity, grid fingerprint, machine
-fingerprint, batch identity) plus the execution knobs that shape the
-response (backend, process count, fail policy).  Two requests with
-equal keys are record-identical *by construction* — the same property
-the cache's content addressing rests on — so sharing a job is safe,
-never a guess.
+"Identical" is decided by :func:`sweep_request_key`, a digest of the
+plan's own fields plus the execution knobs that shape the response
+(backend, process count, fail policy).  Within one daemon the
+configuration space and the machine registry are fixed, so equal plans
+expand to the same grid, machine and batches — everything the sweep
+cache's ``key_material`` holds.  Two requests with equal keys are
+therefore record-identical, so sharing a job is safe, never a guess.
+A field that never changes records (``prune``) can only keep two
+requests apart; it never makes them share wrongly.
 
 Only **in-flight** (queued or running) jobs coalesce.  A finished job's
 results live in the sweep cache; re-running the plan is then a pure
@@ -36,15 +37,13 @@ import hashlib
 import threading
 from collections.abc import Callable
 
-from repro.core.envspace import EnvSpace
-from repro.core.sweep import SweepPlan, plan_batches
+from repro.core.sweep import SweepPlan
 
 __all__ = ["Coalescer", "sweep_request_key"]
 
 
 def sweep_request_key(
     plan: SweepPlan,
-    space: EnvSpace | None = None,
     *,
     backend: str,
     n_processes: int,
@@ -52,28 +51,13 @@ def sweep_request_key(
 ) -> str:
     """The coalescing key of one sweep request (64-hex digest).
 
-    Built from the cache's own ``key_material`` for every batch the
-    plan expands to, so it inherits the cache key scheme's completeness
-    guarantees (the KEY lint plane proves every result-altering input
-    lands in a slot); the execution knobs are appended because they
-    shape the response body (degraded markers, failure report, the
-    processes reported in ``n_shards``) even though they never change
-    the records.
+    Digests the plan's fields (its dataclass ``repr``) and the
+    execution knobs, which shape the response body (degraded markers,
+    failure report, the processes reported in ``n_shards``) even though
+    they never change the records.
     """
-    from repro.arch.machines import get_machine
-    from repro.core.cache import SweepCache
-
-    space = space or EnvSpace()
-    machine = get_machine(plan.arch)
-    configs = space.grid(machine, plan.scale, seed=plan.seed)
-    grid_fp = SweepCache.grid_fingerprint(configs)
-    machine_fp = SweepCache.machine_fingerprint(machine)
-    h = hashlib.sha256()
-    for batch in plan_batches(plan):
-        material = SweepCache.key_material(plan, grid_fp, machine_fp, batch)
-        h.update(repr(tuple(material.values())).encode("utf-8"))
-    h.update(repr((backend, n_processes, fail_policy)).encode("utf-8"))
-    return h.hexdigest()
+    identity = repr((plan, backend, n_processes, fail_policy))
+    return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 
 class Coalescer:

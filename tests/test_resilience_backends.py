@@ -5,8 +5,10 @@ process per shard over socketpair links with work stealing and a
 budgeted node-loss recovery ladder.  These tests pin the serial
 ``stream`` contract, what only the nodes backend does (home shards,
 stealing, node faults, every rung of the recovery ladder: retry,
-respawn, shard reassignment, and the no-survivors failure) and the
-health probe.  The supervision cases both fleets share run on each of
+respawn, shard reassignment, and the no-survivors failure), its
+``ShardReport`` and the health probe.  The steal and reassignment
+cases starve a lane through ``NodesBackend.home_shards``, the seam
+that overrides the round-robin homes.  The supervision cases both fleets share run on each of
 them in ``tests/test_resilience_supervisor.py``.
 
 Runs under the ``chaos`` marker: most tests inject node-level faults.
@@ -23,9 +25,12 @@ from repro.resilience import (
     ChaosPlan,
     ExecutorBackend,
     NodesBackend,
+    ReassignEvent,
     RetryPolicy,
     SerialBackend,
     SerialChaosFault,
+    ShardReport,
+    StealEvent,
     Supervisor,
     install_chaos,
 )
@@ -322,31 +327,22 @@ class TestReassignment:
                    for r in report.reassignments)
 
     def test_no_survivors_raises(self):
-        backend = NodesBackend(
-            _work, initializer=install_chaos,
-            initargs=(_node_plan("shard-partition", 0, attempts=None),),
-            n_nodes=1, policy=FAST, max_node_respawns=0,
-        )
-        try:
-            with pytest.raises(ResilienceError):
-                list(backend.stream(_tasks(["ok", "ok"])))
-        finally:
-            backend.close()
-
-    def test_reassignment_budget_is_enforced(self):
-        # Two nodes, zero reassignments allowed: the first abandonment
-        # must raise instead of silently shrinking the cluster forever.
-        backend = NodesBackend(
-            _work, initializer=install_chaos,
-            initargs=(_node_plan("shard-partition", 0, attempts=None),),
-            n_nodes=2, policy=FAST, max_node_respawns=0,
-            max_reassignments=0,
-        )
-        try:
-            with pytest.raises(ResilienceError, match="budget"):
-                list(backend.stream(_tasks(["ok", "ok"])))
-        finally:
-            backend.close()
+        # Every attempt on batch 0 kills the node running it.  One node
+        # is lost at once; with two, the survivor takes the retry and
+        # dies too, and the second abandonment finds no survivor.
+        for n_nodes in (1, 2):
+            backend = NodesBackend(
+                _work, initializer=install_chaos,
+                initargs=(_node_plan("shard-partition", 0,
+                                     attempts=None),),
+                n_nodes=n_nodes, policy=FAST, max_node_respawns=0,
+            )
+            try:
+                with pytest.raises(ResilienceError,
+                                   match="every node is lost"):
+                    list(backend.stream(_tasks(["ok", "ok"])))
+            finally:
+                backend.close()
 
 
 class TestInterruption:
@@ -374,6 +370,28 @@ class TestInterruption:
                 list(backend.stream(_tasks(["ok"])))
         finally:
             backend.close()
+
+
+class TestShardReport:
+    def test_to_dict_round_trips_the_counts(self):
+        report = ShardReport(
+            n_shards=2,
+            assignments=(0, 1, 0),
+            steals=(StealEvent(1, 0, 2),),
+            reassignments=(ReassignEvent(0, 1, 2),),
+            node_respawns=3,
+        )
+        assert report.n_steals == 1
+        assert report.n_reassignments == 1
+        payload = report.to_dict()
+        assert payload["n_shards"] == 2
+        assert payload["steals"] == [
+            {"thief": 1, "victim": 0, "task_index": 2}
+        ]
+        assert payload["reassignments"] == [
+            {"shard": 0, "target": 1, "task_index": 2}
+        ]
+        assert payload["node_respawns"] == 3
 
 
 @pytest.fixture(autouse=True)

@@ -202,8 +202,8 @@ class TestHalfWrittenResult:
 # The same cases on the nodes fleet.
 class _OnNodes(_OnPool):
     fleet = "nodes"
-    # One node and no respawns: losing it exhausts the reassignments.
-    budget_error = "reassignment budget"
+    # One node and no respawns: losing it leaves no survivor.
+    budget_error = "every node is lost"
 
 
 class TestHappyPathOnNodes(_OnNodes, TestHappyPath):

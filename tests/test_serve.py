@@ -118,7 +118,7 @@ class TestCircuitBreaker:
 class TestBackendLadder:
     def test_ladder_shapes(self):
         ladder = BackendLadder(clock=FakeClock())
-        assert ladder.ladder_for("nodes") == ("nodes", "pool", "serial")
+        assert ladder.ladder_for("nodes") == ("nodes", "serial")
         assert ladder.ladder_for("pool") == ("pool", "serial")
         assert ladder.ladder_for("auto") == ("pool", "serial")
         assert ladder.ladder_for("serial") == ("serial",)

@@ -202,10 +202,11 @@ class TestRecommend:
         # A job can settle after a drained daemon's loop has closed; the
         # waiter's completion hook must not raise in the worker thread.
         job = Job("j000001", {})
+        daemon = TuningDaemon(DaemonConfig())
         loop = asyncio.new_event_loop()
 
         async def register():
-            return TuningDaemon._settled(job)
+            return daemon._settled(job)
 
         waiter = loop.run_until_complete(register())
         loop.close()
@@ -227,25 +228,23 @@ def wait_until(predicate, timeout_s=60.0):
         threading.Event().wait(0.01)
 
 
-def waiting_on_jobs(handle, blocker_id):
-    """Requests parked on the settle hooks of the queued jobs behind
-    ``blocker_id`` (one hook per waiting ``/recommend``)."""
-    return sum(len(job._done_callbacks)
-               for job in list(handle.daemon.queue.jobs.values())
-               if job.id != blocker_id and not job.settled)
-
-
 class Held:
-    """A daemon computation held at ``gate``: ``arrive`` wraps the
-    shared step (recording each request as it looks up the in-flight
-    map, in the same loop step), ``run`` stands in for
-    ``_recommendations``."""
+    """A daemon computation held at ``gate``: ``park`` wraps the settle
+    wait (recording each ``/recommend`` in the loop step that starts
+    its wait), ``arrive`` wraps the shared step (recording each request
+    as it looks up the in-flight map, in the same loop step), ``run``
+    stands in for ``_recommendations``."""
 
-    def __init__(self, shared):
-        self.shared = shared
+    def __init__(self, daemon):
+        self.settled = daemon._settled
+        self.shared = daemon._shared_recommendations
         self.compute = TuningDaemon._recommendations
-        self.arrived, self.calls = [], []
+        self.parked, self.arrived, self.calls = [], [], []
         self.gate = threading.Event()
+
+    def park(self, job):
+        self.parked.append(job.id)
+        return self.settled(job)
 
     async def arrive(self, job, quantile, min_lift):
         self.arrived.append(quantile)
@@ -279,9 +278,11 @@ class TestSharedRecommendation:
     @pytest.fixture
     def held(self, handle, monkeypatch):
         """Route the daemon's computation through ``held.compute``
-        (default: the real one), counting calls in ``held.calls`` and
-        each request reaching the shared step in ``held.arrived``."""
-        held = Held(handle.daemon._shared_recommendations)
+        (default: the real one), counting calls in ``held.calls``, each
+        request parked on its job in ``held.parked`` and each reaching
+        the shared step in ``held.arrived``."""
+        held = Held(handle.daemon)
+        monkeypatch.setattr(handle.daemon, "_settled", held.park)
         monkeypatch.setattr(handle.daemon, "_shared_recommendations",
                             held.arrive)
         monkeypatch.setattr(handle.daemon, "_recommendations", held.run)
@@ -313,7 +314,7 @@ class TestSharedRecommendation:
                    for i in range(len(paths))]
         for t in threads:
             t.start()
-        wait_until(lambda: waiting_on_jobs(handle, blocker_id) == len(paths))
+        wait_until(lambda: len(held.parked) == len(paths))
         self.release(handle, blocker_id, held, len(paths))
         for t in threads:
             t.join()
@@ -335,6 +336,20 @@ class TestSharedRecommendation:
             handle, a["job"]["job_id"], 0.05
         )
         assert handle.daemon._answers == {}
+
+    def test_coalesced_waiters_wake_together(self, handle, held):
+        # No gate: the computation on this 1-input plan may finish at
+        # once, so the second waiter shares it only if both waiters of
+        # the settling job wake in the same loop iteration.
+        held.gate.set()
+        for _round in range(8):
+            for log in (held.parked, held.arrived, held.calls):
+                log.clear()
+            responses = self.coalesced_round(handle, held, [QUEUED] * 2)
+            assert [status for status, _body in responses] == [200, 200]
+            assert held.calls == [(0.05, 1.3)]
+        assert handle.daemon._answers == {}
+        assert handle.daemon._settles == {}
 
     def test_different_quantile_computes_separately(self, handle, held):
         (s1, a), (s2, b) = self.coalesced_round(
@@ -370,13 +385,13 @@ class TestSharedRecommendation:
         try:
             first.sendall(f"GET {QUEUED} HTTP/1.1\r\n"
                           "Host: localhost\r\n\r\n".encode("ascii"))
-            wait_until(lambda: waiting_on_jobs(handle, blocker_id) == 1)
+            wait_until(lambda: len(held.parked) == 1)
             follower = []
             thread = threading.Thread(target=lambda: follower.append(
                 handle.request("GET", QUEUED, timeout=300.0)
             ))
             thread.start()
-            wait_until(lambda: waiting_on_jobs(handle, blocker_id) == 2)
+            wait_until(lambda: len(held.parked) == 2)
         finally:
             first.close()
         self.release(handle, blocker_id, held, 2)
@@ -569,6 +584,17 @@ class TestParameterValidation:
         before = self.submitted(daemon)
         status, body = submit(daemon, deadline_s=value)
         assert status == 400 and "deadline_s" in body["error"]
+        assert self.submitted(daemon) == before
+
+    @pytest.mark.parametrize("plan", [
+        {**PLAN_PAYLOAD, "arch": "nosuch"},
+        {**PLAN_PAYLOAD, "workloads": ["nosuch"]},
+        {**PLAN_PAYLOAD, "scale": "huge"},
+    ])
+    def test_sweep_rejects_unrunnable_plan(self, daemon, plan):
+        before = self.submitted(daemon)
+        status, body = daemon.request("POST", "/sweep", body={"plan": plan})
+        assert status >= 400 and "unknown" in body["error"]
         assert self.submitted(daemon) == before
 
     def test_deadline_capped_at_the_server_default(self, daemon):
