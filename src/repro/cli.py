@@ -748,11 +748,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         grid_prune_stats,
         lint_environment,
         lint_manifests,
-        lint_repository,
+        lint_source,
         unwaived,
-        write_findings_report,
     )
-    from repro.reporting import render_report
+    from repro.reporting import render_report, write_report_file
 
     # Default invocation (no plane selected): self-lint + flow lint +
     # deps lint + all manifests — what CI runs.
@@ -762,24 +761,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
     archs = args.arch if args.arch else (machine_names() if run_all else [])
 
-    findings = []
-    planes = []
-    if args.self_lint or run_all:
-        planes.append("self")
-        kwargs = {"src_root": args.src} if args.src else {}
-        findings.extend(lint_repository(**kwargs))
-    if args.flow or run_all:
-        from repro.lint.flow import flow_lint
-
-        planes.append("flow")
-        kwargs = {"src_root": args.src} if args.src else {}
-        findings.extend(flow_lint(**kwargs))
-    if args.deps or run_all:
-        from repro.lint.deps import deps_lint
-
-        planes.append("deps")
-        kwargs = {"src_root": args.src} if args.src else {}
-        findings.extend(deps_lint(**kwargs))
+    planes = [
+        plane
+        for plane, selected in (("self", args.self_lint),
+                                ("flow", args.flow), ("deps", args.deps))
+        if selected or run_all
+    ]
+    kwargs = {"src_root": args.src} if args.src else {}
+    findings = lint_source(planes, **kwargs) if planes else []
     for arch in archs:
         planes.append(f"manifests:{arch}")
         findings.extend(
@@ -821,8 +810,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(s.describe())
 
     if args.report:
-        write_findings_report(findings, args.report, planes=planes,
-                              prune_stats=prune_stats)
+        write_report_file(args.report, findings=findings, planes=planes,
+                          prune_stats=prune_stats)
         if args.fmt == "text":
             print(f"report -> {args.report}")
     return 1 if unwaived(findings) else 0

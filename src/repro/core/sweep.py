@@ -629,13 +629,11 @@ def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> RecordBlock:
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(
-    plan: SweepPlan, space: EnvSpace, chaos: ChaosPlan | None = None
-) -> None:
+def _init_worker(plan: SweepPlan, chaos: ChaosPlan | None = None) -> None:
     install_chaos(chaos)
     machine = get_machine(plan.arch)
     _WORKER_STATE["plans"] = _ClassPlans(
-        plan, machine, space.grid(machine, plan.scale, seed=plan.seed)
+        plan, machine, EnvSpace().grid(machine, plan.scale, seed=plan.seed)
     )
 
 
@@ -692,7 +690,6 @@ def _make_fleet(
     backend: str,
     n: int,
     plan: SweepPlan,
-    space: EnvSpace,
     chaos: ChaosPlan | None,
     policy: RetryPolicy,
     fail_policy: str,
@@ -706,7 +703,7 @@ def _make_fleet(
     """
     fleet = Supervisor if backend == "pool" else NodesBackend
     return fleet(
-        _supervised_run_batch, _init_worker, (plan, space, chaos), n,
+        _supervised_run_batch, _init_worker, (plan, chaos), n,
         policy=policy,
         validate=_validate_batch_records,
         fail_fast=(fail_policy == "raise"),
@@ -751,7 +748,6 @@ def plan_batches(plan: SweepPlan) -> list[BatchSpec]:
 # ----------------------------------------------------------------------
 def run_sweep(
     plan: SweepPlan,
-    space: EnvSpace | None = None,
     n_processes: int = 1,
     progress: "callable | None" = None,
     cache: "SweepCache | str | os.PathLike | None" = None,
@@ -821,7 +817,6 @@ def run_sweep(
         )
     if n_processes < 1:
         raise ConfigError(f"n_processes must be >= 1, got {n_processes}")
-    space = space or EnvSpace()
     machine = get_machine(plan.arch)
     batches = plan_batches(plan)
     total = len(batches)
@@ -829,7 +824,7 @@ def run_sweep(
     policy = retry if retry is not None else RetryPolicy(seed=plan.seed)
     ledger = FailureLedger(policy, fail_policy)
 
-    configs = space.grid(machine, plan.scale, seed=plan.seed)
+    configs = EnvSpace().grid(machine, plan.scale, seed=plan.seed)
     # The serial path runs its batches on these plans; every backend
     # counts simulated configurations from them.
     plans = _ClassPlans(plan, machine, configs)
@@ -951,7 +946,7 @@ def run_sweep(
                 )
             else:
                 exec_backend = _make_fleet(
-                    resolved, n_processes, plan, space, chaos, policy,
+                    resolved, n_processes, plan, chaos, policy,
                     fail_policy,
                 )
             exec_backend.cancel_event = cancel

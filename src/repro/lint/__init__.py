@@ -27,6 +27,10 @@ Five planes (see ``docs/LINTING.md`` for the rule catalog):
    material: signature completeness (KEY001), signature aliveness
    (KEY002), cache-key completeness (KEY003), and dead-field
    normalization drift (KEY004).
+
+Planes 3-5 read the same source tree: ``runner.lint_source`` parses each
+file once and runs the selected ones over those trees, with one shared
+call graph for planes 4 and 5 and one pass over the waivers file.
 """
 
 from repro.lint.config_rules import CONFIG_RULES, lint_config
@@ -44,30 +48,26 @@ from repro.lint.findings import (
     format_findings,
     sort_findings,
     unwaived,
-    write_findings_report,
 )
 from repro.lint.program_rules import PROGRAM_RULES, lint_program
 from repro.lint.runner import (
+    SOURCE_PLANES,
     dedupe_findings,
     lint_environment,
     lint_manifests,
-    lint_repository,
+    lint_source,
 )
-from repro.lint.deps import deps_lint
 from repro.lint.flow import (
     DEFAULT_RESULT_ROOTS,
     build_callgraph,
     compute_summaries,
-    flow_lint,
 )
 from repro.lint.selflint import (
     SELF_RULES,
     Waiver,
     apply_waivers,
     load_waivers,
-    self_lint,
     self_lint_source,
-    self_lint_tree,
     unused_waiver_findings,
 )
 
@@ -78,7 +78,6 @@ __all__ = [
     "unwaived",
     "format_findings",
     "findings_report",
-    "write_findings_report",
     "CONFIG_RULES",
     "lint_config",
     "PROGRAM_RULES",
@@ -93,16 +92,13 @@ __all__ = [
     "load_waivers",
     "apply_waivers",
     "self_lint_source",
-    "self_lint_tree",
-    "self_lint",
     "unused_waiver_findings",
     "DEFAULT_RESULT_ROOTS",
     "build_callgraph",
     "compute_summaries",
-    "deps_lint",
-    "flow_lint",
+    "SOURCE_PLANES",
     "dedupe_findings",
     "lint_environment",
     "lint_manifests",
-    "lint_repository",
+    "lint_source",
 ]

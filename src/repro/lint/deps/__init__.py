@@ -11,19 +11,17 @@ reachable from batch execution) reads from the tracked input classes —
 including the guard conditions dominating each read, so the documented
 dead-field normalizations are modeled rather than waived — and four KEY
 rule passes compare that read-set against the declared key material.
-Catalog: ``docs/LINTING.md`` (plane 5).
+Catalog: ``docs/LINTING.md`` (plane 5); :func:`repro.lint.runner.lint_source`
+runs the plane over the call graph it shares with the flow plane.
 """
 
 from repro.lint.deps.cone import EvalCone, compute_cone, default_roots, tracked_classes
 from repro.lint.deps.passes import run_deps_passes
-from repro.lint.deps.runner import deps_lint, deps_lint_graph
 
 __all__ = [
     "EvalCone",
     "compute_cone",
     "default_roots",
-    "deps_lint",
-    "deps_lint_graph",
     "run_deps_passes",
     "tracked_classes",
 ]

@@ -61,11 +61,6 @@ __all__ = [
 ]
 
 
-def _subject(qualname: str, package: str) -> str:
-    prefix = package + "."
-    return qualname[len(prefix):] if qualname.startswith(prefix) else qualname
-
-
 def _missing(rule: str, what: str, fixit: str) -> Finding:
     return Finding(
         rule=rule,
@@ -116,7 +111,7 @@ def check_signature_complete(
             subject=f"{simple}.{attr}",
             message=(
                 f"the model-evaluation cone reads {simple}.{attr} (in "
-                f"{_subject(read.qualname, graph.package)}, "
+                f"{graph.subject(read.qualname)}, "
                 f"{read.rel_path}:{read.lineno}) but "
                 f"execution_signature() does not fold it in: two "
                 f"configurations differing only in {attr!r} would be "
@@ -189,7 +184,7 @@ def check_memo_keys(
                 subject=f"{simple}.{read.attr}",
                 message=(
                     f"memoized term {term} reads {simple}.{read.attr} (in "
-                    f"{_subject(read.qualname, graph.package)}, "
+                    f"{graph.subject(read.qualname)}, "
                     f"{read.rel_path}:{read.lineno}) but its memo key "
                     f"omits it: two configurations differing only in "
                     f"{read.attr!r} would share one memoized value"
@@ -330,7 +325,7 @@ def check_cache_key(
                 subject=f"cache.{name}",
                 message=(
                     f"{name} alters batch results (read in "
-                    f"{_subject(read.qualname, graph.package)}, "
+                    f"{graph.subject(read.qualname)}, "
                     f"{read.rel_path}:{read.lineno}) but does not flow "
                     f"into the SweepCache key material and is not "
                     f"declared in CACHE_KEY_EXCLUDED: two sweeps "
@@ -408,7 +403,7 @@ def check_cache_key(
                 subject=f"EnvConfig.{attr}",
                 message=(
                     f"EnvConfig.{attr} feeds the model (read in "
-                    f"{_subject(read.qualname, graph.package)}, "
+                    f"{graph.subject(read.qualname)}, "
                     f"{read.rel_path}:{read.lineno}) but is missing "
                     f"from EnvConfig.key(), the identity the grid "
                     f"fingerprint digests: grids differing in it would "
@@ -484,7 +479,7 @@ def check_dead_fields(
                     message=(
                         f"{simple}.{name} is declared dead "
                         f"({reason}) but the evaluation cone reads it in "
-                        f"{_subject(read.qualname, graph.package)} "
+                        f"{graph.subject(read.qualname)} "
                         f"({read.rel_path}:{read.lineno}): the "
                         f"normalization table has drifted from the code"
                     ),
@@ -513,7 +508,7 @@ def check_dead_fields(
                 message=(
                     f"{simple}.{name} is declared dead under "
                     f"{guard!r} ({reason}) but "
-                    f"{_subject(read.qualname, graph.package)} reads it "
+                    f"{graph.subject(read.qualname)} reads it "
                     f"outside that guard "
                     f"({read.rel_path}:{read.lineno}; guards at the "
                     f"site: {guards_text}): the read can observe a "
@@ -542,7 +537,7 @@ def run_deps_passes(
         findings.append(Finding(
             rule="KEY001",
             severity=Severity.WARNING,
-            subject=_subject(missing, graph.package),
+            subject=graph.subject(missing),
             message=(
                 f"evaluation-cone root {missing!r} not found in the "
                 f"tree: the function was renamed or removed, so the "

@@ -1,4 +1,4 @@
-"""Finding model shared by all three lint planes.
+"""Finding model shared by every lint plane.
 
 Every rule — config, program, or self-lint — reports
 :class:`Finding` objects: a stable rule id, a severity, the subject the
@@ -10,11 +10,8 @@ finding decidable.  ``docs/LINTING.md`` catalogs every rule id.
 from __future__ import annotations
 
 import enum
-import json
-import os
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 __all__ = [
     "Severity",
@@ -23,7 +20,6 @@ __all__ = [
     "unwaived",
     "format_findings",
     "findings_report",
-    "write_findings_report",
 ]
 
 
@@ -162,20 +158,3 @@ def findings_report(findings: Sequence[Finding], **extra: object) -> dict:
     }
     payload.update(extra)
     return payload
-
-
-def write_findings_report(
-    findings: Sequence[Finding], path: str | os.PathLike, **extra: object
-) -> None:
-    """Write the JSON findings report to ``path``.
-
-    Delegates to :mod:`repro.reporting`, the shared serialization point
-    for all three analysis-plane CLIs.
-    """
-    from repro.reporting import write_report_file
-
-    write_report_file(path, findings=findings, **extra)
-
-
-# Re-exported for dataclasses users of this module.
-_ = field

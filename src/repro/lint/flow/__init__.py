@@ -6,8 +6,10 @@ Layout:
   and import resolution, alias canonicalization, static method dispatch;
 - :mod:`repro.lint.flow.summaries` — per-function effect summaries and
   the transitive fixpoint with shortest-witness chains;
-- :mod:`repro.lint.flow.passes` — the FLOW001/FLOW002/FLOW003 rules;
-- :mod:`repro.lint.flow.runner` — plane orchestration and waivers.
+- :mod:`repro.lint.flow.passes` — the FLOW001/FLOW002/FLOW003 rules.
+
+:func:`repro.lint.runner.lint_source` runs the plane, sharing one parse
+and one call graph with the self-lint and dependency planes.
 """
 
 from repro.lint.flow.callgraph import (
@@ -23,7 +25,6 @@ from repro.lint.flow.passes import (
     check_resource_safety,
     check_transitive_nondeterminism,
 )
-from repro.lint.flow.runner import flow_lint, flow_lint_graph
 from repro.lint.flow.summaries import (
     EFFECT_KINDS,
     EffectSite,
@@ -45,6 +46,4 @@ __all__ = [
     "check_frame_protocol",
     "check_resource_safety",
     "check_transitive_nondeterminism",
-    "flow_lint",
-    "flow_lint_graph",
 ]

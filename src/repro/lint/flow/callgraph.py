@@ -45,6 +45,8 @@ rule catalog documents (``docs/LINTING.md``, plane 4).
 from __future__ import annotations
 
 import ast
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,8 +55,12 @@ __all__ = [
     "FunctionRecord",
     "ClassRecord",
     "CallGraph",
+    "ModuleIndex",
     "TypedScope",
     "build_callgraph",
+    "module_index",
+    "own_nodes",
+    "parse_modules",
 ]
 
 
@@ -115,8 +121,13 @@ class ClassRecord:
     attr_types: dict[str, str] = field(default_factory=dict)
 
 
-class _ModuleIndex:
-    """Per-module symbol and import tables (pass 1)."""
+class ModuleIndex:
+    """One parsed module and its import-alias table.
+
+    The alias table is the lint package's one import-alias resolver:
+    the self-lint plane classifies call sites through it, and the call
+    graph resolves edges through it.
+    """
 
     def __init__(self, module: str, rel_path: str, tree: ast.Module,
                  is_package: bool = False):
@@ -127,18 +138,84 @@ class _ModuleIndex:
         #: local name -> canonical dotted prefix ("np" -> "numpy",
         #: "send_frame" -> "repro.resilience.transport.send_frame").
         self.aliases: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.partition(".")[0]
+                    target = alias.name if alias.asname else local
+                    self.aliases[local] = target
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    parents = module.split(".")
+                    # Level 1 = the containing package: the module's
+                    # parent for plain modules, the module itself for
+                    # __init__.
+                    drop = node.level - 1 if is_package else node.level
+                    parents = parents[: len(parents) - drop]
+                    base = ".".join(parents + ([base] if base else []))
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    self.aliases[alias.asname or alias.name] = (
+                        f"{base}.{alias.name}" if base else alias.name
+                    )
 
     def canonical(self, dotted: str) -> str:
+        """Rewrite a leading import alias to its canonical dotted name."""
         head, _, rest = dotted.partition(".")
         head = self.aliases.get(head, head)
         return f"{head}.{rest}" if rest else head
 
 
-def _module_name(rel_path: str, package: str) -> str:
+def module_index(source: str, rel_path: str,
+                 package: str = "repro") -> ModuleIndex:
+    """Parse one module's source; ``rel_path`` is relative to the
+    package root and names the module (``core/sweep.py`` ->
+    ``repro.core.sweep``)."""
     parts = rel_path[: -len(".py")].split("/")
-    if parts[-1] == "__init__":
+    is_package = parts[-1] == "__init__"
+    if is_package:
         parts = parts[:-1]
-    return ".".join([package, *parts]) if parts else package
+    return ModuleIndex(
+        ".".join([package, *parts]) if parts else package, rel_path,
+        ast.parse(source, filename=rel_path), is_package=is_package,
+    )
+
+
+def parse_modules(
+    src_root: str | Path, package: str | None = None
+) -> list[ModuleIndex]:
+    """Parse every ``*.py`` under ``src_root`` once, in path order.
+
+    ``package`` is the dotted prefix modules are registered under; it
+    defaults to the root directory's name (``repro`` for the shipped
+    tree), so qualnames look like ``repro.core.cache.SweepCache.put``.
+    """
+    root = Path(src_root)
+    return [
+        module_index(path.read_text(encoding="utf-8"),
+                     path.relative_to(root).as_posix(),
+                     package or root.name)
+        for path in sorted(root.rglob("*.py"))
+    ]
+
+
+def own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` over a function, minus its nested function defs.
+
+    Nested functions are separate graph nodes with their own calls and
+    effects, so a walk over the outer body must not count them twice.
+    The order is ``ast.walk``'s breadth-first order.
+    """
+    todo = deque([fn])
+    while todo:
+        node = todo.popleft()
+        todo.extend(
+            child for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+        yield node
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -167,17 +244,23 @@ def _annotation_dotted(node: ast.AST | None) -> str | None:
 class CallGraph:
     """Functions, classes, and resolved call edges for one source tree."""
 
-    def __init__(self, src_root: Path, package: str):
-        self.src_root = src_root
+    def __init__(self, package: str):
         self.package = package
         self.functions: dict[str, FunctionRecord] = {}
         self.classes: dict[str, ClassRecord] = {}
         #: caller qualname -> call sites in source order.
         self.calls: dict[str, list[CallSite]] = {}
-        self._modules: dict[str, _ModuleIndex] = {}
+        self._modules: dict[str, ModuleIndex] = {}
         self._callers: dict[str, list[tuple[str, int]]] | None = None
 
     # -- queries ---------------------------------------------------------
+    def subject(self, qualname: str) -> str:
+        """``qualname`` without the package prefix (a finding subject)."""
+        prefix = self.package + "."
+        if qualname.startswith(prefix):
+            return qualname[len(prefix):]
+        return qualname
+
     def callers(self) -> dict[str, list[tuple[str, int]]]:
         """Reverse adjacency: callee -> [(caller, call lineno), ...]."""
         if self._callers is None:
@@ -208,7 +291,7 @@ class CallGraph:
             stack.extend(record.bases)
         return None
 
-    def module_of(self, qualname: str) -> _ModuleIndex | None:
+    def module_of(self, qualname: str) -> ModuleIndex | None:
         record = self.functions.get(qualname)
         return self._modules.get(record.module) if record else None
 
@@ -229,7 +312,7 @@ class CallGraph:
 
 
 def _class_lookup(
-    graph: CallGraph, index: _ModuleIndex, dotted: str
+    graph: CallGraph, index: ModuleIndex, dotted: str
 ) -> str | None:
     """The project class ``dotted`` names in ``index``'s namespace."""
     full = index.canonical(dotted)
@@ -242,31 +325,9 @@ def _class_lookup(
 
 
 # ----------------------------------------------------------------------
-# Pass 1: symbols and imports
+# Pass 1: symbols
 # ----------------------------------------------------------------------
-def _index_module(graph: CallGraph, index: _ModuleIndex) -> None:
-    for node in ast.walk(index.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.partition(".")[0]
-                target = alias.name if alias.asname else local
-                index.aliases[local] = target
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                parents = index.module.split(".")
-                # Level 1 = the containing package: the module's parent
-                # for plain modules, the module itself for __init__.
-                drop = node.level - 1 if index.is_package else node.level
-                parents = parents[: len(parents) - drop]
-                base = ".".join(parents + ([base] if base else []))
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                index.aliases[alias.asname or alias.name] = (
-                    f"{base}.{alias.name}" if base else alias.name
-                )
-
+def _index_module(graph: CallGraph, index: ModuleIndex) -> None:
     def register(node: ast.AST, scope: list[str], cls: str | None) -> None:
         in_class_body = isinstance(node, ast.ClassDef)
         for child in ast.iter_child_nodes(node):
@@ -372,7 +433,7 @@ def _infer_class_attr_types(graph: CallGraph) -> None:
 class _Resolver:
     """Resolves dotted call targets inside one function body."""
 
-    def __init__(self, graph: CallGraph, index: _ModuleIndex,
+    def __init__(self, graph: CallGraph, index: ModuleIndex,
                  record: FunctionRecord):
         self.graph = graph
         self.index = index
@@ -630,53 +691,38 @@ class TypedScope:
         return None
 
 
-def _extract_calls(graph: CallGraph, index: _ModuleIndex,
+def _extract_calls(graph: CallGraph, index: ModuleIndex,
                    record: FunctionRecord) -> list[CallSite]:
     resolver = _Resolver(graph, index, record)
     resolver.infer_types()
+    # The edge outer -> inner carries a nested function's effects.
     sites: list[CallSite] = []
-    # Nested functions are separate graph nodes with their own call
-    # lists; an inner call must not be double-counted on the outer
-    # function (the edge outer -> inner carries the effects across).
-    nested_calls = {
-        id(inner)
-        for child in ast.walk(record.node)
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and child is not record.node
-        for inner in ast.walk(child)
-        if isinstance(inner, ast.Call)
-    }
-    for node in ast.walk(record.node):
-        if isinstance(node, ast.Call) and id(node) not in nested_calls:
+    for node in own_nodes(record.node):
+        if isinstance(node, ast.Call):
             sites.extend(resolver.resolve(node))
     return sites
 
 
 def build_callgraph(
-    src_root: str | Path, package: str | None = None
+    src_root: str | Path,
+    package: str | None = None,
+    modules: list[ModuleIndex] | None = None,
 ) -> CallGraph:
-    """Parse every ``*.py`` under ``src_root`` and resolve call edges.
+    """Resolve call edges over ``src_root``'s modules.
 
-    ``package`` is the dotted prefix modules are registered under; it
-    defaults to the root directory's name (``repro`` for the shipped
-    tree), so qualnames look like ``repro.core.cache.SweepCache.put``.
+    ``modules`` is the tree as :func:`parse_modules` returned it, so a
+    caller that already parsed the files does not parse them again;
+    ``package`` defaults to the root directory's name.
     """
-    root = Path(src_root)
-    graph = CallGraph(root, package or root.name)
-    indexes: list[_ModuleIndex] = []
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=rel)
-        index = _ModuleIndex(
-            _module_name(rel, graph.package), rel, tree,
-            is_package=rel.endswith("__init__.py"),
-        )
+    graph = CallGraph(package or Path(src_root).name)
+    if modules is None:
+        modules = parse_modules(src_root, graph.package)
+    for index in modules:
         graph._modules[index.module] = index
-        indexes.append(index)
-    for index in indexes:
+    for index in modules:
         _index_module(graph, index)
     _infer_class_attr_types(graph)
-    for index in indexes:
+    for index in modules:
         for record in list(graph.functions.values()):
             if record.module == index.module:
                 graph.calls[record.qualname] = _extract_calls(

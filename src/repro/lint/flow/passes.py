@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 
 from repro.lint.findings import Finding, Severity
-from repro.lint.flow.callgraph import CallGraph, _dotted
+from repro.lint.flow.callgraph import CallGraph, _dotted, own_nodes
 from repro.lint.flow.summaries import SummaryTable
 
 __all__ = [
@@ -70,11 +70,6 @@ DEFAULT_RESULT_ROOTS = (
 _NONDETERMINISM = ("wall-clock", "unseeded-rng")
 
 
-def _subject(qualname: str, package: str) -> str:
-    prefix = package + "."
-    return qualname[len(prefix):] if qualname.startswith(prefix) else qualname
-
-
 # ----------------------------------------------------------------------
 # FLOW001 — transitive nondeterminism
 # ----------------------------------------------------------------------
@@ -91,7 +86,7 @@ def check_transitive_nondeterminism(
             findings.append(Finding(
                 rule="FLOW001",
                 severity=Severity.WARNING,
-                subject=_subject(root, graph.package),
+                subject=graph.subject(root),
                 message=(
                     f"result-bearing root {root!r} not found in the tree: "
                     "the function was renamed or removed, so the "
@@ -109,7 +104,7 @@ def check_transitive_nondeterminism(
             findings.append(Finding(
                 rule="FLOW001",
                 severity=Severity.ERROR,
-                subject=_subject(root, graph.package),
+                subject=graph.subject(root),
                 message=(
                     f"result-bearing path transitively reaches a "
                     f"{kind.replace('-', ' ')}: "
@@ -284,13 +279,6 @@ def check_resource_safety(
             d = _dotted(call.func)
             return index.canonical(d) if d else None
 
-        nested = {
-            id(inner)
-            for child in ast.walk(record.node)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and child is not record.node
-            for inner in ast.walk(child)
-        }
         with_guarded = {
             id(item.context_expr)
             for node in ast.walk(record.node)
@@ -301,16 +289,14 @@ def check_resource_safety(
             findings.append(Finding(
                 rule="FLOW002",
                 severity=Severity.ERROR,
-                subject=_subject(qualname, graph.package),
+                subject=graph.subject(qualname),
                 message=f"{label} {detail}",
                 fixit=fixit,
                 path=record.rel_path,
                 line=lineno,
             ))
 
-        for node in ast.walk(record.node):
-            if id(node) in nested:
-                continue
+        for node in own_nodes(record.node):
             call = None
             names: list[str] = []
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
@@ -415,7 +401,7 @@ def check_frame_protocol(graph: CallGraph) -> list[Finding]:
                 findings.append(Finding(
                     rule="FLOW003",
                     severity=Severity.ERROR,
-                    subject=_subject(qualname, graph.package),
+                    subject=graph.subject(qualname),
                     message=(
                         "frame payload kind is not statically decidable "
                         "(not a literal ('kind', ...) tuple): the "
@@ -479,7 +465,7 @@ def check_frame_protocol(graph: CallGraph) -> list[Finding]:
             subject=f"frame-kind:{kind}",
             message=(
                 f"frame kind {kind!r} is sent (by "
-                f"{_subject(qualname, graph.package)}) but no receiver "
+                f"{graph.subject(qualname)}) but no receiver "
                 "dispatch arm matches it: the peer will drop or "
                 "misinterpret the message"
             ),
@@ -495,7 +481,7 @@ def check_frame_protocol(graph: CallGraph) -> list[Finding]:
             subject=f"frame-kind:{kind}",
             message=(
                 f"receiver dispatch arm for frame kind {kind!r} (in "
-                f"{_subject(qualname, graph.package)}) but nothing ever "
+                f"{graph.subject(qualname)}) but nothing ever "
                 "sends it: dead protocol arm or a renamed kind"
             ),
             fixit="remove the dead arm or fix the sender's kind string",

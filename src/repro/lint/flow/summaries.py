@@ -21,8 +21,10 @@ Tracked effect kinds:
 - ``raises`` — an explicit ``raise`` statement (exception-path
   reachability; the resource pass and reports consume it).
 
-The matching reuses the canonical dotted spellings the call graph
-computes, so ``from time import monotonic as mono; mono()`` and
+:func:`call_effect` is the one classifier of wall-clock and unseeded
+RNG call sites: the self-lint plane's SIM001/SIM002 ask it too.  It
+matches the canonical dotted spellings the module alias tables compute,
+so ``from time import monotonic as mono; mono()`` and
 ``np.random.default_rng()`` are both seen through their aliases.
 """
 
@@ -31,12 +33,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.lint.flow.callgraph import CallGraph, TypedScope, _dotted
-from repro.lint.selflint import (
-    _DATETIME_NOW,
-    _NP_RANDOM_LEGACY,
-    _RANDOM_GLOBALS,
-    _WALL_CLOCK_ATTRS,
+from repro.lint.flow.callgraph import (
+    CallGraph,
+    TypedScope,
+    _dotted,
+    own_nodes,
 )
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "AttrRead",
     "EffectSite",
     "SummaryTable",
+    "call_effect",
     "compute_summaries",
     "direct_attribute_reads",
 ]
@@ -51,6 +53,56 @@ __all__ = [
 #: Every effect kind a summary can carry.
 EFFECT_KINDS = ("wall-clock", "unseeded-rng", "env-read", "raises")
 
+_WALL_CLOCK_ATTRS = frozenset(
+    {
+        "time",
+        "time_ns",
+        "monotonic",
+        "monotonic_ns",
+        "perf_counter",
+        "perf_counter_ns",
+        "process_time",
+        "process_time_ns",
+    }
+)
+_DATETIME_NOW = frozenset({"now", "utcnow", "today"})
+_RANDOM_GLOBALS = frozenset(
+    {
+        "random",
+        "randint",
+        "randrange",
+        "choice",
+        "choices",
+        "sample",
+        "shuffle",
+        "uniform",
+        "gauss",
+        "normalvariate",
+        "lognormvariate",
+        "betavariate",
+        "expovariate",
+        "getrandbits",
+        "seed",
+    }
+)
+_NP_RANDOM_LEGACY = frozenset(
+    {
+        "rand",
+        "randn",
+        "randint",
+        "random",
+        "random_sample",
+        "choice",
+        "shuffle",
+        "permutation",
+        "uniform",
+        "normal",
+        "lognormal",
+        "exponential",
+        "poisson",
+        "seed",
+    }
+)
 _ENV_READ_CALLS = frozenset({"os.getenv", "os.environ.get"})
 
 
@@ -64,14 +116,15 @@ class EffectSite:
     lineno: int
 
 
-def _call_effect(canonical: str, node: ast.Call) -> tuple[str, str] | None:
-    """(kind, what) if calling ``canonical`` is a direct effect."""
+def call_effect(canonical: str, node: ast.Call) -> tuple[str, str] | None:
+    """(kind, what) if calling ``canonical`` is a direct effect.
+
+    ``canonical`` is the call's dotted spelling with its import alias
+    resolved (``ModuleIndex.canonical``); ``node`` is the call itself,
+    whose arguments decide whether a generator constructor is seeded.
+    """
     if canonical.startswith("time.") and canonical[5:] in _WALL_CLOCK_ATTRS:
         return "wall-clock", canonical
-    if canonical in _WALL_CLOCK_ATTRS:
-        # `from time import monotonic` canonicalizes to "time.monotonic";
-        # this arm only catches a stray bare spelling.
-        return "wall-clock", f"time.{canonical}"
     if (
         canonical.startswith(("datetime.", "datetime.datetime."))
         and canonical.rsplit(".", 1)[-1] in _DATETIME_NOW
@@ -100,23 +153,14 @@ def direct_effects(graph: CallGraph, qualname: str) -> list[EffectSite]:
     for site in graph.calls.get(qualname, ()):
         if site.external is None:
             continue
-        hit = _call_effect(site.external, site.node)
+        hit = call_effect(site.external, site.node)
         if hit is not None:
             sites.append(
                 EffectSite(hit[0], hit[1], record.rel_path, site.lineno)
             )
     # Non-call effects: os.environ subscripts / membership / iteration,
-    # and explicit raise statements.  Nested defs are separate nodes.
-    nested = {
-        id(inner)
-        for child in ast.walk(record.node)
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and child is not record.node
-        for inner in ast.walk(child)
-    }
-    for node in ast.walk(record.node):
-        if id(node) in nested:
-            continue
+    # and explicit raise statements.
+    for node in own_nodes(record.node):
         if isinstance(node, ast.Attribute):
             dotted = _dotted(node)
             if dotted is not None and index is not None:
@@ -178,20 +222,10 @@ def direct_attribute_reads(
     scope = TypedScope(graph, qualname)
     reads: list[AttrRead] = []
 
-    nested_ids = {
-        id(inner)
-        for child in ast.walk(record.node)
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and child is not record.node
-        for inner in ast.walk(child)
-    }
-
     # Local aliases of tracked attributes: the assignment itself records
     # the read; later *tests* of the alias contribute the guard.
     aliases: dict[str, tuple[str, str]] = {}
-    for stmt in ast.walk(record.node):
-        if id(stmt) in nested_ids:
-            continue
+    for stmt in own_nodes(record.node):
         if (
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1

@@ -5,14 +5,16 @@ bit-identical records on every run, interpreter, and machine.  These
 rules mechanically enforce the determinism contract on ``src/repro``:
 
 - **SIM001** — no wall-clock reads in the simulator core (``desim/``,
-  ``runtime/``) or the record frame layer (``frame/``): simulated time
-  must come from the event loop, never the host clock, and frame
-  payloads must never absorb host timestamps.
+  ``runtime/``), the record frame layer (``frame/``), or the serving
+  layer (``serve/``): simulated time must come from the event loop,
+  never the host clock, frame payloads must never absorb host
+  timestamps, and the daemon reads the host clock in one waived place.
 - **SIM002** — no unseeded randomness in model code (``desim/``,
-  ``runtime/``, ``arch/``, ``resilience/``): module-global ``random.*`` /
-  legacy ``numpy.random.*`` state, or ``default_rng()`` without a seed.
-  The resilience layer is in scope because retry jitter and chaos-fault
-  placement feed the deterministic failure reports.
+  ``runtime/``, ``arch/``, ``resilience/``, ``serve/``): module-global
+  ``random.*`` / legacy ``numpy.random.*`` state, or ``default_rng()`` /
+  ``random.Random()`` without a seed.  The resilience layer is in scope
+  because retry jitter and chaos-fault placement feed the deterministic
+  failure reports.
 - **SIM003** — no iteration over set expressions anywhere in the package:
   set order is hash-randomized across processes, so any record or report
   derived from it would be irreproducible.
@@ -23,6 +25,13 @@ rules mechanically enforce the determinism contract on ``src/repro``:
   waiver instead of a scope carve-out.
 - **SIM005** — no float ``==``/``!=`` against float literals in
   ``check/``: verification must use explicit exact-vs-tolerant helpers.
+
+SIM001 and SIM002 do not decide on their own what a clock read or an
+unseeded draw is: every call's name is resolved through the module's
+import-alias table (:class:`~repro.lint.flow.callgraph.ModuleIndex`) and
+classified by the flow plane's
+:func:`~repro.lint.flow.summaries.call_effect`, so this per-site check
+and the interprocedural FLOW001 agree on every spelling.
 
 Intentional exceptions live in ``lint/waivers.toml`` next to this module;
 each waiver names the rule, a path suffix, an optional symbol, and a
@@ -39,6 +48,8 @@ from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.lint.findings import Finding, Severity
+from repro.lint.flow.callgraph import ModuleIndex, _dotted, module_index
+from repro.lint.flow.summaries import call_effect
 
 try:  # Python 3.11+
     import tomllib
@@ -51,9 +62,8 @@ __all__ = [
     "load_waivers",
     "apply_waivers",
     "unused_waiver_findings",
+    "self_lint_module",
     "self_lint_source",
-    "self_lint_tree",
-    "self_lint",
     "DEFAULT_SRC_ROOT",
     "DEFAULT_WAIVERS",
 ]
@@ -72,84 +82,36 @@ SELF_RULES: dict[str, tuple[str, ...]] = {
     "SIM005": ("check/",),
 }
 
-_WALL_CLOCK_ATTRS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "monotonic",
-        "monotonic_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "process_time",
-        "process_time_ns",
-    }
-)
-_DATETIME_NOW = frozenset({"now", "utcnow", "today"})
-_RANDOM_GLOBALS = frozenset(
-    {
-        "random",
-        "randint",
-        "randrange",
-        "choice",
-        "choices",
-        "sample",
-        "shuffle",
-        "uniform",
-        "gauss",
-        "normalvariate",
-        "lognormvariate",
-        "betavariate",
-        "expovariate",
-        "getrandbits",
-        "seed",
-    }
-)
-_NP_RANDOM_LEGACY = frozenset(
-    {
-        "rand",
-        "randn",
-        "randint",
-        "random",
-        "random_sample",
-        "choice",
-        "shuffle",
-        "permutation",
-        "uniform",
-        "normal",
-        "lognormal",
-        "exponential",
-        "poisson",
-        "seed",
-    }
-)
+#: effect kind (:func:`call_effect`) -> (rule, message, fix-it); the
+#: message is formatted with the classifier's spelling of the call.
+_EFFECT_RULES = {
+    "wall-clock": (
+        "SIM001",
+        "wall-clock read {}() in the simulator core: simulated time must "
+        "come from the event loop, not the host clock",
+        "thread the simulation clock (or a seed) in explicitly",
+    ),
+    "unseeded-rng": (
+        "SIM002",
+        "unseeded randomness {}: process-global or OS-entropy random "
+        "state makes records irreproducible",
+        "draw from an explicitly seeded generator: "
+        "numpy.random.default_rng(seed) or random.Random(seed)",
+    ),
+}
 
 
 def _in_scope(rule: str, rel_path: str) -> bool:
     return any(rel_path.startswith(p) for p in SELF_RULES[rule])
 
 
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 class _SelfLintVisitor(ast.NodeVisitor):
-    """One-file determinism pass."""
+    """One-file determinism pass over a parsed module."""
 
-    def __init__(self, rel_path: str):
-        self.rel_path = rel_path
+    def __init__(self, index: ModuleIndex):
+        self.index = index
+        self.rel_path = index.rel_path
         self.findings: list[Finding] = []
-        #: Local alias -> canonical module ("np" -> "numpy").
-        self.module_aliases: dict[str, str] = {}
-        #: Names imported from `time` ("from time import perf_counter").
-        self.time_imports: set[str] = set()
         self.scope: list[str] = []
 
     # -- bookkeeping ---------------------------------------------------
@@ -174,23 +136,6 @@ class _SelfLintVisitor(ast.NodeVisitor):
             )
         )
 
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.module_aliases[alias.asname or alias.name] = alias.name
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "time":
-            for alias in node.names:
-                self.time_imports.add(alias.asname or alias.name)
-        self.generic_visit(node)
-
-    def _canonical(self, dotted: str) -> str:
-        """Rewrite a leading module alias to its canonical name."""
-        head, _, rest = dotted.partition(".")
-        head = self.module_aliases.get(head, head)
-        return f"{head}.{rest}" if rest else head
-
     # -- scope tracking ------------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self.scope.append(node.name)
@@ -213,7 +158,7 @@ class _SelfLintVisitor(ast.NodeVisitor):
         for deco in node.decorator_list:
             target = deco.func if isinstance(deco, ast.Call) else deco
             name = _dotted(target)
-            if name is None or self._canonical(name) not in (
+            if name is None or self.index.canonical(name) not in (
                 "dataclass",
                 "dataclasses.dataclass",
             ):
@@ -236,61 +181,14 @@ class _SelfLintVisitor(ast.NodeVisitor):
                 )
                 self.scope.pop()
 
-    # -- SIM001/SIM002: calls ------------------------------------------
+    # -- SIM001/SIM002: calls, classified by the flow plane ------------
     def visit_Call(self, node: ast.Call) -> None:
         name = _dotted(node.func)
-        if name is not None:
-            canonical = self._canonical(name)
-            self._check_wall_clock(node, canonical)
-            self._check_randomness(node, canonical)
+        hit = call_effect(self.index.canonical(name), node) if name else None
+        if hit is not None and hit[0] in _EFFECT_RULES:
+            rule, message, fixit = _EFFECT_RULES[hit[0]]
+            self._emit(rule, node.lineno, message.format(hit[1]), fixit)
         self.generic_visit(node)
-
-    def _check_wall_clock(self, node: ast.Call, name: str) -> None:
-        is_clock = (
-            (name.startswith("time.") and name[5:] in _WALL_CLOCK_ATTRS)
-            or name in self.time_imports
-            or (
-                name.startswith(("datetime.", "datetime.datetime."))
-                and name.rsplit(".", 1)[-1] in _DATETIME_NOW
-            )
-        )
-        if is_clock:
-            self._emit(
-                "SIM001",
-                node.lineno,
-                f"wall-clock read {name}() in the simulator core: simulated "
-                "time must come from the event loop, not the host clock",
-                "thread the simulation clock (or a seed) in explicitly",
-            )
-
-    def _check_randomness(self, node: ast.Call, name: str) -> None:
-        if name.startswith("random.") and name[7:] in _RANDOM_GLOBALS:
-            self._emit(
-                "SIM002",
-                node.lineno,
-                f"{name}() draws from the process-global random state: "
-                "unseeded randomness makes records irreproducible",
-                "use numpy.random.default_rng(seed) (or random.Random(seed)) "
-                "with an explicit seed",
-            )
-            return
-        if name.startswith("numpy.random."):
-            tail = name[len("numpy.random."):]
-            if tail == "default_rng" and not node.args and not node.keywords:
-                self._emit(
-                    "SIM002",
-                    node.lineno,
-                    "default_rng() without a seed pulls OS entropy: records "
-                    "become irreproducible",
-                    "pass an explicit seed: default_rng(seed)",
-                )
-            elif tail in _NP_RANDOM_LEGACY:
-                self._emit(
-                    "SIM002",
-                    node.lineno,
-                    f"legacy {name}() uses numpy's global random state",
-                    "use numpy.random.default_rng(seed) with an explicit seed",
-                )
 
     # -- SIM003: set iteration ----------------------------------------
     def _check_iter(self, iter_node: ast.AST) -> None:
@@ -345,24 +243,16 @@ class _SelfLintVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def self_lint_source(source: str, rel_path: str) -> list[Finding]:
-    """Lint one module's source; ``rel_path`` decides rule scopes."""
-    tree = ast.parse(source, filename=rel_path)
-    visitor = _SelfLintVisitor(rel_path)
-    visitor.visit(tree)
+def self_lint_module(index: ModuleIndex) -> list[Finding]:
+    """Lint one parsed module; its ``rel_path`` decides rule scopes."""
+    visitor = _SelfLintVisitor(index)
+    visitor.visit(index.tree)
     return visitor.findings
 
 
-def self_lint_tree(src_root: str | Path = DEFAULT_SRC_ROOT) -> list[Finding]:
-    """Lint every ``*.py`` under ``src_root`` (deterministic file order)."""
-    root = Path(src_root)
-    findings: list[Finding] = []
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
-        findings.extend(
-            self_lint_source(path.read_text(encoding="utf-8"), rel)
-        )
-    return findings
+def self_lint_source(source: str, rel_path: str) -> list[Finding]:
+    """Lint one module's source; ``rel_path`` decides rule scopes."""
+    return self_lint_module(module_index(source, rel_path))
 
 
 # ----------------------------------------------------------------------
@@ -482,8 +372,7 @@ def apply_waivers(
 
 
 def unused_waiver_findings(unused: Sequence[Waiver]) -> list[Finding]:
-    """SIM000 findings for waivers that matched nothing (shared by the
-    self-lint and flow planes — each plane rots independently)."""
+    """SIM000 findings for waivers that matched nothing."""
     return [
         Finding(
             rule="SIM000",
@@ -499,22 +388,3 @@ def unused_waiver_findings(unused: Sequence[Waiver]) -> list[Finding]:
         )
         for waiver in unused
     ]
-
-
-def self_lint(
-    src_root: str | Path = DEFAULT_SRC_ROOT,
-    waivers_path: str | Path = DEFAULT_WAIVERS,
-) -> list[Finding]:
-    """Full pipeline: lint the tree, apply waivers, flag unused waivers.
-
-    FLOW and KEY waivers in the shared file belong to the flow and
-    dependency planes and are excluded here so each plane only
-    rot-checks its own entries.
-    """
-    waivers = [
-        w for w in load_waivers(waivers_path)
-        if not w.rule.startswith(("FLOW", "KEY"))
-    ]
-    findings, unused = apply_waivers(self_lint_tree(src_root), waivers)
-    findings.extend(unused_waiver_findings(unused))
-    return findings

@@ -54,6 +54,8 @@ from repro.errors import (
     ResilienceError,
     ServeError,
     SweepCancelledError,
+    UnknownMachine,
+    UnknownWorkload,
 )
 from repro.resilience.chaos import ChaosPlan
 from repro.serve import render
@@ -104,7 +106,6 @@ class DaemonConfig:
     #: Circuit-breaker tuning.
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 30.0
-    breaker_probes: int = 2
     #: fsync journal appends and cache entries (durability mode).
     fsync: bool = False
     #: File the bound port is written to once listening (subprocess
@@ -182,7 +183,6 @@ class TuningDaemon:
         self.ladder = BackendLadder(
             failure_threshold=config.breaker_threshold,
             cooldown_s=config.breaker_cooldown_s,
-            probe_budget=config.breaker_probes,
             clock=clock,
         )
         self.limiter = TokenBucket(
@@ -510,9 +510,10 @@ class TuningDaemon:
                 await self._respond(
                     writer, 404, {"error": f"no route {method} {path}"}
                 )
-        except (ServeError, ConfigError) as exc:
-            # ConfigError here means the *request* described an invalid
-            # plan (bad scale, unknown workload): the client's fault.
+        except (ServeError, ConfigError, UnknownMachine,
+                UnknownWorkload) as exc:
+            # The *request* described an invalid plan (unknown machine,
+            # workload or scale): the client's fault.
             await self._respond(writer, 400, {"error": str(exc)})
         except ReproError as exc:
             await self._respond(

@@ -27,6 +27,9 @@ class DaemonClient:
     """Synchronous HTTP client of a daemon listening on ``self.port``."""
 
     port: int
+    #: Seconds between ``GET /jobs/<id>`` polls while waiting on a job.
+    STATE_POLL_S = 0.05
+    EVENTS_POLL_S = 0.02
 
     def request(
         self,
@@ -74,8 +77,7 @@ class DaemonClient:
         return [json.loads(line) for line in lines]
 
     def wait_for_state(self, job_id: str, states: tuple[str, ...],
-                       timeout_s: float = 60.0,
-                       poll_s: float = 0.05) -> dict:
+                       timeout_s: float = 60.0) -> dict:
         """Poll ``GET /jobs/<id>`` until its state lands in ``states``."""
         from repro.serve.limits import wall_clock
 
@@ -89,11 +91,10 @@ class DaemonClient:
                     f"job {job_id} did not reach {states} within "
                     f"{timeout_s}s (last: {status} {body})"
                 )
-            threading.Event().wait(poll_s)
+            threading.Event().wait(self.STATE_POLL_S)
 
     def wait_for_events(self, job_id: str, n_events: int,
-                        timeout_s: float = 60.0,
-                        poll_s: float = 0.02) -> dict:
+                        timeout_s: float = 60.0) -> dict:
         """Poll until the job has streamed at least ``n_events``."""
         from repro.serve.limits import wall_clock
 
@@ -107,7 +108,7 @@ class DaemonClient:
                     f"job {job_id} did not reach {n_events} event(s) "
                     f"within {timeout_s}s (last: {status} {body})"
                 )
-            threading.Event().wait(poll_s)
+            threading.Event().wait(self.EVENTS_POLL_S)
 
 
 class DaemonHandle(DaemonClient):

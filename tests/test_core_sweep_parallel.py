@@ -24,8 +24,8 @@ class _LazyFakeSupervisor:
     all progress).
     """
 
-    def __init__(self, plan, space, log):
-        sweep_mod._init_worker(plan, space)
+    def __init__(self, plan, log):
+        sweep_mod._init_worker(plan)
         self.log = log
         self.tasks = []
         self.worker_respawns = 0
@@ -56,8 +56,8 @@ class TestStreamingProgress:
         log = []
         monkeypatch.setattr(
             sweep_mod, "_make_fleet",
-            lambda backend, n, plan, space, chaos, policy, fail_policy:
-            _LazyFakeSupervisor(plan, space, log),
+            lambda backend, n, plan, chaos, policy, fail_policy:
+            _LazyFakeSupervisor(plan, log),
         )
 
         def progress(done, total, app, inp, threads):
@@ -82,10 +82,9 @@ class TestStreamingProgress:
         log = []
         supervisors = []
 
-        def make_fleet(backend, n, plan, space, chaos, policy,
-                       fail_policy):
+        def make_fleet(backend, n, plan, chaos, policy, fail_policy):
             assert (backend, n) == ("pool", 2)
-            sup = _LazyFakeSupervisor(plan, space, log)
+            sup = _LazyFakeSupervisor(plan, log)
             supervisors.append(sup)
             return sup
 

@@ -201,3 +201,83 @@ class TestStatsAndReport:
             "self", "flow", "deps",
             "manifests:a64fx", "manifests:skylake", "manifests:milan",
         }
+
+
+class TestSourcePlanes:
+    """The self, flow and deps planes share one parse of the tree."""
+
+    def test_a_full_run_parses_each_file_once(self, monkeypatch, capsys):
+        import ast
+        from collections import Counter
+
+        from repro.lint.selflint import DEFAULT_SRC_ROOT
+
+        parses = Counter()
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parses[str(filename)] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert main(["lint"]) == 0
+        files = {
+            p.relative_to(DEFAULT_SRC_ROOT).as_posix()
+            for p in DEFAULT_SRC_ROOT.rglob("*.py")
+        }
+        assert {name: parses[name] for name in files} == dict.fromkeys(
+            files, 1
+        )
+
+    TREE = {
+        "desim/clock.py": (
+            "import time\n\n"
+            "def now():\n"
+            "    return time.time()\n\n"
+            "def stamp():\n"
+            "    return now()\n"
+        ),
+    }
+    WAIVERS = "".join(
+        f'[[waiver]]\nrule = "{rule}"\npath = "{path}"\nreason = "r"\n\n'
+        for rule, path in (
+            ("SIM001", "desim/clock.py"),        # used
+            ("SIM004", "nowhere.py"),            # stale
+            ("FLOW001", "desim/clock.py"),       # used
+            ("FLOW002", "nowhere.py"),           # stale
+            ("KEY003", "lint/deps/passes.py"),   # used
+            ("KEY002", "nowhere.py"),            # stale
+        )
+    )
+
+    def test_planes_together_report_what_each_reports_alone(self, tmp_path):
+        from repro.lint import lint_source, sort_findings
+
+        root = tmp_path / "repro"
+        for rel, text in self.TREE.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text, encoding="utf-8")
+        waivers = tmp_path / "waivers.toml"
+        waivers.write_text(self.WAIVERS, encoding="utf-8")
+        kwargs = dict(src_root=root, waivers_path=waivers,
+                      result_roots=("repro.desim.clock.stamp",))
+
+        alone = {
+            plane: lint_source((plane,), **kwargs)
+            for plane in ("self", "flow", "deps")
+        }
+        together = lint_source(("self", "flow", "deps"), **kwargs)
+        assert sort_findings(together) == sort_findings(
+            [f for findings in alone.values() for f in findings]
+        )
+        # Each plane contributed a waived finding and rot-checked only
+        # its own stale entry.
+        for plane, prefix, stale in (("self", "SIM0", "SIM004"),
+                                     ("flow", "FLOW", "FLOW002"),
+                                     ("deps", "KEY", "KEY002")):
+            findings = alone[plane]
+            assert any(f.waived and f.rule.startswith(prefix)
+                       for f in findings)
+            assert [f.subject for f in findings if f.rule == "SIM000"] == [
+                f"{stale} @ nowhere.py"
+            ]

@@ -12,8 +12,7 @@ import textwrap
 import pytest
 
 from repro.arch.machines import get_machine
-from repro.lint import Severity, unwaived
-from repro.lint.deps import deps_lint
+from repro.lint import Severity, lint_source, unwaived
 from repro.lint.deps.cone import compute_cone, default_roots, tracked_classes
 from repro.lint.deps.declarations import signature_declarations
 from repro.lint.deps.passes import check_memo_keys, run_deps_passes
@@ -803,7 +802,7 @@ class TestDepsWaivers:
             path = "runtime/model.py"
             reason = "intentional in this synthetic tree"
         """), encoding="utf-8")
-        findings = deps_lint(src_root=root, waivers_path=waivers)
+        findings = lint_source(("deps",), src_root=root, waivers_path=waivers)
         assert unwaived(findings) == []
         assert [f.waived for f in by_rule(findings, "KEY001")] == [True]
 
@@ -818,7 +817,7 @@ class TestDepsWaivers:
             'reason = "stale"\n',
             encoding="utf-8",
         )
-        findings = deps_lint(src_root=root, waivers_path=waivers)
+        findings = lint_source(("deps",), src_root=root, waivers_path=waivers)
         (f,) = by_rule(findings, "SIM000")
         assert f.line == 2  # the [[waiver]] header line, clickable
 
@@ -831,18 +830,16 @@ class TestDepsWaivers:
             '[[waiver]]\nrule = "FLOW001"\npath = "b.py"\nreason = "r"\n',
             encoding="utf-8",
         )
-        findings = deps_lint(src_root=root, waivers_path=waivers)
+        findings = lint_source(("deps",), src_root=root, waivers_path=waivers)
         assert findings == []
 
     def test_key_waivers_are_not_self_plane_rot(self, tmp_path):
-        from repro.lint import self_lint
-
         waivers = tmp_path / "waivers.toml"
         waivers.write_text(
             '[[waiver]]\nrule = "KEY001"\npath = "a.py"\nreason = "r"\n',
             encoding="utf-8",
         )
-        findings = self_lint(waivers_path=waivers)
+        findings = lint_source(("self",), waivers_path=waivers)
         assert by_rule(findings, "SIM000") == []
 
 
@@ -851,7 +848,7 @@ class TestDepsWaivers:
 # ----------------------------------------------------------------------
 class TestRealTree:
     def test_src_repro_is_clean_with_no_waivers_needed(self):
-        findings = deps_lint()
+        findings = lint_source(("deps",))
         assert findings == [], (
             "dependency-plane violations in src/repro:\n"
             + "\n".join(f"  {f.rule} {f.location()}: {f.message}"
@@ -875,7 +872,7 @@ class TestRealTree:
         assert "repro.runtime.affinity.compute_placement" in cone.members
 
     def test_deps_lint_is_deterministic(self):
-        assert deps_lint() == deps_lint()
+        assert lint_source(("deps",)) == lint_source(("deps",))
 
 
 # ----------------------------------------------------------------------

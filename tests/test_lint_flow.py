@@ -6,14 +6,13 @@ import textwrap
 
 import pytest
 
-from repro.lint import Severity, unwaived
+from repro.lint import Severity, lint_source, unwaived
 from repro.lint.flow import (
     build_callgraph,
     check_frame_protocol,
     check_resource_safety,
     check_transitive_nondeterminism,
     compute_summaries,
-    flow_lint,
 )
 from repro.lint.flow.passes import DEFAULT_RESULT_ROOTS
 from repro.lint.flow.summaries import direct_effects
@@ -614,9 +613,9 @@ class TestFlowWaivers:
             path = "pipeline.py"
             reason = "intentional in this synthetic tree"
         """), encoding="utf-8")
-        findings = flow_lint(
-            src_root=root, waivers_path=waivers,
-            roots=("repro.pipeline.pack_records",),
+        findings = lint_source(
+            ("flow",), src_root=root, waivers_path=waivers,
+            result_roots=("repro.pipeline.pack_records",),
         )
         assert unwaived(findings) == []
         assert [f.waived for f in by_rule(findings, "FLOW001")] == [True]
@@ -632,7 +631,8 @@ class TestFlowWaivers:
             'reason = "stale"\n',
             encoding="utf-8",
         )
-        findings = flow_lint(src_root=root, waivers_path=waivers, roots=())
+        findings = lint_source(("flow",), src_root=root, waivers_path=waivers,
+                               result_roots=())
         (f,) = by_rule(findings, "SIM000")
         assert f.line == 2  # the [[waiver]] header line, clickable
 
@@ -645,13 +645,14 @@ class TestFlowWaivers:
             '[[waiver]]\nrule = "SIM004"\npath = "a.py"\nreason = "r"\n',
             encoding="utf-8",
         )
-        findings = flow_lint(src_root=root, waivers_path=waivers, roots=())
+        findings = lint_source(("flow",), src_root=root, waivers_path=waivers,
+                               result_roots=())
         assert findings == []
 
 
 class TestRealTree:
     def test_src_repro_has_zero_unwaived_findings(self):
-        findings = flow_lint()
+        findings = lint_source(("flow",))
         assert unwaived(findings) == [], (
             "unwaived flow violations in src/repro:\n"
             + "\n".join(f"  {f.rule} {f.location()}: {f.message}"
@@ -661,7 +662,7 @@ class TestRealTree:
     def test_every_result_root_exists(self):
         # A renamed root function must fail loudly, not silently drop
         # coverage: assert no FLOW001 stale-root warnings on the tree.
-        findings = flow_lint()
+        findings = lint_source(("flow",))
         assert not [f for f in by_rule(findings, "FLOW001")
                     if f.severity is Severity.WARNING]
 
@@ -672,4 +673,4 @@ class TestRealTree:
         assert check_frame_protocol(graph) == []
 
     def test_flow_lint_is_deterministic(self):
-        assert flow_lint() == flow_lint()
+        assert lint_source(("flow",)) == lint_source(("flow",))

@@ -12,10 +12,9 @@ from repro.lint import (
     Severity,
     Waiver,
     apply_waivers,
+    lint_source,
     load_waivers,
-    self_lint,
     self_lint_source,
-    self_lint_tree,
     unwaived,
 )
 from repro.lint.selflint import DEFAULT_WAIVERS, _parse_toml_minimal
@@ -89,6 +88,14 @@ class TestSim001WallClock:
         )
         assert not by_rule(findings, "SIM001")
 
+    @pytest.mark.parametrize("source", [
+        "import time\ntime.sleep(1)\n",
+        "from time import sleep\nsleep(1)\n",
+    ], ids=["time.sleep", "from-import-sleep"])
+    def test_sleep_is_silent_in_either_spelling(self, source):
+        # Sleeping reads no clock; both spellings resolve to time.sleep.
+        assert not by_rule(lint(source), "SIM001")
+
 
 class TestSim002UnseededRandomness:
     def test_fires_on_stdlib_global_random(self):
@@ -121,6 +128,22 @@ class TestSim002UnseededRandomness:
             """
         )
         assert by_rule(findings, "SIM002")
+
+    @pytest.mark.parametrize("source", [
+        "from random import shuffle\ndef f(x):\n    shuffle(x)\n",
+        "import random\nrng = random.Random()\n",
+        "from numpy.random import default_rng\nrng = default_rng()\n",
+    ], ids=["from-import-shuffle", "random.Random", "from-import-default_rng"])
+    def test_fires_on_every_spelling_the_flow_plane_sees(self, source):
+        # Names resolve through the module's import-alias table and the
+        # flow plane's classifier decides, so a from-import or an
+        # unseeded generator constructor is caught like random.random().
+        (f,) = by_rule(lint(source), "SIM002")
+        assert f.line == (3 if "def f" in source else 2)
+
+    def test_seeded_stdlib_generator_is_silent(self):
+        assert not by_rule(lint("import random\nrng = random.Random(7)\n"),
+                           "SIM002")
 
     def test_seeded_default_rng_is_silent(self):
         findings = lint(
@@ -334,7 +357,7 @@ class TestWaivers:
         src.mkdir()
         f = tmp_path / "w.toml"
         f.write_text(self.WAIVER_TEXT, encoding="utf-8")
-        findings = self_lint(src_root=src, waivers_path=f)
+        findings = lint_source(("self",), src_root=src, waivers_path=f)
         assert [(x.rule, x.line) for x in findings] == [
             ("SIM000", 3), ("SIM000", 8),
         ]
@@ -350,7 +373,7 @@ class TestWaivers:
             '[[waiver]]\nrule = "FLOW001"\npath = "a.py"\nreason = "r"\n',
             encoding="utf-8",
         )
-        assert self_lint(src_root=src, waivers_path=f) == []
+        assert lint_source(("self",), src_root=src, waivers_path=f) == []
 
     def test_malformed_waiver_entry_rejected(self, tmp_path):
         bad = tmp_path / "w.toml"
@@ -361,7 +384,7 @@ class TestWaivers:
 
 class TestRealTree:
     def test_src_repro_has_zero_unwaived_findings(self):
-        findings = self_lint()
+        findings = lint_source(("self",))
         assert unwaived(findings) == [], (
             "unwaived determinism violations in src/repro:\n"
             + "\n".join(f"  {f.rule} {f.location()}: {f.message}"
@@ -369,11 +392,11 @@ class TestRealTree:
         )
 
     def test_every_shipped_waiver_is_used(self):
-        findings = self_lint()
+        findings = lint_source(("self",))
         assert not by_rule(findings, "SIM000")
 
     def test_tree_walk_is_deterministic(self):
-        assert self_lint_tree() == self_lint_tree()
+        assert lint_source(("self",)) == lint_source(("self",))
 
     def test_synthetic_violation_fails_the_gate(self, tmp_path):
         # End-to-end fault injection: plant a violation in a fake tree and
@@ -384,7 +407,7 @@ class TestRealTree:
             "import time\n\ndef now():\n    return time.time()\n",
             encoding="utf-8",
         )
-        findings = self_lint(src_root=tmp_path,
-                             waivers_path=tmp_path / "none.toml")
+        findings = lint_source(("self",), src_root=tmp_path,
+                               waivers_path=tmp_path / "none.toml")
         assert len(unwaived(findings)) == 1
         assert findings[0].rule == "SIM001"

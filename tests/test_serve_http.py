@@ -594,7 +594,16 @@ class TestParameterValidation:
     def test_sweep_rejects_unrunnable_plan(self, daemon, plan):
         before = self.submitted(daemon)
         status, body = daemon.request("POST", "/sweep", body={"plan": plan})
-        assert status >= 400 and "unknown" in body["error"]
+        assert status == 400 and "unknown" in body["error"]
+        assert self.submitted(daemon) == before
+
+    def test_recommend_rejects_unknown_machine(self, daemon):
+        before = self.submitted(daemon)
+        status, body = daemon.request(
+            "GET", RECOMMEND.replace("arch=milan", "arch=nosuch"),
+            timeout=60.0,
+        )
+        assert status == 400 and "unknown" in body["error"]
         assert self.submitted(daemon) == before
 
     def test_deadline_capped_at_the_server_default(self, daemon):
