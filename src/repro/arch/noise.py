@@ -20,22 +20,28 @@ jitter.  Noise streams are keyed by the full sample identity so sweeps are
 reproducible regardless of execution order.
 
 Every draw comes from the stream numpy's
-``default_rng(SeedSequence([seed, run_index]))`` would give.  Building
-that generator costs far more than the one deviate taken from it, so
-:meth:`NoiseModel.apply_many` derives the PCG64 states of a whole batch
-at once (:func:`pcg64_states`, an exact reimplementation of numpy's
-seeding) and loads each into one generator the call owns.  Only the
-seeding is reimplemented; numpy still draws every deviate.
+``default_rng(SeedSequence([seed, run_index]))`` would give: the first
+``standard_normal()`` of that generator.  Building the generator costs
+far more than the one deviate taken from it, so
+:meth:`NoiseModel.factors` draws a whole batch in numpy.  It derives
+the batch's PCG64 states at once (:func:`pcg64_states` is the exact
+reimplementation of numpy's seeding), then takes each state's first
+raw output and numpy's one-word ziggurat step on it
+(:func:`first_standard_normals`).  That step is exact integer work
+plus one IEEE multiply, and it settles about 98.5% of the draws.  The
+rest (all of strip 1, the wedges and the tail) load their state into
+one generator the call owns, and numpy draws them.  The ziggurat
+tables are numpy's own (:mod:`repro.arch.ziggurat`, regenerated by
+``tools/ziggurat_tables.py``); they go with PCG64 when the noise moves
+to a host-portable generator.
 
 A batch pays for its seeds once per distinct value: the identity parts
 a caller reuses across batches are encoded once (:func:`encode_parts`,
 hashed by :func:`sample_seeds_encoded` after one shared prefix), and
 :func:`pcg64_states` splits each distinct seed and run index into
 entropy words once before assembling the batch's entropy in numpy.
-The seeding runs in numpy arrays up to the 128-bit ``(state, inc)``
-ints the ``.state`` setter takes, so each draw's only Python step is
-that load and its one deviate; drift and jitter apply to the whole
-batch.
+Drift and jitter apply to the whole batch, and
+:func:`noisy_runtimes` forms ``true * drift * jitter``.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from itertools import repeat
 
 import numpy as np
 
+from repro.arch.ziggurat import KI, WI
 from repro.errors import ReproError
 
 __all__ = [
@@ -57,6 +64,8 @@ __all__ = [
     "NOISE_MODELS",
     "get_noise_model",
     "encode_parts",
+    "first_standard_normals",
+    "noisy_runtimes",
     "pcg64_states",
     "sample_seed",
     "sample_seeds_encoded",
@@ -115,6 +124,11 @@ _OTHER_WORDS = [np.array([i for i in range(_POOL_SIZE) if i != i_src])
 # high and low 64-bit limbs.
 _PCG_MULT_HI = np.uint64(2549297995355413924)
 _PCG_MULT_LO = np.uint64(4865540595714422341)
+# numpy's normal ziggurat tables, and the 52-bit magnitude mask of its
+# one-word step.
+_ZIG_KI = np.array(KI, dtype=np.uint64)
+_ZIG_WI = np.array(WI, dtype=np.float64)
+_RABS_MASK = np.uint64(2**52 - 1)
 
 
 @functools.cache
@@ -195,10 +209,10 @@ def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
 
 def _pcg64_seed(
     seeds: tuple[list[int], np.ndarray], runs: tuple[list[int], np.ndarray]
-) -> list[int]:
-    """The PCG64 ``state`` and ``inc`` of every pair, flat (each pair's
-    state, then its inc), for seeds and run indices given as their
-    :func:`_distinct`."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The PCG64 ``state`` and ``inc`` of every pair as ``uint64`` limbs
+    ``(state_lo, state_hi, inc_lo, inc_hi)``, for seeds and run indices
+    given as their :func:`_distinct`."""
     seed_words, seed_lengths = _word_rows(*seeds)
     run_words, run_lengths = _word_rows(*runs)
     lengths = seed_lengths + run_lengths
@@ -241,27 +255,80 @@ def _pcg64_seed(
     s_hi, s_lo, q_hi, q_lo = words[0::2] | (words[1::2] << np.uint64(32))
 
     # pcg64_set_seed -> pcg_setseq_128_srandom_r: state = 0, inc =
-    # (initseq << 1) | 1, step, state += initstate, step; one step is
-    # state * MULT + inc.  In 64-bit limbs with wrapping arithmetic,
-    # carrying by hand: a sum's low limb wraps iff it ends below an
-    # addend.
+    # (initseq << 1) | 1, step, state += initstate, step.  The first step
+    # of the zero state leaves inc.
     one = np.uint64(1)
     inc_hi = (q_hi << one) | (q_lo >> np.uint64(63))
     inc_lo = (q_lo << one) | one
-    # The first step of the zero state leaves inc; add initstate.
     a_lo = inc_lo + s_lo
     a_hi = inc_hi + s_hi + (a_lo < inc_lo)
-    # The second step: (a * MULT) mod 2**128, plus inc.
-    p_lo = a_lo * _PCG_MULT_LO
-    p_hi = (_mul_hi(a_lo, _PCG_MULT_LO) + a_lo * _PCG_MULT_HI
-            + a_hi * _PCG_MULT_LO)
+    return (*_step(a_lo, a_hi, inc_lo, inc_hi), inc_lo, inc_hi)
+
+
+def _step(
+    lo: np.ndarray, hi: np.ndarray, inc_lo: np.ndarray, inc_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step, ``state * MULT + inc`` mod 2**128, in 64-bit
+    limbs with wrapping arithmetic, carrying by hand: a sum's low limb
+    wraps iff it ends below an addend."""
+    p_lo = lo * _PCG_MULT_LO
+    p_hi = (_mul_hi(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI
+            + hi * _PCG_MULT_LO)
     state_lo = p_lo + inc_lo
-    state_hi = p_hi + inc_hi + (state_lo < p_lo)
-    # Python ints for the .state setter: each 128-bit value's limbs,
-    # little-endian, read as one int.
-    limbs = np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
-    values = limbs.astype("<u8", copy=False).view("V16").ravel().tolist()
-    return list(map(int.from_bytes, values, repeat("little")))
+    return state_lo, p_hi + inc_hi + (state_lo < p_lo)
+
+
+def _as_ints(*limbs: np.ndarray) -> list[int]:
+    """Python ints for the ``.state`` setter from ``(lo, hi)`` limb
+    pairs: per row, each pair's 128-bit value, flat.  Each value's
+    limbs, little-endian, are read as one int."""
+    values = np.stack(limbs, axis=1).astype("<u8", copy=False)
+    return list(map(int.from_bytes, values.view("V16").ravel().tolist(),
+                    repeat("little")))
+
+
+def first_standard_normals(
+    state_lo: np.ndarray, state_hi: np.ndarray,
+    inc_lo: np.ndarray, inc_hi: np.ndarray,
+) -> np.ndarray:
+    """The first ``standard_normal()`` of a ``PCG64`` at each
+    ``(state, inc)``, given as ``uint64`` limbs.
+
+    PCG64 steps before its output, so the first raw output ``r`` is the
+    XSL-RR output of one step: ``rotr64(hi ^ lo, hi >> 58)``.  numpy's
+    ziggurat then takes strip ``idx = r & 0xff``, sign bit 8 and the
+    52-bit magnitude ``rabs = (r >> 9) & (2**52 - 1)``, and accepts
+    ``±(rabs * wi[idx])`` when ``rabs < ki[idx]``: integer work and one
+    IEEE multiply, done here over the batch.  Draws the test rejects
+    (all of strip 1, where ``ki[1] == 0``, plus wedge and tail
+    rejections) need more raw outputs and ``exp``/``log``.  Only they
+    load their state into one generator the call owns, and numpy draws
+    them.
+    """
+    lo, hi = _step(state_lo, state_hi, inc_lo, inc_hi)
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    r = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    idx = (r & np.uint64(0xFF)).astype(np.intp)
+    rabs = (r >> np.uint64(9)) & _RABS_MASK
+    z = rabs.astype(np.float64) * _ZIG_WI[idx]
+    np.negative(z, out=z, where=(r & np.uint64(0x100)).astype(bool))
+    slow = np.flatnonzero(rabs >= _ZIG_KI[idx])
+    if len(slow):
+        flat = iter(_as_ints(state_lo[slow], state_hi[slow],
+                             inc_lo[slow], inc_hi[slow]))
+        bit_generator = np.random.PCG64(0)
+        standard_normal = np.random.Generator(bit_generator).standard_normal
+        # The .state setter copies the dict's values, so one dict serves
+        # every draw.
+        pcg_state = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": pcg_state,
+                 "has_uint32": 0, "uinteger": 0}
+        for i in slow.tolist():
+            pcg_state["state"], pcg_state["inc"] = next(flat), next(flat)
+            bit_generator.state = state
+            z[i] = standard_normal()
+    return z
 
 
 def pcg64_states(
@@ -286,8 +353,10 @@ def pcg64_states(
         )
     if not len(seeds):
         return []
-    flat = iter(_pcg64_seed(_distinct(seeds, "seed", ValueError),
-                            _distinct(run_indices, "run index", ValueError)))
+    flat = iter(_as_ints(*_pcg64_seed(
+        _distinct(seeds, "seed", ValueError),
+        _distinct(run_indices, "run index", ValueError),
+    )))
     return list(zip(flat, flat))
 
 
@@ -336,46 +405,56 @@ class NoiseModel:
         run_indices: Sequence[int],
         seeds: Sequence[int],
     ) -> list[float]:
-        """One noisy observation per ``(true_runtime, run_index, seed)``.
-
-        Draw ``i`` takes one standard normal from the stream of
-        ``default_rng(SeedSequence([seeds[i], run_indices[i]]))``.  The
-        generator is private to the call, so concurrent calls never share
-        its state.  Each draw costs one ``.state`` load and one deviate in
-        Python; validation, seeding, drift and jitter run over the batch
-        in numpy.
-        """
-        trues = np.asarray(true_runtimes, dtype=np.float64)
-        if not len(run_indices) == len(seeds) == len(trues):
+        """One noisy observation per ``(true_runtime, run_index, seed)``:
+        :func:`noisy_runtimes` over :meth:`factors`."""
+        if not len(run_indices) == len(seeds) == len(true_runtimes):
             raise ValueError(
-                f"{len(trues)} true runtimes, {len(run_indices)} run "
-                f"indices and {len(seeds)} seeds"
+                f"{len(true_runtimes)} true runtimes, {len(run_indices)} "
+                f"run indices and {len(seeds)} seeds"
             )
-        bad = ~(trues > 0)  # nan included
-        if bad.any():
-            raise ReproError(f"true runtime must be > 0, got {trues[bad][0]}")
+        return noisy_runtimes(true_runtimes,
+                              *self.factors(run_indices, seeds)).tolist()
+
+    def factors(
+        self, run_indices: Sequence[int], seeds: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(drift, jitter)`` factors of one draw per
+        ``(run_index, seed)``, as two float64 arrays.
+
+        Draw ``i`` takes the first standard normal of the stream of
+        ``default_rng(SeedSequence([seeds[i], run_indices[i]]))``
+        (:func:`first_standard_normals`); seeding, the draws, drift and
+        jitter run over the batch in numpy.
+        """
+        if len(run_indices) != len(seeds):
+            raise ValueError(
+                f"{len(run_indices)} run indices but {len(seeds)} seeds"
+            )
         runs = _distinct(run_indices, "run index", ReproError)
         seed_values = _distinct(seeds, "noise seed", ReproError)
-        if not len(trues):
-            return []
-        flat = iter(_pcg64_seed(seed_values, runs))
-        bit_generator = np.random.PCG64(0)
-        standard_normal = np.random.Generator(bit_generator).standard_normal
-        # The .state setter copies the dict's values, so one dict serves
-        # every draw.
-        pcg_state = {"state": 0, "inc": 0}
-        state = {"bit_generator": "PCG64", "state": pcg_state,
-                 "has_uint32": 0, "uinteger": 0}
-        deviates = []
-        for pcg_state["state"], pcg_state["inc"] in zip(flat, flat):
-            bit_generator.state = state
-            deviates.append(standard_normal())
+        if not len(seeds):
+            return np.empty(0), np.empty(0)
+        z = first_standard_normals(*_pcg64_seed(seed_values, runs))
         # One np.exp over the batch rounds as a per-draw np.exp does (a
         # test pins it per model); math.exp does not.
-        jitter = np.exp(self.sigma * np.array(deviates))
+        jitter = np.exp(self.sigma * z)
         run_values, run_rows = runs
         drift = np.array([self.drift_factor(r) for r in run_values])[run_rows]
-        return (trues * drift * jitter).tolist()
+        return drift, jitter
+
+
+def noisy_runtimes(
+    true_runtimes: Sequence[float] | np.ndarray,
+    drift: np.ndarray,
+    jitter: np.ndarray,
+) -> np.ndarray:
+    """``true * drift * jitter`` per draw, multiplied in that order, for
+    true runtimes that must all be > 0 (``nan`` is rejected too)."""
+    trues = np.asarray(true_runtimes, dtype=np.float64)
+    bad = ~(trues > 0)  # nan included
+    if bad.any():
+        raise ReproError(f"true runtime must be > 0, got {trues[bad][0]}")
+    return trues * drift * jitter
 
 
 #: Calibrated models: A64FX quiet/stationary; Milan loud with a slow first

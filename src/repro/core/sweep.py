@@ -49,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.arch.machines import get_machine
+from repro.arch.noise import noisy_runtimes
 from repro.arch.topology import MachineTopology
 from repro.core.envspace import EnvSpace
 from repro.errors import (
@@ -80,12 +81,12 @@ from repro.resilience.supervisor import SupervisedTask, Supervisor
 from repro.runtime.costs import get_costs
 from repro.runtime.executor import (
     RuntimeExecutor,
-    draw_measurement_noise,
+    measurement_noise_factors,
     noise_seed_suffixes,
 )
 from repro.runtime.icv import EnvConfig, ResolvedICVs
 from repro.runtime.kernel import ComponentMemo
-from repro.workloads.base import Workload, workloads_for_arch
+from repro.workloads.base import Workload, get_workload, workloads_for_arch
 
 __all__ = [
     "BatchSpec",
@@ -217,9 +218,10 @@ class SweepResult:
 
     @cached_property
     def records(self) -> list[SweepRecord]:
-        """Every record as a row, decoded from :attr:`blocks` on first
-        read."""
-        return [r for b in self.blocks for r in sweep_block_to_records(b)]
+        """Every record as a row, decoded from the merged :attr:`block`
+        on first read, so equal configs across batches share one
+        :class:`~repro.runtime.icv.EnvConfig`."""
+        return sweep_block_to_records(self.block) if self.blocks else []
 
     @cached_property
     def block(self) -> RecordBlock:
@@ -371,40 +373,31 @@ def sweep_block_to_records(block: RecordBlock) -> list[SweepRecord]:
 
     Column-at-a-time (one ``tolist`` per column, no per-cell NumPy
     boxing) after :func:`check_sweep_block`, whose
-    :class:`~repro.errors.FrameError` it raises.
+    :class:`~repro.errors.FrameError` it raises.  Rows with equal config
+    columns share one :class:`~repro.runtime.icv.EnvConfig`, built once.
     """
     check_sweep_block(block)
     width = block.columns["runtimes"].width
     cols = {name: arr.tolist() for name, arr in block.to_arrays().items()}
-    records = []
-    for i in range(len(block)):
-        config = EnvConfig(
-            num_threads=(
-                None if cols["cfg_num_threads"][i] < 0
-                else cols["cfg_num_threads"][i]
-            ),
-            places=cols["places"][i],
-            proc_bind=cols["proc_bind"][i],
-            schedule=cols["schedule"][i],
-            library=cols["library"][i],
-            blocktime=cols["blocktime"][i],
-            force_reduction=cols["force_reduction"][i],
-            align_alloc=(
-                None if cols["align_alloc"][i] < 0
-                else cols["align_alloc"][i]
-            ),
-        )
-        records.append(SweepRecord(
-            arch=cols["arch"][i],
-            app=cols["app"][i],
-            suite=cols["suite"][i],
-            input_size=cols["input_size"][i],
-            num_threads=cols["num_threads"][i],
-            config=config,
-            runtimes=(tuple(cols["runtimes"][i]) if width > 1
-                      else (cols["runtimes"][i],)),
-        ))
-    return records
+    built: dict[tuple, EnvConfig] = {}
+    configs = []
+    for key in zip(cols["cfg_num_threads"],
+                   *(cols[name] for name in _CONFIG_STR_FIELDS),
+                   cols["align_alloc"]):
+        config = built.get(key)
+        if config is None:
+            num_threads, *strs, align_alloc = key
+            config = built[key] = EnvConfig(
+                None if num_threads < 0 else num_threads, *strs,
+                None if align_alloc < 0 else align_alloc,
+            )
+        configs.append(config)
+    runtimes = cols["runtimes"]
+    return list(map(
+        SweepRecord, cols["arch"], cols["app"], cols["suite"],
+        cols["input_size"], cols["num_threads"], configs,
+        map(tuple, runtimes) if width > 1 else zip(runtimes),
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -469,20 +462,17 @@ class _ClassPlan:
         return self._executors
 
     @cached_property
-    def grid_rows(self) -> np.ndarray:
-        """Each grid index's position in class-member order (the classes'
-        members concatenated, the order a batch draws its noise in)."""
-        return np.argsort([i for _, members in self.classes for i in members])
+    def grid_classes(self) -> np.ndarray:
+        """Each grid index's class, as its position in :attr:`classes`."""
+        classes = np.empty(len(self.configs), dtype=np.intp)
+        for k, (_, members) in enumerate(self.classes):
+            classes[members] = k
+        return classes
 
     @cached_property
     def noise_suffixes(self) -> list[bytes]:
-        """Every config's encoded noise-seed suffix, in class-member
-        order."""
-        return noise_seed_suffixes(
-            [self.configs[i] for _, members in self.classes
-             for i in members],
-            self.seed,
-        )
+        """Every config's encoded noise-seed suffix, in grid order."""
+        return noise_seed_suffixes(self.configs, self.seed)
 
     @cached_property
     def _grid_columns(self) -> dict[str, bytes | tuple[list[str], np.ndarray]]:
@@ -541,22 +531,43 @@ class _ClassPlan:
         return block
 
 
+#: The most measurement-noise draws a sweep process makes in one call:
+#: a window of consecutive batches (see :meth:`_ClassPlans.noise_factors`).
+NOISE_WINDOW_DRAWS = 2048
+
+
 @dataclass
 class _ClassPlans:
-    """A sweep's class plans, one per thread count, each built on first use.
+    """A sweep's class plans, one per thread count, each built on first
+    use, and its measurement-noise factors, drawn a window at a time.
 
     A sweep's batches span only a few thread counts, so the grid is
     re-threaded, grouped and given its executors once per thread count
     instead of once per batch.  With pruning on, the executors of one
-    plan share one :class:`~repro.runtime.kernel.ComponentMemo`.  Plans
-    live as long as the sweep: the serial path builds them in
-    ``run_sweep``, a fleet process in :func:`_init_worker`.
+    plan share one :class:`~repro.runtime.kernel.ComponentMemo`.  The
+    noise of several batches is drawn in one call, up to
+    :data:`NOISE_WINDOW_DRAWS` draws, because a call pays a fixed cost
+    that a single batch's ~150 draws do not amortize.  A window covers
+    the batches this process is expected to run next: every
+    ``stride``-th batch of ``run_order`` (the sweep's cache misses in
+    dispatch order) from the one asked for.  Plans live as long as the
+    sweep: the serial path builds them in ``run_sweep``, a fleet process
+    in :func:`_init_worker`.
     """
 
     plan: SweepPlan
     machine: MachineTopology
     configs: list[EnvConfig]
+    #: The batches this process may run, in the order they are dispatched.
+    run_order: Sequence[BatchSpec] = ()
+    #: How many batches of ``run_order`` apart this process's batches are
+    #: expected: the node count for a node's home shard, else 1.
+    stride: int = 1
     by_threads: dict[int, _ClassPlan] = field(default_factory=dict)
+    #: The current window's unused ``(drift, jitter)`` factors, by batch.
+    _window: dict[BatchSpec, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict
+    )
 
     def at(self, nthreads: int) -> _ClassPlan:
         """The class plan of ``nthreads`` (built once)."""
@@ -586,6 +597,46 @@ class _ClassPlans:
         return _ClassPlan(machine, self.plan.fidelity, self.plan.seed, cfgs,
                           classes, memo)
 
+    @cached_property
+    def _positions(self) -> dict[BatchSpec, int]:
+        """Each batch's position in :attr:`run_order`."""
+        return {batch: i for i, batch in enumerate(self.run_order)}
+
+    def noise_factors(self, batch: BatchSpec) -> tuple[np.ndarray, np.ndarray]:
+        """``batch``'s ``(drift, jitter)`` noise factors, one per grid
+        index and repetition, grid-major.
+
+        A batch outside the current window starts a new one: it and the
+        batches expected after it (every :attr:`stride`-th of
+        :attr:`run_order`), as many as fit in :data:`NOISE_WINDOW_DRAWS`
+        draws, are drawn in one call; a batch ``run_order`` does not
+        list is drawn alone.  Each batch's factors are dropped once
+        handed out, so a retried batch draws again.  A draw depends only
+        on its sample identity, so the window changes no record.
+        """
+        factors = self._window.pop(batch, None)
+        if factors is not None:
+            return factors
+        size = len(self.configs) * self.plan.repetitions
+        start = self._positions.get(batch)
+        if start is None:
+            window = [batch]
+        else:
+            stop = start + max(1, NOISE_WINDOW_DRAWS // size) * self.stride
+            window = self.run_order[start:stop:self.stride]
+        drift, jitter = measurement_noise_factors(
+            self.machine,
+            [(get_workload(b.app).program(b.input_size),
+              self.at(b.nthreads).noise_suffixes) for b in window],
+            range(self.plan.repetitions),
+        )
+        self._window = {
+            b: (drift[k * size:(k + 1) * size],
+                jitter[k * size:(k + 1) * size])
+            for k, b in enumerate(window)
+        }
+        return self._window.pop(batch)
+
 
 def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> RecordBlock:
     """Run the full config grid for one (workload, setting), packed.
@@ -596,31 +647,26 @@ def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> RecordBlock:
     applied to the shared true runtime.  Bit-identical to executing every
     member, because the model is a function of the resolved ICVs alone —
     only the expensive evaluation is shared, never the noise draws.
-    The block is packed straight from the class plan (no
-    :class:`SweepRecord` is built), and every backend ships it as is: a
-    handful of flat typed buffers plus an interning table.
+    The noise factors come from the plans' window
+    (:meth:`_ClassPlans.noise_factors`).  The block is packed straight
+    from the class plan (no :class:`SweepRecord` is built), and every
+    backend ships it as is: a handful of flat typed buffers plus an
+    interning table.
     """
-    from repro.workloads.base import get_workload
-
     plan = plans.plan
     program = get_workload(batch.app).program(batch.input_size)
     class_plan: _ClassPlan = plans.at(batch.nthreads)
 
-    true_runtimes: list[float] = []
+    class_runtimes: list[float] = []
     # Annotated so the dependency lint's call graph reaches the model.
     executor: RuntimeExecutor
-    for executor, (_, members) in zip(class_plan.executors(),
-                                      class_plan.classes):
-        true_runtimes.extend(
-            [executor.execute(program, seed=plan.seed)] * len(members)
-        )
-    observed = draw_measurement_noise(
-        plans.machine, program, class_plan.noise_suffixes, true_runtimes,
-        range(plan.repetitions),
-    )
-    runtimes = np.array(observed).reshape(len(true_runtimes),
-                                          plan.repetitions)
-    return class_plan.pack(plan.arch, batch, runtimes[class_plan.grid_rows])
+    for executor in class_plan.executors():
+        class_runtimes.append(executor.execute(program, seed=plan.seed))
+    true_runtimes = np.array(class_runtimes)[class_plan.grid_classes]
+    observed = noisy_runtimes(np.repeat(true_runtimes, plan.repetitions),
+                              *plans.noise_factors(batch))
+    return class_plan.pack(plan.arch, batch,
+                           observed.reshape(-1, plan.repetitions))
 
 
 #: Per-process sweep state (the class plans over the machine model and
@@ -629,11 +675,17 @@ def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> RecordBlock:
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(plan: SweepPlan, chaos: ChaosPlan | None = None) -> None:
+def _init_worker(
+    plan: SweepPlan,
+    chaos: ChaosPlan | None = None,
+    run_order: Sequence[BatchSpec] = (),
+    stride: int = 1,
+) -> None:
     install_chaos(chaos)
     machine = get_machine(plan.arch)
     _WORKER_STATE["plans"] = _ClassPlans(
-        plan, machine, EnvSpace().grid(machine, plan.scale, seed=plan.seed)
+        plan, machine, EnvSpace().grid(machine, plan.scale, seed=plan.seed),
+        run_order, stride,
     )
 
 
@@ -693,17 +745,24 @@ def _make_fleet(
     chaos: ChaosPlan | None,
     policy: RetryPolicy,
     fail_policy: str,
+    run_order: Sequence[BatchSpec],
 ) -> ExecutorBackend:
     """The supervised process fleet holding the sweep state (test seam).
 
     ``backend`` is ``"pool"`` (``n`` workers) or ``"nodes"`` (``n``
     nodes, one per shard).  Both run the same entry point, initializer
     and validator, so a batch computes identically on either — only the
-    scheduling differs.
+    scheduling differs.  ``run_order`` is the batches in task order; a
+    node's noise windows follow its home shard (every ``n``-th task),
+    a pool worker's the shared queue.
     """
-    fleet = Supervisor if backend == "pool" else NodesBackend
+    if backend == "pool":
+        fleet, stride = Supervisor, 1
+    else:
+        fleet, stride = NodesBackend, n
     return fleet(
-        _supervised_run_batch, _init_worker, (plan, chaos), n,
+        _supervised_run_batch, _init_worker,
+        (plan, chaos, run_order, stride), n,
         policy=policy,
         validate=_validate_batch_records,
         fail_fast=(fail_policy == "raise"),
@@ -716,7 +775,6 @@ def _make_fleet(
 def _resolve_workloads(plan: SweepPlan) -> list[Workload]:
     if plan.workload_names is None:
         return workloads_for_arch(plan.arch)
-    from repro.workloads.base import get_workload
 
     workloads = [get_workload(n) for n in plan.workload_names]
     for w in workloads:
@@ -825,9 +883,6 @@ def run_sweep(
     ledger = FailureLedger(policy, fail_policy)
 
     configs = EnvSpace().grid(machine, plan.scale, seed=plan.seed)
-    # The serial path runs its batches on these plans; every backend
-    # counts simulated configurations from them.
-    plans = _ClassPlans(plan, machine, configs)
 
     if cache is not None:
         from repro.core.cache import SweepCache
@@ -847,6 +902,10 @@ def run_sweep(
             if hit is not None:
                 cached[i] = hit
     misses = [i for i in range(total) if i not in cached]
+    run_order = [batches[i] for i in misses]
+    # The serial path runs its batches on these plans; every backend
+    # counts simulated configurations from them.
+    plans = _ClassPlans(plan, machine, configs, run_order)
 
     def in_order(
         miss_stream: Iterator[RecordBlock | None],
@@ -947,7 +1006,7 @@ def run_sweep(
             else:
                 exec_backend = _make_fleet(
                     resolved, n_processes, plan, chaos, policy,
-                    fail_policy,
+                    fail_policy, run_order,
                 )
             exec_backend.cancel_event = cancel
             consume(exec_backend.stream(tasks, ledger))

@@ -45,7 +45,7 @@ rule catalog documents (``docs/LINTING.md``, plane 4).
 from __future__ import annotations
 
 import ast
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,6 +132,8 @@ class ModuleIndex:
     def __init__(self, module: str, rel_path: str, tree: ast.Module,
                  is_package: bool = False):
         self.module = module
+        #: The package the module is registered under (its first name).
+        self.package = module.partition(".")[0]
         self.rel_path = rel_path
         self.tree = tree
         self.is_package = is_package
@@ -168,19 +170,55 @@ class ModuleIndex:
         return f"{head}.{rest}" if rest else head
 
 
+def _module_name(rel_path: str, package: str) -> tuple[str, bool]:
+    """The dotted module name of ``rel_path`` (relative to the package
+    root) under ``package``, and whether it is a package ``__init__``."""
+    parts = rel_path[: -len(".py")].split("/")
+    is_package = parts[-1] == "__init__"
+    if is_package:
+        parts = parts[:-1]
+    return ".".join([package, *parts]) if parts else package, is_package
+
+
 def module_index(source: str, rel_path: str,
                  package: str = "repro") -> ModuleIndex:
     """Parse one module's source; ``rel_path`` is relative to the
     package root and names the module (``core/sweep.py`` ->
     ``repro.core.sweep``)."""
-    parts = rel_path[: -len(".py")].split("/")
-    is_package = parts[-1] == "__init__"
-    if is_package:
-        parts = parts[:-1]
-    return ModuleIndex(
-        ".".join([package, *parts]) if parts else package, rel_path,
-        ast.parse(source, filename=rel_path), is_package=is_package,
-    )
+    module, is_package = _module_name(rel_path, package)
+    return ModuleIndex(module, rel_path,
+                       ast.parse(source, filename=rel_path),
+                       is_package=is_package)
+
+
+def _import_name(
+    trees: list[tuple[str, ast.Module]], default: str
+) -> str:
+    """The name a package's own modules import it by.
+
+    ``trees`` holds each module's path relative to the package root and
+    its parse.  An absolute import whose name past its first part is one
+    of those modules (``from repro.core.sweep import ...`` in a tree
+    with ``core/sweep.py``) votes for that first part; the most voted
+    name wins, and ``default`` stands when no import votes.  So a copy
+    of ``src/repro`` reads as ``repro`` under any directory name, and
+    the names its imports spell resolve inside it.
+    """
+    own = {_module_name(rel, "")[0][1:] for rel, _ in trees} - {""}
+    votes: Counter[str] = Counter()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                head, _, rest = name.partition(".")
+                if rest in own:
+                    votes[head] += 1
+    return votes.most_common(1)[0][0] if votes else default
 
 
 def parse_modules(
@@ -189,16 +227,23 @@ def parse_modules(
     """Parse every ``*.py`` under ``src_root`` once, in path order.
 
     ``package`` is the dotted prefix modules are registered under; it
-    defaults to the root directory's name (``repro`` for the shipped
-    tree), so qualnames look like ``repro.core.cache.SweepCache.put``.
+    defaults to the name the tree's own imports give it
+    (:func:`_import_name`, ``repro`` for the shipped tree and any copy
+    of it), else the root directory's name.  Qualnames look like
+    ``repro.core.cache.SweepCache.put``.
     """
     root = Path(src_root)
-    return [
-        module_index(path.read_text(encoding="utf-8"),
-                     path.relative_to(root).as_posix(),
-                     package or root.name)
-        for path in sorted(root.rglob("*.py"))
-    ]
+    trees = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        trees.append((rel, ast.parse(path.read_text(encoding="utf-8"),
+                                     filename=rel)))
+    package = package or _import_name(trees, root.name)
+    modules = []
+    for rel, tree in trees:
+        module, is_package = _module_name(rel, package)
+        modules.append(ModuleIndex(module, rel, tree, is_package=is_package))
+    return modules
 
 
 def own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
@@ -712,11 +757,13 @@ def build_callgraph(
 
     ``modules`` is the tree as :func:`parse_modules` returned it, so a
     caller that already parsed the files does not parse them again;
-    ``package`` defaults to the root directory's name.
+    ``package`` defaults to the name the modules are registered under
+    (see :func:`parse_modules`).
     """
-    graph = CallGraph(package or Path(src_root).name)
     if modules is None:
-        modules = parse_modules(src_root, graph.package)
+        modules = parse_modules(src_root, package)
+    graph = CallGraph(package or (modules[0].package if modules
+                                  else Path(src_root).name))
     for index in modules:
         graph._modules[index.module] = index
     for index in modules:

@@ -49,9 +49,10 @@ DEFAULT_RESULT_ROOTS = (
     "repro.core.sweep.check_sweep_block",
     "repro.core.sweep.SweepResult.records",
     "repro.core.sweep.SweepResult.block",
+    "repro.core.sweep._ClassPlans.noise_factors",
     "repro.runtime.executor.measurement_noise",
-    "repro.runtime.executor.draw_measurement_noise",
     "repro.arch.noise.NoiseModel.apply_many",
+    "repro.arch.noise.first_standard_normals",
     "repro.core.cache.SweepCache.put",
     "repro.core.cache.SweepCache.get",
     "repro.frame.columns.RecordBlock.extend",

@@ -17,6 +17,7 @@ import numpy as np
 from repro.arch.noise import (
     encode_parts,
     get_noise_model,
+    noisy_runtimes,
     sample_seed,
     sample_seeds_encoded,
 )
@@ -36,9 +37,9 @@ from repro.runtime.program import LoopRegion, Program, SerialPhase, TaskRegion
 __all__ = [
     "RuntimeExecutor",
     "apply_measurement_noise",
-    "draw_measurement_noise",
     "execute",
     "measurement_noise",
+    "measurement_noise_factors",
     "noise_seed_suffixes",
     "observe",
 ]
@@ -207,12 +208,21 @@ def measurement_noise(
     own noise stream to the shared true runtime, which is bit-identical
     to exhaustive execution because the model is deterministic in the
     resolved ICVs.  The draws are made by
-    :func:`draw_measurement_noise`.
+    :func:`measurement_noise_factors`.
     """
-    draws = iter(draw_measurement_noise(
-        machine, program, noise_seed_suffixes(configs, seed), true_runtimes,
-        run_indices,
-    ))
+    if len(true_runtimes) != len(configs):
+        raise ValueError(
+            f"{len(configs)} configs but {len(true_runtimes)} true runtimes"
+        )
+    observed = noisy_runtimes(
+        np.repeat(np.asarray(true_runtimes, dtype=np.float64),
+                  len(run_indices)),
+        *measurement_noise_factors(
+            machine, ((program, noise_seed_suffixes(configs, seed)),),
+            run_indices,
+        ),
+    )
+    draws = iter(observed.tolist())
     return [tuple(islice(draws, len(run_indices))) for _ in configs]
 
 
@@ -221,31 +231,37 @@ def noise_seed_suffixes(
 ) -> list[bytes]:
     """Each config's part of its observations' noise seed,
     ``(config.key(), seed)``, encoded once for
-    :func:`draw_measurement_noise` (a sweep's class plan encodes its grid
-    once for every batch)."""
+    :func:`measurement_noise_factors` (a sweep's class plan encodes its
+    grid once for every batch)."""
     return [encode_parts((config.key(), seed)) for config in configs]
 
 
-def draw_measurement_noise(
+def measurement_noise_factors(
     machine: MachineTopology,
-    program: Program,
-    suffixes: Sequence[bytes],
-    true_runtimes: Sequence[float],
+    draws: Sequence[tuple[Program, Sequence[bytes]]],
     run_indices: Sequence[int],
-) -> list[float]:
-    """:func:`measurement_noise`'s observations, flat and config-major,
-    for configs given by their :func:`noise_seed_suffixes`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(drift, jitter)`` noise factors of several programs' draws
+    in one call, config-major: for each ``(program, suffixes)`` in
+    ``draws``, one draw per config (given by its
+    :func:`noise_seed_suffixes`) and run index, in order.
 
-    A batch's draws are made in one call: the ``(machine, program)`` seed
-    prefix is hashed once, and each config's seed costs one copy of that
-    hash state, one update and one digest.
+    Each ``(machine, program)`` seed prefix is hashed once, and each
+    config's seed costs one copy of that hash state, one update and one
+    digest.  A sweep draws a window of batches at once this way;
+    :func:`~repro.arch.noise.noisy_runtimes` turns the factors into
+    observations.
     """
-    obs_seeds = sample_seeds_encoded((machine.name, program.name), suffixes)
-    reps = len(run_indices)
-    return get_noise_model(machine.name).apply_many(
-        np.repeat(np.asarray(true_runtimes, dtype=np.float64), reps),
+    obs_seeds: list[int] = []
+    for program, suffixes in draws:
+        obs_seeds.extend(sample_seeds_encoded(
+            (machine.name, program.name), suffixes
+        ))
+    # Bound to a name so the lint planes' call graph follows the draws.
+    model = get_noise_model(machine.name)
+    return model.factors(
         list(run_indices) * len(obs_seeds),
-        np.repeat(np.array(obs_seeds, dtype=np.uint64), reps),
+        np.repeat(np.array(obs_seeds, dtype=np.uint64), len(run_indices)),
     )
 
 

@@ -1,15 +1,19 @@
 """Exactness of the batched noise draws against numpy's own seeding.
 
 :func:`repro.arch.noise.pcg64_states` reimplements numpy's
-``SeedSequence([seed, run_index])`` -> ``PCG64`` seeding; these tests pin
-it state-for-state to numpy, pin every batched observation bit-for-bit
-to the scalar per-draw expression the simulator's stream contract was
-defined by, and pin that concurrent calls share no generator.
+``SeedSequence([seed, run_index])`` -> ``PCG64`` seeding, and
+:func:`repro.arch.noise.first_standard_normals` PCG64's first output and
+the ziggurat's one-word step; these tests pin both to numpy, pin every
+batched observation bit-for-bit to the scalar per-draw expression the
+simulator's stream contract was defined by, and pin that concurrent
+calls share no generator.
 """
 
+import importlib.util
 import random
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +22,13 @@ from repro.arch.machines import get_machine
 from repro.arch.noise import (
     NOISE_MODELS,
     encode_parts,
+    first_standard_normals,
     get_noise_model,
     pcg64_states,
     sample_seed,
     sample_seeds_encoded,
 )
+from repro.arch.ziggurat import KI, WI
 from repro.core.envspace import EnvSpace
 from repro.errors import ReproError
 from repro.runtime.executor import apply_measurement_noise, measurement_noise
@@ -35,9 +41,52 @@ WIDE_RUN_INDICES = (2**32, 2**40 + 3)
 WIDE_SEEDS = (2**64, 2**96 + 5)
 
 
+#: PCG64's 128-bit LCG multiplier.
+PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+MASK64 = (1 << 64) - 1
+
+
 def numpy_state(seed, run_index):
     state = np.random.PCG64(np.random.SeedSequence([seed, run_index])).state
     return state["state"]["state"], state["state"]["inc"]
+
+
+def pcg64_at(state, inc):
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
+def numpy_first_draw(state, inc):
+    """numpy's first ``standard_normal()`` at ``(state, inc)``, and
+    whether it took one raw output (the one-word fast path)."""
+    bit_generator = pcg64_at(state, inc)
+    z = np.random.Generator(bit_generator).standard_normal()
+    one_step = pcg64_at(state, inc).advance(1)
+    return z, bit_generator.state == one_step.state
+
+
+def limbs(pairs):
+    """``(state, inc)`` ints as the four uint64 limb arrays."""
+    def column(values, shift):
+        return np.array([(v >> shift) & MASK64 for v in values],
+                        dtype=np.uint64)
+
+    states, incs = [s for s, _ in pairs], [i for _, i in pairs]
+    return (column(states, 0), column(states, 64),
+            column(incs, 0), column(incs, 64))
+
+
+def state_with_first_output(r):
+    """A ``(state, inc)`` whose first raw output is ``r``: with
+    ``inc = 1`` it steps to state ``r``, whose XSL-RR output is ``r``."""
+    return ((r - 1) * pow(PCG_MULT, -1, 1 << 128)) % (1 << 128), 1
+
+
+def raw_output(idx, rabs, negative=False):
+    return idx | (int(negative) << 8) | (rabs << 9)
 
 
 def scalar_observation(model, true_runtime, run_index, seed):
@@ -132,7 +181,11 @@ class TestApplyMany:
 
     def test_each_call_owns_its_generator(self, monkeypatch):
         # A generator shared across calls would be shared across the
-        # daemon's sweep threads.
+        # daemon's sweep threads.  Only draws off the one-word fast path
+        # load a generator, so these seeds are picked to need one.
+        fallback = [s for s in range(2000)
+                    if not numpy_first_draw(*numpy_state(s, 0))[1]][:2]
+        assert len(fallback) == 2
         made = []
         pcg64 = np.random.PCG64
 
@@ -142,9 +195,21 @@ class TestApplyMany:
 
         monkeypatch.setattr(np.random, "PCG64", spy)
         model = get_noise_model("milan")
-        model.apply_many([1.0, 1.0], [0, 1], [5, 5])
-        model.apply(1.0, 0, 5)
+        model.apply_many([1.0, 1.0], [0, 0], fallback)
+        model.apply(1.0, 0, fallback[0])
         assert len(made) == 2 and made[0] is not made[1]
+
+    def test_an_all_fast_call_builds_no_generator(self, monkeypatch):
+        fast = [s for s in range(50)
+                if numpy_first_draw(*numpy_state(s, 0))[1]]
+        assert len(fast) > 40
+        made = []
+        monkeypatch.setattr(np.random, "PCG64",
+                            lambda seed: made.append(seed))
+        model = get_noise_model("milan")
+        assert model.apply_many([1.0] * len(fast), [0] * len(fast), fast) \
+            == [scalar_observation(model, 1.0, 0, s) for s in fast]
+        assert made == []
 
     def test_inputs_validated(self):
         model = get_noise_model("milan")
@@ -162,6 +227,69 @@ class TestApplyMany:
             model.apply_many([float("nan")], [0], [1])
         with pytest.raises(ReproError, match="nan"):
             model.apply_many(np.array([0.5, np.nan]), [0, 1], [1, 1])
+
+
+class TestFirstStandardNormals:
+    """The numpy first draw against numpy's own ``standard_normal()``."""
+
+    def test_a_million_draws_equal_the_scalar_contract(self):
+        models = TestApplyMany.MODELS
+        per_model = 10**6 // len(models) + 1
+        run_indices = tuple(range(5)) + WIDE_RUN_INDICES
+        for arch in models:
+            model = get_noise_model(arch)
+            seeds, runs = grid_pairs(
+                random_seeds(per_model // len(run_indices), 64, arch)
+                + list(EDGE_SEEDS + WIDE_SEEDS),
+                run_indices,
+            )
+            got = model.apply_many([1.0] * len(seeds), runs, seeds)
+            assert got == [scalar_observation(model, 1.0, r, s)
+                           for r, s in zip(runs, seeds)], arch
+
+    def test_random_states_match_numpy(self):
+        rnd = random.Random(11)
+        pairs = [(rnd.getrandbits(128), rnd.getrandbits(128) | 1)
+                 for _ in range(20_000)]
+        expected = [numpy_first_draw(s, i)[0] for s, i in pairs]
+        assert first_standard_normals(*limbs(pairs)).tolist() == expected
+
+    @pytest.mark.parametrize("idx, rabs, negative", [
+        (1, 1, False),              # strip 1: ki[1] == 0 rejects all
+        (1, 2**52 - 1, True),
+        (0, 2**52 - 1, False),      # strip 0's tail
+        (0, KI[0], True),
+        (2, 2**52 - 1, False),      # wedge rejections
+        (128, KI[128], True),
+        (255, 2**52 - 1, True),
+    ])
+    def test_rejected_first_outputs_match_numpy(self, idx, rabs, negative):
+        pair = state_with_first_output(raw_output(idx, rabs, negative))
+        z, fast = numpy_first_draw(*pair)
+        assert not fast
+        assert first_standard_normals(*limbs([pair])).tolist() == [z]
+
+    @pytest.mark.parametrize("idx", [0, 2, 77, 255])
+    def test_accepted_first_outputs_match_numpy(self, idx):
+        pairs = [state_with_first_output(raw_output(idx, rabs, negative))
+                 for rabs in (0, 1, KI[idx] - 1)
+                 for negative in (False, True)]
+        drawn = [numpy_first_draw(*pair) for pair in pairs]
+        assert all(fast for _, fast in drawn)
+        got = first_standard_normals(*limbs(pairs)).tolist()
+        assert [np.float64(z).tobytes() for z in got] == \
+            [np.float64(z).tobytes() for z, _ in drawn]   # -0.0 too
+
+    def test_committed_tables_equal_numpys(self):
+        path = Path(__file__).resolve().parents[1] / "tools" / \
+            "ziggurat_tables.py"
+        spec = importlib.util.spec_from_file_location("ziggurat_tables",
+                                                      path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        ki, wi = tool.probe_tables()
+        assert ki == list(KI)
+        assert [w.hex() for w in wi] == [w.hex() for w in WI]
 
 
 class TestBatchedJitter:
@@ -223,6 +351,11 @@ class TestMeasurementNoise:
         assert measurement_noise(
             machine, program, configs[:3], [1.0] * 3, range(0)
         ) == [(), (), ()]
+
+    def test_one_true_runtime_per_config(self, milan_small):
+        machine, program, configs = milan_small
+        with pytest.raises(ValueError, match="3 configs but 1 true"):
+            measurement_noise(machine, program, configs[:3], [1.0], [0])
 
     def test_concurrent_calls_share_no_generator(self, milan_small):
         machine, program, configs = milan_small

@@ -1,7 +1,10 @@
 """Class plans and the component memo: one grouping and one executor per
-class per thread count, memoized region terms, records bit-identical to
-evaluating every class with a fresh, unmemoized executor."""
+class per thread count, memoized region terms, noise drawn a window of
+batches at a time, records bit-identical to evaluating every class with
+a fresh, unmemoized executor and drawing each batch's noise alone."""
 
+import math
+import multiprocessing
 import random
 
 import pytest
@@ -13,6 +16,7 @@ from repro.core.envspace import EnvSpace
 from repro.core.sweep import (
     SweepPlan,
     SweepRecord,
+    _ClassPlans,
     equivalence_groups,
     plan_batches,
     run_sweep,
@@ -148,6 +152,112 @@ class TestClassPlans:
         assert counts["loop_body"] > 0 and counts["task_body"] > 0
         assert run_sweep(plan).records == first
         assert counted_terms == {k: 2 * v for k, v in counts.items()}
+
+
+def _block_bytes(result):
+    return [block.to_bytes() for block in result.blocks]
+
+
+class TestNoiseWindow:
+    PLAN = SweepPlan(arch="milan", scale="small", repetitions=3, seed=3)
+
+    @pytest.fixture(scope="class")
+    def one_batch_windows(self):
+        """The serial sweep with every batch's noise drawn alone."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep_mod, "NOISE_WINDOW_DRAWS", 1)
+            result = run_sweep(self.PLAN)
+        assert result.records == _reference_records(self.PLAN)
+        return _block_bytes(result)
+
+    @pytest.mark.parametrize("backend", ["serial", "pool", "nodes"])
+    @pytest.mark.parametrize("window", [1, None])
+    def test_blocks_are_byte_equal_under_any_window(
+        self, monkeypatch, one_batch_windows, backend, window
+    ):
+        if backend != "serial" and \
+                multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked fleet processes see a patched window")
+        if window is not None:
+            monkeypatch.setattr(sweep_mod, "NOISE_WINDOW_DRAWS", window)
+        result = run_sweep(self.PLAN, backend=backend,
+                           n_processes=1 if backend == "serial" else 2)
+        assert _block_bytes(result) == one_batch_windows
+
+    @pytest.fixture
+    def window_sizes(self, monkeypatch):
+        """The draws of every noise window this process makes."""
+        sizes = []
+        real = sweep_mod.measurement_noise_factors
+
+        def counting(machine, draws, run_indices):
+            sizes.append(sum(len(s) for _, s in draws) * len(run_indices))
+            return real(machine, draws, run_indices)
+
+        monkeypatch.setattr(sweep_mod, "measurement_noise_factors",
+                            counting)
+        return sizes
+
+    def test_windows_hold_at_most_the_bound(self, window_sizes):
+        result = run_sweep(self.PLAN)
+        per_batch = len(result.blocks[0]) * self.PLAN.repetitions
+        per_window = sweep_mod.NOISE_WINDOW_DRAWS // per_batch
+        n_batches = len(plan_batches(self.PLAN))
+        assert 1 < per_window < n_batches
+        # Serial runs the batches in order: every draw is made once.
+        assert len(window_sizes) == math.ceil(n_batches / per_window)
+        assert max(window_sizes) <= sweep_mod.NOISE_WINDOW_DRAWS
+        assert sum(window_sizes) == n_batches * per_batch
+
+    def test_a_partly_cached_sweep_draws_only_its_misses(
+        self, tmp_path, window_sizes
+    ):
+        # The first input of every workload is cached, so the misses are
+        # scattered over the plan; windows run over the misses alone.
+        subset = SweepPlan(arch="milan", scale="small", repetitions=3,
+                           seed=3, inputs_limit=1)
+        run_sweep(subset, cache=tmp_path)
+        window_sizes.clear()
+        result = run_sweep(self.PLAN, cache=tmp_path)
+        assert result.n_cached_batches == len(plan_batches(subset))
+        per_batch = len(result.blocks[0]) * self.PLAN.repetitions
+        per_window = sweep_mod.NOISE_WINDOW_DRAWS // per_batch
+        n_misses = result.n_computed_batches
+        assert sum(window_sizes) == n_misses * per_batch
+        assert len(window_sizes) == math.ceil(n_misses / per_window)
+        assert _block_bytes(result) == _block_bytes(run_sweep(self.PLAN))
+
+    def test_factors_are_dropped_once_used(self):
+        machine = get_machine("milan")
+        configs = EnvSpace().grid(machine, "small", seed=3)
+        batches = plan_batches(self.PLAN)
+        plans = _ClassPlans(self.PLAN, machine, configs, batches)
+        first = plans.noise_factors(batches[1])
+        assert batches[2] in plans._window and batches[0] not in plans._window
+        assert batches[1] not in plans._window
+        # Asked again (a retry), the batch draws a new window from itself.
+        again = plans.noise_factors(batches[1])
+        for a, b in zip(first, again):
+            assert a.tobytes() == b.tobytes()
+        # A batch the run order does not list draws a window of its own.
+        stray = sweep_mod.BatchSpec("cg", "npb", "S", 3)
+        drift, jitter = plans.noise_factors(stray)
+        assert len(drift) == len(jitter) == len(configs) * 3
+        assert plans._window == {}
+
+    def test_a_strided_window_follows_a_home_shard(self):
+        machine = get_machine("milan")
+        configs = EnvSpace().grid(machine, "small", seed=3)
+        batches = plan_batches(self.PLAN)
+        plans = _ClassPlans(self.PLAN, machine, configs, batches, stride=2)
+        alone = _ClassPlans(self.PLAN, machine, configs)
+        first = plans.noise_factors(batches[1])
+        per_window = sweep_mod.NOISE_WINDOW_DRAWS // (len(configs) * 3)
+        assert list(plans._window) == batches[3:2 * per_window + 1:2]
+        for batch in [batches[1]] + list(plans._window):
+            got = first if batch == batches[1] else plans.noise_factors(batch)
+            for a, b in zip(got, alone.noise_factors(batch)):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestComponentMemo:

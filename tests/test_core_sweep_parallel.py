@@ -56,7 +56,7 @@ class TestStreamingProgress:
         log = []
         monkeypatch.setattr(
             sweep_mod, "_make_fleet",
-            lambda backend, n, plan, chaos, policy, fail_policy:
+            lambda backend, n, plan, chaos, policy, fail_policy, run_order:
             _LazyFakeSupervisor(plan, log),
         )
 
@@ -82,7 +82,8 @@ class TestStreamingProgress:
         log = []
         supervisors = []
 
-        def make_fleet(backend, n, plan, chaos, policy, fail_policy):
+        def make_fleet(backend, n, plan, chaos, policy, fail_policy,
+                       run_order):
             assert (backend, n) == ("pool", 2)
             sup = _LazyFakeSupervisor(plan, log)
             supervisors.append(sup)

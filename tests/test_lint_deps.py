@@ -870,6 +870,10 @@ class TestRealTree:
         assert cone.read_attrs(tracked["BatchSpec"]) >= {"app", "input_size"}
         # The placement memo's front is where ``places`` meets its guard.
         assert "repro.runtime.affinity.compute_placement" in cone.members
+        # The noise window and the draws it makes are in the cone too.
+        assert {"repro.core.sweep._ClassPlans.noise_factors",
+                "repro.arch.noise.NoiseModel.factors",
+                "repro.arch.noise.first_standard_normals"} <= cone.members
 
     def test_deps_lint_is_deterministic(self):
         assert lint_source(("deps",)) == lint_source(("deps",))

@@ -2,6 +2,7 @@
 fault-injection proofs that each FLOW pass fires on a crafted violation
 — plus the real-tree gate (zero unwaived findings on src/repro)."""
 
+import shutil
 import textwrap
 
 import pytest
@@ -600,6 +601,74 @@ class TestFlow003:
         assert "_fleet_main" in sent.message
 
 
+class TestFlow001NoiseWindow:
+    """A sweep draws its noise a window of batches at a time, through
+    the numpy first draw: a host-clock read under either must surface."""
+
+    ROOTS = ("repro.core.sweep._ClassPlans.noise_factors",
+             "repro.arch.noise.first_standard_normals")
+    TREE = {
+        "arch/__init__.py": "",
+        "arch/noise.py": """
+            import time
+
+            import numpy as np
+
+            def first_standard_normals(state_lo, state_hi, inc_lo, inc_hi):
+                return np.zeros(len(state_lo))
+        """,
+        "core/__init__.py": "",
+        "core/sweep.py": """
+            import time
+
+            from repro.arch.noise import first_standard_normals
+
+            class _ClassPlans:
+                def noise_factors(self, batch):
+                    z = first_standard_normals(batch, batch, batch, batch)
+                    return z, z
+        """,
+    }
+    #: Where each clock read goes, and the roots it must surface at.
+    CLOCK_READS = {
+        "arch/noise.py": (
+            ("np.zeros(len(state_lo))",
+             "np.full(len(state_lo), time.perf_counter())"),
+            {"core.sweep._ClassPlans.noise_factors",
+             "arch.noise.first_standard_normals"},
+        ),
+        "core/sweep.py": (
+            ("return z, z", "return z, time.monotonic()"),
+            {"core.sweep._ClassPlans.noise_factors"},
+        ),
+    }
+
+    def findings(self, tmp_path, tree):
+        graph = build_callgraph(make_tree(tmp_path, tree))
+        return check_transitive_nondeterminism(
+            graph, compute_summaries(graph), roots=self.ROOTS
+        )
+
+    def test_window_and_first_draw_are_guarded(self):
+        for root in self.ROOTS:
+            assert root in DEFAULT_RESULT_ROOTS
+
+    @pytest.mark.parametrize("module", sorted(CLOCK_READS))
+    def test_clock_read_under_either_root_fires(self, tmp_path, module):
+        (old, new), subjects = self.CLOCK_READS[module]
+        tree = dict(self.TREE)
+        tree[module] = tree[module].replace(old, new)
+        findings = self.findings(tmp_path, tree)
+        assert {f.subject for f in findings} == subjects
+        for f in findings:
+            assert f.rule == "FLOW001"
+            assert f.severity is Severity.ERROR
+            assert "wall clock" in f.message
+
+    def test_clock_free_draws_are_silent(self, tmp_path):
+        assert self.findings(tmp_path, self.TREE) == []
+
+
 # ----------------------------------------------------------------------
 # Waiver integration and the real-tree gate
 # ----------------------------------------------------------------------
@@ -674,3 +743,16 @@ class TestRealTree:
 
     def test_flow_lint_is_deterministic(self):
         assert lint_source(("flow",)) == lint_source(("flow",))
+
+    def test_a_renamed_copy_gives_the_same_findings(self, tmp_path):
+        # The tree's own imports name it repro, whatever its directory
+        # is called, so roots, declarations and edges resolve alike.
+        from repro.lint.selflint import DEFAULT_SRC_ROOT
+
+        copy = tmp_path / "rcopy"
+        shutil.copytree(DEFAULT_SRC_ROOT, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        planes = ("self", "flow", "deps")
+        findings = lint_source(planes, src_root=copy)
+        assert findings == lint_source(planes)
+        assert unwaived(findings) == []

@@ -21,6 +21,7 @@ from repro.core.sweep import (
     BatchSpec,
     SweepPlan,
     SweepRecord,
+    SweepResult,
     _ClassPlans,
     _validate_batch_records,
     check_sweep_block,
@@ -150,10 +151,26 @@ class TestRowsDecodedOnDemand:
         assert decoded_blocks == []
 
         records = warm.records
-        assert sorted(decoded_blocks) == sorted(id(b) for b in warm.blocks)
-        assert warm.records is records  # decoded once, then kept
-        assert len(decoded_blocks) == len(warm.blocks)
+        # The merged block is decoded, once, then kept.
+        assert decoded_blocks == [id(warm.block)]
+        assert warm.records is records
+        assert decoded_blocks == [id(warm.block)]
         assert pooled.records == records
+
+    def test_equal_configs_decode_to_one_object(self):
+        result = run_sweep(PLAN)
+        records = result.records
+        per_block = [r for b in result.blocks
+                     for r in sweep_block_to_records(b)]
+        assert records == per_block
+        assert len(result.blocks) > 1
+        distinct = {r.config for r in records}
+        assert len({id(r.config) for r in records}) == len(distinct)
+        assert len(distinct) < len(records)
+        assert run_sweep(PLAN).records == records
+
+    def test_an_empty_result_has_no_records(self):
+        assert SweepResult(plan=PLAN).records == []
 
     def test_counts_read_the_blocks(self):
         result = run_sweep(PLAN)
