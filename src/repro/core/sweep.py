@@ -22,8 +22,10 @@ the ``progress`` callback fires as each batch lands and records are
 bit-identical to serial execution.  A fleet initializer materializes the
 machine model, the configuration grid and its class plans (one grouping
 and one executor per class per thread count, see :class:`_ClassPlans`)
-once per process — batch payloads carry only the batch identity, never
-the grid.  The serial backend reads the same state from a closure
+once per process — batch payloads carry only the batch identity and its
+noise factors, never the grid.  The sweep's own process draws every
+miss's noise factors before dispatch, so no fleet process draws noise.
+The serial backend reads the same state from a closure
 instead (no module-global state, so concurrent serial sweeps on threads
 stay independent).  Every failure lands in the
 :class:`~repro.resilience.report.FailureReport` attached to the
@@ -531,43 +533,30 @@ class _ClassPlan:
         return block
 
 
-#: The most measurement-noise draws a sweep process makes in one call:
-#: a window of consecutive batches (see :meth:`_ClassPlans.noise_factors`).
+#: The most measurement-noise draws a sweep makes in one call: a window
+#: of consecutive misses (see :meth:`_ClassPlans.noise_factors`).
 NOISE_WINDOW_DRAWS = 2048
 
 
 @dataclass
 class _ClassPlans:
     """A sweep's class plans, one per thread count, each built on first
-    use, and its measurement-noise factors, drawn a window at a time.
+    use, and the measurement-noise factors of its misses.
 
     A sweep's batches span only a few thread counts, so the grid is
     re-threaded, grouped and given its executors once per thread count
     instead of once per batch.  With pruning on, the executors of one
-    plan share one :class:`~repro.runtime.kernel.ComponentMemo`.  The
-    noise of several batches is drawn in one call, up to
-    :data:`NOISE_WINDOW_DRAWS` draws, because a call pays a fixed cost
-    that a single batch's ~150 draws do not amortize.  A window covers
-    the batches this process is expected to run next: every
-    ``stride``-th batch of ``run_order`` (the sweep's cache misses in
-    dispatch order) from the one asked for.  Plans live as long as the
-    sweep: the serial path builds them in ``run_sweep``, a fleet process
-    in :func:`_init_worker`.
+    plan share one :class:`~repro.runtime.kernel.ComponentMemo`.  Plans
+    live as long as the sweep: ``run_sweep`` builds them, draws every
+    miss's noise factors from them before dispatch and runs the serial
+    path on them; a fleet process builds its own in :func:`_init_worker`
+    and never draws noise.
     """
 
     plan: SweepPlan
     machine: MachineTopology
     configs: list[EnvConfig]
-    #: The batches this process may run, in the order they are dispatched.
-    run_order: Sequence[BatchSpec] = ()
-    #: How many batches of ``run_order`` apart this process's batches are
-    #: expected: the node count for a node's home shard, else 1.
-    stride: int = 1
     by_threads: dict[int, _ClassPlan] = field(default_factory=dict)
-    #: The current window's unused ``(drift, jitter)`` factors, by batch.
-    _window: dict[BatchSpec, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict
-    )
 
     def at(self, nthreads: int) -> _ClassPlan:
         """The class plan of ``nthreads`` (built once)."""
@@ -597,48 +586,41 @@ class _ClassPlans:
         return _ClassPlan(machine, self.plan.fidelity, self.plan.seed, cfgs,
                           classes, memo)
 
-    @cached_property
-    def _positions(self) -> dict[BatchSpec, int]:
-        """Each batch's position in :attr:`run_order`."""
-        return {batch: i for i, batch in enumerate(self.run_order)}
-
-    def noise_factors(self, batch: BatchSpec) -> tuple[np.ndarray, np.ndarray]:
-        """``batch``'s ``(drift, jitter)`` noise factors, one per grid
+    def noise_factors(
+        self, batches: Sequence[BatchSpec]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each batch's ``(drift, jitter)`` noise factors, one per grid
         index and repetition, grid-major.
 
-        A batch outside the current window starts a new one: it and the
-        batches expected after it (every :attr:`stride`-th of
-        :attr:`run_order`), as many as fit in :data:`NOISE_WINDOW_DRAWS`
-        draws, are drawn in one call; a batch ``run_order`` does not
-        list is drawn alone.  Each batch's factors are dropped once
-        handed out, so a retried batch draws again.  A draw depends only
-        on its sample identity, so the window changes no record.
+        The batches are drawn in order, a window of consecutive batches
+        per call, as many as fit in :data:`NOISE_WINDOW_DRAWS` draws (at
+        least one).  A draw depends only on its sample identity, so the
+        window changes no record.
         """
-        factors = self._window.pop(batch, None)
-        if factors is not None:
-            return factors
         size = len(self.configs) * self.plan.repetitions
-        start = self._positions.get(batch)
-        if start is None:
-            window = [batch]
-        else:
-            stop = start + max(1, NOISE_WINDOW_DRAWS // size) * self.stride
-            window = self.run_order[start:stop:self.stride]
-        drift, jitter = measurement_noise_factors(
-            self.machine,
-            [(get_workload(b.app).program(b.input_size),
-              self.at(b.nthreads).noise_suffixes) for b in window],
-            range(self.plan.repetitions),
-        )
-        self._window = {
-            b: (drift[k * size:(k + 1) * size],
-                jitter[k * size:(k + 1) * size])
-            for k, b in enumerate(window)
-        }
-        return self._window.pop(batch)
+        per_window = max(1, NOISE_WINDOW_DRAWS // size)
+        factors: list[tuple[np.ndarray, np.ndarray]] = []
+        for start in range(0, len(batches), per_window):
+            window = batches[start:start + per_window]
+            drift, jitter = measurement_noise_factors(
+                self.machine,
+                [(get_workload(b.app).program(b.input_size),
+                  self.at(b.nthreads).noise_suffixes) for b in window],
+                range(self.plan.repetitions),
+            )
+            factors.extend(
+                (drift[k:k + size], jitter[k:k + size])
+                for k in range(0, len(drift), size)
+            )
+        return factors
 
 
-def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> RecordBlock:
+def _execute_batch(
+    plans: _ClassPlans,
+    batch: BatchSpec,
+    drift: np.ndarray,
+    jitter: np.ndarray,
+) -> RecordBlock:
     """Run the full config grid for one (workload, setting), packed.
 
     With ``plan.prune`` the grid is collapsed into ICV-equivalence
@@ -647,8 +629,9 @@ def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> RecordBlock:
     applied to the shared true runtime.  Bit-identical to executing every
     member, because the model is a function of the resolved ICVs alone —
     only the expensive evaluation is shared, never the noise draws.
-    The noise factors come from the plans' window
-    (:meth:`_ClassPlans.noise_factors`).  The block is packed straight
+    ``drift`` and ``jitter`` are the batch's noise factors, drawn by the
+    sweep before dispatch (:meth:`_ClassPlans.noise_factors`); here they
+    are only applied.  The block is packed straight
     from the class plan (no :class:`SweepRecord` is built), and every
     backend ships it as is: a handful of flat typed buffers plus an
     interning table.
@@ -664,7 +647,7 @@ def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> RecordBlock:
         class_runtimes.append(executor.execute(program, seed=plan.seed))
     true_runtimes = np.array(class_runtimes)[class_plan.grid_classes]
     observed = noisy_runtimes(np.repeat(true_runtimes, plan.repetitions),
-                              *plans.noise_factors(batch))
+                              drift, jitter)
     return class_plan.pack(plan.arch, batch,
                            observed.reshape(-1, plan.repetitions))
 
@@ -675,37 +658,33 @@ def _execute_batch(plans: _ClassPlans, batch: BatchSpec) -> RecordBlock:
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(
-    plan: SweepPlan,
-    chaos: ChaosPlan | None = None,
-    run_order: Sequence[BatchSpec] = (),
-    stride: int = 1,
-) -> None:
+def _init_worker(plan: SweepPlan, chaos: ChaosPlan | None = None) -> None:
     install_chaos(chaos)
     machine = get_machine(plan.arch)
     _WORKER_STATE["plans"] = _ClassPlans(
         plan, machine, EnvSpace().grid(machine, plan.scale, seed=plan.seed),
-        run_order, stride,
     )
 
 
 def _supervised_run_batch(payload: tuple, attempt: int):
     """Fleet entry point: run one batch, honoring installed chaos.
 
-    ``payload`` is ``(batch_index, batch)`` — the index keys the chaos
-    plan's fault lookup, which is per ``(batch_index, attempt)`` so a
-    first-attempt fault recovers on retry while a poison fault
-    (``attempts=None``) defeats every attempt.  Node-level faults fire
-    at the transport layer before this function runs (see
+    ``payload`` is ``(batch_index, batch, drift, jitter)``: the batch
+    and its noise factors, drawn by the sweep's own process.  The index
+    keys the chaos plan's fault lookup, which is per
+    ``(batch_index, attempt)`` so a first-attempt fault recovers on
+    retry while a poison fault (``attempts=None``) defeats every
+    attempt.  Node-level faults fire at the transport layer before this
+    function runs (see
     :func:`~repro.resilience.chaos.trigger_node_fault`).
     """
-    index, batch = payload
+    index, batch, drift, jitter = payload
     fault = installed_worker_fault(index, attempt)
     if fault == "corrupt-result":
         return corrupted_payload(index)
     if fault is not None:
         trigger_worker_fault(fault)  # crash never returns; hang blocks
-    return _execute_batch(_WORKER_STATE["plans"], batch)
+    return _execute_batch(_WORKER_STATE["plans"], batch, drift, jitter)
 
 
 def _validate_batch_records(value: object) -> str | None:
@@ -745,24 +724,18 @@ def _make_fleet(
     chaos: ChaosPlan | None,
     policy: RetryPolicy,
     fail_policy: str,
-    run_order: Sequence[BatchSpec],
 ) -> ExecutorBackend:
     """The supervised process fleet holding the sweep state (test seam).
 
     ``backend`` is ``"pool"`` (``n`` workers) or ``"nodes"`` (``n``
     nodes, one per shard).  Both run the same entry point, initializer
     and validator, so a batch computes identically on either — only the
-    scheduling differs.  ``run_order`` is the batches in task order; a
-    node's noise windows follow its home shard (every ``n``-th task),
-    a pool worker's the shared queue.
+    scheduling differs.  Each task's payload carries its batch's noise
+    factors, so no fleet process draws noise.
     """
-    if backend == "pool":
-        fleet, stride = Supervisor, 1
-    else:
-        fleet, stride = NodesBackend, n
+    fleet = Supervisor if backend == "pool" else NodesBackend
     return fleet(
-        _supervised_run_batch, _init_worker,
-        (plan, chaos, run_order, stride), n,
+        _supervised_run_batch, _init_worker, (plan, chaos), n,
         policy=policy,
         validate=_validate_batch_records,
         fail_fast=(fail_policy == "raise"),
@@ -902,10 +875,11 @@ def run_sweep(
             if hit is not None:
                 cached[i] = hit
     misses = [i for i in range(total) if i not in cached]
-    run_order = [batches[i] for i in misses]
     # The serial path runs its batches on these plans; every backend
-    # counts simulated configurations from them.
-    plans = _ClassPlans(plan, machine, configs, run_order)
+    # counts simulated configurations from them and gets each miss's
+    # noise factors from them, drawn here, in miss order, once.
+    plans = _ClassPlans(plan, machine, configs)
+    noise = plans.noise_factors([batches[i] for i in misses])
 
     def in_order(
         miss_stream: Iterator[RecordBlock | None],
@@ -953,7 +927,7 @@ def run_sweep(
     def _serial_attempt(payload: tuple, attempt: int):
         """In-process task function; chaos faults are booked through
         :func:`~repro.resilience.chaos.simulate_fault`, not suffered."""
-        i, batch = payload
+        i, batch, drift, jitter = payload
         fault = None
         if chaos is not None:
             fault = (chaos.node_fault(i, attempt)
@@ -962,7 +936,7 @@ def run_sweep(
             return corrupted_payload(i)
         if fault is not None:
             simulate_fault(fault)
-        return _execute_batch(plans, batch)
+        return _execute_batch(plans, batch, drift, jitter)
 
     def build_report(worker_respawns: int = 0) -> FailureReport:
         return ledger.build_report(
@@ -985,7 +959,7 @@ def run_sweep(
     )
     tasks = [
         SupervisedTask(
-            task_id=t, index=i, payload=(i, batches[i]),
+            task_id=t, index=i, payload=(i, batches[i], *noise[t]),
             timeout_s=timeout, identity=batches[i],
         )
         for t, i in enumerate(misses)
@@ -1005,8 +979,7 @@ def run_sweep(
                 )
             else:
                 exec_backend = _make_fleet(
-                    resolved, n_processes, plan, chaos, policy,
-                    fail_policy, run_order,
+                    resolved, n_processes, plan, chaos, policy, fail_policy,
                 )
             exec_backend.cancel_event = cancel
             consume(exec_backend.stream(tasks, ledger))

@@ -1,8 +1,9 @@
 """The model-evaluation cone: reachable code and its tracked reads.
 
 The cone is the transitive call closure rooted at sweep batch execution
-(``core.sweep._execute_batch``) — every function whose behaviour can
-influence one batch's records.  For each member the guard-aware
+(``core.sweep._execute_batch``) and at the noise draws the sweep makes
+for it before dispatch (``core.sweep._ClassPlans.noise_factors``) —
+every function whose behaviour can influence one batch's records.  For each member the guard-aware
 attribute-read extraction (:func:`repro.lint.flow.summaries.
 direct_attribute_reads`) collects reads of the *tracked classes*: the
 model inputs whose identity the signature and cache key must cover.
@@ -43,8 +44,10 @@ TRACKED_CLASS_NAMES = (
 
 
 def default_roots(graph: CallGraph) -> tuple[str, ...]:
-    """The cone roots: one per batch-execution entry point."""
-    return (f"{graph.package}.core.sweep._execute_batch",)
+    """The cone roots: batch execution and the noise draws the sweep
+    makes before dispatch and hands to it."""
+    return (f"{graph.package}.core.sweep._execute_batch",
+            f"{graph.package}.core.sweep._ClassPlans.noise_factors")
 
 
 def find_class(graph: CallGraph, name: str) -> str | None:

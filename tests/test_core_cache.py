@@ -51,9 +51,9 @@ def counted_batches(monkeypatch):
     calls = []
     real = sweep_mod._execute_batch
 
-    def counting(plans, batch):
+    def counting(plans, batch, drift, jitter):
         calls.append(batch)
-        return real(plans, batch)
+        return real(plans, batch, drift, jitter)
 
     monkeypatch.setattr(sweep_mod, "_execute_batch", counting)
     return calls

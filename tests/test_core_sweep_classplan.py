@@ -1,10 +1,12 @@
 """Class plans and the component memo: one grouping and one executor per
-class per thread count, memoized region terms, noise drawn a window of
-batches at a time, records bit-identical to evaluating every class with
-a fresh, unmemoized executor and drawing each batch's noise alone."""
+class per thread count, memoized region terms, noise drawn once per
+observation by the sweep's own process, a window of batches at a time,
+records bit-identical to evaluating every class with a fresh, unmemoized
+executor and drawing each batch's noise alone."""
 
 import math
 import multiprocessing
+import os
 import random
 
 import pytest
@@ -16,7 +18,6 @@ from repro.core.envspace import EnvSpace
 from repro.core.sweep import (
     SweepPlan,
     SweepRecord,
-    _ClassPlans,
     equivalence_groups,
     plan_batches,
     run_sweep,
@@ -175,9 +176,8 @@ class TestNoiseWindow:
     def test_blocks_are_byte_equal_under_any_window(
         self, monkeypatch, one_batch_windows, backend, window
     ):
-        if backend != "serial" and \
-                multiprocessing.get_start_method() != "fork":
-            pytest.skip("only forked fleet processes see a patched window")
+        # The sweep's own process draws, so the patched window holds on
+        # every backend under any start method.
         if window is not None:
             monkeypatch.setattr(sweep_mod, "NOISE_WINDOW_DRAWS", window)
         result = run_sweep(self.PLAN, backend=backend,
@@ -204,7 +204,7 @@ class TestNoiseWindow:
         per_window = sweep_mod.NOISE_WINDOW_DRAWS // per_batch
         n_batches = len(plan_batches(self.PLAN))
         assert 1 < per_window < n_batches
-        # Serial runs the batches in order: every draw is made once.
+        # The misses are drawn once, in order, before dispatch.
         assert len(window_sizes) == math.ceil(n_batches / per_window)
         assert max(window_sizes) <= sweep_mod.NOISE_WINDOW_DRAWS
         assert sum(window_sizes) == n_batches * per_batch
@@ -227,37 +227,37 @@ class TestNoiseWindow:
         assert len(window_sizes) == math.ceil(n_misses / per_window)
         assert _block_bytes(result) == _block_bytes(run_sweep(self.PLAN))
 
-    def test_factors_are_dropped_once_used(self):
-        machine = get_machine("milan")
-        configs = EnvSpace().grid(machine, "small", seed=3)
-        batches = plan_batches(self.PLAN)
-        plans = _ClassPlans(self.PLAN, machine, configs, batches)
-        first = plans.noise_factors(batches[1])
-        assert batches[2] in plans._window and batches[0] not in plans._window
-        assert batches[1] not in plans._window
-        # Asked again (a retry), the batch draws a new window from itself.
-        again = plans.noise_factors(batches[1])
-        for a, b in zip(first, again):
-            assert a.tobytes() == b.tobytes()
-        # A batch the run order does not list draws a window of its own.
-        stray = sweep_mod.BatchSpec("cg", "npb", "S", 3)
-        drift, jitter = plans.noise_factors(stray)
-        assert len(drift) == len(jitter) == len(configs) * 3
-        assert plans._window == {}
+    @pytest.mark.parametrize("backend", ["serial", "pool", "nodes"])
+    def test_one_draw_per_observation_in_the_sweeps_process(
+        self, tmp_path, monkeypatch, backend
+    ):
+        # Forked fleet processes inherit the wrapper, so a draw made in
+        # any of them lands in the log with its own pid.
+        if backend != "serial" and \
+                multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked fleet processes inherit the wrapper")
+        log = tmp_path / "draws.log"
+        real = sweep_mod.measurement_noise_factors
 
-    def test_a_strided_window_follows_a_home_shard(self):
-        machine = get_machine("milan")
-        configs = EnvSpace().grid(machine, "small", seed=3)
-        batches = plan_batches(self.PLAN)
-        plans = _ClassPlans(self.PLAN, machine, configs, batches, stride=2)
-        alone = _ClassPlans(self.PLAN, machine, configs)
-        first = plans.noise_factors(batches[1])
-        per_window = sweep_mod.NOISE_WINDOW_DRAWS // (len(configs) * 3)
-        assert list(plans._window) == batches[3:2 * per_window + 1:2]
-        for batch in [batches[1]] + list(plans._window):
-            got = first if batch == batches[1] else plans.noise_factors(batch)
-            for a, b in zip(got, alone.noise_factors(batch)):
-                assert a.tobytes() == b.tobytes()
+        def logging(machine, draws, run_indices):
+            drift, jitter = real(machine, draws, run_indices)
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {len(drift)}\n")
+            return drift, jitter
+
+        monkeypatch.setattr(sweep_mod, "measurement_noise_factors",
+                            logging)
+        total = 0
+        for arch in ("milan", "skylake", "a64fx"):
+            result = run_sweep(SweepPlan(arch=arch, scale="small", seed=0),
+                               backend=backend,
+                               n_processes=1 if backend == "serial" else 2)
+            assert result.backend == backend
+            total += result.n_measurements
+        calls = [tuple(map(int, line.split()))
+                 for line in log.read_text().splitlines()]
+        assert {pid for pid, _ in calls} == {os.getpid()}
+        assert sum(n for _, n in calls) == total
 
 
 class TestComponentMemo:

@@ -5,14 +5,21 @@ full barrier — so the ``progress`` callback documented as incremental
 fired only after the entire sweep had completed, and every batch payload
 re-pickled the full configuration grid.  These tests pin the streaming
 contract — results are consumed (and progress emitted) as each batch
-lands, and workers receive only a lightweight :class:`BatchSpec` — now
-through the supervised executor that replaced the bare pool.
+lands, and workers receive only a lightweight :class:`BatchSpec` and its
+noise factors — now through the supervised executor that replaced the
+bare pool.
 """
 
 import pytest
 
 import repro.core.sweep as sweep_mod
+from repro.arch.machines import get_machine
 from repro.core.sweep import BatchSpec, SweepPlan, plan_batches, run_sweep
+from repro.runtime.executor import (
+    measurement_noise_factors,
+    noise_seed_suffixes,
+)
+from repro.workloads.base import get_workload
 
 
 class _LazyFakeSupervisor:
@@ -56,7 +63,7 @@ class TestStreamingProgress:
         log = []
         monkeypatch.setattr(
             sweep_mod, "_make_fleet",
-            lambda backend, n, plan, chaos, policy, fail_policy, run_order:
+            lambda backend, n, plan, chaos, policy, fail_policy:
             _LazyFakeSupervisor(plan, log),
         )
 
@@ -78,12 +85,12 @@ class TestStreamingProgress:
 
     def test_worker_payload_is_batchspec_only(self, monkeypatch,
                                               two_batch_plan):
-        """The grid must live in worker state, not in batch payloads."""
+        """The grid must live in worker state, not in batch payloads;
+        a payload carries only its batch and the batch's noise factors."""
         log = []
         supervisors = []
 
-        def make_fleet(backend, n, plan, chaos, policy, fail_policy,
-                       run_order):
+        def make_fleet(backend, n, plan, chaos, policy, fail_policy):
             assert (backend, n) == ("pool", 2)
             sup = _LazyFakeSupervisor(plan, log)
             supervisors.append(sup)
@@ -100,7 +107,23 @@ class TestStreamingProgress:
         assert [t.task_id for t in sup.tasks] == list(range(len(batches)))
         assert [t.index for t in sup.tasks] == list(range(len(batches)))
         # The initializer materialized the grid once for the process.
-        assert len(sweep_mod._WORKER_STATE["plans"].configs) > 1
+        configs = sweep_mod._WORKER_STATE["plans"].configs
+        assert len(configs) > 1
+        # The rest of a payload is its batch's slice of the serial draw.
+        machine = get_machine(two_batch_plan.arch)
+        reps = range(two_batch_plan.repetitions)
+        for task, batch in zip(sup.tasks, batches):
+            suffixes = noise_seed_suffixes(
+                [c.with_threads(batch.nthreads) for c in configs],
+                two_batch_plan.seed,
+            )
+            program = get_workload(batch.app).program(batch.input_size)
+            expected = measurement_noise_factors(
+                machine, [(program, suffixes)], reps
+            )
+            assert len(task.payload) == 4
+            for got, want in zip(task.payload[2:], expected):
+                assert got.tobytes() == want.tobytes()
 
     def test_real_supervisor_progress_fires_per_batch_in_order(self):
         plan = SweepPlan(arch="milan", workload_names=("cg", "nqueens"),

@@ -202,18 +202,32 @@ _RAW_TREE = {
             return float(sum(hash(v) for v in (seed,) + config.key()) % 97)
 
 
+        class _ClassPlans:
+            def __init__(self, plan: SweepPlan, configs):
+                self.plan = plan
+                self.configs = configs
+
+            def noise_factors(self, batches):
+                plan: SweepPlan = self.plan
+                return [[_batch_noise(plan.seed + rep, config)
+                         for config in self.configs
+                         for rep in range(plan.repetitions)]
+                        for _ in batches]
+
+
         def _execute_batch(plan: SweepPlan, machine: MachineTopology,
-                           configs, batch: BatchSpec):
+                           configs, batch: BatchSpec, noise):
             program = get_program(batch.app, batch.input_size)
+            draws = iter(noise)
             out = []
             for config in configs:
                 icvs = resolve_icvs(config, machine)
                 group = icvs.execution_signature() if plan.prune else None
                 runtime = phase_seconds(program, icvs, machine)
                 for rep in range(plan.repetitions):
-                    noise = _batch_noise(plan.seed + rep, config)
                     out.append((plan.arch, plan.fidelity, batch.suite,
-                                batch.nthreads, group, runtime + noise))
+                                batch.nthreads, group,
+                                runtime + next(draws)))
             return out
     """,
     "core/cache.py": """
@@ -405,6 +419,7 @@ class TestEvalCone:
         assert cone.missing_roots == ()
         for member in (
             "repro.core.sweep._execute_batch",
+            "repro.core.sweep._ClassPlans.noise_factors",
             "repro.core.sweep._batch_noise",
             "repro.runtime.model.phase_seconds",
             "repro.runtime.model.workers_asleep",
@@ -870,7 +885,8 @@ class TestRealTree:
         assert cone.read_attrs(tracked["BatchSpec"]) >= {"app", "input_size"}
         # The placement memo's front is where ``places`` meets its guard.
         assert "repro.runtime.affinity.compute_placement" in cone.members
-        # The noise window and the draws it makes are in the cone too.
+        # The sweep's noise draws are a root of their own: the batch
+        # only applies the factors it is handed.
         assert {"repro.core.sweep._ClassPlans.noise_factors",
                 "repro.arch.noise.NoiseModel.factors",
                 "repro.arch.noise.first_standard_normals"} <= cone.members

@@ -602,8 +602,9 @@ class TestFlow003:
 
 
 class TestFlow001NoiseWindow:
-    """A sweep draws its noise a window of batches at a time, through
-    the numpy first draw: a host-clock read under either must surface."""
+    """A sweep draws its misses' noise before dispatch, a window of
+    batches per call, through the numpy first draw: a host-clock read
+    under either must surface."""
 
     ROOTS = ("repro.core.sweep._ClassPlans.noise_factors",
              "repro.arch.noise.first_standard_normals")
@@ -624,9 +625,12 @@ class TestFlow001NoiseWindow:
             from repro.arch.noise import first_standard_normals
 
             class _ClassPlans:
-                def noise_factors(self, batch):
-                    z = first_standard_normals(batch, batch, batch, batch)
-                    return z, z
+                def noise_factors(self, batches):
+                    factors = []
+                    for batch in batches:
+                        z = first_standard_normals(batch, batch, batch, batch)
+                        factors.append((z, z))
+                    return factors
         """,
     }
     #: Where each clock read goes, and the roots it must surface at.
@@ -638,7 +642,8 @@ class TestFlow001NoiseWindow:
              "arch.noise.first_standard_normals"},
         ),
         "core/sweep.py": (
-            ("return z, z", "return z, time.monotonic()"),
+            ("factors.append((z, z))",
+             "factors.append((z, time.monotonic()))"),
             {"core.sweep._ClassPlans.noise_factors"},
         ),
     }
