@@ -14,7 +14,7 @@ from conftest import BENCH_SCALE
 from repro.arch.machines import MILAN
 from repro.core.envspace import EnvSpace
 from repro.core.sweep import SweepRecord
-from repro.desim.stealing import TaskGraph, WorkStealingSimulator
+from repro.desim.stealing import SpawnTree, WorkStealingSimulator
 from repro.errors import DatasetError
 from repro.frame.table import Table
 from repro.mlkit.logreg import LogisticRegression
@@ -56,11 +56,10 @@ def test_perf_full_grid_enumeration(benchmark):
 
 def test_perf_work_stealing_des(benchmark):
     """DES simulation of a ~3k-task tree on 48 workers."""
-    graph = TaskGraph.balanced_tree(depth=7, branching=3, leaf_work=2e-6,
-                                    node_work=3e-7)
+    tree = SpawnTree(depth=7, branching=3, leaf_work=2e-6, node_work=3e-7)
     sim = WorkStealingSimulator(n_workers=48, seed=0)
-    result = benchmark(sim.run, graph)
-    assert result.n_tasks == graph.n_tasks
+    result = benchmark(sim.run, tree)
+    assert result.n_tasks == tree.n_tasks
 
 
 def test_perf_logistic_fit(benchmark):

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.desim.engine import Engine, Timeout
 from repro.desim.loopsim import simulate_loop
-from repro.desim.stealing import TaskGraph, WorkStealingSimulator
+from repro.desim.stealing import SpawnTree, WorkStealingSimulator
 from repro.errors import CheckFailure, SimulationError
 from repro.runtime.schedule import iterate_chunks
 
@@ -293,15 +293,15 @@ def check_schedule_chunk_coverage() -> dict:
 
 
 def check_work_stealing_conservation() -> dict:
-    """Work stealing executes every task in the graph exactly once, and
+    """Work stealing executes every task in the tree exactly once, and
     the per-task spans account for the reported busy time."""
-    graphs = [
-        ("balanced", TaskGraph.balanced_tree(4, 3, leaf_work=1e-4,
-                                             node_work=2e-5)),
-        ("chain", _chain_graph(40, 5e-5)),
-        ("wide", TaskGraph.balanced_tree(1, 64, leaf_work=3e-5)),
+    trees = [
+        ("balanced", SpawnTree(4, 3, leaf_work=1e-4, node_work=2e-5)),
+        # A dependency chain: each task spawns exactly one child.
+        ("chain", SpawnTree(39, 1, leaf_work=5e-5, node_work=5e-5)),
+        ("wide", SpawnTree(1, 64, leaf_work=3e-5)),
     ]
-    for name, graph in graphs:
+    for name, tree in trees:
         for workers in (1, 4, 7):
             executed: dict[int, int] = {}
             span_total = 0.0
@@ -312,12 +312,12 @@ def check_work_stealing_conservation() -> dict:
                 span_total += end - start
 
             sim = WorkStealingSimulator(workers, seed=3)
-            result = sim.run(graph, on_task=on_task)
-            context = f"{name} graph, T={workers}"
-            if len(executed) != graph.n_tasks:
+            result = sim.run(tree, on_task=on_task)
+            context = f"{name} tree, T={workers}"
+            if len(executed) != tree.n_tasks:
                 raise CheckFailure(
                     f"{context}: executed {len(executed)} distinct tasks, "
-                    f"graph has {graph.n_tasks}"
+                    f"tree has {tree.n_tasks}"
                 )
             dupes = [t for t, c in executed.items() if c != 1]
             if dupes:
@@ -329,16 +329,6 @@ def check_work_stealing_conservation() -> dict:
                     f"{context}: per-task spans sum to {span_total}, "
                     f"simulator reports busy_time={result.busy_time}"
                 )
-    return {"details": f"{len(graphs)} graphs x 3 team sizes: every task "
+    return {"details": f"{len(trees)} trees x 3 team sizes: every task "
                        "exactly once, busy time conserved",
-            "n_graphs": len(graphs)}
-
-
-def _chain_graph(length: int, work: float) -> TaskGraph:
-    """A dependency chain: each task spawns exactly one child."""
-    graph = TaskGraph()
-    prev: tuple[int, ...] = ()
-    for _ in range(length):
-        prev = (graph.add(work, prev),)
-    graph.root = prev[0]
-    return graph
+            "n_graphs": len(trees)}

@@ -29,12 +29,7 @@ from repro.desim.engine import (
     tiebreak_scope,
 )
 from repro.desim.resources import Barrier, Lock, Semaphore
-from repro.desim.stealing import (
-    StealResult,
-    Task,
-    TaskGraph,
-    WorkStealingSimulator,
-)
+from repro.desim.stealing import SpawnTree, StealResult, WorkStealingSimulator
 from repro.desim.loopsim import LoopSimResult, simulate_loop
 
 __all__ = [
@@ -45,8 +40,7 @@ __all__ = [
     "Lock",
     "Semaphore",
     "Barrier",
-    "Task",
-    "TaskGraph",
+    "SpawnTree",
     "StealResult",
     "WorkStealingSimulator",
     "LoopSimResult",

@@ -20,7 +20,7 @@ order must never leak into results — this simulator's trajectories
 first.  That arbitration is pinned by the documented event order
 ``(time, sequence)`` on the internal heap plus the ``seed``-driven victim
 selection: together they are the reproducibility contract (re-running
-with the same graph, speeds and seed replays the identical trajectory,
+with the same tree, speeds and seed replays the identical trajectory,
 steal for steal).  The sanitizer therefore does not perturb this heap; it
 audits it instead — :class:`repro.sanitize.steal_audit.StealOrderAuditor`
 consumes the ``observer`` hooks on :meth:`WorkStealingSimulator.run` to
@@ -30,101 +30,89 @@ races) the same-timestamp deque contentions this order arbitrates.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import compress
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["Task", "TaskGraph", "StealResult", "WorkStealingSimulator"]
+__all__ = [
+    "BACKOFF_MAX_FACTOR",
+    "SpawnTree",
+    "StealResult",
+    "WorkStealingSimulator",
+]
+
+#: Idle workers back off exponentially, up to this many steal latencies
+#: between attempts.
+BACKOFF_MAX_FACTOR = 64
 
 
-@dataclass(frozen=True)
-class Task:
-    """One task: compute ``work`` seconds, then release ``children``."""
+@dataclass(frozen=True, eq=False)
+class SpawnTree:
+    """A complete spawn tree: ``branching**depth`` leaves below interior
+    tasks that do ``node_work`` each and spawn ``branching`` children.
 
-    task_id: int
-    work: float
-    children: tuple[int, ...] = ()
+    This is the shape recursive BOTS benchmarks (NQueens, Sort, Strassen,
+    Health) produce with ``#pragma omp task`` in a divide phase, and the
+    only shape a :class:`~repro.runtime.program.TaskRegion` describes.
+    ``leaf_work`` holds one work per leaf in depth-first order (a scalar
+    gives every leaf the same work).
 
-    def __post_init__(self) -> None:
-        if self.work < 0:
-            raise SimulationError(f"task {self.task_id} has negative work")
-
-
-@dataclass
-class TaskGraph:
-    """A spawn tree of tasks, rooted at :attr:`root`.
-
-    Children become runnable when their parent's compute finishes — the
-    shape recursive BOTS benchmarks (NQueens, Sort, Strassen, Health)
-    produce with ``#pragma omp task`` in a divide phase.
+    Task ids are heap indices: the root is 0, the children of task ``i``
+    are ``i*b + 1 … i*b + b``, and leaf ``k`` is task ``n_interior + k``.
     """
 
-    tasks: list[Task] = field(default_factory=list)
-    root: int = 0
+    depth: int
+    branching: int
+    leaf_work: np.ndarray
+    node_work: float = 0.0
 
-    def add(self, work: float, children: tuple[int, ...] = ()) -> int:
-        """Append a task; returns its id."""
-        tid = len(self.tasks)
-        self.tasks.append(Task(tid, work, children))
-        return tid
+    def __post_init__(self) -> None:
+        if self.depth < 0 or self.branching < 1:
+            raise SimulationError("need depth >= 0 and branching >= 1")
+        try:
+            leaves = np.array(np.broadcast_to(
+                np.asarray(self.leaf_work, dtype=float), (self.n_leaves,)
+            ))
+        except ValueError:
+            raise SimulationError(
+                f"need one leaf work or {self.n_leaves} of them"
+            ) from None
+        if self.node_work < 0 or (leaves < 0).any():
+            raise SimulationError("spawn tree has negative task work")
+        leaves.flags.writeable = False
+        object.__setattr__(self, "leaf_work", leaves)
+
+    @property
+    def n_leaves(self) -> int:
+        """Leaf count, ``branching**depth``."""
+        return self.branching**self.depth
+
+    @property
+    def n_interior(self) -> int:
+        """Interior (spawning) task count; also the first leaf's id."""
+        b = self.branching
+        return self.depth if b == 1 else (b**self.depth - 1) // (b - 1)
 
     @property
     def n_tasks(self) -> int:
         """Total number of tasks."""
-        return len(self.tasks)
+        return self.n_interior + self.n_leaves
 
     @property
     def total_work(self) -> float:
         """Sum of all task work (serial execution time sans overheads)."""
-        return float(sum(t.work for t in self.tasks))
+        return self.n_interior * self.node_work + float(self.leaf_work.sum())
 
+    @property
     def critical_path(self) -> float:
         """Longest root-to-leaf work sum — the tasking lower bound."""
-        if not self.tasks:
-            return 0.0
-        memo: dict[int, float] = {}
-        # Iterative DFS (graphs can be deep for unbalanced trees).
-        stack = [(self.root, False)]
-        while stack:
-            tid, expanded = stack.pop()
-            task = self.tasks[tid]
-            if expanded:
-                memo[tid] = task.work + max(
-                    (memo[c] for c in task.children), default=0.0
-                )
-            else:
-                stack.append((tid, True))
-                for c in task.children:
-                    if c not in memo:
-                        stack.append((c, False))
-        return memo[self.root]
-
-    @classmethod
-    def balanced_tree(
-        cls,
-        depth: int,
-        branching: int,
-        leaf_work: float,
-        node_work: float = 0.0,
-    ) -> "TaskGraph":
-        """A uniform spawn tree: interior nodes do ``node_work``, leaves
-        ``leaf_work``."""
-        if depth < 0 or branching < 1:
-            raise SimulationError("need depth >= 0 and branching >= 1")
-        graph = cls()
-
-        def build(level: int) -> int:
-            if level == depth:
-                return graph.add(leaf_work)
-            children = tuple(build(level + 1) for _ in range(branching))
-            return graph.add(node_work, children)
-
-        graph.root = build(0)
-        return graph
+        return self.depth * self.node_work + float(self.leaf_work.max())
 
 
 @dataclass(frozen=True)
@@ -163,12 +151,11 @@ class WorkStealingSimulator:
         Threads in the parallel region's team.
     steal_latency:
         Time one steal attempt takes (successful or not).  Spin-waiting
-        modes have low latency; yield-to-OS modes pay more.
+        modes have low latency; yield-to-OS modes pay more.  Idle workers
+        back off exponentially up to ``steal_latency *
+        BACKOFF_MAX_FACTOR`` between attempts.
     spawn_overhead:
         Bookkeeping time the spawning thread pays per child task.
-    backoff_max_factor:
-        Idle workers back off exponentially up to
-        ``steal_latency * backoff_max_factor`` between attempts.
     seed:
         Victim selection seed (fully deterministic trajectories).
     """
@@ -178,7 +165,6 @@ class WorkStealingSimulator:
         n_workers: int,
         steal_latency: float = 1e-6,
         spawn_overhead: float = 2e-7,
-        backoff_max_factor: int = 64,
         seed: int = 0,
     ):
         if n_workers < 1:
@@ -188,24 +174,28 @@ class WorkStealingSimulator:
         self.n_workers = n_workers
         self.steal_latency = steal_latency
         self.spawn_overhead = spawn_overhead
-        self.backoff_max_factor = backoff_max_factor
         self.seed = seed
 
     def run(
         self,
-        graph: TaskGraph,
+        tree: SpawnTree,
         worker_speeds: np.ndarray | None = None,
         on_task: Callable[[int, int, float, float], None] | None = None,
         observer: object = None,
     ) -> StealResult:
-        """Execute ``graph``; returns a :class:`StealResult`.
+        """Execute ``tree``; returns a :class:`StealResult`.
+
+        The root starts on worker 0's deque.  A task's children join its
+        worker's deque, in id order, when the task starts; the worker
+        pops its own deque from the back (LIFO) and steals from the front
+        of a random non-empty victim's (FIFO).
 
         ``worker_speeds`` scales each worker's execution rate (1.0 =
         nominal); oversubscribed or remote-memory threads pass < 1.0.
         ``on_task`` is an optional instrumentation callback fired once per
         executed task as ``on_task(worker, task_id, start, end)`` — the
         ``repro.check`` task-conservation invariant uses it to assert every
-        task in the graph executes exactly once.
+        task in the tree executes exactly once.
 
         ``observer`` receives scheduler-decision hooks (any subset):
         ``on_pop(now, worker, task_id)`` for LIFO local pops,
@@ -214,8 +204,6 @@ class WorkStealingSimulator:
         sanitizer's steal auditor uses these to verify replay determinism
         and count arbitrated same-timestamp deque contentions.
         """
-        if graph.n_tasks == 0:
-            return StealResult(0.0, 0.0, 0, 0, 0, 0.0, self.n_workers)
         speeds = (
             np.ones(self.n_workers)
             if worker_speeds is None
@@ -223,83 +211,88 @@ class WorkStealingSimulator:
         )
         if speeds.shape != (self.n_workers,) or (speeds <= 0).any():
             raise SimulationError("worker_speeds must be positive, one per worker")
+        speed = speeds.tolist()
 
         on_pop = getattr(observer, "on_pop", None)
         on_steal = getattr(observer, "on_steal", None)
         on_failed_steal = getattr(observer, "on_failed_steal", None)
 
+        b = tree.branching
+        n_interior = tree.n_interior
+        leaf_work = tree.leaf_work.tolist()
+        latency = self.steal_latency
+        # Every interior task costs the same, so each worker's
+        # interior-task duration and steal delay are divided out once.
+        node_cost = tree.node_work + self.spawn_overhead * b
+        node_duration = [node_cost / s for s in speed]
+        steal_delay = [latency / s for s in speed]
+        workers = range(self.n_workers)
+
         rng = np.random.default_rng(self.seed)
-        deques: list[list[int]] = [[] for _ in range(self.n_workers)]
-        deques[0].append(graph.root)
-        remaining = 1  # tasks pushed but not yet completed (incl. executing)
+        deques: list[deque[int]] = [deque() for _ in workers]
+        deques[0].append(0)
+        remaining = 1  # tasks pushed but not yet started
         steals = 0
         failed = 0
         busy = 0.0
         backoff = [1.0] * self.n_workers
 
         # Event heap: (time, seq, worker). Each worker has exactly one
-        # pending event: "decide what to do next at this time".
-        heap: list[tuple[float, int, int]] = []
-        seq = 0
-        for w in range(self.n_workers):
-            heapq.heappush(heap, (0.0, seq, w))
-            seq += 1
+        # pending event: "decide what to do next at this time".  The
+        # initial list is sorted, hence already a heap.
+        heap = [(0.0, w, w) for w in workers]
+        seq = self.n_workers
         finish_time = 0.0
 
-        def execute(w: int, now: float, tid: int) -> float:
-            """Run task ``tid`` on worker ``w``; returns completion time."""
-            nonlocal remaining, busy
-            task = graph.tasks[tid]
-            duration = (
-                task.work + self.spawn_overhead * len(task.children)
-            ) / speeds[w]
-            busy += duration
-            done = now + duration
-            for child in task.children:
-                deques[w].append(child)
-            remaining += len(task.children)
-            remaining -= 1
-            if on_task is not None:
-                on_task(w, tid, now, done)
-            return done
-
         while heap:
-            now, _, w = heapq.heappop(heap)
+            now, _, w = heappop(heap)
             if remaining == 0:
-                finish_time = max(finish_time, now)
-                continue  # drain: all work done, worker retires
-            if deques[w]:
-                tid = deques[w].pop()  # LIFO local pop
+                if now > finish_time:
+                    finish_time = now
+                continue  # drain: all work started, worker retires
+            own = deques[w]
+            if own:
+                tid = own.pop()  # LIFO local pop
                 if on_pop is not None:
                     on_pop(now, w, tid)
-                backoff[w] = 1.0
-                done = execute(w, now, tid)
-                finish_time = max(finish_time, done)
-                heapq.heappush(heap, (done, seq, w))
-                seq += 1
-                continue
-            # Steal attempt: pick a random victim with work.
-            victims = [v for v in range(self.n_workers) if v != w and deques[v]]
-            if victims:
+                start = now
+            else:
+                # Steal attempt: pick a random victim with work, in
+                # worker order (``w``'s own deque is empty here).
+                victims = list(compress(workers, deques))
+                if not victims:
+                    failed += 1
+                    if on_failed_steal is not None:
+                        on_failed_steal(now, w)
+                    wait = latency * backoff[w]
+                    backoff[w] = min(backoff[w] * 2.0,
+                                     float(BACKOFF_MAX_FACTOR))
+                    heappush(heap, (now + wait, seq, w))
+                    seq += 1
+                    continue
                 victim = victims[int(rng.integers(len(victims)))]
-                tid = deques[victim].pop(0)  # FIFO steal end
+                tid = deques[victim].popleft()  # FIFO steal end
                 if on_steal is not None:
                     on_steal(now, w, victim, tid)
                 steals += 1
-                backoff[w] = 1.0
-                start = now + self.steal_latency / speeds[w]
-                done = execute(w, start, tid)
-                finish_time = max(finish_time, done)
-                heapq.heappush(heap, (done, seq, w))
-                seq += 1
+                start = now + steal_delay[w]
+            backoff[w] = 1.0
+            if tid < n_interior:
+                duration = node_duration[w]
+                first = tid * b + 1
+                own.extend(range(first, first + b))
+                remaining += b - 1
             else:
-                failed += 1
-                if on_failed_steal is not None:
-                    on_failed_steal(now, w)
-                wait = self.steal_latency * backoff[w]
-                backoff[w] = min(backoff[w] * 2.0, float(self.backoff_max_factor))
-                heapq.heappush(heap, (now + wait, seq, w))
-                seq += 1
+                duration = leaf_work[tid - n_interior] / speed[w]
+                remaining -= 1
+            busy += duration
+            done = start + duration
+            if on_task is not None:
+                on_task(w, tid, start, done)
+            if done > finish_time:
+                finish_time = done
+            heappush(heap, (done, seq, w))
+            seq += 1
 
         if remaining != 0:
             raise SimulationError(
@@ -307,8 +300,8 @@ class WorkStealingSimulator:
             )
         return StealResult(
             makespan=finish_time,
-            total_work=graph.total_work,
-            n_tasks=graph.n_tasks,
+            total_work=tree.total_work,
+            n_tasks=tree.n_tasks,
             steals=steals,
             failed_steals=failed,
             busy_time=busy,

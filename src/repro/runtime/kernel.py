@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.arch.topology import MachineTopology
-from repro.desim.stealing import TaskGraph, WorkStealingSimulator
+from repro.desim.stealing import SpawnTree, WorkStealingSimulator
 from repro.errors import SimulationError
 from repro.runtime.affinity import compute_placement
 from repro.runtime.alloc import sync_alignment_factor
@@ -307,7 +307,6 @@ class RegionEngine:
         return body
 
     def _task_des(self, region: TaskRegion, seed: int) -> float:
-        graph = self._build_graph(region, seed)
         sim = WorkStealingSimulator(
             n_workers=self.icvs.nthreads,
             steal_latency=task_acquire_seconds(self.icvs, self.costs),
@@ -316,12 +315,19 @@ class RegionEngine:
             * task_acquire_seconds(self.icvs, self.costs),
             seed=seed,
         )
-        result = sim.run(graph, worker_speeds=self.placement.effective_speed())
+        result = sim.run(
+            self._spawn_tree(region, seed),
+            worker_speeds=self.placement.effective_speed(),
+        )
         return result.makespan
 
-    def _build_graph(self, region: TaskRegion, seed: int) -> TaskGraph:
-        """Materialize the spawn tree with per-leaf work dispersion."""
-        rng = np.random.default_rng(seed)
+    def _spawn_tree(self, region: TaskRegion, seed: int) -> SpawnTree:
+        """The region's spawn tree in seconds, leaves dispersed per seed.
+
+        Leaf ``k`` in depth-first order takes the ``k``-th standard
+        normal of ``default_rng(seed)``: one array draw and one
+        ``np.exp``, bit-equal to drawing and exponentiating leaf by leaf.
+        """
         mem_factor = memory_time_factor(
             self.placement,
             self.costs,
@@ -331,20 +337,10 @@ class RegionEngine:
         scale = 1.0 - region.mem_intensity + region.mem_intensity * mem_factor
         leaf_sec = work_seconds(region.leaf_work, self.machine) * scale
         node_sec = work_seconds(region.node_work, self.machine) * scale
-        graph = TaskGraph()
-
-        def build(level: int) -> int:
-            if level == region.depth:
-                w = leaf_sec
-                if region.leaf_sigma > 0:
-                    w *= float(
-                        np.exp(region.leaf_sigma * rng.standard_normal())
-                    )
-                return graph.add(w)
-            children = tuple(
-                build(level + 1) for _ in range(region.branching)
+        leaves = leaf_sec
+        if region.leaf_sigma > 0:
+            rng = np.random.default_rng(seed)
+            leaves = leaf_sec * np.exp(
+                region.leaf_sigma * rng.standard_normal(region.n_leaves)
             )
-            return graph.add(node_sec, children)
-
-        graph.root = build(0)
-        return graph
+        return SpawnTree(region.depth, region.branching, leaves, node_sec)

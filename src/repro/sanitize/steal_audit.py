@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.desim.stealing import TaskGraph, WorkStealingSimulator
+from repro.desim.stealing import SpawnTree, WorkStealingSimulator
 from repro.lint.findings import Finding, Severity
 
 __all__ = ["StealOrderAuditor", "audit_work_stealing"]
@@ -79,14 +79,12 @@ def audit_work_stealing(
     seed: int = 0,
 ) -> tuple[list[Finding], dict]:
     """Replay-determinism + arbitration audit of one task-tree execution."""
-    graph = TaskGraph.balanced_tree(
-        depth=depth, branching=branching, leaf_work=1e-4, node_work=2e-5
-    )
+    tree = SpawnTree(depth, branching, leaf_work=1e-4, node_work=2e-5)
 
     def one_run() -> tuple[StealOrderAuditor, float]:
         sim = WorkStealingSimulator(n_workers, seed=seed)
         auditor = StealOrderAuditor()
-        result = sim.run(graph, observer=auditor)
+        result = sim.run(tree, observer=auditor)
         return auditor, result.makespan
 
     first, makespan_a = one_run()
@@ -101,7 +99,7 @@ def audit_work_stealing(
                 subject="work-stealing",
                 message=(
                     "work-stealing replay diverged: two runs with "
-                    f"identical graph/seed produced different decision "
+                    f"identical tree/seed produced different decision "
                     f"streams ({len(first.events)} vs "
                     f"{len(second.events)} events) — the simulator leaks "
                     "state between runs"

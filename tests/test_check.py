@@ -150,7 +150,7 @@ class TestFaultInjection:
         """A work-stealing simulator that loses one task trips the task
         conservation check."""
         class LossySim(WorkStealingSimulator):
-            def run(self, graph, worker_speeds=None, on_task=None):
+            def run(self, tree, worker_speeds=None, on_task=None):
                 dropped = [False]
 
                 def skipping(w, tid, start, end):
@@ -160,7 +160,7 @@ class TestFaultInjection:
                     on_task(w, tid, start, end)
 
                 return super().run(
-                    graph, worker_speeds,
+                    tree, worker_speeds,
                     on_task=skipping if on_task else None,
                 )
 

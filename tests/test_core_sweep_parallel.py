@@ -153,7 +153,7 @@ class TestParallelParity:
                          fidelity="des")
         serial = run_sweep(plan)
         parallel = run_sweep(plan, n_processes=2)
-        assert parallel.records == serial.records
+        assert parallel.block.to_bytes() == serial.block.to_bytes()
 
 
 class TestDispatchTuning:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.arch.machines import MILAN, SKYLAKE
 from repro.desim.loopsim import simulate_loop
-from repro.desim.stealing import TaskGraph, WorkStealingSimulator
 from repro.runtime.affinity import compute_placement
 from repro.runtime.costs import get_costs
 from repro.runtime.icv import EnvConfig, resolve_icvs
