@@ -136,7 +136,6 @@ def test_ablation_noise_model(benchmark, output_dir):
     the significance must disappear, demonstrating the drift term (not the
     lognormal jitter) carries the paper's machine-consistency finding.
     """
-    from repro.arch.noise import get_noise_model
     from repro.core.dataset import records_to_table, run_columns
     from repro.stats.wilcoxon import wilcoxon_signed_rank
     from conftest import bench_sweep
@@ -149,7 +148,7 @@ def test_ablation_noise_model(benchmark, output_dir):
         r0 = np.asarray(table[cols[0]], float)
         r1 = np.asarray(table[cols[1]], float)
         with_drift = wilcoxon_signed_rank(r0, r1)
-        model = get_noise_model("milan")
+        model = MILAN.noise
         detrended = wilcoxon_signed_rank(
             r0 / model.drift_factor(0), r1 / model.drift_factor(1)
         )

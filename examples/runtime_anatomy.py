@@ -70,7 +70,7 @@ def main() -> None:
         print(f"  {env or '(all unset)':34s} -> bind={icvs.bind.value:7s} "
               f"wait={icvs.wait_policy.value:8s} "
               f"reduction={icvs.reduction.value:8s} "
-              f"acquire={task_acquire_seconds(icvs, executor.costs) * 1e6:.2f}us")
+              f"acquire={task_acquire_seconds(icvs, machine.costs) * 1e6:.2f}us")
 
     # Analytic vs DES for the NQueens task region.
     print("\n=== task-model fidelity: analytic vs discrete-event ===")

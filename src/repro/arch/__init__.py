@@ -1,14 +1,21 @@
 """Machine models for the three CPU architectures of the study (Table I).
 
-- :mod:`~repro.arch.topology` — core/socket/NUMA/LLC topology with place
-  partitioning and a NUMA distance matrix,
+- :mod:`~repro.arch.topology` — :class:`MachineTopology`, the one
+  description of a machine: core/socket/NUMA/LLC topology with place
+  partitioning and a NUMA distance matrix, plus the machine's cost,
+  noise and power tables,
 - :mod:`~repro.arch.machines` — the Fujitsu A64FX, Intel Skylake 6148 and
   AMD Milan 7643 definitions plus a registry,
-- :mod:`~repro.arch.noise` — per-architecture measurement-noise models
-  reproducing the consistency contrast of Tables III/IV (A64FX stationary,
-  X86 drifting and heavier-tailed).
+- :mod:`~repro.arch.costs` — the runtime cost table type,
+- :mod:`~repro.arch.noise` — measurement-noise models reproducing the
+  consistency contrast of Tables III/IV (A64FX stationary, X86 drifting
+  and heavier-tailed),
+- :mod:`~repro.arch.power` — the per-core/uncore power model type.
 """
 
+from repro.arch.costs import RuntimeCosts
+from repro.arch.noise import NoiseModel
+from repro.arch.power import PowerModel
 from repro.arch.topology import MachineTopology, Place, PlaceKind
 from repro.arch.machines import (
     A64FX,
@@ -19,7 +26,6 @@ from repro.arch.machines import (
     machine_names,
     hardware_table,
 )
-from repro.arch.noise import NoiseModel, NOISE_MODELS, get_noise_model
 
 __all__ = [
     "MachineTopology",
@@ -33,6 +39,6 @@ __all__ = [
     "machine_names",
     "hardware_table",
     "NoiseModel",
-    "NOISE_MODELS",
-    "get_noise_model",
+    "PowerModel",
+    "RuntimeCosts",
 ]

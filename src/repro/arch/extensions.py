@@ -13,16 +13,20 @@ them:
   and thread-count knobs should lose most of their leverage — a strong
   out-of-distribution test for the transfer analysis.
 
-Extension machines are not registered by default (the paper benches
-assert the study's exact three machines); call :func:`register_machine`
-to add one to the global registry, or pass the topology objects directly
-to the executor/sweep APIs that accept them.
+Each is one :class:`~repro.arch.topology.MachineTopology` value with its
+cost, noise and power tables in place.  Extension machines are not
+registered by default (the paper benches assert the study's exact three
+machines); call :func:`register_machine` to add one to the global
+registry, or pass the topology objects directly to the executor APIs
+that accept them.
 """
 
 from __future__ import annotations
 
+from repro.arch.costs import RuntimeCosts
 from repro.arch.machines import ALL_MACHINES
-from repro.arch.noise import NOISE_MODELS, NoiseModel
+from repro.arch.noise import NoiseModel
+from repro.arch.power import PowerModel
 from repro.arch.topology import MachineTopology
 from repro.errors import TopologyError
 
@@ -43,6 +47,26 @@ GENOA = MachineTopology(
     numa_penalty_same_socket=1.35,
     numa_penalty_cross_socket=2.2,
     core_perf=1.25,  # Zen4 IPC + clocks
+    costs=RuntimeCosts(
+        fork_base_us=1.5,
+        fork_per_thread_us=0.035,
+        barrier_step_us=0.60,
+        wake_latency_us=8.0,
+        dispatch_ns=50.0,
+        atomic_ns=65.0,
+        critical_ns=300.0,
+        tree_step_us=0.50,
+        spin_steal_us=0.20,
+        os_yield_us=1.2,
+        spawn_us=0.22,
+        wake_fraction_passive=0.15,
+        wake_fraction_blocktime0=0.40,
+        congestion_gamma=2.4,  # same NPS4 fabric character as Milan
+        unbound_bw_efficiency=0.78,
+    ),
+    noise=NoiseModel(sigma=0.025, drift=(1.15, 1.0, 1.01, 1.02)),
+    power=PowerModel(core_active_w=2.8, core_spin_w=2.2, core_idle_w=0.4,
+                     uncore_w=110.0),
 )
 
 GRACE = MachineTopology(
@@ -59,85 +83,34 @@ GRACE = MachineTopology(
     numa_penalty_same_socket=1.0,
     numa_penalty_cross_socket=1.0,
     core_perf=1.15,
+    costs=RuntimeCosts(
+        fork_base_us=1.4,
+        fork_per_thread_us=0.05,
+        barrier_step_us=0.50,
+        wake_latency_us=7.0,
+        dispatch_ns=48.0,
+        atomic_ns=55.0,
+        critical_ns=240.0,
+        tree_step_us=0.42,
+        spin_steal_us=0.20,
+        os_yield_us=1.5,
+        spawn_us=0.22,
+        wake_fraction_passive=0.20,
+        wake_fraction_blocktime0=0.45,
+        congestion_gamma=0.6,  # flat, fat memory: rarely congests
+        unbound_bw_efficiency=0.97,  # nothing to scatter across
+    ),
+    noise=NoiseModel(sigma=0.008, drift=(1.0, 1.0, 1.0, 1.0)),
+    power=PowerModel(core_active_w=3.2, core_spin_w=2.6, core_idle_w=0.4,
+                     uncore_w=60.0),
 )
 
 
-def _install_cost_tables() -> None:
-    """Cost/noise/power entries for the extension machines (idempotent)."""
-    from repro.runtime.costs import RUNTIME_COSTS, RuntimeCosts
-    from repro.runtime.power import POWER_MODELS, PowerModel
-
-    if "genoa" not in RUNTIME_COSTS:
-        RUNTIME_COSTS["genoa"] = RuntimeCosts(
-            arch="genoa",
-            fork_base_us=1.5,
-            fork_per_thread_us=0.035,
-            barrier_step_us=0.60,
-            wake_latency_us=8.0,
-            dispatch_ns=50.0,
-            atomic_ns=65.0,
-            critical_ns=300.0,
-            tree_step_us=0.50,
-            spin_steal_us=0.20,
-            os_yield_us=1.2,
-            spawn_us=0.22,
-            wake_fraction_passive=0.15,
-            wake_fraction_blocktime0=0.40,
-            congestion_gamma=2.4,  # same NPS4 fabric character as Milan
-            unbound_bw_efficiency=0.78,
-        )
-    if "grace" not in RUNTIME_COSTS:
-        RUNTIME_COSTS["grace"] = RuntimeCosts(
-            arch="grace",
-            fork_base_us=1.4,
-            fork_per_thread_us=0.05,
-            barrier_step_us=0.50,
-            wake_latency_us=7.0,
-            dispatch_ns=48.0,
-            atomic_ns=55.0,
-            critical_ns=240.0,
-            tree_step_us=0.42,
-            spin_steal_us=0.20,
-            os_yield_us=1.5,
-            spawn_us=0.22,
-            wake_fraction_passive=0.20,
-            wake_fraction_blocktime0=0.45,
-            congestion_gamma=0.6,  # flat, fat memory: rarely congests
-            unbound_bw_efficiency=0.97,  # nothing to scatter across
-        )
-    if "genoa" not in NOISE_MODELS:
-        NOISE_MODELS["genoa"] = NoiseModel(
-            arch="genoa", sigma=0.025, drift=(1.15, 1.0, 1.01, 1.02)
-        )
-    if "grace" not in NOISE_MODELS:
-        NOISE_MODELS["grace"] = NoiseModel(
-            arch="grace", sigma=0.008, drift=(1.0, 1.0, 1.0, 1.0)
-        )
-    if "genoa" not in POWER_MODELS:
-        POWER_MODELS["genoa"] = PowerModel(
-            "genoa", core_active_w=2.8, core_spin_w=2.2, core_idle_w=0.4,
-            uncore_w=110.0,
-        )
-    if "grace" not in POWER_MODELS:
-        POWER_MODELS["grace"] = PowerModel(
-            "grace", core_active_w=3.2, core_spin_w=2.6, core_idle_w=0.4,
-            uncore_w=60.0,
-        )
-
-
 def register_machine(machine: MachineTopology) -> MachineTopology:
-    """Add an extension machine to the global registry (with its cost,
-    noise and power tables), enabling sweeps/CLI use by name."""
+    """Add an extension machine to the global registry, enabling
+    sweeps/CLI use by name."""
     if machine.name in ALL_MACHINES and ALL_MACHINES[machine.name] is not machine:
         raise TopologyError(f"machine {machine.name!r} already registered")
-    _install_cost_tables()
-    from repro.runtime.costs import RUNTIME_COSTS
-
-    if machine.name not in RUNTIME_COSTS:
-        raise TopologyError(
-            f"no cost table for {machine.name!r}; extension machines must "
-            "ship one (see _install_cost_tables)"
-        )
     ALL_MACHINES[machine.name] = machine
     return machine
 

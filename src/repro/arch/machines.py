@@ -12,10 +12,20 @@ bandwidth) come from the publicly documented characteristics of each chip:
 - **AMD EPYC 7643 (Milan)**: 2 sockets x 48 cores, NPS4 so 8 NUMA nodes of
   12 cores, L3 shared per 8-core CCX, 64-byte lines, ~204 GB/s per socket
   (~25.6 GB/s per NUMA node at NPS4 accounting granularity x 8).
+
+Each machine carries its calibrated tables: the runtime cost table
+(:mod:`repro.arch.costs`), the measurement-noise model reproducing the
+consistency contrast of Tables III/IV (:mod:`repro.arch.noise`: A64FX
+quiet and stationary, Milan loud with a slow first run, Skylake flat
+means with a small consistent drift after R1) and the power model
+(:mod:`repro.arch.power`).
 """
 
 from __future__ import annotations
 
+from repro.arch.costs import RuntimeCosts
+from repro.arch.noise import NoiseModel
+from repro.arch.power import PowerModel
 from repro.arch.topology import MachineTopology
 from repro.errors import UnknownMachine
 
@@ -44,6 +54,29 @@ A64FX = MachineTopology(
     numa_penalty_same_socket=1.3,  # on-die ring between CMGs
     numa_penalty_cross_socket=1.3,  # single socket: never used, keep = same
     core_perf=0.55,  # weaker OoO core at 1.8 GHz vs server x86
+    # Weak cores, slow OS paths, fat HBM: runtime overheads loom large,
+    # memory almost never saturates.
+    costs=RuntimeCosts(
+        fork_base_us=4.0,
+        fork_per_thread_us=0.10,
+        barrier_step_us=1.4,
+        wake_latency_us=30.0,
+        dispatch_ns=160.0,
+        atomic_ns=180.0,
+        critical_ns=700.0,
+        tree_step_us=1.1,
+        spin_steal_us=0.55,
+        os_yield_us=4.5,
+        spawn_us=0.45,
+        wake_fraction_passive=0.28,
+        wake_fraction_blocktime0=0.55,
+        congestion_gamma=0.8,
+        unbound_bw_efficiency=0.90,
+    ),
+    noise=NoiseModel(sigma=0.004, drift=(1.0, 1.0, 1.0, 1.0)),
+    # Lean cores, big HBM uncore.
+    power=PowerModel(core_active_w=2.6, core_spin_w=2.2, core_idle_w=0.3,
+                     uncore_w=45.0),
 )
 
 SKYLAKE = MachineTopology(
@@ -60,6 +93,29 @@ SKYLAKE = MachineTopology(
     numa_penalty_same_socket=1.0,  # one NUMA node per socket
     numa_penalty_cross_socket=1.9,  # UPI hop
     core_perf=1.0,
+    # Two fat sockets, big shared L3s, ample per-socket bandwidth for 20
+    # cores: a forgiving machine.
+    costs=RuntimeCosts(
+        fork_base_us=1.2,
+        fork_per_thread_us=0.05,
+        barrier_step_us=0.55,
+        wake_latency_us=6.0,
+        dispatch_ns=45.0,
+        atomic_ns=60.0,
+        critical_ns=260.0,
+        tree_step_us=0.40,
+        spin_steal_us=0.20,
+        os_yield_us=1.6,
+        spawn_us=0.22,
+        wake_fraction_passive=0.22,
+        wake_fraction_blocktime0=0.45,
+        congestion_gamma=1.2,
+        unbound_bw_efficiency=0.88,
+    ),
+    noise=NoiseModel(sigma=0.020, drift=(1.0, 1.0, 1.012, 1.022)),
+    # 150W TDP per socket across 20 cores + fat uncore.
+    power=PowerModel(core_active_w=4.6, core_spin_w=3.8, core_idle_w=0.6,
+                     uncore_w=80.0),
 )
 
 MILAN = MachineTopology(
@@ -76,6 +132,29 @@ MILAN = MachineTopology(
     numa_penalty_same_socket=1.4,  # Infinity Fabric on-package
     numa_penalty_cross_socket=2.3,  # xGMI socket hop
     core_perf=1.05,
+    # 96 cores over 8 NUMA nodes at NPS4: fabric congestion punishes
+    # bandwidth oversubscription hard.
+    costs=RuntimeCosts(
+        fork_base_us=1.6,
+        fork_per_thread_us=0.045,
+        barrier_step_us=0.65,
+        wake_latency_us=6.0,
+        dispatch_ns=55.0,
+        atomic_ns=75.0,
+        critical_ns=330.0,
+        tree_step_us=0.55,
+        spin_steal_us=0.22,
+        os_yield_us=1.3,
+        spawn_us=0.24,
+        wake_fraction_passive=0.15,
+        wake_fraction_blocktime0=0.40,
+        congestion_gamma=2.6,
+        unbound_bw_efficiency=0.75,
+    ),
+    noise=NoiseModel(sigma=0.030, drift=(1.22, 1.0, 1.015, 1.033)),
+    # 225W per socket over 48 efficient cores.
+    power=PowerModel(core_active_w=2.9, core_spin_w=2.3, core_idle_w=0.4,
+                     uncore_w=95.0),
 )
 
 #: Registry of the study machines in the paper's presentation order.
@@ -85,7 +164,8 @@ ALL_MACHINES: dict[str, MachineTopology] = {
 
 
 def get_machine(name: str) -> MachineTopology:
-    """Look up a machine by name (case-insensitive)."""
+    """Look up a machine by name (case-insensitive); an unknown name
+    raises :class:`~repro.errors.UnknownMachine`."""
     key = name.lower()
     try:
         return ALL_MACHINES[key]

@@ -16,8 +16,9 @@ The paper's Tables III/IV document a qualitative contrast between machines:
 
 :class:`NoiseModel` reproduces those three regimes with two ingredients:
 a deterministic per-run-index drift factor and multiplicative lognormal
-jitter.  Noise streams are keyed by the full sample identity so sweeps are
-reproducible regardless of execution order.
+jitter; each machine in :mod:`repro.arch.machines` carries its calibrated
+model as its ``noise`` field.  Noise streams are keyed by the full sample
+identity so sweeps are reproducible regardless of execution order.
 
 Every draw comes from the stream numpy's
 ``default_rng(SeedSequence([seed, run_index]))`` would give: the first
@@ -61,8 +62,6 @@ from repro.errors import ReproError
 
 __all__ = [
     "NoiseModel",
-    "NOISE_MODELS",
-    "get_noise_model",
     "encode_parts",
     "first_standard_normals",
     "noisy_runtimes",
@@ -362,14 +361,13 @@ def pcg64_states(
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Multiplicative measurement noise for one architecture.
+    """Multiplicative measurement noise for one architecture, carried as
+    :attr:`~repro.arch.topology.MachineTopology.noise`.
 
     ``observed = true * drift[run_index] * exp(sigma * N(0,1))``
 
     Attributes
     ----------
-    arch:
-        Machine name the model belongs to.
     sigma:
         Lognormal jitter scale (coefficient of variation for small sigma).
     drift:
@@ -377,7 +375,6 @@ class NoiseModel:
         tuple reuse the final entry (steady state).
     """
 
-    arch: str
     sigma: float
     drift: tuple[float, ...]
 
@@ -456,23 +453,3 @@ def noisy_runtimes(
         raise ReproError(f"true runtime must be > 0, got {trues[bad][0]}")
     return trues * drift * jitter
 
-
-#: Calibrated models: A64FX quiet/stationary; Milan loud with a slow first
-#: run; Skylake flat means with a small consistent drift after R1.
-NOISE_MODELS: dict[str, NoiseModel] = {
-    "a64fx": NoiseModel(arch="a64fx", sigma=0.004, drift=(1.0, 1.0, 1.0, 1.0)),
-    "milan": NoiseModel(
-        arch="milan", sigma=0.030, drift=(1.22, 1.0, 1.015, 1.033)
-    ),
-    "skylake": NoiseModel(
-        arch="skylake", sigma=0.020, drift=(1.0, 1.0, 1.012, 1.022)
-    ),
-}
-
-
-def get_noise_model(arch: str) -> NoiseModel:
-    """Noise model for a machine name (falls back to a generic quiet model)."""
-    try:
-        return NOISE_MODELS[arch.lower()]
-    except KeyError:
-        return NoiseModel(arch=arch.lower(), sigma=0.01, drift=(1.0,))

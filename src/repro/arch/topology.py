@@ -5,7 +5,9 @@ The LLVM/OpenMP runtime partitions hardware into *places* according to
 ``OMP_PROC_BIND``.  :class:`MachineTopology` provides exactly the facts the
 simulated runtime needs for that: which cores share a socket / NUMA node /
 last-level cache, the relative memory-access penalty between NUMA nodes,
-and per-NUMA memory bandwidth.
+and per-NUMA memory bandwidth.  It is the one description of a machine:
+its runtime cost table, measurement-noise model and power model are
+fields of the same frozen record.
 
 Core numbering is hierarchical and contiguous: cores ``[k * cores_per_numa,
 (k+1) * cores_per_numa)`` belong to NUMA node ``k``, and NUMA nodes are
@@ -16,10 +18,13 @@ machines.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, dataclass, fields
 
 import numpy as np
 
+from repro.arch.costs import RuntimeCosts
+from repro.arch.noise import NoiseModel
+from repro.arch.power import PowerModel
 from repro.errors import TopologyError
 
 __all__ = ["PlaceKind", "Place", "MachineTopology", "hashed_once"]
@@ -57,9 +62,9 @@ class Place:
 def hashed_once(cls: type) -> type:
     """Make a frozen dataclass hash its fields once per instance.
 
-    Machines key :func:`~repro.runtime.affinity.compute_placement`'s
-    cache and regions key the region engine's memo, so a sweep looks each
-    one up thousands of times.  The first ``hash`` computes the value the
+    Machines key the runtime's placement cache (``compute_placement``)
+    and regions key the region engine's memo, so a sweep looks each one
+    up thousands of times.  The first ``hash`` computes the value the
     generated ``__hash__`` would (the hash of the field tuple) and keeps
     it on the instance.  ``str`` hashes are salted per process, so the
     kept value never travels: ``__getstate__`` leaves it out of pickles
@@ -95,7 +100,8 @@ class MachineTopology:
     Parameters mirror Table I plus the micro-architectural facts the cost
     model needs (cache line size for the ``KMP_ALIGN_ALLOC`` false-sharing
     model, LLC sharing for ``ll_caches`` places, NUMA distances and
-    bandwidth for locality penalties).
+    bandwidth for locality penalties), and the machine's calibrated
+    tables: runtime costs, measurement noise and power.
     """
 
     name: str
@@ -118,6 +124,13 @@ class MachineTopology:
     core_perf: float = 1.0
     #: SMT threads per core — 1 on all study machines (SMT disabled).
     smt_per_core: int = 1
+    _: KW_ONLY
+    #: Primitive-operation costs of the simulated libomp on this machine.
+    costs: RuntimeCosts
+    #: Run-to-run measurement noise (drift and jitter).
+    noise: NoiseModel
+    #: Per-core and uncore power draw.
+    power: PowerModel
 
     def __post_init__(self) -> None:
         if self.n_cores <= 0 or self.n_sockets <= 0 or self.n_numa <= 0:

@@ -24,13 +24,14 @@ Relations (each raises :class:`~repro.errors.CheckFailure` on violation):
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+from repro.arch.costs import scale_costs
 from repro.arch.machines import get_machine
 from repro.errors import CheckFailure
 from repro.runtime.affinity import compute_placement
 from repro.runtime.barrier import fork_seconds, join_seconds
-from repro.runtime.costs import get_costs, scale_costs
 from repro.runtime.executor import RuntimeExecutor
 from repro.runtime.icv import EnvConfig, resolve_icvs
 from repro.runtime.kernel import task_acquire_seconds
@@ -64,7 +65,7 @@ def relation_cost_scaling(factors=(2.0, 5.0, 0.5)) -> dict:
     n_bracket = 0
     for arch, workload_name in DEFAULT_SAMPLES:
         machine = get_machine(arch)
-        base = get_costs(arch)
+        base = machine.costs
         config = EnvConfig(num_threads=machine.n_cores)
         icvs = resolve_icvs(config, machine)
         placement = compute_placement(icvs, machine)
@@ -93,9 +94,9 @@ def relation_cost_scaling(factors=(2.0, 5.0, 0.5)) -> dict:
                 n_exact += 1
 
             # Whole-program bracket: monotone in k, bounded by k*f(1).
-            fk = RuntimeExecutor(machine, config, costs=scaled).execute(
-                program
-            )
+            fk = RuntimeExecutor(
+                dataclasses.replace(machine, costs=scaled), config
+            ).execute(program)
             lo, hi = (min(1.0, k) * f1, max(1.0, k) * f1)
             if not (lo * (1 - 1e-9) <= fk <= hi * (1 + 1e-9)):
                 raise CheckFailure(

@@ -14,11 +14,11 @@ batch's contents depend on:
    in grid order.  Changing the environment space (extensions, chunked
    schedules, a different scale's subsample) changes the fingerprint and
    therefore invalidates nothing — old entries simply stop matching.
-3. **machine fingerprint** — a digest of the architecture's model tables:
-   every :class:`~repro.arch.topology.MachineTopology` field plus the
-   per-arch :class:`~repro.runtime.costs.RuntimeCosts` calibration.
-   Editing the machine table (a clock, a NUMA penalty, a futex latency)
-   changes the records a batch would produce, so it must miss.
+3. **machine fingerprint** — a digest of every
+   :class:`~repro.arch.topology.MachineTopology` field: the topology and
+   the machine's cost, noise and power tables.  Editing any of them (a
+   clock, a NUMA penalty, a futex latency, a noise ``sigma`` or drift
+   factor) changes the records a batch would produce, so it must miss.
 4. **batch identity** — ``app``, ``suite``, ``input_size``,
    ``num_threads``.
 
@@ -58,9 +58,8 @@ from repro.core.sweep import (
     SweepPlan,
     check_sweep_block,
 )
-from repro.errors import FrameError, UnknownMachine
+from repro.errors import FrameError
 from repro.frame.columns import RecordBlock
-from repro.runtime.costs import get_costs
 from repro.runtime.icv import EnvConfig
 
 __all__ = ["CACHE_FORMAT_VERSION", "CACHE_KEY_FIELDS",
@@ -139,20 +138,13 @@ def grid_fingerprint(configs: Sequence[EnvConfig]) -> str:
 def machine_fingerprint(machine: MachineTopology) -> str:
     """Stable digest of the machine model a sweep runs against.
 
-    Covers every declared topology field plus the architecture's runtime
-    cost table, so editing either invalidates cached batches.  Unregistered
-    (synthetic test) machines simply contribute no cost-table component.
+    Covers every declared field of the machine, whose cost, noise and
+    power tables are fields too (each digested through its ``repr``), so
+    editing any of them invalidates cached batches.
     """
     h = hashlib.sha256()
     for f in dataclasses.fields(machine):
         h.update(f"{f.name}={getattr(machine, f.name)!r};".encode("utf-8"))
-    try:
-        costs = get_costs(machine.name)
-    except UnknownMachine:
-        costs = None
-    if costs is not None:
-        for f in dataclasses.fields(costs):
-            h.update(f"{f.name}={getattr(costs, f.name)!r};".encode("utf-8"))
     return h.hexdigest()
 
 

@@ -80,7 +80,6 @@ from repro.resilience.chaos import (
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import FailureLedger, FailureReport
 from repro.resilience.supervisor import SupervisedTask, Supervisor
-from repro.runtime.costs import get_costs
 from repro.runtime.executor import (
     RuntimeExecutor,
     measurement_noise_factors,
@@ -581,8 +580,7 @@ class _ClassPlans:
         # Sharing terms across classes by signature slots is pruning too:
         # without it each executor keeps a private memo, so the unpruned
         # sweep stays an independent reference for the pruning check.
-        memo = (ComponentMemo(machine, get_costs(machine.name))
-                if self.plan.prune else None)
+        memo = ComponentMemo(machine) if self.plan.prune else None
         return _ClassPlan(machine, self.plan.fidelity, self.plan.seed, cfgs,
                           classes, memo)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.arch.topology import MachineTopology
 from repro.errors import ConfigError
-from repro.runtime.costs import get_costs
 from repro.runtime.executor import RuntimeExecutor
 from repro.runtime.icv import EnvConfig
 from repro.runtime.program import LoopRegion, Program
@@ -60,7 +59,6 @@ def _saturation_threads(
     program: Program, machine: MachineTopology
 ) -> int | None:
     """Threads at which the heaviest loop region saturates its bandwidth."""
-    costs = get_costs(machine.name)
     dominant: LoopRegion | None = None
     dominant_work = 0.0
     for phase in program.parallel_regions:
@@ -70,7 +68,7 @@ def _saturation_threads(
                 dominant, dominant_work = phase, work
     if dominant is None or dominant.bw_per_thread_gbps <= 0:
         return None
-    avail = costs.unbound_bw_efficiency * machine.total_mem_bw_gbps
+    avail = machine.costs.unbound_bw_efficiency * machine.total_mem_bw_gbps
     saturation = int(avail / dominant.bw_per_thread_gbps)
     return saturation if saturation < machine.n_cores else None
 

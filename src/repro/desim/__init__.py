@@ -4,9 +4,8 @@ A small, deterministic, simpy-flavoured kernel used by the runtime model:
 
 - :mod:`~repro.desim.engine` — event heap, generator-based processes,
   :class:`~repro.desim.engine.Timeout` / :class:`~repro.desim.engine.Event`,
-- :mod:`~repro.desim.resources` — :class:`~repro.desim.resources.Lock`,
-  :class:`~repro.desim.resources.Semaphore`,
-  :class:`~repro.desim.resources.Barrier` built on the kernel,
+- :mod:`~repro.desim.resources` — :class:`~repro.desim.resources.Lock`
+  and :class:`~repro.desim.resources.Barrier` built on the kernel,
 - :mod:`~repro.desim.stealing` — a work-stealing task-pool simulator used
   as the high-fidelity execution mode for task-parallel regions (BOTS) and
   as ground truth for validating the fast analytic task model.
@@ -28,7 +27,7 @@ from repro.desim.engine import (
     ambient_tiebreak_seed,
     tiebreak_scope,
 )
-from repro.desim.resources import Barrier, Lock, Semaphore
+from repro.desim.resources import Barrier, Lock
 from repro.desim.stealing import SpawnTree, StealResult, WorkStealingSimulator
 from repro.desim.loopsim import LoopSimResult, simulate_loop
 
@@ -38,7 +37,6 @@ __all__ = [
     "Process",
     "Timeout",
     "Lock",
-    "Semaphore",
     "Barrier",
     "SpawnTree",
     "StealResult",

@@ -1,8 +1,8 @@
 """Synchronization primitives over the DES kernel.
 
 These model the runtime-internal primitives libomp builds on: a mutex (for
-``critical`` reductions and dynamic-schedule chunk grabs), a counting
-semaphore, and a cyclic barrier (fork/join and tree reductions).
+``critical`` reductions and dynamic-schedule chunk grabs) and a cyclic
+barrier (fork/join and tree reductions).
 
 All are FIFO-fair and deterministic.  When the owning engine carries an
 observer, locks and barriers emit ``lock_acquire`` / ``lock_release`` /
@@ -20,7 +20,7 @@ from collections.abc import Generator
 from repro.desim.engine import Engine, Event, Timeout
 from repro.errors import SimulationError
 
-__all__ = ["Lock", "Semaphore", "Barrier"]
+__all__ = ["Lock", "Barrier"]
 
 
 class Lock:
@@ -83,40 +83,6 @@ class Lock:
             self._queue.popleft().succeed()
         else:
             self._held = False
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wakeups."""
-
-    def __init__(self, engine: Engine, value: int, name: str = "semaphore"):
-        if value < 0:
-            raise SimulationError(f"semaphore value must be >= 0, got {value}")
-        self.engine = engine
-        self.name = name
-        self._value = value
-        self._queue: deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        """Current count."""
-        return self._value
-
-    def acquire(self) -> Generator:
-        """Generator to ``yield from``; returns once a unit is held."""
-        if self._value > 0:
-            self._value -= 1
-            return
-            yield  # pragma: no cover - makes this a generator
-        gate = self.engine.event()
-        self._queue.append(gate)
-        yield gate
-
-    def release(self) -> None:
-        """Return a unit, waking the oldest waiter if any."""
-        if self._queue:
-            self._queue.popleft().succeed()
-        else:
-            self._value += 1
 
 
 class Barrier:

@@ -4,7 +4,11 @@ LLVM/OpenMP executes ``task`` constructs on per-thread deques with random
 victim stealing.  This module simulates that scheduler at per-task
 granularity: LIFO local pops, FIFO steals, a configurable steal latency
 (spin-waiting ``turnaround`` mode steals faster than yielding
-``throughput`` mode), per-spawn overhead, and exponential idle backoff.
+``throughput`` mode) and per-spawn overhead.  Every unstarted task sits
+in some deque, so a worker whose own deque is empty always finds a victim
+while any task is unstarted: no steal attempt fails and nothing backs
+off.  Such a worker steals at its next event, or retires once every task
+has started.
 
 It serves two roles:
 
@@ -41,15 +45,10 @@ import numpy as np
 from repro.errors import SimulationError
 
 __all__ = [
-    "BACKOFF_MAX_FACTOR",
     "SpawnTree",
     "StealResult",
     "WorkStealingSimulator",
 ]
-
-#: Idle workers back off exponentially, up to this many steal latencies
-#: between attempts.
-BACKOFF_MAX_FACTOR = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +122,6 @@ class StealResult:
     total_work: float
     n_tasks: int
     steals: int
-    failed_steals: int
     busy_time: float
     n_workers: int = 1
 
@@ -150,10 +148,8 @@ class WorkStealingSimulator:
     n_workers:
         Threads in the parallel region's team.
     steal_latency:
-        Time one steal attempt takes (successful or not).  Spin-waiting
-        modes have low latency; yield-to-OS modes pay more.  Idle workers
-        back off exponentially up to ``steal_latency *
-        BACKOFF_MAX_FACTOR`` between attempts.
+        Time a steal takes before the stolen task starts.  Spin-waiting
+        modes have low latency; yield-to-OS modes pay more.
     spawn_overhead:
         Bookkeeping time the spawning thread pays per child task.
     seed:
@@ -199,8 +195,7 @@ class WorkStealingSimulator:
 
         ``observer`` receives scheduler-decision hooks (any subset):
         ``on_pop(now, worker, task_id)`` for LIFO local pops,
-        ``on_steal(now, thief, victim, task_id)`` for successful steals,
-        and ``on_failed_steal(now, worker)`` for empty-handed scans.  The
+        and ``on_steal(now, thief, victim, task_id)`` for steals.  The
         sanitizer's steal auditor uses these to verify replay determinism
         and count arbitrated same-timestamp deque contentions.
         """
@@ -215,17 +210,15 @@ class WorkStealingSimulator:
 
         on_pop = getattr(observer, "on_pop", None)
         on_steal = getattr(observer, "on_steal", None)
-        on_failed_steal = getattr(observer, "on_failed_steal", None)
 
         b = tree.branching
         n_interior = tree.n_interior
         leaf_work = tree.leaf_work.tolist()
-        latency = self.steal_latency
         # Every interior task costs the same, so each worker's
         # interior-task duration and steal delay are divided out once.
         node_cost = tree.node_work + self.spawn_overhead * b
         node_duration = [node_cost / s for s in speed]
-        steal_delay = [latency / s for s in speed]
+        steal_delay = [self.steal_latency / s for s in speed]
         workers = range(self.n_workers)
 
         rng = np.random.default_rng(self.seed)
@@ -233,9 +226,7 @@ class WorkStealingSimulator:
         deques[0].append(0)
         remaining = 1  # tasks pushed but not yet started
         steals = 0
-        failed = 0
         busy = 0.0
-        backoff = [1.0] * self.n_workers
 
         # Event heap: (time, seq, worker). Each worker has exactly one
         # pending event: "decide what to do next at this time".  The
@@ -257,26 +248,16 @@ class WorkStealingSimulator:
                     on_pop(now, w, tid)
                 start = now
             else:
-                # Steal attempt: pick a random victim with work, in
-                # worker order (``w``'s own deque is empty here).
+                # Steal: pick a random victim with work, in worker order.
+                # ``w``'s own deque is empty and ``remaining`` counts the
+                # tasks in deques, so the list is never empty.
                 victims = list(compress(workers, deques))
-                if not victims:
-                    failed += 1
-                    if on_failed_steal is not None:
-                        on_failed_steal(now, w)
-                    wait = latency * backoff[w]
-                    backoff[w] = min(backoff[w] * 2.0,
-                                     float(BACKOFF_MAX_FACTOR))
-                    heappush(heap, (now + wait, seq, w))
-                    seq += 1
-                    continue
                 victim = victims[int(rng.integers(len(victims)))]
                 tid = deques[victim].popleft()  # FIFO steal end
                 if on_steal is not None:
                     on_steal(now, w, victim, tid)
                 steals += 1
                 start = now + steal_delay[w]
-            backoff[w] = 1.0
             if tid < n_interior:
                 duration = node_duration[w]
                 first = tid * b + 1
@@ -303,7 +284,6 @@ class WorkStealingSimulator:
             total_work=tree.total_work,
             n_tasks=tree.n_tasks,
             steals=steals,
-            failed_steals=failed,
             busy_time=busy,
             n_workers=self.n_workers,
         )

@@ -366,7 +366,8 @@ def check_cache_key(
             message=(
                 "machine_fingerprint() no longer sweeps "
                 "dataclasses.fields() of the machine model: a new or "
-                "edited topology field would silently hit stale entries"
+                "edited machine field (topology, cost, noise or power "
+                "table) would silently hit stale entries"
             ),
             fixit="digest every declared field of the machine dataclass",
             path=cache.rel_path,

@@ -45,7 +45,7 @@ from repro.runtime.program import (
     TaskRegion,
 )
 from repro.runtime.executor import RuntimeExecutor, execute, observe
-from repro.runtime.power import EnergyProfile, PowerModel, energy_profile, get_power_model
+from repro.runtime.power import EnergyProfile, energy_profile
 from repro.runtime.microbench import MicrobenchReport, overhead_table, run_microbench
 from repro.runtime.trace import ExecutionTrace, TraceEvent, trace_execution
 
@@ -68,10 +68,8 @@ __all__ = [
     "RuntimeExecutor",
     "execute",
     "observe",
-    "PowerModel",
     "EnergyProfile",
     "energy_profile",
-    "get_power_model",
     "MicrobenchReport",
     "run_microbench",
     "overhead_table",

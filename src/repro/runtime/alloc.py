@@ -17,7 +17,7 @@ cache line.  Consequences the model captures:
 
 from __future__ import annotations
 
-from repro.runtime.costs import RuntimeCosts
+from repro.arch.costs import RuntimeCosts
 from repro.runtime.icv import ResolvedICVs
 
 __all__ = ["sync_alignment_factor"]

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 
+from repro.arch.costs import RuntimeCosts
 from repro.runtime.affinity import ThreadPlacement
-from repro.runtime.costs import RuntimeCosts
 from repro.runtime.icv import ResolvedICVs, WaitPolicy
 
 __all__ = ["fork_seconds", "join_seconds", "serial_gap_seconds", "workers_asleep"]

@@ -1,181 +1,16 @@
-"""Per-architecture runtime-internal cost constants.
+"""Work units to seconds.
 
-These calibrate the simulated libomp's primitive operations on each study
-machine.  Magnitudes follow published microbenchmark lore (EPCC OpenMP
-microbenchmarks, futex wake latencies, cache-line transfer costs) with two
-architecture-level regularities that drive the paper's shapes:
-
-- **A64FX** has weak scalar cores and slow syscall/futex paths, so anything
-  involving the OS (passive waiting, wakes after blocktime) is several times
-  more expensive than on the x86 servers — the root of NQueens' huge
-  ``KMP_LIBRARY=turnaround`` win there,
-- **Milan**'s many small NUMA domains give it a high memory-congestion
-  exponent: oversaturating its per-NUMA bandwidth degrades superlinearly,
-  which is why thread-count/binding tuning pays most on Milan.
+The machine's primitive-operation costs are its
+:attr:`~repro.arch.topology.MachineTopology.costs` table
+(:class:`~repro.arch.costs.RuntimeCosts`); this module converts the
+workloads' abstract work into time on one of its cores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from repro.arch.topology import MachineTopology
-from repro.errors import UnknownMachine
 
-__all__ = [
-    "RuntimeCosts",
-    "RUNTIME_COSTS",
-    "TIME_COST_FIELDS",
-    "get_costs",
-    "scale_costs",
-    "work_seconds",
-]
-
-
-@dataclass(frozen=True)
-class RuntimeCosts:
-    """Primitive-operation costs for one machine (microseconds unless noted)."""
-
-    arch: str
-    #: Fork: team activation base cost and per-thread release cost.
-    fork_base_us: float
-    fork_per_thread_us: float
-    #: Join barrier: per-tree-level cost (multiplied by log2(T)).
-    barrier_step_us: float
-    #: Futex wake of one sleeping worker (amortized over a tree wake).
-    wake_latency_us: float
-    #: Dynamic-schedule chunk grab (uncontended), nanoseconds.
-    dispatch_ns: float
-    #: Contended atomic read-modify-write on a shared line, nanoseconds.
-    atomic_ns: float
-    #: Critical-section handoff (lock transfer between cores), nanoseconds.
-    critical_ns: float
-    #: One level of a tree reduction (partner line transfer), microseconds.
-    tree_step_us: float
-    #: Steal attempt while spinning (turnaround / active waiting).
-    spin_steal_us: float
-    #: Steal attempt in yielding mode (throughput / passive waiting).
-    os_yield_us: float
-    #: Task spawn bookkeeping (push to deque).
-    spawn_us: float
-    #: Probability a task spawn must futex-wake a sleeping worker under
-    #: passive waiting (0 under active waiting).
-    wake_fraction_passive: float
-    #: Same with KMP_BLOCKTIME=0 (threads sleep immediately, so nearly
-    #: every idle period ends in a wake).
-    wake_fraction_blocktime0: float
-    #: Superlinear memory-congestion exponent coefficient (dimensionless).
-    congestion_gamma: float
-    #: Fraction of machine bandwidth reachable by an unbound team (pages
-    #: scattered by the OS; some traffic crosses NUMA links).
-    unbound_bw_efficiency: float
-
-
-RUNTIME_COSTS: dict[str, RuntimeCosts] = {
-    # Weak cores, slow OS paths, fat HBM: runtime overheads loom large,
-    # memory almost never saturates.
-    "a64fx": RuntimeCosts(
-        arch="a64fx",
-        fork_base_us=4.0,
-        fork_per_thread_us=0.10,
-        barrier_step_us=1.4,
-        wake_latency_us=30.0,
-        dispatch_ns=160.0,
-        atomic_ns=180.0,
-        critical_ns=700.0,
-        tree_step_us=1.1,
-        spin_steal_us=0.55,
-        os_yield_us=4.5,
-        spawn_us=0.45,
-        wake_fraction_passive=0.28,
-        wake_fraction_blocktime0=0.55,
-        congestion_gamma=0.8,
-        unbound_bw_efficiency=0.90,
-    ),
-    # Two fat sockets, big shared L3s, ample per-socket bandwidth for 20
-    # cores: a forgiving machine.
-    "skylake": RuntimeCosts(
-        arch="skylake",
-        fork_base_us=1.2,
-        fork_per_thread_us=0.05,
-        barrier_step_us=0.55,
-        wake_latency_us=6.0,
-        dispatch_ns=45.0,
-        atomic_ns=60.0,
-        critical_ns=260.0,
-        tree_step_us=0.40,
-        spin_steal_us=0.20,
-        os_yield_us=1.6,
-        spawn_us=0.22,
-        wake_fraction_passive=0.22,
-        wake_fraction_blocktime0=0.45,
-        congestion_gamma=1.2,
-        unbound_bw_efficiency=0.88,
-    ),
-    # 96 cores over 8 NUMA nodes at NPS4: fabric congestion punishes
-    # bandwidth oversubscription hard.
-    "milan": RuntimeCosts(
-        arch="milan",
-        fork_base_us=1.6,
-        fork_per_thread_us=0.045,
-        barrier_step_us=0.65,
-        wake_latency_us=6.0,
-        dispatch_ns=55.0,
-        atomic_ns=75.0,
-        critical_ns=330.0,
-        tree_step_us=0.55,
-        spin_steal_us=0.22,
-        os_yield_us=1.3,
-        spawn_us=0.24,
-        wake_fraction_passive=0.15,
-        wake_fraction_blocktime0=0.40,
-        congestion_gamma=2.6,
-        unbound_bw_efficiency=0.75,
-    ),
-}
-
-
-#: The time-valued fields of :class:`RuntimeCosts` — everything measured in
-#: seconds-derived units.  Excludes the dimensionless knobs (wake fractions,
-#: congestion exponent, bandwidth efficiency), which describe *probabilities
-#: and shapes*, not durations.
-TIME_COST_FIELDS = (
-    "fork_base_us",
-    "fork_per_thread_us",
-    "barrier_step_us",
-    "wake_latency_us",
-    "dispatch_ns",
-    "atomic_ns",
-    "critical_ns",
-    "tree_step_us",
-    "spin_steal_us",
-    "os_yield_us",
-    "spawn_us",
-)
-
-
-def scale_costs(costs: RuntimeCosts, factor: float) -> RuntimeCosts:
-    """A copy of ``costs`` with every time-valued field multiplied by
-    ``factor`` (dimensionless fields untouched).
-
-    The runtime-overhead model is linear in these primitives, so scaling
-    them by ``k`` scales every overhead component by exactly ``k`` — the
-    homogeneity law the ``repro.check`` metamorphic suite asserts.
-    """
-    if factor <= 0:
-        raise ValueError(f"cost scale factor must be positive, got {factor}")
-    return replace(
-        costs, **{f: getattr(costs, f) * factor for f in TIME_COST_FIELDS}
-    )
-
-
-def get_costs(arch: str) -> RuntimeCosts:
-    """Cost table for a machine name."""
-    try:
-        return RUNTIME_COSTS[arch.lower()]
-    except KeyError:
-        raise UnknownMachine(
-            f"no runtime cost table for {arch!r}; have {sorted(RUNTIME_COSTS)}"
-        ) from None
+__all__ = ["work_seconds"]
 
 
 def work_seconds(work_units: float, machine: MachineTopology) -> float:

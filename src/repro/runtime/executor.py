@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.arch.noise import (
     encode_parts,
-    get_noise_model,
     noisy_runtimes,
     sample_seed,
     sample_seeds_encoded,
@@ -29,7 +28,7 @@ from repro.runtime.barrier import (
     serial_gap_seconds,
     workers_asleep,
 )
-from repro.runtime.costs import RuntimeCosts, get_costs, work_seconds
+from repro.runtime.costs import work_seconds
 from repro.runtime.icv import EnvConfig, ResolvedICVs, resolve_icvs
 from repro.runtime.kernel import ComponentMemo, RegionEngine
 from repro.runtime.program import LoopRegion, Program, SerialPhase, TaskRegion
@@ -67,8 +66,10 @@ class RuntimeExecutor:
     ``machine`` (the sweep's grouping does), is used instead of resolving
     it again.  ``memo``, if given, is a
     :class:`~repro.runtime.kernel.ComponentMemo` the region engine shares
-    with other executors on the same machine and cost table (the sweep's
-    class plans do).
+    with other executors on the same machine (the sweep's class plans
+    do).  The machine carries its cost table, so pricing under another
+    table means passing another machine (``dataclasses.replace(machine,
+    costs=...)``, as the metamorphic cost-scaling relation does).
 
     The executor's ICVs, placement and cost table never change, so it
     also memoizes the serial gap before each region and the fork after
@@ -81,7 +82,6 @@ class RuntimeExecutor:
         machine: MachineTopology,
         config: EnvConfig,
         fidelity: str = "analytic",
-        costs: RuntimeCosts | None = None,
         *,
         icvs: ResolvedICVs | None = None,
         memo: ComponentMemo | None = None,
@@ -94,12 +94,7 @@ class RuntimeExecutor:
         self.icvs: ResolvedICVs = (
             icvs if icvs is not None else resolve_icvs(config, machine)
         )
-        # A custom cost table (e.g. scale_costs output) overrides the
-        # machine's calibrated one — the metamorphic harness's entry point.
-        self.costs: RuntimeCosts = costs if costs is not None else get_costs(
-            machine.name
-        )
-        self.engine = RegionEngine(machine, self.icvs, self.costs, memo=memo)
+        self.engine = RegionEngine(machine, self.icvs, memo=memo)
         self.placement: ThreadPlacement = self.engine.placement
         self._gap_memo: dict[float, tuple[float, float]] = {}
 
@@ -151,7 +146,7 @@ class RuntimeExecutor:
         sleeping = workers_asleep(self.icvs, gap_nominal)
         pair = self._gap_memo[gap_work] = (
             serial_gap_seconds(self.icvs, self.placement, gap_nominal),
-            fork_seconds(self.icvs, self.costs, sleeping),
+            fork_seconds(self.icvs, self.machine.costs, sleeping),
         )
         return pair
 
@@ -258,7 +253,7 @@ def measurement_noise_factors(
             (machine.name, program.name), suffixes
         ))
     # Bound to a name so the lint planes' call graph follows the draws.
-    model = get_noise_model(machine.name)
+    model = machine.noise
     return model.factors(
         list(run_indices) * len(obs_seeds),
         np.repeat(np.array(obs_seeds, dtype=np.uint64), len(run_indices)),
@@ -271,12 +266,9 @@ def execute(
     config: EnvConfig,
     fidelity: str = "analytic",
     seed: int = 0,
-    costs: RuntimeCosts | None = None,
 ) -> float:
     """Convenience one-shot wrapper around :class:`RuntimeExecutor`."""
-    return RuntimeExecutor(machine, config, fidelity, costs=costs).execute(
-        program, seed
-    )
+    return RuntimeExecutor(machine, config, fidelity).execute(program, seed)
 
 
 def observe(

@@ -28,13 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.arch.costs import RuntimeCosts
 from repro.arch.topology import MachineTopology
 from repro.desim.stealing import SpawnTree, WorkStealingSimulator
 from repro.errors import SimulationError
 from repro.runtime.affinity import compute_placement
 from repro.runtime.alloc import sync_alignment_factor
 from repro.runtime.barrier import join_seconds
-from repro.runtime.costs import RuntimeCosts, work_seconds
+from repro.runtime.costs import work_seconds
 from repro.runtime.icv import ResolvedICVs, WaitPolicy
 from repro.runtime.memory import memory_time_factor
 from repro.runtime.program import LoopRegion, TaskRegion
@@ -198,18 +199,17 @@ _TASK_BODY_SLOTS = _key_slots(task_body_seconds)
 
 @dataclass(frozen=True, eq=False)
 class ComponentMemo:
-    """Region terms shared by every engine on one machine and cost table.
+    """Region terms shared by every engine on one machine.
 
     Each table maps ``(region value, key slots)`` to seconds, where the
     key slots are the canonical :meth:`ResolvedICVs.execution_signature`
     slots the term reads, as declared in
     :data:`ResolvedICVs.MEMO_KEY_SLOTS` (the dependency lint's KEY001
-    proves each declaration covers its term's reads).  The machine and
-    cost table are fixed per memo, so they stay out of the keys.
+    proves each declaration covers its term's reads).  The machine, cost
+    table included, is fixed per memo, so it stays out of the keys.
     """
 
     machine: MachineTopology
-    costs: RuntimeCosts
     loop_body: dict[tuple, float] = field(default_factory=dict)
     sync: dict[tuple, float] = field(default_factory=dict)
     task_body: dict[tuple, float] = field(default_factory=dict)
@@ -230,23 +230,20 @@ class RegionEngine:
         self,
         machine: MachineTopology,
         icvs: ResolvedICVs,
-        costs: RuntimeCosts,
         *,
         memo: ComponentMemo | None = None,
     ):
         self.machine = machine
         self.icvs = icvs
         self.placement = compute_placement(icvs, machine)
-        self.costs = costs
-        self.align_factor = sync_alignment_factor(icvs, costs)
+        self.costs = machine.costs
+        self.align_factor = sync_alignment_factor(icvs, self.costs)
         if memo is None:
             # A private memo serves one set of ICVs: the region argument
             # alone keys it, whatever the execution signature says.
-            memo, keys = ComponentMemo(machine, costs), ((), (), ())
-        elif memo.machine != machine or memo.costs != costs:
-            raise SimulationError(
-                "a component memo serves one machine and cost table"
-            )
+            memo, keys = ComponentMemo(machine), ((), (), ())
+        elif memo.machine != machine:
+            raise SimulationError("a component memo serves one machine")
         else:
             sig = icvs.execution_signature()
             keys = (_LOOP_BODY_SLOTS(sig), _SYNC_SLOTS(sig),

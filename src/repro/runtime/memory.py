@@ -19,9 +19,9 @@ The memory fraction of a region's time is exposed to two effects:
 
 from __future__ import annotations
 
+from repro.arch.costs import RuntimeCosts
 from repro.arch.topology import MachineTopology
 from repro.runtime.affinity import ThreadPlacement
-from repro.runtime.costs import RuntimeCosts
 
 __all__ = [
     "available_bandwidth_gbps",

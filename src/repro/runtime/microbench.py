@@ -26,7 +26,6 @@ from repro.arch.topology import MachineTopology
 from repro.frame.table import Table
 from repro.runtime.affinity import compute_placement
 from repro.runtime.barrier import fork_seconds, join_seconds
-from repro.runtime.costs import get_costs
 from repro.runtime.icv import EnvConfig, resolve_icvs
 from repro.runtime.kernel import RegionEngine
 from repro.runtime.program import LoopRegion
@@ -81,7 +80,7 @@ def _schedule_overhead_ns(
     icvs = resolve_icvs(
         EnvConfig(**{**_as_kwargs(config), "schedule": schedule}), machine
     )
-    engine = RegionEngine(machine, icvs, get_costs(machine.name))
+    engine = RegionEngine(machine, icvs)
     iter_work = 1e-7  # 100ns reference iterations, EPCC "schedbench" style
     region = LoopRegion("probe", n_iters=n_iters, iter_work=iter_work)
     total = engine.loop_region_seconds(region)
@@ -112,7 +111,7 @@ def run_microbench(
     config = config or EnvConfig()
     icvs = resolve_icvs(config, machine)
     placement = compute_placement(icvs, machine)
-    costs = get_costs(machine.name)
+    costs = machine.costs
 
     fork = fork_seconds(icvs, costs, team_sleeping=False)
     # Active waiters never sleep, so their wake probe measures nothing.

@@ -2,8 +2,9 @@
 
 Much of the paper's related work (Nornir, OpenMPE, EDP throttling
 studies) tunes the same knobs for *energy* rather than runtime.  This
-module adds the simple socket-level power model needed to reproduce that
-trade-off on our simulated machines:
+module integrates each machine's socket-level power model
+(:class:`~repro.arch.power.PowerModel`, carried as ``machine.power``) over
+a run to reproduce that trade-off on our simulated machines:
 
 ``P(t) = P_uncore + sum over cores of {P_active | P_spin | P_idle}``
 
@@ -20,68 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.topology import MachineTopology
-from repro.errors import UnknownMachine
 from repro.runtime.executor import RuntimeExecutor
 from repro.runtime.icv import EnvConfig, WaitPolicy
 from repro.runtime.program import Program, SerialPhase
 
-__all__ = ["PowerModel", "POWER_MODELS", "get_power_model", "EnergyProfile",
-           "energy_profile"]
-
-
-@dataclass(frozen=True)
-class PowerModel:
-    """Per-core/uncore power draw for one machine (watts)."""
-
-    arch: str
-    #: A core executing application work.
-    core_active_w: float
-    #: A core spin-waiting (active wait policy): near full power.
-    core_spin_w: float
-    #: A core parked in a sleep state (passive waiting past blocktime).
-    core_idle_w: float
-    #: Package/uncore floor (memory controllers, fabric, caches).
-    uncore_w: float
-
-    def machine_power(
-        self, machine: MachineTopology, active: int, spinning: int
-    ) -> float:
-        """Instantaneous watts with the given core occupancy."""
-        idle = machine.n_cores - active - spinning
-        if idle < 0:
-            # Oversubscribed teams: cores can't be doubly powered.
-            active = min(active, machine.n_cores)
-            spinning = machine.n_cores - active
-            idle = 0
-        return (
-            self.uncore_w
-            + active * self.core_active_w
-            + spinning * self.core_spin_w
-            + idle * self.core_idle_w
-        )
-
-
-POWER_MODELS: dict[str, PowerModel] = {
-    # A64FX: lean cores, big HBM uncore.
-    "a64fx": PowerModel("a64fx", core_active_w=2.6, core_spin_w=2.2,
-                        core_idle_w=0.3, uncore_w=45.0),
-    # Skylake 6148: 150W TDP per socket across 20 cores + fat uncore.
-    "skylake": PowerModel("skylake", core_active_w=4.6, core_spin_w=3.8,
-                          core_idle_w=0.6, uncore_w=80.0),
-    # Milan 7643: 225W per socket over 48 efficient cores.
-    "milan": PowerModel("milan", core_active_w=2.9, core_spin_w=2.3,
-                        core_idle_w=0.4, uncore_w=95.0),
-}
-
-
-def get_power_model(arch: str) -> PowerModel:
-    """Power model for a machine name."""
-    try:
-        return POWER_MODELS[arch.lower()]
-    except KeyError:
-        raise UnknownMachine(
-            f"no power model for {arch!r}; have {sorted(POWER_MODELS)}"
-        ) from None
+__all__ = ["EnergyProfile", "energy_profile"]
 
 
 @dataclass(frozen=True)
@@ -116,7 +60,7 @@ def energy_profile(
     blocktime-long spin residues are folded into the spin estimate).
     """
     executor = RuntimeExecutor(machine, config, fidelity=fidelity)
-    power = get_power_model(machine.name)
+    power = machine.power
     icvs = executor.icvs
     team = min(icvs.nthreads, machine.n_cores)
     active_wait = icvs.wait_policy is WaitPolicy.ACTIVE

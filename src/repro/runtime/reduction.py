@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 
+from repro.arch.costs import RuntimeCosts
 from repro.errors import ConfigError
 from repro.runtime.affinity import ThreadPlacement
-from repro.runtime.costs import RuntimeCosts
 from repro.runtime.icv import ReductionMethod, ResolvedICVs
 
 __all__ = ["reduction_seconds"]

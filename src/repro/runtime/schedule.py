@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.arch.costs import RuntimeCosts
 from repro.arch.topology import MachineTopology
-from repro.runtime.costs import RuntimeCosts, work_seconds
+from repro.runtime.costs import work_seconds
 from repro.runtime.icv import ResolvedICVs, ScheduleKind
 from repro.runtime.program import LoadPattern, LoopRegion
 

@@ -42,10 +42,6 @@ class StealOrderAuditor:
         """A thief stole a task from a victim's deque."""
         self.events.append((now, "steal", thief, victim, task_id))
 
-    def on_failed_steal(self, now: float, worker: int) -> None:
-        """An idle worker scanned every deque and found nothing."""
-        self.events.append((now, "scan", worker, -1, -1))
-
     def digest(self) -> tuple:
         """The full decision stream (replay-comparison key)."""
         return tuple(self.events)
@@ -54,22 +50,14 @@ class StealOrderAuditor:
         """Same-timestamp groups whose outcome the event order arbitrated.
 
         A group counts when at least two distinct workers made decisions
-        at one timestamp and at least one decision mutated a deque (pop
-        or steal) — the situations where the documented ``(time, seq)``
-        order, not task timing, decided who got the work.
+        (every decision is a pop or a steal, so each takes work from a
+        deque) at one timestamp — the situations where the documented
+        ``(time, seq)`` order, not task timing, decided who got the work.
         """
-        groups: dict[float, list[tuple]] = {}
+        workers: dict[float, set[int]] = {}
         for ev in self.events:
-            groups.setdefault(ev[0], []).append(ev)
-        ties = 0
-        for group in groups.values():
-            if len(group) < 2:
-                continue
-            workers = {ev[2] for ev in group}
-            mutates = any(ev[1] in ("pop", "steal") for ev in group)
-            if len(workers) > 1 and mutates:
-                ties += 1
-        return ties
+            workers.setdefault(ev[0], set()).add(ev[2])
+        return sum(len(group) > 1 for group in workers.values())
 
 
 def audit_work_stealing(

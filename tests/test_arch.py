@@ -14,7 +14,7 @@ from repro.arch.machines import (
     hardware_table,
     machine_names,
 )
-from repro.arch.noise import NOISE_MODELS, NoiseModel, get_noise_model, sample_seed
+from repro.arch.noise import NoiseModel, sample_seed
 from repro.arch.topology import MachineTopology, PlaceKind
 from repro.errors import ReproError, TopologyError, UnknownMachine
 
@@ -149,55 +149,68 @@ class TestPlaces:
                 mem_type="DDR4",
                 mem_capacity_gb=1,
                 mem_bw_per_numa_gbps=10.0,
+                costs=MILAN.costs,
+                noise=MILAN.noise,
+                power=MILAN.power,
+            )
+
+    def test_tables_are_required_keywords(self):
+        with pytest.raises(TypeError):
+            MachineTopology(
+                name="bare", n_cores=4, n_sockets=1, n_numa=1,
+                cores_per_llc=4, clock_ghz=1.0, cache_line_bytes=64,
+                mem_type="DDR4", mem_capacity_gb=1, mem_bw_per_numa_gbps=10.0,
             )
 
 
 class TestNoise:
     def test_registered_models(self):
-        assert set(NOISE_MODELS) == {"a64fx", "milan", "skylake"}
+        for name in ("a64fx", "skylake", "milan"):
+            assert isinstance(get_machine(name).noise, NoiseModel)
 
-    def test_unknown_arch_gets_generic(self):
-        m = get_noise_model("riscv")
-        assert m.sigma > 0
+    def test_unknown_arch_raises(self):
+        # No generic fallback: an unknown name has no noise model.
+        with pytest.raises(UnknownMachine):
+            get_machine("riscv")
 
     def test_a64fx_stationary(self):
-        m = get_noise_model("a64fx")
+        m = A64FX.noise
         assert all(d == 1.0 for d in m.drift)
 
     def test_milan_first_run_slow(self):
-        m = get_noise_model("milan")
+        m = MILAN.noise
         assert m.drift_factor(0) > 1.1
         assert m.drift_factor(0) > m.drift_factor(1)
 
     def test_drift_extends_last_value(self):
-        m = NoiseModel(arch="x", sigma=0.0, drift=(1.0, 1.1))
+        m = NoiseModel(sigma=0.0, drift=(1.0, 1.1))
         assert m.drift_factor(10) == 1.1
 
     def test_apply_deterministic(self):
-        m = get_noise_model("milan")
+        m = MILAN.noise
         a = m.apply(1.0, run_index=1, seed=42)
         b = m.apply(1.0, run_index=1, seed=42)
         assert a == b
 
     def test_apply_varies_with_seed_and_run(self):
-        m = get_noise_model("milan")
+        m = MILAN.noise
         assert m.apply(1.0, 1, 1) != m.apply(1.0, 1, 2)
         assert m.apply(1.0, 1, 1) != m.apply(1.0, 2, 1)
 
     def test_zero_sigma_pure_drift(self):
-        m = NoiseModel(arch="x", sigma=0.0, drift=(1.5,))
+        m = NoiseModel(sigma=0.0, drift=(1.5,))
         assert m.apply(2.0, 0, 0) == pytest.approx(3.0)
 
     def test_invalid_models_rejected(self):
         with pytest.raises(ReproError):
-            NoiseModel(arch="x", sigma=-0.1, drift=(1.0,))
+            NoiseModel(sigma=-0.1, drift=(1.0,))
         with pytest.raises(ReproError):
-            NoiseModel(arch="x", sigma=0.1, drift=())
+            NoiseModel(sigma=0.1, drift=())
         with pytest.raises(ReproError):
-            NoiseModel(arch="x", sigma=0.1, drift=(0.0,))
+            NoiseModel(sigma=0.1, drift=(0.0,))
 
     def test_apply_validates_inputs(self):
-        m = get_noise_model("a64fx")
+        m = A64FX.noise
         with pytest.raises(ReproError):
             m.apply(-1.0, 0, 0)
         with pytest.raises(ReproError):

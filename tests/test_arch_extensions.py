@@ -5,7 +5,7 @@ import pytest
 
 from repro.arch.extensions import GENOA, GRACE, register_machine, unregister_machine
 from repro.arch.machines import ALL_MACHINES, get_machine
-from repro.errors import TopologyError
+from repro.errors import TopologyError, UnknownMachine
 from repro.runtime.executor import execute
 from repro.runtime.icv import EnvConfig
 from repro.workloads.base import get_workload
@@ -46,14 +46,24 @@ class TestRegistration:
             unregister_machine("milan")
 
     def test_register_installs_cost_tables(self, registered):
-        from repro.runtime.costs import get_costs
-        from repro.runtime.power import get_power_model
+        # The tables travel with the machine: registering it is all.
+        assert get_machine("genoa").costs.congestion_gamma > 1.0
+        assert get_machine("grace").power.uncore_w > 0
+        assert get_machine("grace").noise.sigma < 0.02
 
-        assert get_costs("genoa").congestion_gamma > 1.0
-        assert get_power_model("grace").uncore_w > 0
-        from repro.arch.noise import get_noise_model
+    def test_unregister_leaves_no_tables(self, registered):
+        from repro.core.sweep import SweepPlan, run_sweep
 
-        assert get_noise_model("grace").sigma < 0.02
+        unregister_machine("genoa")
+        try:
+            with pytest.raises(UnknownMachine):
+                get_machine("genoa")
+            with pytest.raises(UnknownMachine):
+                run_sweep(SweepPlan(arch="genoa", workload_names=("cg",),
+                                    scale="small", repetitions=1,
+                                    inputs_limit=1))
+        finally:
+            register_machine(GENOA)  # fixture teardown expects it present
 
     def test_registration_idempotent(self, registered):
         register_machine(GENOA)  # same object: fine

@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.arch.machines import get_machine
+from repro.arch.machines import ALL_MACHINES, get_machine
 from repro.arch.noise import (
-    NOISE_MODELS,
+    NoiseModel,
     encode_parts,
     first_standard_normals,
-    get_noise_model,
     pcg64_states,
     sample_seed,
     sample_seeds_encoded,
@@ -155,12 +154,19 @@ class TestPcg64States:
             pcg64_states(seeds, runs)
 
 
+#: The study machines' calibrated models, plus a one-entry drift tuple
+#: under a name no machine has.
+NOISE_BY_NAME = {name: ALL_MACHINES[name].noise
+                 for name in ("a64fx", "milan", "skylake")}
+NOISE_BY_NAME["riscv"] = NoiseModel(sigma=0.01, drift=(1.0,))
+
+
 class TestApplyMany:
-    MODELS = sorted(NOISE_MODELS) + ["riscv"]
+    MODELS = sorted(NOISE_BY_NAME)
 
     @pytest.mark.parametrize("arch", MODELS)
     def test_bit_identical_to_scalar_draws(self, arch):
-        model = get_noise_model(arch)
+        model = NOISE_BY_NAME[arch]
         seeds, runs = grid_pairs(
             random_seeds(300, 64, arch) + list(EDGE_SEEDS),
             tuple(range(5)) + WIDE_RUN_INDICES,
@@ -172,7 +178,7 @@ class TestApplyMany:
 
     @pytest.mark.parametrize("arch", MODELS)
     def test_apply_is_a_single_draw(self, arch):
-        model = get_noise_model(arch)
+        model = NOISE_BY_NAME[arch]
         for seed in EDGE_SEEDS:
             for run_index in (0, 3, 2**32):
                 assert model.apply(0.25, run_index, seed) == (
@@ -194,7 +200,7 @@ class TestApplyMany:
             return made[-1]
 
         monkeypatch.setattr(np.random, "PCG64", spy)
-        model = get_noise_model("milan")
+        model = NOISE_BY_NAME["milan"]
         model.apply_many([1.0, 1.0], [0, 0], fallback)
         model.apply(1.0, 0, fallback[0])
         assert len(made) == 2 and made[0] is not made[1]
@@ -206,13 +212,13 @@ class TestApplyMany:
         made = []
         monkeypatch.setattr(np.random, "PCG64",
                             lambda seed: made.append(seed))
-        model = get_noise_model("milan")
+        model = NOISE_BY_NAME["milan"]
         assert model.apply_many([1.0] * len(fast), [0] * len(fast), fast) \
             == [scalar_observation(model, 1.0, 0, s) for s in fast]
         assert made == []
 
     def test_inputs_validated(self):
-        model = get_noise_model("milan")
+        model = NOISE_BY_NAME["milan"]
         with pytest.raises(ReproError):
             model.apply_many([1.0, 0.0], [0, 0], [1, 1])
         with pytest.raises(ReproError):
@@ -222,7 +228,7 @@ class TestApplyMany:
 
     def test_nan_runtime_rejected(self):
         # nan <= 0 is False, so a per-element "<= 0" check let it through.
-        model = get_noise_model("milan")
+        model = NOISE_BY_NAME["milan"]
         with pytest.raises(ReproError, match="nan"):
             model.apply_many([float("nan")], [0], [1])
         with pytest.raises(ReproError, match="nan"):
@@ -237,7 +243,7 @@ class TestFirstStandardNormals:
         per_model = 10**6 // len(models) + 1
         run_indices = tuple(range(5)) + WIDE_RUN_INDICES
         for arch in models:
-            model = get_noise_model(arch)
+            model = NOISE_BY_NAME[arch]
             seeds, runs = grid_pairs(
                 random_seeds(per_model // len(run_indices), 64, arch)
                 + list(EDGE_SEEDS + WIDE_SEEDS),
@@ -298,7 +304,7 @@ class TestBatchedJitter:
 
     @pytest.mark.parametrize("arch", TestApplyMany.MODELS)
     def test_batch_exp_equals_per_element_exp(self, arch):
-        sigma = get_noise_model(arch).sigma
+        sigma = NOISE_BY_NAME[arch].sigma
         rng = np.random.default_rng(TestApplyMany.MODELS.index(arch))
         scaled = sigma * rng.standard_normal(100_000)
         per_element = [float(np.exp(x)) for x in scaled.tolist()]
@@ -330,7 +336,7 @@ class TestMeasurementNoise:
 
     def test_equals_scalar_contract(self, milan_small):
         machine, program, configs = milan_small
-        model = get_noise_model(machine.name)
+        model = machine.noise
         trues = [0.5 + 1e-3 * i for i in range(len(configs))]
         got = measurement_noise(
             machine, program, configs, trues, range(3), seed=7

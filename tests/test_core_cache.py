@@ -1,6 +1,7 @@
 """Tests for the persistent sweep batch cache (resume semantics)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,29 @@ from repro.core.sweep import (
     sweep_block_to_records,
     sweep_records_to_block,
 )
+
+
+def _edit_table(table, **change):
+    return lambda machine: replace(
+        machine, **{table: replace(getattr(machine, table), **change)}
+    )
+
+
+def _edit_first_drift(machine):
+    drift = machine.noise.drift
+    return replace(machine, noise=replace(
+        machine.noise, drift=(drift[0] * 1.01, *drift[1:])
+    ))
+
+
+#: One edit per machine table: the noise model's sigma and one drift
+#: entry, one cost field, one power field.
+TABLE_EDITS = {
+    "noise-sigma": _edit_table("noise", sigma=0.3),
+    "noise-drift": _edit_first_drift,
+    "costs": _edit_table("costs", wake_latency_us=12.5),
+    "power": _edit_table("power", uncore_w=101.0),
+}
 
 
 @pytest.fixture
@@ -119,15 +143,30 @@ class TestBatchKey:
                 plan, grid_fp, other_fp, batch
             )
 
-    def test_sensitive_to_cost_table(self, plan, machine_fp, monkeypatch):
+    def test_sensitive_to_cost_table(self, plan, machine_fp):
         """Recalibrating the arch's runtime cost table must miss."""
-        import repro.core.cache as cache_mod
-        from repro.runtime.costs import get_costs, scale_costs
+        from dataclasses import replace
 
-        recalibrated = scale_costs(get_costs(plan.arch), 2.0)
-        monkeypatch.setattr(cache_mod, "get_costs",
-                            lambda arch: recalibrated)
-        assert machine_fingerprint(get_machine(plan.arch)) != machine_fp
+        from repro.arch.costs import scale_costs
+
+        machine = get_machine(plan.arch)
+        recalibrated = replace(machine,
+                               costs=scale_costs(machine.costs, 2.0))
+        assert machine_fingerprint(recalibrated) != machine_fp
+
+    @pytest.mark.parametrize("edit", sorted(TABLE_EDITS))
+    def test_sensitive_to_every_machine_table(self, plan, grid_fp,
+                                              machine_fp, edit):
+        """A noise, cost or power edit changes the fingerprint and so
+        every batch key of the plan."""
+        other_fp = machine_fingerprint(
+            TABLE_EDITS[edit](get_machine(plan.arch))
+        )
+        assert other_fp != machine_fp
+        for batch in plan_batches(plan):
+            assert batch_key(plan, grid_fp, machine_fp, batch) != batch_key(
+                plan, grid_fp, other_fp, batch
+            )
 
     def test_version_bump_changes_keys(self, plan, grid_fp, machine_fp,
                                        monkeypatch):
@@ -311,6 +350,26 @@ class TestRunSweepResume:
         assert again.n_computed_batches == 0
         assert again.n_cached_batches == n_batches
         assert again.records == first.records
+
+    @pytest.mark.parametrize("edit", sorted(TABLE_EDITS))
+    def test_table_edit_misses_a_warm_cache(self, tmp_path, plan, edit,
+                                            monkeypatch):
+        """A warm cache must not serve records of the machine as it was:
+        after an edit every batch is recomputed, and the sweep equals an
+        uncached one of the edited machine."""
+        from repro.arch.machines import ALL_MACHINES
+
+        cache = tmp_path / "cache"
+        before = run_sweep(plan, cache=cache)
+        monkeypatch.setitem(ALL_MACHINES, plan.arch,
+                            TABLE_EDITS[edit](ALL_MACHINES[plan.arch]))
+        again = run_sweep(plan, cache=cache)
+        assert again.n_cached_batches == 0
+        assert again.n_computed_batches == len(plan_batches(plan))
+        uncached = run_sweep(plan)
+        assert again.block.to_bytes() == uncached.block.to_bytes()
+        if edit != "power":  # power is not in the records
+            assert again.block.to_bytes() != before.block.to_bytes()
 
     def test_resume_mid_sweep_computes_only_remainder(self, tmp_path, plan,
                                                       counted_batches):

@@ -22,7 +22,7 @@ from repro.core.transfer import (
 from repro.errors import ConfigError, DatasetError, SchemaError
 from repro.frame.table import Table
 from repro.runtime.icv import EnvConfig
-from repro.runtime.power import energy_profile, get_power_model
+from repro.runtime.power import energy_profile
 from repro.workloads.base import get_workload
 
 
@@ -180,7 +180,7 @@ class TestPower:
         assert profile.edp == pytest.approx(
             profile.energy_j * profile.runtime_s
         )
-        model = get_power_model("milan")
+        model = MILAN.power
         floor = model.machine_power(MILAN, 0, 0)
         ceil = model.machine_power(MILAN, MILAN.n_cores, 0)
         assert floor <= profile.avg_power_w <= ceil
@@ -208,10 +208,12 @@ class TestPower:
         assert half.avg_power_w < full.avg_power_w
 
     def test_unknown_arch(self):
+        from repro.arch.machines import get_machine
         from repro.errors import UnknownMachine
 
+        # A power model is reached through its machine.
         with pytest.raises(UnknownMachine):
-            get_power_model("sparc")
+            get_machine("sparc")
 
 
 class TestRelease:

@@ -23,7 +23,6 @@ from repro.core.sweep import (
     run_sweep,
 )
 from repro.errors import SimulationError
-from repro.runtime.costs import get_costs
 from repro.runtime.executor import RuntimeExecutor, measurement_noise
 from repro.runtime.kernel import ComponentMemo, RegionEngine
 from repro.runtime.icv import EnvConfig, resolve_icvs
@@ -42,7 +41,7 @@ class _NeverHits(dict):
 
 def _unmemoized_memo(machine):
     return ComponentMemo(
-        machine, get_costs(machine.name),
+        machine,
         loop_body=_NeverHits(), sync=_NeverHits(), task_body=_NeverHits(),
     )
 
@@ -263,21 +262,21 @@ class TestNoiseWindow:
 class TestComponentMemo:
     def test_shared_memo_serves_one_machine_and_cost_table(self):
         milan, skylake = get_machine("milan"), get_machine("skylake")
-        memo = ComponentMemo(milan, get_costs("milan"))
+        memo = ComponentMemo(milan)
         icvs = resolve_icvs(EnvConfig(), skylake)
         with pytest.raises(SimulationError):
-            RegionEngine(skylake, icvs, get_costs("skylake"), memo=memo)
+            RegionEngine(skylake, icvs, memo=memo)
 
     def test_equal_signature_slots_share_entries(self):
         # Two spellings that resolve alike hit one another's entries.
         machine = get_machine("milan")
-        memo = ComponentMemo(machine, get_costs("milan"))
+        memo = ComponentMemo(machine)
         program = get_workload("cg").program("A")
         for config in (EnvConfig(proc_bind="true"),
                        EnvConfig(proc_bind="spread")):
             RuntimeExecutor(machine, config, memo=memo).execute(program)
         sizes = (len(memo.loop_body), len(memo.sync))
-        fresh = ComponentMemo(machine, get_costs("milan"))
+        fresh = ComponentMemo(machine)
         RuntimeExecutor(machine, EnvConfig(proc_bind="spread"),
                         memo=fresh).execute(program)
         assert sizes == (len(fresh.loop_body), len(fresh.sync))
@@ -290,7 +289,7 @@ class TestComponentMemo:
         # bindings — and each executor still prices every program exactly
         # as an unmemoized one does.
         machine = get_machine(arch)
-        memo = ComponentMemo(machine, get_costs(arch))
+        memo = ComponentMemo(machine)
         rng = random.Random(arch)
         programs = [get_workload(app).program(size)
                     for app, size in (("cg", "A"), ("xsbench", "default"),

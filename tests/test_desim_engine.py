@@ -3,7 +3,7 @@
 import pytest
 
 from repro.desim.engine import Engine, Event, Process, Timeout
-from repro.desim.resources import Barrier, Lock, Semaphore
+from repro.desim.resources import Barrier, Lock
 from repro.errors import DeadlockError, SimulationError
 
 
@@ -340,31 +340,6 @@ class TestLock:
         eng.process(worker())
         eng.run()
         assert times == [0.0]
-
-
-class TestSemaphore:
-    def test_counting(self):
-        eng = Engine()
-        sem = Semaphore(eng, value=2)
-        running = []
-        peak = []
-
-        def worker(i):
-            yield from sem.acquire()
-            running.append(i)
-            peak.append(len(running))
-            yield Timeout(1.0)
-            running.remove(i)
-            sem.release()
-
-        for i in range(5):
-            eng.process(worker(i))
-        eng.run()
-        assert max(peak) == 2  # never more than 2 concurrent holders
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(SimulationError):
-            Semaphore(Engine(), value=-1)
 
 
 class TestBarrier:

@@ -6,7 +6,6 @@ import pytest
 from repro.arch.machines import get_machine
 from repro.desim.stealing import SpawnTree, StealResult, WorkStealingSimulator
 from repro.errors import SimulationError
-from repro.runtime.costs import get_costs
 from repro.runtime.icv import EnvConfig, resolve_icvs
 from repro.runtime.kernel import RegionEngine
 from repro.workloads.base import get_workload
@@ -175,23 +174,23 @@ _TREES = {
     "binary": (8, 2, 3e-6, 0.0, 0, 8, None),
 }
 
-#: (tree, simulator seed, makespan, busy time, steals, failed steals),
+#: (tree, simulator seed, makespan, busy time, steals),
 #: recorded from the simulator that built a node-by-node task graph.
 _PINNED_RUNS = [
-    ("leaf", 0, "0x1.a36e2eb1c432dp-14", "0x1.a36e2eb1c432dp-14", 0, 0),
-    ("chain", 0, "0x1.268b8503e05f7p-11", "0x1.0db84f6746605p-9", 39, 0),
-    ("chain", 1, "0x1.268b8503e05f7p-11", "0x1.0db84f6746605p-9", 39, 0),
-    ("chain", 2, "0x1.268b8503e05f7p-11", "0x1.0db84f6746605p-9", 39, 0),
-    ("ragged", 0, "0x1.2c26973f293b8p-7", "0x1.62efeb71e6328p-5", 30, 0),
-    ("ragged", 1, "0x1.29e5c73926f5fp-7", "0x1.6380ae35139ebp-5", 22, 0),
-    ("ragged", 2, "0x1.20c7b3214127dp-7", "0x1.60ac9aae580cfp-5", 36, 0),
-    ("ragged", 3, "0x1.1bf56f4c8e314p-7", "0x1.6122961e88422p-5", 29, 0),
-    ("flat", 0, "0x1.15762b3104b96p-10", "0x1.b950cfa204117p-8", 58, 0),
-    ("flat", 4, "0x1.15762b3104b96p-10", "0x1.b950cfa204117p-8", 58, 0),
-    ("flat", 9, "0x1.15762b3104b96p-10", "0x1.b950cfa204117p-8", 58, 0),
-    ("binary", 0, "0x1.b3d07c84b5dcep-9", "0x1.b1a2a4db163b7p-6", 45, 0),
-    ("binary", 1, "0x1.b2ec50f692991p-9", "0x1.b1a2a4db163b8p-6", 35, 0),
-    ("binary", 2, "0x1.b37ff4ace5a6ep-9", "0x1.b1a2a4db163b8p-6", 47, 0),
+    ("leaf", 0, "0x1.a36e2eb1c432dp-14", "0x1.a36e2eb1c432dp-14", 0),
+    ("chain", 0, "0x1.268b8503e05f7p-11", "0x1.0db84f6746605p-9", 39),
+    ("chain", 1, "0x1.268b8503e05f7p-11", "0x1.0db84f6746605p-9", 39),
+    ("chain", 2, "0x1.268b8503e05f7p-11", "0x1.0db84f6746605p-9", 39),
+    ("ragged", 0, "0x1.2c26973f293b8p-7", "0x1.62efeb71e6328p-5", 30),
+    ("ragged", 1, "0x1.29e5c73926f5fp-7", "0x1.6380ae35139ebp-5", 22),
+    ("ragged", 2, "0x1.20c7b3214127dp-7", "0x1.60ac9aae580cfp-5", 36),
+    ("ragged", 3, "0x1.1bf56f4c8e314p-7", "0x1.6122961e88422p-5", 29),
+    ("flat", 0, "0x1.15762b3104b96p-10", "0x1.b950cfa204117p-8", 58),
+    ("flat", 4, "0x1.15762b3104b96p-10", "0x1.b950cfa204117p-8", 58),
+    ("flat", 9, "0x1.15762b3104b96p-10", "0x1.b950cfa204117p-8", 58),
+    ("binary", 0, "0x1.b3d07c84b5dcep-9", "0x1.b1a2a4db163b7p-6", 45),
+    ("binary", 1, "0x1.b2ec50f692991p-9", "0x1.b1a2a4db163b8p-6", 35),
+    ("binary", 2, "0x1.b37ff4ace5a6ep-9", "0x1.b1a2a4db163b8p-6", 47),
 ]
 
 #: (machine, env, phase seed, NQueens small ``solve`` region seconds).
@@ -211,9 +210,9 @@ class TestPinnedTrajectories:
     """Exact makespans, busy times and steal counts, pinned so a change to
     the simulator's data layout cannot move a trajectory."""
 
-    @pytest.mark.parametrize("name, seed, makespan, busy, steals, failed",
+    @pytest.mark.parametrize("name, seed, makespan, busy, steals",
                              _PINNED_RUNS)
-    def test_run(self, name, seed, makespan, busy, steals, failed):
+    def test_run(self, name, seed, makespan, busy, steals):
         depth, b, node, sigma, leaf_seed, workers, speeds = _TREES[name]
         tree = SpawnTree(depth, b, _leaves(depth, b, sigma, leaf_seed), node)
         res = WorkStealingSimulator(
@@ -221,14 +220,13 @@ class TestPinnedTrajectories:
         ).run(tree, worker_speeds=None if speeds is None else np.array(speeds))
         assert float(res.makespan).hex() == makespan
         assert float(res.busy_time).hex() == busy
-        assert (res.steals, res.failed_steals) == (steals, failed)
+        assert res.steals == steals
 
     @pytest.mark.parametrize("arch, env, seed, seconds", _PINNED_REGIONS)
     def test_nqueens_region(self, arch, env, seed, seconds):
         machine = get_machine(arch)
         region = get_workload("nqueens").program("small").phases[1]
-        engine = RegionEngine(machine, resolve_icvs(EnvConfig(**env), machine),
-                              get_costs(machine.name))
+        engine = RegionEngine(machine, resolve_icvs(EnvConfig(**env), machine))
         got = engine.task_region_seconds(region, fidelity="des", seed=seed)
         assert float(got).hex() == seconds
 
@@ -254,6 +252,6 @@ class TestLeafDraws:
 
 class TestStealResult:
     def test_zero_makespan_degenerate(self):
-        res = StealResult(0.0, 0.0, 0, 0, 0, 0.0, 4)
+        res = StealResult(0.0, 0.0, 0, 0, 0.0, 4)
         assert res.utilization == 1.0
         assert res.speedup_over_serial == 1.0

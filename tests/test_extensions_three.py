@@ -76,7 +76,6 @@ class TestChunkedSchedules:
     def test_guided_min_chunk_reduces_dispatches(self):
         from repro.arch.machines import MILAN as M
         from repro.runtime.affinity import compute_placement
-        from repro.runtime.costs import get_costs
         from repro.runtime.program import LoopRegion
         from repro.runtime.schedule import price_loop_schedule
 
@@ -87,7 +86,7 @@ class TestChunkedSchedules:
             placement = compute_placement(icvs, M)
             speeds = placement.effective_speed()
             return price_loop_schedule(
-                region, icvs, M, get_costs("milan"),
+                region, icvs, M, M.costs,
                 float(speeds.sum()), float(1 / speeds.min()),
             ).n_chunks
 

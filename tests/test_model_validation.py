@@ -7,7 +7,6 @@ import pytest
 from repro.arch.machines import MILAN, SKYLAKE
 from repro.desim.loopsim import simulate_loop
 from repro.runtime.affinity import compute_placement
-from repro.runtime.costs import get_costs
 from repro.runtime.icv import EnvConfig, resolve_icvs
 from repro.runtime.kernel import RegionEngine, task_acquire_seconds
 from repro.runtime.program import LoadPattern, LoopRegion, TaskRegion
@@ -15,7 +14,7 @@ from repro.runtime.program import LoadPattern, LoopRegion, TaskRegion
 
 def price(region, machine=MILAN, **env):
     icvs = resolve_icvs(EnvConfig(**env), machine)
-    engine = RegionEngine(machine, icvs, get_costs(machine.name))
+    engine = RegionEngine(machine, icvs)
     return engine.loop_region_seconds(region)
 
 
@@ -65,7 +64,7 @@ class TestLoopModelVsChunkDES:
         # analytic model's (1 + 0.02 T) factor); the DES lock serializes
         # whatever per-grab holding time it is given.
         dispatch = (
-            get_costs(machine.name).dispatch_ns * 1e-9
+            machine.costs.dispatch_ns * 1e-9
             * (1.0 + 0.02 * icvs.nthreads)
         )
         des = simulate_loop(
@@ -77,7 +76,7 @@ class TestLoopModelVsChunkDES:
 
         placement = compute_placement(icvs, machine)
         body = analytic - join_seconds(icvs, placement,
-                                       get_costs(machine.name))
+                                       machine.costs)
         assert body == pytest.approx(des.makespan, rel=0.35), (
             f"analytic {body:.2e} vs DES {des.makespan:.2e}"
         )
@@ -101,7 +100,7 @@ class TestLoopModelVsChunkDES:
         icvs = resolve_icvs(EnvConfig(), machine)
         placement = compute_placement(icvs, machine)
         body = analytic - join_seconds(icvs, placement,
-                                       get_costs(machine.name))
+                                       machine.costs)
         assert body == pytest.approx(des, rel=0.15)
 
     def test_schedule_preference_agrees_between_models(self):
@@ -126,7 +125,7 @@ class TestLoopModelVsChunkDES:
                 )
                 costs = iter_costs(region, machine, seed=1)
                 dispatch = (
-                    get_costs(machine.name).dispatch_ns * 1e-9 * 1.8
+                    machine.costs.dispatch_ns * 1e-9 * 1.8
                 )
                 des_times[schedule] = simulate_loop(
                     costs, 40, schedule=schedule, chunk=1,
@@ -162,8 +161,7 @@ class TestTaskModelRegimes:
         region = TaskRegion("t", depth=depth, branching=branching,
                             leaf_work=leaf_work, node_work=leaf_work / 10)
         icvs = resolve_icvs(EnvConfig(library="turnaround"), machine)
-        engine = RegionEngine(machine, icvs,
-                              get_costs(machine.name))
+        engine = RegionEngine(machine, icvs)
         analytic = engine._task_analytic(region)
         des = engine._task_des(region, seed=3)
         assert analytic == pytest.approx(des, rel=rel_tol)
@@ -179,8 +177,7 @@ class TestTaskModelRegimes:
             icvs = resolve_icvs(
                 EnvConfig(num_threads=threads, library="turnaround"), machine
             )
-            engine = RegionEngine(machine, icvs,
-                                  get_costs(machine.name))
+            engine = RegionEngine(machine, icvs)
             times_analytic.append(engine._task_analytic(region))
             times_des.append(engine._task_des(region, seed=1))
         assert times_analytic == sorted(times_analytic, reverse=True)

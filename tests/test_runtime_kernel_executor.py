@@ -17,7 +17,7 @@ from repro.arch.machines import A64FX, MILAN, SKYLAKE
 from repro.core.envspace import EnvSpace
 from repro.core.sweep import SweepPlan, equivalence_groups, plan_batches
 from repro.errors import SimulationError
-from repro.runtime.costs import get_costs, work_seconds
+from repro.runtime.costs import work_seconds
 from repro.runtime.executor import RuntimeExecutor, execute, observe
 from repro.runtime.icv import EnvConfig, resolve_icvs
 from repro.runtime.kernel import (
@@ -41,12 +41,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def engine(machine=MILAN, **env):
     icvs = resolve_icvs(EnvConfig(**env), machine)
-    return RegionEngine(machine, icvs, get_costs(machine.name))
+    return RegionEngine(machine, icvs)
 
 
 class TestTaskAcquire:
     def test_active_cheapest(self):
-        c = get_costs("milan")
+        c = MILAN.costs
         active = task_acquire_seconds(
             resolve_icvs(EnvConfig(library="turnaround"), MILAN), c
         )
@@ -57,7 +57,7 @@ class TestTaskAcquire:
         assert active < passive < blocktime0
 
     def test_infinite_blocktime_counts_as_active(self):
-        c = get_costs("milan")
+        c = MILAN.costs
         inf = task_acquire_seconds(
             resolve_icvs(EnvConfig(blocktime="infinite"), MILAN), c
         )

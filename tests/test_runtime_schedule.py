@@ -8,7 +8,7 @@ import pytest
 
 from repro.arch.machines import MILAN, SKYLAKE
 from repro.runtime.affinity import compute_placement
-from repro.runtime.costs import get_costs, work_seconds
+from repro.runtime.costs import work_seconds
 from repro.runtime.icv import EnvConfig, resolve_icvs
 from repro.runtime.program import LoadPattern, LoopRegion
 from repro.runtime.schedule import price_loop_schedule, static_balance_factor
@@ -22,7 +22,7 @@ def price(region, machine=SKYLAKE, **env):
         region,
         icvs,
         machine,
-        get_costs(machine.name),
+        machine.costs,
         float(speeds.sum()),
         float(1.0 / speeds.min()),
     )

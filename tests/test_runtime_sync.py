@@ -14,7 +14,6 @@ from repro.runtime.barrier import (
     serial_gap_seconds,
     workers_asleep,
 )
-from repro.runtime.costs import get_costs
 from repro.runtime.icv import EnvConfig, resolve_icvs
 from repro.runtime.memory import (
     available_bandwidth_gbps,
@@ -27,7 +26,7 @@ from repro.runtime.reduction import reduction_seconds
 def setup(machine, **env):
     icvs = resolve_icvs(EnvConfig(**env), machine)
     placement = compute_placement(icvs, machine)
-    return icvs, placement, get_costs(machine.name)
+    return icvs, placement, machine.costs
 
 
 class TestReduction:
@@ -118,7 +117,7 @@ class TestBarrierBlocktime:
 
     def test_fork_wake_penalty(self):
         icvs = resolve_icvs(EnvConfig(), MILAN)
-        costs = get_costs("milan")
+        costs = MILAN.costs
         awake = fork_seconds(icvs, costs, team_sleeping=False)
         asleep = fork_seconds(icvs, costs, team_sleeping=True)
         expected_extra = costs.wake_latency_us * 1e-6 * math.ceil(math.log2(96))
@@ -159,29 +158,29 @@ class TestBarrierBlocktime:
 class TestAlignment:
     def test_default_neutral(self):
         icvs = resolve_icvs(EnvConfig(), MILAN)
-        assert sync_alignment_factor(icvs, get_costs("milan")) == 1.0
+        assert sync_alignment_factor(icvs, MILAN.costs) == 1.0
 
     def test_padding_beyond_line_helps_slightly(self):
         icvs = resolve_icvs(EnvConfig(align_alloc=256), MILAN)
-        f = sync_alignment_factor(icvs, get_costs("milan"))
+        f = sync_alignment_factor(icvs, MILAN.costs)
         assert 0.9 < f < 1.0
 
     def test_wider_padding_helps_more(self):
         f128 = sync_alignment_factor(
-            resolve_icvs(EnvConfig(align_alloc=128), MILAN), get_costs("milan")
+            resolve_icvs(EnvConfig(align_alloc=128), MILAN), MILAN.costs
         )
         f512 = sync_alignment_factor(
-            resolve_icvs(EnvConfig(align_alloc=512), MILAN), get_costs("milan")
+            resolve_icvs(EnvConfig(align_alloc=512), MILAN), MILAN.costs
         )
         assert f512 < f128 < 1.0
 
     def test_sub_line_alignment_false_shares(self):
         icvs = resolve_icvs(EnvConfig(align_alloc=64), A64FX)  # 256B lines
-        assert sync_alignment_factor(icvs, get_costs("a64fx")) > 1.0
+        assert sync_alignment_factor(icvs, A64FX.costs) > 1.0
 
     def test_a64fx_default_is_line(self):
         icvs = resolve_icvs(EnvConfig(), A64FX)
-        assert sync_alignment_factor(icvs, get_costs("a64fx")) == 1.0
+        assert sync_alignment_factor(icvs, A64FX.costs) == 1.0
 
 
 class TestMemoryModel:

@@ -124,8 +124,8 @@ class TestStealAudit:
     def test_arbitrated_ties_counted(self):
         auditor = StealOrderAuditor()
         auditor.on_pop(1.0, 0, 10)
-        auditor.on_steal(1.0, 1, 0, 11)  # two workers, same time, mutating
-        auditor.on_failed_steal(2.0, 2)  # lone scan: not a tie
+        auditor.on_steal(1.0, 1, 0, 11)  # two workers, same time
+        auditor.on_pop(2.0, 2, 12)  # lone decision: not a tie
         assert auditor.arbitrated_ties() == 1
 
     def test_ties_surface_as_info_not_error(self):

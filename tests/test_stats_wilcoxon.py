@@ -101,13 +101,13 @@ class TestPaperShape:
     """The Table III contrast: quiet machine vs drifting machines."""
 
     def test_noise_model_contrast(self):
-        from repro.arch.noise import get_noise_model
+        from repro.arch.machines import get_machine
 
         rng = np.random.default_rng(11)
         true_runtimes = rng.uniform(0.05, 0.5, size=800)
 
         def observe(arch, run_index):
-            model = get_noise_model(arch)
+            model = get_machine(arch).noise
             return np.array(
                 [
                     model.apply(t, run_index, seed=i)
