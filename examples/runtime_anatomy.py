@@ -15,7 +15,7 @@ Run:  python examples/runtime_anatomy.py
 
 from repro import EnvConfig, RuntimeExecutor, get_machine, get_workload
 from repro.core.envspace import EnvSpace
-from repro.runtime.kernel import task_acquire_seconds
+from repro.runtime.kernel import task_acquire_seconds, wait_arguments
 from repro.runtime.program import TaskRegion
 
 ARCH = "milan"
@@ -66,11 +66,12 @@ def main() -> None:
     ):
         executor = RuntimeExecutor(machine, config)
         icvs = executor.icvs
+        acquire = task_acquire_seconds(*wait_arguments(icvs), machine.costs)
         env = " ".join(f"{k}={v}" for k, v in config.as_env().items())
         print(f"  {env or '(all unset)':34s} -> bind={icvs.bind.value:7s} "
               f"wait={icvs.wait_policy.value:8s} "
               f"reduction={icvs.reduction.value:8s} "
-              f"acquire={task_acquire_seconds(icvs, machine.costs) * 1e6:.2f}us")
+              f"acquire={acquire * 1e6:.2f}us")
 
     # Analytic vs DES for the NQueens task region.
     print("\n=== task-model fidelity: analytic vs discrete-event ===")

@@ -25,7 +25,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 from repro.arch.machines import get_machine
-from repro.core.cache import SweepCache
+from repro.core.cache import CACHE_FORMAT_VERSION, SweepCache
 from repro.core.sweep import SweepPlan, run_sweep
 from repro.errors import CheckFailure
 from repro.frame.columns import RecordBlock
@@ -411,7 +411,8 @@ def columnar_pipeline_parity(
     return {
         "details": (
             f"{len(records)} records bit-identical through "
-            "pack/codec/cache-v6 hops; dataset table and speedups match "
+            f"pack/codec/cache-v{CACHE_FORMAT_VERSION} hops; dataset "
+            "table and speedups match "
             f"their row oracles; vectorized group_by ({len(fast)} groups) "
             "matches the python reference"
         ),

@@ -34,7 +34,7 @@ from repro.runtime.affinity import compute_placement
 from repro.runtime.barrier import fork_seconds, join_seconds
 from repro.runtime.executor import RuntimeExecutor
 from repro.runtime.icv import EnvConfig, resolve_icvs
-from repro.runtime.kernel import task_acquire_seconds
+from repro.runtime.kernel import task_acquire_seconds, wait_arguments
 from repro.runtime.reduction import reduction_seconds
 from repro.workloads import get_workload
 
@@ -69,6 +69,8 @@ def relation_cost_scaling(factors=(2.0, 5.0, 0.5)) -> dict:
         config = EnvConfig(num_threads=machine.n_cores)
         icvs = resolve_icvs(config, machine)
         placement = compute_placement(icvs, machine)
+        T = placement.nthreads
+        wait, blocktime = wait_arguments(icvs)
         program = _program(workload_name)
         f1 = RuntimeExecutor(machine, config).execute(program)
 
@@ -76,14 +78,18 @@ def relation_cost_scaling(factors=(2.0, 5.0, 0.5)) -> dict:
             scaled = scale_costs(base, k)
             # Exact homogeneity of the overhead primitives.
             primitives = {
-                "fork": (fork_seconds(icvs, base, True),
-                         fork_seconds(icvs, scaled, True)),
-                "join": (join_seconds(icvs, placement, base),
-                         join_seconds(icvs, placement, scaled)),
-                "reduction": (reduction_seconds(icvs, placement, base, 2),
-                              reduction_seconds(icvs, placement, scaled, 2)),
-                "task_acquire": (task_acquire_seconds(icvs, base),
-                                 task_acquire_seconds(icvs, scaled)),
+                "fork": (fork_seconds(T, base, True),
+                         fork_seconds(T, scaled, True)),
+                "join": (join_seconds(wait, placement, base),
+                         join_seconds(wait, placement, scaled)),
+                "reduction": (
+                    reduction_seconds(icvs.reduction, placement, base, 2),
+                    reduction_seconds(icvs.reduction, placement, scaled, 2),
+                ),
+                "task_acquire": (
+                    task_acquire_seconds(wait, blocktime, base),
+                    task_acquire_seconds(wait, blocktime, scaled),
+                ),
             }
             for name, (v1, vk) in primitives.items():
                 if not math.isclose(vk, k * v1, rel_tol=1e-12, abs_tol=0.0):

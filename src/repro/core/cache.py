@@ -80,7 +80,10 @@ __all__ = ["CACHE_FORMAT_VERSION", "CACHE_KEY_FIELDS",
 #: byte codec (raw column buffers); the checksum covers those bytes.  The
 #: version is slot 0 of the key, so old entries live under other keys and
 #: are never read; a header of another version under this key is corrupt.
-CACHE_FORMAT_VERSION = 6
+#: v7: a modeled runtime accumulates its phases left to right from 0.0
+#: instead of by the builtin ``sum``, which is compensated from Python
+#: 3.12 on; v6 entries written under 3.12 or later may hold other bytes.
+CACHE_FORMAT_VERSION = 7
 
 #: The named slots of a batch key's identity tuple, in hash order.
 #: ``plan.*`` names are :class:`~repro.core.sweep.SweepPlan` fields,

@@ -21,7 +21,7 @@ degrades gracefully (``fail_policy="degrade"``) or fails fast
 the ``progress`` callback fires as each batch lands and records are
 bit-identical to serial execution.  A fleet initializer materializes the
 machine model, the configuration grid and its class plans (one grouping
-and one executor per class per thread count, see :class:`_ClassPlans`)
+and one pricer per thread count, see :class:`_ClassPlans`)
 once per process — batch payloads carry only the batch identity and its
 noise factors, never the grid.  The sweep's own process draws every
 miss's noise factors before dispatch, so no fleet process draws noise.
@@ -81,12 +81,11 @@ from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import FailureLedger, FailureReport
 from repro.resilience.supervisor import SupervisedTask, Supervisor
 from repro.runtime.executor import (
-    RuntimeExecutor,
+    ClassPricer,
     measurement_noise_factors,
     noise_seed_suffixes,
 )
-from repro.runtime.icv import EnvConfig, ResolvedICVs
-from repro.runtime.kernel import ComponentMemo
+from repro.runtime.icv import EnvConfig, ResolvedICVs, resolve_icvs
 from repro.workloads.base import Workload, get_workload, workloads_for_arch
 
 __all__ = [
@@ -443,24 +442,25 @@ class _ClassPlan:
     fidelity: str
     seed: int
     configs: list[EnvConfig]
-    #: Per class: the representative's ICVs (None: its executor resolves
+    #: Per class: the representative's ICVs (None: the pricer resolves
     #: them) and the class's grid indices, in grid order.
     classes: list[tuple[ResolvedICVs | None, list[int]]]
-    memo: ComponentMemo | None
-    _executors: list[RuntimeExecutor] = field(default_factory=list)
+    #: Whether classes share model terms (off: every class is priced on
+    #: its own, the reference the pruning check compares against).
+    share: bool
+    _pricer: ClassPricer | None = None
 
-    def executors(self) -> list[RuntimeExecutor]:
-        """One executor per class (each evaluates its class's first
-        member), built on first use: a fleet's parent only counts the
-        classes."""
-        if not self._executors:
-            self._executors.extend(
-                RuntimeExecutor(self.machine, self.configs[members[0]],
-                                fidelity=self.fidelity, icvs=icvs,
-                                memo=self.memo)
-                for icvs, members in self.classes
+    def pricer(self) -> ClassPricer:
+        """The classes' pricer (each class priced as its first member),
+        built on first use: a fleet's parent only counts the classes."""
+        if self._pricer is None:
+            self._pricer = ClassPricer(
+                self.machine,
+                [icvs or resolve_icvs(self.configs[members[0]], self.machine)
+                 for icvs, members in self.classes],
+                self.fidelity, share=self.share,
             )
-        return self._executors
+        return self._pricer
 
     @cached_property
     def grid_classes(self) -> np.ndarray:
@@ -543,9 +543,9 @@ class _ClassPlans:
     use, and the measurement-noise factors of its misses.
 
     A sweep's batches span only a few thread counts, so the grid is
-    re-threaded, grouped and given its executors once per thread count
-    instead of once per batch.  With pruning on, the executors of one
-    plan share one :class:`~repro.runtime.kernel.ComponentMemo`.  Plans
+    re-threaded, grouped and given its pricer once per thread count
+    instead of once per batch.  With pruning on, the pricer shares each
+    model term among the classes with equal arguments.  Plans
     live as long as the sweep: ``run_sweep`` builds them, draws every
     miss's noise factors from them before dispatch and runs the serial
     path on them; a fleet process builds its own in :func:`_init_worker`
@@ -577,12 +577,11 @@ class _ClassPlans:
                        for sig, members in groups.items()]
         else:
             classes = [(None, [i]) for i in range(len(cfgs))]
-        # Sharing terms across classes by signature slots is pruning too:
-        # without it each executor keeps a private memo, so the unpruned
-        # sweep stays an independent reference for the pruning check.
-        memo = ComponentMemo(machine) if self.plan.prune else None
+        # Sharing terms across classes is pruning too: without it every
+        # class is priced on its own, so the unpruned sweep stays an
+        # independent reference for the pruning check.
         return _ClassPlan(machine, self.plan.fidelity, self.plan.seed, cfgs,
-                          classes, memo)
+                          classes, share=self.plan.prune)
 
     def noise_factors(
         self, batches: Sequence[BatchSpec]
@@ -638,12 +637,10 @@ def _execute_batch(
     program = get_workload(batch.app).program(batch.input_size)
     class_plan: _ClassPlan = plans.at(batch.nthreads)
 
-    class_runtimes: list[float] = []
     # Annotated so the dependency lint's call graph reaches the model.
-    executor: RuntimeExecutor
-    for executor in class_plan.executors():
-        class_runtimes.append(executor.execute(program, seed=plan.seed))
-    true_runtimes = np.array(class_runtimes)[class_plan.grid_classes]
+    pricer: ClassPricer = class_plan.pricer()
+    true_runtimes = pricer.runtimes(program, plan.seed)[
+        class_plan.grid_classes]
     observed = noisy_runtimes(np.repeat(true_runtimes, plan.repetitions),
                               drift, jitter)
     return class_plan.pack(plan.arch, batch,

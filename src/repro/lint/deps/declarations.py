@@ -2,7 +2,7 @@
 
 Everything the KEY passes compare the cone's read-set against — the
 signature component names, the dead-field normalization table, the
-memo key slots, the attributes ``execution_signature()`` itself reads,
+attributes ``execution_signature()`` itself reads,
 the cache key's identity tuple, ``EnvConfig.key()``'s reads — is
 recovered from the *parsed source of the tree under analysis*, never
 from live imports.  That is what lets the fault-injection tests lint
@@ -139,9 +139,6 @@ class SignatureDecl:
     components: tuple[str, ...] | None = None
     #: ``SIGNATURE_DEAD_FIELDS`` literal: field -> (guard, reason).
     dead_fields: dict[str, tuple[str | None, str]] | None = None
-    #: ``MEMO_KEY_SLOTS`` literal: memoized term -> its key's slots;
-    #: None if absent (no memo is declared).
-    memo_keys: dict[str, tuple[str, ...]] | None = None
     #: Attributes ``execution_signature()``'s own body reads.
     self_reads: frozenset[str] = frozenset()
     #: Element count of the returned signature tuple.
@@ -196,13 +193,6 @@ def signature_declarations(
             ):
                 parsed[name] = (entry[0], entry[1])
         decl.dead_fields = parsed
-    memo = _literal(_class_body_assign(record.node, "MEMO_KEY_SLOTS"))
-    if isinstance(memo, dict):
-        decl.memo_keys = {
-            term: slots for term, slots in memo.items()
-            if isinstance(term, str) and isinstance(slots, tuple)
-            and all(isinstance(s, str) for s in slots)
-        }
     decl.expansions, decl.fields = class_expansions(graph, cls_qualname)
     return decl
 

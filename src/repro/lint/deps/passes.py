@@ -5,10 +5,7 @@
   fold in.  Two configurations differing only in that attribute would be
   pruned into one equivalence class and share a modeled runtime they do
   not actually share — the silent wrong-shared-results bug the pruning's
-  6.4x rests on never having.  Error.  The same rule checks every memo
-  key declared in ``ResolvedICVs.MEMO_KEY_SLOTS`` against its term's
-  own sub-cone: a slot the term reads but its key omits would let two
-  configurations share a memoized term they do not share.
+  6.4x rests on never having.  Error.
 - **KEY002** — over-splitting: a declared signature component no
   reachable model code reads.  The signature then splits equivalence
   classes on a dead dimension, costing pruning without changing any
@@ -54,7 +51,6 @@ from repro.lint.flow.callgraph import CallGraph
 __all__ = [
     "check_cache_key",
     "check_dead_fields",
-    "check_memo_keys",
     "check_signature_alive",
     "check_signature_complete",
     "run_deps_passes",
@@ -127,75 +123,6 @@ def check_signature_complete(
             path=read.rel_path,
             line=read.lineno,
         ))
-    return findings
-
-
-def check_memo_keys(
-    graph: CallGraph, sig: SignatureDecl, tracked: frozenset[str]
-) -> list[Finding]:
-    """Findings for memo keys missing a slot their term's sub-cone reads.
-
-    A read is covered when the key carries the attribute itself, or when
-    every field it expands to is a field slot of the key (a derived
-    slot such as ``wait_policy`` does not cover the fields behind it:
-    its value does not carry ``blocktime_ms``).
-    """
-    if not sig.found or sig.cls is None or sig.memo_keys is None:
-        return []
-    findings: list[Finding] = []
-    simple = sig.cls.rsplit(".", 1)[-1]
-    components = set(sig.components or ())
-    for term, slots in sorted(sig.memo_keys.items()):
-        qual = f"{graph.package}.{term}"
-        if qual not in graph.functions:
-            findings.append(_missing(
-                "KEY001", f"memoized term {term}",
-                f"repoint its {simple}.MEMO_KEY_SLOTS entry at the term",
-            ))
-            continue
-        for slot in slots:
-            if slot not in components:
-                findings.append(Finding(
-                    rule="KEY001",
-                    severity=Severity.ERROR,
-                    subject=f"{simple}.MEMO_KEY_SLOTS[{term!r}]",
-                    message=(
-                        f"the memo key of {term} names {slot!r}, which is "
-                        f"not a SIGNATURE_COMPONENTS slot: the key cannot "
-                        f"carry its canonical value"
-                    ),
-                    fixit="key the term on signature components only",
-                    path=sig.rel_path,
-                    line=sig.line,
-                ))
-        key_fields = {s for s in slots if s in sig.fields}
-        sub = compute_cone(graph, (qual,), tracked)
-        seen: set[str] = set()
-        for read in sub.reads_of(sig.cls):
-            if read.attr in seen:
-                continue
-            seen.add(read.attr)
-            terminal = sig.terminal(read.attr)
-            if read.attr in slots or (terminal and terminal <= key_fields):
-                continue
-            findings.append(Finding(
-                rule="KEY001",
-                severity=Severity.ERROR,
-                subject=f"{simple}.{read.attr}",
-                message=(
-                    f"memoized term {term} reads {simple}.{read.attr} (in "
-                    f"{graph.subject(read.qualname)}, "
-                    f"{read.rel_path}:{read.lineno}) but its memo key "
-                    f"omits it: two configurations differing only in "
-                    f"{read.attr!r} would share one memoized value"
-                ),
-                fixit=(
-                    f"add {read.attr!r} to the term's "
-                    f"{simple}.MEMO_KEY_SLOTS entry"
-                ),
-                path=read.rel_path,
-                line=read.lineno,
-            ))
     return findings
 
 
@@ -550,9 +477,6 @@ def run_deps_passes(
     sig = signature_declarations(graph, tracked.get("ResolvedICVs"))
     cache = cache_declarations(graph, tracked.get("EnvConfig"))
     findings.extend(check_signature_complete(graph, cone, sig))
-    findings.extend(
-        check_memo_keys(graph, sig, frozenset(tracked.values()))
-    )
     findings.extend(check_signature_alive(graph, cone, sig))
     findings.extend(check_cache_key(graph, cone, cache, tracked))
     findings.extend(check_dead_fields(graph, cone, sig))

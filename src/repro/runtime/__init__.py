@@ -23,7 +23,10 @@ Pipeline per application run:
    :mod:`~repro.runtime.alloc` for KMP_ALIGN_ALLOC effects,
 4. :mod:`~repro.runtime.executor` sums a whole
    :class:`~repro.runtime.program.Program` and applies the architecture
-   noise model to produce observed runtimes.
+   noise model to produce observed runtimes: one configuration at a time
+   (:class:`~repro.runtime.executor.RuntimeExecutor`), or every class of
+   a sweep's class plan at once
+   (:class:`~repro.runtime.executor.ClassPricer`).
 """
 
 from repro.runtime.icv import (

@@ -39,7 +39,7 @@ __all__ = ["ThreadPlacement", "compute_placement"]
 _PLACEMENT_MEMO_SIZE = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThreadPlacement:
     """Resolved thread -> hardware mapping for one team.
 
@@ -50,6 +50,12 @@ class ThreadPlacement:
     :attr:`master_core_sharers`) are computed once at construction, and
     every array it hands out is read-only, so one placement can be shared
     by every executor that needs it (see :func:`compute_placement`).
+
+    Placements compare and hash by value, over ``(machine, bound,
+    cores)``: everything a placement answers derives from those three.
+    Bindings that put a team on the same cores are one placement, so the
+    model terms that take a placement share their values across them;
+    a bound and an unbound team on equal cores are not.
 
     Attributes
     ----------
@@ -69,7 +75,8 @@ class ThreadPlacement:
     def __post_init__(self) -> None:
         if self.cores.ndim != 1 or self.cores.shape[0] < 1:
             raise ConfigError("placement needs at least one thread")
-        cores = _read_only(self.cores.copy())
+        # One dtype, so equal cores hash alike.
+        cores = _read_only(self.cores.astype(np.int64))
         _, inverse, counts = np.unique(
             cores, return_inverse=True, return_counts=True
         )
@@ -90,6 +97,17 @@ class ThreadPlacement:
         store(self, "_slowest_thread_factor", float(1.0 / speeds.min()))
         store(self, "_master_core_sharers",
               int((cores == int(cores[0])).sum()))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, ThreadPlacement):
+            return NotImplemented
+        return (self.bound == other.bound and self.machine == other.machine
+                and np.array_equal(self.cores, other.cores))
+
+    def __hash__(self) -> int:
+        return hash((self.machine, self.bound, self.cores.tobytes()))
 
     @property
     def nthreads(self) -> int:

@@ -19,7 +19,7 @@ import math
 
 from repro.arch.costs import RuntimeCosts
 from repro.runtime.affinity import ThreadPlacement
-from repro.runtime.icv import ResolvedICVs, WaitPolicy
+from repro.runtime.icv import WaitPolicy
 
 __all__ = ["fork_seconds", "join_seconds", "serial_gap_seconds", "workers_asleep"]
 
@@ -28,44 +28,46 @@ ACTIVE_BARRIER_FACTOR = 0.6
 PASSIVE_BARRIER_FACTOR = 1.0
 
 
-def workers_asleep(icvs: ResolvedICVs, gap_seconds: float) -> bool:
+def workers_asleep(
+    wait_policy: WaitPolicy, blocktime_ms: float | None, gap_seconds: float
+) -> bool:
     """Whether the team slept during a serial gap of ``gap_seconds``.
 
-    Active waiters never sleep; passive waiters sleep once the gap exceeds
-    the blocktime.
+    Active waiters never sleep (their ``blocktime_ms`` is not read);
+    passive waiters sleep once the gap exceeds the blocktime.
     """
-    if icvs.wait_policy is WaitPolicy.ACTIVE:
+    if wait_policy is WaitPolicy.ACTIVE:
         return False
-    return gap_seconds > icvs.blocktime_ms * 1e-3
+    return gap_seconds > blocktime_ms * 1e-3
 
 
 def fork_seconds(
-    icvs: ResolvedICVs,
+    nthreads: int,
     costs: RuntimeCosts,
     team_sleeping: bool,
 ) -> float:
-    """Cost of activating the team for one region."""
-    T = icvs.nthreads
-    base = costs.fork_base_us * 1e-6 + costs.fork_per_thread_us * 1e-6 * T
-    if team_sleeping and T > 1:
+    """Cost of activating a team of ``nthreads`` for one region."""
+    base = (costs.fork_base_us * 1e-6
+            + costs.fork_per_thread_us * 1e-6 * nthreads)
+    if team_sleeping and nthreads > 1:
         # Tree wake: each level's futex wakes proceed in parallel, so the
         # critical path is one wake per level.
-        base += costs.wake_latency_us * 1e-6 * math.ceil(math.log2(T))
+        base += costs.wake_latency_us * 1e-6 * math.ceil(math.log2(nthreads))
     return base
 
 
 def join_seconds(
-    icvs: ResolvedICVs,
+    wait_policy: WaitPolicy,
     placement: ThreadPlacement,
     costs: RuntimeCosts,
 ) -> float:
     """Cost of the end-of-region barrier."""
-    T = icvs.nthreads
+    T = placement.nthreads
     if T == 1:
         return 0.0
     factor = (
         ACTIVE_BARRIER_FACTOR
-        if icvs.wait_policy is WaitPolicy.ACTIVE
+        if wait_policy is WaitPolicy.ACTIVE
         else PASSIVE_BARRIER_FACTOR
     )
     levels = math.ceil(math.log2(T))
@@ -79,7 +81,7 @@ def join_seconds(
 
 
 def serial_gap_seconds(
-    icvs: ResolvedICVs,
+    wait_policy: WaitPolicy,
     placement: ThreadPlacement,
     gap_seconds: float,
 ) -> float:
@@ -90,11 +92,13 @@ def serial_gap_seconds(
     """
     if gap_seconds <= 0.0:
         return 0.0
-    if icvs.wait_policy is WaitPolicy.PASSIVE:
+    if wait_policy is WaitPolicy.PASSIVE:
         return gap_seconds
     if not placement.bound:
         # Unbound spinners drift away from the master quickly; the OS keeps
         # interference minor.
-        return gap_seconds * (1.05 if icvs.nthreads > placement.machine.n_cores else 1.0)
+        return gap_seconds * (
+            1.05 if placement.nthreads > placement.machine.n_cores else 1.0
+        )
     # Active waiting: team threads co-located with the master core.
     return gap_seconds * placement.master_core_sharers

@@ -336,25 +336,6 @@ class ResolvedICVs:
         "cache_line",
     )
 
-    #: The memoized model terms: term (module-qualified function name)
-    #: -> the :data:`SIGNATURE_COMPONENTS` slots its memo key carries.
-    #: A key holds the term's region argument plus these canonical
-    #: signature slots, and is built from this table at run time.  The
-    #: dependency lint plane (KEY001) checks each entry against every
-    #: ``ResolvedICVs`` read in its term's call closure, so a slot the
-    #: term reads cannot be left out of its key.
-    MEMO_KEY_SLOTS: ClassVar[dict[str, tuple[str, ...]]] = {
-        "runtime.kernel.loop_body_seconds": (
-            "nthreads", "places", "bind", "schedule", "schedule_chunk",
-        ),
-        "runtime.kernel.sync_seconds": (
-            "nthreads", "places", "bind", "wait_policy", "reduction",
-        ),
-        "runtime.kernel.task_body_seconds": (
-            "nthreads", "places", "bind", "wait_policy", "blocktime_ms",
-        ),
-    }
-
     #: The dead-field normalization table: field -> (guard, reason).
     #: A field listed here is *not* independently folded into
     #: :meth:`execution_signature`.  ``guard`` names the attribute whose

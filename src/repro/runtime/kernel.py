@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,24 +30,36 @@ from repro.arch.costs import RuntimeCosts
 from repro.arch.topology import MachineTopology
 from repro.desim.stealing import SpawnTree, WorkStealingSimulator
 from repro.errors import SimulationError
-from repro.runtime.affinity import compute_placement
+from repro.runtime.affinity import ThreadPlacement, compute_placement
 from repro.runtime.alloc import sync_alignment_factor
-from repro.runtime.barrier import join_seconds
+from repro.runtime.barrier import (
+    fork_seconds,
+    join_seconds,
+    serial_gap_seconds,
+    workers_asleep,
+)
 from repro.runtime.costs import work_seconds
-from repro.runtime.icv import ResolvedICVs, WaitPolicy
+from repro.runtime.icv import (
+    ReductionMethod,
+    ResolvedICVs,
+    ScheduleKind,
+    WaitPolicy,
+)
 from repro.runtime.memory import memory_time_factor
 from repro.runtime.program import LoopRegion, TaskRegion
 from repro.runtime.reduction import reduction_seconds
 from repro.runtime.schedule import price_loop_schedule
 
 __all__ = [
-    "ComponentMemo",
     "RegionEngine",
+    "des_task_body_seconds",
+    "entry_seconds",
     "loop_body_seconds",
     "max_leaf_factor",
     "sync_seconds",
     "task_acquire_seconds",
     "task_body_seconds",
+    "wait_arguments",
 ]
 
 #: Fraction of task acquisitions that miss the local deque (taskwait-driven
@@ -59,35 +69,41 @@ _REMOTE_ACQUIRE_FRACTION = 0.30
 _PASSIVE_YIELD_ROUNDS = 2.0
 
 
-def task_acquire_seconds(icvs: ResolvedICVs, costs: RuntimeCosts) -> float:
+def wait_arguments(icvs: ResolvedICVs) -> tuple[WaitPolicy, float | None]:
+    """The wait policy and, under passive waiting only, the blocktime:
+    the wait arguments of the terms, with the blocktime an active team
+    never reads canonicalized to ``None``."""
+    wait = icvs.wait_policy
+    return wait, (icvs.blocktime_ms if wait is WaitPolicy.PASSIVE else None)
+
+
+def task_acquire_seconds(
+    wait_policy: WaitPolicy, blocktime_ms: float | None, costs: RuntimeCosts
+) -> float:
     """Cost of one remote task acquisition under the wait policy."""
-    if icvs.wait_policy is WaitPolicy.ACTIVE:
+    if wait_policy is WaitPolicy.ACTIVE:
         return costs.spin_steal_us * 1e-6
-    if icvs.blocktime_ms == 0.0:
+    if blocktime_ms == 0.0:
         # Immediate sleep: every idle period ends in a futex wake.
         return (costs.os_yield_us + 0.5 * costs.wake_latency_us) * 1e-6
     return _PASSIVE_YIELD_ROUNDS * costs.os_yield_us * 1e-6
 
 
-# The memoized terms (keyed per ResolvedICVs.MEMO_KEY_SLOTS).  Each derives
-# its placement from the ICVs instead of taking one, so the dependency
-# lint sees every ICV the placement reads in the term's own call closure.
+# The model terms.  Each is a pure function of its arguments and takes
+# exactly what it reads (a team's placement, never its ICVs), so two
+# classes with equal argument tuples share the term's value: the class
+# pricer (repro.runtime.executor.ClassPricer) evaluates each term once
+# per distinct tuple.
 def loop_body_seconds(
     region: LoopRegion,
-    icvs: ResolvedICVs,
-    machine: MachineTopology,
+    placement: ThreadPlacement,
+    kind: ScheduleKind,
+    chunk: int | None,
     costs: RuntimeCosts,
 ) -> float:
-    """One loop invocation's compute and memory time plus schedule overhead."""
-    placement = compute_placement(icvs, machine)
-    sched = price_loop_schedule(
-        region,
-        icvs,
-        machine,
-        costs,
-        placement.effective_parallelism,
-        placement.slowest_thread_factor,
-    )
+    """One loop invocation's compute and memory time plus schedule
+    overhead under ``OMP_SCHEDULE=kind[,chunk]``."""
+    sched = price_loop_schedule(region, placement, kind, chunk, costs)
     mem_factor = memory_time_factor(
         placement,
         costs,
@@ -101,26 +117,43 @@ def loop_body_seconds(
 
 def sync_seconds(
     n_reductions: int,
-    icvs: ResolvedICVs,
-    machine: MachineTopology,
+    placement: ThreadPlacement,
+    wait_policy: WaitPolicy,
+    reduction: ReductionMethod,
     costs: RuntimeCosts,
 ) -> float:
     """Region-end reduction of ``n_reductions`` scalars plus the join
     barrier, before the alignment factor."""
-    placement = compute_placement(icvs, machine)
-    sync = reduction_seconds(icvs, placement, costs, n_reductions)
-    sync += join_seconds(icvs, placement, costs)
+    sync = reduction_seconds(reduction, placement, costs, n_reductions)
+    sync += join_seconds(wait_policy, placement, costs)
     return sync
 
 
-def _per_task_overhead(icvs: ResolvedICVs, costs: RuntimeCosts) -> float:
+def entry_seconds(
+    gap_work: float,
+    placement: ThreadPlacement,
+    wait_policy: WaitPolicy,
+    blocktime_ms: float | None,
+    costs: RuntimeCosts,
+) -> float:
+    """The serial gap of ``gap_work`` units before a region plus the fork
+    that ends it."""
+    gap_nominal = work_seconds(gap_work, placement.machine)
+    sleeping = workers_asleep(wait_policy, blocktime_ms, gap_nominal)
+    return (serial_gap_seconds(wait_policy, placement, gap_nominal)
+            + fork_seconds(placement.nthreads, costs, sleeping))
+
+
+def _per_task_overhead(
+    wait_policy: WaitPolicy, blocktime_ms: float | None, costs: RuntimeCosts
+) -> float:
     """Scheduling cost charged to each task's execution."""
-    acquire = task_acquire_seconds(icvs, costs)
+    acquire = task_acquire_seconds(wait_policy, blocktime_ms, costs)
     overhead = costs.spawn_us * 1e-6 + _REMOTE_ACQUIRE_FRACTION * acquire
-    if icvs.wait_policy is WaitPolicy.PASSIVE:
+    if wait_policy is WaitPolicy.PASSIVE:
         frac = (
             costs.wake_fraction_blocktime0
-            if icvs.blocktime_ms == 0.0
+            if blocktime_ms == 0.0
             else costs.wake_fraction_passive
         )
         overhead += frac * costs.wake_latency_us * 1e-6 * _REMOTE_ACQUIRE_FRACTION
@@ -149,12 +182,13 @@ def max_leaf_factor(sigma: float, n_leaves: int) -> float:
 
 def task_body_seconds(
     region: TaskRegion,
-    icvs: ResolvedICVs,
-    machine: MachineTopology,
+    placement: ThreadPlacement,
+    wait_policy: WaitPolicy,
+    blocktime_ms: float | None,
     costs: RuntimeCosts,
 ) -> float:
     """Analytic work-stealing makespan of one task-region invocation."""
-    placement = compute_placement(icvs, machine)
+    machine = placement.machine
     mem_factor = memory_time_factor(
         placement,
         costs,
@@ -165,7 +199,7 @@ def task_body_seconds(
     work_sec = work_seconds(region.total_work, machine) * scale
 
     n_tasks = region.n_tasks
-    overhead = _per_task_overhead(icvs, costs)
+    overhead = _per_task_overhead(wait_policy, blocktime_ms, costs)
     total = work_sec + n_tasks * overhead
     p_eff = min(placement.effective_parallelism, float(n_tasks))
     # Straggler tail: the largest leaf lands on some worker near the
@@ -178,98 +212,104 @@ def task_body_seconds(
 
     # Parallelism floor: the critical path plus one steal per tree
     # level to fan the work out.
-    acquire = task_acquire_seconds(icvs, costs)
+    acquire = task_acquire_seconds(wait_policy, blocktime_ms, costs)
     cp_sec = work_seconds(region.critical_path_work, machine)
     ramp = region.depth * acquire
     return max(throughput_bound, cp_sec + ramp)
 
 
-def _key_slots(term) -> operator.itemgetter:
-    """Picks ``term``'s declared key slots out of an execution signature."""
-    names = ResolvedICVs.MEMO_KEY_SLOTS[f"runtime.kernel.{term.__name__}"]
-    return operator.itemgetter(
-        *(ResolvedICVs.SIGNATURE_COMPONENTS.index(n) for n in names)
+def des_task_body_seconds(
+    region: TaskRegion,
+    placement: ThreadPlacement,
+    wait_policy: WaitPolicy,
+    blocktime_ms: float | None,
+    costs: RuntimeCosts,
+    seed: int,
+) -> float:
+    """Work-stealing DES makespan of one task-region invocation, its
+    leaves dispersed per ``seed``."""
+    acquire = task_acquire_seconds(wait_policy, blocktime_ms, costs)
+    sim = WorkStealingSimulator(
+        n_workers=placement.nthreads,
+        steal_latency=acquire,
+        spawn_overhead=_per_task_overhead(wait_policy, blocktime_ms, costs)
+        - _REMOTE_ACQUIRE_FRACTION * acquire,
+        seed=seed,
     )
+    result = sim.run(
+        _spawn_tree(region, placement, costs, seed),
+        worker_speeds=placement.effective_speed(),
+    )
+    return result.makespan
 
 
-_LOOP_BODY_SLOTS = _key_slots(loop_body_seconds)
-_SYNC_SLOTS = _key_slots(sync_seconds)
-_TASK_BODY_SLOTS = _key_slots(task_body_seconds)
+def _spawn_tree(
+    region: TaskRegion, placement: ThreadPlacement, costs: RuntimeCosts,
+    seed: int,
+) -> SpawnTree:
+    """The region's spawn tree in seconds, leaves dispersed per seed.
 
-
-@dataclass(frozen=True, eq=False)
-class ComponentMemo:
-    """Region terms shared by every engine on one machine.
-
-    Each table maps ``(region value, key slots)`` to seconds, where the
-    key slots are the canonical :meth:`ResolvedICVs.execution_signature`
-    slots the term reads, as declared in
-    :data:`ResolvedICVs.MEMO_KEY_SLOTS` (the dependency lint's KEY001
-    proves each declaration covers its term's reads).  The machine, cost
-    table included, is fixed per memo, so it stays out of the keys.
+    Leaf ``k`` in depth-first order takes the ``k``-th standard
+    normal of ``default_rng(seed)``: one array draw and one
+    ``np.exp``, bit-equal to drawing and exponentiating leaf by leaf.
     """
-
-    machine: MachineTopology
-    loop_body: dict[tuple, float] = field(default_factory=dict)
-    sync: dict[tuple, float] = field(default_factory=dict)
-    task_body: dict[tuple, float] = field(default_factory=dict)
+    mem_factor = memory_time_factor(
+        placement,
+        costs,
+        region.bw_per_thread_gbps,
+        region.random_access,
+    )
+    scale = 1.0 - region.mem_intensity + region.mem_intensity * mem_factor
+    leaf_sec = work_seconds(region.leaf_work, placement.machine) * scale
+    node_sec = work_seconds(region.node_work, placement.machine) * scale
+    leaves = leaf_sec
+    if region.leaf_sigma > 0:
+        rng = np.random.default_rng(seed)
+        leaves = leaf_sec * np.exp(
+            region.leaf_sigma * rng.standard_normal(region.n_leaves)
+        )
+    return SpawnTree(region.depth, region.branching, leaves, node_sec)
 
 
 class RegionEngine:
-    """Prices regions for one (machine, config) pair.
+    """Prices regions for one (machine, config) pair, one at a time.
 
-    The loop body, the synchronization term and the analytic task body
-    are memoized in ``memo``.  A memo the caller shares across engines
-    keys each term on its declared signature slots; without one the
-    engine keeps a private memo keyed on the region argument alone.
-    Every term is a pure function of its key, so either way the engine
-    returns the very floats an unmemoized evaluation computes.
+    The scalar reference of the class pricer: it calls the same terms
+    with one configuration's arguments.  The loop body, the
+    synchronization term and the analytic task body are memoized on the
+    region (or reduction count) alone, which is sound because the
+    engine's arguments never change.
     """
 
-    def __init__(
-        self,
-        machine: MachineTopology,
-        icvs: ResolvedICVs,
-        *,
-        memo: ComponentMemo | None = None,
-    ):
+    def __init__(self, machine: MachineTopology, icvs: ResolvedICVs):
         self.machine = machine
         self.icvs = icvs
         self.placement = compute_placement(icvs, machine)
         self.costs = machine.costs
         self.align_factor = sync_alignment_factor(icvs, self.costs)
-        if memo is None:
-            # A private memo serves one set of ICVs: the region argument
-            # alone keys it, whatever the execution signature says.
-            memo, keys = ComponentMemo(machine), ((), (), ())
-        elif memo.machine != machine:
-            raise SimulationError("a component memo serves one machine")
-        else:
-            sig = icvs.execution_signature()
-            keys = (_LOOP_BODY_SLOTS(sig), _SYNC_SLOTS(sig),
-                    _TASK_BODY_SLOTS(sig))
-        self.memo = memo
-        self._loop_body_key, self._sync_key, self._task_body_key = keys
+        self.wait_policy, self.blocktime_ms = wait_arguments(icvs)
+        self._loop_body: dict[LoopRegion, float] = {}
+        self._sync_memo: dict[int, float] = {}
+        self._task_body: dict[TaskRegion, float] = {}
 
     # ------------------------------------------------------------------
     def loop_region_seconds(self, region: LoopRegion) -> float:
         """One invocation of a worksharing-loop region (body + sync)."""
-        table = self.memo.loop_body
-        key = (region, self._loop_body_key)
-        body = table.get(key)
+        body = self._loop_body.get(region)
         if body is None:
-            body = table[key] = loop_body_seconds(
-                region, self.icvs, self.machine, self.costs
+            icvs = self.icvs
+            body = self._loop_body[region] = loop_body_seconds(
+                region, self.placement, icvs.schedule, icvs.schedule_chunk,
+                self.costs,
             )
         return body + self._sync(region.n_reductions) * self.align_factor
 
     def _sync(self, n_reductions: int) -> float:
-        table = self.memo.sync
-        key = (n_reductions, self._sync_key)
-        sync = table.get(key)
+        sync = self._sync_memo.get(n_reductions)
         if sync is None:
-            sync = table[key] = sync_seconds(
-                n_reductions, self.icvs, self.machine, self.costs
+            sync = self._sync_memo[n_reductions] = sync_seconds(
+                n_reductions, self.placement, self.wait_policy,
+                self.icvs.reduction, self.costs,
             )
         return sync
 
@@ -294,50 +334,16 @@ class RegionEngine:
         return body + self._sync(0) * self.align_factor
 
     def _task_analytic(self, region: TaskRegion) -> float:
-        table = self.memo.task_body
-        key = (region, self._task_body_key)
-        body = table.get(key)
+        body = self._task_body.get(region)
         if body is None:
-            body = table[key] = task_body_seconds(
-                region, self.icvs, self.machine, self.costs
+            body = self._task_body[region] = task_body_seconds(
+                region, self.placement, self.wait_policy, self.blocktime_ms,
+                self.costs,
             )
         return body
 
     def _task_des(self, region: TaskRegion, seed: int) -> float:
-        sim = WorkStealingSimulator(
-            n_workers=self.icvs.nthreads,
-            steal_latency=task_acquire_seconds(self.icvs, self.costs),
-            spawn_overhead=_per_task_overhead(self.icvs, self.costs)
-            - _REMOTE_ACQUIRE_FRACTION
-            * task_acquire_seconds(self.icvs, self.costs),
-            seed=seed,
+        return des_task_body_seconds(
+            region, self.placement, self.wait_policy, self.blocktime_ms,
+            self.costs, seed,
         )
-        result = sim.run(
-            self._spawn_tree(region, seed),
-            worker_speeds=self.placement.effective_speed(),
-        )
-        return result.makespan
-
-    def _spawn_tree(self, region: TaskRegion, seed: int) -> SpawnTree:
-        """The region's spawn tree in seconds, leaves dispersed per seed.
-
-        Leaf ``k`` in depth-first order takes the ``k``-th standard
-        normal of ``default_rng(seed)``: one array draw and one
-        ``np.exp``, bit-equal to drawing and exponentiating leaf by leaf.
-        """
-        mem_factor = memory_time_factor(
-            self.placement,
-            self.costs,
-            region.bw_per_thread_gbps,
-            region.random_access,
-        )
-        scale = 1.0 - region.mem_intensity + region.mem_intensity * mem_factor
-        leaf_sec = work_seconds(region.leaf_work, self.machine) * scale
-        node_sec = work_seconds(region.node_work, self.machine) * scale
-        leaves = leaf_sec
-        if region.leaf_sigma > 0:
-            rng = np.random.default_rng(seed)
-            leaves = leaf_sec * np.exp(
-                region.leaf_sigma * rng.standard_normal(region.n_leaves)
-            )
-        return SpawnTree(region.depth, region.branching, leaves, node_sec)

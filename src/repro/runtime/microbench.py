@@ -25,9 +25,9 @@ from repro.arch.machines import ALL_MACHINES
 from repro.arch.topology import MachineTopology
 from repro.frame.table import Table
 from repro.runtime.affinity import compute_placement
-from repro.runtime.barrier import fork_seconds, join_seconds
+from repro.runtime.barrier import fork_seconds, join_seconds, workers_asleep
 from repro.runtime.icv import EnvConfig, resolve_icvs
-from repro.runtime.kernel import RegionEngine
+from repro.runtime.kernel import RegionEngine, wait_arguments
 from repro.runtime.program import LoopRegion
 from repro.runtime.reduction import reduction_seconds
 
@@ -113,15 +113,15 @@ def run_microbench(
     placement = compute_placement(icvs, machine)
     costs = machine.costs
 
-    fork = fork_seconds(icvs, costs, team_sleeping=False)
+    wait, blocktime = wait_arguments(icvs)
+    fork = fork_seconds(icvs.nthreads, costs, team_sleeping=False)
     # Active waiters never sleep, so their wake probe measures nothing.
-    from repro.runtime.barrier import workers_asleep
-
-    can_sleep = workers_asleep(icvs, float("inf"))
+    can_sleep = workers_asleep(wait, blocktime, float("inf"))
     fork_sleeping = (
-        fork_seconds(icvs, costs, team_sleeping=True) if can_sleep else fork
+        fork_seconds(icvs.nthreads, costs, team_sleeping=True)
+        if can_sleep else fork
     )
-    join = join_seconds(icvs, placement, costs)
+    join = join_seconds(wait, placement, costs)
 
     reductions = {}
     for method in ("tree", "critical", "atomic"):
@@ -129,7 +129,8 @@ def run_microbench(
             EnvConfig(**{**_as_kwargs(config), "force_reduction": method}),
             machine,
         )
-        reductions[method] = reduction_seconds(m_icvs, placement, costs, 1)
+        reductions[method] = reduction_seconds(
+            m_icvs.reduction, placement, costs, 1)
 
     n_iters = 10_000
     return MicrobenchReport(

@@ -23,7 +23,7 @@ import math
 from repro.arch.costs import RuntimeCosts
 from repro.errors import ConfigError
 from repro.runtime.affinity import ThreadPlacement
-from repro.runtime.icv import ReductionMethod, ResolvedICVs
+from repro.runtime.icv import ReductionMethod
 
 __all__ = ["reduction_seconds"]
 
@@ -47,18 +47,18 @@ def _team_distance_factor(placement: ThreadPlacement) -> float:
 
 
 def reduction_seconds(
-    icvs: ResolvedICVs,
+    method: ReductionMethod,
     placement: ThreadPlacement,
     costs: RuntimeCosts,
     n_vars: int,
 ) -> float:
-    """Seconds one region-end reduction of ``n_vars`` scalars takes."""
+    """Seconds one region-end reduction of ``n_vars`` scalars takes under
+    the resolved ``method``."""
     if n_vars < 0:
         raise ConfigError(f"negative reduction variable count {n_vars}")
     if n_vars == 0:
         return 0.0
-    T = icvs.nthreads
-    method = icvs.reduction
+    T = placement.nthreads
     if T == 1 or method is ReductionMethod.NONE:
         return 0.0
     dist = _team_distance_factor(placement)

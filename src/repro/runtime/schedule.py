@@ -25,13 +25,14 @@ import math
 from dataclasses import dataclass
 
 from repro.arch.costs import RuntimeCosts
-from repro.arch.topology import MachineTopology
+from repro.runtime.affinity import ThreadPlacement
 from repro.runtime.costs import work_seconds
-from repro.runtime.icv import ResolvedICVs, ScheduleKind
+from repro.runtime.icv import ScheduleKind
 from repro.runtime.program import LoadPattern, LoopRegion
 
 __all__ = [
     "ScheduleOutcome",
+    "effective_schedule",
     "static_balance_factor",
     "price_loop_schedule",
     "iterate_chunks",
@@ -198,37 +199,44 @@ def _guided_balance_factor(
     return 1.0 + 0.25 * imbalance / math.sqrt(T) + T / n_iters
 
 
-def price_loop_schedule(
-    region: LoopRegion,
-    icvs: ResolvedICVs,
-    machine: MachineTopology,
-    costs: RuntimeCosts,
-    effective_parallelism: float,
-    slowest_thread_factor: float,
-) -> ScheduleOutcome:
-    """Price one invocation of ``region``'s compute under the schedule.
+def effective_schedule(
+    region: LoopRegion, kind: ScheduleKind, chunk: int | None
+) -> tuple[ScheduleKind, int | None]:
+    """The schedule ``region`` runs under ``OMP_SCHEDULE=kind[,chunk]``.
 
-    Parameters
-    ----------
-    effective_parallelism:
-        Sum of per-thread speed factors (the team's aggregate rate) —
-        self-scheduling (dynamic/guided) runs at this rate.
-    slowest_thread_factor:
-        ``1 / min(thread speed)`` — static scheduling is bound by its
-        slowest thread because shares are fixed up front.
+    A compiled-in ``schedule(...)`` clause overrides the environment, and
+    ``auto`` runs as ``static`` (libomp's resolution for the swept
+    configurations).  Idempotent: an effective schedule is its own.
     """
-    T = icvs.nthreads
-    n = region.n_iters
-    total_sec = work_seconds(region.total_work, machine)
     if region.fixed_schedule is not None:
-        # A compiled-in schedule clause overrides the environment.
         kind = ScheduleKind(region.fixed_schedule)
         chunk = region.fixed_chunk
-    else:
-        kind = icvs.schedule
-        chunk = icvs.schedule_chunk
     if kind is ScheduleKind.AUTO:
-        kind = ScheduleKind.STATIC  # libomp's auto resolution
+        kind = ScheduleKind.STATIC
+    return kind, chunk
+
+
+def price_loop_schedule(
+    region: LoopRegion,
+    placement: ThreadPlacement,
+    kind: ScheduleKind,
+    chunk: int | None,
+    costs: RuntimeCosts,
+) -> ScheduleOutcome:
+    """Price one invocation of ``region``'s compute on ``placement``'s
+    team under ``OMP_SCHEDULE=kind[,chunk]``.
+
+    Self-scheduling (dynamic/guided) runs at the team's
+    :attr:`~ThreadPlacement.effective_parallelism`; static scheduling is
+    bound by its :attr:`~ThreadPlacement.slowest_thread_factor` because
+    shares are fixed up front.
+    """
+    T = placement.nthreads
+    n = region.n_iters
+    total_sec = work_seconds(region.total_work, placement.machine)
+    kind, chunk = effective_schedule(region, kind, chunk)
+    effective_parallelism = placement.effective_parallelism
+    slowest_thread_factor = placement.slowest_thread_factor
 
     if T == 1:
         return ScheduleOutcome(total_sec, 0.0, 1.0, 1)

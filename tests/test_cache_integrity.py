@@ -1,6 +1,6 @@
 """Tests for the sweep cache's corruption detection and quarantine.
 
-A v6 entry is a JSON header line (``version``, ``key``, ``sha256``)
+A v7 entry is a JSON header line (``version``, ``key``, ``sha256``)
 followed by the packed block's byte codec, and the SHA-256 covers every
 byte that is decoded; these tests prove the checksum and the decoder
 catch real corruption modes (torn writes, bit flips, semantic
@@ -84,7 +84,7 @@ class TestChecksumRoundtrip:
 
     def test_payload_carries_checksum(self, cache):
         header, _ = split_entry(cache, "k")
-        assert header["version"] == CACHE_FORMAT_VERSION == 6
+        assert header["version"] == CACHE_FORMAT_VERSION == 7
         assert len(header["sha256"]) == 64
         assert cache.path_for("k").name == "k.blk"
 
@@ -232,7 +232,7 @@ class TestMissVsCorruption:
         assert not cache.path_for("k").exists()
 
     def test_version_digit_flip_in_sweep_entry_quarantined(self, tmp_path):
-        """Flip the ``version`` digit (6 -> 7) of a real batch entry and
+        """Flip the ``version`` digit (7 -> 6) of a real batch entry and
         re-run the sweep: the batch is re-simulated, and the flip is
         reported as corruption, not swallowed as a stale-format miss."""
         plan = SweepPlan(arch="milan", workload_names=("cg",),

@@ -1,18 +1,20 @@
-"""Class plans and the component memo: one grouping and one executor per
-class per thread count, memoized region terms, noise drawn once per
-observation by the sweep's own process, a window of batches at a time,
-records bit-identical to evaluating every class with a fresh, unmemoized
-executor and drawing each batch's noise alone."""
+"""Class plans and the class pricer: one grouping and one pricer per
+thread count, each model term evaluated once per distinct argument
+tuple, noise drawn once per observation by the sweep's own process, a
+window of batches at a time, records bit-identical to evaluating every
+class with a fresh scalar executor and drawing each batch's noise
+alone."""
 
 import math
 import multiprocessing
 import os
 import random
 
+import numpy as np
 import pytest
 
 import repro.core.sweep as sweep_mod
-import repro.runtime.kernel as kernel_mod
+import repro.runtime.executor as executor_mod
 from repro.arch.machines import get_machine
 from repro.core.envspace import EnvSpace
 from repro.core.sweep import (
@@ -22,34 +24,22 @@ from repro.core.sweep import (
     plan_batches,
     run_sweep,
 )
-from repro.errors import SimulationError
-from repro.runtime.executor import RuntimeExecutor, measurement_noise
-from repro.runtime.kernel import ComponentMemo, RegionEngine
+from repro.runtime.executor import (
+    ClassPricer,
+    RuntimeExecutor,
+    measurement_noise,
+)
 from repro.runtime.icv import EnvConfig, resolve_icvs
+from repro.runtime.program import LoopRegion
 from repro.workloads.base import get_workload
 
-
-class _NeverHits(dict):
-    """A memo table that forgets everything: every lookup misses."""
-
-    def get(self, key, default=None):
-        return default
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def _unmemoized_memo(machine):
-    return ComponentMemo(
-        machine,
-        loop_body=_NeverHits(), sync=_NeverHits(), task_body=_NeverHits(),
-    )
+ARCHS = ("milan", "skylake", "a64fx")
 
 
 def _reference_records(plan):
     """The sweep's records as the per-batch path computed them: group the
     batch's grid, then evaluate each class with a fresh executor that
-    resolves its own ICVs and memoizes nothing."""
+    resolves its own ICVs."""
     machine = get_machine(plan.arch)
     configs = EnvSpace().grid(machine, plan.scale, seed=plan.seed)
     out = []
@@ -60,7 +50,6 @@ def _reference_records(plan):
         for members in equivalence_groups(cfgs, machine).values():
             executor = RuntimeExecutor(
                 machine, cfgs[members[0]], fidelity=plan.fidelity,
-                memo=_unmemoized_memo(machine),
             )
             true = executor.execute(program, seed=plan.seed)
             true_of.update((i, true) for i in members)
@@ -80,7 +69,8 @@ def _reference_records(plan):
 
 @pytest.fixture
 def counted_terms(monkeypatch):
-    """Count every evaluation of the memoized terms in this process."""
+    """Count every evaluation of the shared body terms by the pricer in
+    this process."""
     counts = {"loop_body": 0, "task_body": 0}
 
     def counting(name, real):
@@ -89,10 +79,10 @@ def counted_terms(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(kernel_mod, "loop_body_seconds", counting(
-        "loop_body", kernel_mod.loop_body_seconds))
-    monkeypatch.setattr(kernel_mod, "task_body_seconds", counting(
-        "task_body", kernel_mod.task_body_seconds))
+    monkeypatch.setattr(executor_mod, "loop_body_seconds", counting(
+        "loop_body", executor_mod.loop_body_seconds))
+    monkeypatch.setattr(executor_mod, "task_body_seconds", counting(
+        "task_body", executor_mod.task_body_seconds))
     return counts
 
 
@@ -100,25 +90,30 @@ class TestClassPlans:
     def test_one_grouping_and_executor_set_per_thread_count(
         self, monkeypatch
     ):
+        # A class plan's executor set is its one pricer.
         plan = SweepPlan(arch="milan", workload_names=("cg", "lulesh"),
                          scale="small", repetitions=2)
         groupings, inits = [], []
         real_groups = sweep_mod.equivalence_groups
-        real_init = RuntimeExecutor.__init__
+        real_init = ClassPricer.__init__
         monkeypatch.setattr(
             sweep_mod, "equivalence_groups",
             lambda *a, **k: groupings.append(1) or real_groups(*a, **k),
         )
         monkeypatch.setattr(
-            RuntimeExecutor, "__init__",
+            ClassPricer, "__init__",
             lambda self, *a, **k: inits.append(1) or real_init(self, *a, **k),
         )
-        result = run_sweep(plan)
+        run_sweep(plan)
         thread_counts = {b.nthreads for b in plan_batches(plan)}
         assert len(plan_batches(plan)) > len(thread_counts) > 1
         assert len(groupings) == len(thread_counts)
-        per_thread = result.n_simulated_configs // result.n_computed_batches
-        assert len(inits) == per_thread * len(thread_counts)
+        assert len(inits) == len(thread_counts)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_seed0_small_sweep_matches_fresh_executors(self, arch):
+        plan = SweepPlan(arch=arch, scale="small", seed=0)
+        assert run_sweep(plan).records == _reference_records(plan)
 
     def test_mixed_thread_counts_match_fresh_executors(self):
         plan = SweepPlan(arch="milan",
@@ -128,8 +123,8 @@ class TestClassPlans:
         assert run_sweep(plan).records == _reference_records(plan)
 
     def test_des_sweep_matches_the_unmemoized_path(self, counted_terms):
-        # DES task bodies draw from a per-phase seed, so they bypass the
-        # task-body memo entirely.
+        # DES task bodies draw from a per-phase seed; the analytic task
+        # body is never evaluated.
         plan = SweepPlan(arch="a64fx", workload_names=("sort",),
                          scale="small", repetitions=1, inputs_limit=2,
                          fidelity="des")
@@ -143,6 +138,17 @@ class TestClassPlans:
         result = run_sweep(plan)
         assert result.n_pruned_configs == 0
         assert result.records == _reference_records(plan)
+
+    def test_seed0_pass_evaluates_each_body_once_per_argument_tuple(
+        self, counted_terms
+    ):
+        # One serial pass of the three seed-0 small sweeps: 3,530 distinct
+        # (region, placement, effective schedule) tuples, against 9,024
+        # loop-body evaluations when the memo was keyed on signature
+        # slots.
+        for arch in ARCHS:
+            run_sweep(SweepPlan(arch=arch, scale="small", seed=0))
+        assert counted_terms == {"loop_body": 3530, "task_body": 315}
 
     def test_no_memo_outlives_its_sweep(self, counted_terms):
         plan = SweepPlan(arch="milan", workload_names=("cg", "nqueens"),
@@ -259,60 +265,90 @@ class TestNoiseWindow:
         assert sum(n for _, n in calls) == total
 
 
-class TestComponentMemo:
-    def test_shared_memo_serves_one_machine_and_cost_table(self):
-        milan, skylake = get_machine("milan"), get_machine("skylake")
-        memo = ComponentMemo(milan)
-        icvs = resolve_icvs(EnvConfig(), skylake)
-        with pytest.raises(SimulationError):
-            RegionEngine(skylake, icvs, memo=memo)
+def _random_configs(machine, rng, n):
+    """``n`` configurations drawn over every signature slot: chunked
+    schedules, reductions, blocktimes, alignments, bindings."""
+    return [EnvConfig(
+        num_threads=rng.choice([None, 1, 3, machine.n_cores // 2]),
+        places=rng.choice(["unset", "cores", "sockets", "ll_caches"]),
+        proc_bind=rng.choice(["unset", "false", "master", "close",
+                              "spread", "true"]),
+        schedule=rng.choice(["unset", "static", "static,8", "dynamic",
+                             "dynamic,4", "dynamic,64", "guided",
+                             "guided,16", "auto"]),
+        library=rng.choice(["unset", "throughput", "turnaround"]),
+        blocktime=rng.choice(["unset", "0", "200", "infinite"]),
+        force_reduction=rng.choice(["unset", "tree", "critical", "atomic"]),
+        align_alloc=rng.choice([None, 256, 512]),
+    ) for _ in range(n)]
 
-    def test_equal_signature_slots_share_entries(self):
-        # Two spellings that resolve alike hit one another's entries.
-        machine = get_machine("milan")
-        memo = ComponentMemo(machine)
-        program = get_workload("cg").program("A")
-        for config in (EnvConfig(proc_bind="true"),
-                       EnvConfig(proc_bind="spread")):
-            RuntimeExecutor(machine, config, memo=memo).execute(program)
-        sizes = (len(memo.loop_body), len(memo.sync))
-        fresh = ComponentMemo(machine)
-        RuntimeExecutor(machine, EnvConfig(proc_bind="spread"),
-                        memo=fresh).execute(program)
-        assert sizes == (len(fresh.loop_body), len(fresh.sync))
-        assert sizes[0] > 0
 
-    @pytest.mark.parametrize("arch", ["milan", "skylake", "a64fx"])
-    def test_shared_memo_equals_fresh_engines_over_every_slot(self, arch):
-        # One memo serves configurations differing in every signature
-        # slot — chunked schedules, reductions, blocktimes, alignments,
-        # bindings — and each executor still prices every program exactly
-        # as an unmemoized one does.
+def _assert_grouped_equals_per_class(machine, icvs, configs, programs,
+                                     fidelity="analytic"):
+    """Every phase of every program, priced with terms shared by argument
+    tuple, equals the same phase priced class by class, and equals a
+    fresh scalar executor of each class, bit for bit."""
+    shared = ClassPricer(machine, icvs, fidelity)
+    alone = ClassPricer(machine, icvs, fidelity, share=False)
+    executors = [RuntimeExecutor(machine, c, fidelity) for c in configs]
+    for program in programs:
+        scalar = np.array([ex._phase_seconds(program, 0) for ex in executors])
+        for i, phase in enumerate(program.phases):
+            grouped = shared._phase_seconds(phase, i, 0)
+            assert grouped.tobytes() == alone._phase_seconds(
+                phase, i, 0).tobytes(), (program.name, phase.name)
+            assert grouped.tobytes() == scalar[:, i].tobytes(), (
+                program.name, phase.name)
+        assert shared.runtimes(program).tolist() == [
+            ex.execute(program) for ex in executors]
+
+
+class TestGroupedTerms:
+    """Terms shared by argument tuple equal terms evaluated class by
+    class, over every class plan of the seed-0 small sweeps."""
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_grouped_terms_equal_per_class_terms(self, arch):
+        plan = SweepPlan(arch=arch, scale="small", seed=0)
         machine = get_machine(arch)
-        memo = ComponentMemo(machine)
-        rng = random.Random(arch)
+        configs = EnvSpace().grid(machine, plan.scale, seed=plan.seed)
+        by_threads = {}
+        for batch in plan_batches(plan):
+            by_threads.setdefault(batch.nthreads, set()).add(
+                (batch.app, batch.input_size))
+        shared_terms = 0
+        for nthreads, inputs in by_threads.items():
+            cfgs = [c.with_threads(nthreads) for c in configs]
+            resolved = {}
+            groups = equivalence_groups(cfgs, machine,
+                                        representatives=resolved)
+            reps = [cfgs[members[0]] for members in groups.values()]
+            pricer = ClassPricer(machine, list(resolved.values()))
+            keys, _ = pricer._schedules_under(
+                LoopRegion("probe", n_iters=100, iter_work=1e-6))
+            shared_terms += len(reps) - len(keys)
+            _assert_grouped_equals_per_class(
+                machine, list(resolved.values()), reps,
+                [get_workload(app).program(size)
+                 for app, size in sorted(inputs)])
+        # The grouping is not vacuous: classes do share loop bodies.
+        assert shared_terms > 0
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_random_classes_over_every_slot(self, arch):
+        machine = get_machine(arch)
+        configs = _random_configs(machine, random.Random(arch), 60)
         programs = [get_workload(app).program(size)
                     for app, size in (("cg", "A"), ("xsbench", "default"),
-                                      ("nqueens", "small"), ("health", "small"))]
-        for _ in range(60):
-            config = EnvConfig(
-                num_threads=rng.choice([None, 1, 3, machine.n_cores // 2]),
-                places=rng.choice(["unset", "cores", "sockets",
-                                   "ll_caches"]),
-                proc_bind=rng.choice(["unset", "false", "master", "close",
-                                      "spread", "true"]),
-                schedule=rng.choice(["unset", "static", "static,8",
-                                     "dynamic", "dynamic,4", "dynamic,64",
-                                     "guided", "guided,16", "auto"]),
-                library=rng.choice(["unset", "throughput", "turnaround"]),
-                blocktime=rng.choice(["unset", "0", "200", "infinite"]),
-                force_reduction=rng.choice(["unset", "tree", "critical",
-                                            "atomic"]),
-                align_alloc=rng.choice([None, 256, 512]),
-            )
-            shared = RuntimeExecutor(machine, config, memo=memo)
-            fresh = RuntimeExecutor(machine, config,
-                                    memo=_unmemoized_memo(machine))
-            for program in programs:
-                assert shared.execute(program) == fresh.execute(program), (
-                    config, program.name)
+                                      ("nqueens", "small"),
+                                      ("health", "small"))]
+        _assert_grouped_equals_per_class(
+            machine, [resolve_icvs(c, machine) for c in configs], configs,
+            programs)
+
+    def test_des_classes(self):
+        machine = get_machine("milan")
+        configs = _random_configs(machine, random.Random("des"), 12)
+        _assert_grouped_equals_per_class(
+            machine, [resolve_icvs(c, machine) for c in configs], configs,
+            [get_workload("nqueens").program("small")], fidelity="des")

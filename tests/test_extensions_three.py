@@ -84,10 +84,9 @@ class TestChunkedSchedules:
         def chunks(schedule):
             icvs = resolve_icvs(EnvConfig(schedule=schedule), M)
             placement = compute_placement(icvs, M)
-            speeds = placement.effective_speed()
             return price_loop_schedule(
-                region, icvs, M, M.costs,
-                float(speeds.sum()), float(1 / speeds.min()),
+                region, placement, icvs.schedule, icvs.schedule_chunk,
+                M.costs,
             ).n_chunks
 
         assert chunks("guided,512") < chunks("guided")

@@ -4,7 +4,6 @@ a crafted drift — plus the real-tree gate (zero findings on src/repro)
 and the runtime property the plane exists to protect: equal execution
 signatures produce bit-identical modeled runtimes."""
 
-import dataclasses
 import random
 import shutil
 import textwrap
@@ -14,8 +13,7 @@ import pytest
 from repro.arch.machines import get_machine
 from repro.lint import Severity, lint_source, unwaived
 from repro.lint.deps.cone import compute_cone, default_roots, tracked_classes
-from repro.lint.deps.declarations import signature_declarations
-from repro.lint.deps.passes import check_memo_keys, run_deps_passes
+from repro.lint.deps.passes import run_deps_passes
 from repro.lint.flow import build_callgraph
 from repro.lint.flow.summaries import direct_attribute_reads
 from repro.lint.selflint import DEFAULT_SRC_ROOT
@@ -691,114 +689,6 @@ class TestPlacementMemoKey:
         assert "placement.compute_placement" in f.message
 
 
-# Memoized terms in front of the model: each declared key must carry
-# every ICV slot its term's call closure reads.
-_TERM_TREE = mutate(
-    BASE_TREE, "runtime/icv.py",
-    "    SIGNATURE_DEAD_FIELDS: ClassVar[dict] = {\n",
-    "    MEMO_KEY_SLOTS: ClassVar[dict] = {\n"
-    "        \"runtime.model.workers_asleep\": (\"wait_policy\", \"blocktime_ms\"),\n"
-    "        \"runtime.model.placement_overhead\": (\"bind\", \"places\"),\n"
-    "    }\n"
-    "    SIGNATURE_DEAD_FIELDS: ClassVar[dict] = {\n",
-)
-_ASLEEP_KEY = '"runtime.model.workers_asleep": ("wait_policy", "blocktime_ms")'
-
-
-class TestMemoKeys:
-    def test_keys_covering_their_terms_are_clean(self, tmp_path):
-        assert deps_findings(tmp_path, _TERM_TREE) == []
-
-    def test_key_omitting_a_read_field_is_an_error(self, tmp_path):
-        # The derived wait_policy slot does not carry blocktime_ms.
-        tree = mutate(
-            _TERM_TREE, "runtime/icv.py", _ASLEEP_KEY,
-            '"runtime.model.workers_asleep": ("wait_policy",)',
-        )
-        (f,) = by_rule(deps_findings(tmp_path, tree), "KEY001")
-        assert f.severity is Severity.ERROR
-        assert f.subject == "ResolvedICVs.blocktime_ms"
-        assert "runtime.model.workers_asleep" in f.message
-
-    def test_slot_outside_the_signature_is_an_error(self, tmp_path):
-        tree = mutate(
-            _TERM_TREE, "runtime/icv.py", _ASLEEP_KEY,
-            '"runtime.model.workers_asleep": '
-            '("wait_policy", "blocktime_ms", "library")',
-        )
-        (f,) = by_rule(deps_findings(tmp_path, tree), "KEY001")
-        assert f.severity is Severity.ERROR
-        assert "'library'" in f.message
-
-    def test_vanished_term_is_a_loud_warning(self, tmp_path):
-        tree = mutate(
-            _TERM_TREE, "runtime/icv.py", "runtime.model.workers_asleep",
-            "runtime.model.workers_sleeping",
-        )
-        (f,) = by_rule(deps_findings(tmp_path, tree), "KEY001")
-        assert f.severity is Severity.WARNING
-        assert "workers_sleeping" in f.subject
-
-
-@pytest.fixture(scope="module")
-def real_graph():
-    return build_callgraph(DEFAULT_SRC_ROOT)
-
-
-def _real_memo_slots():
-    from repro.runtime.icv import ResolvedICVs
-
-    return [
-        (term, slot)
-        for term, slots in ResolvedICVs.MEMO_KEY_SLOTS.items()
-        for slot in slots
-    ]
-
-
-class TestShippedMemoKeys:
-    """Every slot of every shipped memo key is read by its term, so a
-    key that drops any one of them raises KEY001."""
-
-    @pytest.mark.parametrize("term,slot", _real_memo_slots())
-    def test_dropping_a_slot_is_an_error(self, real_graph, term, slot):
-        tracked = tracked_classes(real_graph)
-        sig = signature_declarations(real_graph, tracked["ResolvedICVs"])
-        assert sig.memo_keys is not None and slot in sig.memo_keys[term]
-        assert check_memo_keys(
-            real_graph, sig, frozenset(tracked.values())) == []
-        keys = dict(sig.memo_keys)
-        keys[term] = tuple(s for s in keys[term] if s != slot)
-        findings = check_memo_keys(
-            real_graph, dataclasses.replace(sig, memo_keys=keys),
-            frozenset(tracked.values()),
-        )
-        assert [(f.rule, f.severity, f.subject) for f in findings] == [
-            ("KEY001", Severity.ERROR, f"ResolvedICVs.{slot}")
-        ]
-        assert term in findings[0].message
-
-    def test_loop_body_key_without_schedule_chunk_fails_the_plane(
-        self, tmp_path
-    ):
-        # End to end on a copy of the shipped source: parse, cone, pass.
-        root = tmp_path / "repro"
-        shutil.copytree(DEFAULT_SRC_ROOT, root,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        icv = root / "runtime" / "icv.py"
-        src = icv.read_text(encoding="utf-8")
-        old = '"nthreads", "places", "bind", "schedule", "schedule_chunk",'
-        assert src.count(old) == 1
-        icv.write_text(
-            src.replace(old, '"nthreads", "places", "bind", "schedule",'),
-            encoding="utf-8",
-        )
-        findings = run_deps_passes(build_callgraph(root))
-        (f,) = by_rule(findings, "KEY001")
-        assert f.severity is Severity.ERROR
-        assert f.subject == "ResolvedICVs.schedule_chunk"
-        assert "runtime.kernel.loop_body_seconds" in f.message
-
-
 # ----------------------------------------------------------------------
 # Waivers: the KEY plane owns KEY entries, and only those
 # ----------------------------------------------------------------------
@@ -885,6 +775,19 @@ class TestRealTree:
         assert cone.read_attrs(tracked["BatchSpec"]) >= {"app", "input_size"}
         # The placement memo's front is where ``places`` meets its guard.
         assert "repro.runtime.affinity.compute_placement" in cone.members
+        # The sweep prices through the class pricer, and the pricer
+        # reaches every term; the term arguments are where
+        # ``blocktime_ms`` meets its guard.
+        assert {
+            "repro.runtime.executor.ClassPricer.__init__",
+            "repro.runtime.executor.ClassPricer.runtimes",
+            "repro.runtime.kernel.wait_arguments",
+            *(f"repro.runtime.kernel.{term}" for term in (
+                "loop_body_seconds", "sync_seconds", "entry_seconds",
+                "task_body_seconds", "des_task_body_seconds")),
+            "repro.runtime.barrier.serial_gap_seconds",
+        } <= cone.members
+        assert "blocktime_ms" in icv_reads
         # The sweep's noise draws are a root of their own: the batch
         # only applies the factors it is handed.
         assert {"repro.core.sweep._ClassPlans.noise_factors",
@@ -893,6 +796,26 @@ class TestRealTree:
 
     def test_deps_lint_is_deterministic(self):
         assert lint_source(("deps",)) == lint_source(("deps",))
+
+    def test_unguarded_blocktime_argument_fails_the_plane(self, tmp_path):
+        # End to end on a copy of the shipped source: an active team's
+        # blocktime handed to the terms would split classes the
+        # signature merges.
+        root = tmp_path / "repro"
+        shutil.copytree(DEFAULT_SRC_ROOT, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        kernel = root / "runtime" / "kernel.py"
+        src = kernel.read_text(encoding="utf-8")
+        old = ("return wait, (icvs.blocktime_ms if wait is WaitPolicy.PASSIVE"
+               " else None)")
+        assert src.count(old) == 1
+        kernel.write_text(src.replace(old, "return wait, icvs.blocktime_ms"),
+                          encoding="utf-8")
+        findings = run_deps_passes(build_callgraph(root))
+        (f,) = by_rule(findings, "KEY004")
+        assert f.severity is Severity.ERROR
+        assert f.subject == "ResolvedICVs.blocktime_ms"
+        assert "runtime.kernel.wait_arguments" in f.message
 
 
 # ----------------------------------------------------------------------

@@ -75,7 +75,7 @@ class TestLoopModelVsChunkDES:
         from repro.runtime.barrier import join_seconds
 
         placement = compute_placement(icvs, machine)
-        body = analytic - join_seconds(icvs, placement,
+        body = analytic - join_seconds(icvs.wait_policy, placement,
                                        machine.costs)
         assert body == pytest.approx(des.makespan, rel=0.35), (
             f"analytic {body:.2e} vs DES {des.makespan:.2e}"
@@ -99,7 +99,7 @@ class TestLoopModelVsChunkDES:
 
         icvs = resolve_icvs(EnvConfig(), machine)
         placement = compute_placement(icvs, machine)
-        body = analytic - join_seconds(icvs, placement,
+        body = analytic - join_seconds(icvs.wait_policy, placement,
                                        machine.costs)
         assert body == pytest.approx(des, rel=0.15)
 

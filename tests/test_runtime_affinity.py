@@ -244,3 +244,40 @@ class TestPlacementMemo:
     def test_memo_is_bounded(self):
         maxsize = _build_placement.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
+
+
+class TestPlacementValue:
+    """Placements compare and hash by ``(machine, bound, cores)``: the
+    class pricer shares a term between two teams only if they are one
+    placement."""
+
+    def test_bindings_onto_the_same_cores_are_one_placement(self):
+        close = place(MILAN, places="cores", proc_bind="close")
+        spread = place(MILAN, places="cores", proc_bind="spread")
+        assert close is not spread
+        assert np.array_equal(close.cores, spread.cores)
+        assert close == spread and hash(close) == hash(spread)
+        assert len({close, spread}) == 1
+
+    def test_bound_and_unbound_teams_on_equal_cores_differ(self):
+        unbound = place(MILAN, num_threads=8)
+        bound = place(MILAN, num_threads=8, places="cores",
+                      proc_bind="close")
+        assert np.array_equal(unbound.cores, bound.cores)
+        assert unbound.bound != bound.bound
+        assert unbound != bound
+        assert len({unbound, bound}) == 2
+
+    def test_equal_cores_on_another_machine_differ(self):
+        milan = place(MILAN, num_threads=4, places="cores",
+                      proc_bind="close")
+        skylake = place(SKYLAKE, num_threads=4, places="cores",
+                        proc_bind="close")
+        assert np.array_equal(milan.cores, skylake.cores)
+        assert milan != skylake
+
+    def test_other_cores_differ(self):
+        assert place(MILAN, num_threads=8, places="cores",
+                     proc_bind="master") != place(
+            MILAN, num_threads=8, places="cores", proc_bind="close")
+        assert place(MILAN) != "not a placement"

@@ -18,12 +18,18 @@ from repro.core.envspace import EnvSpace
 from repro.core.sweep import SweepPlan, equivalence_groups, plan_batches
 from repro.errors import SimulationError
 from repro.runtime.costs import work_seconds
-from repro.runtime.executor import RuntimeExecutor, execute, observe
+from repro.runtime.executor import (
+    ClassPricer,
+    RuntimeExecutor,
+    execute,
+    observe,
+)
 from repro.runtime.icv import EnvConfig, resolve_icvs
 from repro.runtime.kernel import (
     RegionEngine,
     max_leaf_factor,
     task_acquire_seconds,
+    wait_arguments,
 )
 from repro.runtime.program import (
     LoadPattern,
@@ -44,26 +50,22 @@ def engine(machine=MILAN, **env):
     return RegionEngine(machine, icvs)
 
 
+def acquire(**env):
+    return task_acquire_seconds(
+        *wait_arguments(resolve_icvs(EnvConfig(**env), MILAN)), MILAN.costs
+    )
+
+
 class TestTaskAcquire:
     def test_active_cheapest(self):
-        c = MILAN.costs
-        active = task_acquire_seconds(
-            resolve_icvs(EnvConfig(library="turnaround"), MILAN), c
-        )
-        passive = task_acquire_seconds(resolve_icvs(EnvConfig(), MILAN), c)
-        blocktime0 = task_acquire_seconds(
-            resolve_icvs(EnvConfig(blocktime="0"), MILAN), c
-        )
+        active = acquire(library="turnaround")
+        passive = acquire()
+        blocktime0 = acquire(blocktime="0")
         assert active < passive < blocktime0
 
     def test_infinite_blocktime_counts_as_active(self):
-        c = MILAN.costs
-        inf = task_acquire_seconds(
-            resolve_icvs(EnvConfig(blocktime="infinite"), MILAN), c
-        )
-        active = task_acquire_seconds(
-            resolve_icvs(EnvConfig(library="turnaround"), MILAN), c
-        )
+        inf = acquire(blocktime="infinite")
+        active = acquire(library="turnaround")
         assert inf == active
 
 
@@ -216,8 +218,8 @@ REGION_EXPRS = (
 
 def price(eng, region):
     if isinstance(region, LoopRegion):
-        return eng.loop_region_seconds(region), eng.memo.loop_body
-    return eng.task_region_seconds(region), eng.memo.task_body
+        return eng.loop_region_seconds(region), eng._loop_body
+    return eng.task_region_seconds(region), eng._task_body
 
 
 def build_region(expr):
@@ -305,6 +307,25 @@ class TestExecutor:
         assert sum(c.seconds for c in costs) == ex.execute(prog)
         assert [c.kind for c in costs] == ["serial", "task"]
 
+    def test_phases_accumulate_left_to_right(self, monkeypatch):
+        # Python 3.12's compensated builtin sum() gives 1 + 2**-52 here;
+        # the model's runtime must not depend on the interpreter.
+        prog = synthetic_task_workload()
+        monkeypatch.setattr(RuntimeExecutor, "_phase_seconds",
+                            lambda self, program, seed: [1.0, 1e-16, 1e-16])
+        assert RuntimeExecutor(MILAN, EnvConfig()).execute(prog) == 1.0
+
+    def test_class_pricer_accumulates_left_to_right(self, monkeypatch):
+        prog = synthetic_task_workload()
+        prog = dataclasses.replace(prog, phases=prog.phases[:1] * 3)
+        seconds = [1.0, 1e-16, 1e-16]
+        monkeypatch.setattr(
+            ClassPricer, "_phase_seconds",
+            lambda self, phase, i, seed: np.full(self.n_classes, seconds[i]),
+        )
+        pricer = ClassPricer(MILAN, [resolve_icvs(EnvConfig(), MILAN)] * 2)
+        assert pricer.runtimes(prog).tolist() == [1.0, 1.0]
+
     def test_reused_executor_equals_fresh_ones(self):
         # An executor memoizes its gap and fork terms on the gap's work
         # alone; reusing it across programs must not change a float.
@@ -370,8 +391,9 @@ class TestExecutor:
 
     @pytest.mark.parametrize("machine", [MILAN, A64FX], ids=lambda m: m.name)
     def test_grouping_icvs_match_own_resolution(self, machine):
-        # The sweep hands each class's ICVs from grouping to the executor
-        # instead of resolving again; both must price every class alike.
+        # The sweep hands each class's ICVs from grouping to the class
+        # pricer instead of resolving again; an executor resolving its
+        # own must price every class alike.
         plan = SweepPlan(arch=machine.name, scale="small")
         configs = EnvSpace().grid(machine, plan.scale, seed=plan.seed)
         for batch in plan_batches(plan):
@@ -380,11 +402,10 @@ class TestExecutor:
             groups = equivalence_groups(configs, machine, batch.nthreads,
                                         representatives=resolved)
             assert resolved.keys() == groups.keys()
-            for sig, members in groups.items():
+            priced = ClassPricer(machine, list(resolved.values())).runtimes(
+                program).tolist()
+            for (sig, members), runtime in zip(groups.items(), priced):
                 config = configs[members[0]].with_threads(batch.nthreads)
-                reused = RuntimeExecutor(machine, config, icvs=resolved[sig])
                 own = RuntimeExecutor(machine, config)
-                assert reused.icvs == own.icvs
-                assert reused.execute(program) == own.execute(program)
-                assert reused.observe(program, 1, 3) == own.observe(
-                    program, 1, 3)
+                assert resolved[sig] == own.icvs
+                assert runtime == own.execute(program)

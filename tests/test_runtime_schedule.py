@@ -17,14 +17,8 @@ from repro.runtime.schedule import price_loop_schedule, static_balance_factor
 def price(region, machine=SKYLAKE, **env):
     icvs = resolve_icvs(EnvConfig(**env), machine)
     placement = compute_placement(icvs, machine)
-    speeds = placement.effective_speed()
     return price_loop_schedule(
-        region,
-        icvs,
-        machine,
-        machine.costs,
-        float(speeds.sum()),
-        float(1.0 / speeds.min()),
+        region, placement, icvs.schedule, icvs.schedule_chunk, machine.costs
     )
 
 

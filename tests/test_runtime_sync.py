@@ -15,6 +15,7 @@ from repro.runtime.barrier import (
     workers_asleep,
 )
 from repro.runtime.icv import EnvConfig, resolve_icvs
+from repro.runtime.kernel import wait_arguments
 from repro.runtime.memory import (
     available_bandwidth_gbps,
     memory_time_factor,
@@ -32,11 +33,11 @@ def setup(machine, **env):
 class TestReduction:
     def test_zero_vars_free(self):
         icvs, placement, costs = setup(MILAN)
-        assert reduction_seconds(icvs, placement, costs, 0) == 0.0
+        assert reduction_seconds(icvs.reduction, placement, costs, 0) == 0.0
 
     def test_single_thread_free(self):
         icvs, placement, costs = setup(MILAN, num_threads=1)
-        assert reduction_seconds(icvs, placement, costs, 3) == 0.0
+        assert reduction_seconds(icvs.reduction, placement, costs, 3) == 0.0
 
     def test_tree_formula(self):
         from repro.runtime.reduction import _team_distance_factor
@@ -49,9 +50,9 @@ class TestReduction:
                 * c.tree_step_us * 1e-6
                 * _team_distance_factor(placement)
             )
-            assert reduction_seconds(icvs, placement, c, 1) == pytest.approx(
-                expected
-            )
+            assert reduction_seconds(
+                icvs.reduction, placement, c, 1
+            ) == pytest.approx(expected)
 
     def test_tree_scales_logarithmically_same_distance(self):
         # Both teams confined to LLC group 0 (places=ll_caches + master):
@@ -60,8 +61,8 @@ class TestReduction:
                           proc_bind="master", force_reduction="tree")
         i8, p8, _ = setup(MILAN, num_threads=8, places="ll_caches",
                           proc_bind="master", force_reduction="tree")
-        t4 = reduction_seconds(i4, p4, c, 1)
-        t8 = reduction_seconds(i8, p8, c, 1)
+        t4 = reduction_seconds(i4.reduction, p4, c, 1)
+        t8 = reduction_seconds(i8.reduction, p8, c, 1)
         assert t8 / t4 == pytest.approx(3 / 2)
 
     def test_critical_scales_linearly_same_distance(self):
@@ -69,19 +70,21 @@ class TestReduction:
                           proc_bind="master", force_reduction="critical")
         i8, p8, _ = setup(MILAN, num_threads=8, places="ll_caches",
                           proc_bind="master", force_reduction="critical")
-        t4 = reduction_seconds(i4, p4, c, 1)
-        t8 = reduction_seconds(i8, p8, c, 1)
+        t4 = reduction_seconds(i4.reduction, p4, c, 1)
+        t8 = reduction_seconds(i8.reduction, p8, c, 1)
         assert t8 / t4 == pytest.approx(2.0)
 
     def test_tree_beats_critical_at_scale(self):
         it, pt, c = setup(MILAN, force_reduction="tree")
         ic, pc, _ = setup(MILAN, force_reduction="critical")
-        assert reduction_seconds(it, pt, c, 1) < reduction_seconds(ic, pc, c, 1)
+        assert reduction_seconds(it.reduction, pt, c, 1) < (
+            reduction_seconds(ic.reduction, pc, c, 1)
+        )
 
     def test_atomic_scales_with_vars(self):
         icvs, placement, c = setup(MILAN, force_reduction="atomic")
-        one = reduction_seconds(icvs, placement, c, 1)
-        four = reduction_seconds(icvs, placement, c, 4)
+        one = reduction_seconds(icvs.reduction, placement, c, 1)
+        four = reduction_seconds(icvs.reduction, placement, c, 4)
         assert four == pytest.approx(4 * one)
 
     def test_cross_socket_team_pays_distance(self):
@@ -93,66 +96,70 @@ class TestReduction:
             MILAN, num_threads=8, places="sockets", proc_bind="spread",
             force_reduction="tree",
         )
-        assert reduction_seconds(wide_i, wide_p, c, 1) > reduction_seconds(
-            narrow_i, narrow_p, c, 1
+        assert reduction_seconds(wide_i.reduction, wide_p, c, 1) > (
+            reduction_seconds(narrow_i.reduction, narrow_p, c, 1)
         )
 
     def test_negative_vars_rejected(self):
         icvs, placement, c = setup(MILAN)
         with pytest.raises(ConfigError):
-            reduction_seconds(icvs, placement, c, -1)
+            reduction_seconds(icvs.reduction, placement, c, -1)
 
 
 class TestBarrierBlocktime:
     def test_workers_asleep_logic(self):
         passive = resolve_icvs(EnvConfig(), MILAN)  # blocktime 200ms
-        assert not workers_asleep(passive, 0.1)
-        assert workers_asleep(passive, 0.3)
+        assert not workers_asleep(*wait_arguments(passive), 0.1)
+        assert workers_asleep(*wait_arguments(passive), 0.3)
         zero = resolve_icvs(EnvConfig(blocktime="0"), MILAN)
-        assert workers_asleep(zero, 1e-9)
+        assert workers_asleep(*wait_arguments(zero), 1e-9)
         active = resolve_icvs(EnvConfig(library="turnaround"), MILAN)
-        assert not workers_asleep(active, 100.0)
+        assert not workers_asleep(*wait_arguments(active), 100.0)
         infinite = resolve_icvs(EnvConfig(blocktime="infinite"), MILAN)
-        assert not workers_asleep(infinite, 100.0)
+        assert not workers_asleep(*wait_arguments(infinite), 100.0)
 
     def test_fork_wake_penalty(self):
         icvs = resolve_icvs(EnvConfig(), MILAN)
         costs = MILAN.costs
-        awake = fork_seconds(icvs, costs, team_sleeping=False)
-        asleep = fork_seconds(icvs, costs, team_sleeping=True)
+        awake = fork_seconds(icvs.nthreads, costs, team_sleeping=False)
+        asleep = fork_seconds(icvs.nthreads, costs, team_sleeping=True)
         expected_extra = costs.wake_latency_us * 1e-6 * math.ceil(math.log2(96))
         assert asleep - awake == pytest.approx(expected_extra)
 
     def test_active_join_faster_than_passive(self):
         ia, pa, c = setup(MILAN, library="turnaround")
         ip, pp, _ = setup(MILAN)
-        assert join_seconds(ia, pa, c) < join_seconds(ip, pp, c)
+        assert join_seconds(ia.wait_policy, pa, c) < (
+            join_seconds(ip.wait_policy, pp, c)
+        )
 
     def test_join_free_single_thread(self):
         icvs, placement, c = setup(MILAN, num_threads=1)
-        assert join_seconds(icvs, placement, c) == 0.0
+        assert join_seconds(icvs.wait_policy, placement, c) == 0.0
 
     def test_oversubscribed_join_stretches(self):
         io, po, c = setup(MILAN, places="sockets", proc_bind="master")
         ib, pb, _ = setup(MILAN, places="sockets", proc_bind="spread")
-        assert join_seconds(io, po, c) > join_seconds(ib, pb, c)
+        assert join_seconds(io.wait_policy, po, c) > (
+            join_seconds(ib.wait_policy, pb, c)
+        )
 
     def test_serial_gap_passive_unchanged(self):
         icvs, placement, _ = setup(MILAN)
-        assert serial_gap_seconds(icvs, placement, 0.5) == 0.5
+        assert serial_gap_seconds(icvs.wait_policy, placement, 0.5) == 0.5
 
     def test_serial_gap_spinners_sharing_master_core(self):
         # Active waiting + master binding: spinners pile onto core 0.
         icvs, placement, _ = setup(
             MILAN, library="turnaround", proc_bind="master"
         )
-        assert serial_gap_seconds(icvs, placement, 0.1) > 0.1
+        assert serial_gap_seconds(icvs.wait_policy, placement, 0.1) > 0.1
 
     def test_serial_gap_bound_spread_spinners_harmless(self):
         icvs, placement, _ = setup(
             MILAN, library="turnaround", places="cores", proc_bind="spread"
         )
-        assert serial_gap_seconds(icvs, placement, 0.1) == pytest.approx(0.1)
+        assert serial_gap_seconds(icvs.wait_policy, placement, 0.1) == pytest.approx(0.1)
 
 
 class TestAlignment:
