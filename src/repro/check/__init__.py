@@ -3,9 +3,9 @@
 Three complementary suites guard the simulator's trustworthiness (see
 ``docs/TESTING.md`` for the full catalog):
 
-- :mod:`repro.check.invariants` — structural laws of the discrete-event
-  kernel and the chunking/stealing simulators, observed through the
-  engine's opt-in instrumentation hooks,
+- :mod:`repro.check.invariants` — structural laws of the chunking and
+  work-stealing simulators (iteration coverage, task conservation, steal
+  replay), observed through their opt-in instrumentation hooks,
 - :mod:`repro.check.metamorphic` — model-level relations with provable
   expected effects (cost-scaling homogeneity, wait-policy envelopes,
   default-speedup unity),
@@ -27,12 +27,11 @@ from repro.check.differential import (
     sharded_execution_parity,
 )
 from repro.check.invariants import (
-    InvariantObserver,
-    check_engine_invariants,
+    StealOrderAuditor,
     check_loop_iteration_coverage,
-    check_no_negative_delay,
     check_schedule_chunk_coverage,
     check_work_stealing_conservation,
+    check_work_stealing_replay,
 )
 from repro.check.metamorphic import (
     relation_blocktime_bracketing,
@@ -52,12 +51,11 @@ from repro.check.runner import (
 __all__ = [
     "CheckResult",
     "run_check",
-    "InvariantObserver",
-    "check_engine_invariants",
-    "check_no_negative_delay",
+    "StealOrderAuditor",
     "check_loop_iteration_coverage",
     "check_schedule_chunk_coverage",
     "check_work_stealing_conservation",
+    "check_work_stealing_replay",
     "relation_cost_scaling",
     "relation_serial_phase_threads",
     "relation_blocktime_bracketing",

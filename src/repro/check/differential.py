@@ -43,7 +43,6 @@ __all__ = [
     "sharded_execution_parity",
     "service_degrade_parity",
     "golden_trace_check",
-    "verify_bless_stability",
     "bless_golden_traces",
 ]
 
@@ -754,54 +753,13 @@ def golden_trace_check(golden_dir: str | Path | None = None) -> dict:
     }
 
 
-def verify_bless_stability(
-    seeds: tuple[int, ...] = (1, 2, 3)
-) -> dict[str, int]:
-    """Require every golden case to be tie-break stable before blessing.
-
-    Recomputes each case's trace under seeded same-timestamp perturbation
-    (:func:`repro.desim.tiebreak_scope`) and raises :class:`CheckFailure`
-    if any seed produces a different trace than the canonical order.  A
-    trace that depends on how the engine breaks timestamp ties would make
-    the fixture an accident of heap ordering, not a model property — such
-    a case must be fixed, never blessed.
-
-    Returns ``{case_id: n_seeds_verified}``.
-    """
-    from repro.desim import tiebreak_scope
-
-    verified: dict[str, int] = {}
-    for case_id in sorted(GOLDEN_CASES):
-        canonical = _compute_trace(case_id).to_dict()
-        for seed in seeds:
-            with tiebreak_scope(seed):
-                perturbed = _compute_trace(case_id).to_dict()
-            if perturbed != canonical:
-                raise CheckFailure(
-                    f"golden case {case_id} is tie-break-unstable: trace "
-                    f"changed under perturbation seed {seed} — the model "
-                    "depends on same-timestamp event order; fix it (run "
-                    "repro-omp sanitize) before blessing"
-                )
-        verified[case_id] = len(seeds)
-    return verified
-
-
-def bless_golden_traces(
-    golden_dir: str | Path | None = None,
-    verify_stability: bool = True,
-) -> list[str]:
+def bless_golden_traces(golden_dir: str | Path | None = None) -> list[str]:
     """(Re)write every golden fixture from the current model.
 
     Returns the paths written.  Review the resulting diff — blessing
-    encodes the current model output as correct.  Unless
-    ``verify_stability`` is disabled, the bless refuses to write fixtures
-    whose traces change under seeded tie-break perturbation (see
-    :func:`verify_bless_stability`).
+    encodes the current model output as correct.
     """
     root = Path(golden_dir) if golden_dir is not None else default_golden_dir()
-    if verify_stability:
-        verify_bless_stability()
     root.mkdir(parents=True, exist_ok=True)
     written = []
     for case_id in sorted(GOLDEN_CASES):

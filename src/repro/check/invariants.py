@@ -1,164 +1,39 @@
-"""Engine and simulator invariants (the "does the simulator tell the
-truth about itself" layer).
+"""Simulator invariants (the "does the simulator tell the truth about
+itself" layer).
 
-Built on the opt-in instrumentation hooks: :class:`InvariantObserver`
-plugs into :class:`repro.desim.engine.Engine` and records violations of
-the kernel's structural laws, and the ``check_*`` functions drive
-representative simulations through the observers:
+Built on the simulators' opt-in instrumentation hooks (``on_chunk``,
+``on_task`` and the work-stealing decision observer), the ``check_*``
+functions drive representative simulations and assert:
 
-- **monotonic clock** — event times never decrease as the engine runs,
-- **no scheduling into the past** — every scheduled delay is >= 0,
-- **live-process conservation** — every started process finishes, and the
-  engine's live count returns to zero,
 - **iteration coverage** — a worksharing loop executes every iteration
   exactly once across all chunks, on every schedule,
 - **per-core occupancy** — no worker executes two chunks at once, and no
   more workers appear than the machine model provides,
-- **task conservation** — work stealing executes every task exactly once.
+- **task conservation** — work stealing executes every task exactly once,
+- **steal replay** — two work-stealing runs of one tree and seed make the
+  identical pop/steal decision stream.
 
 Each check raises :class:`~repro.errors.CheckFailure` on violation.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from repro.desim.engine import Engine, Timeout
 from repro.desim.loopsim import simulate_loop
 from repro.desim.stealing import SpawnTree, WorkStealingSimulator
-from repro.errors import CheckFailure, SimulationError
+from repro.errors import CheckFailure
 from repro.runtime.schedule import iterate_chunks
 
 __all__ = [
-    "InvariantObserver",
-    "check_engine_invariants",
-    "check_no_negative_delay",
+    "StealOrderAuditor",
     "check_loop_iteration_coverage",
     "check_schedule_chunk_coverage",
     "check_work_stealing_conservation",
+    "check_work_stealing_replay",
 ]
-
-
-class InvariantObserver:
-    """Engine observer that records structural-invariant violations.
-
-    Attach to an :class:`Engine` (``Engine(observer=...)``); after the run,
-    :attr:`violations` lists every broken law and :meth:`assert_clean`
-    raises :class:`CheckFailure` if any were seen.
-    """
-
-    def __init__(self) -> None:
-        self.violations: list[str] = []
-        self.n_scheduled = 0
-        self.n_advanced = 0
-        self.n_started = 0
-        self.n_finished = 0
-        self._last_advance: float | None = None
-
-    # -- Engine hooks ---------------------------------------------------
-    def on_schedule(self, now: float, delay: float) -> None:
-        """A callback entered the event heap; flag negative delays."""
-        self.n_scheduled += 1
-        if delay < 0:
-            self.violations.append(
-                f"negative delay {delay!r} reached _schedule at t={now!r}"
-            )
-
-    def on_advance(self, time: float) -> None:
-        """The clock advanced; flag any backwards movement."""
-        self.n_advanced += 1
-        if self._last_advance is not None and time < self._last_advance:
-            self.violations.append(
-                f"clock moved backwards: {self._last_advance!r} -> {time!r}"
-            )
-        self._last_advance = time
-
-    def on_process_start(self, proc) -> None:
-        """A process was registered with the engine."""
-        self.n_started += 1
-
-    def on_process_finish(self, proc) -> None:
-        """A process generator was exhausted."""
-        self.n_finished += 1
-
-    # -- Post-run assertions --------------------------------------------
-    def assert_clean(self, engine: Engine | None = None) -> None:
-        """Raise :class:`CheckFailure` on any recorded violation, on
-        unbalanced process accounting, or (given the engine) a nonzero
-        residual live count."""
-        problems = list(self.violations)
-        if self.n_finished != self.n_started:
-            problems.append(
-                f"process accounting unbalanced: {self.n_started} started, "
-                f"{self.n_finished} finished"
-            )
-        if engine is not None and engine.live_processes != 0:
-            problems.append(
-                f"engine reports {engine.live_processes} live process(es) "
-                "after a drained run"
-            )
-        if problems:
-            raise CheckFailure("; ".join(problems))
-
-
-def check_engine_invariants() -> dict:
-    """Drive an observed engine through a mixed workload and assert the
-    clock/scheduling/process laws held throughout."""
-    obs = InvariantObserver()
-    eng = Engine(observer=obs)
-    gate = eng.event()
-
-    def staggered(d):
-        yield Timeout(d)
-        yield Timeout(d / 2)
-
-    def waiter():
-        yield gate
-
-    def firer():
-        yield Timeout(1.5)
-        gate.succeed("go")
-
-    for d in (3.0, 1.0, 2.0, 0.5):
-        eng.process(staggered(d))
-    eng.process(waiter())
-    eng.process(firer())
-    eng.run()
-    obs.assert_clean(eng)
-    return {
-        "details": (
-            f"{obs.n_started} processes, {obs.n_scheduled} schedules, "
-            f"{obs.n_advanced} advances, clock monotone"
-        ),
-        "n_scheduled": obs.n_scheduled,
-        "n_advanced": obs.n_advanced,
-    }
-
-
-def check_no_negative_delay() -> str:
-    """The engine's guards against scheduling into the past are active."""
-    eng = Engine()
-    try:
-        eng._schedule(-1e-9, lambda arg: None, None)
-    except SimulationError:
-        pass
-    else:
-        raise CheckFailure("negative _schedule delay was accepted")
-
-    eng2 = Engine()
-
-    def worker():
-        yield Timeout(10.0)
-
-    eng2.process(worker())
-    eng2.run(until=5.0)
-    try:
-        eng2.run(until=1.0)
-    except SimulationError:
-        pass
-    else:
-        raise CheckFailure("run(until=past) moved the clock backwards")
-    return "negative-delay and backwards-until guards active"
 
 
 def _coverage_failure(kind: str, context: str, counts: np.ndarray) -> str:
@@ -180,8 +55,7 @@ def check_loop_iteration_coverage(
     """Every loop iteration executes exactly once across chunks, no worker
     overlaps itself, and no phantom workers appear — on every schedule.
 
-    Uses :func:`simulate_loop`'s ``on_chunk`` instrumentation plus an
-    :class:`InvariantObserver` on the underlying engine.
+    Uses :func:`simulate_loop`'s ``on_chunk`` instrumentation.
     """
     rng = np.random.default_rng(seed)
     costs = rng.uniform(0.5, 1.5, size=n_iters)
@@ -194,7 +68,6 @@ def check_loop_iteration_coverage(
     for kind, workers, chunk in cases:
         counts = np.zeros(n_iters, dtype=np.int64)
         intervals: dict[int, list[tuple[float, float]]] = {}
-        obs = InvariantObserver()
 
         def on_chunk(w, lo, hi, start, duration):
             counts[lo:hi] += 1
@@ -202,7 +75,7 @@ def check_loop_iteration_coverage(
 
         simulate_loop(
             costs, workers, schedule=kind, chunk=chunk,
-            dispatch_time=1e-3, on_chunk=on_chunk, engine_observer=obs,
+            dispatch_time=1e-3, on_chunk=on_chunk,
         )
         context = f"(T={workers}, chunk={chunk}, n={n_iters})"
         if (counts != 1).any():
@@ -221,7 +94,6 @@ def check_loop_iteration_coverage(
                         f"chunks ([..{end_a}] vs [{start_b}..])"
                     )
             total_chunks += len(spans)
-        obs.assert_clean()
     return {
         "details": f"{len(cases)} schedule cases, {total_chunks} chunks, "
                    f"every iteration exactly once",
@@ -332,3 +204,74 @@ def check_work_stealing_conservation() -> dict:
     return {"details": f"{len(trees)} trees x 3 team sizes: every task "
                        "exactly once, busy time conserved",
             "n_graphs": len(trees)}
+
+
+@dataclass
+class StealOrderAuditor:
+    """Observer for :meth:`WorkStealingSimulator.run` decision hooks."""
+
+    events: list[tuple] = field(default_factory=list)
+
+    # Hook signatures match the observer contract documented on run().
+    def on_pop(self, now: float, worker: int, task_id: int) -> None:
+        """A worker popped a task from its own deque."""
+        self.events.append((now, "pop", worker, worker, task_id))
+
+    def on_steal(
+        self, now: float, thief: int, victim: int, task_id: int
+    ) -> None:
+        """A thief stole a task from a victim's deque."""
+        self.events.append((now, "steal", thief, victim, task_id))
+
+    def arbitrated_ties(self) -> int:
+        """Same-timestamp groups whose outcome the event order arbitrated.
+
+        A group counts when at least two distinct workers made decisions
+        (every decision is a pop or a steal, so each takes work from a
+        deque) at one timestamp — the situations where the documented
+        ``(time, seq)`` order, not task timing, decided who got the work.
+        """
+        workers: dict[float, set[int]] = {}
+        for ev in self.events:
+            workers.setdefault(ev[0], set()).add(ev[2])
+        return sum(len(group) > 1 for group in workers.values())
+
+
+def check_work_stealing_replay() -> dict:
+    """Two runs of one spawn tree and seed make the identical pop/steal
+    decision stream and makespan.
+
+    The work-stealing simulator's trajectories *legitimately* depend on
+    its documented ``(time, sequence)`` event order plus the victim
+    seed (see :mod:`repro.desim.stealing`): which idle worker reaches a
+    contended deque first is simulated arbitration, not hidden
+    nondeterminism.  This relation audits that contract: a divergent
+    replay means state leaks between runs.  The count of same-timestamp
+    groups the order arbitrated is reported, not judged.
+    """
+    tree = SpawnTree(4, 3, leaf_work=1e-4, node_work=2e-5)
+    runs = []
+    for _ in range(2):
+        auditor = StealOrderAuditor()
+        result = WorkStealingSimulator(4, seed=0).run(
+            tree, observer=auditor
+        )
+        runs.append((auditor, result.makespan))
+    (first, makespan), (second, makespan_b) = runs
+    if first.events != second.events or makespan != makespan_b:
+        raise CheckFailure(
+            "work-stealing replay diverged: two runs with identical "
+            f"tree/seed produced different decision streams "
+            f"({len(first.events)} vs {len(second.events)} events, "
+            f"makespan {makespan!r} vs {makespan_b!r}) — the simulator "
+            "leaks state between runs"
+        )
+    ties = first.arbitrated_ties()
+    return {
+        "details": f"{len(first.events)} pop/steal decisions replayed "
+                   f"identically; {ties} same-timestamp contention(s) "
+                   "arbitrated by the (time, sequence) order",
+        "n_decisions": len(first.events),
+        "n_arbitrated_ties": ties,
+        "makespan": makespan,
+    }

@@ -26,12 +26,11 @@ __all__ = [
 #: Suite name -> ordered (check name, zero-arg callable) pairs.
 SUITES: dict[str, tuple] = {
     "invariants": (
-        ("engine-invariants", invariants.check_engine_invariants),
-        ("no-negative-delay", invariants.check_no_negative_delay),
         ("loop-iteration-coverage", invariants.check_loop_iteration_coverage),
         ("schedule-chunk-coverage", invariants.check_schedule_chunk_coverage),
         ("work-stealing-conservation",
          invariants.check_work_stealing_conservation),
+        ("work-stealing-replay", invariants.check_work_stealing_replay),
     ),
     "metamorphic": (
         ("cost-scaling", metamorphic.relation_cost_scaling),

@@ -24,9 +24,9 @@ Subcommands mirror the study's workflow:
 - ``lint`` — static analysis: configuration/program lint against the ICV
   derivation rules, ICV-equivalence pruning statistics, and the
   simulator's determinism self-lint (see ``docs/LINTING.md``),
-- ``sanitize`` — concurrency sanitizer: static RACE/DLK rules, vector-clock
-  happens-before race detection, and the schedule-perturbation fuzzer
-  over the simulated runtime (see ``docs/SANITIZER.md``),
+- ``sanitize`` — static concurrency sanitizer: the RACE/DLK rules over
+  the registered manifests or one environment, gated on error-severity
+  findings (see ``docs/LINTING.md``),
 - ``chaos`` — rehearse the sweep engine's failure handling: inject a
   seeded fault plan (worker crashes/hangs, corrupt payloads, node loss,
   shard partitions, cache corruption) into a degrade-mode sweep on any
@@ -250,24 +250,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_san = sub.add_parser(
         "sanitize",
-        help="concurrency sanitizer: RACE/DLK rules, happens-before "
-             "tracking, schedule-perturbation fuzzing",
+        help="static concurrency sanitizer: RACE/DLK rules (fails on "
+             "error-severity findings only)",
     )
-    p_san.add_argument("--suite", default="all",
-                       choices=("static", "hb", "fuzz", "all"),
-                       help="which pass to run (default: all)")
     p_san.add_argument("--arch", nargs="*", default=None,
                        choices=machine_names(),
-                       help="machines for the static pass (default: all)")
+                       help="machines to sanitize (default: all)")
     p_san.add_argument("--workloads", nargs="*", default=None,
                        help=f"manifest subset of {workload_names()}")
     p_san.add_argument("--env", action="append", default=[],
                        metavar="VAR=VALUE",
                        help="sanitize one environment instead of the "
                             "registered manifests (repeatable)")
-    p_san.add_argument("--seeds", type=int, default=5,
-                       help="perturbation seeds for the fuzz pass "
-                            "(default: 5)")
     p_san.add_argument("--format", default="text", dest="fmt",
                        choices=("text", "json"),
                        help="stdout format (default: text)")
@@ -820,31 +814,22 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     from repro.reporting import render_report, write_report_file
     from repro.sanitize import run_sanitize
-    from repro.sanitize.runner import ALL_SUITES
 
     env = _parse_env_items(args.env)
     if env is None:
         return 2
-    suites = ALL_SUITES if args.suite == "all" else (args.suite,)
     report = run_sanitize(
-        suites=suites,
         archs=args.arch,
         workload_names=args.workloads,
         env=env or None,
-        seeds=tuple(range(1, max(args.seeds, 1) + 1)),
     )
     print(render_report(args.fmt, findings=report.findings,
                         **report.extra_payload()))
     if args.fmt == "text":
-        for outcome in report.fuzz_outcomes:
-            mark = ("identical" if outcome.identical
-                    else f"DIVERGED at seeds {outcome.divergent_seeds}")
-            print(f"  fuzz {outcome.scenario:24s} "
-                  f"{outcome.n_seeds} seed(s): {mark}")
         # format_findings' verdict counts warnings; the sanitize gate is
         # error-only, so state it explicitly.
         n_err = len(report.failures())
-        print(f"sanitize gate ({'/'.join(report.suites)}): "
+        print("sanitize gate: "
               + ("PASS (no error-severity findings)" if report.passed
                  else f"FAIL ({n_err} error-severity finding(s))"))
     if args.report:

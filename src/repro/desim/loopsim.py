@@ -1,38 +1,41 @@
-"""Self-scheduled loop execution on the DES kernel.
+"""Self-scheduled loop execution at per-chunk granularity.
 
 A per-chunk simulation of OpenMP worksharing-loop execution: workers grab
-chunks from a shared counter guarded by a :class:`~repro.desim.resources.Lock`
-(the dispatch serialization the analytic model approximates), execute
-their iterations' costs, and rendezvous at an end barrier.
+chunks from a shared counter behind a FIFO dispatch lock (the dispatch
+serialization the analytic model approximates) and execute their
+iterations' costs.  Chunk bounds come from
+:func:`repro.runtime.schedule.iterate_chunks`, the same executable chunk
+specification the ``schedule-chunk-coverage`` check validates against
+the closed forms.
+
+The simulation is flat: a heap of ``(time, sequence, worker)`` arrivals
+at the dispatch lock, and the lock itself as the one time it next falls
+free.  A worker arriving at ``t`` is granted at ``max(t, free_at)`` and
+holds the lock for ``dispatch_time / speed``; it then runs the next chunk
+or, once the counter is exhausted, retires.  Same-time arrivals are
+granted in the order their chunks were handed out (the sequence), so
+every trajectory is a pure function of the inputs.
 
 Used as ground truth for :mod:`repro.runtime.schedule`'s closed forms —
 tests check that the analytic balance factors and dispatch-contention
 bounds track this simulation across schedules, chunk sizes, team sizes
-and iteration-cost profiles.
-
-For verification, :func:`simulate_loop` accepts an ``on_chunk`` callback
-(fired once per executed chunk with its bounds and timing) and an
-``engine_observer`` forwarded to the underlying :class:`Engine` — the
-``repro.check`` iteration-coverage invariant asserts every loop iteration
-is executed exactly once across all reported chunks.  Shared-state
-touches (the chunk cursor and dispatch-wait accumulator, both guarded by
-the dispatch lock) are reported through ``state_access`` notifications,
-which the ``repro.sanitize`` happens-before tracker consumes; the
-``tiebreak_seed`` and ``inject_tie_race`` parameters exist solely for
-that sanitizer (seeded same-timestamp perturbation, and a deliberate
-order-dependent fault used to prove the detectors catch one).
+and iteration-cost profiles.  For verification, :func:`simulate_loop`
+accepts an ``on_chunk`` callback (fired once per executed chunk with its
+bounds and timing); the ``repro.check`` iteration-coverage invariant
+asserts every loop iteration is executed exactly once across all
+reported chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable
 
 import numpy as np
 
-from repro.desim.engine import Engine, Timeout
-from repro.desim.resources import Lock
 from repro.errors import SimulationError
+from repro.runtime.schedule import iterate_chunks
 
 __all__ = ["LoopSimResult", "simulate_loop"]
 
@@ -60,19 +63,6 @@ class LoopSimResult:
         return max(self.busy) / mean if mean > 0 else 1.0
 
 
-def _static_blocks(n: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous static partition (libomp schedule(static))."""
-    base = n // workers
-    extra = n % workers
-    blocks = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        blocks.append((start, start + size))
-        start += size
-    return blocks
-
-
 def simulate_loop(
     iter_costs: np.ndarray,
     n_workers: int,
@@ -81,9 +71,6 @@ def simulate_loop(
     dispatch_time: float = 0.0,
     worker_speeds: np.ndarray | None = None,
     on_chunk: Callable[[int, int, int, float, float], None] | None = None,
-    engine_observer: object = None,
-    tiebreak_seed: int | None = None,
-    inject_tie_race: bool = False,
 ) -> LoopSimResult:
     """Simulate one worksharing loop at per-chunk granularity.
 
@@ -92,28 +79,17 @@ def simulate_loop(
     iter_costs:
         Cost of each iteration (seconds).
     schedule:
-        ``"static"`` (contiguous blocks, no dispatch),
+        ``"static"`` (contiguous blocks, no dispatch; ``chunk`` ignored),
         ``"dynamic"`` (fixed ``chunk``), or
         ``"guided"`` (chunk = ceil(remaining / 2T), floored at ``chunk``).
     dispatch_time:
-        Time the shared chunk counter is held per grab (serializes).
+        Time the shared chunk counter is held per grab (serializes),
+        scaled by the grabbing worker's speed.  The final grab that finds
+        the counter exhausted is charged too.
     on_chunk:
         Optional instrumentation callback invoked once per executed chunk
         as ``on_chunk(worker, lo, hi, start_time, duration)`` — the
         half-open iteration range ``[lo, hi)`` the worker ran.
-    engine_observer:
-        Optional observer forwarded to the internal :class:`Engine`.
-    tiebreak_seed:
-        Optional seed forwarded to the internal :class:`Engine`,
-        perturbing same-timestamp handler order (sanitizer fuzzing only).
-    inject_tie_race:
-        Test-only fault injection: every worker writes a shared cell at
-        t=0 *outside* the dispatch lock and the last write perturbs the
-        returned makespan by ``1e-9 * value``.  This is a genuine
-        tie-break race — unordered same-timestamp writes whose winner
-        depends on handler order — planted so the sanitizer's
-        happens-before pass and perturbation fuzzer can both be shown to
-        catch one.  Never set outside sanitizer tests.
     """
     iter_costs = np.asarray(iter_costs, dtype=float)
     if iter_costs.ndim != 1 or iter_costs.shape[0] == 0:
@@ -133,109 +109,49 @@ def simulate_loop(
     )
     if speeds.shape != (n_workers,) or (speeds <= 0).any():
         raise SimulationError("worker_speeds must be positive, one per worker")
+    speed = speeds.tolist()
 
     n = iter_costs.shape[0]
-    prefix = np.concatenate([[0.0], np.cumsum(iter_costs)])
-
-    engine = Engine(observer=engine_observer, tiebreak_seed=tiebreak_seed)
+    prefix = np.concatenate([[0.0], np.cumsum(iter_costs)]).tolist()
     busy = [0.0] * n_workers
-    state = {"next": 0, "chunks": 0, "dispatch_wait": 0.0, "race_cell": 0}
-    lock = Lock(engine, name="dispatch")
-
-    def racy_prologue(w: int) -> None:
-        # The injected fault: an unguarded same-timestamp write to shared
-        # state.  Whichever worker's start handler runs last wins.
-        state["race_cell"] = w
-        if engine._observer is not None:
-            engine.notify(
-                "state_access", obj="race_cell", op="write",
-                label=f"worker{w} unguarded write",
-            )
-
-    def perturbed(makespan: float) -> float:
-        if inject_tie_race:
-            return makespan + 1e-9 * state["race_cell"]
-        return makespan
+    makespan = 0.0
 
     if schedule == "static":
-        # Chunk count is a pure function of the partition — computed up
-        # front so static workers touch only per-worker state.  (An earlier
-        # version had every worker bump a shared counter at t=0: harmless
-        # in effect, but an unordered same-timestamp write the sanitizer
-        # rightly flags.  The sanitizer forced this cleanup.)
-        blocks = _static_blocks(n, n_workers)
-        n_chunks = sum(1 for lo, hi in blocks if hi > lo)
-
-        def worker_static(w: int):
-            if inject_tie_race:
-                racy_prologue(w)
-            lo, hi = blocks[w]
-            if hi > lo:
-                duration = (prefix[hi] - prefix[lo]) / speeds[w]
-                busy[w] += duration
-                if on_chunk is not None:
-                    on_chunk(w, lo, hi, engine.now, duration)
-                yield Timeout(duration)
-
-        for w in range(n_workers):
-            engine.process(worker_static(w), name=f"worker{w}")
-        engine.run()
-        return LoopSimResult(
-            makespan=perturbed(engine.now),
-            n_chunks=n_chunks,
-            dispatch_wait=0.0,
-            busy=tuple(busy),
-        )
-
-    def take_chunk() -> tuple[int, int]:
-        lo = state["next"]
-        if lo >= n:
-            return (n, n)
-        if schedule == "dynamic":
-            size = chunk
-        else:  # guided: libomp's remaining/(2T) with a floor
-            remaining = n - lo
-            size = max(chunk, -(-remaining // (2 * n_workers)))
-        hi = min(lo + size, n)
-        state["next"] = hi
-        state["chunks"] += 1
-        return (lo, hi)
-
-    def worker_dyn(w: int):
-        if inject_tie_race:
-            racy_prologue(w)
-        while True:
-            wait_start = engine.now
-            yield from lock.acquire()
-            state["dispatch_wait"] += engine.now - wait_start
-            if engine._observer is not None:
-                engine.notify(
-                    "state_access", obj="dispatch_wait", op="write",
-                    label=f"worker{w} wait accounting",
-                )
-            if dispatch_time > 0.0:
-                yield Timeout(dispatch_time / speeds[w])
-            lo, hi = take_chunk()
-            if engine._observer is not None:
-                engine.notify(
-                    "state_access", obj="chunk_cursor", op="write",
-                    label=f"worker{w} grab [{lo}, {hi})",
-                )
-            lock.release()
-            if lo >= hi:
-                return
-            duration = (prefix[hi] - prefix[lo]) / speeds[w]
-            busy[w] += duration
+        # Worker w runs the w-th contiguous block, all starting at t=0.
+        n_chunks = 0
+        for w, (lo, hi) in enumerate(iterate_chunks("static", n, n_workers)):
+            duration = (prefix[hi] - prefix[lo]) / speed[w]
+            busy[w] = duration
             if on_chunk is not None:
-                on_chunk(w, lo, hi, engine.now, duration)
-            yield Timeout(duration)
+                on_chunk(w, lo, hi, 0.0, duration)
+            makespan = max(makespan, duration)
+            n_chunks += 1
+        return LoopSimResult(makespan, n_chunks, 0.0, tuple(busy))
 
-    for w in range(n_workers):
-        engine.process(worker_dyn(w), name=f"worker{w}")
-    engine.run()
-    return LoopSimResult(
-        makespan=perturbed(engine.now),
-        n_chunks=state["chunks"],
-        dispatch_wait=state["dispatch_wait"],
-        busy=tuple(busy),
-    )
+    chunks = iterate_chunks(schedule, n, n_workers, chunk)
+    arrivals = [(0.0, w, w) for w in range(n_workers)]
+    seq = n_workers
+    free_at = 0.0
+    wait = 0.0
+    n_chunks = 0
+    while arrivals:
+        t, _, w = heappop(arrivals)
+        granted = max(t, free_at)
+        wait += granted - t
+        free_at = start = granted + dispatch_time / speed[w]
+        bounds = next(chunks, None)
+        if bounds is None:
+            # The grab that finds the counter exhausted still held it.
+            makespan = max(makespan, start)
+            continue
+        lo, hi = bounds
+        n_chunks += 1
+        duration = (prefix[hi] - prefix[lo]) / speed[w]
+        busy[w] += duration
+        if on_chunk is not None:
+            on_chunk(w, lo, hi, start, duration)
+        end = start + duration
+        makespan = max(makespan, end)
+        heappush(arrivals, (end, seq, w))
+        seq += 1
+    return LoopSimResult(makespan, n_chunks, wait, tuple(busy))

@@ -18,18 +18,17 @@ It serves two roles:
 
 Tie arbitration is part of the specification
 --------------------------------------------
-Unlike :class:`repro.desim.engine.Engine` callbacks — whose same-timestamp
-order must never leak into results — this simulator's trajectories
-*legitimately* depend on which idle worker reaches a contended deque
-first.  That arbitration is pinned by the documented event order
-``(time, sequence)`` on the internal heap plus the ``seed``-driven victim
-selection: together they are the reproducibility contract (re-running
-with the same tree, speeds and seed replays the identical trajectory,
-steal for steal).  The sanitizer therefore does not perturb this heap; it
-audits it instead — :class:`repro.sanitize.steal_audit.StealOrderAuditor`
-consumes the ``observer`` hooks on :meth:`WorkStealingSimulator.run` to
-verify replay determinism and to count (as informational findings, not
-races) the same-timestamp deque contentions this order arbitrates.
+This simulator's trajectories *legitimately* depend on which idle worker
+reaches a contended deque first.  That arbitration is pinned by the
+documented event order ``(time, sequence)`` on the internal heap plus the
+``seed``-driven victim selection: together they are the reproducibility
+contract (re-running with the same tree, speeds and seed replays the
+identical trajectory, steal for steal).  The ``work-stealing-replay``
+check (:func:`repro.check.invariants.check_work_stealing_replay`) audits
+it: its :class:`~repro.check.invariants.StealOrderAuditor` consumes the
+``observer`` hooks on :meth:`WorkStealingSimulator.run` to verify replay
+determinism and to count the same-timestamp deque contentions this order
+arbitrates.
 """
 
 from __future__ import annotations
@@ -196,8 +195,8 @@ class WorkStealingSimulator:
         ``observer`` receives scheduler-decision hooks (any subset):
         ``on_pop(now, worker, task_id)`` for LIFO local pops,
         and ``on_steal(now, thief, victim, task_id)`` for steals.  The
-        sanitizer's steal auditor uses these to verify replay determinism
-        and count arbitrated same-timestamp deque contentions.
+        ``work-stealing-replay`` check uses these to verify replay
+        determinism and count arbitrated same-timestamp deque contentions.
         """
         speeds = (
             np.ones(self.n_workers)

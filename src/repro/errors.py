@@ -20,7 +20,6 @@ __all__ = [
     "UnknownWorkload",
     "UnknownInput",
     "SimulationError",
-    "DeadlockError",
     "CheckFailure",
     "ResilienceError",
     "WorkerCrashError",
@@ -105,10 +104,6 @@ class UnknownInput(WorkloadError):
 # --------------------------------------------------------------------------
 class SimulationError(ReproError):
     """The discrete-event or analytic simulation reached an invalid state."""
-
-
-class DeadlockError(SimulationError):
-    """The discrete-event engine ran out of events with live processes."""
 
 
 class CheckFailure(ReproError):

@@ -31,8 +31,7 @@ def report_payload(
     ``failure_report``, if given, is a sweep
     :class:`~repro.resilience.report.FailureReport` (anything with
     ``to_dict``/``format_text``).  ``extra`` keys (plane metadata:
-    suites, stats, fuzz outcomes, prune stats) are merged at the top
-    level.
+    planes, stats, prune stats) are merged at the top level.
     """
     payload: dict = {}
     if findings is not None:

@@ -1,5 +1,4 @@
-"""Static concurrency rules over Program x EnvConfig x MachineTopology
-(pass 3).
+"""Static concurrency rules over Program x EnvConfig x MachineTopology.
 
 The ``RACE0xx`` family flags configurations whose *results* are ordering-
 sensitive on a real runtime (float-associativity-sensitive reduction
@@ -10,9 +9,7 @@ reasons with the *resolved* ICVs — the same derivation the executor uses
 — so each finding is decidable statically and carries the derivation that
 decides it.
 
-Rule ids are stable; ``docs/SANITIZER.md`` is the catalog.  The dynamic
-passes use the 1xx range (RACE100 happens-before, RACE101 fuzzer,
-RACE102/RACE103 steal audit); this module owns 001-0xx.
+Rule ids are stable; ``docs/LINTING.md`` is the catalog.
 """
 
 from __future__ import annotations

@@ -1,21 +1,15 @@
 """Sanitize orchestration: what ``repro-omp sanitize`` and
 ``pytest -m sanitize`` run.
 
-Three passes, composable via ``suites``:
-
-- ``static`` — the RACE/DLK rules over every registered manifest (or one
-  user-supplied environment) on the selected machines,
-- ``hb`` — the happens-before tracker over the instrumented scenario
-  suite plus the work-stealing order audit,
-- ``fuzz`` — the schedule-perturbation fuzzer over the clean scenarios.
+The static RACE/DLK rules over every registered manifest (or one
+user-supplied environment) on the selected machines.
 
 The pass/fail gate is **error severity**: unlike ``repro-omp lint``
 (which fails on unwaived warnings too), sanitize findings of WARNING and
 INFO severity describe *ordering hazards inherent to the configuration*
 — legitimate objects of study for a tuning-space sweep — while an ERROR
-(a tie-break race, a fuzzer divergence, a replay mismatch, an
-oversubscribed spin deadlock) means the simulation itself cannot be
-trusted.
+(an oversubscribed spin deadlock) means the configuration cannot make
+progress as simulated.
 """
 
 from __future__ import annotations
@@ -28,22 +22,15 @@ from repro.arch.topology import MachineTopology
 from repro.lint.findings import Finding, Severity
 from repro.lint.runner import dedupe_findings
 from repro.runtime.icv import DEFAULT_CONFIG, EnvConfig
-from repro.sanitize.fuzz import DEFAULT_SEEDS, FuzzOutcome, fuzz_pass
-from repro.sanitize.hb import HappensBeforeTracker
 from repro.sanitize.rules import sanitize_config
-from repro.sanitize.scenarios import LOOP_SPECS, loop_record, reduction_record
-from repro.sanitize.steal_audit import audit_work_stealing
 from repro.workloads import WORKLOADS
 
 __all__ = [
     "SanitizeReport",
     "sanitize_environment",
     "sanitize_manifests",
-    "hb_pass",
     "run_sanitize",
 ]
-
-ALL_SUITES = ("static", "hb", "fuzz")
 
 
 @dataclass
@@ -51,9 +38,7 @@ class SanitizeReport:
     """Everything one sanitize run produced."""
 
     findings: list[Finding] = field(default_factory=list)
-    fuzz_outcomes: list[FuzzOutcome] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
-    suites: tuple[str, ...] = ()
 
     def failures(self) -> list[Finding]:
         """The findings that fail the run: unwaived errors."""
@@ -69,12 +54,7 @@ class SanitizeReport:
 
     def extra_payload(self) -> dict:
         """Report fields beyond the findings themselves."""
-        return {
-            "suites": list(self.suites),
-            "stats": self.stats,
-            "fuzz": [o.to_dict() for o in self.fuzz_outcomes],
-            "passed": self.passed,
-        }
+        return {"stats": self.stats, "passed": self.passed}
 
 
 def sanitize_environment(
@@ -113,90 +93,27 @@ def sanitize_manifests(
     return dedupe_findings(findings)
 
 
-def hb_pass() -> tuple[list[Finding], dict]:
-    """Happens-before tracking over the instrumented scenario suite.
-
-    Each scenario runs with a fresh tracker; the work-stealing audit
-    rides along (it is an order *audit*, not an HB analysis, but shares
-    the pass because both inspect one canonical run).
-    """
-    findings: list[Finding] = []
-    per_scenario: dict[str, dict] = {}
-
-    for spec in LOOP_SPECS:
-        tracker = HappensBeforeTracker()
-        loop_record(spec, observer=tracker)
-        findings.extend(tracker.findings(context=spec.name))
-        per_scenario[spec.name] = tracker.stats()
-
-    tracker = HappensBeforeTracker()
-    reduction_record(observer=tracker)
-    findings.extend(tracker.findings(context="reduction-slots"))
-    per_scenario["reduction-slots"] = tracker.stats()
-
-    steal_findings, steal_stats = audit_work_stealing()
-    findings.extend(steal_findings)
-    per_scenario["work-stealing"] = steal_stats
-
-    stats = {
-        "n_scenarios": len(per_scenario),
-        "n_accesses": sum(
-            s.get("n_accesses", 0) for s in per_scenario.values()
-        ),
-        "scenarios": per_scenario,
-    }
-    return findings, stats
-
-
 def run_sanitize(
-    suites: Sequence[str] = ALL_SUITES,
     archs: Sequence[str] | None = None,
     workload_names: Sequence[str] | None = None,
     env: Mapping[str, str] | None = None,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
 ) -> SanitizeReport:
-    """Run the selected passes and aggregate one report.
+    """Run the static rules and aggregate one report.
 
-    ``env`` switches the static pass from manifest mode (every workload
-    program under the default config) to single-environment mode.
+    ``env`` switches from manifest mode (every workload program under the
+    default config) to single-environment mode.
     """
-    unknown = [s for s in suites if s not in ALL_SUITES]
-    if unknown:
-        raise ValueError(
-            f"unknown sanitize suite(s) {unknown}; have {list(ALL_SUITES)}"
-        )
-    report = SanitizeReport(suites=tuple(suites))
     machines = list(archs) if archs else machine_names()
-
-    if "static" in suites:
-        static: list[Finding] = []
-        for name in machines:
-            if env is not None:
-                static.extend(sanitize_environment(env, name))
-            else:
-                static.extend(
-                    sanitize_manifests(name, workload_names=workload_names)
-                )
-        static = dedupe_findings(static)
-        report.findings.extend(static)
-        report.stats["static"] = {
-            "n_machines": len(machines),
-            "n_findings": len(static),
-        }
-
-    if "hb" in suites:
-        hb_findings, hb_stats = hb_pass()
-        report.findings.extend(hb_findings)
-        report.stats["hb"] = hb_stats
-
-    if "fuzz" in suites:
-        fz_findings, outcomes = fuzz_pass(seeds=seeds)
-        report.findings.extend(fz_findings)
-        report.fuzz_outcomes = outcomes
-        report.stats["fuzz"] = {
-            "n_scenarios": len(outcomes),
-            "n_seeds": len(tuple(seeds)),
-            "n_divergent": sum(1 for o in outcomes if not o.identical),
-        }
-
-    return report
+    findings: list[Finding] = []
+    for name in machines:
+        if env is not None:
+            findings.extend(sanitize_environment(env, name))
+        else:
+            findings.extend(
+                sanitize_manifests(name, workload_names=workload_names)
+            )
+    findings = dedupe_findings(findings)
+    return SanitizeReport(
+        findings=findings,
+        stats={"n_machines": len(machines), "n_findings": len(findings)},
+    )

@@ -14,13 +14,12 @@ import pytest
 import repro.check.invariants as invariants_mod
 from repro.check import (
     CheckResult,
-    InvariantObserver,
+    StealOrderAuditor,
     bless_golden_traces,
-    check_engine_invariants,
     check_loop_iteration_coverage,
-    check_no_negative_delay,
     check_schedule_chunk_coverage,
     check_work_stealing_conservation,
+    check_work_stealing_replay,
     columnar_pipeline_parity,
     differential_parity,
     golden_trace_check,
@@ -82,13 +81,6 @@ class TestRunCheckHarness:
 # Invariant checks pass on the healthy simulator
 # ----------------------------------------------------------------------
 class TestInvariantChecks:
-    def test_engine_invariants(self):
-        out = check_engine_invariants()
-        assert out["n_scheduled"] > 0 and out["n_advanced"] > 0
-
-    def test_no_negative_delay(self):
-        assert "guards active" in check_no_negative_delay()
-
     def test_loop_iteration_coverage(self):
         out = check_loop_iteration_coverage(n_iters=64)
         assert out["n_cases"] == 8 and out["n_chunks"] > 0
@@ -99,20 +91,48 @@ class TestInvariantChecks:
     def test_work_stealing_conservation(self):
         assert check_work_stealing_conservation()["n_graphs"] == 3
 
-    def test_observer_flags_injected_violations(self):
-        obs = InvariantObserver()
-        obs.on_schedule(1.0, -0.5)
-        obs.on_advance(2.0)
-        obs.on_advance(1.0)
-        with pytest.raises(CheckFailure, match="negative delay"):
-            obs.assert_clean()
-        assert any("backwards" in v for v in obs.violations)
 
-    def test_observer_flags_unbalanced_processes(self):
-        obs = InvariantObserver()
-        obs.on_process_start(object())
-        with pytest.raises(CheckFailure, match="unbalanced"):
-            obs.assert_clean()
+class TestStealAudit:
+    """The ``work-stealing-replay`` relation: one tree and seed replay the
+    identical decision stream; arbitrated ties are counted, not judged."""
+
+    def test_replay_is_deterministic(self):
+        out = check_work_stealing_replay()
+        assert out["n_decisions"] > 0
+        assert "replayed identically" in out["details"]
+
+    def test_arbitrated_ties_counted(self):
+        auditor = StealOrderAuditor()
+        auditor.on_pop(1.0, 0, 10)
+        auditor.on_steal(1.0, 1, 0, 11)  # two workers, same time
+        auditor.on_pop(2.0, 2, 12)  # lone decision: not a tie
+        assert auditor.arbitrated_ties() == 1
+
+    def test_ties_reported_not_judged(self):
+        result = run_check("work-stealing-replay", "invariants",
+                           check_work_stealing_replay)
+        assert result.passed
+        ties = result.data["n_arbitrated_ties"]
+        assert f"{ties} same-timestamp contention(s)" in result.details
+
+    def test_leaky_auditor_is_caught(self, monkeypatch):
+        """Decision state that leaks from one run into the next makes the
+        replay diverge, and the relation fails."""
+        leaked: list = []
+
+        class LeakyAuditor(StealOrderAuditor):
+            def __init__(self):
+                # Starts from the decisions an earlier run left behind.
+                super().__init__(events=list(leaked))
+
+            def on_pop(self, now, worker, task_id):
+                super().on_pop(now, worker, task_id)
+                leaked.append(self.events[-1])
+
+        monkeypatch.setattr(invariants_mod, "StealOrderAuditor",
+                            LeakyAuditor)
+        with pytest.raises(CheckFailure, match="replay diverged"):
+            check_work_stealing_replay()
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,11 @@
-"""The ``repro-omp sanitize`` surface (suites, exit codes, --format,
---report), the shared report renderer across all three analysis planes,
-and the tie-break stability gate on the golden-trace bless flow."""
+"""The ``repro-omp sanitize`` surface (exit codes, --format, --report)
+and the shared report renderer across all three analysis planes."""
 
 import json
 
 import pytest
 
-from repro.check.differential import (
-    bless_golden_traces,
-    verify_bless_stability,
-)
 from repro.cli import build_parser, main
-from repro.desim import ambient_tiebreak_seed
-from repro.errors import CheckFailure
 from repro.lint.findings import Finding, Severity
 from repro.reporting import render_report, report_payload
 from repro.sanitize import run_sanitize
@@ -22,9 +15,9 @@ pytestmark = pytest.mark.sanitize
 
 class TestParser:
     def test_sanitize_subcommand_present(self):
-        args = build_parser().parse_args(["sanitize", "--suite", "hb"])
-        assert args.command == "sanitize" and args.suite == "hb"
-        assert args.seeds == 5 and args.fmt == "text"
+        args = build_parser().parse_args(["sanitize", "--arch", "milan"])
+        assert args.command == "sanitize" and args.arch == ["milan"]
+        assert args.fmt == "text" and args.env == []
 
     def test_arch_choices_validated(self):
         with pytest.raises(SystemExit):
@@ -37,13 +30,9 @@ class TestParser:
 
 
 class TestRunner:
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="unknown sanitize suite"):
-            run_sanitize(suites=("static", "tsan"))
-
     def test_error_findings_fail_the_gate(self):
         report = run_sanitize(
-            suites=("static",), archs=("milan",),
+            archs=("milan",),
             env={"OMP_NUM_THREADS": "192", "KMP_LIBRARY": "turnaround"},
         )
         assert not report.passed
@@ -52,21 +41,21 @@ class TestRunner:
     def test_warnings_do_not_fail_the_gate(self):
         # Manifest mode over one arch: plenty of WARN/INFO findings, none
         # ERROR — the sanitize gate (unlike lint's) must still pass.
-        report = run_sanitize(suites=("static",), archs=("milan",))
+        report = run_sanitize(archs=("milan",))
         assert report.findings and report.passed
-        assert report.stats["static"]["n_machines"] == 1
+        assert report.stats["n_machines"] == 1
 
 
 class TestCliExitCodes:
     def test_clean_run_exits_zero(self, capsys):
-        assert main(["sanitize", "--suite", "fuzz", "--seeds", "2"]) == 0
+        assert main(["sanitize", "--arch", "milan"]) == 0
         out = capsys.readouterr().out
-        assert "sanitize gate (fuzz): PASS" in out
-        assert "identical" in out
+        assert "sanitize gate: PASS" in out
+        assert "WARNING" in out  # warnings are reported, not gated
 
     def test_error_findings_exit_one(self, capsys):
         code = main([
-            "sanitize", "--suite", "static", "--arch", "milan",
+            "sanitize", "--arch", "milan",
             "--env", "OMP_NUM_THREADS=192",
             "--env", "KMP_LIBRARY=turnaround",
         ])
@@ -81,24 +70,24 @@ class TestCliExitCodes:
 class TestCliJsonAndReport:
     def test_json_stdout_parses_with_plane_metadata(self, capsys):
         assert main([
-            "sanitize", "--suite", "static", "--arch", "milan",
+            "sanitize", "--arch", "milan",
             "--workloads", "xsbench", "--format", "json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
-        assert payload["suites"] == ["static"]
+        assert payload["stats"]["n_machines"] == 1
         assert payload["n_findings"] == len(payload["findings"])
 
     def test_report_artifact_matches_stdout_payload(self, tmp_path, capsys):
         report = tmp_path / "sanitize.json"
         assert main([
-            "sanitize", "--suite", "fuzz", "--seeds", "2",
-            "--format", "json", "--report", str(report),
+            "sanitize", "--arch", "milan", "--format", "json",
+            "--report", str(report),
         ]) == 0
         stdout_payload = json.loads(capsys.readouterr().out)
         file_payload = json.loads(report.read_text(encoding="utf-8"))
         assert file_payload == stdout_payload
-        assert {o["identical"] for o in file_payload["fuzz"]} == {True}
+        assert file_payload["n_findings"] > 0
 
     def test_lint_and_check_speak_json_too(self, capsys):
         assert main(["lint", "--env", "OMP_SCHEDULE=static",
@@ -114,51 +103,12 @@ class TestCliJsonAndReport:
 
 class TestSharedReporting:
     def test_payload_merges_findings_checks_and_extra(self):
-        finding = Finding("RACE100", Severity.ERROR, "x", "boom")
-        payload = report_payload(findings=[finding], suites=["hb"])
+        finding = Finding("DLK001", Severity.ERROR, "x", "boom")
+        payload = report_payload(findings=[finding], planes=["env:milan"])
         assert payload["n_findings"] == 1
         assert payload["n_unwaived_failures"] == 1
-        assert payload["suites"] == ["hb"]
+        assert payload["planes"] == ["env:milan"]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unknown report format"):
             render_report("yaml", findings=[])
-
-
-class TestBlessStabilityGate:
-    def test_current_golden_cases_are_stable(self):
-        verified = verify_bless_stability(seeds=(1,))
-        assert all(n == 1 for n in verified.values())
-
-    def test_unstable_model_refuses_to_bless(self, tmp_path, monkeypatch):
-        from repro.check import differential
-        from repro.runtime.trace import ExecutionTrace, TraceEvent
-
-        def unstable_trace(case_id):
-            # A model whose timing depends on the ambient tie-break seed —
-            # exactly what the gate exists to keep out of fixtures.
-            wobble = (ambient_tiebreak_seed() or 0) * 1e-3
-            return ExecutionTrace(
-                program=case_id, arch="milan", config={},
-                events=(TraceEvent("p", "serial", 0.0, 1.0 + wobble, 1),),
-            )
-
-        monkeypatch.setattr(differential, "_compute_trace", unstable_trace)
-        with pytest.raises(CheckFailure, match="tie-break-unstable"):
-            bless_golden_traces(tmp_path)
-        assert not list(tmp_path.iterdir()), "unstable bless wrote fixtures"
-
-    def test_stability_check_can_be_bypassed_explicitly(self, tmp_path,
-                                                        monkeypatch):
-        from repro.check import differential
-        from repro.runtime.trace import ExecutionTrace, TraceEvent
-
-        monkeypatch.setattr(
-            differential, "_compute_trace",
-            lambda case_id: ExecutionTrace(
-                program=case_id, arch="milan", config={},
-                events=(TraceEvent("p", "serial", 0.0, 1.0, 1),),
-            ),
-        )
-        written = bless_golden_traces(tmp_path, verify_stability=False)
-        assert len(written) == len(differential.GOLDEN_CASES)
