@@ -19,15 +19,17 @@ a batch that exhausts its retry budget is *quarantined* — the sweep
 degrades gracefully (``fail_policy="degrade"``) or fails fast
 (``fail_policy="raise"``).  Results still stream back in batch order, so
 the ``progress`` callback fires as each batch lands and records are
-bit-identical to serial execution.  A fleet initializer materializes the
-machine model, the configuration grid and its class plans (one grouping
-and one pricer per thread count, see :class:`_ClassPlans`)
-once per process — batch payloads carry only the batch identity and its
-noise factors, never the grid.  The sweep's own process draws every
-miss's noise factors before dispatch, so no fleet process draws noise.
-The serial backend reads the same state from a closure
-instead (no module-global state, so concurrent serial sweeps on threads
-stay independent).  Every failure lands in the
+bit-identical to serial execution.  The sweep's own process builds the
+machine model, the configuration grid and its class plans (one grouping,
+pricer and packed config columns per thread count, see
+:class:`_ClassPlans`) and draws every miss's noise factors before
+dispatch; a fleet process inherits the finished plans with its task
+function (copy-on-write under ``fork``, pickled once per process under
+``spawn`` or ``forkserver``), so per batch it only prices the classes,
+applies the noise and packs the block.  Batch payloads carry only the
+batch identity and its noise factors, never the grid.  The serial
+backend runs on the same plans; there is no module-global state, so
+concurrent sweeps on threads stay independent.  Every failure lands in the
 :class:`~repro.resilience.report.FailureReport` attached to the
 :class:`SweepResult`.
 
@@ -45,7 +47,7 @@ import os
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -155,9 +157,10 @@ class SweepPlan:
 class BatchSpec:
     """One (workload, setting): the sweep's unit of dispatch and caching.
 
-    Deliberately tiny — this is the only payload pickled per batch when
-    fanning out across processes; the configuration grid itself lives in
-    per-process worker state.
+    Deliberately tiny — with its noise factors, this is the only payload
+    pickled per batch when fanning out across processes; the
+    configuration grid itself travels once per process, in the class
+    plans bound to the fleet's task function.
     """
 
     app: str
@@ -436,7 +439,10 @@ def equivalence_groups(
 
 @dataclass
 class _ClassPlan:
-    """One thread count's grid, grouped into ICV-equivalence classes."""
+    """One thread count's grid, grouped into ICV-equivalence classes,
+    with everything its batches share built once, on construction: the
+    classes' pricer, each grid index's class, the noise-seed suffixes
+    and the packed config columns."""
 
     machine: MachineTopology
     fidelity: str
@@ -448,38 +454,32 @@ class _ClassPlan:
     #: Whether classes share model terms (off: every class is priced on
     #: its own, the reference the pruning check compares against).
     share: bool
-    _pricer: ClassPricer | None = None
+    #: The classes' pricer (each class priced as its first member).
+    pricer: ClassPricer = field(init=False, repr=False)
+    #: Each grid index's class, as its position in :attr:`classes`.
+    grid_classes: np.ndarray = field(init=False, repr=False)
+    #: Every config's encoded noise-seed suffix, in grid order.
+    noise_suffixes: list[bytes] = field(init=False, repr=False)
+    #: The grid's config columns, packed in grid order: the two int
+    #: columns as raw ``q`` buffers, each ``str`` column as its strings
+    #: in order of first appearance plus local codes.
+    grid_columns: dict[str, bytes | tuple[list[str], np.ndarray]] = field(
+        init=False, repr=False)
 
-    def pricer(self) -> ClassPricer:
-        """The classes' pricer (each class priced as its first member),
-        built on first use: a fleet's parent only counts the classes."""
-        if self._pricer is None:
-            self._pricer = ClassPricer(
-                self.machine,
-                [icvs or resolve_icvs(self.configs[members[0]], self.machine)
-                 for icvs, members in self.classes],
-                self.fidelity, share=self.share,
-            )
-        return self._pricer
-
-    @cached_property
-    def grid_classes(self) -> np.ndarray:
-        """Each grid index's class, as its position in :attr:`classes`."""
-        classes = np.empty(len(self.configs), dtype=np.intp)
+    def __post_init__(self) -> None:
+        self.pricer = ClassPricer(
+            self.machine,
+            [icvs or resolve_icvs(self.configs[members[0]], self.machine)
+             for icvs, members in self.classes],
+            self.fidelity, share=self.share,
+        )
+        self.grid_classes = np.empty(len(self.configs), dtype=np.intp)
         for k, (_, members) in enumerate(self.classes):
-            classes[members] = k
-        return classes
+            self.grid_classes[members] = k
+        self.noise_suffixes = noise_seed_suffixes(self.configs, self.seed)
+        self.grid_columns = self._pack_columns()
 
-    @cached_property
-    def noise_suffixes(self) -> list[bytes]:
-        """Every config's encoded noise-seed suffix, in grid order."""
-        return noise_seed_suffixes(self.configs, self.seed)
-
-    @cached_property
-    def _grid_columns(self) -> dict[str, bytes | tuple[list[str], np.ndarray]]:
-        """The grid's config columns, packed once in grid order: the two
-        int columns as raw ``q`` buffers, each ``str`` column as its
-        strings in order of first appearance plus local codes."""
+    def _pack_columns(self) -> dict[str, bytes | tuple[list[str], np.ndarray]]:
         cfgs = self.configs
         columns: dict[str, bytes | tuple[list[str], np.ndarray]] = {
             "cfg_num_threads": array("q", [
@@ -524,11 +524,11 @@ class _ClassPlan:
             elif name == "runtimes":
                 col.data.frombytes(runtimes.tobytes())
             elif col.kind == "str":
-                strings, codes = self._grid_columns[name]
+                strings, codes = self.grid_columns[name]
                 remap = np.array([add(s) for s in strings], dtype=np.int64)
                 col.data.frombytes(remap[codes].tobytes())
             else:
-                col.data.frombytes(self._grid_columns[name])
+                col.data.frombytes(self.grid_columns[name])
         return block
 
 
@@ -547,9 +547,10 @@ class _ClassPlans:
     instead of once per batch.  With pruning on, the pricer shares each
     model term among the classes with equal arguments.  Plans
     live as long as the sweep: ``run_sweep`` builds them, draws every
-    miss's noise factors from them before dispatch and runs the serial
-    path on them; a fleet process builds its own in :func:`_init_worker`
-    and never draws noise.
+    miss's noise factors from them before dispatch (which builds the
+    plan of every thread count a miss uses) and runs the serial path on
+    them, or binds them to a fleet's task function, so a fleet process
+    builds nothing and never draws noise.
     """
 
     plan: SweepPlan
@@ -638,7 +639,7 @@ def _execute_batch(
     class_plan: _ClassPlan = plans.at(batch.nthreads)
 
     # Annotated so the dependency lint's call graph reaches the model.
-    pricer: ClassPricer = class_plan.pricer()
+    pricer: ClassPricer = class_plan.pricer
     true_runtimes = pricer.runtimes(program, plan.seed)[
         class_plan.grid_classes]
     observed = noisy_runtimes(np.repeat(true_runtimes, plan.repetitions),
@@ -647,22 +648,9 @@ def _execute_batch(
                            observed.reshape(-1, plan.repetitions))
 
 
-#: Per-process sweep state (the class plans over the machine model and
-#: materialized config grid), populated once by :func:`_init_worker`
-#: instead of being pickled into every batch payload.
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(plan: SweepPlan, chaos: ChaosPlan | None = None) -> None:
-    install_chaos(chaos)
-    machine = get_machine(plan.arch)
-    _WORKER_STATE["plans"] = _ClassPlans(
-        plan, machine, EnvSpace().grid(machine, plan.scale, seed=plan.seed),
-    )
-
-
-def _supervised_run_batch(payload: tuple, attempt: int):
-    """Fleet entry point: run one batch, honoring installed chaos.
+def _supervised_run_batch(plans: _ClassPlans, payload: tuple, attempt: int):
+    """Fleet entry point: run one batch on the sweep's finished class
+    ``plans`` (bound by :func:`_make_fleet`), honoring installed chaos.
 
     ``payload`` is ``(batch_index, batch, drift, jitter)``: the batch
     and its noise factors, drawn by the sweep's own process.  The index
@@ -679,7 +667,7 @@ def _supervised_run_batch(payload: tuple, attempt: int):
         return corrupted_payload(index)
     if fault is not None:
         trigger_worker_fault(fault)  # crash never returns; hang blocks
-    return _execute_batch(_WORKER_STATE["plans"], batch, drift, jitter)
+    return _execute_batch(plans, batch, drift, jitter)
 
 
 def _validate_batch_records(value: object) -> str | None:
@@ -715,22 +703,24 @@ def _batch_timeout_s(n_configs: int, repetitions: int) -> float:
 def _make_fleet(
     backend: str,
     n: int,
-    plan: SweepPlan,
+    plans: _ClassPlans,
     chaos: ChaosPlan | None,
     policy: RetryPolicy,
     fail_policy: str,
 ) -> ExecutorBackend:
-    """The supervised process fleet holding the sweep state (test seam).
+    """The supervised process fleet running on the sweep's class plans
+    (test seam).
 
     ``backend`` is ``"pool"`` (``n`` workers) or ``"nodes"`` (``n``
-    nodes, one per shard).  Both run the same entry point, initializer
-    and validator, so a batch computes identically on either — only the
-    scheduling differs.  Each task's payload carries its batch's noise
+    nodes, one per shard).  Both run the same entry point, bound to
+    ``plans``, with the same validator, so a batch computes identically
+    on either — only the scheduling differs.  A process's only set-up is
+    installing ``chaos``; each task's payload carries its batch's noise
     factors, so no fleet process draws noise.
     """
     fleet = Supervisor if backend == "pool" else NodesBackend
     return fleet(
-        _supervised_run_batch, _init_worker, (plan, chaos), n,
+        partial(_supervised_run_batch, plans), install_chaos, (chaos,), n,
         policy=policy,
         validate=_validate_batch_records,
         fail_fast=(fail_policy == "raise"),
@@ -974,7 +964,7 @@ def run_sweep(
                 )
             else:
                 exec_backend = _make_fleet(
-                    resolved, n_processes, plan, chaos, policy, fail_policy,
+                    resolved, n_processes, plans, chaos, policy, fail_policy,
                 )
             exec_backend.cancel_event = cancel
             consume(exec_backend.stream(tasks, ledger))

@@ -13,7 +13,6 @@ randomness flows through explicit ``numpy`` generators: a given seed
 always produces the same trajectory.
 """
 
-from repro.desim.loopsim import LoopSimResult, simulate_loop
 from repro.desim.stealing import SpawnTree, StealResult, WorkStealingSimulator
 
 __all__ = [
@@ -23,3 +22,13 @@ __all__ = [
     "LoopSimResult",
     "simulate_loop",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve the loop DES's names on first access: every sweep imports
+    this package for the task DES, and none runs the loop DES."""
+    if name in ("LoopSimResult", "simulate_loop"):
+        from repro.desim import loopsim
+
+        return getattr(loopsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

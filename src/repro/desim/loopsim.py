@@ -82,6 +82,9 @@ def simulate_loop(
         ``"static"`` (contiguous blocks, no dispatch; ``chunk`` ignored),
         ``"dynamic"`` (fixed ``chunk``), or
         ``"guided"`` (chunk = ceil(remaining / 2T), floored at ``chunk``).
+        ``iterate_chunks`` and the analytic pricer deal
+        ``schedule(static, c)`` round-robin in chunks of ``c``; this
+        simulator does not, so chunked static has no DES ground truth.
     dispatch_time:
         Time the shared chunk counter is held per grab (serializes),
         scaled by the grabbing worker's speed.  The final grab that finds

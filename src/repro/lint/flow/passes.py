@@ -361,13 +361,26 @@ def check_resource_safety(
 # ----------------------------------------------------------------------
 # FLOW003 — frame-protocol consistency
 # ----------------------------------------------------------------------
-_SEND_SUFFIXES = (".transport.send_frame", ".transport.send_truncated_frame")
+#: The calls that send a frame or build its bytes, each with the
+#: position of its message argument.
+_SEND_CALLS = {
+    ".transport.send_frame": 1,
+    ".transport.send_truncated_frame": 1,
+    ".transport.encode_frame": 0,
+}
 _RECV_SUFFIX = ".transport.recv_frame"
 
 
-def _message_arg(call: ast.Call) -> ast.AST | None:
-    if len(call.args) >= 2:
-        return call.args[1]
+def _send_position(name: str) -> int | None:
+    for suffix, position in _SEND_CALLS.items():
+        if name.endswith(suffix):
+            return position
+    return None
+
+
+def _message_arg(call: ast.Call, position: int) -> ast.AST | None:
+    if len(call.args) > position:
+        return call.args[position]
     for kw in call.keywords:
         if kw.arg == "message":
             return kw.value
@@ -387,9 +400,12 @@ def check_frame_protocol(graph: CallGraph) -> list[Finding]:
                 continue
             if site.callee.endswith(_RECV_SUFFIX):
                 recv_modules.add(record.module)
-            if not site.callee.endswith(_SEND_SUFFIXES):
+            position = _send_position(site.callee)
+            if position is None or _send_position(qualname) is not None:
+                # Not a send; or a frame function forwarding its own
+                # caller's message, which is checked at that caller.
                 continue
-            message = _message_arg(site.node)
+            message = _message_arg(site.node, position)
             kind = None
             if (
                 isinstance(message, ast.Tuple)

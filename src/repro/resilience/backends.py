@@ -37,11 +37,14 @@ Sharding (nodes backend)
 Each node is one shard.  Tasks deal round-robin onto their **home**
 shard (``task_id % n_nodes``); every node reads the one shared cache
 directory, so where a batch starts changes nothing but the schedule.
-An idle node takes its own queue's head, else steals the richest
-backlog's tail (:meth:`NodesBackend._take_for` states the rule).
+A node with room in its window takes its own queue's head, else
+steals the richest backlog's tail (:meth:`NodesBackend._take_for`
+states the rule).
 
-Node loss runs a budgeted recovery ladder: the in-flight task is
-retried under the normal :class:`~repro.resilience.policy.RetryPolicy`;
+Node loss runs a budgeted recovery ladder: the task the node was
+running is retried under the normal
+:class:`~repro.resilience.policy.RetryPolicy` (the one queued behind it
+goes back to the head of the node's queue, unbooked);
 the node is respawned while the ``max_node_respawns`` budget lasts;
 past it the node is *abandoned* and its backlog reassigned round-robin
 to the survivors (logged as :class:`ReassignEvent`); with no survivors
@@ -287,10 +290,11 @@ class NodesBackend(_Fleet):
         self._queues[home].appendleft((task, attempt))
 
     def _take_for(self, slot: _FleetSlot) -> tuple | None:
-        """The steal rule, stated once: an idle node takes the head of
-        its own queue; with that queue empty it steals from the node
-        with the largest backlog (ties to the lowest shard id), taking
-        the victim's **tail** so the victim keeps its own next task.
+        """The steal rule, stated once: a node with room in its window
+        takes the head of its own queue; with that queue empty it steals
+        from the node with the largest backlog (ties to the lowest shard
+        id), taking the victim's **tail** so the victim keeps its own
+        next task.
         The stolen task is re-homed to the thief and logged as a
         :class:`StealEvent`."""
         own = self._queues[slot.slot_id]

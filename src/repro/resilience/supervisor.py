@@ -24,13 +24,23 @@ in :class:`ExecutorBackend`:
 Both multiprocess backends run on :class:`_Fleet`: one OS process per
 slot, each owning one end of a ``socket.socketpair()`` and speaking the
 length-prefixed, checksummed frames of :mod:`repro.resilience.transport`
-behind one selector.  Each task runs under a wall-clock **deadline**; a
-process that blows it is killed and respawned.  A process that dies
-shows up as EOF on its link, and one killed mid-result leaves a
-:class:`~repro.errors.TruncatedFrameError` that is booked and retried
-within ``frame_timeout_s`` — never a reader blocked on half a message.
-Every death is classified the same way on every backend (a chaos exit
-code names its fault kind; any other death is a ``crash``).
+behind one selector.  A slot holds a **window** of up to
+:data:`WINDOW` tasks: the one its process runs (the head) and one
+queued behind it, so the process starts its next task while the parent
+is still reading the last result.  Windows fill breadth-first — every
+live slot gets its first task before any slot gets a second.  The head
+runs under a wall-clock **deadline** that starts when it becomes the
+head, not when it was sent; a process that blows it is killed and
+respawned.  A process that dies shows up as EOF on its link, and one
+killed mid-result leaves a :class:`~repro.errors.TruncatedFrameError`
+that is booked and retried within ``frame_timeout_s`` — never a reader
+blocked on half a message.  Every death is classified the same way on
+every backend (a chaos exit code names its fault kind; any other death
+is a ``crash``), and only the head is booked: the tasks queued behind
+it go back to the front of the queue, in order, at the same attempt.
+The parent never blocks on a send: a process reads its queued task
+only after sending the head's result, so task frames are written as
+far as the link takes them and the rest when it has room again.
 
 :class:`Supervisor` is the *pool* backend on that fleet: one FIFO of
 tasks in submission order, retries first, and a respawn budget whose
@@ -51,7 +61,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import (
     MalformedFrameError,
@@ -68,7 +78,12 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import FailureLedger
-from repro.resilience.transport import recv_frame, send_frame
+from repro.resilience.transport import (
+    encode_frame,
+    recv_frame,
+    send_available,
+    send_frame,
+)
 
 __all__ = ["ExecutorBackend", "SupervisedTask", "Supervisor"]
 
@@ -354,24 +369,37 @@ def _death_kind(exitcode: int | None, exc: TransportError) -> str:
 _SPAWN_LOCK = threading.Lock()
 
 
+#: Tasks a fleet process holds at once: the one it runs and one queued
+#: behind it, so it never idles while the parent reads, validates and
+#: hands on a result and then sends the next task.
+WINDOW = 2
+
+
 @dataclass
 class _FleetSlot:
-    """One fleet process, its link, and what it is currently running."""
+    """One fleet process, its link, and the tasks sent to it."""
 
     slot_id: int
     sock: socket.socket | None = None
     process: multiprocessing.Process | None = None
-    #: (task, attempt, deadline) while busy, None while idle.
-    current: tuple | None = None
+    #: ``(task, attempt)`` of every task sent and not yet answered, in
+    #: send order; the process runs the head and serves the rest after.
+    inflight: deque = field(default_factory=deque)
+    #: The unsent rest of the frames of the last ``len(outbox)`` tasks
+    #: in :attr:`inflight`, oldest first; written as the link takes them.
+    outbox: deque = field(default_factory=deque)
+    #: The head's deadline, stamped on the first deadline sweep after it
+    #: became the head (None until then).
+    deadline: float | None = None
     #: False while down, and for good once the slot is abandoned.
     alive: bool = False
 
 
 class _Fleet(ExecutorBackend):
     """Supervised processes over frame links: everything the pool and
-    nodes backends share.  Subclasses choose which queued task an idle
-    slot takes (:meth:`_take_for`) and what happens once the respawn
-    budget is spent (:meth:`_retire`)."""
+    nodes backends share.  Subclasses choose which queued task a slot
+    with room in its window takes (:meth:`_take_for`) and what happens
+    once the respawn budget is spent (:meth:`_retire`)."""
 
     #: What the fleet calls one of its processes, in messages.
     noun = "worker"
@@ -399,7 +427,7 @@ class _Fleet(ExecutorBackend):
 
     @abc.abstractmethod
     def _take_for(self, slot: _FleetSlot) -> tuple | None:
-        """The ``(task, attempt)`` an idle slot runs next, if any."""
+        """The ``(task, attempt)`` a slot with room queues next, if any."""
 
     @abc.abstractmethod
     def _retire(self, slot: _FleetSlot) -> None:
@@ -447,7 +475,9 @@ class _Fleet(ExecutorBackend):
                 process.kill()
                 process.join(1.0)
         slot.alive = False
-        slot.current = None
+        slot.inflight.clear()
+        slot.outbox.clear()
+        slot.deadline = None
 
     def _recover(self, slot: _FleetSlot) -> None:
         """Replace a dead or hung process while the budget lasts."""
@@ -461,11 +491,16 @@ class _Fleet(ExecutorBackend):
     # -- one tick --------------------------------------------------------
     def _step(self) -> None:
         self._dispatch()
-        busy = [s.current[2] for s in self._slots if s.current is not None]
-        for key, _mask in self._selector.select(self._wait_budget(busy)):
+        deadlines = [s.deadline for s in self._slots
+                     if s.deadline is not None]
+        for key, mask in self._selector.select(self._wait_budget(deadlines)):
             slot = self._slots[key.data]
             if not slot.alive or slot.sock is not key.fileobj:
                 continue  # a slot recovered earlier in this same pass
+            if mask & selectors.EVENT_WRITE and not self._flush(slot):
+                continue  # the link failed; the slot was recovered
+            if not mask & selectors.EVENT_READ:
+                continue
             try:
                 message = recv_frame(slot.sock, self.frame_timeout_s)
             except TransportError as exc:
@@ -474,34 +509,62 @@ class _Fleet(ExecutorBackend):
             if message is not None:
                 self._handle_message(slot, message)
         self._enforce_deadlines()
-        # Refill idle slots before the consumer handles what landed.
+        # Refill the windows before the consumer handles what landed.
         self._dispatch()
 
     def _dispatch(self) -> None:
-        now = time.monotonic()
-        for slot in self._slots:
-            if not slot.alive or slot.current is not None:
-                continue
-            item = self._take_for(slot)
-            if item is None:
-                continue
-            task, attempt = item
-            try:
-                send_frame(slot.sock,
-                           ("task", task.task_id, task.index,
-                            task.payload, attempt))
-            except TransportError as exc:
-                # The process died before taking the task: put it back,
-                # surface any final frames it flushed before the link
-                # dropped, then recover it like any broken link.
-                self._requeue(task, attempt)
-                self._drain_final(slot)
-                self._on_link_failure(slot, exc)
-                continue
-            slot.current = (task, attempt, now + task.timeout_s)
+        """Fill every live slot's window, breadth-first: each slot gets
+        its first task before any slot gets a second, so two tasks on
+        two processes run on both."""
+        for depth in range(WINDOW):
+            for slot in self._slots:
+                if not slot.alive or len(slot.inflight) > depth:
+                    continue
+                item = self._take_for(slot)
+                if item is None:
+                    continue
+                task, attempt = item
+                frame = encode_frame(("task", task.task_id, task.index,
+                                      task.payload, attempt))
+                slot.inflight.append(item)
+                slot.outbox.append(memoryview(frame))
+                self._flush(slot)
 
-    def _drain_final(self, slot: _FleetSlot) -> None:
-        """Read frames a dead process flushed before its link dropped.
+    def _flush(self, slot: _FleetSlot) -> bool:
+        """Write the slot's unsent frames as far as its link takes them
+        without blocking, and watch the link for room while any remain.
+        Returns False if the link failed (the slot is then recovered).
+
+        The parent never blocks on a send: a process reads its queued
+        task only after it has sent its head's result, so a blocking
+        send of a frame larger than the socket buffer would wait on a
+        process that waits on the parent to read that result.
+        """
+        try:
+            while slot.outbox:
+                frame = slot.outbox[0]
+                sent = send_available(slot.sock, frame)
+                if sent < len(frame):
+                    slot.outbox[0] = frame[sent:]
+                    break
+                slot.outbox.popleft()
+        except TransportError as exc:
+            # Surface any final frames the process flushed before the
+            # link dropped, then recover it like any broken link, booked
+            # by how the link ended on read, as if this send had not
+            # raced the death.
+            self._on_link_failure(slot, self._drain_final(slot) or exc)
+            return False
+        events = selectors.EVENT_READ
+        if slot.outbox:
+            events |= selectors.EVENT_WRITE
+        if self._selector.get_key(slot.sock).events != events:
+            self._selector.modify(slot.sock, events, slot.slot_id)
+        return True
+
+    def _drain_final(self, slot: _FleetSlot) -> TransportError | None:
+        """Read frames a dead process flushed before its link dropped;
+        return the error that ended the link (None if a read timed out).
 
         A process that failed initialization sends one ``init-error``
         frame and exits; that frame sits in the socket buffer and must
@@ -511,10 +574,10 @@ class _Fleet(ExecutorBackend):
         while True:
             try:
                 message = recv_frame(slot.sock, 0.05)
-            except TransportError:
-                return
+            except TransportError as exc:
+                return exc
             if message is None:
-                return
+                return None
             self._handle_message(slot, message)
 
     def _handle_message(self, slot: _FleetSlot, message: tuple) -> None:
@@ -526,18 +589,33 @@ class _Fleet(ExecutorBackend):
         if kind != "result":
             return  # unknown kind: drop rather than misinterpret
         _tag, task_id, status, value = message
-        if slot.current is None or slot.current[0].task_id != task_id:
+        if not slot.inflight or slot.inflight[0][0].task_id != task_id:
             return  # stale result from an assignment already retried
-        task, attempt, _deadline = slot.current
-        slot.current = None
+        task, attempt = slot.inflight.popleft()
+        slot.deadline = None  # the next head's clock starts next sweep
         if status == "ok":
             self._land(task, attempt, value)
         else:
             self._record_failure(task, attempt, "error", value)
 
+    def _unwind(self, slot: _FleetSlot) -> tuple | None:
+        """Empty a failed slot's window.  Returns its head, the
+        ``(task, attempt)`` the process was running and the only one a
+        failure books, or None if no frame was sent whole (the process
+        never had a task).  Every other task goes back to the front of
+        the queue, in order, unbooked and at the same attempt."""
+        started = len(slot.inflight) > len(slot.outbox)
+        head = slot.inflight.popleft() if started else None
+        for task, attempt in reversed(slot.inflight):
+            self._requeue(task, attempt)
+        slot.inflight.clear()
+        slot.outbox.clear()
+        slot.deadline = None
+        return head
+
     def _on_link_failure(self, slot: _FleetSlot,
                          exc: TransportError) -> None:
-        """Classify a broken link, book the in-flight task, recover."""
+        """Classify a broken link, book the running task, recover."""
         exitcode = None
         if slot.process is not None:
             slot.process.join(1.0)
@@ -545,24 +623,35 @@ class _Fleet(ExecutorBackend):
         cause = f"{type(exc).__name__}: {exc}"
         if exitcode is not None:
             cause += f" ({self.noun} exit code {exitcode})"
-        task_info = slot.current
+        head = self._unwind(slot)
         self._recover(slot)
-        if task_info is not None:
-            task, attempt, _deadline = task_info
+        if head is not None:
+            task, attempt = head
             self._record_failure(task, attempt,
                                  _death_kind(exitcode, exc), cause)
 
     def _enforce_deadlines(self) -> None:
+        """Start the clock of every new head; kill a process whose head
+        is past its deadline.  A task's deadline starts when it reaches
+        the head of its window, not when it was sent, so time spent
+        queued behind a slow head never counts against it."""
         now = time.monotonic()
         for slot in self._slots:
-            if slot.current is None or slot.current[2] > now:
+            if not slot.inflight:
                 continue
-            task, attempt, _deadline = slot.current
+            if slot.deadline is None:
+                slot.deadline = now + slot.inflight[0][0].timeout_s
+                continue
+            if slot.deadline > now:
+                continue
+            head = self._unwind(slot)
             self._recover(slot)  # kills the hung process first
-            self._record_failure(
-                task, attempt, "timeout",
-                f"exceeded the {task.timeout_s:.1f}s batch deadline",
-            )
+            if head is not None:
+                task, attempt = head
+                self._record_failure(
+                    task, attempt, "timeout",
+                    f"exceeded the {task.timeout_s:.1f}s batch deadline",
+                )
 
     def close(self) -> None:
         """Stop every process; idempotent, safe mid-stream."""
@@ -571,7 +660,7 @@ class _Fleet(ExecutorBackend):
         self._closed = True
         for slot in self._slots:
             if (slot.alive and slot.sock is not None
-                    and slot.current is None):
+                    and not slot.inflight):
                 try:
                     send_frame(slot.sock, ("stop",))
                 except TransportError:
@@ -598,10 +687,11 @@ class Supervisor(_Fleet):
 
     ``validate``, if given, is called on every successful result and
     returns an error string (the attempt is treated as failed with kind
-    ``corrupt-result``) or None.  Idle workers take the head of one FIFO
-    queue, and the fleet opens no more workers than it has tasks.  Past
-    ``max_worker_respawns`` replacements the fleet is crash-looping and
-    the stream raises :class:`~repro.errors.ResilienceError`.
+    ``corrupt-result``) or None.  A worker with room in its window
+    takes the head of one FIFO queue, and the fleet opens no more
+    workers than it has tasks.  Past ``max_worker_respawns``
+    replacements the fleet is crash-looping and the stream raises
+    :class:`~repro.errors.ResilienceError`.
     """
 
     #: Backend name under the ExecutorBackend protocol.

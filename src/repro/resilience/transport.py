@@ -52,6 +52,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "encode_frame",
     "send_frame",
+    "send_available",
     "recv_frame",
     "send_truncated_frame",
 ]
@@ -81,6 +82,20 @@ def send_frame(sock: socket.socket, message: object) -> None:
     """Send one complete frame; a dead peer raises ``NodeLostError``."""
     try:
         sock.sendall(encode_frame(message))
+    except OSError as exc:
+        raise NodeLostError(f"peer unreachable during send: {exc}") from exc
+
+
+def send_available(sock: socket.socket, data) -> int:
+    """Send as much of ``data`` as the link takes without blocking and
+    return how many bytes that was (0 when its buffer is full); a dead
+    peer raises ``NodeLostError``.  A sender that must not wait on its
+    peer sends the rest once the link reports room again."""
+    sock.settimeout(0.0)
+    try:
+        return sock.send(data)
+    except BlockingIOError:
+        return 0
     except OSError as exc:
         raise NodeLostError(f"peer unreachable during send: {exc}") from exc
 
@@ -134,6 +149,11 @@ def _recv_exact(
             sock.settimeout(None)
         try:
             chunk = sock.recv(n - len(buf))
+        except ConnectionResetError:
+            # A peer that exits with input still unread resets the link
+            # instead of closing it (after everything it sent was read):
+            # it closed all the same.
+            chunk = b""
         except socket.timeout:
             if partial():
                 raise TruncatedFrameError(

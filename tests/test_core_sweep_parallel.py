@@ -10,12 +10,18 @@ noise factors — now through the supervised executor that replaced the
 bare pool.
 """
 
+import multiprocessing
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro.core.sweep as sweep_mod
 from repro.arch.machines import get_machine
 from repro.core.sweep import BatchSpec, SweepPlan, plan_batches, run_sweep
 from repro.runtime.executor import (
+    ClassPricer,
     measurement_noise_factors,
     noise_seed_suffixes,
 )
@@ -31,8 +37,8 @@ class _LazyFakeSupervisor:
     all progress).
     """
 
-    def __init__(self, plan, log):
-        sweep_mod._init_worker(plan)
+    def __init__(self, plans, log):
+        self.plans = plans
         self.log = log
         self.tasks = []
         self.worker_respawns = 0
@@ -42,7 +48,8 @@ class _LazyFakeSupervisor:
         for task in self.tasks:
             batch = task.payload[1]
             self.log.append(("compute", batch.app, batch.input_size))
-            yield sweep_mod._supervised_run_batch(task.payload, 0)
+            yield sweep_mod._supervised_run_batch(self.plans, task.payload,
+                                                  0)
 
     def completed_unyielded(self):
         return []
@@ -63,8 +70,8 @@ class TestStreamingProgress:
         log = []
         monkeypatch.setattr(
             sweep_mod, "_make_fleet",
-            lambda backend, n, plan, chaos, policy, fail_policy:
-            _LazyFakeSupervisor(plan, log),
+            lambda backend, n, plans, chaos, policy, fail_policy:
+            _LazyFakeSupervisor(plans, log),
         )
 
         def progress(done, total, app, inp, threads):
@@ -90,9 +97,9 @@ class TestStreamingProgress:
         log = []
         supervisors = []
 
-        def make_fleet(backend, n, plan, chaos, policy, fail_policy):
+        def make_fleet(backend, n, plans, chaos, policy, fail_policy):
             assert (backend, n) == ("pool", 2)
-            sup = _LazyFakeSupervisor(plan, log)
+            sup = _LazyFakeSupervisor(plans, log)
             supervisors.append(sup)
             return sup
 
@@ -106,8 +113,8 @@ class TestStreamingProgress:
         # full batch list (here no cache, so they coincide).
         assert [t.task_id for t in sup.tasks] == list(range(len(batches)))
         assert [t.index for t in sup.tasks] == list(range(len(batches)))
-        # The initializer materialized the grid once for the process.
-        configs = sweep_mod._WORKER_STATE["plans"].configs
+        # The fleet got the sweep's grid once, with its class plans.
+        configs = sup.plans.configs
         assert len(configs) > 1
         # The rest of a payload is its batch's slice of the serial draw.
         machine = get_machine(two_batch_plan.arch)
@@ -176,3 +183,62 @@ class TestDispatchTuning:
             run_sweep(SweepPlan(arch="milan", workload_names=("cg",),
                                 inputs_limit=1),
                       fail_policy="retry-forever")
+
+
+class TestInheritedState:
+    """A fleet process runs on the sweep's finished class plans: it
+    builds no grouping and no pricer of its own."""
+
+    PLAN = SweepPlan(arch="milan", workload_names=("cg", "nqueens"),
+                     scale="small", repetitions=2, inputs_limit=2)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the guards reach fleet processes only by fork",
+    )
+    @pytest.mark.parametrize("backend", ["pool", "nodes"])
+    def test_fleet_processes_build_no_class_plan(self, monkeypatch,
+                                                 backend):
+        serial = run_sweep(self.PLAN)
+        sweep_pid = os.getpid()
+
+        def only_in_the_sweep(original):
+            def guarded(*args, **kwargs):
+                if os.getpid() != sweep_pid:
+                    raise RuntimeError("a fleet process built sweep state")
+                return original(*args, **kwargs)
+            return guarded
+
+        monkeypatch.setattr(sweep_mod._ClassPlans, "_build",
+                            only_in_the_sweep(sweep_mod._ClassPlans._build))
+        monkeypatch.setattr(ClassPricer, "__init__",
+                            only_in_the_sweep(ClassPricer.__init__))
+        parallel = run_sweep(self.PLAN, n_processes=2, backend=backend,
+                             fail_policy="raise")
+        assert parallel.n_shards == 2
+        assert parallel.failure_report.clean
+        assert parallel.block.to_bytes() == serial.block.to_bytes()
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pickled_plans_give_the_serial_bytes(self, method):
+        """Under ``spawn`` and ``forkserver`` the plans travel pickled,
+        once per process; the blocks must still equal serial's."""
+        snippet = (
+            "import multiprocessing\n"
+            "from repro.core.sweep import SweepPlan, run_sweep\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            f"plan = {self.PLAN!r}\n"
+            "pool = run_sweep(plan, n_processes=2, backend='pool')\n"
+            "serial = run_sweep(plan, backend='serial')\n"
+            "print(pool.n_shards,"
+            " pool.block.to_bytes() == serial.block.to_bytes())\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in ("src", env.get("PYTHONPATH", "")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert out.stdout.split() == ["2", "True"]

@@ -2,6 +2,9 @@
 the analytic schedule model against it."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -354,3 +357,32 @@ class TestPinnedTrajectories:
 
     def test_every_case_is_pinned(self):
         assert [p[0] for p in _PINNED] == list(_CASES)
+
+
+class TestLazyImport:
+    def test_sweep_import_leaves_the_loop_des_unloaded(self):
+        """No sweep runs the loop DES, so importing the sweep engine
+        must not import it; the package still resolves its names."""
+        snippet = (
+            "import sys\n"
+            "import repro.core.sweep\n"
+            "print('repro.desim.loopsim' in sys.modules)\n"
+            "from repro.desim import LoopSimResult, simulate_loop\n"
+            "from repro.desim.loopsim import simulate_loop as direct\n"
+            "print(simulate_loop is direct, LoopSimResult.__name__)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in ("src", env.get("PYTHONPATH", "")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert out.stdout.split() == ["False", "True", "LoopSimResult"]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import repro.desim
+
+        with pytest.raises(AttributeError):
+            getattr(repro.desim, "no_such_simulator")

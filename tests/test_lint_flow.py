@@ -600,6 +600,27 @@ class TestFlow003:
         assert sent.path == "resilience/supervisor.py"
         assert "_fleet_main" in sent.message
 
+    def test_sees_the_fleets_encoded_task_kind(self, tmp_path):
+        """The fleet builds its task frames with ``encode_frame`` and
+        writes them without blocking: a kind renamed there goes
+        unmatched, and the child's arm for the old kind goes dead."""
+        from repro.lint.selflint import DEFAULT_SRC_ROOT
+
+        shipped = DEFAULT_SRC_ROOT / "resilience"
+        supervisor = (shipped / "supervisor.py").read_text()
+        assert supervisor.count('encode_frame(("task", ') == 1
+        root = make_tree(tmp_path, {
+            "resilience/transport.py": (shipped / "transport.py").read_text(),
+            "resilience/supervisor.py": supervisor.replace(
+                'encode_frame(("task", ', 'encode_frame(("job", '),
+        })
+        findings = check_frame_protocol(build_callgraph(root))
+        assert {f.subject for f in findings} == {
+            "frame-kind:job", "frame-kind:task",
+        }
+        (sent,) = [f for f in findings if f.subject == "frame-kind:job"]
+        assert "_dispatch" in sent.message
+
 
 class TestFlow001NoiseWindow:
     """A sweep draws its misses' noise before dispatch, a window of

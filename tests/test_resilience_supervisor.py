@@ -7,7 +7,9 @@ fleet, and again on the nodes fleet through the ``...OnNodes``
 subclasses at the bottom of the module.
 """
 
+import contextlib
 import os
+import signal
 import time
 
 import pytest
@@ -19,8 +21,14 @@ from repro.resilience import (
     FailureLedger,
     NodesBackend,
     RetryPolicy,
+    SerialBackend,
     Supervisor,
     install_chaos,
+)
+from repro.resilience.chaos import (
+    installed_worker_fault,
+    simulate_fault,
+    trigger_worker_fault,
 )
 from repro.resilience.supervisor import SupervisedTask
 
@@ -43,7 +51,52 @@ def _work(payload, attempt):
     if mode == "always-bad":
         time.sleep(0.2)  # let healthy siblings land first
         return None
+    if mode == "slow":
+        time.sleep(0.6)
+    if mode == "pid":
+        return f"pid-{os.getpid()}"
+    if mode == "attempt":
+        return f"attempt-{attempt}"
     return f"done-{index}"
+
+
+def _chaos_work(payload, attempt):
+    """Fleet body that suffers the installed chaos plan's worker faults
+    (its node faults fire in the fleet's own loop)."""
+    index, _mode = payload
+    fault = installed_worker_fault(index, attempt)
+    if fault is not None:
+        trigger_worker_fault(fault)
+    return f"done-{index}"
+
+
+def _big_work(payload, attempt):
+    """Fleet body whose result is as large as its payload's blob."""
+    index, blob = payload
+    return bytes([index]) * len(blob)
+
+
+@contextlib.contextmanager
+def _fails_after(seconds):
+    """Fail the test, rather than hang it, if the body outlives
+    ``seconds`` (the alarm interrupts even a blocked send)."""
+    def expire(signum, frame):
+        pytest.fail(f"no outcome within {seconds:.0f}s: the fleet is stuck")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _attempt_kinds(report):
+    """A failure report without its causes, which name how a fault was
+    suffered (a real exit code, or serial mode) rather than what it was."""
+    return [(b.index, [(a.attempt, a.kind) for a in b.attempts],
+             b.recovered, b.quarantined) for b in report.batches]
 
 
 def _validate(value):
@@ -66,15 +119,15 @@ class _OnPool:
     #: What the crash-loop error says once the respawn budget is spent.
     budget_error = "respawn budget"
 
-    def make(self, n=2, max_respawns=None, **kwargs):
+    def make(self, n=2, max_respawns=None, fn=_work, **kwargs):
         kwargs.setdefault("policy", FAST)
         if self.fleet == "pool":
             if max_respawns is not None:
                 kwargs["max_worker_respawns"] = max_respawns
-            return Supervisor(_work, n_workers=n, **kwargs)
+            return Supervisor(fn, n_workers=n, **kwargs)
         if max_respawns is not None:
             kwargs["max_node_respawns"] = max_respawns
-        return NodesBackend(_work, n_nodes=n, **kwargs)
+        return NodesBackend(fn, n_nodes=n, **kwargs)
 
     def run(self, modes, timeout_s=10.0, **kwargs):
         backend = self.make(**kwargs)
@@ -199,6 +252,86 @@ class TestHalfWrittenResult:
         assert batch.recovered
 
 
+class TestWindow(_OnPool):
+    """Each process holds up to two tasks: the one it runs (the head)
+    and one queued behind it."""
+
+    def test_two_tasks_run_on_two_processes(self):
+        """Windows fill breadth-first: the second process gets the
+        second task, not the first process's queue."""
+        _, outcomes = self.run(["pid", "pid"])
+        assert len(set(outcomes)) == 2
+
+    @pytest.mark.parametrize("mode, kind", [("crash", "crash"),
+                                            ("hang", "timeout")])
+    def test_failure_books_only_the_running_task(self, mode, kind):
+        """One process, two tasks: the second is queued behind the one
+        that dies, goes back to the queue unbooked and lands at its
+        first attempt."""
+        supervisor, outcomes = self.run([mode, "attempt"], n=1,
+                                        timeout_s=0.5)
+        assert outcomes == ["done-0", "attempt-0"]
+        report = supervisor.ledger.build_report()
+        assert _attempt_kinds(report) == [(0, [(0, kind)], True, False)]
+        if mode == "crash":
+            # The unread queued task resets the link; it still reads as
+            # the close a crash without one leaves.
+            assert report.batches[0].attempts[0].cause.startswith(
+                "NodeLostError: peer closed the connection at a frame "
+                "boundary"
+            )
+
+    def test_report_equals_serial_for_the_same_chaos_plan(self):
+        plan = ChaosPlan(seed=0, faults=(
+            ChaosFault("crash", 0), ChaosFault("hang", 1),
+            ChaosFault("node-lost", 2), ChaosFault("shard-partition", 3),
+        ))
+
+        def serial_work(payload, attempt):
+            index, _mode = payload
+            fault = (plan.node_fault(index, attempt)
+                     or plan.worker_fault(index, attempt))
+            if fault is not None:
+                simulate_fault(fault)
+            return f"done-{index}"
+
+        tasks = _tasks(["ok"] * 6, timeout_s=0.5)
+        serial = SerialBackend(serial_work, policy=FAST)
+        fleet = self.make(fn=_chaos_work, initializer=install_chaos,
+                          initargs=(plan,))
+        expected = list(serial.stream(tasks))
+        assert list(fleet.stream(tasks)) == expected
+        assert _attempt_kinds(fleet.ledger.build_report()) == \
+            _attempt_kinds(serial.ledger.build_report())
+
+    def test_deadline_starts_at_the_head(self):
+        """Two 0.6 s tasks queued on one process under a 1.5 s deadline:
+        the second waits 0.6 s behind the first, which must not count
+        against it (from send time it would need 1.2 s of the 1.5 s)."""
+        supervisor, outcomes = self.run(["slow", "slow"], n=1,
+                                        timeout_s=1.5)
+        assert outcomes == ["done-0", "done-1"]
+        assert supervisor.ledger.build_report().clean
+        assert supervisor.worker_respawns == 0
+
+    def test_frames_larger_than_the_socket_buffer(self):
+        """One process, two tasks whose payload and result are 1 MB
+        each.  The process sends the head's result before it reads the
+        queued task, so the parent must never block sending that task:
+        two blocking sends, one on each side, would wait on each
+        other for good."""
+        size = 1 << 20
+        tasks = [SupervisedTask(task_id=i, index=i,
+                                payload=(i, bytes(size)), timeout_s=10.0)
+                 for i in range(2)]
+        fleet = self.make(n=1, fn=_big_work)
+        with _fails_after(30.0):
+            outcomes = list(fleet.stream(tasks))
+        assert outcomes == [bytes([i]) * size for i in range(2)]
+        assert fleet.ledger.build_report().clean
+        assert fleet.worker_respawns == 0
+
+
 # The same cases on the nodes fleet.
 class _OnNodes(_OnPool):
     fleet = "nodes"
@@ -223,4 +356,8 @@ class TestRespawnBudgetOnNodes(_OnNodes, TestRespawnBudget):
 
 
 class TestLedgerSharingOnNodes(_OnNodes, TestLedgerSharing):
+    pass
+
+
+class TestWindowOnNodes(_OnNodes, TestWindow):
     pass

@@ -174,6 +174,32 @@ class TestNodeLoss:
         with pytest.raises(NodeLostError, match="frame boundary"):
             recv_frame(b, 0.5)
 
+    def test_close_with_unread_input_reads_as_a_close(self, pair):
+        """A peer that dies with a task still unread resets the link
+        instead of closing it (a fleet process with a second task queued
+        behind the one it dies on); it must read as the same close, at a
+        frame boundary or mid-frame, so a failure report does not depend
+        on whether a task was queued."""
+        a, b = pair
+        send_frame(b, ("task", 1))  # left unread in a's buffer
+        send_frame(a, ("result", 0, "ok", None))
+        a.close()
+        assert recv_frame(b, 0.5) == ("result", 0, "ok", None)
+        with pytest.raises(NodeLostError,
+                           match="peer closed the connection at a frame"):
+            recv_frame(b, 0.5)
+        c, d = socket.socketpair()
+        try:
+            send_frame(d, ("task", 1))
+            send_truncated_frame(c, ("result", 0, "ok", None))
+            c.close()
+            with pytest.raises(TruncatedFrameError,
+                               match="peer closed the connection mid-frame"):
+                recv_frame(d, 0.5)
+        finally:
+            c.close()
+            d.close()
+
     def test_send_to_dead_peer(self, pair):
         a, b = pair
         b.close()
