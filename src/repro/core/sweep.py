@@ -27,9 +27,13 @@ dispatch; a fleet process inherits the finished plans with its task
 function (copy-on-write under ``fork``, pickled once per process under
 ``spawn`` or ``forkserver``), so per batch it only prices the classes,
 applies the noise and packs the block.  Batch payloads carry only the
-batch identity and its noise factors, never the grid.  The serial
-backend runs on the same plans; there is no module-global state, so
-concurrent sweeps on threads stay independent.  Every failure lands in the
+batch identity and its noise factors, never the grid.  Every backend
+runs the one task function, :func:`_execute_batch`, on the same plans,
+and is built with the sweep's
+:class:`~repro.resilience.report.FailureLedger` and chaos plan: the
+backend injects and books every fault, so the task function holds no
+fault logic.  There is no module-global state, so concurrent sweeps on
+threads stay independent.  Every failure lands in the
 :class:`~repro.resilience.report.FailureReport` attached to the
 :class:`SweepResult`.
 
@@ -70,15 +74,7 @@ from repro.resilience.backends import (
     SerialBackend,
     ShardReport,
 )
-from repro.resilience.chaos import (
-    ChaosPlan,
-    apply_cache_fault,
-    corrupted_payload,
-    install_chaos,
-    installed_worker_fault,
-    simulate_fault,
-    trigger_worker_fault,
-)
+from repro.resilience.chaos import ChaosPlan, apply_cache_fault
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import FailureLedger, FailureReport
 from repro.resilience.supervisor import SupervisedTask, Supervisor
@@ -88,6 +84,8 @@ from repro.runtime.executor import (
     noise_seed_suffixes,
 )
 from repro.runtime.icv import EnvConfig, ResolvedICVs, resolve_icvs
+from repro.runtime.kernel import max_leaf_factor
+from repro.runtime.program import TaskRegion
 from repro.workloads.base import Workload, get_workload, workloads_for_arch
 
 __all__ = [
@@ -613,13 +611,15 @@ class _ClassPlans:
         return factors
 
 
-def _execute_batch(
-    plans: _ClassPlans,
-    batch: BatchSpec,
-    drift: np.ndarray,
-    jitter: np.ndarray,
-) -> RecordBlock:
-    """Run the full config grid for one (workload, setting), packed.
+def _execute_batch(plans: _ClassPlans, payload: tuple,
+                   attempt: int) -> RecordBlock:
+    """The sweep's task function, the same on every backend: run the
+    full config grid for one (workload, setting), packed.
+
+    ``payload`` is ``(batch, drift, jitter)``; ``attempt`` is unused (a
+    retry computes the same block), and chaos faults never reach here:
+    the backend injects them by task index and attempt.  ``plans`` is
+    bound by the sweep before the backend is built.
 
     With ``plan.prune`` the grid is collapsed into ICV-equivalence
     classes; the deterministic model is evaluated once per class and each
@@ -634,6 +634,7 @@ def _execute_batch(
     backend ships it as is: a handful of flat typed buffers plus an
     interning table.
     """
+    batch, drift, jitter = payload
     plan = plans.plan
     program = get_workload(batch.app).program(batch.input_size)
     class_plan: _ClassPlan = plans.at(batch.nthreads)
@@ -646,28 +647,6 @@ def _execute_batch(
                               drift, jitter)
     return class_plan.pack(plan.arch, batch,
                            observed.reshape(-1, plan.repetitions))
-
-
-def _supervised_run_batch(plans: _ClassPlans, payload: tuple, attempt: int):
-    """Fleet entry point: run one batch on the sweep's finished class
-    ``plans`` (bound by :func:`_make_fleet`), honoring installed chaos.
-
-    ``payload`` is ``(batch_index, batch, drift, jitter)``: the batch
-    and its noise factors, drawn by the sweep's own process.  The index
-    keys the chaos plan's fault lookup, which is per
-    ``(batch_index, attempt)`` so a first-attempt fault recovers on
-    retry while a poison fault (``attempts=None``) defeats every
-    attempt.  Node-level faults fire at the transport layer before this
-    function runs (see
-    :func:`~repro.resilience.chaos.trigger_node_fault`).
-    """
-    index, batch, drift, jitter = payload
-    fault = installed_worker_fault(index, attempt)
-    if fault == "corrupt-result":
-        return corrupted_payload(index)
-    if fault is not None:
-        trigger_worker_fault(fault)  # crash never returns; hang blocks
-    return _execute_batch(plans, batch, drift, jitter)
 
 
 def _validate_batch_records(value: object) -> str | None:
@@ -704,27 +683,36 @@ def _make_fleet(
     backend: str,
     n: int,
     plans: _ClassPlans,
+    ledger: FailureLedger,
     chaos: ChaosPlan | None,
-    policy: RetryPolicy,
-    fail_policy: str,
 ) -> ExecutorBackend:
     """The supervised process fleet running on the sweep's class plans
     (test seam).
 
     ``backend`` is ``"pool"`` (``n`` workers) or ``"nodes"`` (``n``
-    nodes, one per shard).  Both run the same entry point, bound to
-    ``plans``, with the same validator, so a batch computes identically
-    on either — only the scheduling differs.  A process's only set-up is
-    installing ``chaos``; each task's payload carries its batch's noise
-    factors, so no fleet process draws noise.
+    nodes, one per shard).  Both run :func:`_execute_batch` bound to
+    ``plans``, the task function the serial backend runs, with the same
+    validator, ``ledger`` and ``chaos``, so a batch computes and fails
+    identically on either: only the scheduling differs.  Each fleet
+    process gets the bound task function and ``chaos`` as its process
+    arguments and sets up nothing else; each task's payload carries its
+    batch's noise factors, so no fleet process draws noise.
     """
     fleet = Supervisor if backend == "pool" else NodesBackend
-    return fleet(
-        partial(_supervised_run_batch, plans), install_chaos, (chaos,), n,
-        policy=policy,
-        validate=_validate_batch_records,
-        fail_fast=(fail_policy == "raise"),
-    )
+    return fleet(partial(_execute_batch, plans), ledger, chaos, n,
+                 validate=_validate_batch_records)
+
+
+def _warm_task_regions(batches: Sequence[BatchSpec]) -> None:
+    """Price every task region's straggler factor of ``batches`` in
+    this process, so fleet processes forked from it inherit the memo of
+    :func:`~repro.runtime.kernel.max_leaf_factor` and its
+    ``scipy.special`` import rather than each paying that import in its
+    first task-region batch."""
+    for batch in batches:
+        for phase in get_workload(batch.app).program(batch.input_size).phases:
+            if isinstance(phase, TaskRegion):
+                max_leaf_factor(phase.leaf_sigma, phase.n_leaves)
 
 
 # ----------------------------------------------------------------------
@@ -909,20 +897,6 @@ def run_sweep(
                 progress(done, total, batch.app, batch.input_size,
                          batch.nthreads)
 
-    def _serial_attempt(payload: tuple, attempt: int):
-        """In-process task function; chaos faults are booked through
-        :func:`~repro.resilience.chaos.simulate_fault`, not suffered."""
-        i, batch, drift, jitter = payload
-        fault = None
-        if chaos is not None:
-            fault = (chaos.node_fault(i, attempt)
-                     or chaos.worker_fault(i, attempt))
-        if fault == "corrupt-result":
-            return corrupted_payload(i)
-        if fault is not None:
-            simulate_fault(fault)
-        return _execute_batch(plans, batch, drift, jitter)
-
     def build_report(worker_respawns: int = 0) -> FailureReport:
         return ledger.build_report(
             injected=chaos.describe() if chaos is not None else (),
@@ -944,7 +918,7 @@ def run_sweep(
     )
     tasks = [
         SupervisedTask(
-            task_id=t, index=i, payload=(i, batches[i], *noise[t]),
+            task_id=t, index=i, payload=(batches[i], *noise[t]),
             timeout_s=timeout, identity=batches[i],
         )
         for t, i in enumerate(misses)
@@ -957,17 +931,15 @@ def run_sweep(
         else:
             if resolved == "serial":
                 exec_backend = SerialBackend(
-                    _serial_attempt,
-                    policy=policy,
+                    partial(_execute_batch, plans), ledger, chaos,
                     validate=_validate_batch_records,
-                    fail_fast=(fail_policy == "raise"),
                 )
             else:
-                exec_backend = _make_fleet(
-                    resolved, n_processes, plans, chaos, policy, fail_policy,
-                )
+                _warm_task_regions([batches[i] for i in misses])
+                exec_backend = _make_fleet(resolved, n_processes, plans,
+                                           ledger, chaos)
             exec_backend.cancel_event = cancel
-            consume(exec_backend.stream(tasks, ledger))
+            consume(exec_backend.stream(tasks))
     except BaseException as exc:
         # Flush batches that completed before the failure so landed work
         # survives a Ctrl-C or a poison batch under fail_policy="raise".

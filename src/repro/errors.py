@@ -22,8 +22,6 @@ __all__ = [
     "SimulationError",
     "CheckFailure",
     "ResilienceError",
-    "WorkerCrashError",
-    "BatchTimeoutError",
     "PoisonBatchError",
     "SweepCancelledError",
     "ServeError",
@@ -33,7 +31,6 @@ __all__ = [
     "NodeLostError",
     "DatasetError",
     "SchemaError",
-    "CacheError",
     "FrameError",
     "ColumnError",
     "LengthMismatch",
@@ -115,16 +112,8 @@ class CheckFailure(ReproError):
 # Resilience (supervised sweep execution)
 # --------------------------------------------------------------------------
 class ResilienceError(ReproError):
-    """The supervised execution layer failed unrecoverably (worker
-    initialization error, respawn budget exhausted)."""
-
-
-class WorkerCrashError(ResilienceError):
-    """A sweep worker process died mid-batch (or chaos simulated it)."""
-
-
-class BatchTimeoutError(ResilienceError):
-    """A batch exceeded its wall-clock deadline (hung worker)."""
+    """The supervised execution layer failed unrecoverably (respawn
+    budget exhausted, every node lost)."""
 
 
 class PoisonBatchError(ResilienceError):
@@ -187,10 +176,6 @@ class DatasetError(ReproError):
 
 class SchemaError(DatasetError):
     """A table does not contain the columns an operation requires."""
-
-
-class CacheError(DatasetError):
-    """A sweep-cache entry is malformed (torn write, foreign file)."""
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ Rule ids are stable; ``docs/LINTING.md`` is the catalog.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 
 from repro.arch.topology import MachineTopology
 from repro.lint.findings import Finding, Severity
@@ -333,8 +333,3 @@ def lint_config(
     for check in CONFIG_RULES:
         findings.extend(check(config, icvs, machine, program))
     return findings
-
-
-def _iter_rules() -> Iterator[str]:  # pragma: no cover - introspection aid
-    for check in CONFIG_RULES:
-        yield check.__doc__ or check.__name__

@@ -43,7 +43,6 @@ __all__ = [
 #: lands in records, the cache, or a rendered report.
 DEFAULT_RESULT_ROOTS = (
     "repro.core.sweep._execute_batch",
-    "repro.core.sweep._supervised_run_batch",
     "repro.core.sweep.sweep_records_to_block",
     "repro.core.sweep.sweep_block_to_records",
     "repro.core.sweep.check_sweep_block",

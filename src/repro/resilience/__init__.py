@@ -8,11 +8,15 @@ engine producing results under all of it (see ``docs/RESILIENCE.md``):
 - :mod:`repro.resilience.backends` — the three executor backends:
   in-process serial (the parity reference), the supervised pool, and a
   simulated multi-node cluster with round-robin home shards, work
-  stealing and its steal/reassign :class:`ShardReport`,
+  stealing and its steal/reassign :class:`ShardReport`; each is built
+  from one task function, its :class:`FailureLedger` and its
+  :class:`ChaosPlan` (or None), and injects and books every fault
+  itself,
 - :mod:`repro.resilience.supervisor` — the supervision core every
-  backend runs (ledger, seeded retries, in-order result streaming) and
-  the process fleet under the pool and nodes backends: per-batch
-  deadlines, death/hang detection and respawn over framed socket links,
+  backend runs (ledger-driven seeded retries and fail policy, in-order
+  result streaming) and the process fleet under the pool and nodes
+  backends: per-batch deadlines, death/hang detection and respawn over
+  framed socket links, with chaos faults fired in the fleet process,
 - :mod:`repro.resilience.transport` — the length-prefixed, checksummed
   frame protocol between the sweep parent and its fleet processes, with
   every failure mode typed and deadline-bounded,
@@ -21,10 +25,10 @@ engine producing results under all of it (see ``docs/RESILIENCE.md``):
 - :mod:`repro.resilience.report` — per-batch failure accounting
   (attempts, causes, quarantine/recovery) rendered through the shared
   :mod:`repro.reporting` serializer,
-- :mod:`repro.resilience.chaos` — seeded, replayable fault injection
+- :mod:`repro.resilience.chaos` — seeded, replayable fault plans
   (worker crash/hang/corrupt payloads, node loss/partition, cache
-  torn-writes/bit-flips), surfaced as ``repro-omp chaos`` and
-  ``pytest -m chaos``.
+  torn-writes/bit-flips) and how each fault is suffered, surfaced as
+  ``repro-omp chaos`` and ``pytest -m chaos``.
 """
 
 from repro.resilience.backends import (
@@ -33,7 +37,6 @@ from repro.resilience.backends import (
     NodesBackend,
     ReassignEvent,
     SerialBackend,
-    SerialChaosFault,
     ShardReport,
     StealEvent,
 )
@@ -49,9 +52,6 @@ from repro.resilience.chaos import (
     ChaosPlan,
     apply_cache_fault,
     corrupted_payload,
-    install_chaos,
-    installed_node_fault,
-    installed_worker_fault,
     trigger_node_fault,
     trigger_worker_fault,
 )
@@ -83,9 +83,6 @@ __all__ = [
     "CHAOS_PARTITION_EXIT",
     "apply_cache_fault",
     "corrupted_payload",
-    "install_chaos",
-    "installed_worker_fault",
-    "installed_node_fault",
     "trigger_worker_fault",
     "trigger_node_fault",
     "SupervisedTask",
@@ -93,7 +90,6 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutorBackend",
     "SerialBackend",
-    "SerialChaosFault",
     "NodesBackend",
     "ShardReport",
     "StealEvent",

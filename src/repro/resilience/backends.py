@@ -22,12 +22,22 @@ Both fleets speak the length-prefixed frame protocol in
 
 The contract every backend honors:
 
-- ``stream(tasks, ledger)`` yields one outcome per task **in task_id
+- a backend is built from one task function, its
+  :class:`~repro.resilience.report.FailureLedger` (the only source of
+  retry and fail policy) and its
+  :class:`~repro.resilience.chaos.ChaosPlan` or None,
+- ``stream(tasks)`` yields one outcome per task **in task_id
   order** regardless of completion order — a successful result, or
   None for a batch quarantined after its retry budget,
-- every failed attempt lands in the shared
-  :class:`~repro.resilience.report.FailureLedger`, under the same kind
-  on every backend,
+- every failed attempt lands in that ledger, under the same kind on
+  every backend,
+- the backend injects the chaos plan's faults itself, by task index
+  and attempt, node fault first: serial books a crash, hang or node
+  fault without running the task and lands
+  :func:`~repro.resilience.chaos.corrupted_payload` for a corrupt
+  result; a fleet process suffers them for real (see
+  :mod:`repro.resilience.supervisor`), so the task function holds no
+  fault logic on any backend,
 - ``completed_unyielded()`` exposes landed-but-unconsumed results so an
   interrupted sweep can flush them to cache,
 - ``close()`` is idempotent and safe mid-stream.
@@ -62,8 +72,11 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.errors import ResilienceError
-from repro.resilience.chaos import SerialChaosFault
-from repro.resilience.policy import RetryPolicy
+from repro.resilience.chaos import (
+    _SIMULATED_FAULTS,
+    ChaosPlan,
+    corrupted_payload,
+)
 from repro.resilience.report import FailureLedger
 from repro.resilience.supervisor import (
     ExecutorBackend,
@@ -76,7 +89,6 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutorBackend",
     "SerialBackend",
-    "SerialChaosFault",
     "NodesBackend",
     "StealEvent",
     "ReassignEvent",
@@ -167,19 +179,16 @@ class SerialBackend(ExecutorBackend):
     Runs the same retry/quarantine loop as the fleets — seeded backoff,
     validation as ``corrupt-result``, poison on budget exhaustion — so
     its record stream is the parity reference the other backends are
-    measured against.  A task function simulates a fault it cannot
-    survive by raising :class:`SerialChaosFault`.
+    measured against.  A chaos fault it cannot survive for real (a
+    crash, a hang, a lost node) is booked under the kind a fleet
+    records, without running the task.
     """
 
     name = "serial"
 
-    def stream(
-        self,
-        tasks: Sequence[SupervisedTask],
-        ledger: FailureLedger | None = None,
-    ) -> Iterator[object]:
+    def stream(self, tasks: Sequence[SupervisedTask]) -> Iterator[object]:
         """Run all tasks in-process; yield outcomes in task order."""
-        return self._supervise(tasks, ledger)
+        return self._supervise(tasks)
 
     def _step(self) -> None:
         if self._retry_heap or not self._pending:
@@ -189,10 +198,15 @@ class SerialBackend(ExecutorBackend):
             time.sleep(self._wait_budget())
             return
         task, attempt = self._pending.popleft()
+        fault = (self.chaos.attempt_fault(task.index, attempt)
+                 if self.chaos else None)
+        if fault in _SIMULATED_FAULTS:
+            self._record_failure(task, attempt, *_SIMULATED_FAULTS[fault])
+            return
         try:
-            value = self.fn(task.payload, attempt)
-        except SerialChaosFault as fault:
-            self._record_failure(task, attempt, fault.kind, fault.cause)
+            value = (corrupted_payload(task.index)
+                     if fault == "corrupt-result"
+                     else self.fn(task.payload, attempt))
         except Exception as exc:
             self._record_failure(task, attempt, "error",
                                  f"{type(exc).__name__}: {exc}")
@@ -210,16 +224,13 @@ class NodesBackend(_Fleet):
     def __init__(
         self,
         fn: Callable,
-        initializer: Callable | None = None,
-        initargs: Sequence = (),
+        ledger: FailureLedger,
+        chaos: ChaosPlan | None = None,
         n_nodes: int = 2,
-        policy: RetryPolicy | None = None,
         validate: Callable | None = None,
-        fail_fast: bool = False,
         max_node_respawns: int = 16,
     ):
-        super().__init__(fn, initializer, initargs, policy, validate,
-                         fail_fast, max_node_respawns)
+        super().__init__(fn, ledger, chaos, validate, max_node_respawns)
         self.n_nodes = max(1, n_nodes)
         #: Test seam: one home shard per task, set before ``stream`` to
         #: starve or overload a lane.  None (every production caller)
@@ -232,13 +243,9 @@ class NodesBackend(_Fleet):
 
     # ``stream`` and ``close`` are defined on each backend class itself:
     # perfbench/layers.py wraps them through the class's own __dict__.
-    def stream(
-        self,
-        tasks: Sequence[SupervisedTask],
-        ledger: FailureLedger | None = None,
-    ) -> Iterator[object]:
+    def stream(self, tasks: Sequence[SupervisedTask]) -> Iterator[object]:
         """Run all tasks; yield outcomes in task order (see class doc)."""
-        return self._supervise(tasks, ledger)
+        return self._supervise(tasks)
 
     def _start(self, tasks: list[SupervisedTask]) -> None:
         homes = (list(self.home_shards) if self.home_shards is not None

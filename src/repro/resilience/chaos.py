@@ -30,10 +30,15 @@ Worker faults default to attempt 0 only, so a retry succeeds; a fault
 with ``attempts=None`` applies to *every* attempt, which is how a poison
 batch (quarantined after the retry budget) is modeled.
 
-Every backend books a fault under the same kind.  The pool and nodes
-fleets really die, with the exit code :data:`CHAOS_EXIT_KINDS` maps back
-to the kind; the in-process serial backend cannot survive a real crash,
-hang or node loss, so :func:`simulate_fault` books the failure instead.
+A backend is built with its plan and injects every fault itself, by
+batch index and attempt, node fault first: a fleet process fires a node
+fault at the transport and suffers a worker fault before it calls the
+task function, and dies with the exit code :data:`CHAOS_EXIT_KINDS`
+maps back to the kind; the in-process serial backend cannot survive a
+real crash, hang or node loss, so it books the failure from
+:data:`_SIMULATED_FAULTS` instead.  Every backend books a fault under
+the same kind, and a corrupt result is :func:`corrupted_payload` on
+every backend.
 
 Service faults
 --------------
@@ -83,13 +88,8 @@ __all__ = [
     "CORRUPT_MARKER",
     "ChaosFault",
     "ChaosPlan",
-    "install_chaos",
-    "installed_worker_fault",
-    "installed_node_fault",
     "trigger_worker_fault",
     "trigger_node_fault",
-    "SerialChaosFault",
-    "simulate_fault",
     "corrupted_payload",
     "apply_cache_fault",
 ]
@@ -248,6 +248,12 @@ class ChaosPlan:
                 return fault.kind
         return None
 
+    def attempt_fault(self, batch_index: int, attempt: int) -> str | None:
+        """The fault a backend injects for this attempt, if any: the
+        node fault first, else the worker fault."""
+        return (self.node_fault(batch_index, attempt)
+                or self.worker_fault(batch_index, attempt))
+
     def cache_fault(self, batch_index: int) -> str | None:
         """The cache-entry fault to apply after this batch's put, if any."""
         for fault in self.faults:
@@ -283,32 +289,8 @@ class ChaosPlan:
 
 
 # ----------------------------------------------------------------------
-# Worker-side injection
+# Injection
 # ----------------------------------------------------------------------
-#: The plan installed in this process (workers install it at init).
-_INSTALLED: ChaosPlan | None = None
-
-
-def install_chaos(plan: ChaosPlan | None) -> None:
-    """Install (or clear) the chaos plan for this process's workers."""
-    global _INSTALLED
-    _INSTALLED = plan
-
-
-def installed_worker_fault(batch_index: int, attempt: int) -> str | None:
-    """The installed plan's worker fault for this attempt, if any."""
-    if _INSTALLED is None:
-        return None
-    return _INSTALLED.worker_fault(batch_index, attempt)
-
-
-def installed_node_fault(batch_index: int, attempt: int) -> str | None:
-    """The installed plan's node fault for this attempt, if any."""
-    if _INSTALLED is None:
-        return None
-    return _INSTALLED.node_fault(batch_index, attempt)
-
-
 def trigger_worker_fault(kind: str) -> None:
     """Execute a worker-side fault *inside the worker process*."""
     if kind == "crash":
@@ -336,18 +318,6 @@ def trigger_node_fault(kind: str, sock, task_id: int) -> None:
     raise ConfigError(f"unknown node fault kind {kind!r}")
 
 
-class SerialChaosFault(Exception):
-    """Raised by a serial-mode task function to simulate a fault the
-    in-process backend cannot survive for real (a crash, a hang, a lost
-    node).  Carries the failure ``kind`` and ``cause`` the ledger
-    records — the serial path *books* the failure instead of dying."""
-
-    def __init__(self, kind: str, cause: str):
-        super().__init__(f"{kind}: {cause}")
-        self.kind = kind
-        self.cause = cause
-
-
 #: How the serial backend books each fault it cannot survive for real:
 #: the kind a fleet would record, and the cause.
 _SIMULATED_FAULTS = {
@@ -360,12 +330,6 @@ _SIMULATED_FAULTS = {
     "shard-partition": ("shard-partition", "injected shard partition "
                         f"(serial mode, exit {CHAOS_PARTITION_EXIT})"),
 }
-
-
-def simulate_fault(kind: str) -> None:
-    """Book a process fault in-process: raise :class:`SerialChaosFault`
-    with the failure a supervised fleet would record for it."""
-    raise SerialChaosFault(*_SIMULATED_FAULTS[kind])
 
 
 def corrupted_payload(batch_index: int) -> list:

@@ -1,8 +1,8 @@
 """Failure accounting for supervised sweeps.
 
-Both execution paths — the multiprocess :class:`Supervisor` and the
-serial inline loop in :func:`repro.core.sweep.run_sweep` — record every
-failed attempt in a :class:`FailureLedger`; the ledger condenses into a
+Every executor backend (serial, pool and nodes) is built with a
+:class:`FailureLedger`, which holds the retry and fail policy the backend
+follows, and books every failed attempt in it; the ledger condenses into a
 :class:`FailureReport` attached to the :class:`~repro.core.sweep.SweepResult`
 (and carried by :class:`~repro.errors.PoisonBatchError` under
 ``fail_policy="raise"``).  The report is rendered through the shared
@@ -126,10 +126,6 @@ class FailureReport:
         """No failures and no cache corruption observed."""
         return not self.batches and not self.cache_corrupt_keys
 
-    def quarantined_batches(self) -> list[BatchFailure]:
-        """The poison batches (missing from a degrade-mode dataset)."""
-        return [b for b in self.batches if b.quarantined]
-
     def to_dict(self) -> dict:
         """JSON-ready form (the ``failure_report`` report section)."""
         return {
@@ -193,12 +189,12 @@ class FailureReport:
 
 
 class FailureLedger:
-    """Shared failure bookkeeping for the inline and supervised paths.
+    """A backend's failure bookkeeping, and its retry and fail policy.
 
     ``record_failure`` returns whether another retry is allowed under the
     policy; once it returns False the batch is quarantined.  The ledger
-    itself never raises — strictness (``fail_policy="raise"``) is the
-    caller's decision.
+    itself never raises — the backend holding it raises under
+    ``fail_policy="raise"``.
     """
 
     def __init__(self, policy, fail_policy: str = "raise"):
@@ -233,13 +229,6 @@ class FailureLedger:
         if entry is not None:
             entry.recovered = True
             entry.quarantined = False
-
-    @property
-    def quarantined_indices(self) -> list[int]:
-        """Batch indices declared poison so far, ascending."""
-        return sorted(
-            i for i, b in self._by_index.items() if b.quarantined
-        )
 
     def build_report(
         self,

@@ -8,11 +8,17 @@ and a hung worker stalls the stream with no diagnosis.  Every backend
 instead tracks each batch as its own assignment, through the one loop
 in :class:`ExecutorBackend`:
 
-- failed attempts back off per the deterministic
-  :class:`~repro.resilience.policy.RetryPolicy` and jump the queue once
-  due; past the budget a task is quarantined as *poison* and the stream
-  degrades gracefully (yields None) or fails fast
-  (:class:`~repro.errors.PoisonBatchError`), per ``fail_fast``,
+- every failed attempt is booked in the backend's
+  :class:`~repro.resilience.report.FailureLedger`, the one source of
+  retry and fail policy: a failed attempt backs off per the ledger's
+  deterministic :class:`~repro.resilience.policy.RetryPolicy` and jumps
+  the queue once due; past the budget a task is quarantined as *poison*
+  and the stream degrades gracefully (yields None) or fails fast
+  (:class:`~repro.errors.PoisonBatchError`), per the ledger's
+  ``fail_policy``,
+- a backend built with a :class:`~repro.resilience.chaos.ChaosPlan`
+  injects that plan's faults itself, by task index and attempt: the
+  task function never sees a fault,
 - every result passes ``validate`` or is booked as ``corrupt-result``,
 - results stream back **in task order** regardless of completion order,
   so the consumer's records and progress callbacks are bit-identical to
@@ -41,6 +47,11 @@ it go back to the front of the queue, in order, at the same attempt.
 The parent never blocks on a send: a process reads its queued task
 only after sending the head's result, so task frames are written as
 far as the link takes them and the rest when it has room again.
+A fleet process gets the task function and the chaos plan as its
+process arguments (inherited under ``fork``, pickled once under
+``spawn`` or ``forkserver``); it fires a node fault at the transport
+and suffers a worker fault (crash, hang, corrupt payload) before it
+calls the task function.
 
 :class:`Supervisor` is the *pool* backend on that fleet: one FIFO of
 tasks in submission order, retries first, and a respawn budget whose
@@ -73,10 +84,12 @@ from repro.errors import (
 )
 from repro.resilience.chaos import (
     CHAOS_EXIT_KINDS,
-    installed_node_fault,
+    NODE_FAULT_KINDS,
+    ChaosPlan,
+    corrupted_payload,
     trigger_node_fault,
+    trigger_worker_fault,
 )
-from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import FailureLedger
 from repro.resilience.transport import (
     encode_frame,
@@ -109,13 +122,17 @@ class ExecutorBackend(abc.ABC):
     """The dispatch protocol shared by serial, pool and nodes backends,
     and the supervision loop every one of them runs.
 
-    ``stream(tasks, ledger)`` yields one outcome per task in task_id
-    order — the result, or None for a quarantined task — and books every
-    failed attempt in the shared
-    :class:`~repro.resilience.report.FailureLedger`.  A subclass says
-    how one tick makes progress (:meth:`_step`); this class owns the
-    ledger, the seeded retry heap, validation, the cancel check and the
-    ordered yield.
+    A backend is built from its task function ``fn(payload, attempt)``,
+    its :class:`~repro.resilience.report.FailureLedger` and its
+    :class:`~repro.resilience.chaos.ChaosPlan` (None: no faults).
+    ``stream(tasks)`` yields one outcome per task in task_id order — the
+    result, or None for a quarantined task — and books every failed
+    attempt in :attr:`ledger`, whose retry policy and fail policy are
+    the only ones the backend follows.  A subclass says how one tick
+    makes progress (:meth:`_step`) and injects the chaos plan's faults
+    on the way (serial in its tick, a fleet in its processes); this
+    class owns the seeded retry heap, validation, the cancel check and
+    the ordered yield.
     """
 
     #: Short identifier ("serial", "pool", "nodes").
@@ -133,15 +150,14 @@ class ExecutorBackend(abc.ABC):
     def __init__(
         self,
         fn: Callable,
-        policy: RetryPolicy | None = None,
+        ledger: FailureLedger,
+        chaos: ChaosPlan | None = None,
         validate: Callable | None = None,
-        fail_fast: bool = False,
     ):
         self.fn = fn
-        self.policy = policy or RetryPolicy()
+        self.ledger = ledger
+        self.chaos = chaos
         self.validate = validate
-        self.fail_fast = fail_fast
-        self.ledger: FailureLedger | None = None
         #: Worker/node respawns performed so far (failure-report field).
         self.worker_respawns = 0
         self._pending: deque = deque()
@@ -151,11 +167,7 @@ class ExecutorBackend(abc.ABC):
         self._yielded = 0
 
     @abc.abstractmethod
-    def stream(
-        self,
-        tasks: Sequence[SupervisedTask],
-        ledger: FailureLedger | None = None,
-    ) -> Iterator[object]:
+    def stream(self, tasks: Sequence[SupervisedTask]) -> Iterator[object]:
         """Run all tasks; yield outcomes in ``task_id`` order."""
 
     @abc.abstractmethod
@@ -170,18 +182,13 @@ class ExecutorBackend(abc.ABC):
         """Put a retried or undelivered task at the head of the queue."""
         self._pending.appendleft((task, attempt))
 
-    def _supervise(
-        self, tasks: Sequence[SupervisedTask], ledger: FailureLedger | None
-    ) -> Iterator[object]:
+    def _supervise(self, tasks: Sequence[SupervisedTask]) -> Iterator[object]:
         tasks = list(tasks)
         if [t.task_id for t in tasks] != list(range(len(tasks))):
             raise ResilienceError(
                 "task_ids must be the contiguous sequence 0..n-1 in "
                 "submission order"
             )
-        self.ledger = ledger if ledger is not None else FailureLedger(
-            self.policy, "raise" if self.fail_fast else "degrade"
-        )
         self._retry_heap = []
         self._outcomes = {}
         self._yielded = 0
@@ -234,12 +241,13 @@ class ExecutorBackend(abc.ABC):
     def _record_failure(self, task: SupervisedTask, attempt: int,
                         kind: str, cause: str) -> None:
         """Book a failed attempt: schedule its seeded retry, or
-        quarantine the task (raising under ``fail_fast``)."""
+        quarantine the task (raising under the ledger's
+        ``fail_policy="raise"``)."""
         retry = self.ledger.record_failure(
             task.index, task.identity, attempt, kind, cause
         )
         if retry:
-            delay = self.policy.delay_s(task.index, attempt + 1)
+            delay = self.ledger.policy.delay_s(task.index, attempt + 1)
             self._retry_seq += 1
             heapq.heappush(
                 self._retry_heap,
@@ -248,7 +256,7 @@ class ExecutorBackend(abc.ABC):
             )
             return
         self._outcomes[task.task_id] = ("poison", None)
-        if self.fail_fast:
+        if self.ledger.fail_policy == "raise":
             raise PoisonBatchError(
                 f"batch {task.index} quarantined after {attempt + 1} "
                 f"failed attempt(s) (last: {kind}: {cause}) under "
@@ -299,26 +307,18 @@ def _detach_inherited_signals() -> None:
             pass
 
 
-def _fleet_main(fn, initializer, initargs, sock):
-    """Fleet process body: initialize once, then serve framed tasks.
+def _fleet_main(fn, chaos, sock):
+    """Fleet process body: serve framed tasks until told to stop.
 
-    Node-level chaos faults fire *here, at the transport layer* (see
+    The chaos plan's faults fire here, before ``fn`` runs: a node fault
+    at the transport layer (see
     :func:`~repro.resilience.chaos.trigger_node_fault`), so the parent
     exercises the real truncated-frame and boundary-EOF recovery paths
-    rather than a polite error message.
+    rather than a polite error message; then a worker fault, suffered
+    for real (a crash exits, a hang sleeps past the deadline) or, for a
+    corrupt result, sent in place of the task's.
     """
     _detach_inherited_signals()
-    try:
-        if initializer is not None:
-            initializer(*initargs)
-    except BaseException as exc:
-        # A process that cannot initialize must say so rather than make
-        # every assignment look like a crash.
-        try:
-            send_frame(sock, ("init-error", f"{type(exc).__name__}: {exc}"))
-        except TransportError:
-            pass
-        return
     try:
         while True:
             try:
@@ -330,16 +330,19 @@ def _fleet_main(fn, initializer, initargs, sock):
             if message[0] != "task":
                 continue  # unknown kind: skip rather than misinterpret
             _tag, task_id, index, payload, attempt = message
-            fault = installed_node_fault(index, attempt)
-            if fault is not None:
+            fault = chaos.attempt_fault(index, attempt) if chaos else None
+            if fault in NODE_FAULT_KINDS:
                 trigger_node_fault(fault, sock, task_id)  # never returns
-            try:
-                result = fn(payload, attempt)
-            except Exception as exc:
-                send_frame(sock, ("result", task_id, "error",
-                                  f"{type(exc).__name__}: {exc}"))
+            if fault == "corrupt-result":
+                reply = ("ok", corrupted_payload(index))
             else:
-                send_frame(sock, ("result", task_id, "ok", result))
+                if fault is not None:
+                    trigger_worker_fault(fault)  # crash never returns
+                try:
+                    reply = ("ok", fn(payload, attempt))
+                except Exception as exc:
+                    reply = ("error", f"{type(exc).__name__}: {exc}")
+            send_frame(sock, ("result", task_id, *reply))
     except KeyboardInterrupt:
         # Ctrl-C reaches the whole process group; exit quietly and let
         # the parent's own interrupt handling clean up.
@@ -410,16 +413,12 @@ class _Fleet(ExecutorBackend):
     def __init__(
         self,
         fn: Callable,
-        initializer: Callable | None,
-        initargs: Sequence,
-        policy: RetryPolicy | None,
+        ledger: FailureLedger,
+        chaos: ChaosPlan | None,
         validate: Callable | None,
-        fail_fast: bool,
         max_respawns: int,
     ):
-        super().__init__(fn, policy, validate, fail_fast)
-        self.initializer = initializer
-        self.initargs = tuple(initargs)
+        super().__init__(fn, ledger, chaos, validate)
         self.max_respawns = max_respawns
         self._slots: list[_FleetSlot] = []
         self._selector: selectors.BaseSelector | None = None
@@ -446,7 +445,7 @@ class _Fleet(ExecutorBackend):
             parent_sock, child_sock = socket.socketpair()
             process = multiprocessing.Process(
                 target=_fleet_main,
-                args=(self.fn, self.initializer, self.initargs, child_sock),
+                args=(self.fn, self.chaos, child_sock),
                 daemon=True,
             )
             process.start()
@@ -566,10 +565,9 @@ class _Fleet(ExecutorBackend):
         """Read frames a dead process flushed before its link dropped;
         return the error that ended the link (None if a read timed out).
 
-        A process that failed initialization sends one ``init-error``
-        frame and exits; that frame sits in the socket buffer and must
-        surface (as :class:`~repro.errors.ResilienceError`) rather than
-        vanish when recovery closes the socket.
+        A result the process sent before it died sits in the socket
+        buffer and must land rather than vanish when recovery closes
+        the socket.
         """
         while True:
             try:
@@ -582,10 +580,6 @@ class _Fleet(ExecutorBackend):
 
     def _handle_message(self, slot: _FleetSlot, message: tuple) -> None:
         kind = message[0]
-        if kind == "init-error":
-            raise ResilienceError(
-                f"{self.noun} initialization failed: {message[1]}"
-            )
         if kind != "result":
             return  # unknown kind: drop rather than misinterpret
         _tag, task_id, status, value = message
@@ -681,8 +675,8 @@ class Supervisor(_Fleet):
 
     :meth:`stream` yields one outcome per task, in task order: the worker
     function's return value, or None for a task quarantined after
-    exhausting its retries (``fail_fast=False``).  With
-    ``fail_fast=True`` the first quarantine raises
+    exhausting its retries (the ledger's ``fail_policy="degrade"``).
+    Under ``fail_policy="raise"`` the first quarantine raises
     :class:`~repro.errors.PoisonBatchError` instead.
 
     ``validate``, if given, is called on every successful result and
@@ -700,27 +694,20 @@ class Supervisor(_Fleet):
     def __init__(
         self,
         fn: Callable,
-        initializer: Callable | None = None,
-        initargs: Sequence = (),
+        ledger: FailureLedger,
+        chaos: ChaosPlan | None = None,
         n_workers: int = 2,
-        policy: RetryPolicy | None = None,
         validate: Callable | None = None,
-        fail_fast: bool = False,
         max_worker_respawns: int = 32,
     ):
-        super().__init__(fn, initializer, initargs, policy, validate,
-                         fail_fast, max_worker_respawns)
+        super().__init__(fn, ledger, chaos, validate, max_worker_respawns)
         self.n_workers = max(1, n_workers)
 
     # ``stream`` and ``close`` are defined on each backend class itself:
     # perfbench/layers.py wraps them through the class's own __dict__.
-    def stream(
-        self,
-        tasks: Sequence[SupervisedTask],
-        ledger: FailureLedger | None = None,
-    ) -> Iterator[object]:
+    def stream(self, tasks: Sequence[SupervisedTask]) -> Iterator[object]:
         """Run all tasks; yield outcomes in task order (see class doc)."""
-        return self._supervise(tasks, ledger)
+        return self._supervise(tasks)
 
     def _start(self, tasks: list[SupervisedTask]) -> None:
         super()._start(tasks)

@@ -562,8 +562,8 @@ class TestShardedExecutionParity:
 
         real = NodesBackend.stream
 
-        def completion_order(self, tasks, ledger=None):
-            outcomes = list(real(self, tasks, ledger))
+        def completion_order(self, tasks):
+            outcomes = list(real(self, tasks))
             mid = len(outcomes) // 2
             return iter(outcomes[mid:] + outcomes[:mid])
 

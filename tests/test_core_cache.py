@@ -75,9 +75,9 @@ def counted_batches(monkeypatch):
     calls = []
     real = sweep_mod._execute_batch
 
-    def counting(plans, batch, drift, jitter):
-        calls.append(batch)
-        return real(plans, batch, drift, jitter)
+    def counting(plans, payload, attempt):
+        calls.append(payload[0])
+        return real(plans, payload, attempt)
 
     monkeypatch.setattr(sweep_mod, "_execute_batch", counting)
     return calls

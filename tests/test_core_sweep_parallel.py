@@ -43,13 +43,12 @@ class _LazyFakeSupervisor:
         self.tasks = []
         self.worker_respawns = 0
 
-    def stream(self, tasks, ledger=None):
+    def stream(self, tasks):
         self.tasks = list(tasks)
         for task in self.tasks:
-            batch = task.payload[1]
+            batch = task.payload[0]
             self.log.append(("compute", batch.app, batch.input_size))
-            yield sweep_mod._supervised_run_batch(self.plans, task.payload,
-                                                  0)
+            yield sweep_mod._execute_batch(self.plans, task.payload, 0)
 
     def completed_unyielded(self):
         return []
@@ -70,7 +69,7 @@ class TestStreamingProgress:
         log = []
         monkeypatch.setattr(
             sweep_mod, "_make_fleet",
-            lambda backend, n, plans, chaos, policy, fail_policy:
+            lambda backend, n, plans, ledger, chaos:
             _LazyFakeSupervisor(plans, log),
         )
 
@@ -97,7 +96,7 @@ class TestStreamingProgress:
         log = []
         supervisors = []
 
-        def make_fleet(backend, n, plans, chaos, policy, fail_policy):
+        def make_fleet(backend, n, plans, ledger, chaos):
             assert (backend, n) == ("pool", 2)
             sup = _LazyFakeSupervisor(plans, log)
             supervisors.append(sup)
@@ -107,8 +106,8 @@ class TestStreamingProgress:
         run_sweep(two_batch_plan, n_processes=2)
         (sup,) = supervisors
         batches = plan_batches(two_batch_plan)
-        assert [t.payload[1] for t in sup.tasks] == batches
-        assert all(type(t.payload[1]) is BatchSpec for t in sup.tasks)
+        assert [t.payload[0] for t in sup.tasks] == batches
+        assert all(type(t.payload[0]) is BatchSpec for t in sup.tasks)
         # Task ids are the contiguous stream order; indices address the
         # full batch list (here no cache, so they coincide).
         assert [t.task_id for t in sup.tasks] == list(range(len(batches)))
@@ -128,8 +127,8 @@ class TestStreamingProgress:
             expected = measurement_noise_factors(
                 machine, [(program, suffixes)], reps
             )
-            assert len(task.payload) == 4
-            for got, want in zip(task.payload[2:], expected):
+            assert len(task.payload) == 3
+            for got, want in zip(task.payload[1:], expected):
                 assert got.tobytes() == want.tobytes()
 
     def test_real_supervisor_progress_fires_per_batch_in_order(self):
@@ -242,3 +241,29 @@ class TestInheritedState:
             capture_output=True, text=True, check=True, env=env,
         )
         assert out.stdout.split() == ["2", "True"]
+
+    def test_sweep_process_imports_what_task_regions_need(self):
+        """The sweep prices its misses' task-region straggler factors
+        before it forks a fleet, so the workers inherit the
+        ``scipy.special`` import and the memo instead of each importing
+        it in its first task-region batch."""
+        snippet = (
+            "import sys\n"
+            "from repro.core.sweep import SweepPlan, run_sweep\n"
+            "from repro.runtime.kernel import max_leaf_factor\n"
+            "plan = SweepPlan(arch='milan', workload_names=('alignment',),"
+            " scale='small', repetitions=1, inputs_limit=2)\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "result = run_sweep(plan, n_processes=2, backend='pool')\n"
+            "print(result.n_shards, 'scipy.special' in sys.modules,"
+            " max_leaf_factor.cache_info().currsize > 0)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in ("src", env.get("PYTHONPATH", "")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert out.stdout.split() == ["2", "True", "True"]

@@ -585,18 +585,18 @@ class TestFlow003:
 
         shipped = DEFAULT_SRC_ROOT / "resilience"
         supervisor = (shipped / "supervisor.py").read_text()
-        assert supervisor.count('("init-error", ') == 1
+        assert supervisor.count('("result", ') == 1
         root = make_tree(tmp_path, {
             "resilience/transport.py": (shipped / "transport.py").read_text(),
             "resilience/supervisor.py": supervisor.replace(
-                '("init-error", ', '("init-failed", '),
+                '("result", ', '("reply", '),
         })
         findings = check_frame_protocol(build_callgraph(root))
         assert {f.subject for f in findings} == {
-            "frame-kind:init-failed", "frame-kind:init-error",
+            "frame-kind:reply", "frame-kind:result",
         }
         (sent,) = [f for f in findings
-                   if f.subject == "frame-kind:init-failed"]
+                   if f.subject == "frame-kind:reply"]
         assert sent.path == "resilience/supervisor.py"
         assert "_fleet_main" in sent.message
 

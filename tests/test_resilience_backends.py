@@ -24,15 +24,14 @@ from repro.resilience import (
     ChaosFault,
     ChaosPlan,
     ExecutorBackend,
+    FailureLedger,
     NodesBackend,
     ReassignEvent,
     RetryPolicy,
     SerialBackend,
-    SerialChaosFault,
     ShardReport,
     StealEvent,
     Supervisor,
-    install_chaos,
 )
 from repro.resilience.supervisor import SupervisedTask
 
@@ -67,12 +66,12 @@ def _tasks(modes, timeout_s=10.0):
     ]
 
 
+def _ledger(fail_policy="degrade"):
+    return FailureLedger(FAST, fail_policy)
+
+
 def _node_plan(kind, index, attempts=(0,)):
     return ChaosPlan(seed=0, faults=(ChaosFault(kind, index, attempts),))
-
-
-def _bad_init():
-    raise RuntimeError("broken node image")
 
 
 class TestProtocol:
@@ -85,13 +84,13 @@ class TestProtocol:
     def test_supervisor_is_a_virtual_backend(self):
         # A real subclass now: the pool runs the shared supervision core.
         assert ExecutorBackend in Supervisor.__mro__
-        supervisor = Supervisor(_work, n_workers=1, policy=FAST)
+        supervisor = Supervisor(_work, _ledger(), n_workers=1)
         assert isinstance(supervisor, ExecutorBackend)
         supervisor.close()
 
     def test_every_backend_closes_idempotently(self):
-        serial = SerialBackend(_work, policy=FAST)
-        nodes = NodesBackend(_work, n_nodes=2, policy=FAST)
+        serial = SerialBackend(_work, _ledger())
+        nodes = NodesBackend(_work, _ledger(), n_nodes=2)
         for backend in (serial, nodes):
             backend.close()
             backend.close()
@@ -99,7 +98,7 @@ class TestProtocol:
 
 class TestSerialBackend:
     def test_results_stream_in_task_order(self):
-        backend = SerialBackend(_work, policy=FAST)
+        backend = SerialBackend(_work, _ledger())
         assert list(backend.stream(_tasks(["ok"] * 5))) == [
             f"done-{i}" for i in range(5)
         ]
@@ -109,10 +108,10 @@ class TestSerialBackend:
         bad = [SupervisedTask(task_id=3, index=0, payload=(0, "ok"),
                               timeout_s=1.0)]
         with pytest.raises(ResilienceError):
-            list(SerialBackend(_work, policy=FAST).stream(bad))
+            list(SerialBackend(_work, _ledger()).stream(bad))
 
     def test_exception_retried_then_recovered(self):
-        backend = SerialBackend(_work, policy=FAST)
+        backend = SerialBackend(_work, _ledger())
         assert list(backend.stream(_tasks(["error", "ok"]))) == [
             "done-0", "done-1"
         ]
@@ -121,22 +120,26 @@ class TestSerialBackend:
         assert report.batches[0].recovered
 
     def test_chaos_fault_books_its_kind(self):
-        def flaky(payload, attempt):
-            if payload[0] == 0 and attempt == 0:
-                raise SerialChaosFault("node-lost",
-                                       "injected node loss (serial mode)")
+        ran = []
+
+        def tracked(payload, attempt):
+            ran.append((payload[0], attempt))
             return _work(payload, attempt)
 
-        backend = SerialBackend(flaky, policy=FAST)
+        backend = SerialBackend(tracked, _ledger(),
+                                _node_plan("node-lost", 0))
         assert list(backend.stream(_tasks(["x", "ok"]))) == [
             "done-0", "done-1"
         ]
         attempt = backend.ledger.build_report().batches[0].attempts[0]
         assert attempt.kind == "node-lost"
         assert "injected node loss" in attempt.cause
+        # The fault is booked without running the task; its retry runs
+        # before the next task does.
+        assert ran == [(0, 1), (1, 0)]
 
     def test_validation_failure_is_corrupt_result(self):
-        backend = SerialBackend(_work, policy=FAST, validate=_validate)
+        backend = SerialBackend(_work, _ledger(), validate=_validate)
         outcomes = list(backend.stream(_tasks(["always-bad", "ok"])))
         assert outcomes == [None, "done-1"]
         report = backend.ledger.build_report()
@@ -144,8 +147,8 @@ class TestSerialBackend:
         assert not report.batches[0].recovered
 
     def test_fail_fast_raises_poison(self):
-        backend = SerialBackend(_work, policy=FAST, validate=_validate,
-                                fail_fast=True)
+        backend = SerialBackend(_work, _ledger("raise"),
+                                validate=_validate)
         with pytest.raises(PoisonBatchError, match="quarantined"):
             list(backend.stream(_tasks(["always-bad"])))
 
@@ -156,8 +159,8 @@ class TestSerialBackend:
             ran.append(payload[0])
             return _work(payload, attempt)
 
-        backend = SerialBackend(tracked, policy=FAST, validate=_validate,
-                                fail_fast=True)
+        backend = SerialBackend(tracked, _ledger("raise"),
+                                validate=_validate)
         with pytest.raises(PoisonBatchError, match="batch 1"):
             list(backend.stream(_tasks(["ok", "always-bad", "ok", "ok"])))
         # Task 1 runs all three attempts back to back; nothing after it
@@ -166,7 +169,7 @@ class TestSerialBackend:
         assert backend.completed_unyielded() == []
 
     def test_completed_unyielded_flushes_partial_progress(self):
-        backend = SerialBackend(_work, policy=FAST)
+        backend = SerialBackend(_work, _ledger())
         stream = backend.stream(_tasks(["ok", "ok", "ok"]))
         assert next(stream) == "done-0"
         stream.close()
@@ -177,7 +180,7 @@ class TestSerialBackend:
 
 class TestNodesHappyPath:
     def test_results_stream_in_task_order(self):
-        backend = NodesBackend(_work, n_nodes=3, policy=FAST)
+        backend = NodesBackend(_work, _ledger(), n_nodes=3)
         try:
             outcomes = list(backend.stream(_tasks(["ok"] * 9)))
         finally:
@@ -189,7 +192,7 @@ class TestNodesHappyPath:
         assert len(report.assignments) == 9
 
     def test_home_shard_override_validated(self):
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, _ledger(), n_nodes=2)
         backend.home_shards = [0]
         with pytest.raises(ResilienceError):
             list(backend.stream(_tasks(["ok", "ok"])))
@@ -198,7 +201,7 @@ class TestWorkStealing:
     def test_starved_shard_steals_and_order_is_preserved(self):
         # All six tasks homed on shard 0; shard 1 starts starved and
         # must steal, yet the outcome order never changes.
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, _ledger(), n_nodes=2)
         backend.home_shards = [0] * 6
         modes = ["slow", "slow", "slow", "slow", "slow", "slow"]
         try:
@@ -215,7 +218,7 @@ class TestWorkStealing:
         assert 1 in report.assignments
 
     def test_no_steals_when_both_lanes_are_fed(self):
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, _ledger(), n_nodes=2)
         backend.home_shards = [0, 1, 0, 1]
         try:
             outcomes = list(backend.stream(
@@ -232,9 +235,8 @@ class TestNodeFaultRecovery:
         # parent books a node-lost failure, respawns, and the retry
         # lands.
         backend = NodesBackend(
-            _work, initializer=install_chaos,
-            initargs=(_node_plan("node-lost", 0),),
-            n_nodes=2, policy=FAST,
+            _work, _ledger(), _node_plan("node-lost", 0),
+            n_nodes=2,
         )
         try:
             outcomes = list(backend.stream(_tasks(["ok", "ok", "ok"])))
@@ -249,9 +251,8 @@ class TestNodeFaultRecovery:
 
     def test_shard_partition_at_boundary_recovers(self):
         backend = NodesBackend(
-            _work, initializer=install_chaos,
-            initargs=(_node_plan("shard-partition", 1),),
-            n_nodes=2, policy=FAST,
+            _work, _ledger(), _node_plan("shard-partition", 1),
+            n_nodes=2,
         )
         try:
             outcomes = list(backend.stream(_tasks(["ok", "ok", "ok"])))
@@ -266,9 +267,8 @@ class TestNodeFaultRecovery:
 
     def test_poison_node_fault_quarantines(self):
         backend = NodesBackend(
-            _work, initializer=install_chaos,
-            initargs=(_node_plan("node-lost", 0, attempts=None),),
-            n_nodes=2, policy=FAST,
+            _work, _ledger(), _node_plan("node-lost", 0, attempts=None),
+            n_nodes=2,
         )
         try:
             outcomes = list(backend.stream(_tasks(["ok", "ok"])))
@@ -281,7 +281,7 @@ class TestNodeFaultRecovery:
                    for a in report.batches[0].attempts)
 
     def test_worker_exception_is_a_plain_error(self):
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, _ledger(), n_nodes=2)
         try:
             outcomes = list(backend.stream(_tasks(["error", "ok"])))
         finally:
@@ -294,9 +294,8 @@ class TestNodeFaultRecovery:
 
     def test_fail_fast_raises_poison(self):
         backend = NodesBackend(
-            _work, initializer=install_chaos,
-            initargs=(_node_plan("node-lost", 0, attempts=None),),
-            n_nodes=2, policy=FAST, fail_fast=True,
+            _work, _ledger("raise"),
+            _node_plan("node-lost", 0, attempts=None), n_nodes=2,
         )
         try:
             with pytest.raises(PoisonBatchError, match="node-lost"):
@@ -311,9 +310,8 @@ class TestReassignment:
         # allowed the first loss abandons the shard and moves its
         # backlog to the survivor, which finishes everything.
         backend = NodesBackend(
-            _work, initializer=install_chaos,
-            initargs=(_node_plan("shard-partition", 0),),
-            n_nodes=2, policy=FAST, max_node_respawns=0,
+            _work, _ledger(), _node_plan("shard-partition", 0),
+            n_nodes=2, max_node_respawns=0,
         )
         backend.home_shards = [0, 0, 0, 1]
         try:
@@ -332,10 +330,9 @@ class TestReassignment:
         # dies too, and the second abandonment finds no survivor.
         for n_nodes in (1, 2):
             backend = NodesBackend(
-                _work, initializer=install_chaos,
-                initargs=(_node_plan("shard-partition", 0,
-                                     attempts=None),),
-                n_nodes=n_nodes, policy=FAST, max_node_respawns=0,
+                _work, _ledger(),
+                _node_plan("shard-partition", 0, attempts=None),
+                n_nodes=n_nodes, max_node_respawns=0,
             )
             try:
                 with pytest.raises(ResilienceError,
@@ -347,7 +344,7 @@ class TestReassignment:
 
 class TestInterruption:
     def test_completed_unyielded_after_partial_consumption(self):
-        backend = NodesBackend(_work, n_nodes=2, policy=FAST)
+        backend = NodesBackend(_work, _ledger(), n_nodes=2)
         stream = backend.stream(_tasks(["slow", "ok", "ok"]))
         try:
             # Task 0 is slow, so later results land before it yields;
@@ -360,16 +357,6 @@ class TestInterruption:
         flushed = backend.completed_unyielded()
         assert all(isinstance(tid, int) for tid, _v in flushed)
         assert all(v.startswith("done-") for _tid, v in flushed)
-
-    def test_init_error_surfaces(self):
-        backend = NodesBackend(_work, initializer=_bad_init, n_nodes=1,
-                               policy=FAST)
-        try:
-            with pytest.raises(ResilienceError,
-                               match="node initialization failed"):
-                list(backend.stream(_tasks(["ok"])))
-        finally:
-            backend.close()
 
 
 class TestShardReport:
@@ -393,9 +380,3 @@ class TestShardReport:
         ]
         assert payload["node_respawns"] == 3
 
-
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    """Never leak an installed plan into other tests in this process."""
-    yield
-    install_chaos(None)

@@ -14,18 +14,9 @@ from repro.resilience.chaos import (
     WORKER_FAULT_KINDS,
     apply_cache_fault,
     corrupted_payload,
-    install_chaos,
-    installed_worker_fault,
 )
 
 pytestmark = pytest.mark.chaos
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    """Never leak an installed plan into other tests in this process."""
-    yield
-    install_chaos(None)
 
 
 class TestChaosFault:
@@ -115,12 +106,18 @@ class TestFaultLookup:
         assert plan.worker_fault(9, 0) is None
         assert plan.cache_fault(9) is None
 
-    def test_installed_plan_lookup(self, plan):
-        assert installed_worker_fault(0, 0) is None  # nothing installed
-        install_chaos(plan)
-        assert installed_worker_fault(0, 0) == "crash"
-        install_chaos(None)
-        assert installed_worker_fault(0, 0) is None
+    def test_attempt_fault_takes_the_node_fault_first(self):
+        plan = ChaosPlan(seed=0, faults=(
+            ChaosFault("crash", 0),
+            ChaosFault("node-lost", 0),
+            ChaosFault("hang", 1, attempts=(1,)),
+            ChaosFault("cache-bit-flip", 2, attempts=None),
+        ))
+        assert plan.attempt_fault(0, 0) == "node-lost"
+        assert plan.attempt_fault(0, 1) is None
+        assert plan.attempt_fault(1, 0) is None
+        assert plan.attempt_fault(1, 1) == "hang"
+        assert plan.attempt_fault(2, 0) is None  # cache faults strike later
 
 
 class TestFaultEffects:

@@ -8,6 +8,7 @@ subclasses at the bottom of the module.
 """
 
 import contextlib
+import multiprocessing
 import os
 import signal
 import time
@@ -23,13 +24,8 @@ from repro.resilience import (
     RetryPolicy,
     SerialBackend,
     Supervisor,
-    install_chaos,
 )
-from repro.resilience.chaos import (
-    installed_worker_fault,
-    simulate_fault,
-    trigger_worker_fault,
-)
+from repro.resilience import supervisor as supervisor_mod
 from repro.resilience.supervisor import SupervisedTask
 
 pytestmark = pytest.mark.chaos
@@ -57,16 +53,6 @@ def _work(payload, attempt):
         return f"pid-{os.getpid()}"
     if mode == "attempt":
         return f"attempt-{attempt}"
-    return f"done-{index}"
-
-
-def _chaos_work(payload, attempt):
-    """Fleet body that suffers the installed chaos plan's worker faults
-    (its node faults fire in the fleet's own loop)."""
-    index, _mode = payload
-    fault = installed_worker_fault(index, attempt)
-    if fault is not None:
-        trigger_worker_fault(fault)
     return f"done-{index}"
 
 
@@ -119,15 +105,17 @@ class _OnPool:
     #: What the crash-loop error says once the respawn budget is spent.
     budget_error = "respawn budget"
 
-    def make(self, n=2, max_respawns=None, fn=_work, **kwargs):
-        kwargs.setdefault("policy", FAST)
+    def make(self, n=2, max_respawns=None, fn=_work, fail_policy="degrade",
+             ledger=None, chaos=None, **kwargs):
+        if ledger is None:
+            ledger = FailureLedger(FAST, fail_policy)
         if self.fleet == "pool":
             if max_respawns is not None:
                 kwargs["max_worker_respawns"] = max_respawns
-            return Supervisor(fn, n_workers=n, **kwargs)
+            return Supervisor(fn, ledger, chaos, n_workers=n, **kwargs)
         if max_respawns is not None:
             kwargs["max_node_respawns"] = max_respawns
-        return NodesBackend(fn, n_nodes=n, **kwargs)
+        return NodesBackend(fn, ledger, chaos, n_nodes=n, **kwargs)
 
     def run(self, modes, timeout_s=10.0, **kwargs):
         backend = self.make(**kwargs)
@@ -190,7 +178,8 @@ class TestFaultRecovery(_OnPool):
 class TestPoisonHandling(_OnPool):
     def test_degrade_yields_none_for_poison(self):
         supervisor, outcomes = self.run(["always-bad", "ok", "ok"],
-                                        validate=_validate, fail_fast=False)
+                                        validate=_validate,
+                                        fail_policy="degrade")
         assert outcomes == [None, "done-1", "done-2"]
         report = supervisor.ledger.build_report()
         assert report.n_quarantined == 1
@@ -198,14 +187,14 @@ class TestPoisonHandling(_OnPool):
         assert len(report.batches[0].attempts) == 1 + FAST.max_retries
 
     def test_fail_fast_raises_poison_batch_error(self):
-        supervisor = self.make(validate=_validate, fail_fast=True)
+        supervisor = self.make(validate=_validate, fail_policy="raise")
         with pytest.raises(PoisonBatchError):
             list(supervisor.stream(_tasks(["always-bad", "ok"])))
 
     def test_completed_results_survive_fail_fast(self):
         """Work that landed before the poison verdict stays retrievable,
         so an interrupted sweep can flush it to its cache."""
-        supervisor = self.make(validate=_validate, fail_fast=True)
+        supervisor = self.make(validate=_validate, fail_policy="raise")
         with pytest.raises(PoisonBatchError):
             list(supervisor.stream(_tasks(["always-bad", "ok"])))
         landed = dict(supervisor.completed_unyielded())
@@ -222,9 +211,8 @@ class TestRespawnBudget(_OnPool):
 class TestLedgerSharing(_OnPool):
     def test_external_ledger_is_used(self):
         ledger = FailureLedger(FAST, "degrade")
-        supervisor = self.make()
-        outcomes = list(supervisor.stream(_tasks(["error", "ok"]),
-                                          ledger=ledger))
+        supervisor = self.make(ledger=ledger)
+        outcomes = list(supervisor.stream(_tasks(["error", "ok"])))
         assert outcomes == ["done-0", "done-1"]
         assert supervisor.ledger is ledger
         assert ledger.build_report().n_failed_batches == 1
@@ -241,8 +229,8 @@ class TestHalfWrittenResult:
         leaves a truncated frame that is booked and retried — never a
         reader blocked on the missing half."""
         plan = ChaosPlan(seed=0, faults=(ChaosFault("node-lost", 0),))
-        supervisor = Supervisor(_work, initializer=install_chaos,
-                                initargs=(plan,), n_workers=2, policy=FAST)
+        supervisor = Supervisor(_work, FailureLedger(FAST, "degrade"), plan,
+                                n_workers=2)
         outcomes = list(supervisor.stream(_tasks(["ok", "ok", "ok"])))
         assert outcomes == ["done-0", "done-1", "done-2"]
         batch = supervisor.ledger.build_report().batches[0]
@@ -282,23 +270,17 @@ class TestWindow(_OnPool):
             )
 
     def test_report_equals_serial_for_the_same_chaos_plan(self):
+        """Both backends run the same plain task function with the same
+        plan; each injects and books the faults itself."""
         plan = ChaosPlan(seed=0, faults=(
             ChaosFault("crash", 0), ChaosFault("hang", 1),
             ChaosFault("node-lost", 2), ChaosFault("shard-partition", 3),
+            ChaosFault("corrupt-result", 4),
         ))
-
-        def serial_work(payload, attempt):
-            index, _mode = payload
-            fault = (plan.node_fault(index, attempt)
-                     or plan.worker_fault(index, attempt))
-            if fault is not None:
-                simulate_fault(fault)
-            return f"done-{index}"
-
         tasks = _tasks(["ok"] * 6, timeout_s=0.5)
-        serial = SerialBackend(serial_work, policy=FAST)
-        fleet = self.make(fn=_chaos_work, initializer=install_chaos,
-                          initargs=(plan,))
+        serial = SerialBackend(_work, FailureLedger(FAST, "degrade"), plan,
+                               validate=_validate)
+        fleet = self.make(chaos=plan, validate=_validate)
         expected = list(serial.stream(tasks))
         assert list(fleet.stream(tasks)) == expected
         assert _attempt_kinds(fleet.ledger.build_report()) == \
@@ -330,6 +312,30 @@ class TestWindow(_OnPool):
         assert outcomes == [bytes([i]) * size for i in range(2)]
         assert fleet.ledger.build_report().clean
         assert fleet.worker_respawns == 0
+
+
+class TestSpawnedFleet:
+    def test_chaos_plan_reaches_spawned_workers(self, monkeypatch):
+        """Under ``spawn`` a worker inherits nothing: the plan must reach
+        it as a process argument, and the report equal serial's."""
+        monkeypatch.setattr(supervisor_mod, "multiprocessing",
+                            multiprocessing.get_context("spawn"))
+        plan = ChaosPlan(seed=0, faults=(
+            ChaosFault("crash", 0), ChaosFault("corrupt-result", 1),
+            ChaosFault("node-lost", 2),
+        ))
+        tasks = _tasks(["ok"] * 4)
+        serial = SerialBackend(_work, FailureLedger(FAST, "degrade"), plan,
+                               validate=_validate)
+        pool = Supervisor(_work, FailureLedger(FAST, "degrade"), plan,
+                          n_workers=2, validate=_validate)
+        expected = list(serial.stream(tasks))
+        assert list(pool.stream(tasks)) == expected
+        kinds = _attempt_kinds(pool.ledger.build_report())
+        assert kinds == _attempt_kinds(serial.ledger.build_report())
+        assert [k[1] for k in kinds] == [
+            [(0, "crash")], [(0, "corrupt-result")], [(0, "node-lost")],
+        ]
 
 
 # The same cases on the nodes fleet.

@@ -33,7 +33,7 @@ from repro.core.sweep import (
 )
 from repro.errors import FrameError
 from repro.frame.columns import RecordBlock
-from repro.resilience import RetryPolicy, SerialBackend
+from repro.resilience import FailureLedger, RetryPolicy, SerialBackend
 from repro.resilience.supervisor import SupervisedTask
 from repro.runtime.icv import EnvConfig
 
@@ -93,7 +93,8 @@ class TestCheckSweepBlock:
     def test_fleet_validator_books_corrupt_result(self, bad_block):
         backend = SerialBackend(
             lambda payload, attempt: bad_block,
-            policy=RetryPolicy(max_retries=1, base_delay_s=0.0, seed=0),
+            FailureLedger(RetryPolicy(max_retries=1, base_delay_s=0.0,
+                                      seed=0), "degrade"),
             validate=_validate_batch_records,
         )
         task = SupervisedTask(task_id=0, index=0, payload=None,
